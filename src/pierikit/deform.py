@@ -22,6 +22,7 @@ from .exactla import (
     family_from_vectors,
     frac,
     intersect,
+    invert_matrix,
     kernel_basis,
     limit_at_zero,
     span,
@@ -160,7 +161,10 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
                        for row in inner[i - 1].basis)
             )
         covectors.append(list(x))
-    inverse = _matrix_inverse(covectors)
+    try:
+        inverse = invert_matrix(covectors)
+    except ValueError:
+        raise ValueError("covectors are not independent") from None
     dual = []
     for q in range(N):
         coords = tuple(inverse[i][q] for i in range(N))
@@ -179,24 +183,6 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
         assert fibre.contains(spaces[l - 1])
         assert not fibre.contains(spaces[l - 2])
     return Pencil(M, mflag, l, dual, family, L_inf)
-
-
-def _matrix_inverse(rows):
-    n = len(rows)
-    aug = [[frac(x) for x in row] + [frac(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("covectors are not independent")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 # ----------------------------------------------------------------------

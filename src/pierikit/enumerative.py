@@ -43,6 +43,14 @@ from .tableaux import (
 _EXPANSION_CAP = 16
 
 
+class VerificationError(Exception):
+    """A constructed witness failed its exact check.
+
+    Deliberately not a ValueError: witness_table resamples C on ValueError
+    (a genericity failure), and a wrong witness must not be retried away.
+    """
+
+
 @dataclass(frozen=True)
 class QuintupleProblem:
     """Data for a five-condition intersection of m-planes in k^n.
@@ -197,7 +205,8 @@ def triple_witnesses(
     intersection is empty then).  Raises ValueError when the inputs are
     not in general position: a slice vanishes, the slice sum is not
     direct, C meets it off a line, or a basis vector falls too deep in
-    either flag.
+    either flag.  Raises VerificationError when the plane it built fails
+    one of the three memberships.
     """
     n, m = alpha.n, alpha.m
     if beta.n != n or beta.m != m:
@@ -243,10 +252,14 @@ def triple_witnesses(
             raise ValueError(f"vector {j} falls too deep in the second flag")
 
     H = span(n, *basis)
-    assert H.dim == m
-    assert schubert_member(H, alpha, flag)
-    assert schubert_member(H, beta, flag2)
-    assert intersect(H, C).dim >= 1
+    if H.dim != m:
+        raise VerificationError(f"witness spans dimension {H.dim}, not {m}")
+    if not schubert_member(H, alpha, flag):
+        raise VerificationError("witness is off the first Schubert variety")
+    if not schubert_member(H, beta, flag2):
+        raise VerificationError("witness is off the second Schubert variety")
+    if intersect(H, C).dim < 1:
+        raise VerificationError("witness misses the special subspace")
     return [H]
 
 

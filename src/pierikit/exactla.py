@@ -4,12 +4,20 @@ Everything is over the rationals and nothing is ever rounded: vectors are
 tuples of Fraction, a subspace is stored in its unique reduced echelon
 canonical form, and one-parameter families carry polynomial entries so that
 flat limits at t=0 come out of exact column operations.
+
+Elimination is fraction-free.  One integer Gauss-Jordan routine does every
+rank, kernel, solve, inverse, span and intersection: it scales each input
+row to a primitive integer vector and keeps it primitive.  Fractions appear
+only at the boundary, when a result leaves it as the canonical basis of a
+Subspace or as a kernel, solution or inverse.  Its inputs must be int or
+Fraction; anything else raises TypeError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 Vec = tuple[Fraction, ...]
 Poly = tuple[Fraction, ...]  # coefficients, lowest degree first, trimmed
@@ -62,7 +70,93 @@ def is_zero_vec(v) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Matrix routines.  Matrices are lists of row tuples/lists of Fractions.
+# Matrix routines.  Matrices are lists of rows with int or Fraction
+# entries; _echelon is the one elimination loop.
+
+_EXACT = (int, Fraction)
+
+
+def _int_row(row) -> list[int]:
+    """The row scaled to a primitive integer vector (zero stays zero)."""
+    types = set(map(type, row))
+    if types == {int}:
+        ints = list(row)
+    else:
+        if not types.issubset(_EXACT):
+            for x in row:
+                if not isinstance(x, _EXACT):
+                    raise TypeError("exact elimination takes int or Fraction "
+                                    f"entries, not {type(x).__name__}")
+        ratios = [x.as_integer_ratio() for x in row]
+        den = lcm(*[d for _, d in ratios])
+        ints = [n * (den // d) for n, d in ratios]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _echelon(rows):
+    """Integer Gauss-Jordan elimination, fraction-free.
+
+    Returns (rows, pivot column indices): primitive integer rows whose
+    pivot entries are positive, pivots strictly increasing and pivot
+    columns zero in every other row.  Dividing each row by its pivot entry
+    gives the canonical reduced echelon form.  Each update is a
+    cross-multiplication followed by division by the row's content, so
+    every row stays primitive.
+    """
+    work = [r for r in map(_int_row, rows) if any(r)]
+    pivots = []
+    if not work:
+        return work, pivots
+    nrows = len(work)
+    prow = 0
+    for c in range(len(work[0])):
+        pr = next((r for r in range(prow, nrows) if work[r][c]), None)
+        if pr is None:
+            continue
+        piv = work[pr]
+        work[pr] = work[prow]
+        p = piv[c]
+        if p < 0:
+            piv = [-x for x in piv]
+            p = -p
+        work[prow] = piv
+        for r, row in enumerate(work):
+            f = row[c]
+            if f and r != prow:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(row, piv)]
+                g = gcd(*new)
+                work[r] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        prow += 1
+        if prow == nrows:
+            break
+    return work[:prow], pivots
+
+
+def _over(row, d: int) -> Vec:
+    """The integer row divided by d, as Fractions."""
+    return tuple(Fraction(x, d) if x else _ZERO for x in row)
+
+
+def _null_vectors(rows, ncols: int) -> list[tuple[int, list[int]]]:
+    """Integer basis of the null space {x : rows . x = 0}, as pairs (d, v)
+    with one v per free column; v's entry there is d > 0, and v / d is the
+    basis vector that has 1 in that free column and 0 in the others."""
+    reduced, pivots = _echelon(rows)
+    basis = []
+    for fc in sorted(set(range(ncols)).difference(pivots)):
+        d = lcm(*[row[pc] for row, pc in zip(reduced, pivots) if row[fc]])
+        v = [0] * ncols
+        v[fc] = d
+        for row, pc in zip(reduced, pivots):
+            if row[fc]:
+                v[pc] = -row[fc] * (d // row[pc])
+        basis.append((d, v))
+    return basis
+
 
 def rref(rows):
     """Reduced row echelon form.
@@ -71,53 +165,17 @@ def rref(rows):
     unique canonical basis of the row space: pivot entries are 1, pivot
     columns are clear elsewhere, pivots strictly increase.
     """
-    work = [list(r) for r in rows if not is_zero_vec(r)]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots = []
-    prow = 0
-    for c in range(ncols):
-        pr = None
-        for r in range(prow, len(work)):
-            if work[r][c] != 0:
-                pr = r
-                break
-        if pr is None:
-            continue
-        work[prow], work[pr] = work[pr], work[prow]
-        inv = _ONE / work[prow][c]
-        work[prow] = [x * inv for x in work[prow]]
-        for r in range(len(work)):
-            if r != prow and work[r][c] != 0:
-                f = work[r][c]
-                row = work[r]
-                piv = work[prow]
-                work[r] = [a - f * b for a, b in zip(row, piv)]
-        pivots.append(c)
-        prow += 1
-        if prow == len(work):
-            break
-    reduced = [tuple(r) for r in work[:prow] if not is_zero_vec(r)]
-    return reduced, pivots
+    reduced, pivots = _echelon(rows)
+    return [_over(row, row[c]) for row, c in zip(reduced, pivots)], pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    return len(_echelon(rows)[1])
 
 
 def kernel_basis(rows, ncols: int):
     """Basis of the null space {x : rows . x = 0}, deterministic order."""
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [_ZERO] * ncols
-        v[fc] = _ONE
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    return basis
+    return [_over(v, d) for d, v in _null_vectors(rows, ncols)]
 
 
 def solve_columns(cols, target):
@@ -128,26 +186,25 @@ def solve_columns(cols, target):
     """
     if not cols:
         return None if not is_zero_vec(target) else ()
-    n = len(cols[0])
-    aug = [[frac(col[i]) for col in cols] + [frac(target[i])] for i in range(n)]
-    reduced, pivots = rref(aug)
     ncols = len(cols)
+    aug = [[col[i] for col in cols] + [target[i]] for i in range(len(cols[0]))]
+    reduced, pivots = _echelon(aug)
     if ncols in pivots:
         return None
     x = [_ZERO] * ncols
     for row, pc in zip(reduced, pivots):
-        x[pc] = row[-1]
+        if row[-1]:
+            x[pc] = Fraction(row[-1], row[pc])
     return tuple(x)
 
 
 def invert_matrix(rows):
     n = len(rows)
-    aug = [list(map(frac, r)) + [(_ONE if j == i else _ZERO) for j in range(n)]
-           for i, r in enumerate(rows)]
-    reduced, pivots = rref(aug)
+    aug = [list(r) + [int(j == i) for j in range(n)] for i, r in enumerate(rows)]
+    reduced, pivots = _echelon(aug)
     if pivots[:n] != list(range(n)) or len(reduced) != n:
         raise ValueError("matrix is singular")
-    return [tuple(r[n:]) for r in reduced]
+    return [_over(row[n:], row[i]) for i, row in enumerate(reduced)]
 
 
 def mat_vec(rows, v: Vec) -> Vec:
@@ -238,7 +295,10 @@ def _pivot_index(row):
 
 def canonicalize(vectors, ambient: int) -> Subspace:
     """Span of the vectors, in canonical form."""
-    vs = [vec(v, ambient) for v in vectors]
+    vs = [tuple(v) for v in vectors]
+    for v in vs:
+        if len(v) != ambient:
+            raise ValueError(f"expected vector of length {ambient}, got {len(v)}")
     reduced, _ = rref(vs)
     return Subspace(ambient, tuple(reduced))
 
@@ -265,18 +325,17 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("ambient mismatch")
     if a.is_zero or b.is_zero:
         return zero_subspace(a.ambient)
-    cols = list(a.basis) + list(b.basis)
+    arows = [_int_row(r) for r in a.basis]
+    cols = arows + [_int_row(r) for r in b.basis]
     # null vectors (u, v) of the matrix with those columns give points
     # sum u_q a_q = -sum v_q b_q in the intersection
-    mat = [[col[i] for col in cols] for i in range(a.ambient)]
     gens = []
-    for kv in kernel_basis(mat, len(cols)):
-        w = [_ZERO] * a.ambient
-        for coeff, basv in zip(kv[: a.dim], a.basis):
-            if coeff != 0:
-                for i in range(a.ambient):
-                    w[i] += coeff * basv[i]
-        gens.append(tuple(w))
+    for _, kv in _null_vectors(list(zip(*cols)), len(cols)):
+        w = [0] * a.ambient
+        for coeff, row in zip(kv, arows):
+            if coeff:
+                w = [x + coeff * y for x, y in zip(w, row)]
+        gens.append(w)
     return canonicalize(gens, a.ambient)
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from pierikit import deform
 from pierikit.deform import (
     GoldenReport,
     Pencil,
@@ -128,6 +129,15 @@ class TestBuildPencil:
         bad = span(9, e(2), e(3), e(5), e(8), e(9))  # contains M_5 = <e8,e9>
         with pytest.raises(ValueError):
             build_pencil(mf, 6, bad)
+
+    def test_rejects_dependent_covectors(self, monkeypatch):
+        # offering x_1 first everywhere makes covectors 1 and l-1 equal
+        real = deform.annihilator_basis
+        monkeypatch.setattr(deform, "annihilator_basis",
+                            lambda s: [unit_vector(s.ambient, 1)] + real(s))
+        mf = flag_within(M_COMPANION, FLAG)
+        with pytest.raises(ValueError, match="covectors are not independent"):
+            build_pencil(mf, 6, L_MARKED)
 
 
 class TestStepVerify:

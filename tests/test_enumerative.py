@@ -1,7 +1,13 @@
 """Quintuple problems: the pair count, both oracles, and the witnesses."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import pierikit
 from pierikit.enumerative import (
     QuintupleProblem,
     cohomology_oracle,
@@ -197,6 +203,37 @@ class TestTripleWitnesses:
         C = span(4, unit_vector(4, 1), unit_vector(4, 3))
         with pytest.raises(ValueError, match="too deep"):
             triple_witnesses(seq(4, 4, 1), seq(4, 3, 1), C, flag, flag2)
+
+
+# Under python -O the witness checks must still run, and a failing one must
+# escape witness_table's resampling loop instead of being retried away.
+OPTIMISED_WITNESS_RUN = """
+import pierikit.enumerative as en
+if __debug__:
+    raise SystemExit("not running under -O")
+p = en.QuintupleProblem(4, 2, en.DecSeq(4, (3, 1)), en.DecSeq(4, (2, 1)), 1, 1, 1)
+_, rows = en.witness_table(p, seed=0)
+print(len(rows), en.count_pairs_d(p))
+en.schubert_member = lambda *args: False
+try:
+    en.witness_table(p, seed=0)
+except en.VerificationError as exc:
+    print("VerificationError:", exc)
+"""
+
+
+class TestVerificationUnderO:
+    def test_witness_table_checks_survive_optimisation(self):
+        src = str(Path(pierikit.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", OPTIMISED_WITNESS_RUN],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "2 2",
+            "VerificationError: witness is off the first Schubert variety",
+        ]
 
 
 class TestRealWitnessSet:

@@ -2,6 +2,7 @@
 one-parameter families with their flat limits."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -255,3 +256,183 @@ class TestSerialization:
         back = family_from_json(j)
         assert back == fam
         assert back.at(F(2)) == fam.at(F(2))
+
+
+class TestExactInputs:
+    @pytest.mark.parametrize("bad", [0.5, "1/2", Decimal("0.5"), None])
+    @pytest.mark.parametrize("call", [
+        rref,
+        rank,
+        lambda rows: kernel_basis(rows, 2),
+        invert_matrix,
+        lambda rows: solve_columns(rows, (1, 0)),
+        lambda rows: span(2, *rows),
+    ])
+    def test_rejects_inexact_entries(self, call, bad):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            call([[1, bad], [F(1, 3), 2]])
+
+    def test_accepts_ints_fractions_and_bools(self):
+        red, piv = rref([[2, F(4, 3)], [True, 0]])
+        assert piv == [0, 1]
+        assert red == [(1, 0), (0, 1)]
+
+
+# ----------------------------------------------------------------------
+# Differential check of the integer elimination core against a textbook
+# Fraction Gauss-Jordan.  The reference is deliberately naive: it divides
+# each pivot row by its pivot and clears the column with Fraction
+# arithmetic.
+
+def textbook_rref(rows):
+    work = [[F(x) for x in r] for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    prow = 0
+    for c in range(ncols):
+        pr = next((r for r in range(prow, len(work)) if work[r][c] != 0), None)
+        if pr is None:
+            continue
+        work[prow], work[pr] = work[pr], work[prow]
+        inv = 1 / work[prow][c]
+        work[prow] = [x * inv for x in work[prow]]
+        for r in range(len(work)):
+            if r != prow and work[r][c] != 0:
+                f = work[r][c]
+                work[r] = [a - f * b for a, b in zip(work[r], work[prow])]
+        pivots.append(c)
+        prow += 1
+    return [tuple(r) for r in work[:prow]], pivots
+
+
+def textbook_kernel(reduced, pivots, ncols):
+    out = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
+        out.append(tuple(v))
+    return out
+
+
+def textbook_solve(cols, target):
+    k = len(cols)
+    aug = [[col[i] for col in cols] + [target[i]] for i in range(len(target))]
+    red, piv = textbook_rref(aug)
+    if k in piv:
+        return None
+    x = [F(0)] * k
+    for row, pc in zip(red, piv):
+        x[pc] = row[-1]
+    return tuple(x)
+
+
+def textbook_inverse(rows):
+    n = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    red, piv = textbook_rref(aug)
+    if piv[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
+def textbook_intersection(a, b):
+    # A cap B is cut out by the covectors vanishing on A or on B; a and b
+    # are Subspaces, so their bases are already reduced
+    n = a.ambient
+    covectors = (textbook_kernel(a.basis, a.pivots, n)
+                 + textbook_kernel(b.basis, b.pivots, n))
+    return textbook_rref(textbook_kernel(*textbook_rref(covectors), n))[0]
+
+
+def strs(rows):
+    """Entry strings, after checking every entry is a Fraction."""
+    assert all(type(x) is F for row in rows for x in row)
+    return [[str(x) for x in row] for row in rows]
+
+
+KINDS = ("int", "small", "big", "small", "int")
+
+
+def random_entry(rng, kind):
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "small":
+        return F(rng.randint(-9, 9), rng.randint(1, 6))
+    # at least 150 bits in numerator and denominator
+    num = rng.getrandbits(160) | (1 << 150)
+    return F(rng.choice((-1, 1)) * num, rng.getrandbits(160) | (1 << 150))
+
+
+def random_matrix(rng, i):
+    """Seeded matrix number i: every fourth has a zero row, every third is
+    rank-deficient by construction, shapes run from 1x1 to 7x7 (4x4 for
+    150-bit entries)."""
+    kind = KINDS[i % len(KINDS)]
+    top = 4 if kind == "big" else 7
+    nrows, ncols = rng.randint(1, top), rng.randint(1, top)
+    if i % 3 == 0 and min(nrows, ncols) > 1:
+        # every row a combination of fewer base rows than min(shape)
+        base = [[random_entry(rng, kind) for _ in range(ncols)]
+                for _ in range(rng.randint(1, min(nrows, ncols) - 1))]
+        rows = [[sum(rng.randint(-3, 3) * b[c] for b in base) for c in range(ncols)]
+                for _ in range(nrows)]
+    else:
+        rows = [[random_entry(rng, kind) for _ in range(ncols)]
+                for _ in range(nrows)]
+    if i % 4 == 1:
+        rows[rng.randrange(nrows)] = [0] * ncols
+    return rows, ncols
+
+
+class TestDifferential:
+    def test_against_textbook_gauss_jordan(self):
+        rng = random.Random(20240601)
+        seen = dict.fromkeys(
+            ("zero rows", "int-only", "tall", "wide", "rank-deficient", "150-bit"), 0)
+        for i in range(2000):
+            rows, ncols = random_matrix(rng, i)
+            red, piv = textbook_rref(rows)
+            seen["zero rows"] += any(all(x == 0 for x in r) for r in rows)
+            seen["int-only"] += all(type(x) is int for r in rows for x in r)
+            seen["tall"] += len(rows) > ncols
+            seen["wide"] += len(rows) < ncols
+            seen["rank-deficient"] += len(red) < min(len(rows), ncols)
+            seen["150-bit"] += KINDS[i % len(KINDS)] == "big"
+
+            got_red, got_piv = rref(rows)
+            assert got_piv == piv
+            assert strs(got_red) == strs(red)
+            assert strs(kernel_basis(rows, ncols)) == strs(textbook_kernel(red, piv, ncols))
+            cols, target = rows[:-1], rows[-1]
+            if cols:
+                want = textbook_solve(cols, target)
+                got = solve_columns(cols, target)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert strs([got]) == strs([want])
+            if len(rows) == ncols:
+                want = textbook_inverse(rows)
+                if want is None:
+                    with pytest.raises(ValueError):
+                        invert_matrix(rows)
+                else:
+                    assert strs(invert_matrix(rows)) == strs(want)
+            k = rng.randint(0, len(rows))
+            a, b = span(ncols, *rows[:k]), span(ncols, *rows[k:])
+            assert strs(intersect(a, b).basis) == strs(textbook_intersection(a, b))
+        assert all(count >= 100 for count in seen.values()), seen
+
+    def test_rref_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(7)
+        for i in range(200):
+            rows, _ = random_matrix(rng, i)
+            want, pivots = sympy.Matrix(
+                [[sympy.Rational(F(x).numerator, F(x).denominator) for x in r]
+                 for r in rows]).rref()
+            got_red, got_piv = rref(rows)
+            assert got_piv == list(pivots)
+            assert strs(got_red) == [[str(want[r, c]) for c in range(want.cols)]
+                                     for r in range(len(pivots))]
