@@ -17,6 +17,7 @@ from .exactla import (
     Flag,
     PolyFamily,
     Subspace,
+    VerificationError,
     annihilator_basis,
     canonicalize,
     family_from_vectors,
@@ -66,9 +67,10 @@ def flag_within(M: Subspace, flag: Flag) -> tuple:
         if prev is None or cur.dim == prev.dim - 1:
             spaces.append(cur)
         elif cur.dim != prev.dim:
-            raise AssertionError("flag step cut more than one dimension")
+            raise VerificationError("flag step cut more than one dimension")
         prev = cur
-    assert spaces[0] == M and spaces[-1].dim == 0
+    if spaces[0] != M or spaces[-1].dim != 0:
+        raise VerificationError("induced flag does not run from M down to 0")
     return tuple(spaces[:-1])
 
 
@@ -173,15 +175,20 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
 
     # construction sanity: the dual basis tails trace out the given flag
     for i in range(1, N + 1):
-        assert span(M.ambient, *dual[i - 1:]) == mflag[i - 1]
-    assert span(M.ambient, *(dual[q] for q in range(N) if q != l - 2)) == L_inf
+        if span(M.ambient, *dual[i - 1:]) != mflag[i - 1]:
+            raise VerificationError(f"dual basis tail {i} does not span M_{i}")
+    if span(M.ambient, *(dual[q] for q in range(N) if q != l - 2)) != L_inf:
+        raise VerificationError(f"dual basis without vector {l - 1} does not span L_inf")
 
     family = _pencil_columns(M.ambient, dual, l, 1)
     for t in SAMPLE_POINTS:
         fibre = family.at(t)
-        assert fibre.dim == N - 1
-        assert fibre.contains(spaces[l - 1])
-        assert not fibre.contains(spaces[l - 2])
+        if fibre.dim != N - 1:
+            raise VerificationError(f"fibre at t={t} has dimension {fibre.dim}, not {N - 1}")
+        if not fibre.contains(spaces[l - 1]):
+            raise VerificationError(f"fibre at t={t} does not contain M_{l}")
+        if fibre.contains(spaces[l - 2]):
+            raise VerificationError(f"fibre at t={t} contains M_{l - 1}")
     return Pencil(M, mflag, l, dual, family, L_inf)
 
 
@@ -287,7 +294,8 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
     mflag = flag_within(M, flag)
     N = M.dim
     l = N - top.dim + 1
-    assert (mflag + (zero_subspace(a.n),))[l - 1] == top
+    if (mflag + (zero_subspace(a.n),))[l - 1] != top:
+        raise VerificationError(f"induced flag step {l} is not F_{a1 + s}")
     pencil = build_pencil(mflag, l, L_inf)
 
     checks = []

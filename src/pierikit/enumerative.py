@@ -3,10 +3,13 @@ oracles for it, and explicit rational witnesses.
 
 A problem fixes two flag conditions (indexed by decreasing sequences) and
 three special conditions (codimensions a, b, c) whose degrees fill the
-Grassmannian exactly.  The count d enumerates branch pairs directly; the
-oracles recompute it through symmetric polynomials and through iterated
-branching plus duality.  The witness constructor then exhibits each of the
-d solution planes with exact rational coordinates.
+Grassmannian exactly.  The count d enumerates branch pairs directly.  Two
+oracles recompute it: one through iterated branching plus duality, the other
+without branch sets at all, as a rectangle Schur coefficient read off an
+integer bialternant product (s_mu * a_delta = a_{mu+delta}, Macdonald I.3)
+of Schur polynomials built from semistandard tableaux.  The witness
+constructor then exhibits each of the d solution planes with exact rational
+coordinates.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterator
 
 from .exactla import (
     Flag,
     Subspace,
+    VerificationError,
     flag_from_basis,
     frac,
     intersect,
@@ -32,23 +36,10 @@ from .exactla import (
 )
 from .schubgeom import schubert_member, standard_flag
 from .seqcomb import DecSeq, codim, dual, lambda_of, pieri_set
-from .tableaux import (
-    chow_project,
-    complete_homogeneous,
-    schur_decompose,
-    schur_expand,
-)
+from .tableaux import ssyt_enumerate
 
 # largest m*(n-m) the polynomial oracle will expand
 _EXPANSION_CAP = 16
-
-
-class VerificationError(Exception):
-    """A constructed witness failed its exact check.
-
-    Deliberately not a ValueError: witness_table resamples C on ValueError
-    (a genericity failure), and a wrong witness must not be retried away.
-    """
 
 
 @dataclass(frozen=True)
@@ -111,34 +102,95 @@ def count_pairs_d(p: QuintupleProblem) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _schur_product(lam1, lam2, m: int):
-    return schur_expand(lam1, m) * schur_expand(lam2, m)
+# ---------------------------------------------------------------------------
+# the cohomology oracle: one coefficient of an integer bialternant product
+#
+# An exponent vector in m variables is packed into one int, first variable in
+# the highest field.  A field is one bit wider than the largest target entry
+# needs, and that top bit is its guard bit.  Only exponents componentwise at
+# most the target are ever stored, so the sum of two still fits field by
+# field (no carries), and in (target | guards) - s the guard bit of a field
+# survives exactly when that entry of s is at most the target's.
+
+
+def _field_width(n: int) -> int:
+    """Bits per exponent field when every target entry is at most n-1."""
+    return (n - 1).bit_length() + 1
+
+
+def _pack(exponent, width: int) -> int:
+    out = 0
+    for x in exponent:
+        out = (out << width) | x
+    return out
 
 
 @lru_cache(maxsize=None)
-def _h_product(degrees, m: int):
-    poly = complete_homogeneous(degrees[0], m)
-    for deg in degrees[1:]:
-        poly = poly * complete_homogeneous(deg, m)
-    return poly
+def _schur_weights(shape: tuple[int, ...], m: int, n: int) -> dict[int, int]:
+    """s_shape(x_1, ..., x_m) as {packed exponent: multiplicity}, one count
+    per semistandard tableau content, keeping the exponents at most the
+    target (n-1, n-2, ..., n-m).  Shared by every caller: never mutated."""
+    width = _field_width(n)
+    target = range(n - 1, n - 1 - m, -1)
+    out: dict[int, int] = {}
+    for t in ssyt_enumerate(shape, m):
+        e = t.content()
+        if all(x <= y for x, y in zip(e, target)):
+            key = _pack(e, width)
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def _vandermonde(m: int, n: int) -> dict[int, int]:
+    """a_delta = prod_{i<j} (x_i - x_j) as {packed exponent: sign}, keeping
+    the exponents at most the target (n-1, n-2, ..., n-m)."""
+    width = _field_width(n)
+    target = range(n - 1, n - 1 - m, -1)
+    out = {}
+    for perm in permutations(range(m)):
+        e = [m - 1 - q for q in perm]
+        if all(x <= y for x, y in zip(e, target)):
+            inversions = sum(perm[i] > perm[j] for i, j in combinations(range(m), 2))
+            out[_pack(e, width)] = -1 if inversions % 2 else 1
+    return out
 
 
 def cohomology_oracle(p: QuintupleProblem) -> int:
     """The count as a rectangle coefficient in a symmetric-function product.
 
-    Expands the product of the two Schur polynomials of the flag conditions
-    with h_a, h_b, h_c in m variables, decomposes it in the Schur basis,
-    discards parts wider than n-m, and reads off the coefficient of the
-    full rectangle ((n-m)^m).
+    The count is the coefficient of s_R, R = ((n-m)^m), in the product f of
+    the Schur polynomials of the two flag conditions with h_a, h_b, h_c in m
+    variables.  By the bialternant identity s_mu * a_delta = a_{mu+delta}
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3) that is the
+    coefficient of x^(R+delta) in f * a_delta.  Each factor is built from
+    the contents of its semistandard tableaux (ssyt_enumerate), never from
+    branch sets, so this oracle is independent of the pair count.  The
+    product stays in int coefficients and drops, after every factor, each
+    exponent that is not componentwise at most R+delta; the last factor is
+    a lookup of (R+delta) - e.
     """
     if p.n > 8 or p.m * (p.n - p.m) > _EXPANSION_CAP:
         raise ValueError("instance too large for polynomial expansion")
-    m = p.m
-    poly = _schur_product(lambda_of(p.alpha), lambda_of(p.beta), m)
-    poly = poly * _h_product(tuple(sorted((p.a, p.b, p.c))), m)
-    expansion = chow_project(schur_decompose(poly, m), p.n, m)
-    return expansion.get((p.n - m,) * m, 0)
+    n, m = p.n, p.m
+    width = _field_width(n)
+    guards = _pack([1 << (width - 1)] * m, width)
+    target = _pack(range(n - 1, n - 1 - m, -1), width)
+    top = target | guards
+    shapes = (lambda_of(p.alpha), lambda_of(p.beta),
+              *((d,) if d else () for d in (p.a, p.b, p.c)))
+    factors = sorted((_schur_weights(s, m, n) for s in shapes), key=len)
+    poly = _vandermonde(m, n)
+    for weights in factors[:-1]:
+        step: dict[int, int] = {}
+        for e, c in poly.items():
+            for w, k in weights.items():
+                s = e + w
+                if (top - s) & guards == guards:
+                    step[s] = step.get(s, 0) + c * k
+        poly = step
+    last = factors[-1]
+    return sum(c * last.get(target - e, 0) for e, c in poly.items())
 
 
 def pieri_pairing_oracle(p: QuintupleProblem) -> int:

@@ -36,6 +36,15 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+class VerificationError(Exception):
+    """An exact check of a constructed object failed.
+
+    Raised instead of assert, so python -O cannot strip the check.
+    Deliberately not a ValueError: the samplers resample on ValueError (a
+    genericity failure), and a wrong result must not be retried away.
+    """
+
+
 def frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

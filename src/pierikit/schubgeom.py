@@ -15,6 +15,7 @@ from .exactla import (
     Chart,
     Flag,
     Subspace,
+    VerificationError,
     annihilator_basis,
     flag_from_basis,
     frac,
@@ -92,8 +93,8 @@ def schubert_member(H: Subspace, a: DecSeq, flag: Flag) -> bool:
     """Does the m-plane H satisfy dim H meet F_{a_j} >= j for all j?
 
     Computed twice: once through intersections, once through quotients
-    (dim of the image of H in V/F_{a_j} at most m-j).  The two answers are
-    asserted equal; they use disjoint code paths in the linear algebra.
+    (dim of the image of H in V/F_{a_j} at most m-j).  They use disjoint
+    code paths in the linear algebra; VerificationError when they disagree.
     """
     m = a.m
     if H.dim != m:
@@ -106,7 +107,8 @@ def schubert_member(H: Subspace, a: DecSeq, flag: Flag) -> bool:
             primary = False
         if quotient_subspace(H, fj).dim > m - j:
             dual = False
-    assert primary == dual, "intersection and quotient tests disagree"
+    if primary != dual:
+        raise VerificationError("intersection and quotient tests disagree")
     return primary
 
 

@@ -56,9 +56,6 @@ class Tableau:
                 counts[x - 1] += 1
         return tuple(counts)
 
-    def weight_exponent(self) -> tuple[int, ...]:
-        return self.content()
-
     def __str__(self):
         if not self.rows:
             return "(empty)"
@@ -394,7 +391,7 @@ def schur_expand(lam: Partition, m: int) -> SparsePoly:
     lam = trim_partition(lam)
     out: dict[tuple[int, ...], Fraction] = {}
     for t in ssyt_enumerate(lam, m):
-        e = t.weight_exponent()
+        e = t.content()
         out[e] = out.get(e, Fraction(0)) + 1
     return SparsePoly(m, out)
 

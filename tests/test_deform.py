@@ -20,11 +20,13 @@ from pierikit.deform import (
 )
 from pierikit.exactla import (
     SAMPLE_POINTS,
+    VerificationError,
     intersect,
     limit_at_zero,
     span,
     unit_vector,
     vec_add,
+    zero_subspace,
 )
 from pierikit.seqcomb import DecSeq, pieri_set, tree_chains
 from pierikit.schubgeom import (
@@ -72,6 +74,17 @@ class TestFlagWithin:
         M = cell_point(A741, 1, FLAG, seed=3)
         mf = flag_within(M, FLAG)
         assert [s.dim for s in mf] == [6, 5, 4, 3, 2, 1]
+
+    def test_meet_that_never_cuts_raises(self, monkeypatch):
+        monkeypatch.setattr(deform, "intersect", lambda F, M: M)
+        with pytest.raises(VerificationError, match="does not run from M"):
+            flag_within(M_COMPANION, FLAG)
+
+    def test_meet_that_cuts_too_much_raises(self, monkeypatch):
+        monkeypatch.setattr(deform, "intersect",
+                            lambda F, M: M if F.dim == 9 else zero_subspace(9))
+        with pytest.raises(VerificationError, match="more than one dimension"):
+            flag_within(M_COMPANION, FLAG)
 
 
 class TestBuildPencil:

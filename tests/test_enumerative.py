@@ -1,8 +1,10 @@
 """Quintuple problems: the pair count, both oracles, and the witnesses."""
 
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -110,6 +112,76 @@ class TestCohomologyOracle:
         a = seq(9, 2, 1)
         with pytest.raises(ValueError, match="too large"):
             cohomology_oracle(QuintupleProblem(9, 2, a, a, 5, 5, 4))
+
+
+def expansion_oracle(p):
+    """The rectangle coefficient by full expansion: multiply the Schur
+    polynomials out with Fraction coefficients, decompose greedily in the
+    Schur basis, project to the Grassmannian and read off ((n-m)^m)."""
+    m = p.m
+    poly = schur_expand(lambda_of(p.alpha), m) * schur_expand(lambda_of(p.beta), m)
+    for deg in (p.a, p.b, p.c):
+        poly = poly * complete_homogeneous(deg, m)
+    return chow_project(schur_decompose(poly, m), p.n, m).get((p.n - m,) * m, 0)
+
+
+def random_problem(rng, n, m):
+    """A problem with random flag conditions leaving at least a random
+    degree, split uniformly at random into a, b, c (zeros allowed)."""
+    seqs = [DecSeq(n, e) for e in combinations(range(n, 0, -1), m)]
+    need = rng.randint(0, m * (n - m) // 2)
+    while True:
+        alpha, beta = rng.choice(seqs), rng.choice(seqs)
+        left = m * (n - m) - codim(alpha) - codim(beta)
+        if left >= need:
+            break
+    x, y = sorted(rng.randint(0, left) for _ in range(2))
+    return QuintupleProblem(n, m, alpha, beta, x, y - x, left - y)
+
+
+class TestOracleAgainstExpansion:
+    def test_seeded_differential(self):
+        rng = random.Random(20240)
+        n7 = [p for p in valid_instances(7) if p.n == 7]
+        problems = rng.sample(list(valid_instances(6)), 70)
+        for m in (2, 3, 4, 5):
+            problems += rng.sample([p for p in n7 if p.m == m], 2)
+        shapes = [(n, m) for n in range(2, 7) for m in range(1, n)]
+        problems += [random_problem(rng, *rng.choice(shapes)) for _ in range(53)]
+        problems += [random_problem(rng, 7, m) for m in range(1, 7) for _ in range(2)]
+        # zero special conditions, one, two and all three at once
+        problems += [
+            QuintupleProblem(5, 2, seq(5, 4, 2), seq(5, 3, 1), 0, 1, 1),
+            QuintupleProblem(5, 2, seq(5, 4, 2), seq(5, 3, 1), 1, 0, 1),
+            QuintupleProblem(5, 2, seq(5, 4, 2), seq(5, 3, 1), 1, 1, 0),
+            QuintupleProblem(6, 3, seq(6, 5, 3, 1), seq(6, 4, 2, 1), 0, 0, 5),
+            QuintupleProblem(6, 3, seq(6, 6, 4, 2), seq(6, 5, 3, 1), 0, 0, 0),
+            QuintupleProblem(7, 4, seq(7, 6, 4, 3, 1), seq(7, 5, 4, 2, 1), 0, 4, 2),
+        ]
+        # the cap edge: m(n-m) = 16
+        problems.append(QuintupleProblem(8, 4, seq(8, 7, 5, 3, 2),
+                                         seq(8, 6, 5, 3, 1), 1, 1, 2))
+        assert len(problems) == 150
+        assert sum(min(p.a, p.b, p.c) == 0 for p in problems) >= 40
+        nonzero = 0
+        for p in problems:
+            got = cohomology_oracle(p)
+            assert type(got) is int
+            assert got == expansion_oracle(p), p
+            nonzero += got > 0
+        assert nonzero >= 40
+        assert cohomology_oracle(problems[-1]) == count_pairs_d(problems[-1]) == 5
+
+
+@pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
+                    reason="full n <= 7 sweep; set PIERIKIT_SLOW=1 to run it")
+def test_three_way_agreement_full_n7():
+    count = 0
+    for p in valid_instances(7):
+        d = count_pairs_d(p)
+        assert d == cohomology_oracle(p) == pieri_pairing_oracle(p), p
+        count += 1
+    assert count == 7463
 
 
 class TestPieriPairingOracle:

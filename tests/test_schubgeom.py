@@ -10,7 +10,9 @@ from fractions import Fraction
 
 import pytest
 
+from pierikit import schubgeom
 from pierikit.exactla import (
+    VerificationError,
     intersect,
     mat_vec,
     rank,
@@ -137,6 +139,13 @@ class TestSchubertMember:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             schubert_member(span(N, e(1)), A741, FLAG)
+
+    def test_disagreeing_paths_raise(self, monkeypatch):
+        # a quotient path that never shrinks H contradicts the intersection
+        # path on a member; the disagreement must surface, also under -O
+        monkeypatch.setattr(schubgeom, "quotient_subspace", lambda H, F: H)
+        with pytest.raises(VerificationError, match="disagree"):
+            schubert_member(span(N, e(7), e(4), e(1)), A741, FLAG)
 
 
 class TestXMember:
