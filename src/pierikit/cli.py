@@ -1,9 +1,13 @@
 """Batch command-line front end.
 
-One verb per operation, deterministic output for fixed (argv, seed).  Exit
-codes: 0 success or verification pass, 1 verification failure (the failing
-clause is printed), 2 usage error.  With --json each verb prints a single
-object carrying a "schema" field; otherwise aligned text.
+One verb per operation, deterministic output for fixed (argv, seed).  Every
+verb ends in `_emit`, the one verdict path: it prints the output (with
+--json a single object, stamped with the schema pierikit/<verb>/1;
+otherwise aligned text), writes one `failed: <clause>` line to stderr per
+failed clause, and returns the exit code.  Exit codes: 0 success or
+verification pass; 1 a clause failed, or an exact check raised
+`VerificationError` (its message follows `failed:`); 2 usage error or
+unreadable input (`error: ...` on stderr).
 """
 
 from __future__ import annotations
@@ -14,9 +18,11 @@ import os
 import sys
 
 from .deform import (
+    StageCheck,
     build_pencil,
     chain_deformation,
     chain_histories,
+    check_lines,
     flag_within,
     golden_run_741,
     step_verify,
@@ -30,8 +36,8 @@ from .enumerative import (
 )
 from .exactla import (
     SAMPLE_POINTS,
+    VerificationError,
     family_to_json,
-    frac_to_str,
     intersect,
     limit_at_zero,
     span,
@@ -99,10 +105,11 @@ def _sequence(args, entries=None) -> DecSeq:
     return a
 
 
-def _flag_of(args):
-    if getattr(args, "flag_seed", None) is not None:
-        return random_flag(args.n, args.flag_seed)
-    return standard_flag(args.n)
+def _flag_of(args, n=None):
+    n = args.n if n is None else n
+    if args.flag_seed is not None:
+        return random_flag(n, args.flag_seed)
+    return standard_flag(n)
 
 
 def _seed_of(args) -> int:
@@ -114,31 +121,26 @@ def _load_subspace(path: str):
         return subspace_from_json(json.load(fh))
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: dict, text: str, failures=()) -> int:
+    """Print the verb's output, name each failed clause on stderr, and
+    return the exit code: 1 if any clause failed, else 0."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps({**payload, "schema": f"pierikit/{args.verb}/1"}, sort_keys=True))
     else:
         print(text, end="" if text.endswith("\n") else "\n")
-
-
-def _check_lines(checks) -> str:
-    out = []
-    for c in checks:
-        mark = "ok" if c.passed else "XX"
-        detail = f"  ({c.detail})" if c.detail else ""
-        out.append(f"  [{mark}] {c.name}{detail}")
-    return "\n".join(out)
+    for name in failures:
+        print(f"failed: {name}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _report_text(rep) -> str:
-    head = f"stage {rep.stage}: alpha={rep.alpha} s={rep.s} r={rep.r}"
-    body = _check_lines(rep.checks)
-    tail = "result: " + ("PASS" if rep.passed else "FAIL")
-    return "\n".join([head, body, tail]) if body else "\n".join([head, tail])
+    return "\n".join([f"stage {rep.stage}: alpha={rep.alpha} s={rep.s} r={rep.r}",
+                      *check_lines(rep.checks),
+                      "result: " + ("PASS" if rep.passed else "FAIL")])
 
 
-def _fail_lines(names) -> str:
-    return "\n".join(f"failed: {name}" for name in names)
+def _basis_lines(S) -> list:
+    return ["  " + "  ".join(str(x) for x in row) for row in S.basis]
 
 
 # ---------------------------------------------------------------------------
@@ -148,31 +150,23 @@ def _fail_lines(names) -> str:
 def _cmd_pieri(args) -> int:
     a = _sequence(args)
     result = pieri_set(a, args.r)
-    _emit(
+    return _emit(
         args,
-        {
-            "schema": "pierikit/pieri/1",
-            "alpha": a.to_json(),
-            "r": args.r,
-            "result": [g.to_json() for g in result],
-        },
+        {"alpha": a.to_json(), "r": args.r, "result": [g.to_json() for g in result]},
         "\n".join(",".join(str(x) for x in g.entries) for g in result),
     )
-    return 0
 
 
 def _cmd_tree(args) -> int:
     a = _sequence(args)
     tree, _ = tree_chains(a, args.b)
-    lines = []
-    for i, level in enumerate(tree.levels):
-        lines.append(f"level {i}: " + " ".join(str(g) for g in level))
+    lines = [f"level {i}: " + " ".join(str(g) for g in level)
+             for i, level in enumerate(tree.levels)]
     lines.append("edges:")
     lines.extend(f"  {p} -> {c}" for p, c in tree.edges)
-    _emit(
+    return _emit(
         args,
         {
-            "schema": "pierikit/tree/1",
             "alpha": a.to_json(),
             "b": args.b,
             "levels": [[g.to_json() for g in level] for level in tree.levels],
@@ -180,59 +174,39 @@ def _cmd_tree(args) -> int:
         },
         "\n".join(lines),
     )
-    return 0
 
 
 def _cmd_chains(args) -> int:
     a = _sequence(args)
     _, chains = tree_chains(a, args.b)
-    _emit(
+    return _emit(
         args,
         {
-            "schema": "pierikit/chains/1",
             "alpha": a.to_json(),
             "b": args.b,
             "chains": [[list(g.entries) for g in chain] for chain in chains],
         },
         "\n".join(" -> ".join(str(g) for g in chain) for chain in chains),
     )
-    return 0
 
 
 def _cmd_schensted(args) -> int:
     report = pieri_bijection_check(trim_partition(args.shape), args.b, args.m)
-    blob = report.to_json()
-    blob["schema"] = "pierikit/schensted/1"
     width = max(len(str(list(s))) for s, _ in report.image_counts) if report.image_counts else 0
     lines = [f"shape {list(report.lam)}, row length {report.b}, entries <= {report.m}",
              f"insertion pairs: {report.pairs_total}"]
-    for s, c in report.image_counts:
-        lines.append(f"  {str(list(s)):<{width}}  {c}")
-    for name in ("injective", "content_ok", "shapes_ok", "counts_ok",
-                 "chains_ok", "chains_complete"):
-        lines.append(f"{name}: {getattr(report, name)}")
+    lines.extend(f"  {str(list(s)):<{width}}  {c}" for s, c in report.image_counts)
+    lines.extend(f"{name}: {getattr(report, name)}" for name in report.CLAUSES)
     lines.append("result: " + ("PASS" if report.passed else "FAIL"))
-    _emit(args, blob, "\n".join(lines))
-    if not report.passed:
-        bad = [n for n in ("injective", "content_ok", "shapes_ok", "counts_ok",
-                           "chains_ok", "chains_complete")
-               if not getattr(report, n)]
-        print(_fail_lines(bad), file=sys.stderr)
-        return 1
-    return 0
+    return _emit(args, report.to_json(), "\n".join(lines), report.failures())
 
 
 def _cmd_schur(args) -> int:
-    poly = schur_expand(trim_partition(args.shape), args.m)
-    terms = poly.to_json()
+    shape = trim_partition(args.shape)
+    terms = schur_expand(shape, args.m).to_json()
     lines = [f"{e}: {c}" for e, c in sorted(terms.items())]
-    _emit(
-        args,
-        {"schema": "pierikit/schur/1", "shape": list(trim_partition(args.shape)),
-         "m": args.m, "terms": terms},
-        "\n".join(lines) if lines else "0",
-    )
-    return 0
+    return _emit(args, {"shape": list(shape), "m": args.m, "terms": terms},
+                 "\n".join(lines) if lines else "0")
 
 
 def _cmd_classify(args) -> int:
@@ -240,17 +214,13 @@ def _cmd_classify(args) -> int:
     L = _load_subspace(args.file)
     s = args.n + 1 - a.m - L.dim
     result = classify_pieri(a, _flag_of(args), L, s)
-    blob = result.to_json()
-    blob["schema"] = "pierikit/classify/1"
-    blob["alpha"] = a.to_json()
     lines = [f"alpha={a} s={s} verdict={result.verdict}",
              "  j  flag-index  dim  critical"]
     for e in result.entries:
         lines.append(f"  {e.j}  {e.flag_index:>10}  {e.meet_dim:>3}  {e.critical:>8}")
     if result.equality_set:
         lines.append("equality at j = " + " ".join(str(j) for j in result.equality_set))
-    _emit(args, blob, "\n".join(lines))
-    return 0
+    return _emit(args, {**result.to_json(), "alpha": a.to_json()}, "\n".join(lines))
 
 
 def _cmd_cell(args) -> int:
@@ -259,20 +229,16 @@ def _cmd_cell(args) -> int:
     point = cell_point(a, args.s, flag, seed=_seed_of(args))
     profile = cell_profile_check(point, a, args.s, flag)
     blob = {
-        "schema": "pierikit/cell/1",
         "alpha": a.to_json(),
         "s": args.s,
         "point": subspace_to_json(point),
         "profile": profile.to_json(),
     }
-    lines = [f"cell member for alpha={a}, s={args.s} (dim {point.dim})"]
-    lines.extend("  " + "  ".join(frac_to_str(x) for x in row) for row in point.basis)
-    lines.append("profile: " + ("PASS" if profile.passed else "FAIL"))
-    _emit(args, blob, "\n".join(lines))
-    if not profile.passed:
-        print(_fail_lines(["dimension profile"]), file=sys.stderr)
-        return 1
-    return 0
+    lines = [f"cell member for alpha={a}, s={args.s} (dim {point.dim})",
+             *_basis_lines(point),
+             "profile: " + ("PASS" if profile.passed else "FAIL")]
+    return _emit(args, blob, "\n".join(lines),
+                 () if profile.passed else ("dimension profile",))
 
 
 def _cmd_witness(args) -> int:
@@ -285,17 +251,15 @@ def _cmd_witness(args) -> int:
         "meets_L": intersect(H, L).dim >= 1,
     }
     blob = {
-        "schema": "pierikit/witness/1",
         "alpha": a.to_json(),
         "mode": args.mode,
         "point": subspace_to_json(H),
         "checks": checks,
     }
-    lines = [f"witness m-plane for alpha={a}, line carried at row {args.mode}"]
-    lines.extend("  " + "  ".join(frac_to_str(x) for x in row) for row in H.basis)
+    lines = [f"witness m-plane for alpha={a}, line carried at row {args.mode}",
+             *_basis_lines(H)]
     lines.extend(f"{k}: {v}" for k, v in checks.items())
-    _emit(args, blob, "\n".join(lines))
-    return 0
+    return _emit(args, blob, "\n".join(lines))
 
 
 def _cmd_tangent(args) -> int:
@@ -309,14 +273,12 @@ def _cmd_tangent(args) -> int:
     s = args.n + 1 - a.m - L.dim
     codim = tangent_codim(H, a, flag, L)
     blob = {
-        "schema": "pierikit/tangent/1",
         "alpha": a.to_json(),
         "s": s,
         "codim": codim,
         "point": subspace_to_json(H),
     }
-    _emit(args, blob, f"tangent codimension {codim} (s = {s})")
-    return 0
+    return _emit(args, blob, f"tangent codimension {codim} (s = {s})")
 
 
 def _cmd_pencil(args) -> int:
@@ -324,8 +286,7 @@ def _cmd_pencil(args) -> int:
     marked = _load_subspace(args.marked_file)
     if args.n is not None and args.n != M.ambient:
         raise ValueError(f"--n {args.n} does not match the ambient {M.ambient}")
-    flag = _flag_of_ambient(args, M.ambient)
-    mflag = flag_within(M, flag)
+    mflag = flag_within(M, _flag_of(args, M.ambient))
     spaces = mflag + (span(M.ambient),)
     l = next(i for i in range(1, len(spaces) + 1) if marked.contains(spaces[i - 1]))
     if args.l is not None and args.l != l:
@@ -334,33 +295,22 @@ def _cmd_pencil(args) -> int:
     checks = []
     for i in range(1, l):
         fam = pencil.restricted_family(i)
-        ok_dim = all(fam.at(t).dim == M.dim - i for t in SAMPLE_POINTS)
-        ok_lim = limit_at_zero(fam) == pencil.space(i + 1)
-        checks.append((f"slice {i}: moving meet has dimension {M.dim - i}", ok_dim))
-        checks.append((f"slice {i}: zero limit is the next space down", ok_lim))
-    passed = all(ok for _, ok in checks)
+        checks.append(StageCheck(f"slice {i}: moving meet has dimension {M.dim - i}",
+                                 all(fam.at(t).dim == M.dim - i for t in SAMPLE_POINTS)))
+        checks.append(StageCheck(f"slice {i}: zero limit is the next space down",
+                                 limit_at_zero(fam) == pencil.space(i + 1)))
+    failures = tuple(c.name for c in checks if not c.passed)
     blob = {
-        "schema": "pierikit/pencil/1",
         "l": l,
         "family": family_to_json(pencil.family),
         "marked": subspace_to_json(pencil.marked),
-        "checks": [{"name": name, "passed": ok} for name, ok in checks],
-        "passed": passed,
+        "checks": [c.to_json() for c in checks],
+        "passed": not failures,
     }
-    lines = [f"pencil inside a {M.dim}-dim space, marked level l={l}"]
-    lines.extend(f"  [{'ok' if ok else 'XX'}] {name}" for name, ok in checks)
-    lines.append("result: " + ("PASS" if passed else "FAIL"))
-    _emit(args, blob, "\n".join(lines))
-    if not passed:
-        print(_fail_lines([n for n, ok in checks if not ok]), file=sys.stderr)
-        return 1
-    return 0
-
-
-def _flag_of_ambient(args, n: int):
-    if getattr(args, "flag_seed", None) is not None:
-        return random_flag(n, args.flag_seed)
-    return standard_flag(n)
+    lines = [f"pencil inside a {M.dim}-dim space, marked level l={l}",
+             *check_lines(checks),
+             "result: " + ("FAIL" if failures else "PASS")]
+    return _emit(args, blob, "\n".join(lines), failures)
 
 
 def _cmd_step(args) -> int:
@@ -368,13 +318,7 @@ def _cmd_step(args) -> int:
     M = _load_subspace(args.file)
     marked = _load_subspace(args.marked_file)
     report = step_verify(a, args.s, args.r, _flag_of(args), M, marked)
-    blob = report.to_json()
-    blob["schema"] = "pierikit/step/1"
-    _emit(args, blob, _report_text(report))
-    if not report.passed:
-        print(_fail_lines(report.failures()), file=sys.stderr)
-        return 1
-    return 0
+    return _emit(args, report.to_json(), _report_text(report), report.failures())
 
 
 def _cmd_chain_deform(args) -> int:
@@ -391,36 +335,24 @@ def _cmd_chain_deform(args) -> int:
             raise ValueError("default K does not meet the flag properly; pass --k-file")
     reports = chain_deformation(a, args.b, flag, K, seeds=_seed_of(args))
     histories = chain_histories(reports)
-    passed = all(rep.passed for rep in reports)
+    failures = tuple(name for rep in reports for name in rep.failures())
     blob = {
-        "schema": "pierikit/chain-deform/1",
         "alpha": a.to_json(),
         "b": args.b,
         "reports": [rep.to_json() for rep in reports],
         "chains": [[list(g.entries) for g in chain] for chain in histories],
-        "passed": passed,
+        "passed": not failures,
     }
     sections = [_report_text(rep) for rep in reports]
     sections.append("chains:")
     sections.extend("  " + " -> ".join(str(g) for g in chain) for chain in histories)
-    sections.append("overall: " + ("PASS" if passed else "FAIL"))
-    _emit(args, blob, "\n".join(sections))
-    if not passed:
-        for rep in reports:
-            print(_fail_lines(rep.failures()), file=sys.stderr)
-        return 1
-    return 0
+    sections.append("overall: " + ("FAIL" if failures else "PASS"))
+    return _emit(args, blob, "\n".join(sections), failures)
 
 
 def _cmd_appendix_a(args) -> int:
     report = golden_run_741()
-    blob = report.to_json()
-    blob["schema"] = "pierikit/appendix-a/1"
-    _emit(args, blob, report.table())
-    if not report.passed:
-        print(_fail_lines(report.failures()), file=sys.stderr)
-        return 1
-    return 0
+    return _emit(args, report.to_json(), report.table(), report.failures())
 
 
 def _problem(args) -> QuintupleProblem:
@@ -439,7 +371,6 @@ def _cmd_count_real(args) -> int:
     oracle2 = pieri_pairing_oracle(p)
     agree = (oracle1 is None or d == oracle1) and d == oracle2
     blob = {
-        "schema": "pierikit/count-real/1",
         "problem": p.to_json(),
         "d": d,
         "oracle1": oracle1,
@@ -453,11 +384,7 @@ def _cmd_count_real(args) -> int:
         f"oracle2 (iterated branching): {oracle2}",
         f"agree: {agree}",
     ])
-    _emit(args, blob, text)
-    if not agree:
-        print(_fail_lines(["oracle agreement"]), file=sys.stderr)
-        return 1
-    return 0
+    return _emit(args, blob, text, () if agree else ("oracle agreement",))
 
 
 def _cmd_triple_witness(args) -> int:
@@ -467,7 +394,6 @@ def _cmd_triple_witness(args) -> int:
     distinct = len(set(witnesses)) == len(witnesses)
     match = len(witnesses) == d and distinct
     blob = {
-        "schema": "pierikit/triple-witness/1",
         "problem": p.to_json(),
         "d": d,
         "count": len(witnesses),
@@ -480,13 +406,9 @@ def _cmd_triple_witness(args) -> int:
              f"expected d = {d}, constructed {len(witnesses)} planes WITH COLLISIONS"]
     for H in witnesses:
         lines.append("witness:")
-        lines.extend("  " + "  ".join(frac_to_str(x) for x in row) for row in H.basis)
+        lines.extend(_basis_lines(H))
     lines.append("match: " + str(match))
-    _emit(args, blob, "\n".join(lines))
-    if not match:
-        print(_fail_lines(["witness count equals d"]), file=sys.stderr)
-        return 1
-    return 0
+    return _emit(args, blob, "\n".join(lines), () if match else ("witness count equals d",))
 
 
 # ---------------------------------------------------------------------------
@@ -596,14 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
+    except VerificationError as exc:
+        print(f"failed: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -208,6 +208,13 @@ class StageCheck:
         return out
 
 
+def check_lines(checks) -> list:
+    """One `  [ok] name  (detail)` line per check (`[XX]` when it failed)."""
+    return [f"  [{'ok' if c.passed else 'XX'}] {c.name}"
+            + (f"  ({c.detail})" if c.detail else "")
+            for c in checks]
+
+
 @dataclass(frozen=True)
 class ComponentRecord:
     """One cycle component at a stage: its index, branching row, kind, and
@@ -606,10 +613,7 @@ class GoldenReport:
         for name, checks in self.sections:
             lines.append("")
             lines.append(name)
-            for c in checks:
-                mark = "ok" if c.passed else "XX"
-                detail = f"  ({c.detail})" if c.detail else ""
-                lines.append(f"  [{mark}] {c.name}{detail}")
+            lines.extend(check_lines(checks))
         lines.append("")
         lines.append("final components: "
                       + " ".join(str(g) for g in self.final_indices))

@@ -618,7 +618,7 @@ def limit_at_zero(fam: PolyFamily) -> Subspace:
             raise ValueError("columns are dependent as polynomials")
         v = min(vals)
         if v < 1:
-            raise AssertionError("combination vanishing at 0 must be divisible by t")
+            raise VerificationError("combination vanishing at 0 must be divisible by t")
         cols[q0] = [pshift_down(p, v) for p in combo]
         budget -= 1
         if budget < 0:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .exactla import VerificationError
+
 
 @dataclass(frozen=True)
 class DecSeq:
@@ -187,15 +189,6 @@ class PieriTree:
     levels: tuple[tuple[DecSeq, ...], ...]
     edges: tuple[tuple[DecSeq, DecSeq], ...]
 
-    def parent_of(self, g: DecSeq) -> DecSeq:
-        for p, c in self.edges:
-            if c == g:
-                return p
-        raise KeyError(g)
-
-    def children_of(self, b: DecSeq) -> tuple[DecSeq, ...]:
-        return tuple(c for p, c in self.edges if p == b)
-
     def chains(self) -> tuple[tuple[DecSeq, ...], ...]:
         """All root-to-leaf chains, ordered by leaf (lex decreasing)."""
         parents = {c: p for p, c in self.edges}
@@ -222,7 +215,7 @@ def tree_chains(a: DecSeq, b: int):
         for g in levels[i + 1]:
             parents = [p for p in levels[i] if covers_under(a, p, g)]
             if len(parents) != 1:
-                raise AssertionError(
+                raise VerificationError(
                     f"node {g} at level {i + 1} has {len(parents)} parents"
                 )
             edges.append((parents[0], g))

@@ -173,16 +173,15 @@ class BijectionReport:
     chains_ok: bool
     chains_complete: bool
 
+    CLAUSES = ("injective", "content_ok", "shapes_ok", "counts_ok",
+               "chains_ok", "chains_complete")
+
     @property
     def passed(self) -> bool:
-        return (
-            self.injective
-            and self.content_ok
-            and self.shapes_ok
-            and self.counts_ok
-            and self.chains_ok
-            and self.chains_complete
-        )
+        return not self.failures()
+
+    def failures(self) -> tuple:
+        return tuple(name for name in self.CLAUSES if not getattr(self, name))
 
     def to_json(self) -> dict:
         return {

@@ -1,5 +1,6 @@
 """Verb coverage, exit codes, and byte determinism of the front end."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,8 +10,8 @@ import pytest
 
 import pierikit.cli as cli
 from pierikit.deform import GoldenReport, StageCheck
-from pierikit.exactla import span, subspace_to_json, unit_vector
-from pierikit.schubgeom import cell_point, standard_flag
+from pierikit.exactla import VerificationError, span, subspace_to_json, unit_vector
+from pierikit.schubgeom import ProfileEntry, ProfileReport, cell_point, standard_flag
 from pierikit.seqcomb import DecSeq
 
 
@@ -257,3 +258,129 @@ class TestExitAndDeterminism:
         )
         assert proc.returncode == 0
         assert proc.stdout == "8,4,1\n7,5,1\n7,4,2\n"
+
+
+PROBLEM = ("--n", "4", "--m", "2", "--alpha", "3,1", "--beta", "2,1",
+           "--a", "1", "--b", "1", "--c", "1")
+
+
+@pytest.fixture
+def verb_files(tmp_path, worked_files):
+    """Placeholder -> path for the verbs that read subspace files."""
+    L = cell_point(DecSeq(9, (7, 4, 1)), 2, standard_flag(9), seed=0)
+    m_path, lm_path = worked_files
+    return {"{L}": dump(tmp_path / "L.json", L), "{M}": m_path, "{Lm}": lm_path}
+
+
+def fill(argv, files):
+    return [files.get(a, a) for a in argv]
+
+
+STUB_FAILS = (StageCheck("stub pass", True),
+              StageCheck("stub clause one", False, "why"),
+              StageCheck("stub clause two", False))
+
+
+def _fail_step(monkeypatch):
+    real = cli.step_verify
+    monkeypatch.setattr(cli, "step_verify", lambda *a, **k: dataclasses.replace(
+        real(*a, **k), checks=STUB_FAILS))
+    return ["stub clause one", "stub clause two"]
+
+
+def _fail_chain_deform(monkeypatch):
+    real = cli.chain_deformation
+
+    def middle_stage_fails(*a, **k):
+        reports = list(real(*a, **k))
+        reports[1] = dataclasses.replace(reports[1], checks=STUB_FAILS)
+        return reports
+    monkeypatch.setattr(cli, "chain_deformation", middle_stage_fails)
+    return ["stub clause one", "stub clause two"]
+
+
+def _fail_pencil(monkeypatch):
+    monkeypatch.setattr(cli, "limit_at_zero", lambda fam: span(fam.ambient))
+    return [f"slice {i}: zero limit is the next space down" for i in range(1, 6)]
+
+
+def _fail_schensted(monkeypatch):
+    real = cli.pieri_bijection_check
+    monkeypatch.setattr(cli, "pieri_bijection_check", lambda *a: dataclasses.replace(
+        real(*a), content_ok=False, chains_complete=False))
+    return ["content_ok", "chains_complete"]
+
+
+def _fail_cell(monkeypatch):
+    monkeypatch.setattr(cli, "cell_profile_check",
+                        lambda *a: ProfileReport((ProfileEntry(1, 2, 3),)))
+    return ["dimension profile"]
+
+
+def _fail_count_real(monkeypatch):
+    real = cli.pieri_pairing_oracle
+    monkeypatch.setattr(cli, "pieri_pairing_oracle", lambda p: real(p) + 1)
+    return ["oracle agreement"]
+
+
+def _fail_triple_witness(monkeypatch):
+    real = cli.real_witness_set
+    monkeypatch.setattr(cli, "real_witness_set", lambda p, seed: real(p, seed=seed)[:-1])
+    return ["witness count equals d"]
+
+
+FORCED_FAILURES = [
+    (("step", "--n", "9", "--alpha", "7,4,1", "--s", "2", "--r", "1",
+      "--file", "{M}", "--marked-file", "{Lm}"), _fail_step),
+    (("chain-deform", "--n", "9", "--alpha", "7,4,1", "--b", "2"),
+     _fail_chain_deform),
+    (("pencil", "--file", "{M}", "--marked-file", "{Lm}"), _fail_pencil),
+    (("schensted", "--shape", "4,2", "--b", "2", "--m", "3"), _fail_schensted),
+    (("cell", "--n", "9", "--alpha", "7,4,1", "--s", "2"), _fail_cell),
+    (("count-real",) + PROBLEM, _fail_count_real),
+    (("triple-witness",) + PROBLEM, _fail_triple_witness),
+]
+
+
+class TestVerdictPath:
+    @pytest.mark.parametrize("argv, force", FORCED_FAILURES,
+                             ids=[argv[0] for argv, _ in FORCED_FAILURES])
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    def test_forced_failure_names_each_clause(self, capsys, monkeypatch,
+                                              verb_files, argv, force, mode):
+        failed = force(monkeypatch)
+        rc, out, err = run(capsys, *fill(argv, verb_files), *mode)
+        assert rc == 1
+        assert err == "".join(f"failed: {name}\n" for name in failed)
+        if mode:
+            assert json.loads(out)["schema"] == f"pierikit/{argv[0]}/1"
+
+    def test_verification_error_exits_one(self, capsys, monkeypatch):
+        def broken():
+            raise VerificationError("stubbed exact check")
+        monkeypatch.setattr(cli, "golden_run_741", broken)
+        rc, out, err = run(capsys, "appendix-a")
+        assert (rc, out, err) == (1, "", "failed: stubbed exact check\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("pieri", "--n", "9", "--alpha", "7,4,1", "--r", "2"),
+        ("tree", "--n", "9", "--alpha", "7,4,1", "--b", "2"),
+        ("chains", "--n", "9", "--alpha", "7,4,1", "--b", "2"),
+        ("schensted", "--shape", "4,2", "--b", "2", "--m", "3"),
+        ("schur", "--shape", "2,1", "--m", "2"),
+        ("classify", "--n", "9", "--alpha", "7,4,1", "--file", "{L}"),
+        ("cell", "--n", "9", "--alpha", "7,4,1", "--s", "2"),
+        ("witness", "--n", "9", "--alpha", "7,4,1", "--file", "{L}"),
+        ("tangent", "--n", "9", "--alpha", "7,4,1", "--file", "{L}"),
+        ("pencil", "--file", "{M}", "--marked-file", "{Lm}"),
+        ("step", "--n", "9", "--alpha", "7,4,1", "--s", "2", "--r", "1",
+         "--file", "{M}", "--marked-file", "{Lm}"),
+        ("chain-deform", "--n", "9", "--alpha", "7,4,1", "--b", "2"),
+        ("appendix-a",),
+        ("count-real",) + PROBLEM,
+        ("triple-witness",) + PROBLEM,
+    ], ids=lambda argv: argv[0])
+    def test_json_schema_stamp(self, capsys, verb_files, argv):
+        rc, out, err = run(capsys, *fill(argv, verb_files), "--json")
+        assert (rc, err) == (0, "")
+        assert f'"schema": "pierikit/{argv[0]}/1"' in out

@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+import pierikit.exactla as exactla
 from pierikit.exactla import (
     SAMPLE_POINTS,
     Chart,
     Flag,
     PolyFamily,
     Subspace,
+    VerificationError,
     annihilator_basis,
     constant_family,
     coordinate_subspace,
@@ -222,6 +224,13 @@ class TestFamily:
         # two columns that collide at t=1 fail the sample validation
         fam = PolyFamily(2, (((F(1),), (F(0),)), ((F(0), F(1)), (F(1), F(-1)))))
         with pytest.raises(ValueError):
+            limit_at_zero(fam)
+
+    def test_limit_combination_not_divisible_by_t(self, monkeypatch):
+        # a "kernel" vector whose combination does not vanish at 0
+        fam = constant_family(span(2, vec([1, 0])))
+        monkeypatch.setattr(exactla, "kernel_basis", lambda mat, ncols: [(F(1),)])
+        with pytest.raises(VerificationError, match="divisible by t"):
             limit_at_zero(fam)
 
     def test_constant_family(self):

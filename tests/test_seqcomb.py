@@ -9,6 +9,8 @@ import itertools
 
 import pytest
 
+import pierikit.seqcomb as seqcomb
+from pierikit.exactla import VerificationError
 from pierikit.seqcomb import (
     DecSeq,
     PieriTree,
@@ -219,6 +221,12 @@ class TestTree:
                                     if covers_under(a, p, g)
                                 ]
                                 assert len(parents) == 1, (a, g)
+
+    def test_several_parents_raise_verification_error(self, monkeypatch):
+        # a covering relation that admits every pair breaks the partition
+        monkeypatch.setattr(seqcomb, "covers_under", lambda a, p, g: True)
+        with pytest.raises(VerificationError, match="has 3 parents"):
+            tree_chains(DecSeq(9, (7, 4, 1)), 2)
 
     def test_covers_under(self):
         a = DecSeq(9, (7, 4, 1))

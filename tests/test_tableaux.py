@@ -5,6 +5,7 @@ filling with both tableau conditions checked on the complete array), then
 frozen.  Polynomial identities are verified coefficient by coefficient.
 """
 
+import dataclasses
 import itertools
 
 import pytest
@@ -141,6 +142,15 @@ class TestBijection:
         assert pieri_bijection_check((2, 1), 0, 3).passed
         assert pieri_bijection_check((3, 1), 3, 3).passed
         assert pieri_bijection_check((2, 2), 2, 2).passed
+
+    def test_failures_name_each_false_clause(self):
+        rep = pieri_bijection_check((2, 1), 1, 3)
+        assert rep.failures() == ()
+        for clause in rep.CLAUSES:
+            broken = dataclasses.replace(rep, **{clause: False})
+            assert broken.failures() == (clause,)
+            assert not broken.passed
+            assert broken.to_json()["passed"] is False
 
     def test_chains_match_tree(self):
         rep = pieri_bijection_check((2,), 2, 2)
