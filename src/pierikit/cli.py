@@ -7,7 +7,9 @@ otherwise aligned text), writes one `failed: <clause>` line to stderr per
 failed clause, and returns the exit code.  Exit codes: 0 success or
 verification pass; 1 a clause failed, or an exact check raised
 `VerificationError` (its message follows `failed:`); 2 usage error or
-unreadable input (`error: ...` on stderr).
+unreadable input (`error: ...` on stderr); 3 a seeded sampler ran out of
+retries without a point in general position (`GenericityError`, reported
+as `error: genericity retries exhausted: ...`; another seed may work).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .enumerative import (
 )
 from .exactla import (
     SAMPLE_POINTS,
+    GenericityError,
     VerificationError,
     family_to_json,
     intersect,
@@ -259,7 +262,7 @@ def _cmd_witness(args) -> int:
     lines = [f"witness m-plane for alpha={a}, line carried at row {args.mode}",
              *_basis_lines(H)]
     lines.extend(f"{k}: {v}" for k, v in checks.items())
-    return _emit(args, blob, "\n".join(lines))
+    return _emit(args, blob, "\n".join(lines), [k for k, ok in checks.items() if not ok])
 
 
 def _cmd_tangent(args) -> int:
@@ -524,6 +527,9 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
+    except GenericityError as exc:
+        print(f"error: genericity retries exhausted: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,6 +15,7 @@ from .exactla import (
     SAMPLE_POINTS,
     Chart,
     Flag,
+    GenericityError,
     PolyFamily,
     Subspace,
     VerificationError,
@@ -409,7 +410,7 @@ def _descend_hyperplane(a: DecSeq, s: int, flag: Flag, M: Subspace, rng) -> Subs
             continue
         if cell_member(L, a, s, flag):
             return L
-    raise RuntimeError("no generic descent hyperplane found")
+    raise GenericityError("no generic descent hyperplane found")
 
 
 def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,

@@ -22,6 +22,7 @@ from typing import Iterator
 
 from .exactla import (
     Flag,
+    GenericityError,
     Subspace,
     VerificationError,
     flag_from_basis,
@@ -235,10 +236,12 @@ def valid_instances(n_max: int) -> Iterator[QuintupleProblem]:
 # explicit witnesses
 
 
+@lru_cache(maxsize=None)
 def reversed_flag(n: int) -> Flag:
     """The ascending coordinate flag: space j is spanned by e_1, ..., e_{n+1-j}.
 
     Opposite to the standard flag, so their slices are coordinate blocks.
+    Built once per n and shared: Flag and Subspace are frozen.
     """
     return flag_from_basis([unit_vector(n, i) for i in range(n, 0, -1)])
 
@@ -350,7 +353,7 @@ def witness_table(p: QuintupleProblem, seed: int = 0, retries: int = 32):
         if len({H for _, _, H in out}) != len(out):
             continue  # a collision counts as a genericity failure
         return C, tuple(out)
-    raise RuntimeError(f"no suitable C after {retries} draws: {last}")
+    raise GenericityError(f"no suitable C after {retries} draws: {last}")
 
 
 def real_witness_set(p: QuintupleProblem, seed: int = 0, retries: int = 32) -> list[Subspace]:

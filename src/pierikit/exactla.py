@@ -7,17 +7,25 @@ flat limits at t=0 come out of exact column operations.
 
 Elimination is fraction-free.  One integer Gauss-Jordan routine does every
 rank, kernel, solve, inverse, span and intersection: it scales each input
-row to a primitive integer vector and keeps it primitive.  Fractions appear
-only at the boundary, when a result leaves it as the canonical basis of a
-Subspace or as a kernel, solution or inverse.  Its inputs must be int or
-Fraction; anything else raises TypeError.
+row to a primitive integer vector and keeps it primitive.  Its inputs must
+be int or Fraction; anything else raises TypeError.
+
+A Subspace carries its basis twice: as the canonical Fraction rows, and,
+computed on first use and then kept, as (pivot, primitive integer row)
+pairs.  Membership, reduction, coordinates, intersections and quotients
+work on the integer rows, and a polynomial family evaluates its integer
+columns at t.  Fractions appear only at the boundary, when a result leaves
+as the canonical basis of a Subspace or as a kernel, solution, inverse,
+reduced vector or coordinate tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 Vec = tuple[Fraction, ...]
 Poly = tuple[Fraction, ...]  # coefficients, lowest degree first, trimmed
@@ -43,6 +51,11 @@ class VerificationError(Exception):
     Deliberately not a ValueError: the samplers resample on ValueError (a
     genericity failure), and a wrong result must not be retried away.
     """
+
+
+class GenericityError(RuntimeError):
+    """A seeded sampler used up its retry budget without drawing a point
+    in general position.  Nothing was shown wrong: another seed may work."""
 
 
 def frac(x) -> Fraction:
@@ -85,22 +98,38 @@ def is_zero_vec(v) -> bool:
 _EXACT = (int, Fraction)
 
 
-def _int_row(row) -> list[int]:
-    """The row scaled to a primitive integer vector (zero stays zero)."""
+def _scaled_row(row) -> tuple[list[int], int]:
+    """(ints, d) with row == ints / d, d > 0 the lcm of the denominators."""
     types = set(map(type, row))
     if types == {int}:
-        ints = list(row)
-    else:
-        if not types.issubset(_EXACT):
-            for x in row:
-                if not isinstance(x, _EXACT):
-                    raise TypeError("exact elimination takes int or Fraction "
-                                    f"entries, not {type(x).__name__}")
-        ratios = [x.as_integer_ratio() for x in row]
-        den = lcm(*[d for _, d in ratios])
-        ints = [n * (den // d) for n, d in ratios]
+        return list(row), 1
+    if not types.issubset(_EXACT):
+        for x in row:
+            if not isinstance(x, _EXACT):
+                raise TypeError("exact elimination takes int or Fraction "
+                                f"entries, not {type(x).__name__}")
+    ratios = [x.as_integer_ratio() for x in row]
+    den = lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _int_row(row) -> list[int]:
+    """The row scaled to a primitive integer vector (zero stays zero)."""
+    ints, _ = _scaled_row(row)
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
+
+
+def _int_vector(v, n: int) -> tuple[list[int], int]:
+    """(ints, d) with v == ints / d for a vector of length n; v may be
+    anything vec takes."""
+    if not isinstance(v, (tuple, list)):
+        v = tuple(v)
+    if not set(map(type, v)).issubset(_EXACT):
+        v = vec(v)
+    if len(v) != n:
+        raise ValueError(f"expected vector of length {n}, got {len(v)}")
+    return _scaled_row(v)
 
 
 def _echelon(rows):
@@ -256,35 +285,64 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(pivot, primitive integer row) per basis row, pivot entry > 0.
+
+        Built on first use and kept on the frozen instance; equality and
+        hashing look only at ambient and basis.
+        """
+        out = []
+        for row in self.basis:
+            ints = _int_row(row)
+            out.append((next(i for i, x in enumerate(ints) if x), tuple(ints)))
+        return tuple(out)
+
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(_pivot_index(r) for r in self.basis)
+        return tuple(p for p, _ in self._rows)
+
+    def _back_substitute(self, w) -> tuple[list[int], int]:
+        """(r, s) with r / s = w minus its projection to the span.
+
+        Fraction-free: each row with a nonzero entry of w at its pivot
+        clears it by cross-multiplying with pivot/gcd, and s collects the
+        factors.  w itself is not modified.
+        """
+        s = 1
+        for p, row in self._rows:
+            c = w[p]
+            if c:
+                a = row[p]
+                g = gcd(a, c)
+                if g > 1:
+                    a, c = a // g, c // g
+                w = [a * x - c * y for x, y in zip(w, row)]
+                s *= a
+        return w, s
 
     def reduce_vector(self, v) -> Vec:
         """Remainder of v after subtracting its projection to the span."""
-        w = list(vec(v, self.ambient))
-        for row in self.basis:
-            p = _pivot_index(row)
-            c = w[p]
-            if c != 0:
-                for i in range(p, self.ambient):
-                    w[i] -= c * row[i]
-        return tuple(w)
+        w, d = _int_vector(v, self.ambient)
+        r, s = self._back_substitute(w)
+        return _over(r, d * s)
 
     def contains_vector(self, v) -> bool:
-        return is_zero_vec(self.reduce_vector(v))
+        w, _ = _int_vector(v, self.ambient)
+        return not any(self._back_substitute(w)[0])
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
             raise ValueError("ambient mismatch")
-        return all(self.contains_vector(row) for row in other.basis)
+        return other.dim <= self.dim and not any(
+            any(self._back_substitute(row)[0]) for _, row in other._rows)
 
     def coords(self, v) -> Vec:
         """Coordinates of v in the canonical basis; v must lie in the span."""
-        v = vec(v, self.ambient)
-        if not self.contains_vector(v):
+        w, d = _int_vector(v, self.ambient)
+        if any(self._back_substitute(w)[0]):
             raise ValueError("vector not in subspace")
-        return tuple(v[p] for p in self.pivots)
+        return tuple(Fraction(w[p], d) for p in self.pivots)
 
     def __str__(self):
         if self.is_zero:
@@ -334,8 +392,8 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("ambient mismatch")
     if a.is_zero or b.is_zero:
         return zero_subspace(a.ambient)
-    arows = [_int_row(r) for r in a.basis]
-    cols = arows + [_int_row(r) for r in b.basis]
+    arows = [row for _, row in a._rows]
+    cols = arows + [row for _, row in b._rows]
     # null vectors (u, v) of the matrix with those columns give points
     # sum u_q a_q = -sum v_q b_q in the intersection
     gens = []
@@ -364,9 +422,9 @@ def quotient_subspace(a: Subspace, k: Subspace) -> Subspace:
     kp = set(k.pivots)
     keep = [i for i in range(a.ambient) if i not in kp]
     gens = []
-    for row in a.basis:
-        r = k.reduce_vector(row)
-        gens.append(tuple(r[i] for i in keep))
+    for _, row in a._rows:
+        r, _ = k._back_substitute(row)
+        gens.append([r[i] for i in keep])
     return canonicalize(gens, len(keep))
 
 
@@ -545,8 +603,36 @@ class PolyFamily:
         t = frac(t)
         return [tuple(peval(p, t) for p in col) for col in self.cols]
 
+    @cached_property
+    def _int_coeffs(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+        """(degree, integer coefficient tuples) per column, the column
+        scaled by the lcm of its coefficient denominators."""
+        out = []
+        for col in self.cols:
+            den = lcm(*[c.denominator for p in col for c in p])
+            deg = max([len(p) - 1 for p in col] + [0])
+            out.append((deg, tuple(
+                tuple(c.numerator * (den // c.denominator) for c in p) for p in col)))
+        return tuple(out)
+
+    def _int_columns(self, t) -> list[list[int]]:
+        """The columns at t = p/q as integer vectors, each a nonzero
+        multiple of its value, so their span is the fibre at t.  A column
+        of degree D evaluates its integer coefficients c_k homogenised,
+        as sum_k c_k p^k q^(D-k)."""
+        t = frac(t)
+        p, q = t.numerator, t.denominator
+        powers = {}
+        out = []
+        for deg, col in self._int_coeffs:
+            pw = powers.get(deg)
+            if pw is None:
+                pw = powers[deg] = [p ** k * q ** (deg - k) for k in range(deg + 1)]
+            out.append([sum(map(mul, poly, pw)) for poly in col])
+        return out
+
     def at(self, t) -> Subspace:
-        return canonicalize(self.eval_columns(t), self.ambient)
+        return canonicalize(self._int_columns(t), self.ambient)
 
     def transform(self, rows) -> "PolyFamily":
         """Apply a constant linear map (given by rows) to every column."""
@@ -593,7 +679,7 @@ def limit_at_zero(fam: PolyFamily) -> Subspace:
     d = fam.ncols
     if d == 0:
         return zero_subspace(fam.ambient)
-    bad = [t for t in SAMPLE_POINTS if rank(fam.eval_columns(t)) != d]
+    bad = [t for t in SAMPLE_POINTS if rank(fam._int_columns(t)) != d]
     if bad:
         raise ValueError(
             f"family does not have generic rank {d} at sample points {bad}"

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .exactla import (
     Chart,
     Flag,
+    GenericityError,
     Subspace,
     VerificationError,
     annihilator_basis,
@@ -41,8 +43,12 @@ TRANSVERSE_OTHER = "TransverseOther"
 # flags
 
 
+@lru_cache(maxsize=None)
 def standard_flag(n: int) -> Flag:
-    """The descending coordinate flag: space j is spanned by e_j, ..., e_n."""
+    """The descending coordinate flag: space j is spanned by e_j, ..., e_n.
+
+    Built once per n and shared: Flag and Subspace are frozen.
+    """
     return flag_from_basis([unit_vector(n, i) for i in range(1, n + 1)])
 
 
@@ -322,7 +328,7 @@ def cell_point(a: DecSeq, s: int, flag: Flag, seed: int = 0) -> Subspace:
         L = _pivot_span(beta.entries, flag, rng)
         if cell_member(L, a, s, flag):
             return L
-    raise RuntimeError("failed to sample the incidence cell")
+    raise GenericityError("failed to sample the incidence cell")
 
 
 def schubert_cell_point(b: DecSeq, flag: Flag, seed: int = 0) -> Subspace:
@@ -337,7 +343,7 @@ def schubert_cell_point(b: DecSeq, flag: Flag, seed: int = 0) -> Subspace:
         )
         if ok:
             return H
-    raise RuntimeError("failed to sample the open Schubert cell")
+    raise GenericityError("failed to sample the open Schubert cell")
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +386,7 @@ def vector_avoiding(inside: Subspace, avoid, rng=None) -> tuple:
                 v = w if v is None else vec_add(v, w)
         if v is not None and ok(v):
             return v
-    raise RuntimeError("random search for an avoiding vector failed")
+    raise GenericityError("random search for an avoiding vector failed")
 
 
 def witness_point(a: DecSeq, flag: Flag, L: Subspace, mode: int, seed: int = 0) -> Subspace:
@@ -440,7 +446,7 @@ def witness_point(a: DecSeq, flag: Flag, L: Subspace, mode: int, seed: int = 0) 
         if upper(mode).contains(line):
             continue
         return H
-    raise RuntimeError("witness construction failed after retries")
+    raise GenericityError("witness construction failed after retries")
 
 
 # ---------------------------------------------------------------------------

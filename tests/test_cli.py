@@ -8,9 +8,19 @@ from pathlib import Path
 
 import pytest
 
+import pierikit
 import pierikit.cli as cli
+import pierikit.deform as deform
+import pierikit.enumerative as enumerative
+import pierikit.schubgeom as schubgeom
 from pierikit.deform import GoldenReport, StageCheck
-from pierikit.exactla import VerificationError, span, subspace_to_json, unit_vector
+from pierikit.exactla import (
+    GenericityError,
+    VerificationError,
+    span,
+    subspace_to_json,
+    unit_vector,
+)
 from pierikit.schubgeom import ProfileEntry, ProfileReport, cell_point, standard_flag
 from pierikit.seqcomb import DecSeq
 
@@ -384,3 +394,72 @@ class TestVerdictPath:
         rc, out, err = run(capsys, *fill(argv, verb_files), "--json")
         assert (rc, err) == (0, "")
         assert f'"schema": "pierikit/{argv[0]}/1"' in out
+
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    def test_witness_failed_clause(self, capsys, monkeypatch, verb_files, mode):
+        argv = fill(("witness", "--n", "9", "--alpha", "7,4,1", "--file", "{L}"),
+                    verb_files)
+        rc, good, err = run(capsys, *argv, *mode)
+        assert (rc, err) == (0, "")
+        monkeypatch.setattr(cli, "schubert_member", lambda *a: False)
+        rc, out, err = run(capsys, *argv, *mode)
+        assert (rc, err) == (1, "failed: schubert_member\n")
+        # stdout still reports the plane and the failed clause, nothing else moves
+        if mode:
+            want = json.loads(good)
+            want["checks"]["schubert_member"] = False
+            assert json.loads(out) == want
+        else:
+            assert "schubert_member: True" in good
+            assert out == good.replace("schubert_member: True", "schubert_member: False")
+
+
+def _exhaust_cell_point(monkeypatch):
+    monkeypatch.setattr(schubgeom, "cell_member", lambda *a: False)
+    return ("cell", "--n", "9", "--alpha", "7,4,1", "--s", "2"), \
+        "failed to sample the incidence cell"
+
+
+def _exhaust_witness_point(monkeypatch):
+    monkeypatch.setattr(schubgeom, "vector_avoiding",
+                        lambda inside, avoid, rng: (0,) * inside.ambient)
+    return ("witness", "--n", "9", "--alpha", "7,4,1", "--file", "{L}"), \
+        "witness construction failed after retries"
+
+
+def _exhaust_descent(monkeypatch):
+    monkeypatch.setattr(deform, "cell_member", lambda *a: False)
+    return ("chain-deform", "--n", "9", "--alpha", "7,4,1", "--b", "2"), \
+        "no generic descent hyperplane found"
+
+
+def _exhaust_witness_table(monkeypatch):
+    def not_generic(*a):
+        raise ValueError("stub slice is zero")
+    monkeypatch.setattr(enumerative, "triple_witnesses", not_generic)
+    return ("triple-witness",) + PROBLEM, "no suitable C after 32 draws: stub slice is zero"
+
+
+class TestGenericityExit:
+    @pytest.mark.parametrize("exhaust", [_exhaust_cell_point, _exhaust_witness_point,
+                                         _exhaust_descent, _exhaust_witness_table],
+                             ids=["cell_point", "witness_point", "descend_hyperplane",
+                                  "witness_table"])
+    def test_exhausted_sampler_exits_three(self, capsys, monkeypatch, verb_files, exhaust):
+        argv, message = exhaust(monkeypatch)
+        rc, out, err = run(capsys, *fill(argv, verb_files))
+        assert (rc, out) == (3, "")
+        assert err == f"error: genericity retries exhausted: {message}\n"
+
+    def test_genericity_error_is_a_runtime_error(self):
+        assert issubclass(GenericityError, RuntimeError)
+        assert pierikit.GenericityError is GenericityError
+        assert not issubclass(GenericityError, (ValueError, VerificationError))
+
+    def test_non_termination_stays_usage_exit(self, capsys, monkeypatch, verb_files):
+        def stuck(fam):
+            raise RuntimeError("limit computation failed to terminate")
+        monkeypatch.setattr(cli, "limit_at_zero", stuck)
+        rc, out, err = run(capsys, *fill(("pencil", "--file", "{M}", "--marked-file", "{Lm}"),
+                                          verb_files))
+        assert (rc, out, err) == (2, "", "error: limit computation failed to terminate\n")

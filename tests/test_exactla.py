@@ -445,3 +445,135 @@ class TestDifferential:
             assert got_piv == list(pivots)
             assert strs(got_red) == [[str(want[r, c]) for c in range(want.cols)]
                                      for r in range(len(pivots))]
+
+
+# ----------------------------------------------------------------------
+# Differential check of the integer Subspace paths (reduce_vector,
+# contains_vector, coords, quotient_subspace) against textbook Fraction
+# back-substitution on the canonical basis, of PolyFamily.at against
+# canonicalizing the Fraction evaluation, and of the memoised coordinate
+# flags against fresh ones.
+
+def textbook_reduce(s, v):
+    w = [F(x) for x in v]
+    for row in s.basis:
+        p = next(i for i, x in enumerate(row) if x != 0)
+        c = w[p]
+        if c != 0:
+            w = [a - c * b for a, b in zip(w, row)]
+    return tuple(w)
+
+
+def textbook_quotient(a, k):
+    if k.is_zero:
+        return a.basis
+    keep = [i for i in range(a.ambient) if i not in k.pivots]
+    gens = [[textbook_reduce(k, row)[i] for i in keep] for row in a.basis]
+    return textbook_rref(gens)[0] if gens else []
+
+
+def random_space(rng, n, kind, i):
+    """Every seventh pair uses the zero space, every seventh (offset 3) the
+    full space; the rest span 0..n+1 random rows, often dependent."""
+    if i % 7 == 0:
+        return zero_subspace(n)
+    if i % 7 == 3:
+        return full_space(n)
+    rows = [[random_entry(rng, kind) for _ in range(n)]
+            for _ in range(rng.randint(0, n + 1))]
+    return span(n, *rows)
+
+
+def random_vector(rng, s, kind):
+    """Half the time a random combination of the basis (so it lies in s),
+    otherwise random entries; entries come as int and Fraction mixed."""
+    n = s.ambient
+    if s.basis and rng.random() < 0.5:
+        v = [F(0)] * n
+        for row in s.basis:
+            c = random_entry(rng, kind)
+            v = [a + c * b for a, b in zip(v, row)]
+    else:
+        v = [random_entry(rng, kind) for _ in range(n)]
+    return [x.numerator if type(x) is F and x.denominator == 1 and rng.random() < 0.5
+            else x for x in v]
+
+
+class TestSubspaceDifferential:
+    def test_against_textbook_back_substitution(self):
+        rng = random.Random(20240917)
+        seen = dict.fromkeys(("zero space", "full space", "150-bit", "contained",
+                              "not contained", "str/generator input"), 0)
+        for i in range(1400):
+            kind = KINDS[i % len(KINDS)]
+            n = rng.randint(1, 4 if kind == "big" else 7)
+            s = random_space(rng, n, kind, i)
+            v = random_vector(rng, s, kind)
+            if i % 11 == 5:
+                v = [str(x) for x in v]
+            seen["str/generator input"] += i % 11 in (5, 6)
+            seen["zero space"] += s.is_zero
+            seen["full space"] += s.dim == n
+            seen["150-bit"] += kind == "big"
+
+            want = textbook_reduce(s, v)
+            inside = all(x == 0 for x in want)
+            seen["contained" if inside else "not contained"] += 1
+            feed = iter(v) if i % 11 == 6 else v
+            assert strs([s.reduce_vector(feed)]) == strs([want])
+            assert s.contains_vector(v) is inside
+            if inside:
+                assert strs([s.coords(v)]) == strs([tuple(F(v[p]) for p in s.pivots)])
+            else:
+                with pytest.raises(ValueError, match="not in subspace"):
+                    s.coords(v)
+            assert s.pivots == tuple(
+                next(c for c, x in enumerate(row) if x != 0) for row in s.basis)
+
+            a = random_space(rng, n, kind, i + 1)
+            q = quotient_subspace(a, s)
+            assert strs(q.basis) == strs(textbook_quotient(a, s))
+            assert s.contains(a) is all(s.contains_vector(row) for row in a.basis)
+        assert all(count >= 100 for count in seen.values()), seen
+
+    def test_reduce_vector_inputs(self):
+        s = span(3, vec([1, 1, 0]))
+        want = (F(0), F(1, 2), F(3))
+        for v in ([F(1, 2), 1, 3], (0.5, 1.0, 3), ("1/2", "1", "3"),
+                  (x for x in (F(1, 2), True, 3))):
+            got = s.reduce_vector(v)
+            assert got == want and all(type(x) is F for x in got)
+        with pytest.raises(ValueError, match="expected vector of length 3, got 2"):
+            s.reduce_vector([1, 2])
+        with pytest.raises(ValueError, match="expected vector of length 3, got 2"):
+            s.contains_vector(("1", "2"))
+
+    def test_family_at_against_fraction_evaluation(self):
+        rng = random.Random(515)
+        points = list(SAMPLE_POINTS) + [F(0)]
+        for i in range(250):
+            kind = KINDS[i % len(KINDS)]
+            n = rng.randint(1, 4 if kind == "big" else 6)
+            cols = [[[random_entry(rng, kind) if rng.random() < 0.7 else 0
+                      for _ in range(rng.randint(0, 3))] for _ in range(n)]
+                    for _ in range(rng.randint(0, 4))]
+            fam = family_from_vectors(n, cols)
+            extra = [F(rng.randint(-50, 50), rng.randint(1, 50)) for _ in range(3)]
+            extra.append(random_entry(random.Random(i), "big"))
+            for t in points + extra:
+                got = fam.at(t)
+                want = exactla.canonicalize(fam.eval_columns(t), n)
+                assert got == want
+                assert strs(got.basis) == strs(want.basis)
+
+    def test_memoised_coordinate_flags_equal_fresh_ones(self):
+        from pierikit.enumerative import reversed_flag
+        from pierikit.schubgeom import standard_flag
+        for n in range(1, 10):
+            fresh = flag_from_basis([unit_vector(n, i) for i in range(1, n + 1)])
+            fresh_rev = flag_from_basis([unit_vector(n, i) for i in range(n, 0, -1)])
+            assert standard_flag(n) == fresh and standard_flag(n) is standard_flag(n)
+            assert reversed_flag(n) == fresh_rev and reversed_flag(n) is reversed_flag(n)
+            for got, want in zip(standard_flag(n).spaces + reversed_flag(n).spaces,
+                                 fresh.spaces + fresh_rev.spaces):
+                assert strs(got.basis) == strs(want.basis)

@@ -1,0 +1,76 @@
+"""Property tests of invariants the exact linear algebra states.
+
+Optional: skipped when hypothesis is not installed.  Example generation is
+derandomized, so the suite stays deterministic.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from pierikit.exactla import (  # noqa: E402
+    Chart,
+    constant_family,
+    intersect,
+    limit_at_zero,
+    span,
+    sum_span,
+)
+
+SETTINGS = hypothesis.settings(max_examples=60, derandomize=True, database=None,
+                               deadline=None)
+
+entries = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def subspaces(n):
+    """Spans of 0..n+1 random vectors of k^n, so often dependent."""
+    return st.lists(st.lists(entries, min_size=n, max_size=n), max_size=n + 1).map(
+        lambda rows: span(n, *rows))
+
+
+@st.composite
+def two_subspaces(draw):
+    n = draw(st.integers(1, 5))
+    return draw(subspaces(n)), draw(subspaces(n))
+
+
+@SETTINGS
+@hypothesis.given(two_subspaces())
+def test_intersection_and_sum_dimension_formula(pair):
+    a, b = pair
+    meet, total = intersect(a, b), sum_span(a, b)
+    assert meet.dim + total.dim == a.dim + b.dim
+    assert a.contains(meet) and b.contains(meet)
+    assert total.contains(a) and total.contains(b)
+
+
+@SETTINGS
+@hypothesis.given(two_subspaces())
+def test_chart_restrict_extend_round_trip(pair):
+    s, b = pair
+    chart = Chart(s)
+    inner = intersect(s, b)  # some subspace of s
+    restricted = chart.restrict(inner)
+    assert restricted.ambient == s.dim and restricted.dim == inner.dim
+    assert chart.extend(restricted) == inner
+    # and the other way round, from a subspace of k^(dim s)
+    coords = span(s.dim, *[chart.to_coords(row) for row in b.basis if s.contains_vector(row)])
+    assert chart.restrict(chart.extend(coords)) == coords
+
+
+@SETTINGS
+@hypothesis.given(st.integers(1, 5).flatmap(subspaces))
+def test_limit_of_constant_family(s):
+    assert limit_at_zero(constant_family(s)) == s
+
+
+@SETTINGS
+@hypothesis.given(two_subspaces())
+def test_contains_iff_sum_is_unchanged(pair):
+    s, t = pair
+    assert s.contains(t) is (sum_span(s, t) == s)
+    assert s.contains(intersect(s, t))

@@ -12,6 +12,7 @@ import pytest
 
 from pierikit import schubgeom
 from pierikit.exactla import (
+    GenericityError,
     VerificationError,
     intersect,
     mat_vec,
@@ -333,6 +334,21 @@ class TestVectorAvoiding:
         inside = span(3, vec([1, 0, 0]))
         with pytest.raises(ValueError):
             vector_avoiding(inside, [span(3, vec([1, 0, 0]), vec([0, 1, 0]))])
+
+    def test_exhausted_search_is_a_genericity_error(self, monkeypatch):
+        # every candidate rejected: the seeded search runs out of draws
+        monkeypatch.setattr(schubgeom, "is_zero_vec", lambda v: True)
+        inside = span(3, vec([1, 0, 0]), vec([0, 1, 0]))
+        with pytest.raises(GenericityError, match="avoiding vector"):
+            vector_avoiding(inside, [])
+
+    def test_exhausted_cell_samplers(self, monkeypatch):
+        monkeypatch.setattr(schubgeom, "schubert_member", lambda *a: False)
+        with pytest.raises(GenericityError, match="open Schubert cell"):
+            schubert_cell_point(DecSeq(9, (8, 4, 1)), FLAG, seed=0)
+        monkeypatch.setattr(schubgeom, "cell_member", lambda *a: False)
+        with pytest.raises(GenericityError, match="incidence cell"):
+            cell_point(A741, 2, FLAG, seed=0)
 
 
 class TestTangent:
