@@ -1,27 +1,25 @@
 """Exact rational linear algebra for subspaces of k^n.
 
-Everything is over the rationals and nothing is ever rounded: vectors are
-tuples of Fraction, a subspace is stored in its unique reduced echelon
-canonical form, and one-parameter families carry polynomial entries so that
-flat limits at t=0 come out of exact column operations.
+Everything is over the rationals and nothing is ever rounded.  Elimination
+is fraction-free: one integer Gauss-Jordan routine does every rank, kernel,
+solve, inverse, span and intersection; it scales each input row to a
+primitive integer vector and keeps it primitive.  Its inputs must be int or
+Fraction; anything else raises TypeError.
 
-Elimination is fraction-free.  One integer Gauss-Jordan routine does every
-rank, kernel, solve, inverse, span and intersection: it scales each input
-row to a primitive integer vector and keeps it primitive.  Its inputs must
-be int or Fraction; anything else raises TypeError.
-
-A Subspace carries its basis twice: as the canonical Fraction rows, and,
-computed on first use and then kept, as (pivot, primitive integer row)
-pairs.  Membership, reduction, coordinates, intersections and quotients
-work on the integer rows, and a polynomial family evaluates its integer
-columns at t.  Fractions appear only at the boundary, when a result leaves
-as the canonical basis of a Subspace or as a kernel, solution, inverse,
-reduced vector or coordinate tuple.
+A Subspace is its canonical integer rows: the reduced echelon basis with
+each row scaled to a primitive integer vector whose pivot entry is positive.
+That form is unique.  Membership, reduction, coordinates, intersections and
+quotients work on those rows; the canonical Fraction basis (pivot entries 1)
+is a view built on first read.  A one-parameter family caches its columns
+as integer polynomials: it evaluates them at t, and its flat limit at t=0
+comes out of exact column operations over Z[t].  Fractions appear only at
+the boundary, when a result leaves as a canonical basis, a kernel, solution,
+inverse, reduced vector or coordinate tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -254,53 +252,48 @@ def mat_vec(rows, v: Vec) -> Vec:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of k^ambient in reduced echelon canonical form.
+    """A subspace of k^ambient, stored as its canonical integer rows.
 
-    basis rows have pivot entry 1, pivots strictly increasing top-down, and
-    pivot columns are zero in every other row.  Two Subspace values are equal
-    iff they are the same subspace.  The zero space has an empty basis.
+    rows is the reduced echelon basis with each row scaled to a primitive
+    integer tuple whose pivot entry is positive: pivots strictly increase
+    top-down and pivot columns are zero in every other row.  That form is
+    unique, so two Subspace values are equal iff they are the same
+    subspace.  pivots holds each row's pivot column, found while the rows
+    are validated; basis is the Fraction view with pivot entries 1, built
+    on first read.  The zero space has no rows.
     """
 
     ambient: int
-    basis: tuple[Vec, ...]
+    rows: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = -1
-        for row in self.basis:
+        pivots = []
+        for row in self.rows:
             if len(row) != self.ambient:
                 raise ValueError("basis vector length does not match ambient")
-            p = _pivot_index(row)
-            if p is None or p <= seen or row[p] != 1:
+            lead = next(filter(None, row), 0)
+            p = row.index(lead) if lead else -1
+            if lead <= 0 or (pivots and p <= pivots[-1]) or gcd(*row) != 1:
                 raise ValueError("basis is not in reduced echelon form")
-            for other in self.basis:
-                if other is not row and other[p] != 0:
-                    raise ValueError("basis is not fully reduced")
-            seen = p
+            # later rows are zero at p because their pivots come after it
+            if pivots and any(other[p] for other in self.rows[:len(pivots)]):
+                raise ValueError("basis is not fully reduced")
+            pivots.append(p)
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
 
     @cached_property
-    def _rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(pivot, primitive integer row) per basis row, pivot entry > 0.
-
-        Built on first use and kept on the frozen instance; equality and
-        hashing look only at ambient and basis.
-        """
-        out = []
-        for row in self.basis:
-            ints = _int_row(row)
-            out.append((next(i for i, x in enumerate(ints) if x), tuple(ints)))
-        return tuple(out)
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self._rows)
+    def basis(self) -> tuple[Vec, ...]:
+        """The canonical Fraction basis: each row over its pivot entry."""
+        return tuple(_over(row, row[p]) for p, row in zip(self.pivots, self.rows))
 
     def _back_substitute(self, w) -> tuple[list[int], int]:
         """(r, s) with r / s = w minus its projection to the span.
@@ -310,7 +303,7 @@ class Subspace:
         factors.  w itself is not modified.
         """
         s = 1
-        for p, row in self._rows:
+        for p, row in zip(self.pivots, self.rows):
             c = w[p]
             if c:
                 a = row[p]
@@ -335,7 +328,7 @@ class Subspace:
         if other.ambient != self.ambient:
             raise ValueError("ambient mismatch")
         return other.dim <= self.dim and not any(
-            any(self._back_substitute(row)[0]) for _, row in other._rows)
+            any(self._back_substitute(row)[0]) for row in other.rows)
 
     def coords(self, v) -> Vec:
         """Coordinates of v in the canonical basis; v must lie in the span."""
@@ -353,13 +346,6 @@ class Subspace:
         return f"span{{{rows}}}"
 
 
-def _pivot_index(row):
-    for i, x in enumerate(row):
-        if x != 0:
-            return i
-    return None
-
-
 def canonicalize(vectors, ambient: int) -> Subspace:
     """Span of the vectors, in canonical form."""
     vs = [tuple(v) for v in vectors]
@@ -367,7 +353,8 @@ def canonicalize(vectors, ambient: int) -> Subspace:
         if len(v) != ambient:
             raise ValueError(f"expected vector of length {ambient}, got {len(v)}")
     reduced, _ = rref(vs)
-    return Subspace(ambient, tuple(reduced))
+    # a row with pivot entry 1 is primitive once its denominators are cleared
+    return Subspace(ambient, tuple([tuple(_scaled_row(row)[0]) for row in reduced]))
 
 
 def span(ambient: int, *vectors) -> Subspace:
@@ -392,14 +379,13 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("ambient mismatch")
     if a.is_zero or b.is_zero:
         return zero_subspace(a.ambient)
-    arows = [row for _, row in a._rows]
-    cols = arows + [row for _, row in b._rows]
+    cols = a.rows + b.rows
     # null vectors (u, v) of the matrix with those columns give points
     # sum u_q a_q = -sum v_q b_q in the intersection
     gens = []
     for _, kv in _null_vectors(list(zip(*cols)), len(cols)):
         w = [0] * a.ambient
-        for coeff, row in zip(kv, arows):
+        for coeff, row in zip(kv, a.rows):
             if coeff:
                 w = [x + coeff * y for x, y in zip(w, row)]
         gens.append(w)
@@ -409,7 +395,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 def sum_span(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != b.ambient:
         raise ValueError("ambient mismatch")
-    return canonicalize(list(a.basis) + list(b.basis), a.ambient)
+    return canonicalize(a.rows + b.rows, a.ambient)
 
 
 def quotient_subspace(a: Subspace, k: Subspace) -> Subspace:
@@ -422,7 +408,7 @@ def quotient_subspace(a: Subspace, k: Subspace) -> Subspace:
     kp = set(k.pivots)
     keep = [i for i in range(a.ambient) if i not in kp]
     gens = []
-    for _, row in a._rows:
+    for row in a.rows:
         r, _ = k._back_substitute(row)
         gens.append([r[i] for i in keep])
     return canonicalize(gens, len(keep))
@@ -432,7 +418,7 @@ def annihilator_basis(s: Subspace):
     """Covectors (as plain tuples) vanishing on s, deterministic order."""
     if s.is_zero:
         return [unit_vector(s.ambient, i + 1) for i in range(s.ambient)]
-    return kernel_basis(list(s.basis), s.ambient)
+    return kernel_basis(list(s.rows), s.ambient)
 
 
 class Chart:
@@ -444,14 +430,10 @@ class Chart:
 
     def __init__(self, space: Subspace):
         self.space = space
-        self._pivots = space.pivots
 
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def to_coords(self, v) -> Vec:
-        return self.space.coords(v)
 
     def from_coords(self, x) -> Vec:
         x = vec(x, self.space.dim)
@@ -464,15 +446,21 @@ class Chart:
 
     def restrict(self, a: Subspace) -> Subspace:
         """Rewrite a subspace a contained in S in S-coordinates."""
-        if not self.space.contains(a):
-            raise ValueError("subspace is not contained in the chart space")
-        return canonicalize([self.to_coords(r) for r in a.basis], self.space.dim)
+        space = self.space
+        if a.ambient != space.ambient:
+            raise ValueError("ambient mismatch")
+        coords = []
+        for row in a.rows:
+            if any(space._back_substitute(row)[0]):
+                raise ValueError("subspace is not contained in the chart space")
+            coords.append([row[p] for p in space.pivots])
+        return canonicalize(coords, space.dim)
 
     def extend(self, a: Subspace) -> Subspace:
         """Inverse of restrict: map a subspace of k^{dim S} back into V."""
         if a.ambient != self.space.dim:
             raise ValueError("ambient mismatch")
-        return canonicalize([self.from_coords(r) for r in a.basis], self.space.ambient)
+        return canonicalize([self.from_coords(r) for r in a.rows], self.space.ambient)
 
 
 # ----------------------------------------------------------------------
@@ -522,7 +510,7 @@ def flag_from_basis(vectors) -> Flag:
 
 # ----------------------------------------------------------------------
 # Polynomials in one parameter t, as coefficient tuples (lowest degree
-# first).  Only the few operations the limit algorithm needs.
+# first).
 
 def ptrim(c) -> Poly:
     c = list(c)
@@ -535,47 +523,12 @@ def pconst(x) -> Poly:
     return ptrim((frac(x),))
 
 
-def padd(p: Poly, q: Poly) -> Poly:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, x in enumerate(q):
-        out[i] += x
-    return ptrim(out)
-
-
-def pscale(c, p: Poly) -> Poly:
-    c = frac(c)
-    if c == 0:
-        return ()
-    return tuple(c * x for x in p)
-
-
 def peval(p: Poly, t) -> Fraction:
     t = frac(t)
     out = _ZERO
     for c in reversed(p):
         out = out * t + c
     return out
-
-
-def pvaluation(p: Poly):
-    """Order of vanishing at t=0; None for the zero polynomial."""
-    for i, c in enumerate(p):
-        if c != 0:
-            return i
-    return None
-
-
-def pshift_down(p: Poly, v: int) -> Poly:
-    """Divide by t^v; requires divisibility."""
-    if any(c != 0 for c in p[:v]):
-        raise ValueError("polynomial not divisible by t^v")
-    return ptrim(p[v:])
-
-
-def pdegree(p: Poly) -> int:
-    return len(p) - 1 if p else 0
 
 
 @dataclass(frozen=True)
@@ -634,24 +587,8 @@ class PolyFamily:
     def at(self, t) -> Subspace:
         return canonicalize(self._int_columns(t), self.ambient)
 
-    def transform(self, rows) -> "PolyFamily":
-        """Apply a constant linear map (given by rows) to every column."""
-        n_out = len(rows)
-        mat = [[frac(x) for x in r] for r in rows]
-        new_cols = []
-        for col in self.cols:
-            entries = []
-            for i in range(n_out):
-                acc: Poly = ()
-                for k, p in enumerate(col):
-                    if mat[i][k] != 0 and p:
-                        acc = padd(acc, pscale(mat[i][k], p))
-                entries.append(acc)
-            new_cols.append(tuple(entries))
-        return PolyFamily(n_out, tuple(new_cols))
-
     def max_degree(self) -> int:
-        return max((pdegree(p) for col in self.cols for p in col), default=0)
+        return max((deg for deg, _ in self._int_coeffs), default=0)
 
 
 def family_from_vectors(ambient: int, columns) -> PolyFamily:
@@ -670,11 +607,13 @@ def constant_family(s: Subspace) -> PolyFamily:
 def limit_at_zero(fam: PolyFamily) -> Subspace:
     """Flat limit at t=0 of the span of the family's columns.
 
-    Column operations over the polynomial ring: whenever the columns become
-    dependent at t=0, a rational combination of them vanishes there, so the
-    combination is divisible by t; divide it out and continue.  The loop must
-    stop because each division strictly drops the t-order of a nonzero
-    maximal minor.
+    Column operations over Z[t], on the family's integer columns: whenever
+    the columns become dependent at t=0, an integer combination of them
+    vanishes there, so the combination is divisible by t; divide out t and
+    the content and continue.  Rescaling a column by a nonzero constant
+    changes neither its span nor which columns a vanishing combination
+    involves.  The loop must stop because each division strictly drops the
+    t-order of a nonzero maximal minor.
     """
     d = fam.ncols
     if d == 0:
@@ -684,28 +623,30 @@ def limit_at_zero(fam: PolyFamily) -> Subspace:
         raise ValueError(
             f"family does not have generic rank {d} at sample points {bad}"
         )
-    cols = [list(col) for col in fam.cols]
+    cols = [list(col) for _, col in fam._int_coeffs]
     budget = d * (fam.max_degree() + 2) + 8
     while True:
-        ev = [tuple(peval(p, 0) for p in col) for col in cols]
-        mat = [[col[i] for col in ev] for i in range(fam.ambient)]
-        null = kernel_basis(mat, d)
+        ev = [[p[0] if p else 0 for p in col] for col in cols]
+        null = kernel_basis(list(zip(*ev)), d)
         if not null:
             return canonicalize(ev, fam.ambient)
-        c = null[0]
-        q0 = max(q for q in range(d) if c[q] != 0)
-        combo = [()] * fam.ambient
-        for q in range(d):
-            if c[q] != 0:
-                for i in range(fam.ambient):
-                    combo[i] = padd(combo[i], pscale(c[q], cols[q][i]))
-        vals = [pvaluation(p) for p in combo if pvaluation(p) is not None]
+        c = _int_row(null[0])
+        used = [q for q in range(d) if c[q]]
+        combo = []
+        for i in range(fam.ambient):
+            acc = [0] * max(len(cols[q][i]) for q in used)
+            for q in used:
+                for k, x in enumerate(cols[q][i]):
+                    acc[k] += c[q] * x
+            combo.append(ptrim(acc))
+        vals = [next(k for k, x in enumerate(p) if x) for p in combo if p]
         if not vals:
             raise ValueError("columns are dependent as polynomials")
         v = min(vals)
         if v < 1:
             raise VerificationError("combination vanishing at 0 must be divisible by t")
-        cols[q0] = [pshift_down(p, v) for p in combo]
+        g = gcd(*[x for p in combo for x in p])
+        cols[used[-1]] = [tuple(x // g for x in p[v:]) for p in combo]
         budget -= 1
         if budget < 0:
             raise RuntimeError("limit computation failed to terminate")
@@ -714,24 +655,16 @@ def limit_at_zero(fam: PolyFamily) -> Subspace:
 # ----------------------------------------------------------------------
 # Serialization helpers shared by the CLI.
 
-def frac_to_str(x: Fraction) -> str:
-    return str(x)
-
-
-def frac_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def subspace_to_json(s: Subspace) -> dict:
     return {
         "ambient": s.ambient,
-        "basis": [[frac_to_str(x) for x in row] for row in s.basis],
+        "basis": [[str(x) for x in row] for row in s.basis],
     }
 
 
 def subspace_from_json(d) -> Subspace:
     return canonicalize(
-        [[frac_from_str(x) for x in row] for row in d["basis"]],
+        [[Fraction(x) for x in row] for row in d["basis"]],
         int(d["ambient"]),
     )
 
@@ -740,7 +673,7 @@ def family_to_json(fam: PolyFamily) -> dict:
     return {
         "ambient": fam.ambient,
         "cols": [
-            [[frac_to_str(c) for c in p] for p in col] for col in fam.cols
+            [[str(c) for c in p] for p in col] for col in fam.cols
         ],
     }
 
@@ -748,5 +681,5 @@ def family_to_json(fam: PolyFamily) -> dict:
 def family_from_json(d) -> PolyFamily:
     return family_from_vectors(
         int(d["ambient"]),
-        [[[frac_from_str(c) for c in p] for p in col] for col in d["cols"]],
+        [[[Fraction(c) for c in p] for p in col] for col in d["cols"]],
     )

@@ -211,15 +211,22 @@ def cell_index(a: DecSeq, s: int) -> DecSeq:
     """Index of the Schubert cell whose dense part the incidence cell fills.
 
     Take [n] minus the entries of a minus the strip of s-1 integers above
-    a_1; when a_1 sits too close to n for the strip to fit, fall back to the
-    smallest n+1-m-s integers not in a.
+    a_1; when the strip would end at n+1 (s = n+2-a_1), take the smallest
+    n+1-m-s integers not in a instead.  The cell is nonempty exactly when
+    1 <= s <= n+1-m and either s <= n+1-a_1, or s = n+2-a_1 with m = 1 or
+    a_2 < a_1-1; any other s raises ValueError.
     """
     n, m = a.n, a.m
     if s < 1:
         raise ValueError("cell parameter must be at least 1")
+    a1 = a.entries[0]
+    fits = s <= n + 1 - a1 or (
+        s == n + 2 - a1 and (m == 1 or a.entries[1] < a1 - 1))
+    if s > n + 1 - m or not fits:
+        raise ValueError(f"the incidence cell of {a} is empty for s = {s}")
     avail = [i for i in range(1, n + 1) if i not in a.entries]
-    if a.entries[0] <= n + 1 - s:
-        strip = set(range(a.entries[0] + 1, a.entries[0] + s))
+    if s <= n + 1 - a1:
+        strip = set(range(a1 + 1, a1 + s))
         chosen = [i for i in avail if i not in strip]
     else:
         chosen = avail[: n + 1 - m - s]

@@ -463,3 +463,14 @@ class TestGenericityExit:
         rc, out, err = run(capsys, *fill(("pencil", "--file", "{M}", "--marked-file", "{Lm}"),
                                           verb_files))
         assert (rc, out, err) == (2, "", "error: limit computation failed to terminate\n")
+
+
+class TestCellRange:
+    @pytest.mark.parametrize("s,rc", [("0", 2), ("4", 0), ("5", 2), ("6", 2)])
+    def test_s_outside_the_nonempty_range_is_usage_error(self, capsys, s, rc):
+        got, out, err = run(capsys, "cell", "--n", "9", "--alpha", "7,4,1", "--s", s)
+        assert got == rc
+        if rc:
+            assert out == "" and err.startswith("error: ")
+        else:
+            assert "profile: PASS" in out and err == ""

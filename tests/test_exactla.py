@@ -22,8 +22,6 @@ from pierikit.exactla import (
     family_from_json,
     family_to_json,
     flag_from_basis,
-    frac_from_str,
-    frac_to_str,
     full_space,
     intersect,
     invert_matrix,
@@ -138,7 +136,35 @@ class TestSubspace:
             c = tuple(F(rng.randint(-5, 5)) for _ in range(s.dim))
             v = ch.from_coords(c)
             assert s.contains_vector(v)
-            assert ch.to_coords(v) == c
+            assert ch.space.coords(v) == c
+
+
+class TestSubspaceRows:
+    @pytest.mark.parametrize("rows,message", [
+        (((1, 0, 2),), "length"),                  # wrong length
+        (((1, 0, 0, 0), (0, 0, 0, 0)), "echelon"),  # zero row
+        (((2, 0, 4, 0),), "echelon"),              # not primitive
+        (((-1, 0, 2, 0),), "echelon"),             # negative pivot
+        (((0, 1, 0, 0), (1, 0, 0, 0)), "echelon"),  # pivots out of order
+        (((1, 1, 0, 0), (0, 1, 0, 0)), "reduced"),  # pivot column not clear
+    ])
+    def test_rejects_non_canonical_rows(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            Subspace(4, rows)
+
+    def test_canonical_rows_give_the_canonicalize_basis(self):
+        rows = ((2, 0, 1, 0), (0, 3, -1, 5))
+        s = Subspace(4, rows)
+        assert s.pivots == (0, 1)
+        assert strs(s.basis) == strs(exactla.canonicalize(rows, 4).basis)
+        assert strs(s.basis) == [["1", "0", "1/2", "0"], ["0", "1", "-1/3", "5/3"]]
+        rng = random.Random(1996)
+        for i in range(200):
+            vectors, n = random_matrix(rng, i)
+            want = exactla.canonicalize(vectors, n)
+            got = Subspace(n, want.rows)
+            assert got == want and hash(got) == hash(want)
+            assert strs(got.basis) == strs(exactla.canonicalize(vectors, n).basis)
 
 
 class TestFlag:
@@ -239,19 +265,8 @@ class TestFamily:
         assert fam.at(F(7)) == s
         assert limit_at_zero(fam) == s
 
-    def test_transform(self):
-        fam = constant_family(span(2, vec([1, 0])))
-        g = fam.transform([vec([0, 1]), vec([1, 0])])
-        assert g.at(F(1)) == span(2, vec([0, 1]))
-
 
 class TestSerialization:
-    def test_fraction_strings(self):
-        assert frac_to_str(F(3)) == "3"
-        assert frac_to_str(F(1, 2)) == "1/2"
-        assert frac_from_str("3") == F(3)
-        assert frac_from_str("-5/7") == F(-5, 7)
-
     def test_subspace_roundtrip(self):
         s = span(4, vec([1, 0, F(1, 2), 0]), vec([0, 1, 3, 0]))
         j = subspace_to_json(s)
@@ -577,3 +592,171 @@ class TestSubspaceDifferential:
             for got, want in zip(standard_flag(n).spaces + reversed_flag(n).spaces,
                                  fresh.spaces + fresh_rev.spaces):
                 assert strs(got.basis) == strs(want.basis)
+
+
+# ----------------------------------------------------------------------
+# Differential check of limit_at_zero, whose column operations run over
+# Z[t] on integer columns, against the textbook loop over Q[t]: Fraction
+# polynomial columns, a Fraction kernel at t=0, and division by t of the
+# first vanishing combination.
+
+def t_add(p, q):
+    out = [F(0)] * max(len(p), len(q))
+    for i, x in enumerate(p):
+        out[i] += x
+    for i, x in enumerate(q):
+        out[i] += x
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def t_scale(c, p):
+    return tuple(F(c) * x for x in p) if c else ()
+
+
+def textbook_limit(fam):
+    """Rows of the canonical basis of the flat limit at t=0, and the number
+    of divisions by t it took."""
+    d, ambient = fam.ncols, fam.ambient
+    bad = [t for t in SAMPLE_POINTS if len(textbook_rref(fam.eval_columns(t))[1]) != d]
+    if bad:
+        raise ValueError(f"family does not have generic rank {d} at sample points {bad}")
+    cols = [list(col) for col in fam.cols]
+    budget = d * (max((len(p) - 1 for col in cols for p in col), default=0) + 2) + 8
+    divisions = 0
+    while True:
+        ev = [[p[0] if p else F(0) for p in col] for col in cols]
+        red, piv = textbook_rref([[col[i] for col in ev] for i in range(ambient)])
+        null = textbook_kernel(red, piv, d)
+        if not null:
+            return textbook_rref(ev)[0], divisions
+        c = null[0]
+        q0 = max(q for q in range(d) if c[q] != 0)
+        combo = [()] * ambient
+        for q in range(d):
+            for i in range(ambient):
+                combo[i] = t_add(combo[i], t_scale(c[q], cols[q][i]))
+        vals = [next(k for k, x in enumerate(p) if x != 0) for p in combo if p]
+        if not vals:
+            raise ValueError("columns are dependent as polynomials")
+        v = min(vals)
+        assert v >= 1
+        cols[q0] = [p[v:] for p in combo]
+        divisions += 1
+        assert divisions <= budget
+
+
+def coefficient(rng, kind):
+    if kind == "int":
+        return F(rng.randint(-9, 9))
+    if kind == "small":
+        return F(rng.randint(-9, 9), rng.randint(1, 6))
+    num = rng.getrandbits(100) | (1 << 99)
+    return F(rng.choice((-1, 1)) * num, rng.getrandbits(100) | (1 << 99))
+
+
+def random_poly_family(rng, kind):
+    """Random entries of degree <= 4, a third of them zero."""
+    n = rng.randint(1, 8)
+    return [[tuple(coefficient(rng, kind) for _ in range(rng.randint(1, 5)))
+             if rng.random() < 0.67 else () for _ in range(n)]
+            for _ in range(rng.randint(1, min(6, n)))], n
+
+
+def chain_family(rng, kind):
+    """Columns t e_i - e_j along a chain of coordinates, like worked_family,
+    plus perhaps a constant unit vector; all linear in t."""
+    n = rng.randint(3, 8)
+    chain = sorted(rng.sample(range(n), rng.randint(2, min(n, 6))))
+    units = [tuple((F(0), F(1)) if i == a else (F(-1),) if i == b else () for i in range(n))
+             for a, b in zip(chain, chain[1:])]
+    rest = [i for i in range(n) if i not in chain]
+    if rest and len(units) < 6:
+        k = rng.choice(rest)
+        units.append(tuple((F(1),) if i == k else () for i in range(n)))
+    return units, n
+
+
+def pencil_family(rng, kind):
+    """A restricted pencil family over a random basis: t e_j + e_(j+1) for
+    lo <= j <= l-2 and the constant e_q for q >= l."""
+    n = rng.randint(2, 8)
+    N = rng.randint(2, n)
+    dual = [[coefficient(rng, kind) for _ in range(n)] for _ in range(N)]
+    while True:
+        l = rng.randint(2, N + 1)
+        lo = rng.randint(1, l - 1)
+        if 1 <= (l - 1 - lo) + (N - l + 1) <= 6:
+            break
+    cols = [tuple(t_add((dual[j][i],), (F(0), dual[j - 1][i])) for i in range(n))
+            for j in range(lo, l - 1)]
+    cols += [tuple(t_add((dual[q - 1][i],), ()) for i in range(n)) for q in range(l, N + 1)]
+    return cols, n
+
+
+def combined_entry(coeffs, cols, i):
+    """Entry i of the combination sum_q coeffs[q] * cols[q]."""
+    out = ()
+    for c, col in zip(coeffs, cols):
+        out = t_add(out, t_scale(c, col[i]))
+    return out
+
+
+def twisted(cols, n, rng):
+    """Columns C1 . diag(t^k) . C2 applied to the family, for small integer
+    matrices C1 and C2: the same fibres for generic t, but the constant
+    terms lose rank, so the limit takes several divisions by t.  Degrees
+    stay <= 4 for a linear family."""
+    d = len(cols)
+    top = max((len(p) for col in cols for p in col), default=1)
+    ks = [rng.randint(0, 5 - top) for _ in range(d)]
+    c1, c2 = ([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+              for _ in range(2))
+    mid = [tuple(t_add((), (F(0),) * ks[r] + combined_entry(c2[r], cols, i))
+                 for i in range(n)) for r in range(d)]
+    return [tuple(combined_entry(c1[q], mid, i) for i in range(n)) for q in range(d)], n
+
+
+def not_generic(cols, n, rng):
+    """Add a multiple of a column, or a column that meets it at the sample
+    point t = 1."""
+    keep = list(cols[:5])
+    q = rng.choice(keep)
+    if rng.random() < 0.5:
+        new = tuple(t_scale(rng.randint(1, 3), p) for p in q)
+    else:
+        new = tuple(t_add(p, (F(-w), F(w))) for p, w in
+                    zip(q, [rng.randint(-3, 3) for _ in q]))
+    return keep + [new], n
+
+
+class TestLimitDifferential:
+    def test_against_textbook_column_operations(self):
+        rng = random.Random(19960109)
+        seen = dict.fromkeys(("random", "chain", "pencil", "100-bit", "not generic",
+                              "several divisions"), 0)
+        for i in range(300):
+            kind = ("int", "small", "big")[i % 3]
+            source = ("random", "chain", "pencil")[i // 3 % 3]
+            seen[source] += 1
+            seen["100-bit"] += kind == "big"
+            cols, n = {"random": random_poly_family, "chain": chain_family,
+                       "pencil": pencil_family}[source](rng, kind)
+            if source != "random" and i % 4:
+                cols, n = twisted(cols, n, rng)
+            if i % 10 == 7:
+                cols, n = not_generic(cols, n, rng)
+            fam = family_from_vectors(n, cols)
+            assert fam.ncols <= 6 and fam.max_degree() <= 4 and n <= 8
+            try:
+                want, divisions = textbook_limit(fam)
+            except ValueError as exc:
+                seen["not generic"] += 1
+                with pytest.raises(ValueError) as got:
+                    limit_at_zero(fam)
+                assert str(got.value) == str(exc)
+                continue
+            seen["several divisions"] += divisions >= 2
+            assert strs(limit_at_zero(fam).basis) == strs(want)
+        assert all(count >= 30 for count in seen.values()), seen

@@ -58,7 +58,7 @@ def test_chart_restrict_extend_round_trip(pair):
     assert restricted.ambient == s.dim and restricted.dim == inner.dim
     assert chart.extend(restricted) == inner
     # and the other way round, from a subspace of k^(dim s)
-    coords = span(s.dim, *[chart.to_coords(row) for row in b.basis if s.contains_vector(row)])
+    coords = span(s.dim, *[chart.space.coords(row) for row in b.basis if s.contains_vector(row)])
     assert chart.restrict(chart.extend(coords)) == coords
 
 

@@ -7,6 +7,7 @@ its special subspaces are the one-parameter family below and its limits.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -280,6 +281,46 @@ class TestCells:
     def test_cell_points_classify_reducible(self):
         L = cell_point(A741, 2, FLAG, 1)
         assert classify_pieri(A741, FLAG, L, 2).verdict == TRANSVERSE_REDUCIBLE
+
+    def test_index_rejects_empty_cells(self):
+        for s in (0, 5, 6, 7, 10):
+            with pytest.raises(ValueError):
+                cell_index(A741, s)
+        assert cell_index(A741, 4).entries == (5, 3, 2)
+
+    def test_valid_s_rule_matches_the_cells(self):
+        """For every n <= 6, every a and s = 1..n+2: a valid s yields a
+        sampled point with a passing profile.  For any other s cell_index
+        raises, and a sampled point of every Schubert cell of the right
+        dimension either fails cell_member or fails the profile, so no
+        subspace has the incidence cell's profile."""
+        rng = random.Random(6)
+        seen = {"valid": 0, "invalid": 0, "member without profile": 0}
+        for n in range(1, 7):
+            flag = standard_flag(n)
+            for m in range(1, n + 1):
+                for entries in combinations(range(n, 0, -1), m):
+                    a = DecSeq(n, entries)
+                    a1 = entries[0]
+                    for s in range(1, n + 3):
+                        valid = 1 <= s <= n + 1 - m and (
+                            s <= n + 1 - a1
+                            or (s == n + 2 - a1 and (m == 1 or entries[1] < a1 - 1)))
+                        if valid:
+                            seen["valid"] += 1
+                            L = cell_point(a, s, flag, seed=0)
+                            assert cell_profile_check(L, a, s, flag).passed
+                            continue
+                        seen["invalid"] += 1
+                        with pytest.raises(ValueError):
+                            cell_index(a, s)
+                        for piv in combinations(range(n, 0, -1), max(0, n + 1 - m - s)):
+                            L = schubgeom._pivot_span(piv, flag, rng)
+                            if cell_member(L, a, s, flag):
+                                seen["member without profile"] += 1
+                                assert not cell_profile_check(L, a, s, flag).passed
+        assert seen["valid"] >= 250 and seen["invalid"] >= 500, seen
+        assert seen["member without profile"] >= 50, seen
 
 
 class TestWitness:
