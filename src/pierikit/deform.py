@@ -315,6 +315,7 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
     level = pieri_set(a, r)
     nxt = pieri_set(a, r + 1)
     claimed = []
+    meets = flag.meet_dims(M)
     for b in level:
         j = first_diff_index(a, b)
         kids = tuple(g for g in nxt if covers_under(a, b, g))
@@ -330,7 +331,7 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
             records.append(ComponentRecord(b, j, "schubert", kids))
             continue
         Fb = flag.subspace(b.entries[j - 1])
-        q = N - intersect(Fb, M).dim + 1
+        q = N - meets[b.entries[j - 1] - 1] + 1
         moving = pencil.restricted_family(q)
         fam_ok = all(
             moving.at(t) == intersect(Fb, pencil.at(t)) for t in SAMPLE_POINTS
@@ -476,16 +477,17 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
         "final components indexed by the full branch set",
         {c.index for c in final.components} == set(last))]
     collapse_records = []
+    meets = flag.meet_dims(positions[b])
     for g in last:
         j = first_diff_index(a, g)
         collapse_records.append(ComponentRecord(
             g, j, "schubert" if j == 1 else "incidence", ()))
         if j == 1:
             continue
-        Fg = flag.subspace(g.entries[j - 1])
+        gj = g.entries[j - 1]
         collapse_checks.append(StageCheck(
-            f"component {g}: special position meets F_{g.entries[j - 1]} in excess",
-            intersect(Fg, positions[b]).dim == Fg.dim - j + 1))
+            f"component {g}: special position meets F_{gj} in excess",
+            meets[gj - 1] == n + 2 - gj - j))
         sampled = all(
             x_member(schubert_cell_point(g, flag, seed), g, j, flag, positions[b])
             for seed in (0, 1)

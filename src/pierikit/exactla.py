@@ -12,8 +12,10 @@ That form is unique.  Membership, reduction, coordinates, intersections and
 quotients work on those rows; the canonical Fraction basis (pivot entries 1)
 is a view built on first read.  A one-parameter family caches its columns
 as integer polynomials: it evaluates them at t, and its flat limit at t=0
-comes out of exact column operations over Z[t].  Fractions appear only at
-the boundary, when a result leaves as a canonical basis, a kernel, solution,
+comes out of exact column operations over Z[t].  A complete flag caches its
+adapted basis, so a subspace's flag position (dim F_j cap L for every j) is
+one elimination in those coordinates.  Fractions appear only at the
+boundary, when a result leaves as a canonical basis, a kernel, solution,
 inverse, reduced vector or coordinate tuple.
 """
 
@@ -495,6 +497,35 @@ class Flag:
         if j > self.ambient + 1:
             return zero_subspace(self.ambient)
         return self.spaces[j - 1]
+
+    @cached_property
+    def adapted_basis(self) -> tuple[Vec, ...]:
+        """Vectors u_1, ..., u_n with F_j spanned by u_j, ..., u_n: u_j is
+        the first canonical basis row of F_j outside F_{j+1} (a hyperplane
+        of F_j by __post_init__), so the choice is deterministic."""
+        return tuple(next(row for row in self.spaces[j].basis
+                          if not self.spaces[j + 1].contains_vector(row))
+                     for j in range(self.ambient))
+
+    @cached_property
+    def _adapted_coords(self) -> tuple[tuple[int, ...], ...]:
+        """Integer covectors phi_1..phi_n, phi_k a multiple of the k-th
+        adapted coordinate, so F_j is cut out by phi_1..phi_{j-1}: the rows
+        of the inverse of the matrix with columns u_1..u_n."""
+        inverse = invert_matrix(list(zip(*self.adapted_basis)))
+        return tuple(tuple(_int_row(row)) for row in inverse)
+
+    def meet_dims(self, L: Subspace) -> tuple[int, ...]:
+        """(dim F_1 cap L, ..., dim F_{n+1} cap L) from one elimination: in
+        adapted coordinates F_j is where the first j-1 coordinates vanish,
+        so dim F_j cap L counts the pivots of L there at or after column j
+        (the Schubert position of L; Fulton, Young Tableaux, 9.4)."""
+        if L.ambient != self.ambient:
+            raise ValueError("ambient mismatch")
+        coords = [[sum(map(mul, row, phi)) for phi in self._adapted_coords]
+                  for row in L.rows]
+        pivots = _echelon(coords)[1]
+        return tuple(sum(p >= c for p in pivots) for c in range(self.ambient + 1))
 
 
 def flag_from_basis(vectors) -> Flag:

@@ -1,9 +1,10 @@
 """Schubert conditions on m-planes, their incidence cells, and first-order data.
 
-Everything is exact: membership predicates reduce to ranks of rational
-matrices, witness subspaces are built vector by vector and post-verified,
-and tangent codimensions come from literal rank computations on the space
-of maps H -> V/H.
+Everything is exact: membership predicates read the flag position of a
+subspace (Flag.meet_dims, dim F_j cap L for every j from one elimination),
+witness subspaces are built vector by vector and post-verified, and tangent
+codimensions come from literal rank computations on the space of maps
+H -> V/H.
 """
 
 from __future__ import annotations
@@ -62,33 +63,14 @@ def random_flag(n: int, seed: int = 0) -> Flag:
 
 
 def adapted_basis(flag: Flag) -> tuple:
-    """Vectors u_1, ..., u_n with space j spanned by u_j, ..., u_n.
-
-    u_j is the first canonical basis row of space j outside space j+1, so
-    the choice is deterministic given the flag.
-    """
-    n = flag.ambient
-    out = []
-    for j in range(1, n + 1):
-        deeper = flag.subspace(j + 1)
-        for row in flag.subspace(j).basis:
-            if not deeper.contains_vector(row):
-                out.append(row)
-                break
-        else:
-            raise ValueError("flag spaces do not drop by one")
-    return tuple(out)
+    """The flag's cached Flag.adapted_basis."""
+    return flag.adapted_basis
 
 
 def meets_properly(L: Subspace, flag: Flag) -> bool:
-    """Generic intersection dimensions with every flag space."""
-    n = flag.ambient
-    for j in range(1, n + 1):
-        fj = flag.subspace(j)
-        want = max(0, fj.dim + L.dim - n)
-        if intersect(fj, L).dim != want:
-            return False
-    return True
+    """Generic intersection dimensions with every flag space:
+    dim F_j cap L = max(0, dim L + 1 - j)."""
+    return all(d == max(0, L.dim - c) for c, d in enumerate(flag.meet_dims(L)))
 
 
 # ---------------------------------------------------------------------------
@@ -98,21 +80,17 @@ def meets_properly(L: Subspace, flag: Flag) -> bool:
 def schubert_member(H: Subspace, a: DecSeq, flag: Flag) -> bool:
     """Does the m-plane H satisfy dim H meet F_{a_j} >= j for all j?
 
-    Computed twice: once through intersections, once through quotients
-    (dim of the image of H in V/F_{a_j} at most m-j).  They use disjoint
-    code paths in the linear algebra; VerificationError when they disagree.
+    Computed twice, on disjoint code paths in the linear algebra: from the
+    flag position of H, and through quotients (dim of the image of H in
+    V/F_{a_j} at most m-j); VerificationError when they disagree.
     """
     m = a.m
     if H.dim != m:
         raise ValueError(f"expected a {m}-plane, got dim {H.dim}")
-    primary = True
-    dual = True
-    for j in range(1, m + 1):
-        fj = flag.subspace(a.entries[j - 1])
-        if intersect(H, fj).dim < j:
-            primary = False
-        if quotient_subspace(H, fj).dim > m - j:
-            dual = False
+    meets = flag.meet_dims(H)
+    primary = all(meets[aj - 1] >= j for j, aj in enumerate(a.entries, 1))
+    dual = all(quotient_subspace(H, flag.subspace(aj)).dim <= m - j
+               for j, aj in enumerate(a.entries, 1))
     if primary != dual:
         raise VerificationError("intersection and quotient tests disagree")
     return primary
@@ -182,12 +160,9 @@ def classify_pieri(a: DecSeq, flag: Flag, L: Subspace, s: int) -> Classification
         raise ValueError(
             f"special subspace must have dim {n + 1 - m - s}, got {L.dim}"
         )
-    entries = []
-    for j in range(1, m + 1):
-        aj = a.entries[j - 1]
-        d = intersect(flag.subspace(aj), L).dim
-        entries.append(DimEntry(j, aj, d, n + 2 - aj - j - s))
-    entries = tuple(entries)
+    meets = flag.meet_dims(L)
+    entries = tuple(DimEntry(j, aj, meets[aj - 1], n + 2 - aj - j - s)
+                    for j, aj in enumerate(a.entries, 1))
     equality = tuple(e.j for e in entries if e.meet_dim and e.meet_dim == e.critical)
 
     if any(e.meet_dim and e.meet_dim > e.critical for e in entries):
@@ -236,21 +211,19 @@ def cell_index(a: DecSeq, s: int) -> DecSeq:
 def cell_member(L: Subspace, a: DecSeq, s: int, flag: Flag) -> bool:
     """Membership in the incidence cell: the meet with the top flag space is
     the flag space s deeper, and below each further row the meet stabilizes
-    one step down at its critical dimension."""
+    one step down at its critical dimension.  The meets are nested, so these
+    are equalities of dimensions.  s is not validated: take it from
+    cell_index's range, since for another s a subspace outside every
+    incidence cell can be a member."""
     n, m = a.n, a.m
     if L.dim != n + 1 - m - s:
         return False
-    f1 = flag.subspace(a.entries[0])
-    if intersect(f1, L) != flag.subspace(a.entries[0] + s):
+    a1 = a.entries[0]
+    meets = flag.meet_dims(L) + (0,) * s  # F_j is zero beyond n+1
+    if not meets[a1 - 1] == meets[a1 + s - 1] == max(0, n + 1 - a1 - s):
         return False
-    for j in range(2, m + 1):
-        aj = a.entries[j - 1]
-        meet = intersect(flag.subspace(aj), L)
-        if meet != intersect(flag.subspace(aj + 1), L):
-            return False
-        if meet.dim != n + 2 - aj - j - s:
-            return False
-    return True
+    return all(meets[aj - 1] == meets[aj] == n + 2 - aj - j - s
+               for j, aj in enumerate(a.entries[1:], 2))
 
 
 @dataclass(frozen=True)
@@ -301,10 +274,8 @@ def cell_profile_check(L: Subspace, a: DecSeq, s: int, flag: Flag) -> ProfileRep
         expected[i] = max(0, n + 1 - max(i, a1 + s))
     for i in range(1, a.entries[m - 1]):
         expected[i] = n + 2 - i - m - s
-    entries = tuple(
-        ProfileEntry(i, expected[i], intersect(flag.subspace(i), L).dim)
-        for i in sorted(expected)
-    )
+    meets = flag.meet_dims(L)
+    entries = tuple(ProfileEntry(i, expected[i], meets[i - 1]) for i in sorted(expected))
     return ProfileReport(entries)
 
 
@@ -312,7 +283,7 @@ def _pivot_span(pivots, flag: Flag, rng) -> Subspace:
     """Span with one generator per pivot row of the adapted basis, plus
     random entries in the free rows below each pivot.  For any values of the
     free entries the result lies in the open cell of its pivot set."""
-    u = adapted_basis(flag)
+    u = flag.adapted_basis
     n = flag.ambient
     pivset = set(pivots)
     rows = []
@@ -344,11 +315,9 @@ def schubert_cell_point(b: DecSeq, flag: Flag, seed: int = 0) -> Subspace:
     rng = random.Random(seed)
     for _ in range(8):
         H = _pivot_span(b.entries, flag, rng)
-        ok = schubert_member(H, b, flag) and all(
-            intersect(H, flag.subspace(b.entries[j - 1])).dim == j
-            for j in range(1, b.m + 1)
-        )
-        if ok:
+        meets = flag.meet_dims(H)
+        if schubert_member(H, b, flag) and all(
+                meets[bj - 1] == j for j, bj in enumerate(b.entries, 1)):
             return H
     raise GenericityError("failed to sample the open Schubert cell")
 
@@ -411,10 +380,9 @@ def witness_point(a: DecSeq, flag: Flag, L: Subspace, mode: int, seed: int = 0) 
     s = n + 1 - m - L.dim
     if s < 1:
         raise ValueError("special subspace is too large")
-    for i in range(1, m + 1):
-        ai = a.entries[i - 1]
-        d = intersect(flag.subspace(ai), L).dim
-        if d > n + 2 - ai - i - s:
+    meets = flag.meet_dims(L)
+    for i, ai in enumerate(a.entries, 1):
+        if meets[ai - 1] > n + 2 - ai - i - s:
             raise ValueError(f"meet at row {i} exceeds the critical dimension")
 
     def upper(i):
@@ -440,10 +408,8 @@ def witness_point(a: DecSeq, flag: Flag, L: Subspace, mode: int, seed: int = 0) 
         H = span(n, *fs)
         if H.dim != m:
             continue
-        if not all(
-            intersect(H, flag.subspace(a.entries[i - 1])).dim == i
-            for i in range(1, m + 1)
-        ):
+        meets = flag.meet_dims(H)
+        if any(meets[ai - 1] != i for i, ai in enumerate(a.entries, 1)):
             continue
         line = intersect(H, L)
         if line.dim != 1:
@@ -471,9 +437,9 @@ def tangent_codim(H: Subspace, a: DecSeq, flag: Flag, L: Subspace) -> int:
     n, m = H.ambient, H.dim
     if a.m != m or a.n != n:
         raise ValueError("sequence does not match the plane")
-    for j in range(1, m + 1):
-        if intersect(H, flag.subspace(a.entries[j - 1])).dim != j:
-            raise ValueError("plane is not a smooth point of the Schubert set")
+    meets = flag.meet_dims(H)
+    if any(meets[aj - 1] != j for j, aj in enumerate(a.entries, 1)):
+        raise ValueError("plane is not a smooth point of the Schubert set")
     line = intersect(H, L)
     if line.dim != 1:
         raise ValueError("plane must meet the special subspace in a line")

@@ -760,3 +760,51 @@ class TestLimitDifferential:
             seen["several divisions"] += divisions >= 2
             assert strs(limit_at_zero(fam).basis) == strs(want)
         assert all(count >= 30 for count in seen.values()), seen
+
+
+# ----------------------------------------------------------------------
+# Differential check of Flag.meet_dims, one elimination in flag-adapted
+# coordinates, against one intersect per flag space.
+
+def flag_vector_span(rng, flag):
+    """A span of flag vectors, so usually in a degenerate position: some
+    adapted basis vectors, sometimes with the rows of one flag space or the
+    sum of two adapted vectors."""
+    n = flag.ambient
+    u = flag.adapted_basis
+    rows = [u[k] for k in rng.sample(range(n), rng.randint(1, n))]
+    if rng.random() < 0.5:
+        rows += flag.subspace(rng.randint(1, n + 1)).basis
+    if rng.random() < 0.5:
+        i, k = rng.randrange(n), rng.randrange(n)
+        rows.append(tuple(x + y for x, y in zip(u[i], u[k])))
+    return span(n, *rows)
+
+
+class TestMeetDims:
+    def test_against_per_space_intersect(self):
+        from pierikit.enumerative import reversed_flag
+        from pierikit.schubgeom import random_flag, standard_flag
+        rng = random.Random(19960110)
+        seen = dict.fromkeys(("zero", "full", "random", "flag vectors",
+                              "not proper"), 0)
+        for n in range(1, 13):
+            for flag in (standard_flag(n), reversed_flag(n), random_flag(n, n)):
+                spaces = [("zero", zero_subspace(n)), ("full", full_space(n))]
+                spaces += [("random", rand_subspace(rng, n, rng.randint(1, n)))
+                           for _ in range(3)]
+                spaces += [("flag vectors", flag_vector_span(rng, flag))
+                           for _ in range(3)]
+                for kind, L in spaces:
+                    seen[kind] += 1
+                    want = tuple(intersect(flag.subspace(j), L).dim
+                                 for j in range(1, n + 2))
+                    assert flag.meet_dims(L) == want, (n, kind, str(L))
+                    seen["not proper"] += any(
+                        d != max(0, L.dim - c) for c, d in enumerate(want))
+        assert all(count >= 36 for count in seen.values()), seen
+
+    def test_rejects_ambient_mismatch(self):
+        flag = flag_from_basis([unit_vector(3, i) for i in (1, 2, 3)])
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            flag.meet_dims(full_space(4))

@@ -545,3 +545,97 @@ class TestYCycle:
             for seed in range(3):
                 H = schubert_cell_point(b, FLAG, seed)
                 assert x_member(H, b, j, FLAG, M) == schubert_member(H, b, FLAG)
+
+
+# ---------------------------------------------------------------------------
+# The flag-position predicates against the per-space textbook versions:
+# one intersect per flag space, as the predicates read before
+# Flag.meet_dims replaced those loops.
+
+def textbook_meets_properly(L, flag):
+    n = flag.ambient
+    return all(intersect(flag.subspace(j), L).dim
+               == max(0, flag.subspace(j).dim + L.dim - n) for j in range(1, n + 1))
+
+
+def textbook_schubert_member(H, a, flag):
+    return all(intersect(H, flag.subspace(aj)).dim >= j
+               for j, aj in enumerate(a.entries, 1))
+
+
+def textbook_cell_member(L, a, s, flag):
+    n, m = a.n, a.m
+    if L.dim != n + 1 - m - s:
+        return False
+    if intersect(flag.subspace(a.entries[0]), L) != flag.subspace(a.entries[0] + s):
+        return False
+    for j in range(2, m + 1):
+        aj = a.entries[j - 1]
+        meet = intersect(flag.subspace(aj), L)
+        if meet != intersect(flag.subspace(aj + 1), L):
+            return False
+        if meet.dim != n + 2 - aj - j - s:
+            return False
+    return True
+
+
+def random_sequence(rng, n, m):
+    return DecSeq(n, tuple(sorted(rng.sample(range(1, n + 1), m), reverse=True)))
+
+
+class TestFlagPositionDifferential:
+    def test_predicates_against_per_space_intersect(self):
+        from pierikit.enumerative import reversed_flag
+        rng = random.Random(19960111)
+        seen = dict.fromkeys(("proper", "not proper", "schubert", "not schubert",
+                              "cell", "not cell", "cell, s out of range"), 0)
+        for n in range(1, 8):
+            for flag in (standard_flag(n), reversed_flag(n), random_flag(n, n + 1)):
+                for _ in range(12):
+                    m = rng.randint(1, n)
+                    a = random_sequence(rng, n, m)
+                    s = rng.randint(-1, n + 2)
+                    try:
+                        L = cell_point(a, s, flag, seed=rng.randrange(99))
+                    except ValueError:
+                        d = max(0, min(n, n + 1 - m - s))
+                        L = schubgeom._pivot_span(
+                            sorted(rng.sample(range(1, n + 1), d), reverse=True), flag, rng)
+                    s = n + 1 - m - L.dim  # may lie outside cell_index's range
+                    proper = meets_properly(L, flag)
+                    assert proper is textbook_meets_properly(L, flag)
+                    seen["proper" if proper else "not proper"] += 1
+                    got = classify_pieri(a, flag, L, s).entries
+                    assert [e.meet_dim for e in got] == [
+                        intersect(flag.subspace(aj), L).dim for aj in a.entries]
+
+                    member = cell_member(L, a, s, flag)
+                    assert member is textbook_cell_member(L, a, s, flag)
+                    assert not cell_member(L, a, s + 1, flag)
+                    seen["cell" if member else "not cell"] += 1
+                    if member:
+                        try:
+                            cell_index(a, s)
+                        except ValueError:
+                            seen["cell, s out of range"] += 1
+                        report = cell_profile_check(L, a, s, flag)
+                        assert [e.actual for e in report.entries] == [
+                            intersect(flag.subspace(e.i), L).dim for e in report.entries]
+                    else:
+                        with pytest.raises(ValueError):
+                            cell_profile_check(L, a, s, flag)
+
+                    b = random_sequence(rng, n, m)
+                    H = schubgeom._pivot_span(b.entries, flag, rng)
+                    member = schubert_member(H, a, flag)
+                    assert member is textbook_schubert_member(H, a, flag)
+                    seen["schubert" if member else "not schubert"] += 1
+        assert all(count >= 20 for count in seen.values()), seen
+
+    def test_out_of_range_s_keeps_its_answer(self):
+        """cell_member does not validate s: the zero space of k^3 is a
+        member for a = (3), s = 3, where cell_index finds the cell empty."""
+        a, flag, L = DecSeq(3, (3,)), standard_flag(3), span(3)
+        with pytest.raises(ValueError):
+            cell_index(a, 3)
+        assert cell_member(L, a, 3, flag) and textbook_cell_member(L, a, 3, flag)
