@@ -10,13 +10,16 @@ A Subspace is its canonical integer rows: the reduced echelon basis with
 each row scaled to a primitive integer vector whose pivot entry is positive.
 That form is unique.  Membership, reduction, coordinates, intersections and
 quotients work on those rows; the canonical Fraction basis (pivot entries 1)
-is a view built on first read.  A one-parameter family caches its columns
-as integer polynomials: it evaluates them at t, and its flat limit at t=0
-comes out of exact column operations over Z[t].  A complete flag caches its
-adapted basis, so a subspace's flag position (dim F_j cap L for every j) is
-one elimination in those coordinates.  Fractions appear only at the
-boundary, when a result leaves as a canonical basis, a kernel, solution,
-inverse, reduced vector or coordinate tuple.
+is a view built on first read.  Coordinates on a subspace S are the entries
+at S's pivot columns: S.coords and S.from_coords convert vectors, and
+S.restrict and S.extend carry a subspace of S to k^dim S and back.  A
+one-parameter family caches its columns as integer polynomials: it
+evaluates them at t, and its flat limit at t=0 comes out of exact column
+operations over Z[t].  A complete flag caches its adapted basis, so a
+subspace's flag position (dim F_j cap L for every j) is one elimination in
+those coordinates.  Fractions appear only at the boundary, when a result
+leaves as a canonical basis, a kernel, solution, inverse, reduced vector or
+coordinate tuple.
 """
 
 from __future__ import annotations
@@ -339,6 +342,33 @@ class Subspace:
             raise ValueError("vector not in subspace")
         return tuple(Fraction(w[p], d) for p in self.pivots)
 
+    def from_coords(self, x) -> Vec:
+        """Inverse of coords: the vector with coordinates x in the basis."""
+        x = vec(x, self.dim)
+        w = [_ZERO] * self.ambient
+        for c, row in zip(x, self.basis):
+            if c != 0:
+                for i in range(self.ambient):
+                    w[i] += c * row[i]
+        return tuple(w)
+
+    def restrict(self, a: "Subspace") -> "Subspace":
+        """Rewrite a subspace a contained in this one in its coordinates."""
+        if a.ambient != self.ambient:
+            raise ValueError("ambient mismatch")
+        coords = []
+        for row in a.rows:
+            if any(self._back_substitute(row)[0]):
+                raise ValueError("subspace is not contained in the chart space")
+            coords.append([row[p] for p in self.pivots])
+        return canonicalize(coords, self.dim)
+
+    def extend(self, a: "Subspace") -> "Subspace":
+        """Inverse of restrict: map a subspace of k^dim back into k^ambient."""
+        if a.ambient != self.dim:
+            raise ValueError("ambient mismatch")
+        return canonicalize([self.from_coords(r) for r in a.rows], self.ambient)
+
     def __str__(self):
         if self.is_zero:
             return f"0 in k^{self.ambient}"
@@ -421,48 +451,6 @@ def annihilator_basis(s: Subspace):
     if s.is_zero:
         return [unit_vector(s.ambient, i + 1) for i in range(s.ambient)]
     return kernel_basis(list(s.rows), s.ambient)
-
-
-class Chart:
-    """Coordinates on a subspace S via its canonical basis.
-
-    Because the basis is in reduced echelon form, the coordinates of v in S
-    are just the entries of v at the pivot positions.
-    """
-
-    def __init__(self, space: Subspace):
-        self.space = space
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def from_coords(self, x) -> Vec:
-        x = vec(x, self.space.dim)
-        w = [_ZERO] * self.space.ambient
-        for c, row in zip(x, self.space.basis):
-            if c != 0:
-                for i in range(self.space.ambient):
-                    w[i] += c * row[i]
-        return tuple(w)
-
-    def restrict(self, a: Subspace) -> Subspace:
-        """Rewrite a subspace a contained in S in S-coordinates."""
-        space = self.space
-        if a.ambient != space.ambient:
-            raise ValueError("ambient mismatch")
-        coords = []
-        for row in a.rows:
-            if any(space._back_substitute(row)[0]):
-                raise ValueError("subspace is not contained in the chart space")
-            coords.append([row[p] for p in space.pivots])
-        return canonicalize(coords, space.dim)
-
-    def extend(self, a: Subspace) -> Subspace:
-        """Inverse of restrict: map a subspace of k^{dim S} back into V."""
-        if a.ambient != self.space.dim:
-            raise ValueError("ambient mismatch")
-        return canonicalize([self.from_coords(r) for r in a.rows], self.space.ambient)
 
 
 # ----------------------------------------------------------------------

@@ -10,11 +10,10 @@ H -> V/H.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactla import (
-    Chart,
     Flag,
     GenericityError,
     Subspace,
@@ -481,96 +480,44 @@ def restrict_sequence(b: DecSeq, j: int) -> DecSeq:
     return DecSeq(b.n + 1 - bj, entries)
 
 
-def restrict_flag(flag: Flag, q: int) -> tuple[Flag, Chart]:
-    """The flag induced on its own member q, with the chart used to say it.
+def restrict_flag(flag: Flag, q: int) -> Flag:
+    """The flag induced on its own member F_q, in F_q's coordinates.
 
-    Space i of the result is space q+i-1 of the input written in the chart
-    coordinates of space q.
+    Space i of the result is F_{q+i-1} written as flag.subspace(q).restrict(...),
+    the map that carries any L inside F_q into k^{dim F_q}; it keeps the
+    flag position, so the result's meet_dims of that image is
+    flag.meet_dims(L)[q - 1:].
     """
     fq = flag.subspace(q)
-    chart = Chart(fq)
-    nn = fq.dim
-    spaces = tuple(chart.restrict(flag.subspace(q + i - 1)) for i in range(1, nn + 2))
-    return Flag(nn, spaces), chart
+    spaces = tuple(fq.restrict(flag.subspace(q + i - 1)) for i in range(1, fq.dim + 2))
+    return Flag(fq.dim, spaces)
 
 
 # ---------------------------------------------------------------------------
-# cycle descriptors
+# degeneration cycles
 
 
-@dataclass(frozen=True)
-class SchubertComponent:
-    index: DecSeq
-
-    def to_json(self):
-        return {"kind": "schubert", "index": self.index.to_json()}
-
-
-@dataclass(frozen=True)
-class XComponent:
-    index: DecSeq
-    j: int
-    flag: Flag = field(compare=False)
-    L: Subspace = field(compare=False)
-
-    def to_json(self):
-        return {"kind": "incidence", "index": self.index.to_json(), "j": self.j}
-
-
-@dataclass(frozen=True)
-class CycleDescriptor:
-    components: tuple
-
-    def __post_init__(self):
-        seen = set()
-        for c in self.components:
-            key = c.index
-            if key in seen:
-                raise ValueError("duplicate component index")
-            seen.add(key)
-
-    @property
-    def signature(self) -> frozenset:
-        out = set()
-        for c in self.components:
-            if isinstance(c, SchubertComponent):
-                out.add(("schubert", c.index.entries))
-            else:
-                out.add(("incidence", c.index.entries, c.j))
-        return frozenset(out)
-
-    def to_json(self):
-        return {"components": [c.to_json() for c in self.components]}
-
-
-def y_cycle(a: DecSeq, r: int, s: int, flag: Flag, L: Subspace) -> CycleDescriptor:
-    """Descriptor of the degeneration cycle after r branchings, for a special
+def y_cycle(a: DecSeq, r: int, s: int, flag: Flag, L: Subspace) -> frozenset:
+    """Signature of the degeneration cycle after r branchings, for a special
     subspace sitting in the incidence cell with parameter s.
 
-    One component per member of the r-step branch set: members that first
-    grow in row 1 give plain Schubert components (index pushed s-1 further,
-    dropped when pushed past n); later rows give incidence components.
-    With r = 0 the descriptor is the single pushed Schubert component.
+    One label per member b of the r-step branch set: members that first
+    grow in row 1 give a Schubert variety ("schubert", entries) with b's
+    first entry pushed s-1 further (dropped when pushed past n); members
+    that first grow in row j > 1 give ("incidence", b.entries, j).  With
+    r = 0 the cycle is the single pushed Schubert variety of a.  Two labels
+    with the same entries raise ValueError.
     """
     if not cell_member(L, a, s, flag):
         raise ValueError("special subspace is not in the stated incidence cell")
-    comps = []
-
-    def push_first(b: DecSeq):
-        top = b.entries[0] + s - 1
-        if top > b.n:
-            return None
-        return SchubertComponent(DecSeq(b.n, (top,) + b.entries[1:]))
-
-    if r == 0:
-        c = push_first(a)
-        return CycleDescriptor((c,) if c else ())
-    for b in pieri_set(a, r):
-        j = first_diff_index(a, b)
-        if j == 1:
-            c = push_first(b)
-            if c:
-                comps.append(c)
-        else:
-            comps.append(XComponent(b, j, flag, L))
-    return CycleDescriptor(tuple(comps))
+    labels = []
+    for b in pieri_set(a, r) if r else (a,):
+        j = first_diff_index(a, b) if r else 1
+        if j > 1:
+            labels.append(("incidence", b.entries, j))
+        elif b.entries[0] + s - 1 <= b.n:
+            pushed = DecSeq(b.n, (b.entries[0] + s - 1,) + b.entries[1:])
+            labels.append(("schubert", pushed.entries))
+    if len({label[1] for label in labels}) != len(labels):
+        raise ValueError("duplicate component index")
+    return frozenset(labels)

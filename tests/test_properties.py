@@ -12,7 +12,6 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from pierikit.exactla import (  # noqa: E402
-    Chart,
     constant_family,
     intersect,
     limit_at_zero,
@@ -52,14 +51,13 @@ def test_intersection_and_sum_dimension_formula(pair):
 @hypothesis.given(two_subspaces())
 def test_chart_restrict_extend_round_trip(pair):
     s, b = pair
-    chart = Chart(s)
     inner = intersect(s, b)  # some subspace of s
-    restricted = chart.restrict(inner)
+    restricted = s.restrict(inner)
     assert restricted.ambient == s.dim and restricted.dim == inner.dim
-    assert chart.extend(restricted) == inner
+    assert s.extend(restricted) == inner
     # and the other way round, from a subspace of k^(dim s)
-    coords = span(s.dim, *[chart.space.coords(row) for row in b.basis if s.contains_vector(row)])
-    assert chart.restrict(chart.extend(coords)) == coords
+    coords = span(s.dim, *[s.coords(row) for row in b.basis if s.contains_vector(row)])
+    assert s.restrict(s.extend(coords)) == coords
 
 
 @SETTINGS

@@ -1,11 +1,12 @@
 """Tests for Schubert membership, the trichotomy classifier, incidence cells,
-witnesses, tangent codimension, and cycle descriptors.
+witnesses, tangent codimension, and degeneration cycles.
 
 The nine-dimensional running example with rows (7,4,1) appears throughout;
 its special subspaces are the one-parameter family below and its limits.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from pierikit import schubgeom
 from pierikit.exactla import (
     GenericityError,
     VerificationError,
+    canonicalize,
     intersect,
     mat_vec,
     rank,
@@ -23,14 +25,12 @@ from pierikit.exactla import (
     unit_vector,
     vec,
 )
-from pierikit.seqcomb import DecSeq, pieri_set
+from pierikit.seqcomb import DecSeq, first_diff_index, pieri_set
 from pierikit.schubgeom import (
     IMPROPER,
     TRANSVERSE_IRREDUCIBLE,
     TRANSVERSE_OTHER,
     TRANSVERSE_REDUCIBLE,
-    SchubertComponent,
-    XComponent,
     adapted_basis,
     cell_index,
     cell_member,
@@ -459,19 +459,19 @@ class TestRestriction:
         assert restrict_sequence(DecSeq(9, (7, 4, 1)), 1).entries == (1,)
 
     def test_flag(self):
-        rf, chart = restrict_flag(FLAG, 5)
+        rf = restrict_flag(FLAG, 5)
         assert rf.ambient == 5
         for i in range(1, 6):
             assert rf.subspace(i).dim == 6 - i
         assert rf.subspace(6).is_zero
-        # chart pulls the restricted spaces back to the originals
-        assert chart.extend(rf.subspace(3)) == FLAG.subspace(7)
+        # F_5's coordinates pull the restricted spaces back to the originals
+        assert FLAG.subspace(5).extend(rf.subspace(3)) == FLAG.subspace(7)
 
     def test_fibration_consistency(self):
         # incidence membership factors through the meet with flag space b_j
         b = DecSeq(9, (7, 5, 1))
         L = L_family(1)
-        rf5, ch5 = restrict_flag(FLAG, 5)
+        rf5 = restrict_flag(FLAG, 5)
         b_r = restrict_sequence(b, 2)
         fl5 = intersect(FLAG.subspace(5), L)
         for seed in range(4):
@@ -479,16 +479,41 @@ class TestRestriction:
             K = intersect(H, FLAG.subspace(5))
             assert K.dim == 2
             lhs = x_member(H, b, 2, FLAG, L)
-            rhs = schubert_member(ch5.restrict(K), b_r, rf5) and (
+            rhs = schubert_member(FLAG.subspace(5).restrict(K), b_r, rf5) and (
                 intersect(K, fl5).dim >= 1
             )
             assert lhs == rhs
+
+    def test_restriction_commutes_with_flag_position(self):
+        # step_verify reads a limit's restricted cell through F_q's
+        # coordinates: restricting to F_q keeps dim F_j cap L for every j >= q
+        rng = random.Random(8)
+        checked = 0
+        for n in range(1, 10):
+            flag = random_flag(n, n)
+            for _ in range(12):
+                q = rng.randint(1, n + 1)
+                Fq = flag.subspace(q)
+                vectors = []
+                for _ in range(rng.randint(0, Fq.dim)):
+                    Fj = flag.subspace(rng.randint(q, n))
+                    coeffs = [rng.randint(-3, 3) for _ in Fj.rows]
+                    vectors.append([sum(c * row[i] for c, row in zip(coeffs, Fj.rows))
+                                    for i in range(n)])
+                L = canonicalize(vectors, n)
+                inner = Fq.restrict(L)
+                assert inner.ambient == Fq.dim and inner.dim == L.dim
+                assert (restrict_flag(flag, q).meet_dims(inner)
+                        == flag.meet_dims(L)[q - 1:])
+                assert Fq.extend(inner) == L
+                checked += L.dim > 0 and q > 1
+        assert checked >= 40, checked
 
 
 class TestYCycle:
     def test_level_one(self):
         yc = y_cycle(A741, 1, 2, FLAG, L_family(1))
-        assert yc.signature == frozenset(
+        assert yc == frozenset(
             {
                 ("schubert", (9, 4, 1)),
                 ("incidence", (7, 5, 1), 2),
@@ -498,14 +523,14 @@ class TestYCycle:
 
     def test_base_convention(self):
         yc = y_cycle(A741, 0, 2, FLAG, L_family(1))
-        assert yc.signature == frozenset({("schubert", (8, 4, 1))})
+        assert yc == frozenset({("schubert", (8, 4, 1))})
 
     def test_level_two_deep_cell(self):
         # members that first grow in row 1 (941, 851, 842) are plain Schubert
         # components; the rest keep their incidence condition
         M = span(N, e(2), e(3), e(5), e(6), e(8), e(9))
         yc = y_cycle(A741, 2, 1, FLAG, M)
-        assert yc.signature == frozenset(
+        assert yc == frozenset(
             {
                 ("schubert", (9, 4, 1)),
                 ("schubert", (8, 5, 1)),
@@ -526,18 +551,18 @@ class TestYCycle:
         f = standard_flag(4)
         L = cell_point(a, 2, f, 0)
         yc = y_cycle(a, 1, 2, f, L)
-        kinds = {k[0] for k in yc.signature}
-        assert ("schubert", (5, 1)) not in yc.signature
-        assert yc.signature == frozenset({("incidence", (4, 2), 2)})
+        kinds = {k[0] for k in yc}
+        assert ("schubert", (5, 1)) not in yc
+        assert yc == frozenset({("incidence", (4, 2), 2)})
 
     def test_collapse_at_parameter_one(self):
         # at s=1 every incidence component is extensionally Schubert
         M = span(N, e(2), e(3), e(5), e(6), e(8), e(9))
         yc = y_cycle(A741, 2, 1, FLAG, M)
-        for comp in yc.components:
-            if isinstance(comp, SchubertComponent):
+        for comp in yc:
+            if comp[0] == "schubert":
                 continue
-            b, j = comp.index, comp.j
+            b, j = DecSeq(N, comp[1]), comp[2]
             meet = intersect(FLAG.subspace(b.entries[j - 1]), M)
             # the meet is a hyperplane-like slice big enough to catch any
             # j-dimensional subspace of the flag space
@@ -545,6 +570,95 @@ class TestYCycle:
             for seed in range(3):
                 H = schubert_cell_point(b, FLAG, seed)
                 assert x_member(H, b, j, FLAG, M) == schubert_member(H, b, FLAG)
+
+
+# ---------------------------------------------------------------------------
+# y_cycle against the descriptor-building version it replaced: one
+# component object per branch-set member, duplicates refused on
+# construction, the signature read off the components.
+
+@dataclass(frozen=True)
+class TextbookSchubert:
+    index: DecSeq
+
+
+@dataclass(frozen=True)
+class TextbookIncidence:
+    index: DecSeq
+    j: int
+
+
+@dataclass(frozen=True)
+class TextbookCycle:
+    components: tuple
+
+    def __post_init__(self):
+        seen = set()
+        for c in self.components:
+            if c.index in seen:
+                raise ValueError("duplicate component index")
+            seen.add(c.index)
+
+    @property
+    def signature(self) -> frozenset:
+        return frozenset(
+            ("schubert", c.index.entries) if isinstance(c, TextbookSchubert)
+            else ("incidence", c.index.entries, c.j)
+            for c in self.components)
+
+
+def textbook_y_cycle(a, r, s, flag, L):
+    if not cell_member(L, a, s, flag):
+        raise ValueError("special subspace is not in the stated incidence cell")
+
+    def push_first(b):
+        top = b.entries[0] + s - 1
+        if top > b.n:
+            return None
+        return TextbookSchubert(DecSeq(b.n, (top,) + b.entries[1:]))
+
+    if r == 0:
+        c = push_first(a)
+        return TextbookCycle((c,) if c else ())
+    comps = []
+    for b in pieri_set(a, r):
+        j = first_diff_index(a, b)
+        if j == 1:
+            c = push_first(b)
+            if c:
+                comps.append(c)
+        else:
+            comps.append(TextbookIncidence(b, j))
+    return TextbookCycle(tuple(comps))
+
+
+class TestYCycleDifferential:
+    def test_every_sequence_up_to_six(self):
+        compared = 0
+        for n in range(1, 7):
+            for flag in (standard_flag(n), random_flag(n, n + 1)):
+                for m in range(1, n + 1):
+                    for entries in combinations(range(n, 0, -1), m):
+                        a = DecSeq(n, entries)
+                        for s in range(1, n + 3):
+                            try:
+                                cell_index(a, s)
+                            except ValueError:
+                                continue
+                            L = cell_point(a, s, flag, seed=s)
+                            r = 0
+                            while True:
+                                assert (y_cycle(a, r, s, flag, L)
+                                        == textbook_y_cycle(a, r, s, flag, L).signature)
+                                compared += 1
+                                if not pieri_set(a, r):
+                                    break
+                                r += 1
+                            # L sits in the level-s cell, not the level-(s+1) one
+                            for cycle in (y_cycle, textbook_y_cycle):
+                                with pytest.raises(ValueError):
+                                    cycle(a, 1, s + 1, flag, L)
+        assert compared >= 2200, compared
 
 
 # ---------------------------------------------------------------------------
