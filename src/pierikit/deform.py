@@ -29,7 +29,6 @@ from .exactla import (
     span,
     sum_span,
     unit_vector,
-    vec,
     zero_subspace,
 )
 from .seqcomb import DecSeq, covers_under, first_diff_index, pieri_set
@@ -57,57 +56,53 @@ from .schubgeom import (
 def flag_within(M: Subspace, flag: Flag) -> tuple:
     """Complete flag (M_1, ..., M_N) on M cut out by the ambient flag.
 
-    M_1 = M and dim M_i = N+1-i.  Each ambient flag step cuts the
-    intersection by at most one dimension, so every dimension occurs.
+    M_1 = M and dim M_i = N+1-i.  The flag position flag.meet_dims(M)
+    counts echelon pivots, so it falls from N to 0 one step at a time; M_i
+    is F_q cap M at the first q where it reads N+1-i, and only those N-1
+    spaces below M are intersected, each checked against its dimension.
     """
-    spaces = []
-    prev = None
-    for q in range(1, flag.ambient + 2):
-        cur = intersect(flag.subspace(q), M)
-        if prev is None or cur.dim == prev.dim - 1:
-            spaces.append(cur)
-        elif cur.dim != prev.dim:
-            raise VerificationError("flag step cut more than one dimension")
-        prev = cur
-    if spaces[0] != M or spaces[-1].dim != 0:
-        raise VerificationError("induced flag does not run from M down to 0")
-    return tuple(spaces[:-1])
+    meets = flag.meet_dims(M)
+    spaces = [M] if M.dim else []
+    for d in range(M.dim - 1, 0, -1):
+        q = meets.index(d) + 1
+        cut = intersect(flag.subspace(q), M)
+        if cut.dim != d:
+            raise VerificationError(f"F_{q} cap M is not the {d}-dimensional "
+                                    "space the flag position predicts")
+        spaces.append(cut)
+    return tuple(spaces)
 
 
 # ----------------------------------------------------------------------
 # Pencils of hyperplanes.
 
-def _pencil_columns(ambient: int, dual_basis: tuple, l: int, lo: int):
-    """Columns spanning <M_l, t e_j + e_{j+1} | lo <= j <= l-2>."""
-    n_total = len(dual_basis)
-    cols = []
-    for j in range(lo, l - 1):
-        e_j, e_next = dual_basis[j - 1], dual_basis[j]
-        cols.append(tuple((e_next[i], e_j[i]) for i in range(ambient)))
-    for q in range(l, n_total + 1):
-        cols.append(tuple((dual_basis[q - 1][i],) for i in range(ambient)))
-    return family_from_vectors(ambient, cols)
+def _pencil_columns(ambient: int, dual_basis: tuple, l: int):
+    """Columns t e_j + e_{j+1} for 1 <= j <= l-2, then e_l, ..., e_N (M_l)."""
+    moving = [tuple((e_next[i], e_j[i]) for i in range(ambient))
+              for e_j, e_next in zip(dual_basis[:l - 2], dual_basis[1:l - 1])]
+    fixed = [tuple((e[i],) for i in range(ambient)) for e in dual_basis[l - 1:]]
+    return family_from_vectors(ambient, moving + fixed)
 
 
 @dataclass(frozen=True)
 class Pencil:
     """A one-parameter family L_t of hyperplanes of M adapted to a flag in M.
 
-    dual_basis[q-1] is e_q (an ambient vector); M_i = <e_i, ..., e_N>.  The
-    family is spanned by M_l together with the moving vectors t e_j + e_{j+1}
-    for 1 <= j <= l-2, so it interpolates between the marked hyperplane (the
-    fibre at infinity) and M_2 (the fibre at zero).
+    Over a basis e_1, ..., e_N of M with M_i = <e_i, ..., e_N>, the family's
+    columns are the moving vectors t e_j + e_{j+1} for 1 <= j <= l-2 and then
+    e_l, ..., e_N, which span M_l.  It interpolates between the marked
+    hyperplane (the fibre at infinity) and M_2 (the fibre at zero).  Positions
+    past N in the flag in M are the zero space, as for Flag.subspace.
     """
 
     M: Subspace
     mflag: tuple
     l: int
-    dual_basis: tuple
     family: PolyFamily
     marked: Subspace
 
     def space(self, i: int) -> Subspace:
-        return self.mflag[i - 1]
+        return self.mflag[i - 1] if i <= len(self.mflag) else zero_subspace(self.M.ambient)
 
     def at(self, t) -> Subspace:
         return self.family.at(t)
@@ -116,10 +111,12 @@ class Pencil:
         return limit_at_zero(self.family)
 
     def restricted_family(self, i: int) -> PolyFamily:
-        """The family M_i cap L_t, for 1 <= i <= l-1, as explicit columns."""
+        """The family M_i cap L_t, for 1 <= i <= l-1: the tail of the
+        pencil's columns from t e_i + e_{i+1} on (from e_l when i = l-1),
+        which lies in M_i and in every L_t by construction."""
         if not 1 <= i <= self.l - 1:
             raise ValueError("restricted family needs 1 <= i <= l-1")
-        return _pencil_columns(self.M.ambient, self.dual_basis, self.l, i)
+        return PolyFamily(self.M.ambient, self.family.cols[i - 1:])
 
 
 def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
@@ -166,11 +163,7 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
         inverse = invert_matrix(covectors)
     except ValueError:
         raise ValueError("covectors are not independent") from None
-    dual = []
-    for q in range(N):
-        coords = tuple(inverse[i][q] for i in range(N))
-        dual.append(vec(M.from_coords(coords)))
-    dual = tuple(dual)
+    dual = tuple(M.from_coords(col) for col in zip(*inverse))
 
     # construction sanity: the dual basis tails trace out the given flag
     for i in range(1, N + 1):
@@ -179,7 +172,7 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
     if span(M.ambient, *(dual[q] for q in range(N) if q != l - 2)) != L_inf:
         raise VerificationError(f"dual basis without vector {l - 1} does not span L_inf")
 
-    family = _pencil_columns(M.ambient, dual, l, 1)
+    family = _pencil_columns(M.ambient, dual, l)
     for t in SAMPLE_POINTS:
         fibre = family.at(t)
         if fibre.dim != N - 1:
@@ -188,7 +181,7 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
             raise VerificationError(f"fibre at t={t} does not contain M_{l}")
         if fibre.contains(spaces[l - 2]):
             raise VerificationError(f"fibre at t={t} contains M_{l - 1}")
-    return Pencil(M, mflag, l, dual, family, L_inf)
+    return Pencil(M, mflag, l, family, L_inf)
 
 
 # ----------------------------------------------------------------------
@@ -216,14 +209,18 @@ def check_lines(checks) -> list:
 
 @dataclass(frozen=True)
 class ComponentRecord:
-    """One cycle component at a stage: its index, branching row, kind, and
-    the indices it breaks into at the next stage."""
+    """One cycle component at a stage: its index, branching row, and the
+    indices it breaks into at the next stage.  Row 1 carries a Schubert
+    variety, any other row an incidence component."""
 
     index: DecSeq
     j: int
-    kind: str
     children: tuple
     limit_dim: int | None = None
+
+    @property
+    def kind(self) -> str:
+        return "schubert" if self.j == 1 else "incidence"
 
     def to_json(self):
         out = {
@@ -268,6 +265,22 @@ class StepReport:
 # ----------------------------------------------------------------------
 # One degeneration step.
 
+def _expected_cycle(a: DecSeq, level, s: int) -> frozenset:
+    """The y_cycle(a, r, s, ...) labels that the branch set `level` predicts:
+    a row-1 child g gives the Schubert variety of g with its first entry
+    pushed by s-1 (none once that passes n), any other child g, branching in
+    row j, the incidence component X_{g,j}.  Built from branching alone, so
+    comparing it with y_cycle is a check."""
+    labels = set()
+    for g in level:
+        j = first_diff_index(a, g)
+        if j > 1:
+            labels.add(("incidence", g.entries, j))
+        elif g.entries[0] + s - 1 <= a.n:
+            labels.add(("schubert", (g.entries[0] + s - 1,) + g.entries[1:]))
+    return frozenset(labels)
+
+
 def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
                 L_inf: Subspace) -> StepReport:
     """Verify one pencil step of the degeneration chain.
@@ -304,11 +317,11 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
         raise VerificationError(f"induced flag step {l} is not F_{a1 + s}")
     pencil = build_pencil(mflag, l, L_inf)
 
-    checks = []
+    fibres = {t: pencil.at(t) for t in SAMPLE_POINTS}
+    checks = [StageCheck(f"sample t={t} lies in the level-{s} cell",
+                         cell_member(L_t, a, s, flag))
+              for t, L_t in fibres.items()]
     records = []
-    for t in SAMPLE_POINTS:
-        ok = cell_member(pencil.at(t), a, s, flag)
-        checks.append(StageCheck(f"sample t={t} lies in the level-{s} cell", ok))
 
     level = pieri_set(a, r)
     nxt = pieri_set(a, r + 1)
@@ -326,14 +339,12 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
             checks.append(StageCheck(
                 f"component {b}: branches in row 1 only", ok,
                 detail=" ".join(str(g) for g in kids)))
-            records.append(ComponentRecord(b, j, "schubert", kids))
+            records.append(ComponentRecord(b, j, kids))
             continue
         Fb = flag.subspace(b.entries[j - 1])
         q = N - meets[b.entries[j - 1] - 1] + 1
         moving = pencil.restricted_family(q)
-        fam_ok = all(
-            moving.at(t) == intersect(Fb, pencil.at(t)) for t in SAMPLE_POINTS
-        )
+        fam_ok = all(moving.at(t) == intersect(Fb, L_t) for t, L_t in fibres.items())
         checks.append(StageCheck(
             f"component {b}: moving plane is F_{b.entries[j - 1]} cap L_t",
             fam_ok))
@@ -361,26 +372,16 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
             f"component {b}: children match the restricted branch set",
             frozenset(lifted) == frozenset(kids) and len(set(lifted)) == len(lifted),
             detail=" ".join(str(g) for g in kids)))
-        records.append(ComponentRecord(b, j, "incidence", kids, limit_dim=lim.dim))
+        records.append(ComponentRecord(b, j, kids, limit_dim=lim.dim))
 
     part_ok = (
         len(claimed) == len(set(claimed)) and frozenset(claimed) == frozenset(nxt)
     )
     checks.append(StageCheck("children partition the next branch level", part_ok))
 
-    expected_after = set()
-    for g in nxt:
-        jg = first_diff_index(a, g)
-        if jg == 1:
-            top_entry = g.entries[0] + s - 2
-            if top_entry <= a.n:
-                expected_after.add(("schubert", (top_entry,) + g.entries[1:]))
-        else:
-            expected_after.add(("incidence", g.entries, jg))
-    after = y_cycle(a, r + 1, s - 1, flag, M)
     checks.append(StageCheck(
         "assembled components match the level-(r+1) cycle",
-        frozenset(expected_after) == after))
+        _expected_cycle(a, nxt, s - 1) == y_cycle(a, r + 1, s - 1, flag, M)))
 
     return StepReport("step", a, s, r, tuple(checks), tuple(records))
 
@@ -438,19 +439,6 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
                                                positions[i], rng)
 
     level1 = pieri_set(a, 1)
-    first = y_cycle(a, 1, b, flag, positions[1])
-    expected_first = set()
-    start_records = []
-    for g in level1:
-        j = first_diff_index(a, g)
-        if j == 1:
-            top_entry = g.entries[0] + b - 1
-            if top_entry <= a.n:
-                expected_first.add(("schubert", (top_entry,) + g.entries[1:]))
-            start_records.append(ComponentRecord(g, j, "schubert", ()))
-        else:
-            expected_first.add(("incidence", g.entries, j))
-            start_records.append(ComponentRecord(g, j, "incidence", ()))
     start_checks = (
         StageCheck(
             "general position meets transversally and irreducibly",
@@ -460,9 +448,11 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
             cell_member(positions[1], a, b, flag)),
         StageCheck(
             "level-1 components match the branch set",
-            first == frozenset(expected_first)),
+            y_cycle(a, 1, b, flag, positions[1]) == _expected_cycle(a, level1, b)),
     )
-    reports = [StepReport("start", a, b, 0, start_checks, tuple(start_records))]
+    start_records = tuple(ComponentRecord(g, first_diff_index(a, g), ())
+                          for g in level1)
+    reports = [StepReport("start", a, b, 0, start_checks, start_records)]
 
     for i in range(2, b + 1):
         reports.append(step_verify(a, b + 2 - i, i - 1, flag,
@@ -477,8 +467,7 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
     meets = flag.meet_dims(positions[b])
     for g in last:
         j = first_diff_index(a, g)
-        collapse_records.append(ComponentRecord(
-            g, j, "schubert" if j == 1 else "incidence", ()))
+        collapse_records.append(ComponentRecord(g, j, ()))
         if j == 1:
             continue
         gj = g.entries[j - 1]
@@ -667,51 +656,50 @@ def golden_run_741() -> GoldenReport:
         tuple((-ev(8)[i], ev(6)[i]) for i in range(9)),
         tuple((ev(9)[i],) for i in range(9)),
     ])
+    # the moving 5-plane and its moving 3-plane at each sample point
+    moving = {t: fam.at(t) for t in SAMPLE_POINTS}
+    slices = {t: inner.at(t) for t in SAMPLE_POINTS}
     sec_b = [
         StageCheck(
             "stated basis spans the kernel of the specialized forms",
-            all(fam.at(t) == _kernel_of(worked_forms(0, t))
-                for t in SAMPLE_POINTS)),
+            all(L == _kernel_of(worked_forms(0, t)) for t, L in moving.items())),
         StageCheck(
             "moving 5-plane lies in the level-2 cell",
-            all(cell_member(fam.at(t), a741, 2, flag) for t in SAMPLE_POINTS)),
+            all(cell_member(L, a741, 2, flag) for L in moving.values())),
         StageCheck(
             "moving 5-plane lies inside F_2",
-            all(F(2).contains(fam.at(t)) for t in SAMPLE_POINTS)),
+            all(F(2).contains(L) for L in moving.values())),
         StageCheck(
             "meets F_4 and F_5 in the same moving 3-plane",
-            all(intersect(fam.at(t), F(4)) == inner.at(t)
-                and intersect(fam.at(t), F(5)) == inner.at(t)
-                and inner.at(t).dim == 3
-                for t in SAMPLE_POINTS)),
+            all(intersect(L, F(4)) == slices[t]
+                and intersect(L, F(5)) == slices[t]
+                and slices[t].dim == 3
+                for t, L in moving.items())),
         StageCheck(
             "meets F_7 in the line F_9",
-            all(intersect(fam.at(t), F(7)) == F(9) for t in SAMPLE_POINTS)),
+            all(intersect(L, F(7)) == F(9) for L in moving.values())),
         StageCheck(
             "spans F_2 together with F_4",
-            all(sum_span(fam.at(t), F(4)) == F(2) for t in SAMPLE_POINTS)),
+            all(sum_span(L, F(4)) == F(2) for L in moving.values())),
         StageCheck(
             "its F_4 slice spans F_5 together with F_7",
-            all(sum_span(intersect(fam.at(t), F(4)), F(7)) == F(5)
-                for t in SAMPLE_POINTS)),
+            all(sum_span(intersect(L, F(4)), F(7)) == F(5)
+                for L in moving.values())),
         StageCheck(
             "its F_7 slice sits inside F_8",
-            all(F(8).contains(intersect(fam.at(t), F(7)))
-                for t in SAMPLE_POINTS)),
+            all(F(8).contains(intersect(L, F(7))) for L in moving.values())),
         StageCheck(
             "transverse reducible with every row critical",
-            all(classify_pieri(a741, flag, fam.at(t), 2).verdict
-                == TRANSVERSE_REDUCIBLE
-                and classify_pieri(a741, flag, fam.at(t), 2).equality_set
-                == (1, 2, 3)
-                for t in SAMPLE_POINTS)),
+            all(c.verdict == TRANSVERSE_REDUCIBLE and c.equality_set == (1, 2, 3)
+                for c in (classify_pieri(a741, flag, L, 2)
+                          for L in moving.values()))),
         StageCheck(
             "cycle components: one pushed Schubert plus two incidence pieces",
-            all(y_cycle(a741, 1, 2, flag, fam.at(t))
+            all(y_cycle(a741, 1, 2, flag, L)
                 == frozenset({("schubert", (9, 4, 1)),
                               ("incidence", (7, 5, 1), 2),
                               ("incidence", (7, 4, 2), 3)})
-                for t in SAMPLE_POINTS)),
+                for L in moving.values())),
     ]
 
     limit = limit_at_zero(fam)
@@ -733,15 +721,15 @@ def golden_run_741() -> GoldenReport:
     d742 = DecSeq(9, (7, 4, 2))
     sec_c.append(StageCheck(
         "row-1 branch: moving plane meets F_8 in the line F_9",
-        all(intersect(fam.at(t), F(8)) == F(9) for t in SAMPLE_POINTS)))
+        all(intersect(L, F(8)) == F(9) for L in moving.values())))
     h941 = span(9, ev(9), plus(ev(4), ev(5)), plus(ev(1), ev(2)))
     h841 = span(9, ev(8), plus(ev(4), ev(5)), plus(ev(1), ev(2)))
     sec_c.append(StageCheck(
         "row-1 branch: collapses onto the 941 Schubert variety on witnesses",
         schubert_member(h941, d941, flag)
-        and all(x_member(h941, d841, 1, flag, fam.at(t)) for t in SAMPLE_POINTS)
+        and all(x_member(h941, d841, 1, flag, L) for L in moving.values())
         and schubert_member(h841, d841, flag)
-        and not x_member(h841, d841, 1, flag, fam.at(1))
+        and not x_member(h841, d841, 1, flag, moving[1])
         and not schubert_member(h841, d941, flag)))
 
     m6 = span(9, ev(2), ev(3), ev(5), ev(6), ev(8), ev(9))
@@ -753,7 +741,7 @@ def golden_run_741() -> GoldenReport:
         cell_member(m6, a741, 1, flag)))
     sec_c.append(StageCheck(
         "row-2 branch: moving 3-plane is the F_5 slice",
-        all(inner.at(t) == intersect(F(5), fam.at(t)) for t in SAMPLE_POINTS)))
+        all(slices[t] == intersect(F(5), L) for t, L in moving.items())))
     sec_c.append(StageCheck(
         "row-2 branch: limit is the F_6 slice of the companion",
         lim2 == intersect(F(6), m6)))
@@ -800,8 +788,8 @@ def golden_run_741() -> GoldenReport:
     b631 = restrict_sequence(d742, 3)
     sec_c.append(StageCheck(
         "row-3 branch: restricted intersection transverse irreducible at samples",
-        all(classify_pieri(b631, sub2, F(2).restrict(fam.at(t)), 1).verdict
-            == TRANSVERSE_IRREDUCIBLE for t in SAMPLE_POINTS)))
+        all(classify_pieri(b631, sub2, F(2).restrict(L), 1).verdict
+            == TRANSVERSE_IRREDUCIBLE for L in moving.values())))
     sec_c.append(StageCheck(
         "row-3 branch: restricted intersection transverse reducible at the limit",
         classify_pieri(b631, sub2, F(2).restrict(l00), 1).verdict

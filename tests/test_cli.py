@@ -20,6 +20,7 @@ from pierikit.exactla import (
     span,
     subspace_to_json,
     unit_vector,
+    vec_add,
 )
 from pierikit.schubgeom import ProfileEntry, ProfileReport, cell_point, standard_flag
 from pierikit.seqcomb import DecSeq
@@ -143,6 +144,32 @@ class TestGeometryVerbs:
         blob = json.loads(out)
         assert rc == 0
         assert blob["l"] == 6 and blob["passed"] is True
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("case", ["generic marked", "flag seed"])
+    def test_pencil_marked_through_zero_only(self, capsys, tmp_path, worked_files,
+                                             fmt, case):
+        # l = N+1: the marked hyperplane contains no M_i but the zero space,
+        # so the last slice's limit is M_{N+1} = 0
+        m_path, lm_path = worked_files
+        if case == "generic marked":
+            lm_path = dump(tmp_path / "generic.json",
+                           span(9, e(2), e(3), e(5), e(6), vec_add(e(8), e(9))))
+            extra = []
+        else:
+            extra = ["--flag-seed", "1"]
+        rc, out, err = run(capsys, "pencil", "--file", m_path, "--marked-file", lm_path,
+                           *extra, *(["--json"] if fmt == "json" else []))
+        assert rc == 0 and err == ""
+        if fmt == "json":
+            blob = json.loads(out)
+            assert blob["l"] == 7 and blob["passed"] is True
+            assert blob["checks"][-1] == {
+                "name": "slice 6: zero limit is the next space down", "passed": True}
+        else:
+            assert "marked level l=7" in out
+            assert "  [ok] slice 6: zero limit is the next space down\n" in out
+            assert out.endswith("result: PASS\n")
 
     def test_pencil_l_mismatch(self, capsys, worked_files):
         m_path, lm_path = worked_files

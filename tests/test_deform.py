@@ -1,5 +1,6 @@
 """Pencils, one-step degeneration, the full chain, and the worked run."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -28,8 +29,10 @@ from pierikit.exactla import (
     vec_add,
     zero_subspace,
 )
+from pierikit.enumerative import reversed_flag
 from pierikit.seqcomb import DecSeq, pieri_set, tree_chains
 from pierikit.schubgeom import (
+    _pivot_span,
     cell_member,
     cell_point,
     meets_properly,
@@ -77,14 +80,96 @@ class TestFlagWithin:
 
     def test_meet_that_never_cuts_raises(self, monkeypatch):
         monkeypatch.setattr(deform, "intersect", lambda F, M: M)
-        with pytest.raises(VerificationError, match="does not run from M"):
+        with pytest.raises(VerificationError, match="flag position predicts"):
             flag_within(M_COMPANION, FLAG)
 
     def test_meet_that_cuts_too_much_raises(self, monkeypatch):
         monkeypatch.setattr(deform, "intersect",
                             lambda F, M: M if F.dim == 9 else zero_subspace(9))
-        with pytest.raises(VerificationError, match="more than one dimension"):
+        with pytest.raises(VerificationError, match="flag position predicts"):
             flag_within(M_COMPANION, FLAG)
+
+
+# ----------------------------------------------------------------------
+# flag_within against one intersect per flag space, as it read before the
+# flag position located the drops, and the pencil's slices on its flag.
+
+def textbook_flag_within(M, flag):
+    spaces = []
+    prev = None
+    for q in range(1, flag.ambient + 2):
+        cur = intersect(flag.subspace(q), M)
+        if prev is None or cur.dim == prev.dim - 1:
+            spaces.append(cur)
+        elif cur.dim != prev.dim:
+            raise VerificationError("flag step cut more than one dimension")
+        prev = cur
+    if spaces[0] != M or spaces[-1].dim != 0:
+        raise VerificationError("induced flag does not run from M down to 0")
+    return tuple(spaces[:-1])
+
+
+def generic_marked(mflag, rng):
+    """A hyperplane of M = mflag[0] through none of M_1, ..., M_N: the
+    marked position is l = N+1, where M_{N+1} is the zero space."""
+    M = mflag[0]
+    while True:
+        coeffs = [[rng.randint(-4, 4) for _ in M.rows] for _ in range(M.dim - 1)]
+        rows = [[sum(c * row[i] for c, row in zip(cs, M.rows)) for i in range(M.ambient)]
+                for cs in coeffs]
+        L = span(M.ambient, *rows)
+        if L.dim == M.dim - 1 and not L.contains(mflag[-1]):
+            return L
+
+
+class TestFlagWithinDifferential:
+    def test_against_per_space_intersect(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append(None)
+            return intersect(a, b)
+
+        monkeypatch.setattr(deform, "intersect", counted)
+        rng = random.Random(9601006)
+        seen = dict.fromkeys(("cell point", "pivot span"), 0)
+        for n in range(1, 11):
+            for flag in (standard_flag(n), reversed_flag(n), random_flag(n, n)):
+                spaces = []
+                for _ in range(3):
+                    m = rng.randint(1, n)
+                    a = DecSeq(n, tuple(sorted(rng.sample(range(1, n + 1), m),
+                                               reverse=True)))
+                    s = rng.randint(1, min(n + 1 - m, n + 1 - a.entries[0]))
+                    spaces.append(("cell point", cell_point(a, s, flag, seed=n)))
+                    pivots = rng.sample(range(1, n + 1), rng.randint(1, n))
+                    spaces.append(("pivot span", _pivot_span(pivots, flag, rng)))
+                for kind, M in spaces:
+                    calls.clear()
+                    got = flag_within(M, flag)
+                    assert len(calls) <= max(M.dim - 1, 0), (n, kind, len(calls))
+                    assert got == textbook_flag_within(M, flag), (n, kind, str(M))
+                    seen[kind] += M.dim >= 2
+        assert all(count >= 40 for count in seen.values()), seen
+
+    def test_slices_are_column_tails_of_a_generic_pencil(self):
+        rng = random.Random(1996)
+        checked = 0
+        for n in range(2, 8):
+            for flag in (standard_flag(n), reversed_flag(n), random_flag(n, n)):
+                M = _pivot_span(rng.sample(range(1, n + 1), rng.randint(1, n)),
+                                flag, rng)
+                mf = flag_within(M, flag)
+                p = build_pencil(mf, M.dim + 1, generic_marked(mf, rng))
+                assert p.space(M.dim + 1) == zero_subspace(n)
+                for i in range(1, p.l):
+                    fam = p.restricted_family(i)
+                    assert fam.cols == p.family.cols[i - 1:]
+                    for t in SAMPLE_POINTS:
+                        assert fam.at(t) == intersect(p.space(i), p.at(t))
+                    assert limit_at_zero(fam) == p.space(i + 1)
+                checked += M.dim >= 2
+        assert checked >= 12, checked
 
 
 class TestBuildPencil:

@@ -1,4 +1,5 @@
-"""Property tests of invariants the exact linear algebra states.
+"""Property tests of invariants the exact linear algebra and the branching
+tree state.
 
 Optional: skipped when hypothesis is not installed.  Example generation is
 derandomized, so the suite stays deterministic.
@@ -18,6 +19,7 @@ from pierikit.exactla import (  # noqa: E402
     span,
     sum_span,
 )
+from pierikit.seqcomb import DecSeq, covers_under, pieri_set, tree_chains  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=60, derandomize=True, database=None,
                                deadline=None)
@@ -72,3 +74,32 @@ def test_contains_iff_sum_is_unchanged(pair):
     s, t = pair
     assert s.contains(t) is (sum_span(s, t) == s)
     assert s.contains(intersect(s, t))
+
+
+@st.composite
+def branching_roots(draw):
+    """(a, b) with n = 8..12, any m and depth b <= 5: beyond the exhaustive
+    unique-parent test in test_seqcomb.py (n < 8, b <= 3).  The entries
+    fall by gaps of 1 to 4, so most rows have room to branch."""
+    n = draw(st.integers(8, 12))
+    entries = []
+    for gap in draw(st.lists(st.integers(0, 3), min_size=1, max_size=n)):
+        nxt = (entries[-1] if entries else n + 1) - 1 - gap
+        if nxt < 1:
+            break
+        entries.append(nxt)
+    return DecSeq(n, tuple(entries)), draw(st.integers(1, 5))
+
+
+@hypothesis.settings(SETTINGS, max_examples=200)
+@hypothesis.given(branching_roots())
+def test_tree_chains_unique_parent(root):
+    a, b = root
+    tree, chains = tree_chains(a, b)
+    for upper, lower in zip(tree.levels, tree.levels[1:]):
+        for g in lower:
+            assert sum(covers_under(a, p, g) for p in upper) == 1, (a, g)
+    leaves = [chain[-1] for chain in chains]
+    assert len(set(leaves)) == len(leaves)
+    assert set(leaves) == set(pieri_set(a, b))
+    assert all(chain[0] == a and len(chain) == b + 1 for chain in chains)
