@@ -21,6 +21,7 @@ import sys
 
 from .deform import (
     StageCheck,
+    _mflag_space,
     build_pencil,
     chain_deformation,
     chain_histories,
@@ -290,8 +291,8 @@ def _cmd_pencil(args) -> int:
     if args.n is not None and args.n != M.ambient:
         raise ValueError(f"--n {args.n} does not match the ambient {M.ambient}")
     mflag = flag_within(M, _flag_of(args, M.ambient))
-    spaces = mflag + (span(M.ambient),)
-    l = next(i for i in range(1, len(spaces) + 1) if marked.contains(spaces[i - 1]))
+    l = next(i for i in range(1, len(mflag) + 2)
+             if marked.contains(_mflag_space(mflag, i, M.ambient)))
     if args.l is not None and args.l != l:
         raise ValueError(f"--l {args.l} disagrees with the marked space (l = {l})")
     pencil = build_pencil(mflag, l, marked)

@@ -73,6 +73,12 @@ def flag_within(M: Subspace, flag: Flag) -> tuple:
     return tuple(spaces)
 
 
+def _mflag_space(mflag: tuple, i: int, ambient: int) -> Subspace:
+    """M_i of the flag (M_1, ..., M_N) in M, i >= 1; every position past N
+    is the zero space, as for Flag.subspace."""
+    return mflag[i - 1] if i <= len(mflag) else zero_subspace(ambient)
+
+
 # ----------------------------------------------------------------------
 # Pencils of hyperplanes.
 
@@ -102,7 +108,7 @@ class Pencil:
     marked: Subspace
 
     def space(self, i: int) -> Subspace:
-        return self.mflag[i - 1] if i <= len(self.mflag) else zero_subspace(self.M.ambient)
+        return _mflag_space(self.mflag, i, self.M.ambient)
 
     def at(self, t) -> Subspace:
         return self.family.at(t)
@@ -136,13 +142,12 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
         raise ValueError("flag in M must have one space per dimension")
     if not 2 <= l <= N + 1:
         raise ValueError("marked position l must satisfy 2 <= l <= dim M + 1")
-    # position N+1 marks the zero space
-    spaces = mflag + (zero_subspace(M.ambient),)
+    lower, upper = _mflag_space(mflag, l, M.ambient), mflag[l - 2]
     if not (M.contains(L_inf) and L_inf.dim == N - 1):
         raise ValueError("marked subspace must be a hyperplane of M")
-    if not L_inf.contains(spaces[l - 1]):
+    if not L_inf.contains(lower):
         raise ValueError("marked hyperplane must contain M_l")
-    if L_inf.contains(spaces[l - 2]):
+    if L_inf.contains(upper):
         raise ValueError("marked hyperplane must not contain M_(l-1)")
 
     inner = [M.restrict(s) for s in mflag]
@@ -177,9 +182,9 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
         fibre = family.at(t)
         if fibre.dim != N - 1:
             raise VerificationError(f"fibre at t={t} has dimension {fibre.dim}, not {N - 1}")
-        if not fibre.contains(spaces[l - 1]):
+        if not fibre.contains(lower):
             raise VerificationError(f"fibre at t={t} does not contain M_{l}")
-        if fibre.contains(spaces[l - 2]):
+        if fibre.contains(upper):
             raise VerificationError(f"fibre at t={t} contains M_{l - 1}")
     return Pencil(M, mflag, l, family, L_inf)
 
@@ -313,7 +318,7 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
     mflag = flag_within(M, flag)
     N = M.dim
     l = N - top.dim + 1
-    if (mflag + (zero_subspace(a.n),))[l - 1] != top:
+    if _mflag_space(mflag, l, a.n) != top:
         raise VerificationError(f"induced flag step {l} is not F_{a1 + s}")
     pencil = build_pencil(mflag, l, L_inf)
 
@@ -327,6 +332,9 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
     nxt = pieri_set(a, r + 1)
     claimed = []
     meets = flag.meet_dims(M)
+    # components with the same slice position q share M_q cap L_t: its
+    # sample fibres and its limit are computed once per q
+    moving_by_q = {}
     for b in level:
         j = first_diff_index(a, b)
         kids = tuple(g for g in nxt if covers_under(a, b, g))
@@ -343,12 +351,15 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
             continue
         Fb = flag.subspace(b.entries[j - 1])
         q = N - meets[b.entries[j - 1] - 1] + 1
-        moving = pencil.restricted_family(q)
-        fam_ok = all(moving.at(t) == intersect(Fb, L_t) for t, L_t in fibres.items())
+        if q not in moving_by_q:
+            moving = pencil.restricted_family(q)
+            moving_by_q[q] = ({t: moving.at(t) for t in SAMPLE_POINTS},
+                              limit_at_zero(moving))
+        moving_at, lim = moving_by_q[q]
+        fam_ok = all(moving_at[t] == intersect(Fb, L_t) for t, L_t in fibres.items())
         checks.append(StageCheck(
             f"component {b}: moving plane is F_{b.entries[j - 1]} cap L_t",
             fam_ok))
-        lim = limit_at_zero(moving)
         expected = intersect(flag.subspace(b.entries[j - 1] + 1), M)
         checks.append(StageCheck(
             f"component {b}: limit is F_{b.entries[j - 1] + 1} cap M",

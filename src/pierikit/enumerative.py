@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import lcm
 from typing import Iterator
 
 from .exactla import (
@@ -26,14 +27,11 @@ from .exactla import (
     Subspace,
     VerificationError,
     flag_from_basis,
-    frac,
     intersect,
+    rank,
     solve_columns,
     span,
-    sum_span,
     unit_vector,
-    vec_add,
-    vec_scale,
 )
 from .schubgeom import schubert_member, standard_flag
 from .seqcomb import DecSeq, codim, dual, lambda_of, pieri_set
@@ -246,6 +244,31 @@ def reversed_flag(n: int) -> Flag:
     return flag_from_basis([unit_vector(n, i) for i in range(n, 0, -1)])
 
 
+@lru_cache(maxsize=1024)
+def _slice_frame(alpha: DecSeq, beta: DecSeq, flag: Flag, flag2: Flag):
+    """(slices, total): the slices K_j = F_{alpha_j} cap F'_{beta_{m+1-j}}
+    for j = 1..m and their direct sum K_1 + ... + K_m.
+
+    Independent of the special subspace, so triple_witnesses computes it
+    once per pair and flag pair.  Memoised by value (DecSeq, Flag and
+    Subspace are frozen and compare by their canonical rows), so an equal
+    flag built anew hits the cache; a frame that raises is not cached.
+    Raises ValueError when a slice vanishes or the sum is not direct.
+    """
+    m = alpha.m
+    slices = []
+    for j in range(1, m + 1):
+        K = intersect(flag.subspace(alpha.entries[j - 1]),
+                      flag2.subspace(beta.entries[m - j]))
+        if K.dim == 0:
+            raise ValueError(f"slice {j} is zero")
+        slices.append(K)
+    total = span(alpha.n, *(row for K in slices for row in K.rows))
+    if total.dim != sum(K.dim for K in slices):
+        raise ValueError("slice sum is not direct")
+    return tuple(slices), total
+
+
 def triple_witnesses(
     alpha: DecSeq, beta: DecSeq, C: Subspace, flag: Flag, flag2: Flag
 ) -> list[Subspace]:
@@ -253,7 +276,12 @@ def triple_witnesses(
 
     Builds it from the slices K_j = F_{alpha_j} cap F'_{beta_{m+1-j}}: the
     line C cap (K_1 + ... + K_m) is spanned by a vector w, the summands of
-    w across the slices give a basis, and their span is the witness.
+    w across the slices give a basis, and their span is the witness.  The
+    slices and their sum do not depend on C and come from a frame cached
+    per (alpha, beta, flag, flag2).  The plane is assembled in integers:
+    w is the line's integer row, solve_columns gives its coordinates over
+    the slices' integer rows, and each summand is scaled by the lcm of its
+    coordinates' denominators, which changes no span.
 
     Returns [H] with membership in all three varieties verified, or []
     when dual(beta) falls outside alpha*c, c read off from dim C (the
@@ -274,31 +302,23 @@ def triple_witnesses(
     if dual(beta) not in pieri_set(alpha, c):
         return []
 
-    slices = []
-    for j in range(1, m + 1):
-        K = intersect(flag.subspace(alpha.entries[j - 1]),
-                      flag2.subspace(beta.entries[m - j]))
-        if K.dim == 0:
-            raise ValueError(f"slice {j} is zero")
-        slices.append(K)
-    total = slices[0]
-    for K in slices[1:]:
-        total = sum_span(total, K)
-    if total.dim != sum(K.dim for K in slices):
-        raise ValueError("slice sum is not direct")
+    slices, total = _slice_frame(alpha, beta, flag, flag2)
     line = intersect(C, total)
     if line.dim != 1:
         raise ValueError(f"C meets the slice sum in dimension {line.dim}, not a line")
 
-    w = line.basis[0]
-    coeffs = solve_columns([v for K in slices for v in K.basis], w)
+    coeffs = solve_columns([row for K in slices for row in K.rows], line.rows[0])
     basis = []
     at = 0
     for K in slices:
-        f = (frac(0),) * n
-        for q in range(K.dim):
-            f = vec_add(f, vec_scale(coeffs[at + q], K.basis[q]))
+        block = coeffs[at:at + K.dim]
         at += K.dim
+        den = lcm(*[x.denominator for x in block])
+        f = [0] * n
+        for x, row in zip(block, K.rows):
+            if x:
+                k = x.numerator * (den // x.denominator)
+                f = [u + k * v for u, v in zip(f, row)]
         basis.append(f)
     for j, f in enumerate(basis, start=1):
         if flag.subspace(alpha.entries[j - 1] + 1).contains_vector(f):
@@ -313,7 +333,7 @@ def triple_witnesses(
         raise VerificationError("witness is off the first Schubert variety")
     if not schubert_member(H, beta, flag2):
         raise VerificationError("witness is off the second Schubert variety")
-    if intersect(H, C).dim < 1:
+    if rank(H.rows + C.rows) == H.dim + C.dim:  # H cap C = 0
         raise VerificationError("witness misses the special subspace")
     return [H]
 
@@ -322,10 +342,12 @@ def witness_table(p: QuintupleProblem, seed: int = 0, retries: int = 32):
     """(C, rows) with one (gamma, delta, H) row per counted branch pair.
 
     Iterates triple_witnesses over every branch pair of the problem with
-    the standard and the reversed coordinate flags; C is resampled until
-    the general-position checks pass for all pairs at once.  The rows
-    carry exactly count_pairs_d(p) pairwise distinct planes, every
-    coordinate an exact rational.
+    the standard and the reversed coordinate flags; C, spanned by rows of
+    seeded random ints, is resampled until the general-position checks
+    pass for all pairs at once.  A resample redoes only the work that
+    depends on C: each pair's slice frame stays cached.  The rows carry
+    exactly count_pairs_d(p) pairwise distinct planes, every coordinate
+    an exact rational.
     """
     flag = standard_flag(p.n)
     flag2 = reversed_flag(p.n)
@@ -336,7 +358,7 @@ def witness_table(p: QuintupleProblem, seed: int = 0, retries: int = 32):
     rng = random.Random(seed)
     last = None
     for _ in range(retries):
-        rows = [tuple(frac(rng.randint(-99, 99)) for _ in range(p.n))
+        rows = [tuple(rng.randint(-99, 99) for _ in range(p.n))
                 for _ in range(dim_c)]
         C = span(p.n, *rows)
         if C.dim != dim_c:

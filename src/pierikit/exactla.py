@@ -9,17 +9,18 @@ Fraction; anything else raises TypeError.
 A Subspace is its canonical integer rows: the reduced echelon basis with
 each row scaled to a primitive integer vector whose pivot entry is positive.
 That form is unique.  Membership, reduction, coordinates, intersections and
-quotients work on those rows; the canonical Fraction basis (pivot entries 1)
-is a view built on first read.  Coordinates on a subspace S are the entries
-at S's pivot columns: S.coords and S.from_coords convert vectors, and
-S.restrict and S.extend carry a subspace of S to k^dim S and back.  A
-one-parameter family caches its columns as integer polynomials: it
-evaluates them at t, and its flat limit at t=0 comes out of exact column
-operations over Z[t].  A complete flag caches its adapted basis, so a
-subspace's flag position (dim F_j cap L for every j) is one elimination in
-those coordinates.  Fractions appear only at the boundary, when a result
-leaves as a canonical basis, a kernel, solution, inverse, reduced vector or
-coordinate tuple.
+quotients work on those rows, and quotient_dim reads the dimension of a
+quotient as the rank of back-substituted rows without building it; the
+canonical Fraction basis (pivot entries 1) is a view built on first read.
+Coordinates on a subspace S are the entries at S's pivot columns: S.coords
+and S.from_coords convert vectors, and S.restrict and S.extend carry a
+subspace of S to k^dim S and back.  A one-parameter family caches its
+columns as integer polynomials: it evaluates them at t, and its flat limit
+at t=0 comes out of exact column operations over Z[t].  A complete flag
+caches its adapted basis, so a subspace's flag position (dim F_j cap L for
+every j) is one elimination in those coordinates.  Fractions appear only at
+the boundary, when a result leaves as a canonical basis, a kernel,
+solution, inverse, reduced vector or coordinate tuple.
 """
 
 from __future__ import annotations
@@ -444,6 +445,17 @@ def quotient_subspace(a: Subspace, k: Subspace) -> Subspace:
         r, _ = k._back_substitute(row)
         gens.append([r[i] for i in keep])
     return canonicalize(gens, len(keep))
+
+
+def quotient_dim(a: Subspace, k: Subspace) -> int:
+    """dim of the image of a in V/k, without building it: the rank of a's
+    rows back-substituted modulo k.  Those remainders vanish at k's pivot
+    columns, so this is quotient_subspace(a, k).dim."""
+    if a.ambient != k.ambient:
+        raise ValueError("ambient mismatch")
+    if k.is_zero:
+        return a.dim
+    return rank([k._back_substitute(row)[0] for row in a.rows])
 
 
 def annihilator_basis(s: Subspace):

@@ -23,6 +23,7 @@ from .exactla import (
     frac,
     intersect,
     is_zero_vec,
+    quotient_dim,
     quotient_subspace,
     rank,
     span,
@@ -81,14 +82,15 @@ def schubert_member(H: Subspace, a: DecSeq, flag: Flag) -> bool:
 
     Computed twice, on disjoint code paths in the linear algebra: from the
     flag position of H, and through quotients (dim of the image of H in
-    V/F_{a_j} at most m-j); VerificationError when they disagree.
+    V/F_{a_j} at most m-j, a rank modulo F_{a_j} by quotient_dim);
+    VerificationError when they disagree.
     """
     m = a.m
     if H.dim != m:
         raise ValueError(f"expected a {m}-plane, got dim {H.dim}")
     meets = flag.meet_dims(H)
     primary = all(meets[aj - 1] >= j for j, aj in enumerate(a.entries, 1))
-    dual = all(quotient_subspace(H, flag.subspace(aj)).dim <= m - j
+    dual = all(quotient_dim(H, flag.subspace(aj)) <= m - j
                for j, aj in enumerate(a.entries, 1))
     if primary != dual:
         raise VerificationError("intersection and quotient tests disagree")

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -12,6 +13,7 @@ import pytest
 import pierikit
 from pierikit.enumerative import (
     QuintupleProblem,
+    _slice_frame,
     cohomology_oracle,
     count_pairs_d,
     pieri_pairing_oracle,
@@ -20,8 +22,23 @@ from pierikit.enumerative import (
     triple_witnesses,
     valid_instances,
 )
-from pierikit.exactla import intersect, span, unit_vector
-from pierikit.schubgeom import schubert_member, standard_flag
+from pierikit.exactla import (
+    VerificationError,
+    flag_from_basis,
+    frac,
+    full_space,
+    intersect,
+    quotient_dim,
+    quotient_subspace,
+    solve_columns,
+    span,
+    sum_span,
+    unit_vector,
+    vec_add,
+    vec_scale,
+    zero_subspace,
+)
+from pierikit.schubgeom import random_flag, schubert_member, standard_flag
 from pierikit.seqcomb import DecSeq, codim, dual, lambda_of, pieri_set
 from pierikit.tableaux import (
     chow_project,
@@ -275,6 +292,155 @@ class TestTripleWitnesses:
         C = span(4, unit_vector(4, 1), unit_vector(4, 3))
         with pytest.raises(ValueError, match="too deep"):
             triple_witnesses(seq(4, 4, 1), seq(4, 3, 1), C, flag, flag2)
+
+
+def fraction_witnesses(alpha, beta, C, flag, flag2):
+    """Reference for triple_witnesses: slices and their sum recomputed on
+    every call, and the plane summed in Fraction arithmetic over the
+    slices' canonical Fraction bases."""
+    n, m = alpha.n, alpha.m
+    c = n + 1 - m - C.dim
+    if codim(alpha) + codim(beta) + c != m * (n - m):
+        raise ValueError("codimensions do not fill the ambient dimension")
+    if dual(beta) not in pieri_set(alpha, c):
+        return []
+    slices = []
+    for j in range(1, m + 1):
+        K = intersect(flag.subspace(alpha.entries[j - 1]),
+                      flag2.subspace(beta.entries[m - j]))
+        if K.dim == 0:
+            raise ValueError(f"slice {j} is zero")
+        slices.append(K)
+    total = slices[0]
+    for K in slices[1:]:
+        total = sum_span(total, K)
+    if total.dim != sum(K.dim for K in slices):
+        raise ValueError("slice sum is not direct")
+    line = intersect(C, total)
+    if line.dim != 1:
+        raise ValueError(f"C meets the slice sum in dimension {line.dim}, not a line")
+    coeffs = solve_columns([v for K in slices for v in K.basis], line.basis[0])
+    basis = []
+    at = 0
+    for K in slices:
+        f = (frac(0),) * n
+        for q in range(K.dim):
+            f = vec_add(f, vec_scale(coeffs[at + q], K.basis[q]))
+        at += K.dim
+        basis.append(f)
+    for j, f in enumerate(basis, start=1):
+        if flag.subspace(alpha.entries[j - 1] + 1).contains_vector(f):
+            raise ValueError(f"vector {j} falls too deep in the first flag")
+        if flag2.subspace(beta.entries[m - j] + 1).contains_vector(f):
+            raise ValueError(f"vector {j} falls too deep in the second flag")
+    H = span(n, *basis)
+    if H.dim != m or intersect(H, C).dim < 1:
+        raise VerificationError("reference witness failed")
+    if not (schubert_member(H, alpha, flag) and schubert_member(H, beta, flag2)):
+        raise VerificationError("reference witness failed")
+    return [H]
+
+
+def witness_outcome(fn, *args):
+    """The witness list, or the ValueError message."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def witness_inputs():
+    """(g, delta, dim C) for every branch pair of the n <= 6 problems with
+    d > 0, each once, in a deterministic order."""
+    seen = {}
+    for p in valid_instances(6):
+        dim_c = p.n + 1 - p.m - p.c
+        if dim_c < 1 or count_pairs_d(p) == 0:
+            continue
+        for g in pieri_set(p.alpha, p.a):
+            for d in pieri_set(p.beta, p.b):
+                seen.setdefault((g, d, dim_c), None)
+    return list(seen)
+
+
+class TestWitnessFrames:
+    def test_seeded_differential_against_fraction_assembly(self):
+        rng = random.Random(9601006)
+        inputs = witness_inputs()
+        assert len(inputs) == 281
+        pairs = {n: [(standard_flag(n), reversed_flag(n)),
+                     (random_flag(n, 10 + n), random_flag(n, 20 + n)),
+                     (standard_flag(n), standard_flag(n))]
+                 for n in range(2, 7)}
+        planes, messages = 0, set()
+        for g, d, dim_c in inputs:
+            n = g.n
+            while True:
+                C = span(n, *[[rng.randint(-9, 9) for _ in range(n)]
+                              for _ in range(dim_c)])
+                if C.dim == dim_c:
+                    break
+            # a coordinate subspace is special for both coordinate flags
+            C_coord = span(n, *[unit_vector(n, i)
+                                for i in rng.sample(range(1, n + 1), dim_c)])
+            for (flag, flag2), special in [(pair, C) for pair in pairs[n]] + [
+                    (pairs[n][0], C_coord)]:
+                want = witness_outcome(fraction_witnesses, g, d, special, flag, flag2)
+                got = witness_outcome(triple_witnesses, g, d, special, flag, flag2)
+                assert got == want, (g, d, special)
+                if isinstance(want, str):
+                    messages.add(re.sub(r"\d+", "#", want))
+                else:
+                    planes += len(want)
+        assert planes >= 300
+        # every general-position failure that a pair with dual(delta) in
+        # gamma*c can meet occurs (for those pairs no slice is zero)
+        assert messages == {
+            "ValueError: slice sum is not direct",
+            "ValueError: C meets the slice sum in dimension #, not a line",
+            "ValueError: vector # falls too deep in the first flag",
+            "ValueError: vector # falls too deep in the second flag",
+        }
+
+    def test_rebuilt_flag_hits_the_frame_cache(self):
+        n = 5
+        flag = standard_flag(n)
+        rebuilt = flag_from_basis([unit_vector(n, i) for i in range(1, n + 1)])
+        assert rebuilt == flag and rebuilt is not flag
+        a, b = seq(n, 5, 2), seq(n, 4, 1)
+        frame = _slice_frame(a, b, flag, reversed_flag(n))
+        hits = _slice_frame.cache_info().hits
+        assert _slice_frame(a, b, rebuilt, reversed_flag(n)) == frame
+        assert _slice_frame.cache_info().hits == hits + 1
+        slices, total = frame
+        assert total == span(n, *(row for K in slices for row in K.rows))
+
+    def test_failing_frame_is_not_cached(self):
+        _slice_frame.cache_clear()
+        flag = standard_flag(5)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not direct"):
+                _slice_frame(seq(5, 4, 1), seq(5, 3, 1), flag, flag)
+            with pytest.raises(ValueError, match="slice 1 is zero"):
+                _slice_frame(seq(5, 5, 2), seq(5, 3, 2), flag, reversed_flag(5))
+        info = _slice_frame.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 4, 0)
+
+    def test_quotient_dim_matches_quotient_subspace(self):
+        rng = random.Random(7)
+        for n in range(1, 7):
+            flag = random_flag(n, n)
+            spaces = [zero_subspace(n), full_space(n), *flag.spaces]
+            spaces += [span(n, *[[rng.randint(-3, 3) for _ in range(n)]
+                                 for _ in range(rng.randint(1, n))])
+                       for _ in range(6)]
+            for a in spaces:
+                for k in spaces:
+                    assert quotient_dim(a, k) == quotient_subspace(a, k).dim
+        assert quotient_dim(full_space(4), zero_subspace(4)) == 4
+        assert quotient_dim(full_space(4), full_space(4)) == 0
+        with pytest.raises(ValueError, match="ambient"):
+            quotient_dim(full_space(3), full_space(4))
 
 
 # Under python -O the witness checks must still run, and a failing one must

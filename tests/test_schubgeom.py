@@ -145,7 +145,7 @@ class TestSchubertMember:
     def test_disagreeing_paths_raise(self, monkeypatch):
         # a quotient path that never shrinks H contradicts the intersection
         # path on a member; the disagreement must surface, also under -O
-        monkeypatch.setattr(schubgeom, "quotient_subspace", lambda H, F: H)
+        monkeypatch.setattr(schubgeom, "quotient_dim", lambda H, F: H.dim)
         with pytest.raises(VerificationError, match="disagree"):
             schubert_member(span(N, e(7), e(4), e(1)), A741, FLAG)
 
