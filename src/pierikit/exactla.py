@@ -34,8 +34,13 @@ from operator import mul
 Vec = tuple[Fraction, ...]
 Poly = tuple[Fraction, ...]  # coefficients, lowest degree first, trimmed
 
-# Fixed sample points used whenever "generic" behaviour of a family in t has
-# to be certified; agreement at all five is the acceptance bar.
+# Fixed sample points in t.  Agreement at all five certifies nothing for a
+# family of higher degree.  step_verify's exact moving-plane clause takes
+# the first as its one point (a special point could only fail it, never
+# pass it wrongly).  Still sampled at all five: limit_at_zero's generic-rank
+# pre-check, build_pencil's fibre checks, the dimension check of the pencil
+# verb, step_verify's "sample t=... lies in the level-s cell" clauses and
+# the sampled claims of golden_run_741.
 SAMPLE_POINTS = (
     Fraction(1),
     Fraction(1, 2),
@@ -344,14 +349,20 @@ class Subspace:
         return tuple(Fraction(w[p], d) for p in self.pivots)
 
     def from_coords(self, x) -> Vec:
-        """Inverse of coords: the vector with coordinates x in the basis."""
-        x = vec(x, self.dim)
-        w = [_ZERO] * self.ambient
-        for c, row in zip(x, self.basis):
-            if c != 0:
-                for i in range(self.ambient):
-                    w[i] += c * row[i]
-        return tuple(w)
+        """Inverse of coords: the vector with coordinates x in the basis.
+
+        In integers: with x = c / d, basis vector k is rows[k] over its
+        pivot entry, so the vector is sum_k c_k (P / pivot_k) rows[k] over
+        the one denominator d P, P the lcm of the pivots that are used.
+        """
+        c, d = _int_vector(x, self.dim)
+        used = [(ck, row, row[p]) for ck, row, p in zip(c, self.rows, self.pivots) if ck]
+        P = lcm(*[piv for _, _, piv in used])
+        w = [0] * self.ambient
+        for ck, row, piv in used:
+            f = ck * (P // piv)
+            w = [u + f * v for u, v in zip(w, row)]
+        return _over(w, d * P)
 
     def restrict(self, a: "Subspace") -> "Subspace":
         """Rewrite a subspace a contained in this one in its coordinates."""

@@ -183,15 +183,10 @@ def classify_pieri(a: DecSeq, flag: Flag, L: Subspace, s: int) -> Classification
 # incidence cells
 
 
-def cell_index(a: DecSeq, s: int) -> DecSeq:
-    """Index of the Schubert cell whose dense part the incidence cell fills.
-
-    Take [n] minus the entries of a minus the strip of s-1 integers above
-    a_1; when the strip would end at n+1 (s = n+2-a_1), take the smallest
-    n+1-m-s integers not in a instead.  The cell is nonempty exactly when
-    1 <= s <= n+1-m and either s <= n+1-a_1, or s = n+2-a_1 with m = 1 or
-    a_2 < a_1-1; any other s raises ValueError.
-    """
+def _check_cell_parameter(a: DecSeq, s: int) -> None:
+    """The incidence cell of a is nonempty exactly when 1 <= s <= n+1-m and
+    either s <= n+1-a_1, or s = n+2-a_1 with m = 1 or a_2 < a_1-1; any
+    other s raises ValueError."""
     n, m = a.n, a.m
     if s < 1:
         raise ValueError("cell parameter must be at least 1")
@@ -200,6 +195,19 @@ def cell_index(a: DecSeq, s: int) -> DecSeq:
         s == n + 2 - a1 and (m == 1 or a.entries[1] < a1 - 1))
     if s > n + 1 - m or not fits:
         raise ValueError(f"the incidence cell of {a} is empty for s = {s}")
+
+
+def cell_index(a: DecSeq, s: int) -> DecSeq:
+    """Index of the Schubert cell whose dense part the incidence cell fills.
+
+    Take [n] minus the entries of a minus the strip of s-1 integers above
+    a_1; when the strip would end at n+1 (s = n+2-a_1), take the smallest
+    n+1-m-s integers not in a instead.  An s for which the cell is empty
+    raises ValueError (see _check_cell_parameter).
+    """
+    _check_cell_parameter(a, s)
+    n, m = a.n, a.m
+    a1 = a.entries[0]
     avail = [i for i in range(1, n + 1) if i not in a.entries]
     if s <= n + 1 - a1:
         strip = set(range(a1 + 1, a1 + s))
@@ -213,9 +221,11 @@ def cell_member(L: Subspace, a: DecSeq, s: int, flag: Flag) -> bool:
     """Membership in the incidence cell: the meet with the top flag space is
     the flag space s deeper, and below each further row the meet stabilizes
     one step down at its critical dimension.  The meets are nested, so these
-    are equalities of dimensions.  s is not validated: take it from
-    cell_index's range, since for another s a subspace outside every
-    incidence cell can be a member."""
+    are equalities of dimensions.  An s outside cell_index's range raises
+    ValueError, as cell_index does: the cell is empty there, and the
+    dimension test alone would admit subspaces outside every incidence
+    cell."""
+    _check_cell_parameter(a, s)
     n, m = a.n, a.m
     if L.dim != n + 1 - m - s:
         return False

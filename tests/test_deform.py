@@ -1,11 +1,12 @@
 """Pencils, one-step degeneration, the full chain, and the worked run."""
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
-from pierikit import deform
+from pierikit import cli, deform, schubgeom
 from pierikit.deform import (
     GoldenReport,
     Pencil,
@@ -21,7 +22,9 @@ from pierikit.deform import (
 )
 from pierikit.exactla import (
     SAMPLE_POINTS,
+    Flag,
     VerificationError,
+    family_from_vectors,
     intersect,
     limit_at_zero,
     span,
@@ -30,14 +33,18 @@ from pierikit.exactla import (
     zero_subspace,
 )
 from pierikit.enumerative import reversed_flag
-from pierikit.seqcomb import DecSeq, pieri_set, tree_chains
+from pierikit.seqcomb import DecSeq, first_diff_index, pieri_set, tree_chains
 from pierikit.schubgeom import (
     _pivot_span,
     cell_member,
     cell_point,
+    cell_profile_check,
     meets_properly,
     random_flag,
+    schubert_cell_point,
     standard_flag,
+    x_member,
+    y_cycle,
 )
 
 FLAG = standard_flag(9)
@@ -393,3 +400,270 @@ class TestGoldenRun:
             "final assembly",
         ]
         assert blob["passed"] is True
+
+
+# ----------------------------------------------------------------------
+# The moving-plane and collapse clauses are proved exactly.  Their sampled
+# forms, as the clauses read before, stay here as differential references.
+
+def sampled_moving_verdicts(a, s, r, flag, M, L_inf):
+    """step_verify's moving-plane clauses by sampling: moving_t equals
+    F_b cap L_t at the five sample points."""
+    mflag = flag_within(M, flag)
+    N = M.dim
+    top = flag.subspace(a.entries[0] + s)
+    pencil = build_pencil(mflag, N - top.dim + 1, L_inf)
+    meets = flag.meet_dims(M)
+    out = {}
+    for b in pieri_set(a, r):
+        j = first_diff_index(a, b)
+        if j == 1:
+            continue
+        bj = b.entries[j - 1]
+        moving = pencil.restricted_family(N - meets[bj - 1] + 1)
+        out[f"component {b}: moving plane is F_{bj} cap L_t"] = all(
+            moving.at(t) == intersect(flag.subspace(bj), pencil.at(t))
+            for t in SAMPLE_POINTS)
+    return out
+
+
+def sampled_collapse_verdicts(a, b, flag, L):
+    """The collapse clauses by sampling: x_member on two seeded points of
+    each open Schubert cell."""
+    out = {}
+    for g in pieri_set(a, b):
+        j = first_diff_index(a, g)
+        if j > 1:
+            out[f"component {g}: incidence condition holds on sampled points"] = all(
+                x_member(schubert_cell_point(g, flag, seed), g, j, flag, L)
+                for seed in (0, 1))
+    return out
+
+
+def verdicts(report, names):
+    got = {c.name: c.passed for c in report.checks}
+    return {name: got[name] for name in names}
+
+
+def recorded_steps(monkeypatch):
+    """Record the arguments and report of every step_verify call."""
+    steps = []
+    real = deform.step_verify
+
+    def recording(*args):
+        rep = real(*args)
+        steps.append((args, rep))
+        return rep
+
+    monkeypatch.setattr(deform, "step_verify", recording)
+    return steps
+
+
+def coordinate_k(n, a, b):
+    return span(n, *[e(i, n) for i in range(1, n + 2 - a.m - b)])
+
+
+def sweep_chains():
+    """(a, b, flag, K, seeds) on standard and seeded random flags, n = 9..12."""
+    rng = random.Random(9601006)
+    out = []
+    for n, entries, b, nrandom in ((9, (7, 4, 1), 2, 3), (10, (8, 5, 2), 2, 1),
+                                   (10, (7, 4, 1), 3, 1), (11, (9, 6, 3), 2, 1),
+                                   (11, (8, 5, 2), 3, 1), (12, (9, 6, 3), 3, 1),
+                                   (12, (9, 6, 3), 4, 0), (12, (10, 7, 4), 2, 1)):
+        a = DecSeq(n, entries)
+        K = coordinate_k(n, a, b)
+        out.append((a, b, standard_flag(n), K, rng.randrange(1000)))
+        while nrandom:
+            flag = random_flag(n, rng.randrange(10**6))
+            if meets_properly(K, flag):
+                out.append((a, b, flag, K, rng.randrange(1000)))
+                nrandom -= 1
+    return out
+
+
+def mutate_restricted_family(monkeypatch, coordinate=1):
+    """Add t prod_p (t - p) e_i, p over SAMPLE_POINTS and i = coordinate, to
+    the first coordinate-i entry of every restricted family's first column:
+    it vanishes at every sample point and at 0, so sampling cannot see it,
+    but the family differs for generic t."""
+    bump = [0, 1]  # t
+    for p in SAMPLE_POINTS:
+        bump = [(bump[k - 1] if k else 0) - p * (bump[k] if k < len(bump) else 0)
+                for k in range(len(bump) + 1)]
+    real = Pencil.restricted_family
+
+    def mutated(self, i):
+        fam = real(self, i)
+        first = list(fam.cols[0])
+        entry = first[coordinate - 1]
+        first[coordinate - 1] = [x + (entry[k] if k < len(entry) else 0)
+                                 for k, x in enumerate(bump)]
+        return family_from_vectors(fam.ambient, (first,) + fam.cols[1:])
+
+    monkeypatch.setattr(Pencil, "restricted_family", mutated)
+
+
+MOVING_751 = "component 751: moving plane is F_5 cap L_t"
+MOVING_742 = "component 742: moving plane is F_2 cap L_t"
+
+
+class TestExactClauses:
+    def test_sweep_agrees_with_sampled_verdicts(self, monkeypatch):
+        steps = recorded_steps(monkeypatch)
+        compared = {"moving": 0, "collapse": 0}
+        for a, b, flag, K, seeds in sweep_chains():
+            steps.clear()
+            reports = chain_deformation(a, b, flag, K, seeds=seeds)
+            assert all(rep.passed for rep in reports), [r.failures() for r in reports]
+            assert len(steps) == b - 1
+            for args, rep in steps:
+                want = sampled_moving_verdicts(*args)
+                assert verdicts(rep, want) == want
+                compared["moving"] += len(want)
+            want = sampled_collapse_verdicts(
+                a, b, flag, cell_point(a, 1, flag, seed=seeds))
+            assert verdicts(reports[-1], want) == want
+            compared["collapse"] += len(want)
+        assert compared["moving"] >= 50 and compared["collapse"] >= 40, compared
+
+    @pytest.mark.parametrize("coordinate", [1, 2])
+    def test_mutant_fools_sampling_but_not_the_proof(self, monkeypatch, coordinate):
+        # e_1 leaves F_5 and F_2, so (a) and (b) both see it; e_2 lies in
+        # F_2 but not in L_t for generic t, so for 742 only (a) sees it
+        args = (A741, 2, 1, FLAG, M_COMPANION, L_MARKED)
+        mutate_restricted_family(monkeypatch, coordinate)
+        # the sampled clauses, as step_verify read before, pass the mutant
+        assert all(sampled_moving_verdicts(*args).values())
+        rep = step_verify(*args)
+        assert set(rep.failures()) == {MOVING_751, MOVING_742}
+
+    def test_containment_in_f_b_is_coefficientwise(self):
+        # F_j is cut out by the first j-1 adapted covectors of the flag
+        p = companion_pencil()
+        for b, q in ((5, 3), (2, 1)):
+            fam = p.restricted_family(q)
+            assert deform._kills_family(FLAG._adapted_coords[:b - 1], fam)
+            assert not deform._kills_family(FLAG._adapted_coords[:b], fam)
+        rng = random.Random(5)
+        for n in range(3, 8):
+            flag = random_flag(n, n)
+            M = cell_point(DecSeq(n, (n - 1,)), 1, flag, seed=n)
+            mf = flag_within(M, flag)
+            fam = build_pencil(mf, M.dim + 1, generic_marked(mf, rng)).family
+            for j in range(1, n + 2):
+                inside = all(flag.subspace(j).contains(fam.at(t)) for t in SAMPLE_POINTS)
+                assert deform._kills_family(flag._adapted_coords[:j - 1], fam) is inside
+
+    def test_slice_dimension_mismatch_fails(self, monkeypatch):
+        # F_b cap L_t0 coming out larger than the moving plane fails (c)
+        fibre = companion_pencil().at(SAMPLE_POINTS[0])
+        monkeypatch.setattr(deform, "intersect",
+                            lambda x, y: M_COMPANION if y == fibre else intersect(x, y))
+        rep = step_verify(A741, 2, 1, FLAG, M_COMPANION, L_MARKED)
+        assert set(rep.failures()) == {MOVING_751, MOVING_742}
+
+    def test_chain_makes_no_sampled_collapse_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sampled collapse call")
+
+        assert not hasattr(deform, "schubert_cell_point")
+        monkeypatch.setattr(schubgeom, "schubert_cell_point", forbidden)
+        for module in (deform, schubgeom):
+            monkeypatch.setattr(module, "x_member", forbidden)
+        K = span(9, *[e(i) for i in range(1, 6)])
+        assert all(rep.passed for rep in chain_deformation(A741, 2, FLAG, K, seeds=0))
+
+    def test_one_intersect_of_f_b_and_l_t_per_component(self, monkeypatch):
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return intersect(x, y)
+
+        monkeypatch.setattr(deform, "intersect", counted)
+        rep = step_verify(A741, 2, 1, FLAG, M_COMPANION, L_MARKED)
+        assert rep.passed
+        fibres = {companion_pencil().at(t) for t in SAMPLE_POINTS}
+        with_fibre = [(x, y) for x, y in calls if y in fibres]
+        assert sorted((x for x, _ in with_fibre), key=lambda S: S.dim) == [
+            FLAG.subspace(5), FLAG.subspace(2)]
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_collapse_verdict_follows_its_inequality(self, monkeypatch, shift):
+        real = Flag.meet_dims
+
+        def shifted(self, L):
+            meets = real(self, L)
+            if sys._getframe(1).f_code is deform.chain_deformation.__code__:
+                meets = tuple(x + shift for x in meets)
+            return meets
+
+        monkeypatch.setattr(Flag, "meet_dims", shifted)
+        K = span(9, *[e(i) for i in range(1, 6)])
+        collapse = chain_deformation(A741, 2, FLAG, K, seeds=0)[-1]
+        got = {c.name: c.passed for c in collapse.checks}
+        meets = real(FLAG, cell_point(A741, 1, FLAG, seed=0))
+        checked = 0
+        for g in pieri_set(A741, 2):
+            j = first_diff_index(A741, g)
+            if j == 1:
+                continue
+            gj = g.entries[j - 1]
+            short = meets[gj - 1] + shift
+            assert got[f"component {g}: incidence condition holds on sampled points"] \
+                is (j + short > 9 + 1 - gj)
+            assert got[f"component {g}: special position meets F_{gj} in excess"] \
+                is (short == 9 + 2 - gj - j)
+            checked += 1
+        assert checked == 3
+        assert collapse.passed is (shift == 0)
+
+
+class TestOutOfRangeCellParameter:
+    """An s outside cell_index's range never makes a caller of cell_member
+    report a member: each gives a failed clause, a ValueError or exit 2.
+    The zero space of k^3 passes the dimension test for a = (3), s = 3,
+    where the cell is empty; for A741 the range is 1 <= s <= 4."""
+
+    A3, FLAG3, ZERO3 = DecSeq(3, (3,)), standard_flag(3), zero_subspace(3)
+
+    def test_library_callers_raise(self):
+        for call in (lambda: cell_member(self.ZERO3, self.A3, 3, self.FLAG3),
+                     lambda: cell_profile_check(self.ZERO3, self.A3, 3, self.FLAG3),
+                     lambda: y_cycle(self.A3, 1, 3, self.FLAG3, self.ZERO3),
+                     lambda: cell_point(self.A3, 3, self.FLAG3)):
+            with pytest.raises(ValueError, match="empty for s = 3"):
+                call()
+
+    def test_step_verify_raises(self):
+        M = cell_point(self.A3, 2, self.FLAG3, seed=0)
+        with pytest.raises(ValueError):
+            step_verify(self.A3, 3, 1, self.FLAG3, M, self.ZERO3)
+        with pytest.raises(ValueError, match="empty for s = 6"):
+            step_verify(A741, 7, 1, FLAG, M_COMPANION, L_MARKED)
+
+    def test_sample_cell_clause_raises(self, monkeypatch):
+        # the sample clauses ask for the level-2 cell; ask for the empty
+        # level-5 cell instead
+        real = deform.cell_member
+        monkeypatch.setattr(deform, "cell_member",
+                            lambda L, a, s, flag: real(L, a, 5 if s == 2 else s, flag))
+        with pytest.raises(ValueError, match="empty for s = 5"):
+            step_verify(A741, 2, 1, FLAG, M_COMPANION, L_MARKED)
+
+    def test_limit_clause_fails(self, monkeypatch):
+        # the limit clauses ask restricted sequences for the level-1 cell;
+        # ask for an empty one instead
+        real = deform.cell_member
+        monkeypatch.setattr(deform, "cell_member",
+                            lambda L, a, s, flag: real(L, a, s if a.n == 9 else 99, flag))
+        rep = step_verify(A741, 2, 1, FLAG, M_COMPANION, L_MARKED)
+        assert set(rep.failures()) == {
+            "component 751: limit lies in the restricted level-1 cell",
+            "component 742: limit lies in the restricted level-1 cell"}
+
+    def test_cell_verb_is_usage_error(self, capsys):
+        assert cli.main(["cell", "--n", "3", "--alpha", "3", "--s", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "empty for s = 3" in err

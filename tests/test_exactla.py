@@ -477,6 +477,13 @@ def textbook_reduce(s, v):
     return tuple(w)
 
 
+def textbook_from_coords(s, x):
+    w = [F(0)] * s.ambient
+    for c, row in zip(vec(x, s.dim), s.basis):
+        w = [a + c * b for a, b in zip(w, row)]
+    return tuple(w)
+
+
 def textbook_quotient(a, k):
     if k.is_zero:
         return a.basis
@@ -548,6 +555,31 @@ class TestSubspaceDifferential:
             assert strs(q.basis) == strs(textbook_quotient(a, s))
             assert s.contains(a) is all(s.contains_vector(row) for row in a.basis)
         assert all(count >= 100 for count in seen.values()), seen
+
+    def test_from_coords_against_fraction_sum(self):
+        """from_coords sums integer rows over one denominator; the textbook
+        sum of coordinates times the Fraction basis must come out the same,
+        value for value, on random spaces including the zero space."""
+        rng = random.Random(9601)
+        seen = dict.fromkeys(("zero space", "150-bit", "str input"), 0)
+        for i in range(700):
+            kind = KINDS[i % len(KINDS)]
+            n = rng.randint(1, 4 if kind == "big" else 7)
+            s = random_space(rng, n, kind, i)
+            x = [random_entry(rng, kind) if rng.random() < 0.8 else 0
+                 for _ in range(s.dim)]
+            if i % 11 == 5:
+                x = [str(c) for c in x]
+                seen["str input"] += 1
+            seen["zero space"] += s.is_zero
+            seen["150-bit"] += kind == "big"
+            want = textbook_from_coords(s, x)
+            got = s.from_coords(x)
+            assert strs([got]) == strs([want]) and all(type(c) is F for c in got)
+            assert s.coords(got) == tuple(F(c) for c in x)
+        assert all(count >= 50 for count in seen.values()), seen
+        with pytest.raises(ValueError, match="expected vector of length 1, got 2"):
+            span(3, vec([1, 1, 0])).from_coords([1, 2])
 
     def test_reduce_vector_inputs(self):
         s = span(3, vec([1, 1, 0]))

@@ -288,12 +288,13 @@ class TestCells:
                 cell_index(A741, s)
         assert cell_index(A741, 4).entries == (5, 3, 2)
 
-    def test_valid_s_rule_matches_the_cells(self):
+    def test_valid_s_rule_matches_the_cells(self, monkeypatch):
         """For every n <= 6, every a and s = 1..n+2: a valid s yields a
-        sampled point with a passing profile.  For any other s cell_index
-        raises, and a sampled point of every Schubert cell of the right
-        dimension either fails cell_member or fails the profile, so no
-        subspace has the incidence cell's profile."""
+        sampled point with a passing profile.  For any other s cell_index,
+        cell_member and cell_profile_check raise, and with that range check
+        switched off a sampled point of every Schubert cell of the right
+        dimension either fails the dimension test or fails the profile, so
+        no subspace has the incidence cell's profile."""
         rng = random.Random(6)
         seen = {"valid": 0, "invalid": 0, "member without profile": 0}
         for n in range(1, 7):
@@ -316,9 +317,15 @@ class TestCells:
                             cell_index(a, s)
                         for piv in combinations(range(n, 0, -1), max(0, n + 1 - m - s)):
                             L = schubgeom._pivot_span(piv, flag, rng)
-                            if cell_member(L, a, s, flag):
-                                seen["member without profile"] += 1
-                                assert not cell_profile_check(L, a, s, flag).passed
+                            for check in (cell_member, cell_profile_check):
+                                with pytest.raises(ValueError, match="empty"):
+                                    check(L, a, s, flag)
+                            with monkeypatch.context() as mp:
+                                mp.setattr(schubgeom, "_check_cell_parameter",
+                                           lambda a, s: None)
+                                if cell_member(L, a, s, flag):
+                                    seen["member without profile"] += 1
+                                    assert not cell_profile_check(L, a, s, flag).passed
         assert seen["valid"] >= 250 and seen["invalid"] >= 500, seen
         assert seen["member without profile"] >= 50, seen
 
@@ -693,6 +700,14 @@ def textbook_cell_member(L, a, s, flag):
     return True
 
 
+def cell_parameter_valid(a, s):
+    try:
+        cell_index(a, s)
+    except ValueError:
+        return False
+    return True
+
+
 def random_sequence(rng, n, m):
     return DecSeq(n, tuple(sorted(rng.sample(range(1, n + 1), m), reverse=True)))
 
@@ -702,7 +717,7 @@ class TestFlagPositionDifferential:
         from pierikit.enumerative import reversed_flag
         rng = random.Random(19960111)
         seen = dict.fromkeys(("proper", "not proper", "schubert", "not schubert",
-                              "cell", "not cell", "cell, s out of range"), 0)
+                              "cell", "not cell", "s out of range"), 0)
         for n in range(1, 8):
             for flag in (standard_flag(n), reversed_flag(n), random_flag(n, n + 1)):
                 for _ in range(12):
@@ -723,21 +738,34 @@ class TestFlagPositionDifferential:
                     assert [e.meet_dim for e in got] == [
                         intersect(flag.subspace(aj), L).dim for aj in a.entries]
 
-                    member = cell_member(L, a, s, flag)
-                    assert member is textbook_cell_member(L, a, s, flag)
-                    assert not cell_member(L, a, s + 1, flag)
-                    seen["cell" if member else "not cell"] += 1
-                    if member:
-                        try:
-                            cell_index(a, s)
-                        except ValueError:
-                            seen["cell, s out of range"] += 1
-                        report = cell_profile_check(L, a, s, flag)
-                        assert [e.actual for e in report.entries] == [
-                            intersect(flag.subspace(e.i), L).dim for e in report.entries]
+                    if cell_parameter_valid(a, s):
+                        # the sampled point and a point of a random Schubert
+                        # cell of the same dimension
+                        rival = schubgeom._pivot_span(
+                            sorted(rng.sample(range(1, n + 1), L.dim), reverse=True),
+                            flag, rng)
+                        planes = (L, rival)
                     else:
                         with pytest.raises(ValueError):
+                            cell_member(L, a, s, flag)
+                        with pytest.raises(ValueError):
                             cell_profile_check(L, a, s, flag)
+                        seen["s out of range"] += 1
+                        planes = ()
+                    for P in planes:
+                        member = cell_member(P, a, s, flag)
+                        assert member is textbook_cell_member(P, a, s, flag)
+                        seen["cell" if member else "not cell"] += 1
+                        if cell_parameter_valid(a, s + 1):
+                            assert not cell_member(P, a, s + 1, flag)
+                        if member:
+                            report = cell_profile_check(P, a, s, flag)
+                            assert [e.actual for e in report.entries] == [
+                                intersect(flag.subspace(e.i), P).dim
+                                for e in report.entries]
+                        else:
+                            with pytest.raises(ValueError):
+                                cell_profile_check(P, a, s, flag)
 
                     b = random_sequence(rng, n, m)
                     H = schubgeom._pivot_span(b.entries, flag, rng)
@@ -746,10 +774,12 @@ class TestFlagPositionDifferential:
                     seen["schubert" if member else "not schubert"] += 1
         assert all(count >= 20 for count in seen.values()), seen
 
-    def test_out_of_range_s_keeps_its_answer(self):
-        """cell_member does not validate s: the zero space of k^3 is a
-        member for a = (3), s = 3, where cell_index finds the cell empty."""
+    def test_out_of_range_s_raises(self):
+        """The zero space of k^3 passes the dimension test for a = (3),
+        s = 3, where cell_index finds the cell empty; cell_member raises
+        there as cell_index does instead of calling it a member."""
         a, flag, L = DecSeq(3, (3,)), standard_flag(3), span(3)
-        with pytest.raises(ValueError):
-            cell_index(a, 3)
-        assert cell_member(L, a, 3, flag) and textbook_cell_member(L, a, 3, flag)
+        assert textbook_cell_member(L, a, 3, flag)
+        for check in (cell_index, lambda a, s: cell_member(L, a, s, flag)):
+            with pytest.raises(ValueError, match="empty for s = 3"):
+                check(a, 3)
