@@ -9,6 +9,7 @@ Schubert variety.
 """
 
 from dataclasses import dataclass
+from operator import mul
 import random
 
 from .exactla import (
@@ -18,6 +19,7 @@ from .exactla import (
     PolyFamily,
     Subspace,
     VerificationError,
+    _int_row,
     annihilator_basis,
     canonicalize,
     family_from_vectors,
@@ -124,6 +126,30 @@ class Pencil:
         return PolyFamily(self.M.ambient, self.family.cols[i - 1:])
 
 
+def _in_pencil_form(M: Subspace, covectors, family: PolyFamily, l: int) -> bool:
+    """Read in the coordinates x_1..x_N on M given by the covectors, is
+    every column of the family, coefficient by coefficient, in the form
+    (nonzero) t e_j + (nonzero) e_{j+1} for j <= l-2 and (nonzero) e_k for
+    k >= l, with every coefficient in M?"""
+    xs = [_int_row(x) for x in covectors]
+    shapes = ([(j + 1, j) for j in range(1, l - 1)]
+              + [(k,) for k in range(l, M.dim + 1)])
+    if family.ncols != len(shapes):
+        return False
+    for (deg, col), shape in zip(family._int_coeffs, shapes):
+        if deg + 1 != len(shape):
+            return False
+        for k, want in enumerate(shape):
+            v = [p[k] if len(p) > k else 0 for p in col]
+            if not M.contains_vector(v):
+                return False
+            coords = [v[p] for p in M.pivots]
+            support = [i for i, x in enumerate(xs, 1) if sum(map(mul, x, coords))]
+            if support != [want]:
+                return False
+    return True
+
+
 def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
     """Pencil of hyperplanes of M_1 closing up at L_inf.
 
@@ -133,12 +159,29 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
     x_{l-1}; the family is then spanned by M_l and t e_j + e_{j+1} over the
     dual basis e.  With l = 2 there are no moving vectors and the family is
     the constant M_2 = L_inf.
+
+    The fibres are proved, not sampled.  The dual vectors are independent,
+    so the tail from e_i spans M_i once each e_i lies in M_i (the flag is
+    nested), and the dual basis without e_{l-1} spans L_inf once its N-1
+    vectors lie in it.  Then every t-coefficient of every column is checked
+    to lie in M and to read, in the x coordinates, (nonzero) t e_j +
+    (nonzero) e_{j+1} for a moving column j and (nonzero) e_k for a fixed
+    column k.  On x_2..x_N the columns are then triangular with nonzero
+    constant diagonal, so dim L_t = N-1 for every t; the fixed columns span
+    M_l, so every L_t contains M_l; and L_t is the kernel of a covector psi
+    with psi_k a nonzero multiple of t^(k-1) for k <= l-1, so for t != 0
+    (for every t when l = 2) no L_t contains M_{l-1}.
     """
     mflag = tuple(mflag)
     M = mflag[0]
     N = M.dim
     if len(mflag) != N:
         raise ValueError("flag in M must have one space per dimension")
+    for i in range(1, N + 1):
+        if mflag[i - 1].dim != N + 1 - i:
+            raise ValueError(f"M_{i} of the flag in M must have dimension {N + 1 - i}")
+        if i < N and not mflag[i - 1].contains(mflag[i]):
+            raise ValueError(f"M_{i + 1} of the flag in M is not contained in M_{i}")
     if not 2 <= l <= N + 1:
         raise ValueError("marked position l must satisfy 2 <= l <= dim M + 1")
     lower, upper = _mflag_space(mflag, l, M.ambient), mflag[l - 2]
@@ -156,12 +199,12 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
             x = annihilator_basis(M.restrict(L_inf))[0]
         else:
             below = inner[i] if i < N else zero_subspace(N)
-            cands = annihilator_basis(below)
-            x = next(
-                c for c in cands
-                if any(sum(ci * vi for ci, vi in zip(c, row)) != 0
-                       for row in inner[i - 1].rows)
-            )
+            # the first candidate not vanishing on M_i, tested through a
+            # positive integer multiple; the flag is nested, so one exists
+            for x in annihilator_basis(below):
+                xi = _int_row(x)
+                if any(sum(map(mul, xi, row)) for row in inner[i - 1].rows):
+                    break
         covectors.append(list(x))
     try:
         inverse = invert_matrix(covectors)
@@ -169,22 +212,19 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
         raise ValueError("covectors are not independent") from None
     dual = tuple(M.from_coords(col) for col in zip(*inverse))
 
-    # construction sanity: the dual basis tails trace out the given flag
+    # construction sanity: the dual basis tails trace out the given flag;
+    # the flag is nested and the dual vectors independent, so e_i in M_i
+    # for every i proves that the tail from e_i spans M_i
     for i in range(1, N + 1):
-        if span(M.ambient, *dual[i - 1:]) != mflag[i - 1]:
+        if not mflag[i - 1].contains_vector(dual[i - 1]):
             raise VerificationError(f"dual basis tail {i} does not span M_{i}")
-    if span(M.ambient, *(dual[q] for q in range(N) if q != l - 2)) != L_inf:
+    if not all(L_inf.contains_vector(dual[q]) for q in range(N) if q != l - 2):
         raise VerificationError(f"dual basis without vector {l - 1} does not span L_inf")
 
     family = _pencil_columns(M.ambient, dual, l)
-    for t in SAMPLE_POINTS:
-        fibre = family.at(t)
-        if fibre.dim != N - 1:
-            raise VerificationError(f"fibre at t={t} has dimension {fibre.dim}, not {N - 1}")
-        if not fibre.contains(lower):
-            raise VerificationError(f"fibre at t={t} does not contain M_{l}")
-        if fibre.contains(upper):
-            raise VerificationError(f"fibre at t={t} contains M_{l - 1}")
+    if not _in_pencil_form(M, covectors, family, l):
+        raise VerificationError("pencil columns are not t e_j + e_(j+1) and e_k "
+                                "in the dual basis")
     return Pencil(M, mflag, l, family, L_inf)
 
 

@@ -14,13 +14,15 @@ quotient as the rank of back-substituted rows without building it; the
 canonical Fraction basis (pivot entries 1) is a view built on first read.
 Coordinates on a subspace S are the entries at S's pivot columns: S.coords
 and S.from_coords convert vectors, and S.restrict and S.extend carry a
-subspace of S to k^dim S and back.  A one-parameter family caches its
-columns as integer polynomials: it evaluates them at t, and its flat limit
-at t=0 comes out of exact column operations over Z[t].  A complete flag
-caches its adapted basis, so a subspace's flag position (dim F_j cap L for
-every j) is one elimination in those coordinates.  Fractions appear only at
-the boundary, when a result leaves as a canonical basis, a kernel,
-solution, inverse, reduced vector or coordinate tuple.
+subspace of S to k^dim S and back; restrict needs no elimination, because a
+subspace's canonical rows read at S's pivots are already canonical.  A
+one-parameter family caches its columns as integer polynomials: it
+evaluates them at t, and its flat limit at t=0 comes out of exact column
+operations over Z[t].  A complete flag caches its adapted basis, so a
+subspace's flag position (dim F_j cap L for every j) is one elimination in
+those coordinates.  Fractions appear only at the boundary, when a result
+leaves as a canonical basis, a kernel, solution, inverse, reduced vector or
+coordinate tuple.
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ Vec = tuple[Fraction, ...]
 Poly = tuple[Fraction, ...]  # coefficients, lowest degree first, trimmed
 
 # Fixed sample points in t.  Agreement at all five certifies nothing for a
-# family of higher degree.  step_verify's exact moving-plane clause takes
-# the first as its one point (a special point could only fail it, never
-# pass it wrongly).  Still sampled at all five: limit_at_zero's generic-rank
-# pre-check, build_pencil's fibre checks, the dimension check of the pencil
-# verb, step_verify's "sample t=... lies in the level-s cell" clauses and
-# the sampled claims of golden_run_741.
+# family of higher degree.  step_verify's exact moving-plane clause and the
+# pencil verb's dimension clause take the first as their one point (a rank
+# at a point never exceeds the generic rank, so a special point could only
+# fail them, never pass them wrongly); build_pencil's fibre checks read the
+# pencil's columns and sample nothing.  Still sampled at all five:
+# limit_at_zero's generic-rank pre-check, step_verify's "sample t=... lies
+# in the level-s cell" clauses and the sampled claims of golden_run_741.
 SAMPLE_POINTS = (
     Fraction(1),
     Fraction(1, 2),
@@ -365,15 +368,23 @@ class Subspace:
         return _over(w, d * P)
 
     def restrict(self, a: "Subspace") -> "Subspace":
-        """Rewrite a subspace a contained in this one in its coordinates."""
+        """Rewrite a subspace a contained in this one in its coordinates.
+
+        No elimination: a vector of this space leads at one of its pivots,
+        so a's pivots are among them, and a's canonical rows read at these
+        pivots are already in reduced echelon form with positive pivots;
+        each only needs dividing by its content.
+        """
         if a.ambient != self.ambient:
             raise ValueError("ambient mismatch")
-        coords = []
+        rows = []
         for row in a.rows:
             if any(self._back_substitute(row)[0]):
                 raise ValueError("subspace is not contained in the chart space")
-            coords.append([row[p] for p in self.pivots])
-        return canonicalize(coords, self.dim)
+            coords = [row[p] for p in self.pivots]
+            g = gcd(*coords)
+            rows.append(tuple(x // g for x in coords) if g > 1 else tuple(coords))
+        return Subspace(self.dim, tuple(rows))
 
     def extend(self, a: "Subspace") -> "Subspace":
         """Inverse of restrict: map a subspace of k^dim back into k^ambient."""

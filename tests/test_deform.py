@@ -2,6 +2,7 @@
 
 import random
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -23,9 +24,13 @@ from pierikit.deform import (
 from pierikit.exactla import (
     SAMPLE_POINTS,
     Flag,
+    PolyFamily,
     VerificationError,
+    annihilator_basis,
+    canonicalize,
     family_from_vectors,
     intersect,
+    invert_matrix,
     limit_at_zero,
     span,
     unit_vector,
@@ -41,6 +46,7 @@ from pierikit.schubgeom import (
     cell_profile_check,
     meets_properly,
     random_flag,
+    restrict_flag,
     schubert_cell_point,
     standard_flag,
     x_member,
@@ -482,15 +488,22 @@ def sweep_chains():
     return out
 
 
+def vanishing_at_samples():
+    """Coefficients of t prod_p (t - p), p over SAMPLE_POINTS: zero at every
+    sample point and at 0, nonzero at every other t."""
+    bump = [0, 1]  # t
+    for p in SAMPLE_POINTS:
+        bump = [(bump[k - 1] if k else 0) - p * (bump[k] if k < len(bump) else 0)
+                for k in range(len(bump) + 1)]
+    return bump
+
+
 def mutate_restricted_family(monkeypatch, coordinate=1):
     """Add t prod_p (t - p) e_i, p over SAMPLE_POINTS and i = coordinate, to
     the first coordinate-i entry of every restricted family's first column:
     it vanishes at every sample point and at 0, so sampling cannot see it,
     but the family differs for generic t."""
-    bump = [0, 1]  # t
-    for p in SAMPLE_POINTS:
-        bump = [(bump[k - 1] if k else 0) - p * (bump[k] if k < len(bump) else 0)
-                for k in range(len(bump) + 1)]
+    bump = vanishing_at_samples()
     real = Pencil.restricted_family
 
     def mutated(self, i):
@@ -667,3 +680,195 @@ class TestOutOfRangeCellParameter:
         assert cli.main(["cell", "--n", "3", "--alpha", "3", "--s", "3"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "empty for s = 3" in err
+
+
+# ----------------------------------------------------------------------
+# build_pencil proves its fibres from the pencil form of its columns.  Its
+# construction as it read before (Fraction covector selection, one span per
+# dual tail, five sampled fibres) stays here as the differential reference.
+
+def sampled_fibres_hold(family, mflag, l):
+    """The sampled fibre checks: at every sample point the fibre is a
+    hyperplane of M containing M_l but not M_(l-1)."""
+    N = mflag[0].dim
+    lower = mflag[l - 1] if l <= N else zero_subspace(mflag[0].ambient)
+    return all(fibre.dim == N - 1 and fibre.contains(lower)
+               and not fibre.contains(mflag[l - 2])
+               for fibre in map(family.at, SAMPLE_POINTS))
+
+
+def textbook_pencil_family(mflag, l, L_inf):
+    M = mflag[0]
+    N = M.dim
+
+    def chart(S):
+        return canonicalize([[row[p] for p in M.pivots] for row in S.rows], N)
+
+    inner = [chart(S) for S in mflag]
+    covectors = []
+    for i in range(1, N + 1):
+        if i == l - 1:
+            x = annihilator_basis(chart(L_inf))[0]
+        else:
+            below = inner[i] if i < N else zero_subspace(N)
+            x = next(c for c in annihilator_basis(below)
+                     if any(sum(ci * vi for ci, vi in zip(c, row)) != 0
+                            for row in inner[i - 1].rows))
+        covectors.append(list(x))
+    dual = tuple(M.from_coords(col) for col in zip(*invert_matrix(covectors)))
+    for i in range(1, N + 1):
+        assert span(M.ambient, *dual[i - 1:]) == mflag[i - 1]
+    assert span(M.ambient, *(dual[q] for q in range(N) if q != l - 2)) == L_inf
+    family = deform._pencil_columns(M.ambient, dual, l)
+    assert sampled_fibres_hold(family, mflag, l)
+    return family
+
+
+def marked_at(mflag, l, rng):
+    """A hyperplane of M = mflag[0] through M_l but not M_(l-1): M_l plus
+    l-2 random vectors of M, drawn until they fit."""
+    M = mflag[0]
+    lower = list(mflag[l - 1].rows) if l <= M.dim else []
+    while True:
+        coeffs = [[rng.randint(-4, 4) for _ in M.rows] for _ in range(l - 2)]
+        extra = [[sum(c * row[i] for c, row in zip(cs, M.rows)) for i in range(M.ambient)]
+                 for cs in coeffs]
+        L = span(M.ambient, *lower, *extra)
+        if L.dim == M.dim - 1 and not L.contains(mflag[l - 2]):
+            return L
+
+
+def pencil_cases():
+    """(mflag, l, L_inf) for n = 3..10 on standard, reversed and random
+    flags, one M of dimension >= 2 per flag, every valid l."""
+    rng = random.Random(9601006)
+    out = []
+    for n in range(3, 11):
+        for flag in (standard_flag(n), reversed_flag(n), random_flag(n, n)):
+            d = rng.randint(2, n)
+            M = _pivot_span(sorted(rng.sample(range(1, n + 1), d)), flag, rng)
+            mf = flag_within(M, flag)
+            out.extend((mf, l, marked_at(mf, l, rng)) for l in range(2, M.dim + 2))
+    return out
+
+
+def forbid(*args, **kwargs):
+    raise AssertionError("build_pencil sampled a fibre or eliminated a span")
+
+
+def pencil_column_mutant(monkeypatch, kind):
+    """Replace _pencil_columns by a wrong construction; returns the list of
+    families it makes.  "sample-blind" adds t prod_p (t - p) e_1 to the
+    first fixed column, which no sample point and not t = 0 can see;
+    "t on e_(j+1)" puts t on the wrong vector of every moving column;
+    "shifted index" builds every column one dual vector further on;
+    "leaves M" adds to the first fixed column a vector outside M that is
+    zero at M's pivots, so the column's coordinates on M do not change."""
+    real = deform._pencil_columns
+    made = []
+
+    def mutated(ambient, dual, l):
+        if kind == "shifted index":
+            fam = real(ambient, dual[1:] + dual[:1], l)
+        elif kind == "leaves M":
+            fam = real(ambient, dual, l)
+            M = span(ambient, *dual)
+            w = next(r for r in map(M.reduce_vector, (e(i, ambient) for i in
+                                                      range(1, ambient + 1))) if any(r))
+            cols = list(fam.cols)
+            cols[l - 2] = [((p[0] if p else 0) + x,) for p, x in zip(cols[l - 2], w)]
+            fam = family_from_vectors(ambient, cols)
+        elif kind == "t on e_(j+1)":
+            fixed = real(ambient, dual, l).cols[l - 2:]
+            moving = [tuple(zip(e_j, e_next))  # e_j + t e_(j+1)
+                      for e_j, e_next in zip(dual[:l - 2], dual[1:l - 1])]
+            fam = family_from_vectors(ambient, moving + list(fixed))
+        else:
+            fam = real(ambient, dual, l)
+            bump = vanishing_at_samples()
+            cols = list(fam.cols)
+            cols[l - 2] = [[(p[k] if k < len(p) else 0) + b * dual[0][i]
+                            for k, b in enumerate(bump)]
+                           for i, p in enumerate(cols[l - 2])]
+            fam = family_from_vectors(ambient, cols)
+        made.append(fam)
+        return fam
+
+    monkeypatch.setattr(deform, "_pencil_columns", mutated)
+    return made
+
+
+class TestExactPencil:
+    def test_family_equals_the_textbook_construction(self, monkeypatch):
+        seen = {"l = 2": 0, "l = N+1": 0, "between": 0}
+        for mf, l, L_inf in pencil_cases():
+            want = textbook_pencil_family(mf, l, L_inf)
+            with monkeypatch.context() as m:
+                m.setattr(deform, "span", forbid)
+                m.setattr(PolyFamily, "at", forbid)
+                got = build_pencil(mf, l, L_inf)
+            assert got.family == want, (l, str(mf[0]))
+            N = mf[0].dim
+            seen["l = 2" if l == 2 else "l = N+1" if l == N + 1 else "between"] += 1
+        assert all(count >= 20 for count in seen.values()), seen
+
+    @pytest.mark.parametrize("kind", ["sample-blind", "t on e_(j+1)", "shifted index",
+                                      "leaves M"])
+    def test_column_mutants_raise(self, monkeypatch, kind):
+        rng = random.Random(515)
+        flag = random_flag(8, 3)
+        M = _pivot_span([1, 3, 4, 6, 7, 8], flag, rng)
+        mf = flag_within(M, flag)
+        cases = [(flag_within(M_COMPANION, FLAG), 6, L_MARKED)]
+        cases += [(mf, l, marked_at(mf, l, rng)) for l in (3, 5)]
+        for mflag, l, L_inf in cases:
+            made = pencil_column_mutant(monkeypatch, kind)
+            with pytest.raises(VerificationError, match="pencil columns"):
+                build_pencil(mflag, l, L_inf)
+            if kind == "sample-blind":
+                # the sampled fibre checks, as build_pencil read before, pass it
+                assert sampled_fibres_hold(made[-1], mflag, l)
+                monkeypatch.undo()
+                good = build_pencil(mflag, l, L_inf).family
+                assert made[-1].at(F(7)) != good.at(F(7))
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("order", [(0, 2, 1, 3, 4), (0, 1, 3, 2, 4)],
+                             ids=["wrong dimensions", "wrong dimensions low"])
+    def test_flag_out_of_order_is_bad_input(self, order):
+        # once raised a bare StopIteration from the covector selection
+        M = standard_flag(6).subspace(2)
+        mf = flag_within(M, random_flag(6, 3))
+        with pytest.raises(ValueError, match="must have dimension"):
+            build_pencil(tuple(mf[k] for k in order), 2, mf[1])
+
+    def test_flag_not_nested_is_bad_input(self):
+        M = standard_flag(6).subspace(2)
+        mf = list(flag_within(M, random_flag(6, 3)))
+        other = flag_within(M, standard_flag(6))
+        assert not mf[1].contains(other[2])
+        mf[2] = other[2]
+        with pytest.raises(ValueError, match="M_3 of the flag in M is not contained in M_2"):
+            build_pencil(tuple(mf), 2, mf[1])
+
+    def test_restrict_flag_is_shared_by_value(self):
+        restrict_flag.cache_clear()
+        flag = random_flag(8, 11)
+        first = restrict_flag(flag, 3)
+        again = restrict_flag(random_flag(8, 11), 3)  # an equal flag built anew
+        info = restrict_flag.cache_info()
+        assert again is first and (info.hits, info.misses) == (1, 1)
+        assert first == restrict_flag.__wrapped__(flag, 3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="flag indices start at 1"):
+                restrict_flag(flag, 0)
+        info = restrict_flag.cache_info()
+        assert (info.misses, info.currsize) == (3, 1)
+
+    def test_step_builds_each_restricted_flag_once(self):
+        restrict_flag.cache_clear()
+        K = span(9, *[e(i) for i in range(1, 6)])
+        for _ in range(2):
+            assert all(rep.passed for rep in chain_deformation(A741, 2, FLAG, K, seeds=0))
+        info = restrict_flag.cache_info()
+        assert info.misses == 2 and info.hits == 2

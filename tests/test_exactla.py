@@ -581,6 +581,59 @@ class TestSubspaceDifferential:
         with pytest.raises(ValueError, match="expected vector of length 1, got 2"):
             span(3, vec([1, 1, 0])).from_coords([1, 2])
 
+    def test_restrict_against_canonicalize_of_coordinates(self, monkeypatch):
+        """restrict reads a's canonical rows at s's pivots and divides out
+        each row's content, with no elimination; canonicalizing those
+        coordinates, as restrict did before, must give the same subspace,
+        on random spaces including the zero and the full space."""
+        def textbook_restrict(s, a):
+            coords = []
+            for row in a.rows:
+                if not s.contains_vector(row):
+                    raise ValueError("subspace is not contained in the chart space")
+                coords.append([row[p] for p in s.pivots])
+            return exactla.canonicalize(coords, s.dim)
+
+        def no_elimination(rows):
+            raise AssertionError("restrict ran an elimination")
+
+        rng = random.Random(1601)
+        seen = dict.fromkeys(("zero s", "full s", "zero a", "a = s", "proper a",
+                              "not contained", "150-bit"), 0)
+        for i in range(700):
+            kind = KINDS[i % len(KINDS)]
+            n = rng.randint(1, 4 if kind == "big" else 7)
+            s = random_space(rng, n, kind, i)
+            if i % 5 == 4:
+                a = random_space(rng, n, kind, i + 1)
+            elif i % 5 == 1:
+                a = s
+            else:
+                # 0..dim s + 1 random combinations of s's basis
+                coeffs = [[random_entry(rng, kind) for _ in s.basis]
+                          for _ in range(rng.randint(0, s.dim + 1))]
+                a = span(n, *[[sum(c * row[k] for c, row in zip(cs, s.basis))
+                               for k in range(n)] for cs in coeffs])
+            inside = s.contains(a)
+            seen["zero s"] += s.is_zero
+            seen["full s"] += s.dim == n
+            seen["zero a"] += a.is_zero
+            seen["a = s"] += a == s
+            seen["proper a"] += inside and 0 < a.dim < s.dim
+            seen["not contained"] += not inside
+            seen["150-bit"] += kind == "big"
+            if not inside:
+                with pytest.raises(ValueError, match="not contained in the chart"):
+                    s.restrict(a)
+                continue
+            want = textbook_restrict(s, a)
+            with monkeypatch.context() as m:
+                m.setattr(exactla, "_echelon", no_elimination)
+                got = s.restrict(a)
+            assert got == want and got.pivots == want.pivots
+            assert s.extend(got) == a
+        assert all(count >= 50 for count in seen.values()), seen
+
     def test_reduce_vector_inputs(self):
         s = span(3, vec([1, 1, 0]))
         want = (F(0), F(1, 2), F(3))
