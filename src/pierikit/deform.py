@@ -350,11 +350,12 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
     iff (a) its columns are the pencil's column tail from q on, so moving_t
     lies in L_t for every t; (b) every integer covector of F_b's annihilator
     kills every t-coefficient of every column, so moving_t lies in F_b for
-    every t; and (c) at t0 = SAMPLE_POINTS[0], dim L_t0 = N-1 and dim
-    moving_t0 = ncols = dim(F_b cap L_t0).  A rank at a point never exceeds
-    the generic rank, and dim(F_b cap L_t) is upper semicontinuous where L_t
-    keeps dimension N-1, so (c) gives generic dim moving_t = ncols >= generic
-    dim(F_b cap L_t); with (a) and (b), moving_t = F_b cap L_t for generic t.
+    every t; and (c) at t0 = SAMPLE_POINTS[0], dim moving_t0 = ncols =
+    dim(F_b cap L_t0).  build_pencil proves dim L_t = N-1 for every t, so
+    dim(F_b cap L_t) is upper semicontinuous in t; a rank at a point never
+    exceeds the generic rank, so (c) gives generic dim moving_t = ncols >=
+    generic dim(F_b cap L_t); with (a) and (b), moving_t = F_b cap L_t for
+    generic t.
     The limit clauses are exact: the limit is computed over Z[t].  The five
     "sample t=... lies in the level-s cell" clauses still sample.
     """
@@ -388,7 +389,6 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
                          cell_member(L_t, a, s, flag))
               for t, L_t in fibres.items()]
     t0 = SAMPLE_POINTS[0]
-    hyperplane_at_t0 = fibres[t0].dim == N - 1
     records = []
 
     level = pieri_set(a, r)
@@ -424,7 +424,7 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
         fam_ok = (moving.cols == pencil.family.cols[q - 1:]
                   and _kills_family(flag._adapted_coords[:b.entries[j - 1] - 1],
                                     moving)
-                  and hyperplane_at_t0 and dim_at_t0 == d
+                  and dim_at_t0 == d
                   and intersect(Fb, fibres[t0]).dim == d)
         checks.append(StageCheck(
             f"component {b}: moving plane is F_{b.entries[j - 1]} cap L_t",

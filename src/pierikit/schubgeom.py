@@ -492,17 +492,13 @@ def restrict_sequence(b: DecSeq, j: int) -> DecSeq:
     return DecSeq(b.n + 1 - bj, entries)
 
 
-@lru_cache(maxsize=1024)
 def restrict_flag(flag: Flag, q: int) -> Flag:
     """The flag induced on its own member F_q, in F_q's coordinates.
 
     Space i of the result is F_{q+i-1} written as flag.subspace(q).restrict(...),
     the map that carries any L inside F_q into k^{dim F_q}; it keeps the
     flag position, so the result's meet_dims of that image is
-    flag.meet_dims(L)[q - 1:].  Memoised by value (Flag is frozen and
-    compares by its canonical rows), so each (flag, q) builds its flag and
-    inverts its adapted basis once, an equal flag built anew hits the cache,
-    and a q that raises is not cached.
+    flag.meet_dims(L)[q - 1:].
     """
     fq = flag.subspace(q)
     spaces = tuple(fq.restrict(flag.subspace(q + i - 1)) for i in range(1, fq.dim + 2))

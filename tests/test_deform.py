@@ -46,7 +46,6 @@ from pierikit.schubgeom import (
     cell_profile_check,
     meets_properly,
     random_flag,
-    restrict_flag,
     schubert_cell_point,
     standard_flag,
     x_member,
@@ -850,25 +849,3 @@ class TestExactPencil:
         mf[2] = other[2]
         with pytest.raises(ValueError, match="M_3 of the flag in M is not contained in M_2"):
             build_pencil(tuple(mf), 2, mf[1])
-
-    def test_restrict_flag_is_shared_by_value(self):
-        restrict_flag.cache_clear()
-        flag = random_flag(8, 11)
-        first = restrict_flag(flag, 3)
-        again = restrict_flag(random_flag(8, 11), 3)  # an equal flag built anew
-        info = restrict_flag.cache_info()
-        assert again is first and (info.hits, info.misses) == (1, 1)
-        assert first == restrict_flag.__wrapped__(flag, 3)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="flag indices start at 1"):
-                restrict_flag(flag, 0)
-        info = restrict_flag.cache_info()
-        assert (info.misses, info.currsize) == (3, 1)
-
-    def test_step_builds_each_restricted_flag_once(self):
-        restrict_flag.cache_clear()
-        K = span(9, *[e(i) for i in range(1, 6)])
-        for _ in range(2):
-            assert all(rep.passed for rep in chain_deformation(A741, 2, FLAG, K, seeds=0))
-        info = restrict_flag.cache_info()
-        assert info.misses == 2 and info.hits == 2
