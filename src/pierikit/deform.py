@@ -19,6 +19,7 @@ from .exactla import (
     PolyFamily,
     Subspace,
     VerificationError,
+    _echelon,
     _int_row,
     annihilator_basis,
     canonicalize,
@@ -42,6 +43,7 @@ from .schubgeom import (
     cell_point,
     classify_pieri,
     meets_properly,
+    profile_in_cell,
     restrict_flag,
     restrict_sequence,
     schubert_member,
@@ -57,17 +59,25 @@ from .schubgeom import (
 def flag_within(M: Subspace, flag: Flag) -> tuple:
     """Complete flag (M_1, ..., M_N) on M cut out by the ambient flag.
 
-    M_1 = M and dim M_i = N+1-i.  The flag position flag.meet_dims(M)
-    counts echelon pivots, so it falls from N to 0 one step at a time; M_i
-    is F_q cap M at the first q where it reads N+1-i, and only those N-1
-    spaces below M are intersected, each checked against its dimension.
+    M_1 = M and dim M_i = N+1-i.  All of it comes from one echelon of the
+    rows [phi(v) | v], v over M's rows and phi the flag's integer adapted
+    covectors.  The pivots of its left half are M's flag position, as in
+    Flag.meet_dims.  F_q is cut out by phi_1..phi_{q-1}, so F_q cap M is
+    spanned by the right halves of the rows whose pivot lies at column q-1
+    or later.  So M_i is spanned by the last N+1-i rows, and it is F_q cap
+    M from the first q where the meet reads N+1-i; each M_i is checked to
+    have that dimension and to lie in that F_q.
     """
-    meets = flag.meet_dims(M)
+    n = flag.ambient
+    if M.ambient != n:
+        raise ValueError("ambient mismatch")
+    rows, pivots = _echelon([[sum(map(mul, v, phi)) for phi in flag._adapted_coords]
+                             + list(v) for v in M.rows])
     spaces = [M] if M.dim else []
-    for d in range(M.dim - 1, 0, -1):
-        q = meets.index(d) + 1
-        cut = intersect(flag.subspace(q), M)
-        if cut.dim != d:
+    for i in range(2, M.dim + 1):
+        d, q = M.dim + 1 - i, pivots[i - 2] + 2
+        cut = canonicalize([row[n:] for row in rows[i - 1:]], n)
+        if cut.dim != d or not flag.subspace(q).contains(cut):
             raise VerificationError(f"F_{q} cap M is not the {d}-dimensional "
                                     "space the flag position predicts")
         spaces.append(cut)
@@ -345,19 +355,31 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
     Precondition violations raise; failed verifications are recorded with
     the failing item named.
 
-    The moving-plane clause is exact, for every t outside a finite set.  For
+    Every clause is exact.  The five "sample t=... lies in the level-s
+    cell" clauses share one verdict, read off a flag position that holds
+    for every t != 0.  M lies in the level-(s-1) cell, so it contains
+    upper = F_{a1+s-1}; the flag in M has M_l = top = F_{a1+s} and
+    M_{l-1} = upper, and both are checked.  build_pencil proves that every
+    L_t with t != 0 is a hyperplane of M through M_l and not through
+    M_{l-1}.  For q <= a1+s-1, F_q cap M contains upper, which L_t does
+    not, so L_t cuts it in one dimension less; for q >= a1+s, F_q lies in
+    top, so in L_t.  So dim(F_q cap L_t) = dim(F_q cap M) - [q <= a1+s-1]
+    for every t != 0, and profile_in_cell of that profile is the verdict at
+    every sample point, none of which is 0.
+    The moving-plane clause holds for every t outside a finite set.  For
     slice position q the moving family is M_q cap L_t, and the clause passes
     iff (a) its columns are the pencil's column tail from q on, so moving_t
     lies in L_t for every t; (b) every integer covector of F_b's annihilator
     kills every t-coefficient of every column, so moving_t lies in F_b for
     every t; and (c) at t0 = SAMPLE_POINTS[0], dim moving_t0 = ncols =
-    dim(F_b cap L_t0).  build_pencil proves dim L_t = N-1 for every t, so
-    dim(F_b cap L_t) is upper semicontinuous in t; a rank at a point never
-    exceeds the generic rank, so (c) gives generic dim moving_t = ncols >=
-    generic dim(F_b cap L_t); with (a) and (b), moving_t = F_b cap L_t for
-    generic t.
-    The limit clauses are exact: the limit is computed over Z[t].  The five
-    "sample t=... lies in the level-s cell" clauses still sample.
+    dim(F_b cap L_t0), read off the flag position of L_t0.  build_pencil
+    proves dim L_t = N-1 for every t, so dim(F_b cap L_t) is upper
+    semicontinuous in t; a rank at a point never exceeds the generic rank,
+    so (c) gives generic dim moving_t = ncols >= generic dim(F_b cap L_t);
+    with (a) and (b), moving_t = F_b cap L_t for generic t.
+    The limit clauses are exact: the limit is computed over Z[t], and the
+    expected F_{b_j+1} cap M is the member of the flag in M of its
+    dimension, as every F_q cap M is.
     """
     if s < 2:
         raise ValueError("step parameter s must be at least 2")
@@ -382,19 +404,22 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
     l = N - top.dim + 1
     if _mflag_space(mflag, l, a.n) != top:
         raise VerificationError(f"induced flag step {l} is not F_{a1 + s}")
+    if mflag[l - 2] != upper:
+        raise VerificationError(f"induced flag step {l - 1} is not F_{a1 + s - 1}")
     pencil = build_pencil(mflag, l, L_inf)
 
-    fibres = {t: pencil.at(t) for t in SAMPLE_POINTS}
-    checks = [StageCheck(f"sample t={t} lies in the level-{s} cell",
-                         cell_member(L_t, a, s, flag))
-              for t, L_t in fibres.items()]
+    meets = flag.meet_dims(M)
+    in_cell = profile_in_cell(
+        [d - (q <= a1 + s - 1) for q, d in enumerate(meets, 1)], a, s)
+    checks = [StageCheck(f"sample t={t} lies in the level-{s} cell", in_cell)
+              for t in SAMPLE_POINTS]
     t0 = SAMPLE_POINTS[0]
+    meets_t0 = flag.meet_dims(pencil.at(t0))
     records = []
 
     level = pieri_set(a, r)
     nxt = pieri_set(a, r + 1)
     claimed = []
-    meets = flag.meet_dims(M)
     # components with the same slice position q share M_q cap L_t: its
     # fibre at t0 and its limit are computed once per q
     moving_by_q = {}
@@ -424,12 +449,11 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
         fam_ok = (moving.cols == pencil.family.cols[q - 1:]
                   and _kills_family(flag._adapted_coords[:b.entries[j - 1] - 1],
                                     moving)
-                  and dim_at_t0 == d
-                  and intersect(Fb, fibres[t0]).dim == d)
+                  and dim_at_t0 == d == meets_t0[b.entries[j - 1] - 1])
         checks.append(StageCheck(
             f"component {b}: moving plane is F_{b.entries[j - 1]} cap L_t",
             fam_ok))
-        expected = intersect(flag.subspace(b.entries[j - 1] + 1), M)
+        expected = _mflag_space(mflag, N + 1 - meets[b.entries[j - 1]], a.n)
         checks.append(StageCheck(
             f"component {b}: limit is F_{b.entries[j - 1] + 1} cap M",
             lim == expected))

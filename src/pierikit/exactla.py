@@ -41,9 +41,11 @@ Poly = tuple[Fraction, ...]  # coefficients, lowest degree first, trimmed
 # pencil verb's dimension clause take the first as their one point (a rank
 # at a point never exceeds the generic rank, so a special point could only
 # fail them, never pass them wrongly); build_pencil's fibre checks read the
-# pencil's columns and sample nothing.  Still sampled at all five:
-# limit_at_zero's generic-rank pre-check, step_verify's "sample t=... lies
-# in the level-s cell" clauses and the sampled claims of golden_run_741.
+# pencil's columns and sample nothing.  step_verify's "sample t=... lies in
+# the level-s cell" clauses keep their names, one per point, and share one
+# verdict proved for every nonzero t.  Still sampled at all five:
+# limit_at_zero's generic-rank pre-check and the sampled claims of
+# golden_run_741.
 SAMPLE_POINTS = (
     Fraction(1),
     Fraction(1, 2),
@@ -521,21 +523,32 @@ class Flag:
         return self.spaces[j - 1]
 
     @cached_property
-    def adapted_basis(self) -> tuple[Vec, ...]:
-        """Vectors u_1, ..., u_n with F_j spanned by u_j, ..., u_n: u_j is
-        the first canonical basis row of F_j outside F_{j+1} (a hyperplane
-        of F_j by __post_init__), so the choice is deterministic."""
-        return tuple(next(row for row in self.spaces[j].basis
+    def _adapted_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Integer vectors w_1, ..., w_n with F_j spanned by w_j, ..., w_n:
+        w_j is the first canonical integer row of F_j outside F_{j+1} (a
+        hyperplane of F_j by __post_init__), so the choice is deterministic."""
+        return tuple(next(row for row in self.spaces[j].rows
                           if not self.spaces[j + 1].contains_vector(row))
                      for j in range(self.ambient))
+
+    @cached_property
+    def adapted_basis(self) -> tuple[Vec, ...]:
+        """The adapted rows as Fractions, each over its (leading) pivot
+        entry: the canonical basis rows u_1, ..., u_n of the flag spaces."""
+        return tuple(_over(row, next(filter(None, row))) for row in self._adapted_rows)
 
     @cached_property
     def _adapted_coords(self) -> tuple[tuple[int, ...], ...]:
         """Integer covectors phi_1..phi_n, phi_k a multiple of the k-th
         adapted coordinate, so F_j is cut out by phi_1..phi_{j-1}: the rows
-        of the inverse of the matrix with columns u_1..u_n."""
-        inverse = invert_matrix(list(zip(*self.adapted_basis)))
-        return tuple(tuple(_int_row(row)) for row in inverse)
+        of the inverse of the matrix W with columns w_1..w_n, read off the
+        right half of one echelon of [W | I].  Each w_k is a positive
+        multiple of u_k, so each row of W^-1 is a positive multiple of the
+        same row of the inverse of the matrix with columns u_1..u_n."""
+        n = self.ambient
+        reduced, _ = _echelon([list(col) + [int(i == k) for i in range(n)]
+                               for k, col in enumerate(zip(*self._adapted_rows))])
+        return tuple(tuple(_int_row(row[n:])) for row in reduced)
 
     def meet_dims(self, L: Subspace) -> tuple[int, ...]:
         """(dim F_1 cap L, ..., dim F_{n+1} cap L) from one elimination: in

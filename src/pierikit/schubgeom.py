@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
 from .exactla import (
     Flag,
@@ -218,19 +219,28 @@ def cell_index(a: DecSeq, s: int) -> DecSeq:
 
 
 def cell_member(L: Subspace, a: DecSeq, s: int, flag: Flag) -> bool:
-    """Membership in the incidence cell: the meet with the top flag space is
-    the flag space s deeper, and below each further row the meet stabilizes
-    one step down at its critical dimension.  The meets are nested, so these
-    are equalities of dimensions.  An s outside cell_index's range raises
-    ValueError, as cell_index does: the cell is empty there, and the
+    """Membership in the incidence cell: L has the cell's dimension and its
+    flag position passes profile_in_cell.  An s outside cell_index's range
+    raises ValueError, as cell_index does: the cell is empty there, and the
     dimension test alone would admit subspaces outside every incidence
     cell."""
     _check_cell_parameter(a, s)
+    return L.dim == a.n + 1 - a.m - s and profile_in_cell(flag.meet_dims(L), a, s)
+
+
+def profile_in_cell(meets, a: DecSeq, s: int) -> bool:
+    """Is meets = (dim F_1 cap L, ..., dim F_{n+1} cap L) the flag position
+    of a member L of the incidence cell?  dim L = meets[0] is the cell's
+    dimension, the meet with the top flag space is the flag space s deeper,
+    and below each further row the meet stabilizes one step down at its
+    critical dimension.  The meets are nested, so these are equalities of
+    dimensions.  An s outside cell_index's range raises ValueError."""
+    _check_cell_parameter(a, s)
     n, m = a.n, a.m
-    if L.dim != n + 1 - m - s:
-        return False
     a1 = a.entries[0]
-    meets = flag.meet_dims(L) + (0,) * s  # F_j is zero beyond n+1
+    meets = tuple(meets) + (0,) * s  # F_j is zero beyond n+1
+    if not meets[0] == n + 1 - m - s:
+        return False
     if not meets[a1 - 1] == meets[a1 + s - 1] == max(0, n + 1 - a1 - s):
         return False
     return all(meets[aj - 1] == meets[aj] == n + 2 - aj - j - s
@@ -293,18 +303,27 @@ def cell_profile_check(L: Subspace, a: DecSeq, s: int, flag: Flag) -> ProfileRep
 def _pivot_span(pivots, flag: Flag, rng) -> Subspace:
     """Span with one generator per pivot row of the adapted basis, plus
     random entries in the free rows below each pivot.  For any values of the
-    free entries the result lies in the open cell of its pivot set."""
-    u = flag.adapted_basis
+    free entries the result lies in the open cell of its pivot set.  Each
+    generator u_p + sum c_i u_i is summed in integers: u_k is the adapted
+    row w_k over its leading entry, so D times the generator is
+    sum c_i (D / lead_i) w_i, D the lcm of the leading entries it uses."""
+    w = flag._adapted_rows
     n = flag.ambient
     pivset = set(pivots)
     rows = []
     for p in pivots:
-        v = u[p - 1]
+        terms = [(1, w[p - 1])]
         for i in range(p + 1, n + 1):
             if i not in pivset:
                 c = rng.randint(-9, 9)
                 if c:
-                    v = vec_add(v, vec_scale(frac(c), u[i - 1]))
+                    terms.append((c, w[i - 1]))
+        leads = [next(filter(None, row)) for _, row in terms]
+        D = lcm(*leads)
+        v = [0] * n
+        for (c, row), lead in zip(terms, leads):
+            f = c * (D // lead)
+            v = [x + f * y for x, y in zip(v, row)]
         rows.append(v)
     return span(n, *rows)
 

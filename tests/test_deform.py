@@ -1,5 +1,6 @@
 """Pencils, one-step degeneration, the full chain, and the worked run."""
 
+import os
 import random
 import sys
 from fractions import Fraction as F
@@ -90,15 +91,24 @@ class TestFlagWithin:
         mf = flag_within(M, FLAG)
         assert [s.dim for s in mf] == [6, 5, 4, 3, 2, 1]
 
+    # flag_within spans each F_q cap M with canonicalize; these faults make
+    # that span come out as the wrong space
+
     def test_meet_that_never_cuts_raises(self, monkeypatch):
-        monkeypatch.setattr(deform, "intersect", lambda F, M: M)
+        monkeypatch.setattr(deform, "canonicalize", lambda rows, n: M_COMPANION)
         with pytest.raises(VerificationError, match="flag position predicts"):
             flag_within(M_COMPANION, FLAG)
 
     def test_meet_that_cuts_too_much_raises(self, monkeypatch):
-        monkeypatch.setattr(deform, "intersect",
-                            lambda F, M: M if F.dim == 9 else zero_subspace(9))
+        monkeypatch.setattr(deform, "canonicalize", lambda rows, n: zero_subspace(n))
         with pytest.raises(VerificationError, match="flag position predicts"):
+            flag_within(M_COMPANION, FLAG)
+
+    def test_meet_outside_the_flag_space_raises(self, monkeypatch):
+        # the right dimension, but the leading rows of M: e_2 leaves F_3
+        monkeypatch.setattr(deform, "canonicalize",
+                            lambda rows, n: span(n, *M_COMPANION.rows[:len(rows)]))
+        with pytest.raises(VerificationError, match="F_3 cap M is not"):
             flag_within(M_COMPANION, FLAG)
 
 
@@ -136,13 +146,7 @@ def generic_marked(mflag, rng):
 
 class TestFlagWithinDifferential:
     def test_against_per_space_intersect(self, monkeypatch):
-        calls = []
-
-        def counted(a, b):
-            calls.append(None)
-            return intersect(a, b)
-
-        monkeypatch.setattr(deform, "intersect", counted)
+        monkeypatch.setattr(deform, "intersect", forbid)
         rng = random.Random(9601006)
         seen = dict.fromkeys(("cell point", "pivot span"), 0)
         for n in range(1, 11):
@@ -157,9 +161,7 @@ class TestFlagWithinDifferential:
                     pivots = rng.sample(range(1, n + 1), rng.randint(1, n))
                     spaces.append(("pivot span", _pivot_span(pivots, flag, rng)))
                 for kind, M in spaces:
-                    calls.clear()
                     got = flag_within(M, flag)
-                    assert len(calls) <= max(M.dim - 1, 0), (n, kind, len(calls))
                     assert got == textbook_flag_within(M, flag), (n, kind, str(M))
                     seen[kind] += M.dim >= 2
         assert all(count >= 40 for count in seen.values()), seen
@@ -411,13 +413,32 @@ class TestGoldenRun:
 # The moving-plane and collapse clauses are proved exactly.  Their sampled
 # forms, as the clauses read before, stay here as differential references.
 
+def step_pencil(a, s, flag, M, L_inf):
+    """The pencil of the step at M, marked at L_inf, that step_verify builds."""
+    top = flag.subspace(a.entries[0] + s)
+    return build_pencil(flag_within(M, flag), M.dim - top.dim + 1, L_inf)
+
+
+def sampled_cell_verdicts(a, s, r, flag, M, L_inf):
+    """step_verify's sample clauses by sampling: cell_member on the pencil's
+    fibre at each sample point.  Each fibre must have the flag position
+    dim(F_q cap M) - [q <= a_1+s-1] that step_verify reads its verdict from."""
+    pencil = step_pencil(a, s, flag, M, L_inf)
+    drop = a.entries[0] + s - 1
+    profile = tuple(d - (q <= drop) for q, d in enumerate(flag.meet_dims(M), 1))
+    out = {}
+    for t in SAMPLE_POINTS:
+        L_t = pencil.at(t)
+        assert flag.meet_dims(L_t) == profile, (a, s, t)
+        out[f"sample t={t} lies in the level-{s} cell"] = cell_member(L_t, a, s, flag)
+    return out
+
+
 def sampled_moving_verdicts(a, s, r, flag, M, L_inf):
     """step_verify's moving-plane clauses by sampling: moving_t equals
     F_b cap L_t at the five sample points."""
-    mflag = flag_within(M, flag)
     N = M.dim
-    top = flag.subspace(a.entries[0] + s)
-    pencil = build_pencil(mflag, N - top.dim + 1, L_inf)
+    pencil = step_pencil(a, s, flag, M, L_inf)
     meets = flag.meet_dims(M)
     out = {}
     for b in pieri_set(a, r):
@@ -523,21 +544,24 @@ MOVING_742 = "component 742: moving plane is F_2 cap L_t"
 class TestExactClauses:
     def test_sweep_agrees_with_sampled_verdicts(self, monkeypatch):
         steps = recorded_steps(monkeypatch)
-        compared = {"moving": 0, "collapse": 0}
+        compared = {"moving": 0, "cell": 0, "collapse": 0}
         for a, b, flag, K, seeds in sweep_chains():
             steps.clear()
             reports = chain_deformation(a, b, flag, K, seeds=seeds)
             assert all(rep.passed for rep in reports), [r.failures() for r in reports]
             assert len(steps) == b - 1
             for args, rep in steps:
-                want = sampled_moving_verdicts(*args)
-                assert verdicts(rep, want) == want
-                compared["moving"] += len(want)
+                for reference, kind in ((sampled_moving_verdicts, "moving"),
+                                        (sampled_cell_verdicts, "cell")):
+                    want = reference(*args)
+                    assert verdicts(rep, want) == want
+                    compared[kind] += len(want)
             want = sampled_collapse_verdicts(
                 a, b, flag, cell_point(a, 1, flag, seed=seeds))
             assert verdicts(reports[-1], want) == want
             compared["collapse"] += len(want)
         assert compared["moving"] >= 50 and compared["collapse"] >= 40, compared
+        assert compared["cell"] >= 100, compared
 
     @pytest.mark.parametrize("coordinate", [1, 2])
     def test_mutant_fools_sampling_but_not_the_proof(self, monkeypatch, coordinate):
@@ -549,6 +573,36 @@ class TestExactClauses:
         assert all(sampled_moving_verdicts(*args).values())
         rep = step_verify(*args)
         assert set(rep.failures()) == {MOVING_751, MOVING_742}
+
+    def test_profile_dropping_at_the_top_space_fails(self, monkeypatch):
+        # a profile that drops at every q <= a_1+s, one row too far, as if
+        # L_t missed F_{a_1+s}, fails all five sample clauses of every step
+        real = deform.profile_in_cell
+        monkeypatch.setattr(deform, "profile_in_cell", lambda profile, a, s: real(
+            [d - (q == a.entries[0] + s) for q, d in enumerate(profile, 1)], a, s))
+        steps = 0
+        for a, b, flag, K, seeds in sweep_chains()[:8]:
+            for rep in chain_deformation(a, b, flag, K, seeds=seeds)[1:-1]:
+                assert set(rep.failures()) == {
+                    f"sample t={t} lies in the level-{rep.s} cell" for t in SAMPLE_POINTS}
+                steps += 1
+        assert steps >= 10, steps
+
+    def test_flag_in_m_off_the_upper_space_raises(self, monkeypatch):
+        # M_5 = <e_6 + e_8, e_9> in place of F_8 = <e_8, e_9>: the flag in M
+        # stays nested and L_MARKED avoids M_5, so build_pencil takes it, but
+        # the sample clauses' flag position needs M_{l-1} = F_{a_1+s-1}
+        real = deform.flag_within
+
+        def mutated(M, flag):
+            mflag = list(real(M, flag))
+            mflag[4] = span(9, vec_add(e(6), e(8)), e(9))
+            return tuple(mflag)
+
+        build_pencil(mutated(M_COMPANION, FLAG), 6, L_MARKED)
+        monkeypatch.setattr(deform, "flag_within", mutated)
+        with pytest.raises(VerificationError, match="induced flag step 5 is not F_8"):
+            step_verify(A741, 2, 1, FLAG, M_COMPANION, L_MARKED)
 
     def test_containment_in_f_b_is_coefficientwise(self):
         # F_j is cut out by the first j-1 adapted covectors of the flag
@@ -568,10 +622,12 @@ class TestExactClauses:
                 assert deform._kills_family(flag._adapted_coords[:j - 1], fam) is inside
 
     def test_slice_dimension_mismatch_fails(self, monkeypatch):
-        # F_b cap L_t0 coming out larger than the moving plane fails (c)
+        # F_b cap L_t0 coming out larger than the moving plane fails (c):
+        # the flag position of L_t0 reads as that of M
         fibre = companion_pencil().at(SAMPLE_POINTS[0])
-        monkeypatch.setattr(deform, "intersect",
-                            lambda x, y: M_COMPANION if y == fibre else intersect(x, y))
+        real = Flag.meet_dims
+        monkeypatch.setattr(Flag, "meet_dims",
+                            lambda self, L: real(self, M_COMPANION if L == fibre else L))
         rep = step_verify(A741, 2, 1, FLAG, M_COMPANION, L_MARKED)
         assert set(rep.failures()) == {MOVING_751, MOVING_742}
 
@@ -587,19 +643,20 @@ class TestExactClauses:
         assert all(rep.passed for rep in chain_deformation(A741, 2, FLAG, K, seeds=0))
 
     def test_one_intersect_of_f_b_and_l_t_per_component(self, monkeypatch):
-        calls = []
-
-        def counted(x, y):
-            calls.append((x, y))
-            return intersect(x, y)
-
-        monkeypatch.setattr(deform, "intersect", counted)
+        # dim F_b cap L_t0 for both components F_5 and F_2 comes from one
+        # flag position of the one fibre evaluated; intersect is never called
+        fibres = [companion_pencil().at(t) for t in SAMPLE_POINTS]
+        met, evaluated = [], []
+        real_meet, real_at = Flag.meet_dims, Pencil.at
+        monkeypatch.setattr(Flag, "meet_dims",
+                            lambda self, L: met.append(L) or real_meet(self, L))
+        monkeypatch.setattr(Pencil, "at",
+                            lambda self, t: evaluated.append(t) or real_at(self, t))
+        monkeypatch.setattr(deform, "intersect", forbid)
         rep = step_verify(A741, 2, 1, FLAG, M_COMPANION, L_MARKED)
         assert rep.passed
-        fibres = {companion_pencil().at(t) for t in SAMPLE_POINTS}
-        with_fibre = [(x, y) for x, y in calls if y in fibres]
-        assert sorted((x for x, _ in with_fibre), key=lambda S: S.dim) == [
-            FLAG.subspace(5), FLAG.subspace(2)]
+        assert evaluated == [SAMPLE_POINTS[0]]
+        assert [L for L in met if L in fibres] == fibres[:1]
 
     @pytest.mark.parametrize("shift", [-1, 0, 1])
     def test_collapse_verdict_follows_its_inequality(self, monkeypatch, shift):
@@ -632,6 +689,34 @@ class TestExactClauses:
         assert collapse.passed is (shift == 0)
 
 
+@pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
+                    reason="n = 13, 14 chains; set PIERIKIT_SLOW=1 to run them")
+def test_fibre_profiles_n13_14(monkeypatch):
+    """Every step of 18 chains on seeded random flags at n = 13, 14: the
+    sample clauses agree with cell_member on each fibre, and each fibre has
+    the flag position step_verify predicts."""
+    steps = recorded_steps(monkeypatch)
+    rng = random.Random(13)
+    compared = 0
+    for n, seqs in ((13, ((10, 7, 4), (11, 7, 3), (9, 5), (12, 9, 6, 3))),
+                    (14, ((11, 8, 5), (12, 8, 4), (10, 6), (13, 10, 7, 4)))):
+        for entries in seqs:
+            a = DecSeq(n, entries)
+            for b in range(2, min(4, n + 1 - entries[0]) + 1):
+                K = coordinate_k(n, a, b)
+                flag = random_flag(n, rng.randrange(10**6))
+                while not meets_properly(K, flag):
+                    flag = random_flag(n, rng.randrange(10**6))
+                steps.clear()
+                reports = chain_deformation(a, b, flag, K, seeds=rng.randrange(1000))
+                assert all(rep.passed for rep in reports), (a, b)
+                for args, rep in steps:
+                    want = sampled_cell_verdicts(*args)
+                    assert verdicts(rep, want) == want
+                    compared += len(want)
+    assert compared == 160, compared
+
+
 class TestOutOfRangeCellParameter:
     """An s outside cell_index's range never makes a caller of cell_member
     report a member: each gives a failed clause, a ValueError or exit 2.
@@ -656,11 +741,11 @@ class TestOutOfRangeCellParameter:
             step_verify(A741, 7, 1, FLAG, M_COMPANION, L_MARKED)
 
     def test_sample_cell_clause_raises(self, monkeypatch):
-        # the sample clauses ask for the level-2 cell; ask for the empty
-        # level-5 cell instead
-        real = deform.cell_member
-        monkeypatch.setattr(deform, "cell_member",
-                            lambda L, a, s, flag: real(L, a, 5 if s == 2 else s, flag))
+        # the sample clauses ask profile_in_cell for the level-2 cell; ask
+        # for the empty level-5 cell instead
+        real = deform.profile_in_cell
+        monkeypatch.setattr(deform, "profile_in_cell",
+                            lambda meets, a, s: real(meets, a, 5 if s == 2 else s))
         with pytest.raises(ValueError, match="empty for s = 5"):
             step_verify(A741, 2, 1, FLAG, M_COMPANION, L_MARKED)
 

@@ -891,3 +891,42 @@ class TestMeetDims:
         flag = flag_from_basis([unit_vector(3, i) for i in (1, 2, 3)])
         with pytest.raises(ValueError, match="ambient mismatch"):
             flag.meet_dims(full_space(4))
+
+
+# ----------------------------------------------------------------------
+# The flag's adapted basis and covectors come from its integer rows.  The
+# Fraction construction they replaced stays here as the reference.
+
+def textbook_adapted(flag):
+    """(adapted basis, adapted covectors) as built in Fractions: u_j the
+    first canonical basis row of F_j outside F_{j+1}, the covectors the
+    primitive rows of the inverse of the matrix with columns u_1..u_n."""
+    n = flag.ambient
+    basis = tuple(next(row for row in flag.spaces[j].basis
+                       if not flag.spaces[j + 1].contains_vector(row))
+                  for j in range(n))
+    inverse = invert_matrix(list(zip(*basis)))
+    return basis, tuple(tuple(exactla._int_row(row)) for row in inverse)
+
+
+class TestAdaptedCoordinates:
+    def test_against_the_inverse_of_the_adapted_basis(self, monkeypatch):
+        from pierikit.enumerative import reversed_flag
+        from pierikit.schubgeom import random_flag, restrict_flag, standard_flag
+        checked = 0
+        for n in range(1, 13):
+            for flag in (standard_flag(n), reversed_flag(n), random_flag(n, n),
+                         random_flag(n, 7 * n), restrict_flag(random_flag(n + 3, n), 4)):
+                want = textbook_adapted(flag)
+                with monkeypatch.context() as m:
+                    m.setattr(exactla, "invert_matrix", forbid_call)
+                    fresh = Flag(flag.ambient, flag.spaces)  # nothing cached yet
+                    got = (fresh.adapted_basis, fresh._adapted_coords)
+                assert got == want, (n, flag)
+                assert all(isinstance(x, int) for row in got[1] for x in row)
+                checked += 1
+        assert checked == 60
+
+
+def forbid_call(*args, **kwargs):
+    raise AssertionError("forbidden call")

@@ -24,6 +24,8 @@ from pierikit.exactla import (
     sum_span,
     unit_vector,
     vec,
+    vec_add,
+    vec_scale,
 )
 from pierikit.seqcomb import DecSeq, first_diff_index, pieri_set
 from pierikit.schubgeom import (
@@ -783,3 +785,40 @@ class TestFlagPositionDifferential:
         for check in (cell_index, lambda a, s: cell_member(L, a, s, flag)):
             with pytest.raises(ValueError, match="empty for s = 3"):
                 check(a, 3)
+
+
+def textbook_pivot_span(pivots, flag, rng):
+    """_pivot_span as built in Fractions: each generator summed with
+    vec_add and vec_scale over the adapted basis."""
+    u = flag.adapted_basis
+    n = flag.ambient
+    rows = []
+    for p in pivots:
+        v = u[p - 1]
+        for i in range(p + 1, n + 1):
+            if i not in pivots:
+                c = rng.randint(-9, 9)
+                if c:
+                    v = vec_add(v, vec_scale(Fraction(c), u[i - 1]))
+        rows.append(v)
+    return span(n, *rows)
+
+
+class TestPivotSpanDifferential:
+    def test_against_the_fraction_sum(self):
+        from pierikit.enumerative import reversed_flag
+        rng = random.Random(19960106)
+        checked = 0
+        for n in range(1, 11):
+            for flag in (standard_flag(n), reversed_flag(n), random_flag(n, n),
+                         restrict_flag(random_flag(n + 2, n), 3)):
+                for _ in range(4):
+                    pivots = rng.sample(range(1, n + 1), rng.randint(1, n))
+                    seed = rng.randrange(10**6)
+                    ours, theirs = random.Random(seed), random.Random(seed)
+                    got = schubgeom._pivot_span(pivots, flag, ours)
+                    assert got == textbook_pivot_span(pivots, flag, theirs), (n, pivots)
+                    # the same random stream was drawn
+                    assert ours.getstate() == theirs.getstate()
+                    checked += 1
+        assert checked == 160
