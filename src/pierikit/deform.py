@@ -387,7 +387,9 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
         raise ValueError("branch level r must be at least 1")
     if a.n != flag.ambient or M.ambient != flag.ambient:
         raise ValueError("ambient dimensions disagree")
-    if not cell_member(M, a, s - 1, flag):
+    meets = flag.meet_dims(M)
+    # cell_member(M, a, s - 1, flag), on the one flag position of M
+    if not (profile_in_cell(meets, a, s - 1) and M.dim == a.n + 2 - a.m - s):
         raise ValueError("M does not lie in the level s-1 cell")
     a1 = a.entries[0]
     top = flag.subspace(a1 + s)
@@ -408,7 +410,6 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
         raise VerificationError(f"induced flag step {l - 1} is not F_{a1 + s - 1}")
     pencil = build_pencil(mflag, l, L_inf)
 
-    meets = flag.meet_dims(M)
     in_cell = profile_in_cell(
         [d - (q <= a1 + s - 1) for q, d in enumerate(meets, 1)], a, s)
     checks = [StageCheck(f"sample t={t} lies in the level-{s} cell", in_cell)
@@ -527,12 +528,17 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
     the fully special cycle is a sum of plain Schubert varieties.  The
     collapse stage's incidence clause is a dimension count, so it holds for
     every plane of each Schubert set, not just for sampled ones.
+    A chain longer than n+1-a_1 raises ValueError: the descent into the
+    level-b cell needs a hyperplane avoiding F_{a_1+b-1}, and for
+    b = n+2-a_1 that space is zero, which every hyperplane contains.
     """
     if b < 1:
         raise ValueError("chain length must be at least 1")
     n = flag.ambient
     if K.ambient != n or a.n != n:
         raise ValueError("ambient dimensions disagree")
+    if b > n + 1 - a.entries[0]:
+        raise ValueError(f"chain length must be at most n+1-a_1 = {n + 1 - a.entries[0]}")
     if K.dim != n + 1 - a.m - b:
         raise ValueError("general position has the wrong dimension")
     if not meets_properly(K, flag):

@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import lcm
 from typing import Iterator
 
 from .exactla import (
@@ -26,10 +25,9 @@ from .exactla import (
     GenericityError,
     Subspace,
     VerificationError,
+    _null_vectors,
     flag_from_basis,
     intersect,
-    rank,
-    solve_columns,
     span,
     unit_vector,
 )
@@ -275,13 +273,23 @@ def triple_witnesses(
     """The unique m-plane satisfying both flag conditions and meeting C.
 
     Builds it from the slices K_j = F_{alpha_j} cap F'_{beta_{m+1-j}}: the
-    line C cap (K_1 + ... + K_m) is spanned by a vector w, the summands of
-    w across the slices give a basis, and their span is the witness.  The
-    slices and their sum do not depend on C and come from a frame cached
-    per (alpha, beta, flag, flag2).  The plane is assembled in integers:
-    w is the line's integer row, solve_columns gives its coordinates over
-    the slices' integer rows, and each summand is scaled by the lcm of its
-    coordinates' denominators, which changes no span.
+    line C cap (K_1 + ... + K_m) is spanned by a vector w, the summands
+    f_j of w across the slices give a basis, and their span is the
+    witness.  The slices and their sum do not depend on C and come from a
+    frame cached per (alpha, beta, flag, flag2).
+
+    One fraction-free elimination finds the line and its slice
+    coordinates at once: the null vectors (u, v) of the integer matrix
+    whose columns are C's canonical rows C_q followed by the slices'
+    canonical rows.  Both row sets are independent (C is canonical, and
+    the frame checks that the slice sum is direct), so the null space
+    has dimension dim(C cap (K_1 + ... + K_m)), and a line means exactly
+    one null vector.  Then f_j = sum_k v_k (row k of K_j) in integers, and
+    w = f_1 + ... + f_m = -sum_q u_q C_q.  The witness H = span(f_j) is
+    canonical, so rescaling the null vector changes nothing.
+
+    Meeting C is proved by the witness point itself: w is nonzero, lies
+    in C and lies in H, so H cap C != 0; no rank is computed.
 
     Returns [H] with membership in all three varieties verified, or []
     when dual(beta) falls outside alpha*c, c read off from dim C (the
@@ -302,23 +310,21 @@ def triple_witnesses(
     if dual(beta) not in pieri_set(alpha, c):
         return []
 
-    slices, total = _slice_frame(alpha, beta, flag, flag2)
-    line = intersect(C, total)
-    if line.dim != 1:
-        raise ValueError(f"C meets the slice sum in dimension {line.dim}, not a line")
+    slices, _ = _slice_frame(alpha, beta, flag, flag2)
+    rows = [row for K in slices for row in K.rows]
+    null = _null_vectors(list(zip(*C.rows, *rows)), C.dim + len(rows))
+    if len(null) != 1:
+        raise ValueError(f"C meets the slice sum in dimension {len(null)}, not a line")
 
-    coeffs = solve_columns([row for K in slices for row in K.rows], line.rows[0])
+    v = null[0][1][C.dim:]
     basis = []
     at = 0
     for K in slices:
-        block = coeffs[at:at + K.dim]
-        at += K.dim
-        den = lcm(*[x.denominator for x in block])
         f = [0] * n
-        for x, row in zip(block, K.rows):
+        for x, row in zip(v[at:at + K.dim], K.rows):
             if x:
-                k = x.numerator * (den // x.denominator)
-                f = [u + k * v for u, v in zip(f, row)]
+                f = [y + x * z for y, z in zip(f, row)]
+        at += K.dim
         basis.append(f)
     for j, f in enumerate(basis, start=1):
         if flag.subspace(alpha.entries[j - 1] + 1).contains_vector(f):
@@ -333,7 +339,8 @@ def triple_witnesses(
         raise VerificationError("witness is off the first Schubert variety")
     if not schubert_member(H, beta, flag2):
         raise VerificationError("witness is off the second Schubert variety")
-    if rank(H.rows + C.rows) == H.dim + C.dim:  # H cap C = 0
+    w = [sum(col) for col in zip(*basis)]
+    if not any(w) or not C.contains_vector(w) or not H.contains_vector(w):
         raise VerificationError("witness misses the special subspace")
     return [H]
 

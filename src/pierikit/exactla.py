@@ -259,10 +259,6 @@ def invert_matrix(rows):
     return [_over(row[n:], row[i]) for i, row in enumerate(reduced)]
 
 
-def mat_vec(rows, v: Vec) -> Vec:
-    return tuple(sum((a * b for a, b in zip(row, v)), _ZERO) for row in rows)
-
-
 # ----------------------------------------------------------------------
 # Subspaces.
 
@@ -618,10 +614,6 @@ class PolyFamily:
     def ncols(self) -> int:
         return len(self.cols)
 
-    def eval_columns(self, t) -> list[Vec]:
-        t = frac(t)
-        return [tuple(peval(p, t) for p in col) for col in self.cols]
-
     @cached_property
     def _int_coeffs(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
         """(degree, integer coefficient tuples) per column, the column
@@ -742,10 +734,3 @@ def family_to_json(fam: PolyFamily) -> dict:
             [[str(c) for c in p] for p in col] for col in fam.cols
         ],
     }
-
-
-def family_from_json(d) -> PolyFamily:
-    return family_from_vectors(
-        int(d["ambient"]),
-        [[[Fraction(c) for c in p] for p in col] for col in d["cols"]],
-    )

@@ -519,3 +519,14 @@ class TestCellRange:
             assert out == "" and err.startswith("error: ")
         else:
             assert "profile: PASS" in out and err == ""
+
+    def test_chain_longer_than_n_plus_one_minus_a1_is_usage_error(self, capsys):
+        # cell --s 4 has a member, but a chain of length 4 would descend
+        # through a hyperplane avoiding F_{a_1+3} = F_10 = 0
+        rc, out, err = run(capsys, "chain-deform", "--n", "9", "--alpha", "7,4,1",
+                           "--b", "4")
+        assert (rc, out) == (2, "")
+        assert err == "error: chain length must be at most n+1-a_1 = 3\n"
+        rc, out, _ = run(capsys, "chain-deform", "--n", "9", "--alpha", "7,4,1",
+                         "--b", "3")
+        assert rc == 0 and out.endswith("overall: PASS\n")

@@ -319,6 +319,27 @@ class TestStepVerify:
         with pytest.raises(ValueError):
             step_verify(A741, 1, 1, FLAG, M_COMPANION, L_MARKED)
 
+    def test_flag_position_of_m_is_read_once_per_step(self, monkeypatch):
+        # step_verify reads M's flag position once, for its precondition and
+        # its clauses; y_cycle's own cell_member check reads it once more
+        K = span(9, *[e(i) for i in range(1, 5)])
+        steps = recorded_steps(monkeypatch)
+        assert all(rep.passed for rep in chain_deformation(A741, 3, FLAG, K, seeds=0))
+        assert len(steps) == 2
+        real = Flag.meet_dims
+        for args in [recorded for recorded, _ in steps] + [
+                (A741, 2, 1, FLAG, M_COMPANION, L_MARKED)]:
+            M, callers = args[4], []
+
+            def counting(self, L):
+                if L == M:
+                    callers.append(sys._getframe(1).f_code.co_name)
+                return real(self, L)
+
+            monkeypatch.setattr(Flag, "meet_dims", counting)
+            assert step_verify(*args).passed
+            assert sorted(callers) == ["cell_member", "step_verify"], args[1]
+
 
 class TestChainDeformation:
     def test_worked_chain(self):
@@ -366,6 +387,16 @@ class TestChainDeformation:
         K = span(9, *[e(i) for i in range(1, 5)])
         with pytest.raises(ValueError, match="dimension"):
             chain_deformation(A741, 2, FLAG, K, seeds=0)
+
+    def test_chain_longer_than_n_plus_one_minus_a1_rejected(self):
+        # at b = n+2-a_1 the descent would have to avoid F_{n+1} = 0; the
+        # longest chain, b = n+1-a_1, still runs
+        K = span(9, *[e(i) for i in range(1, 4)])
+        for flag in (FLAG, random_flag(9, 4)):
+            with pytest.raises(ValueError, match=r"at most n\+1-a_1 = 3"):
+                chain_deformation(A741, 4, flag, K, seeds=0)
+        K = span(9, *[e(i) for i in range(1, 5)])
+        assert all(rep.passed for rep in chain_deformation(A741, 3, FLAG, K, seeds=0))
 
 
 class TestGoldenRun:
@@ -576,10 +607,23 @@ class TestExactClauses:
 
     def test_profile_dropping_at_the_top_space_fails(self, monkeypatch):
         # a profile that drops at every q <= a_1+s, one row too far, as if
-        # L_t missed F_{a_1+s}, fails all five sample clauses of every step
-        real = deform.profile_in_cell
-        monkeypatch.setattr(deform, "profile_in_cell", lambda profile, a, s: real(
-            [d - (q == a.entries[0] + s) for q, d in enumerate(profile, 1)], a, s))
+        # L_t missed F_{a_1+s}, fails all five sample clauses of every step;
+        # only the step's level-s verdict is mutated, not the level-(s-1)
+        # precondition on M
+        real, real_step = deform.profile_in_cell, deform.step_verify
+        levels = []
+
+        def step(a, s, *rest):
+            levels.append(s)
+            return real_step(a, s, *rest)
+
+        def mutated(profile, a, s):
+            if s == levels[-1]:
+                profile = [d - (q == a.entries[0] + s) for q, d in enumerate(profile, 1)]
+            return real(profile, a, s)
+
+        monkeypatch.setattr(deform, "step_verify", step)
+        monkeypatch.setattr(deform, "profile_in_cell", mutated)
         steps = 0
         for a, b, flag, K, seeds in sweep_chains()[:8]:
             for rep in chain_deformation(a, b, flag, K, seeds=seeds)[1:-1]:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import pierikit
+from pierikit import enumerative
 from pierikit.enumerative import (
     QuintupleProblem,
     _slice_frame,
@@ -349,11 +350,11 @@ def witness_outcome(fn, *args):
         return f"ValueError: {exc}"
 
 
-def witness_inputs():
-    """(g, delta, dim C) for every branch pair of the n <= 6 problems with
-    d > 0, each once, in a deterministic order."""
+def witness_inputs(n_max=6):
+    """(g, delta, dim C) for every branch pair of the n <= n_max problems
+    with d > 0, each once, in a deterministic order."""
     seen = {}
-    for p in valid_instances(6):
+    for p in valid_instances(n_max):
         dim_c = p.n + 1 - p.m - p.c
         if dim_c < 1 or count_pairs_d(p) == 0:
             continue
@@ -361,6 +362,14 @@ def witness_inputs():
             for d in pieri_set(p.beta, p.b):
                 seen.setdefault((g, d, dim_c), None)
     return list(seen)
+
+
+def random_special(rng, n, dim_c):
+    """A special subspace of dimension dim_c spanned by small random rows."""
+    while True:
+        C = span(n, *[[rng.randint(-9, 9) for _ in range(n)] for _ in range(dim_c)])
+        if C.dim == dim_c:
+            return C
 
 
 class TestWitnessFrames:
@@ -375,11 +384,7 @@ class TestWitnessFrames:
         planes, messages = 0, set()
         for g, d, dim_c in inputs:
             n = g.n
-            while True:
-                C = span(n, *[[rng.randint(-9, 9) for _ in range(n)]
-                              for _ in range(dim_c)])
-                if C.dim == dim_c:
-                    break
+            C = random_special(rng, n, dim_c)
             # a coordinate subspace is special for both coordinate flags
             C_coord = span(n, *[unit_vector(n, i)
                                 for i in rng.sample(range(1, n + 1), dim_c)])
@@ -441,6 +446,80 @@ class TestWitnessFrames:
         assert quotient_dim(full_space(4), full_space(4)) == 0
         with pytest.raises(ValueError, match="ambient"):
             quotient_dim(full_space(3), full_space(4))
+
+
+class TestOneEliminationPerWitness:
+    """triple_witnesses reads the line and its slice coordinates off one
+    null vector of [C | slices], and proves that the plane meets C with the
+    witness point w = f_1 + ... + f_m itself."""
+
+    FLAGS = (standard_flag(4), reversed_flag(4))
+    C = span(4, (1, 2, 0, 5), (0, 1, 3, 7))
+
+    def test_warm_frame_makes_one_null_space_elimination(self, monkeypatch):
+        pairs = [(g, d) for g in pieri_set(seq(4, 3, 1), 1)
+                 for d in pieri_set(seq(4, 2, 1), 1)]
+        want = [triple_witnesses(g, d, self.C, *self.FLAGS) for g, d in pairs]
+
+        def forbid(*args, **kwargs):
+            raise AssertionError("a second elimination for the witness line")
+
+        for name in ("intersect", "solve_columns", "rank"):
+            monkeypatch.setattr(enumerative, name, forbid, raising=False)
+        calls = []
+        real = enumerative._null_vectors
+        monkeypatch.setattr(enumerative, "_null_vectors",
+                            lambda rows, ncols: calls.append(ncols) or real(rows, ncols))
+        for (g, d), planes in zip(pairs, want):
+            calls.clear()
+            assert triple_witnesses(g, d, self.C, *self.FLAGS) == planes
+            # one column per row of C and per row of the slices
+            assert calls == [self.C.dim + _slice_frame(g, d, *self.FLAGS)[1].dim]
+
+    def test_plane_missing_c_raises(self, monkeypatch):
+        # push the null vector's last slice coordinate off the line: each
+        # f_j still lies in its slice, so both flag conditions hold, but w
+        # leaves C and the plane misses C
+        real = enumerative._null_vectors
+
+        def mutant(rows, ncols):
+            (d, v), = real(rows, ncols)
+            return [(d, v[:-1] + [v[-1] + d])]
+
+        planes = []
+        real_member = enumerative.schubert_member
+        monkeypatch.setattr(enumerative, "_null_vectors", mutant)
+        monkeypatch.setattr(enumerative, "schubert_member",
+                            lambda H, *rest: planes.append(H) or real_member(H, *rest))
+        with pytest.raises(VerificationError, match="witness misses the special subspace"):
+            triple_witnesses(seq(4, 4, 1), seq(4, 3, 1), self.C, *self.FLAGS)
+        assert len(planes) == 2 and planes[0] == planes[1]
+        assert intersect(planes[0], self.C).dim == 0
+        assert real_member(planes[0], seq(4, 4, 1), self.FLAGS[0])
+        assert real_member(planes[0], seq(4, 3, 1), self.FLAGS[1])
+
+
+@pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
+                    reason="n = 7 witness sweep; set PIERIKIT_SLOW=1 to run it")
+def test_witnesses_match_fraction_assembly_n7():
+    """Every branch pair of the n = 7 problems with d > 0, on the
+    standard/reversed flag pair and one seeded random pair: planes and
+    error messages equal those of the Fraction reference."""
+    rng = random.Random(7)
+    inputs = [x for x in witness_inputs(7) if x[0].n == 7]
+    assert len(inputs) == 904
+    pairs = [(standard_flag(7), reversed_flag(7)), (random_flag(7, 17), random_flag(7, 27))]
+    planes = messages = 0
+    for g, d, dim_c in inputs:
+        C = random_special(rng, 7, dim_c)
+        for flag, flag2 in pairs:
+            want = witness_outcome(fraction_witnesses, g, d, C, flag, flag2)
+            assert witness_outcome(triple_witnesses, g, d, C, flag, flag2) == want, (g, d)
+            if isinstance(want, str):
+                messages += 1
+            else:
+                planes += len(want)
+    assert planes >= 800 and messages >= 20, (planes, messages)
 
 
 # Under python -O the witness checks must still run, and a failing one must

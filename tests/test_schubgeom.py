@@ -18,7 +18,6 @@ from pierikit.exactla import (
     VerificationError,
     canonicalize,
     intersect,
-    mat_vec,
     rank,
     span,
     sum_span,
@@ -442,6 +441,9 @@ class TestTangent:
         L = L_family(1)
         H = witness_point(A741, FLAG, L, 2, seed=2)
         base = tangent_codim(H, A741, FLAG, L)
+
+        def mat_vec(rows, v):
+            return tuple(sum(a * b for a, b in zip(row, v)) for row in rows)
 
         def push_space(S):
             return span(N, *[mat_vec(g, b) for b in S.basis])
