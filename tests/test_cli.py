@@ -1,6 +1,7 @@
 """Verb coverage, exit codes, and byte determinism of the front end."""
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -397,6 +398,37 @@ FORCED_FAILURES = [
 ]
 
 
+# one passing invocation of each of the 15 verbs
+VERB_ARGV = [
+    ("pieri", "--n", "9", "--alpha", "7,4,1", "--r", "2"),
+    ("tree", "--n", "9", "--alpha", "7,4,1", "--b", "2"),
+    ("chains", "--n", "9", "--alpha", "7,4,1", "--b", "2"),
+    ("schensted", "--shape", "4,2", "--b", "2", "--m", "3"),
+    ("schur", "--shape", "2,1", "--m", "2"),
+    ("classify", "--n", "9", "--alpha", "7,4,1", "--file", "{L}"),
+    ("cell", "--n", "9", "--alpha", "7,4,1", "--s", "2"),
+    ("witness", "--n", "9", "--alpha", "7,4,1", "--file", "{L}"),
+    ("tangent", "--n", "9", "--alpha", "7,4,1", "--file", "{L}"),
+    ("pencil", "--file", "{M}", "--marked-file", "{Lm}"),
+    ("step", "--n", "9", "--alpha", "7,4,1", "--s", "2", "--r", "1",
+     "--file", "{M}", "--marked-file", "{Lm}"),
+    ("chain-deform", "--n", "9", "--alpha", "7,4,1", "--b", "2"),
+    ("appendix-a",),
+    ("count-real",) + PROBLEM,
+    ("triple-witness",) + PROBLEM,
+]
+
+# exit code and sha256 of stdout and stderr of every verb, passing and with
+# its clauses forced to fail, in text and --json mode
+PINNED_OUTPUTS = Path(__file__).parent / "golden" / "cli_outputs.json"
+PINNED_RUNS = ([(argv[0], argv, None) for argv in VERB_ARGV]
+               + [("forced " + argv[0], argv, force) for argv, force in FORCED_FAILURES])
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestVerdictPath:
     @pytest.mark.parametrize("argv, force", FORCED_FAILURES,
                              ids=[argv[0] for argv, _ in FORCED_FAILURES])
@@ -410,6 +442,18 @@ class TestVerdictPath:
         if mode:
             assert json.loads(out)["schema"] == f"pierikit/{argv[0]}/1"
 
+    @pytest.mark.parametrize("key, argv, force", PINNED_RUNS,
+                             ids=[key for key, _, _ in PINNED_RUNS])
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    def test_output_matches_pinned_digest(self, capsys, monkeypatch, verb_files,
+                                          key, argv, force, mode):
+        if force:
+            force(monkeypatch)
+        rc, out, err = run(capsys, *fill(argv, verb_files), *mode)
+        pinned = json.loads(PINNED_OUTPUTS.read_text())
+        assert pinned[" ".join((key,) + mode)] == {
+            "exit": rc, "stdout": sha256(out), "stderr": sha256(err)}
+
     def test_verification_error_exits_one(self, capsys, monkeypatch):
         def broken():
             raise VerificationError("stubbed exact check")
@@ -417,24 +461,7 @@ class TestVerdictPath:
         rc, out, err = run(capsys, "appendix-a")
         assert (rc, out, err) == (1, "", "failed: stubbed exact check\n")
 
-    @pytest.mark.parametrize("argv", [
-        ("pieri", "--n", "9", "--alpha", "7,4,1", "--r", "2"),
-        ("tree", "--n", "9", "--alpha", "7,4,1", "--b", "2"),
-        ("chains", "--n", "9", "--alpha", "7,4,1", "--b", "2"),
-        ("schensted", "--shape", "4,2", "--b", "2", "--m", "3"),
-        ("schur", "--shape", "2,1", "--m", "2"),
-        ("classify", "--n", "9", "--alpha", "7,4,1", "--file", "{L}"),
-        ("cell", "--n", "9", "--alpha", "7,4,1", "--s", "2"),
-        ("witness", "--n", "9", "--alpha", "7,4,1", "--file", "{L}"),
-        ("tangent", "--n", "9", "--alpha", "7,4,1", "--file", "{L}"),
-        ("pencil", "--file", "{M}", "--marked-file", "{Lm}"),
-        ("step", "--n", "9", "--alpha", "7,4,1", "--s", "2", "--r", "1",
-         "--file", "{M}", "--marked-file", "{Lm}"),
-        ("chain-deform", "--n", "9", "--alpha", "7,4,1", "--b", "2"),
-        ("appendix-a",),
-        ("count-real",) + PROBLEM,
-        ("triple-witness",) + PROBLEM,
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", VERB_ARGV, ids=lambda argv: argv[0])
     def test_json_schema_stamp(self, capsys, verb_files, argv):
         rc, out, err = run(capsys, *fill(argv, verb_files), "--json")
         assert (rc, err) == (0, "")
