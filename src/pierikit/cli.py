@@ -1,11 +1,11 @@
 """Batch command-line front end.
 
 One verb per operation, deterministic output for fixed (argv, seed).  Every
-verb ends in `_emit`, the one verdict path: it prints the output (with
---json a single object, stamped with the schema pierikit/<verb>/1;
-otherwise aligned text), writes one `failed: <clause>` line to stderr per
-failed clause, and returns the exit code.  Exit codes: 0 success or
-verification pass; 1 a clause failed, or an exact check raised
+verb ends in `_emit`, the one verdict path, with its clauses as StageChecks:
+it prints the output (with --json a single object, stamped with the schema
+pierikit/<verb>/1; otherwise aligned text), writes one `failed: <clause>`
+line to stderr per failed clause, and returns the exit code.  Exit codes: 0
+success or verification pass; 1 a clause failed, or an exact check raised
 `VerificationError` (its message follows `failed:`); 2 usage error or
 unreadable input (`error: ...` on stderr); 3 a seeded sampler ran out of
 retries without a point in general position (`GenericityError`, reported
@@ -20,12 +20,10 @@ import os
 import sys
 
 from .deform import (
-    StageCheck,
     _mflag_space,
     build_pencil,
     chain_deformation,
     chain_histories,
-    check_lines,
     flag_within,
     golden_run_741,
     step_verify,
@@ -40,7 +38,10 @@ from .enumerative import (
 from .exactla import (
     SAMPLE_POINTS,
     GenericityError,
+    StageCheck,
     VerificationError,
+    check_lines,
+    failed_names,
     family_to_json,
     intersect,
     limit_at_zero,
@@ -48,6 +49,7 @@ from .exactla import (
     subspace_from_json,
     subspace_to_json,
     unit_vector,
+    verdict_line,
 )
 from .schubgeom import (
     cell_point,
@@ -125,13 +127,14 @@ def _load_subspace(path: str):
         return subspace_from_json(json.load(fh))
 
 
-def _emit(args, payload: dict, text: str, failures=()) -> int:
-    """Print the verb's output, name each failed clause on stderr, and
-    return the exit code: 1 if any clause failed, else 0."""
+def _emit(args, payload: dict, text: str, checks=()) -> int:
+    """Print the verb's output, name each failed clause (a StageCheck) on
+    stderr, and return the exit code: 1 if any clause failed, else 0."""
     if args.json:
         print(json.dumps({**payload, "schema": f"pierikit/{args.verb}/1"}, sort_keys=True))
     else:
         print(text, end="" if text.endswith("\n") else "\n")
+    failures = failed_names(checks)
     for name in failures:
         print(f"failed: {name}", file=sys.stderr)
     return 1 if failures else 0
@@ -140,7 +143,7 @@ def _emit(args, payload: dict, text: str, failures=()) -> int:
 def _report_text(rep) -> str:
     return "\n".join([f"stage {rep.stage}: alpha={rep.alpha} s={rep.s} r={rep.r}",
                       *check_lines(rep.checks),
-                      "result: " + ("PASS" if rep.passed else "FAIL")])
+                      verdict_line("result", rep.checks)])
 
 
 def _basis_lines(S) -> list:
@@ -200,9 +203,9 @@ def _cmd_schensted(args) -> int:
     lines = [f"shape {list(report.lam)}, row length {report.b}, entries <= {report.m}",
              f"insertion pairs: {report.pairs_total}"]
     lines.extend(f"  {str(list(s)):<{width}}  {c}" for s, c in report.image_counts)
-    lines.extend(f"{name}: {getattr(report, name)}" for name in report.CLAUSES)
-    lines.append("result: " + ("PASS" if report.passed else "FAIL"))
-    return _emit(args, report.to_json(), "\n".join(lines), report.failures())
+    lines.extend(f"{c.name}: {c.passed}" for c in report.checks)
+    lines.append(verdict_line("result", report.checks))
+    return _emit(args, report.to_json(), "\n".join(lines), report.checks)
 
 
 def _cmd_schur(args) -> int:
@@ -240,9 +243,8 @@ def _cmd_cell(args) -> int:
     }
     lines = [f"cell member for alpha={a}, s={args.s} (dim {point.dim})",
              *_basis_lines(point),
-             "profile: " + ("PASS" if profile.passed else "FAIL")]
-    return _emit(args, blob, "\n".join(lines),
-                 () if profile.passed else ("dimension profile",))
+             verdict_line("profile", profile.checks)]
+    return _emit(args, blob, "\n".join(lines), profile.checks)
 
 
 def _cmd_witness(args) -> int:
@@ -250,20 +252,18 @@ def _cmd_witness(args) -> int:
     flag = _flag_of(args)
     L = _load_subspace(args.file)
     H = witness_point(a, flag, L, args.mode, seed=_seed_of(args))
-    checks = {
-        "schubert_member": schubert_member(H, a, flag),
-        "meets_L": intersect(H, L).dim >= 1,
-    }
+    checks = (StageCheck("schubert_member", schubert_member(H, a, flag)),
+              StageCheck("meets_L", intersect(H, L).dim >= 1))
     blob = {
         "alpha": a.to_json(),
         "mode": args.mode,
         "point": subspace_to_json(H),
-        "checks": checks,
+        "checks": {c.name: c.passed for c in checks},
     }
     lines = [f"witness m-plane for alpha={a}, line carried at row {args.mode}",
              *_basis_lines(H)]
-    lines.extend(f"{k}: {v}" for k, v in checks.items())
-    return _emit(args, blob, "\n".join(lines), [k for k, ok in checks.items() if not ok])
+    lines.extend(f"{c.name}: {c.passed}" for c in checks)
+    return _emit(args, blob, "\n".join(lines), checks)
 
 
 def _cmd_tangent(args) -> int:
@@ -306,18 +306,17 @@ def _cmd_pencil(args) -> int:
                                  and fam.at(SAMPLE_POINTS[0]).dim == fam.ncols))
         checks.append(StageCheck(f"slice {i}: zero limit is the next space down",
                                  limit_at_zero(fam) == pencil.space(i + 1)))
-    failures = tuple(c.name for c in checks if not c.passed)
     blob = {
         "l": l,
         "family": family_to_json(pencil.family),
         "marked": subspace_to_json(pencil.marked),
         "checks": [c.to_json() for c in checks],
-        "passed": not failures,
+        "passed": not failed_names(checks),
     }
     lines = [f"pencil inside a {M.dim}-dim space, marked level l={l}",
              *check_lines(checks),
-             "result: " + ("FAIL" if failures else "PASS")]
-    return _emit(args, blob, "\n".join(lines), failures)
+             verdict_line("result", checks)]
+    return _emit(args, blob, "\n".join(lines), checks)
 
 
 def _cmd_step(args) -> int:
@@ -325,7 +324,7 @@ def _cmd_step(args) -> int:
     M = _load_subspace(args.file)
     marked = _load_subspace(args.marked_file)
     report = step_verify(a, args.s, args.r, _flag_of(args), M, marked)
-    return _emit(args, report.to_json(), _report_text(report), report.failures())
+    return _emit(args, report.to_json(), _report_text(report), report.checks)
 
 
 def _cmd_chain_deform(args) -> int:
@@ -342,24 +341,24 @@ def _cmd_chain_deform(args) -> int:
             raise ValueError("default K does not meet the flag properly; pass --k-file")
     reports = chain_deformation(a, args.b, flag, K, seeds=_seed_of(args))
     histories = chain_histories(reports)
-    failures = tuple(name for rep in reports for name in rep.failures())
+    checks = tuple(c for rep in reports for c in rep.checks)
     blob = {
         "alpha": a.to_json(),
         "b": args.b,
         "reports": [rep.to_json() for rep in reports],
         "chains": [[list(g.entries) for g in chain] for chain in histories],
-        "passed": not failures,
+        "passed": not failed_names(checks),
     }
     sections = [_report_text(rep) for rep in reports]
     sections.append("chains:")
     sections.extend("  " + " -> ".join(str(g) for g in chain) for chain in histories)
-    sections.append("overall: " + ("FAIL" if failures else "PASS"))
-    return _emit(args, blob, "\n".join(sections), failures)
+    sections.append(verdict_line("overall", checks))
+    return _emit(args, blob, "\n".join(sections), checks)
 
 
 def _cmd_appendix_a(args) -> int:
     report = golden_run_741()
-    return _emit(args, report.to_json(), report.table(), report.failures())
+    return _emit(args, report.to_json(), report.table(), report.checks)
 
 
 def _problem(args) -> QuintupleProblem:
@@ -391,7 +390,7 @@ def _cmd_count_real(args) -> int:
         f"oracle2 (iterated branching): {oracle2}",
         f"agree: {agree}",
     ])
-    return _emit(args, blob, text, () if agree else ("oracle agreement",))
+    return _emit(args, blob, text, (StageCheck("oracle agreement", agree),))
 
 
 def _cmd_triple_witness(args) -> int:
@@ -415,7 +414,7 @@ def _cmd_triple_witness(args) -> int:
         lines.append("witness:")
         lines.extend(_basis_lines(H))
     lines.append("match: " + str(match))
-    return _emit(args, blob, "\n".join(lines), () if match else ("witness count equals d",))
+    return _emit(args, blob, "\n".join(lines), (StageCheck("witness count equals d", match),))
 
 
 # ---------------------------------------------------------------------------

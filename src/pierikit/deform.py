@@ -17,12 +17,15 @@ from .exactla import (
     Flag,
     GenericityError,
     PolyFamily,
+    StageCheck,
     Subspace,
+    Verdict,
     VerificationError,
     _echelon,
     _int_row,
     annihilator_basis,
     canonicalize,
+    check_lines,
     family_from_vectors,
     frac,
     intersect,
@@ -32,6 +35,7 @@ from .exactla import (
     span,
     sum_span,
     unit_vector,
+    verdict_line,
     zero_subspace,
 )
 from .seqcomb import DecSeq, covers_under, first_diff_index, pieri_set
@@ -123,9 +127,6 @@ class Pencil:
 
     def at(self, t) -> Subspace:
         return self.family.at(t)
-
-    def limit(self) -> Subspace:
-        return limit_at_zero(self.family)
 
     def restricted_family(self, i: int) -> PolyFamily:
         """The family M_i cap L_t, for 1 <= i <= l-1: the tail of the
@@ -242,26 +243,6 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
 # Stage reports.
 
 @dataclass(frozen=True)
-class StageCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-    def to_json(self):
-        out = {"name": self.name, "passed": self.passed}
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
-
-def check_lines(checks) -> list:
-    """One `  [ok] name  (detail)` line per check (`[XX]` when it failed)."""
-    return [f"  [{'ok' if c.passed else 'XX'}] {c.name}"
-            + (f"  ({c.detail})" if c.detail else "")
-            for c in checks]
-
-
-@dataclass(frozen=True)
 class ComponentRecord:
     """One cycle component at a stage: its index, branching row, and the
     indices it breaks into at the next stage.  Row 1 carries a Schubert
@@ -289,20 +270,13 @@ class ComponentRecord:
 
 
 @dataclass(frozen=True)
-class StepReport:
+class StepReport(Verdict):
     stage: str
     alpha: DecSeq
     s: int
     r: int
     checks: tuple
     records: tuple = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> tuple:
-        return tuple(c.name for c in self.checks if not c.passed)
 
     def to_json(self):
         return {
@@ -679,7 +653,7 @@ def worked_family() -> PolyFamily:
 
 
 @dataclass(frozen=True)
-class GoldenReport:
+class GoldenReport(Verdict):
     """Outcome of the worked run: named sections of checks plus the final
     component index set."""
 
@@ -687,16 +661,10 @@ class GoldenReport:
     final_indices: tuple
 
     @property
-    def passed(self) -> bool:
-        return all(c.passed for _, checks in self.sections for c in checks)
-
-    def failures(self) -> tuple:
-        return tuple(
-            f"{name}: {c.name}"
-            for name, checks in self.sections
-            for c in checks
-            if not c.passed
-        )
+    def checks(self) -> tuple:
+        """Every section's clauses, each named `<section>: <clause>`."""
+        return tuple(StageCheck(f"{name}: {c.name}", c.passed, c.detail)
+                     for name, checks in self.sections for c in checks)
 
     def to_json(self):
         return {
@@ -718,7 +686,7 @@ class GoldenReport:
         lines.append("")
         lines.append("final components: "
                       + " ".join(str(g) for g in self.final_indices))
-        lines.append("overall: " + ("PASS" if self.passed else "FAIL"))
+        lines.append(verdict_line("overall", self.checks))
         return "\n".join(lines) + "\n"
 
 

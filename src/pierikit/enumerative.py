@@ -28,6 +28,7 @@ from .exactla import (
     _null_vectors,
     flag_from_basis,
     intersect,
+    rank,
     span,
     unit_vector,
 )
@@ -244,8 +245,8 @@ def reversed_flag(n: int) -> Flag:
 
 @lru_cache(maxsize=1024)
 def _slice_frame(alpha: DecSeq, beta: DecSeq, flag: Flag, flag2: Flag):
-    """(slices, total): the slices K_j = F_{alpha_j} cap F'_{beta_{m+1-j}}
-    for j = 1..m and their direct sum K_1 + ... + K_m.
+    """The slices K_j = F_{alpha_j} cap F'_{beta_{m+1-j}} for j = 1..m, whose
+    sum is checked to be direct: all their canonical rows are independent.
 
     Independent of the special subspace, so triple_witnesses computes it
     once per pair and flag pair.  Memoised by value (DecSeq, Flag and
@@ -261,10 +262,10 @@ def _slice_frame(alpha: DecSeq, beta: DecSeq, flag: Flag, flag2: Flag):
         if K.dim == 0:
             raise ValueError(f"slice {j} is zero")
         slices.append(K)
-    total = span(alpha.n, *(row for K in slices for row in K.rows))
-    if total.dim != sum(K.dim for K in slices):
+    rows = [row for K in slices for row in K.rows]
+    if rank(rows) != len(rows):
         raise ValueError("slice sum is not direct")
-    return tuple(slices), total
+    return tuple(slices)
 
 
 def triple_witnesses(
@@ -275,8 +276,8 @@ def triple_witnesses(
     Builds it from the slices K_j = F_{alpha_j} cap F'_{beta_{m+1-j}}: the
     line C cap (K_1 + ... + K_m) is spanned by a vector w, the summands
     f_j of w across the slices give a basis, and their span is the
-    witness.  The slices and their sum do not depend on C and come from a
-    frame cached per (alpha, beta, flag, flag2).
+    witness.  The slices do not depend on C and come from a frame cached
+    per (alpha, beta, flag, flag2).
 
     One fraction-free elimination finds the line and its slice
     coordinates at once: the null vectors (u, v) of the integer matrix
@@ -310,7 +311,7 @@ def triple_witnesses(
     if dual(beta) not in pieri_set(alpha, c):
         return []
 
-    slices, _ = _slice_frame(alpha, beta, flag, flag2)
+    slices = _slice_frame(alpha, beta, flag, flag2)
     rows = [row for K in slices for row in K.rows]
     null = _null_vectors(list(zip(*C.rows, *rows)), C.dim + len(rows))
     if len(null) != 1:

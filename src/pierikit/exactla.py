@@ -72,6 +72,50 @@ class GenericityError(RuntimeError):
     in general position.  Nothing was shown wrong: another seed may work."""
 
 
+@dataclass(frozen=True)
+class StageCheck:
+    """One named clause of a verification and its verdict: every report
+    and every CLI verb states its clauses as StageChecks."""
+
+    name: str
+    passed: bool
+    detail: str = ""
+
+    def to_json(self):
+        out = {"name": self.name, "passed": self.passed}
+        if self.detail:
+            out["detail"] = self.detail
+        return out
+
+
+def check_lines(checks) -> list:
+    """One `  [ok] name  (detail)` line per check (`[XX]` when it failed)."""
+    return [f"  [{'ok' if c.passed else 'XX'}] {c.name}"
+            + (f"  ({c.detail})" if c.detail else "")
+            for c in checks]
+
+
+def failed_names(checks) -> tuple:
+    """The names of the failed clauses, in order."""
+    return tuple(c.name for c in checks if not c.passed)
+
+
+def verdict_line(label: str, checks) -> str:
+    """`label: PASS` when every clause passed, else `label: FAIL`."""
+    return f"{label}: " + ("FAIL" if failed_names(checks) else "PASS")
+
+
+class Verdict:
+    """Mixin: a report's `passed` and `failures()` read its `checks`."""
+
+    @property
+    def passed(self) -> bool:
+        return not failed_names(self.checks)
+
+    def failures(self) -> tuple:
+        return failed_names(self.checks)
+
+
 def frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -581,18 +625,6 @@ def ptrim(c) -> Poly:
     return tuple(c)
 
 
-def pconst(x) -> Poly:
-    return ptrim((frac(x),))
-
-
-def peval(p: Poly, t) -> Fraction:
-    t = frac(t)
-    out = _ZERO
-    for c in reversed(p):
-        out = out * t + c
-    return out
-
-
 @dataclass(frozen=True)
 class PolyFamily:
     """A family of subspaces spanned by columns with polynomial entries.
@@ -659,7 +691,7 @@ def family_from_vectors(ambient: int, columns) -> PolyFamily:
 
 
 def constant_family(s: Subspace) -> PolyFamily:
-    return PolyFamily(s.ambient, tuple(tuple(pconst(x) for x in row) for row in s.basis))
+    return family_from_vectors(s.ambient, [[(x,) for x in row] for row in s.basis])
 
 
 def limit_at_zero(fam: PolyFamily) -> Subspace:

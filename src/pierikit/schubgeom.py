@@ -17,7 +17,9 @@ from math import lcm
 from .exactla import (
     Flag,
     GenericityError,
+    StageCheck,
     Subspace,
+    Verdict,
     VerificationError,
     annihilator_basis,
     flag_from_basis,
@@ -255,12 +257,13 @@ class ProfileEntry:
 
 
 @dataclass(frozen=True)
-class ProfileReport:
+class ProfileReport(Verdict):
     entries: tuple[ProfileEntry, ...]
 
     @property
-    def passed(self) -> bool:
-        return all(e.expected == e.actual for e in self.entries)
+    def checks(self) -> tuple:
+        return (StageCheck("dimension profile",
+                           all(e.expected == e.actual for e in self.entries)),)
 
     def to_json(self) -> dict:
         return {

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .exactla import StageCheck, Verdict
 from .seqcomb import DecSeq, alpha_of, lambda_of, pieri_set, tree_chains, trim_partition
 
 Partition = tuple[int, ...]
@@ -74,8 +75,10 @@ def ssyt_enumerate(shape: Partition, m: int) -> tuple[Tableau, ...]:
     """All semistandard tableaux of the given shape with entries <= m.
 
     Straight backtracking cell by cell, row-major.  A shape with more than m
-    rows admits none.
+    rows admits none.  Raises ValueError for m < 0.
     """
+    if m < 0:
+        raise ValueError(f"number of variables must be nonnegative, got {m}")
     shape = trim_partition(shape)
     if len(shape) > m:
         return ()
@@ -159,7 +162,7 @@ def shape_tree_chains(lam: Partition, b: int, m: int) -> tuple[tuple[Partition, 
 
 
 @dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(Verdict):
     lam: Partition
     b: int
     m: int
@@ -177,11 +180,8 @@ class BijectionReport:
                "chains_ok", "chains_complete")
 
     @property
-    def passed(self) -> bool:
-        return not self.failures()
-
-    def failures(self) -> tuple:
-        return tuple(name for name in self.CLAUSES if not getattr(self, name))
+    def checks(self) -> tuple:
+        return tuple(StageCheck(name, getattr(self, name)) for name in self.CLAUSES)
 
     def to_json(self) -> dict:
         return {
@@ -288,10 +288,6 @@ class SparsePoly:
     def one(cls, nvars):
         return cls(nvars, {(0,) * nvars: 1})
 
-    @classmethod
-    def monomial(cls, exponent, coeff=1):
-        return cls(len(exponent), {tuple(exponent): coeff})
-
     def coeff(self, e) -> Fraction:
         return self.terms.get(tuple(e), Fraction(0))
 
@@ -385,7 +381,7 @@ def _orbit_size(exponent) -> int:
 def schur_expand(lam: Partition, m: int) -> SparsePoly:
     """Schur polynomial of shape lam in m variables: sum of x^T over SSYT.
 
-    Zero when lam has more than m parts; one for the empty shape.
+    Zero when lam has more than m parts; one for the empty shape; m < 0 is a ValueError.
     """
     lam = trim_partition(lam)
     out: dict[tuple[int, ...], Fraction] = {}

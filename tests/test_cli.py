@@ -105,6 +105,13 @@ class TestCombinatoricsVerbs:
         assert rc == 0
         assert blob["terms"] == {"1,2": "1", "2,1": "1"}
 
+    def test_schur_variable_count(self, capsys):
+        rc, out, err = run(capsys, "schur", "--shape", "0", "--m", "-3")
+        assert (rc, out) == (2, "")
+        assert err == "error: number of variables must be nonnegative, got -3\n"
+        rc, out, err = run(capsys, "schur", "--shape", "0", "--m", "0")
+        assert (rc, out, err) == (0, ": 1\n", "")
+
 
 class TestGeometryVerbs:
     def test_classify(self, capsys, tmp_path):

@@ -208,7 +208,7 @@ class TestBuildPencil:
 
     def test_family_endpoints(self):
         p = companion_pencil()
-        assert p.limit() == p.space(2)
+        assert limit_at_zero(p.family) == p.space(2)
         for t in SAMPLE_POINTS:
             fibre = p.at(t)
             assert fibre.dim == p.M.dim - 1

@@ -25,7 +25,6 @@ from pierikit.exactla import (
     invert_matrix,
     kernel_basis,
     limit_at_zero,
-    peval,
     quotient_subspace,
     rank,
     rref,
@@ -44,7 +43,8 @@ F = Fraction
 
 def eval_columns(fam, t):
     """The family's columns at t, evaluated in Fractions."""
-    return [tuple(peval(p, t) for p in col) for col in fam.cols]
+    return [tuple(sum((c * F(t) ** k for k, c in enumerate(p)), F(0)) for p in col)
+            for col in fam.cols]
 
 
 def family_from_json(d):

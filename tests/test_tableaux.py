@@ -77,6 +77,16 @@ class TestEnumeration:
             for m in (2, 3):
                 assert len(ssyt_enumerate(shape, m)) == oracle_ssyt_count(shape, m)
 
+    def test_negative_variable_count_is_rejected(self):
+        for shape in [(), (1,), (2, 1)]:
+            with pytest.raises(ValueError, match="nonnegative"):
+                ssyt_enumerate(shape, -1)
+            with pytest.raises(ValueError, match="nonnegative"):
+                schur_expand(shape, -3)
+        # s of the empty shape is 1 in any number of variables, zero included
+        assert schur_expand((), 0) == SparsePoly.one(0)
+        assert schur_expand((1,), 0) == SparsePoly(0, {})
+
     def test_all_valid_and_distinct(self):
         ts = ssyt_enumerate((3, 2), 3)
         assert len({t.rows for t in ts}) == len(ts)
@@ -165,8 +175,8 @@ class TestBijection:
 
 class TestSparsePoly:
     def test_arithmetic(self):
-        x = SparsePoly.monomial((1, 0))
-        y = SparsePoly.monomial((0, 1))
+        x = SparsePoly(2, {(1, 0): 1})
+        y = SparsePoly(2, {(0, 1): 1})
         p = (x + y) * (x + y)
         assert p.coeff((2, 0)) == 1
         assert p.coeff((1, 1)) == 2
@@ -174,8 +184,8 @@ class TestSparsePoly:
         assert not (p - p)
 
     def test_symmetry(self):
-        x = SparsePoly.monomial((1, 0))
-        y = SparsePoly.monomial((0, 1))
+        x = SparsePoly(2, {(1, 0): 1})
+        y = SparsePoly(2, {(0, 1): 1})
         assert (x + y).is_symmetric()
         assert (x * x + y * y).is_symmetric()
         assert not x.is_symmetric()
@@ -221,7 +231,7 @@ class TestSchur:
 
     def test_decompose_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            schur_decompose(SparsePoly.monomial((1, 0)), 2)
+            schur_decompose(SparsePoly(2, {(1, 0): 1}), 2)
 
     def test_decompose_rejects_fractional(self):
         from fractions import Fraction
