@@ -14,6 +14,7 @@ from pierikit import (
     standard_flag,
     step_verify,
     unit_vector,
+    verdict_line,
 )
 
 n = 9
@@ -40,8 +41,7 @@ print(f"  t->0: the limit is M_4  ({limit == pencil.space(4)})")
 print()
 
 report = step_verify(DecSeq(n, (7, 4, 1)), 2, 1, flag, M, L_inf)
-print(f"step report, stage {report.stage}: "
-      f"{'PASS' if report.passed else 'FAIL'}")
+print(verdict_line(f"step report, stage {report.stage}", report.checks))
 for rec in report.records:
     kids = ", ".join(str(c) for c in rec.children)
     print(f"  {rec.index} (row {rec.j}, {rec.kind}) -> {kids}")

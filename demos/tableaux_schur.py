@@ -13,6 +13,7 @@ from pierikit import (
     pieri_shapes,
     row_insert,
     schur_expand,
+    verdict_line,
 )
 
 lam = (2, 1)
@@ -47,4 +48,4 @@ print(f"  shapes are strips: {report.shapes_ok}")
 print("  image counts:")
 for mu, count in report.image_counts:
     print(f"    {mu}: {count}")
-print(f"  overall: {'PASS' if report.passed else 'FAIL'}")
+print(verdict_line("  overall", report.checks))

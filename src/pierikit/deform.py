@@ -43,6 +43,7 @@ from .schubgeom import (
     IMPROPER,
     TRANSVERSE_IRREDUCIBLE,
     TRANSVERSE_REDUCIBLE,
+    _cycle_labels,
     cell_member,
     cell_point,
     classify_pieri,
@@ -293,22 +294,6 @@ class StepReport(Verdict):
 # ----------------------------------------------------------------------
 # One degeneration step.
 
-def _expected_cycle(a: DecSeq, level, s: int) -> frozenset:
-    """The y_cycle(a, r, s, ...) labels that the branch set `level` predicts:
-    a row-1 child g gives the Schubert variety of g with its first entry
-    pushed by s-1 (none once that passes n), any other child g, branching in
-    row j, the incidence component X_{g,j}.  Built from branching alone, so
-    comparing it with y_cycle is a check."""
-    labels = set()
-    for g in level:
-        j = first_diff_index(a, g)
-        if j > 1:
-            labels.add(("incidence", g.entries, j))
-        elif g.entries[0] + s - 1 <= a.n:
-            labels.add(("schubert", (g.entries[0] + s - 1,) + g.entries[1:]))
-    return frozenset(labels)
-
-
 def _kills_family(covectors, fam: PolyFamily) -> bool:
     """Does every covector vanish on every t-coefficient of every column of
     fam, that is on every fibre of fam at once?"""
@@ -340,20 +325,19 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
     top, so in L_t.  So dim(F_q cap L_t) = dim(F_q cap M) - [q <= a1+s-1]
     for every t != 0, and profile_in_cell of that profile is the verdict at
     every sample point, none of which is 0.
-    The moving-plane clause holds for every t outside a finite set.  For
-    slice position q the moving family is M_q cap L_t, and the clause passes
-    iff (a) its columns are the pencil's column tail from q on, so moving_t
-    lies in L_t for every t; (b) every integer covector of F_b's annihilator
-    kills every t-coefficient of every column, so moving_t lies in F_b for
-    every t; and (c) at t0 = SAMPLE_POINTS[0], dim moving_t0 = ncols =
-    dim(F_b cap L_t0), read off the flag position of L_t0.  build_pencil
-    proves dim L_t = N-1 for every t, so dim(F_b cap L_t) is upper
-    semicontinuous in t; a rank at a point never exceeds the generic rank,
-    so (c) gives generic dim moving_t = ncols >= generic dim(F_b cap L_t);
-    with (a) and (b), moving_t = F_b cap L_t for generic t.
+    The moving-plane clause holds for every t != 0.  For slice position q
+    the moving family is M_q cap L_t: (a) its columns are the pencil's
+    column tail from q on, so it lies in every L_t; (b) every integer
+    covector of F_b's annihilator kills every t-coefficient, so it lies in
+    F_b; (c) build_pencil proves the columns triangular with nonzero
+    constant diagonal, so its dimension is ncols at every t, and ncols is
+    dim(F_b cap L_t), read off the flag position above.
     The limit clauses are exact: the limit is computed over Z[t], and the
     expected F_{b_j+1} cap M is the member of the flag in M of its
-    dimension, as every F_q cap M is.
+    dimension.  The limit is in the restricted cell iff it lies in F_b and
+    its flag position from F_b on passes profile_in_cell.  The assembled
+    cycle labels the distinct claimed children and is compared with M's
+    y_cycle.
     """
     if s < 2:
         raise ValueError("step parameter s must be at least 2")
@@ -363,7 +347,7 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
         raise ValueError("ambient dimensions disagree")
     meets = flag.meet_dims(M)
     # cell_member(M, a, s - 1, flag), on the one flag position of M
-    if not (profile_in_cell(meets, a, s - 1) and M.dim == a.n + 2 - a.m - s):
+    if not profile_in_cell(meets, a, s - 1):
         raise ValueError("M does not lie in the level s-1 cell")
     a1 = a.entries[0]
     top = flag.subspace(a1 + s)
@@ -384,19 +368,18 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
         raise VerificationError(f"induced flag step {l - 1} is not F_{a1 + s - 1}")
     pencil = build_pencil(mflag, l, L_inf)
 
-    in_cell = profile_in_cell(
-        [d - (q <= a1 + s - 1) for q, d in enumerate(meets, 1)], a, s)
+    # the flag position of every L_t with t != 0
+    meets_t = [d - (q <= a1 + s - 1) for q, d in enumerate(meets, 1)]
+    in_cell = profile_in_cell(meets_t, a, s)
     checks = [StageCheck(f"sample t={t} lies in the level-{s} cell", in_cell)
               for t in SAMPLE_POINTS]
-    t0 = SAMPLE_POINTS[0]
-    meets_t0 = flag.meet_dims(pencil.at(t0))
     records = []
 
     level = pieri_set(a, r)
     nxt = pieri_set(a, r + 1)
     claimed = []
     # components with the same slice position q share M_q cap L_t: its
-    # fibre at t0 and its limit are computed once per q
+    # limit and the limit's flag position are computed once per q
     moving_by_q = {}
     for b in level:
         j = first_diff_index(a, b)
@@ -412,33 +395,32 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
                 detail=" ".join(str(g) for g in kids)))
             records.append(ComponentRecord(b, j, kids))
             continue
-        Fb = flag.subspace(b.entries[j - 1])
-        q = N - meets[b.entries[j - 1] - 1] + 1
+        bj = b.entries[j - 1]
+        q = N - meets[bj - 1] + 1
         if q not in moving_by_q:
             moving = pencil.restricted_family(q)
-            moving_by_q[q] = (moving, moving.at(t0).dim, limit_at_zero(moving))
-        moving, dim_at_t0, lim = moving_by_q[q]
-        d = moving.ncols
+            lim = limit_at_zero(moving)
+            moving_by_q[q] = (moving, lim, flag.meet_dims(lim))
+        moving, lim, lim_meets = moving_by_q[q]
         # clauses (a), (b), (c) of the docstring; F_b's annihilator is
         # spanned by the flag's first b_j - 1 integer adapted covectors
         fam_ok = (moving.cols == pencil.family.cols[q - 1:]
-                  and _kills_family(flag._adapted_coords[:b.entries[j - 1] - 1],
-                                    moving)
-                  and dim_at_t0 == d == meets_t0[b.entries[j - 1] - 1])
+                  and _kills_family(flag._adapted_coords[:bj - 1], moving)
+                  and moving.ncols == meets_t[bj - 1])
         checks.append(StageCheck(
-            f"component {b}: moving plane is F_{b.entries[j - 1]} cap L_t",
-            fam_ok))
-        expected = _mflag_space(mflag, N + 1 - meets[b.entries[j - 1]], a.n)
+            f"component {b}: moving plane is F_{bj} cap L_t", fam_ok))
+        expected = _mflag_space(mflag, N + 1 - meets[bj], a.n)
         checks.append(StageCheck(
-            f"component {b}: limit is F_{b.entries[j - 1] + 1} cap M",
-            lim == expected))
+            f"component {b}: limit is F_{bj + 1} cap M", lim == expected))
         checks.append(StageCheck(
             f"component {b}: limit has the generic fibre dimension",
             lim.dim == N - q))
-        sub_flag = restrict_flag(flag, b.entries[j - 1])
+        # the limit lies in F_b, and its flag position from F_b on is its
+        # position under the flag induced on F_b (see restrict_flag)
         b_r = restrict_sequence(b, j)
         try:
-            cell_ok = cell_member(Fb.restrict(lim), b_r, s - 1, sub_flag)
+            cell_ok = (lim_meets[bj - 1] == lim.dim
+                       and profile_in_cell(lim_meets[bj - 1:], b_r, s - 1))
         except ValueError:
             cell_ok = False
         checks.append(StageCheck(
@@ -460,7 +442,7 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
 
     checks.append(StageCheck(
         "assembled components match the level-(r+1) cycle",
-        _expected_cycle(a, nxt, s - 1) == y_cycle(a, r + 1, s - 1, flag, M)))
+        _cycle_labels(a, set(claimed), s - 1) == y_cycle(a, r + 1, s - 1, flag, M)))
 
     return StepReport("step", a, s, r, tuple(checks), tuple(records))
 
@@ -534,7 +516,7 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
             cell_member(positions[1], a, b, flag)),
         StageCheck(
             "level-1 components match the branch set",
-            y_cycle(a, 1, b, flag, positions[1]) == _expected_cycle(a, level1, b)),
+            y_cycle(a, 1, b, flag, positions[1]) == _cycle_labels(a, level1, b)),
     )
     start_records = tuple(ComponentRecord(g, first_diff_index(a, g), ())
                           for g in level1)

@@ -37,15 +37,12 @@ Vec = tuple[Fraction, ...]
 Poly = tuple[Fraction, ...]  # coefficients, lowest degree first, trimmed
 
 # Fixed sample points in t.  Agreement at all five certifies nothing for a
-# family of higher degree.  step_verify's exact moving-plane clause and the
-# pencil verb's dimension clause take the first as their one point (a rank
-# at a point never exceeds the generic rank, so a special point could only
-# fail them, never pass them wrongly); build_pencil's fibre checks read the
-# pencil's columns and sample nothing.  step_verify's "sample t=... lies in
-# the level-s cell" clauses keep their names, one per point, and share one
-# verdict proved for every nonzero t.  Still sampled at all five:
-# limit_at_zero's generic-rank pre-check and the sampled claims of
-# golden_run_741.
+# family of higher degree.  No chain step and no verb evaluates a fibre:
+# build_pencil proves its fibres from the pencil's columns, and
+# step_verify's "sample t=... lies in the level-s cell" clauses keep their
+# names, one per point, and share one verdict proved for every nonzero t.
+# Still sampled at all five: limit_at_zero's generic-rank pre-check and the
+# sampled claims of golden_run_741.
 SAMPLE_POINTS = (
     Fraction(1),
     Fraction(1, 2),

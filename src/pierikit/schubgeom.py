@@ -221,13 +221,11 @@ def cell_index(a: DecSeq, s: int) -> DecSeq:
 
 
 def cell_member(L: Subspace, a: DecSeq, s: int, flag: Flag) -> bool:
-    """Membership in the incidence cell: L has the cell's dimension and its
-    flag position passes profile_in_cell.  An s outside cell_index's range
-    raises ValueError, as cell_index does: the cell is empty there, and the
-    dimension test alone would admit subspaces outside every incidence
-    cell."""
-    _check_cell_parameter(a, s)
-    return L.dim == a.n + 1 - a.m - s and profile_in_cell(flag.meet_dims(L), a, s)
+    """Membership in the incidence cell: L's flag position passes
+    profile_in_cell, whose first entry dim F_1 cap L = dim L is the cell's
+    dimension.  An s outside cell_index's range raises ValueError, as
+    cell_index does: the cell is empty there."""
+    return profile_in_cell(flag.meet_dims(L), a, s)
 
 
 def profile_in_cell(meets, a: DecSeq, s: int) -> bool:
@@ -278,29 +276,19 @@ class ProfileReport(Verdict):
 def cell_profile_check(L: Subspace, a: DecSeq, s: int, flag: Flag) -> ProfileReport:
     """Full dimension profile of a cell member against every flag space.
 
-    Strictly between consecutive rows the displayed interior formula applies;
-    above the first row and below the last the profile is pinned by the cell
-    conditions directly.  The interior formula is NOT valid above the first
-    row once s exceeds 1, which is why that range gets its own expression.
+    The expected profile is the Schubert position of beta = cell_index(a, s):
+    dim F_i cap L = #{k : beta_k >= i}, the position of the open cell that
+    the incidence cell fills.  At s = n+2-a_1 the incidence cell holds more
+    than that open cell, so a member can read FAIL here: for n = 3, a = (3),
+    s = 2 and L = <e_2>, cell_member is True but the profile differs at i = 2.
     """
     if not cell_member(L, a, s, flag):
         raise ValueError("subspace is not in the incidence cell")
-    n, m = a.n, a.m
-    expected = {}
-    for j in range(2, m + 1):
-        lo, hi = a.entries[j - 1], a.entries[j - 2]
-        for i in range(lo + 1, hi):
-            expected[i] = (n + 1 - i) + 1 - j - (s - 1)
-        expected[lo] = n + 2 - lo - j - s
-    a1 = a.entries[0]
-    expected[a1] = max(0, n + 1 - a1 - s)
-    for i in range(a1 + 1, n + 1):
-        expected[i] = max(0, n + 1 - max(i, a1 + s))
-    for i in range(1, a.entries[m - 1]):
-        expected[i] = n + 2 - i - m - s
+    beta = cell_index(a, s).entries
     meets = flag.meet_dims(L)
-    entries = tuple(ProfileEntry(i, expected[i], meets[i - 1]) for i in sorted(expected))
-    return ProfileReport(entries)
+    return ProfileReport(tuple(
+        ProfileEntry(i, sum(bk >= i for bk in beta), meets[i - 1])
+        for i in range(1, a.n + 1)))
 
 
 def _pivot_span(pivots, flag: Flag, rng) -> Subspace:
@@ -531,27 +519,31 @@ def restrict_flag(flag: Flag, q: int) -> Flag:
 # degeneration cycles
 
 
+def _cycle_labels(a: DecSeq, members, s: int) -> frozenset:
+    """One cycle label per member b of a branch set of a: a member that
+    first grows in row 1 (or a itself) gives the Schubert variety
+    ("schubert", entries) with b's first entry pushed s-1 further, dropped
+    when pushed past n; a member that first grows in row j > 1 gives the
+    incidence component ("incidence", b.entries, j)."""
+    labels = set()
+    for b in members:
+        j = first_diff_index(a, b) if b != a else 1
+        if j > 1:
+            labels.add(("incidence", b.entries, j))
+        elif b.entries[0] + s - 1 <= b.n:
+            labels.add(("schubert", (b.entries[0] + s - 1,) + b.entries[1:]))
+    return frozenset(labels)
+
+
 def y_cycle(a: DecSeq, r: int, s: int, flag: Flag, L: Subspace) -> frozenset:
     """Signature of the degeneration cycle after r branchings, for a special
-    subspace sitting in the incidence cell with parameter s.
-
-    One label per member b of the r-step branch set: members that first
-    grow in row 1 give a Schubert variety ("schubert", entries) with b's
-    first entry pushed s-1 further (dropped when pushed past n); members
-    that first grow in row j > 1 give ("incidence", b.entries, j).  With
-    r = 0 the cycle is the single pushed Schubert variety of a.  Two labels
-    with the same entries raise ValueError.
+    subspace sitting in the incidence cell with parameter s: the
+    _cycle_labels of the r-step branch set, or of a alone when r = 0.  Two
+    labels with the same entries raise ValueError.
     """
     if not cell_member(L, a, s, flag):
         raise ValueError("special subspace is not in the stated incidence cell")
-    labels = []
-    for b in pieri_set(a, r) if r else (a,):
-        j = first_diff_index(a, b) if r else 1
-        if j > 1:
-            labels.append(("incidence", b.entries, j))
-        elif b.entries[0] + s - 1 <= b.n:
-            pushed = DecSeq(b.n, (b.entries[0] + s - 1,) + b.entries[1:])
-            labels.append(("schubert", pushed.entries))
+    labels = _cycle_labels(a, pieri_set(a, r) if r else (a,), s)
     if len({label[1] for label in labels}) != len(labels):
         raise ValueError("duplicate component index")
-    return frozenset(labels)
+    return labels

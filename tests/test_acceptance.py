@@ -5,6 +5,7 @@ stated time bound, and compares results exactly: integer counts, Fraction
 coordinates, frozen index sets.  No tolerances anywhere.
 """
 
+import gc
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -60,9 +61,16 @@ LEVEL2 = frozenset(
 
 def test_criterion_01_branch_set_golden():
     pieri_set.cache_clear()
-    t0 = time.perf_counter()
-    got = pieri_set(A741, 2)
-    elapsed = time.perf_counter() - t0
+    # a cyclic-collector pass landing in the timed call, late in a long
+    # session, once took it past the bound; time the call alone
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        got = pieri_set(A741, 2)
+        elapsed = time.perf_counter() - t0
+    finally:
+        gc.enable()
     assert {g.entries for g in got} == LEVEL2
     assert len(got) == 6
     assert elapsed < 0.001

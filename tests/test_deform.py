@@ -666,14 +666,66 @@ class TestExactClauses:
                 assert deform._kills_family(flag._adapted_coords[:j - 1], fam) is inside
 
     def test_slice_dimension_mismatch_fails(self, monkeypatch):
-        # F_b cap L_t0 coming out larger than the moving plane fails (c):
-        # the flag position of L_t0 reads as that of M
-        fibre = companion_pencil().at(SAMPLE_POINTS[0])
-        real = Flag.meet_dims
-        monkeypatch.setattr(Flag, "meet_dims",
-                            lambda self, L: real(self, M_COMPANION if L == fibre else L))
+        # a moving family whose column count reads one more than
+        # dim(F_b cap L_t), the proved flag position of every L_t with
+        # t != 0, fails (c); its columns, and so (a), (b) and the limit,
+        # are the real ones
+        class Wider(PolyFamily):
+            @property
+            def ncols(self):
+                return len(self.cols) + 1
+
+        real_family, real_limit = Pencil.restricted_family, deform.limit_at_zero
+
+        def wider(self, i):
+            fam = real_family(self, i)
+            return Wider(fam.ambient, fam.cols)
+
+        monkeypatch.setattr(Pencil, "restricted_family", wider)
+        monkeypatch.setattr(deform, "limit_at_zero",
+                            lambda fam: real_limit(PolyFamily(fam.ambient, fam.cols)))
         rep = step_verify(A741, 2, 1, FLAG, M_COMPANION, L_MARKED)
         assert set(rep.failures()) == {MOVING_751, MOVING_742}
+
+    def test_limit_off_f_b_fails_the_restricted_cell(self, monkeypatch):
+        # a limit whose flag position reads one dimension short in F_b (F_5
+        # for the 3-dimensional limit of 751, F_2 for the 5-dimensional one
+        # of 742) no longer lies in F_b, so it fails the restricted cell
+        b_of_dim = {3: 5, 5: 2}
+        real = Flag.meet_dims
+
+        def shifted(self, L):
+            meets = real(self, L)
+            if L != M_COMPANION and sys._getframe(1).f_code is step_verify.__code__:
+                bj = b_of_dim[L.dim]
+                meets = meets[:bj - 1] + (meets[bj - 1] - 1,) + meets[bj:]
+            return meets
+
+        monkeypatch.setattr(Flag, "meet_dims", shifted)
+        rep = step_verify(A741, 2, 1, FLAG, M_COMPANION, L_MARKED)
+        assert set(rep.failures()) == {
+            "component 751: limit lies in the restricted level-1 cell",
+            "component 742: limit lies in the restricted level-1 cell"}
+
+    @pytest.mark.parametrize("fault", ["duplicate", "dropped"])
+    def test_children_faults_fail_their_clauses(self, monkeypatch, fault):
+        # the assembled cycle is built from the distinct claimed children:
+        # a child claimed twice fails the partition, not with a ValueError,
+        # and a child claimed by nobody also leaves the cycle short
+        real = deform.covers_under
+
+        def covers(a, b, g):
+            if str(b) == "742" and str(g) == ("851" if fault == "duplicate" else "743"):
+                return fault == "duplicate"
+            return real(a, b, g)
+
+        monkeypatch.setattr(deform, "covers_under", covers)
+        rep = step_verify(A741, 2, 1, FLAG, M_COMPANION, L_MARKED)
+        want = {"children partition the next branch level",
+                "component 742: children match the restricted branch set"}
+        if fault == "dropped":
+            want.add("assembled components match the level-(r+1) cycle")
+        assert set(rep.failures()) == want
 
     def test_chain_makes_no_sampled_collapse_call(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -686,21 +738,31 @@ class TestExactClauses:
         K = span(9, *[e(i) for i in range(1, 6)])
         assert all(rep.passed for rep in chain_deformation(A741, 2, FLAG, K, seeds=0))
 
-    def test_one_intersect_of_f_b_and_l_t_per_component(self, monkeypatch):
-        # dim F_b cap L_t0 for both components F_5 and F_2 comes from one
-        # flag position of the one fibre evaluated; intersect is never called
-        fibres = [companion_pencil().at(t) for t in SAMPLE_POINTS]
-        met, evaluated = [], []
-        real_meet, real_at = Flag.meet_dims, Pencil.at
+    def test_step_reads_flag_positions_only(self, monkeypatch):
+        # every step evaluates no fibre, builds no restricted flag and
+        # intersects nothing: it reads M's flag position, once in the step
+        # and once in y_cycle's cell_member, and one position per limit
+        steps = recorded_steps(monkeypatch)
+        for a, b, flag, K, seeds in sweep_chains()[:6]:
+            chain_deformation(a, b, flag, K, seeds=seeds)
+        assert len(steps) >= 6
+        met = []
+        real_meet = Flag.meet_dims
         monkeypatch.setattr(Flag, "meet_dims",
                             lambda self, L: met.append(L) or real_meet(self, L))
-        monkeypatch.setattr(Pencil, "at",
-                            lambda self, t: evaluated.append(t) or real_at(self, t))
+        for cls in (Pencil, PolyFamily):
+            monkeypatch.setattr(cls, "at", forbid)
+        for module in (deform, schubgeom):
+            monkeypatch.setattr(module, "restrict_flag", forbid)
         monkeypatch.setattr(deform, "intersect", forbid)
-        rep = step_verify(A741, 2, 1, FLAG, M_COMPANION, L_MARKED)
-        assert rep.passed
-        assert evaluated == [SAMPLE_POINTS[0]]
-        assert [L for L in met if L in fibres] == fibres[:1]
+        for args, want in steps:
+            met.clear()
+            rep = step_verify(*args)
+            assert rep.passed and rep.to_json() == want.to_json()
+            M = args[4]
+            limits = {rec.limit_dim for rec in rep.records if rec.limit_dim is not None}
+            assert met.count(M) == 2
+            assert sorted(L.dim for L in met if L != M) == sorted(limits), args[:3]
 
     @pytest.mark.parametrize("shift", [-1, 0, 1])
     def test_collapse_verdict_follows_its_inequality(self, monkeypatch, shift):
@@ -731,6 +793,105 @@ class TestExactClauses:
             checked += 1
         assert checked == 3
         assert collapse.passed is (shift == 0)
+
+
+# ----------------------------------------------------------------------
+# step_verify as it read before every clause came from flag positions: the
+# moving-plane clause read the fibre at SAMPLE_POINTS[0], each limit was
+# tested on a restricted flag, and the cycle labels had their own copy.
+
+def textbook_expected_cycle(a, level, s):
+    labels = set()
+    for g in level:
+        j = first_diff_index(a, g)
+        if j > 1:
+            labels.add(("incidence", g.entries, j))
+        elif g.entries[0] + s - 1 <= a.n:
+            labels.add(("schubert", (g.entries[0] + s - 1,) + g.entries[1:]))
+    return frozenset(labels)
+
+
+def textbook_step_verify(a, s, r, flag, M, L_inf):
+    meets = flag.meet_dims(M)
+    if not (deform.profile_in_cell(meets, a, s - 1) and M.dim == a.n + 2 - a.m - s):
+        raise ValueError("M does not lie in the level s-1 cell")
+    a1 = a.entries[0]
+    top, upper = flag.subspace(a1 + s), flag.subspace(a1 + s - 1)
+    mflag = flag_within(M, flag)
+    N = M.dim
+    l = N - top.dim + 1
+    assert deform._mflag_space(mflag, l, a.n) == top and mflag[l - 2] == upper
+    pencil = build_pencil(mflag, l, L_inf)
+    in_cell = deform.profile_in_cell(
+        [d - (q <= a1 + s - 1) for q, d in enumerate(meets, 1)], a, s)
+    checks = [deform.StageCheck(f"sample t={t} lies in the level-{s} cell", in_cell)
+              for t in SAMPLE_POINTS]
+    t0 = SAMPLE_POINTS[0]
+    meets_t0 = flag.meet_dims(pencil.at(t0))
+    records, claimed, moving_by_q = [], [], {}
+    level, nxt = pieri_set(a, r), pieri_set(a, r + 1)
+    for b in level:
+        j = first_diff_index(a, b)
+        kids = tuple(g for g in nxt if deform.covers_under(a, b, g))
+        claimed.extend(kids)
+        if j == 1:
+            want = (b.bump(1),) if b.entries[0] < a.n else ()
+            checks.append(deform.StageCheck(
+                f"component {b}: branches in row 1 only", kids == want,
+                detail=" ".join(str(g) for g in kids)))
+            records.append(deform.ComponentRecord(b, j, kids))
+            continue
+        bj = b.entries[j - 1]
+        Fb = flag.subspace(bj)
+        q = N - meets[bj - 1] + 1
+        if q not in moving_by_q:
+            moving = pencil.restricted_family(q)
+            moving_by_q[q] = (moving, moving.at(t0).dim, limit_at_zero(moving))
+        moving, dim_at_t0, lim = moving_by_q[q]
+        fam_ok = (moving.cols == pencil.family.cols[q - 1:]
+                  and deform._kills_family(flag._adapted_coords[:bj - 1], moving)
+                  and dim_at_t0 == moving.ncols == meets_t0[bj - 1])
+        checks.append(deform.StageCheck(
+            f"component {b}: moving plane is F_{bj} cap L_t", fam_ok))
+        expected = deform._mflag_space(mflag, N + 1 - meets[bj], a.n)
+        checks.append(deform.StageCheck(
+            f"component {b}: limit is F_{bj + 1} cap M", lim == expected))
+        checks.append(deform.StageCheck(
+            f"component {b}: limit has the generic fibre dimension", lim.dim == N - q))
+        b_r = schubgeom.restrict_sequence(b, j)
+        try:
+            cell_ok = cell_member(Fb.restrict(lim), b_r, s - 1,
+                                  schubgeom.restrict_flag(flag, bj))
+        except ValueError:
+            cell_ok = False
+        checks.append(deform.StageCheck(
+            f"component {b}: limit lies in the restricted level-{s - 1} cell", cell_ok))
+        lifted = tuple(b.bump(first_diff_index(b_r, g_r)) for g_r in pieri_set(b_r, 1))
+        checks.append(deform.StageCheck(
+            f"component {b}: children match the restricted branch set",
+            frozenset(lifted) == frozenset(kids) and len(set(lifted)) == len(lifted),
+            detail=" ".join(str(g) for g in kids)))
+        records.append(deform.ComponentRecord(b, j, kids, limit_dim=lim.dim))
+    checks.append(deform.StageCheck(
+        "children partition the next branch level",
+        len(claimed) == len(set(claimed)) and frozenset(claimed) == frozenset(nxt)))
+    checks.append(deform.StageCheck(
+        "assembled components match the level-(r+1) cycle",
+        textbook_expected_cycle(a, nxt, s - 1) == y_cycle(a, r + 1, s - 1, flag, M)))
+    return StepReport("step", a, s, r, tuple(checks), tuple(records))
+
+
+def test_step_verify_matches_the_sampled_reference(monkeypatch):
+    """Every step of the sweep chains at n = 9..12, on standard and seeded
+    random flags, reports exactly as the fibre-evaluating reference does."""
+    steps = recorded_steps(monkeypatch)
+    flags = set()
+    for a, b, flag, K, seeds in sweep_chains():
+        chain_deformation(a, b, flag, K, seeds=seeds)
+        flags.add(flag == standard_flag(a.n))
+    assert flags == {True, False} and len(steps) >= 25, len(steps)
+    for args, rep in steps:
+        assert rep.to_json() == textbook_step_verify(*args).to_json(), args[:3]
 
 
 @pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
@@ -796,9 +957,9 @@ class TestOutOfRangeCellParameter:
     def test_limit_clause_fails(self, monkeypatch):
         # the limit clauses ask restricted sequences for the level-1 cell;
         # ask for an empty one instead
-        real = deform.cell_member
-        monkeypatch.setattr(deform, "cell_member",
-                            lambda L, a, s, flag: real(L, a, s if a.n == 9 else 99, flag))
+        real = deform.profile_in_cell
+        monkeypatch.setattr(deform, "profile_in_cell",
+                            lambda meets, a, s: real(meets, a, s if a.n == 9 else 99))
         rep = step_verify(A741, 2, 1, FLAG, M_COMPANION, L_MARKED)
         assert set(rep.failures()) == {
             "component 751: limit lies in the restricted level-1 cell",

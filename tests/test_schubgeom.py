@@ -230,6 +230,26 @@ class TestClassifier:
         assert j["table"][0] == {"j": 1, "flag_index": 7, "dim": 1, "critical": 1}
 
 
+def textbook_cell_profile(a, s):
+    """The expected profile of cell_profile_check as a table of cases, as
+    it read before it became the Schubert position of cell_index(a, s):
+    dim F_i cap L for i = 1..n."""
+    n, m = a.n, a.m
+    expected = {}
+    for j in range(2, m + 1):
+        lo, hi = a.entries[j - 1], a.entries[j - 2]
+        for i in range(lo + 1, hi):
+            expected[i] = (n + 1 - i) + 1 - j - (s - 1)
+        expected[lo] = n + 2 - lo - j - s
+    a1 = a.entries[0]
+    expected[a1] = max(0, n + 1 - a1 - s)
+    for i in range(a1 + 1, n + 1):
+        expected[i] = max(0, n + 1 - max(i, a1 + s))
+    for i in range(1, a.entries[m - 1]):
+        expected[i] = n + 2 - i - m - s
+    return [expected[i] for i in sorted(expected)]
+
+
 class TestCells:
     def test_index_main(self):
         assert cell_index(A741, 2).entries == (9, 6, 5, 3, 2)
@@ -294,8 +314,9 @@ class TestCells:
         sampled point with a passing profile.  For any other s cell_index,
         cell_member and cell_profile_check raise, and with that range check
         switched off a sampled point of every Schubert cell of the right
-        dimension either fails the dimension test or fails the profile, so
-        no subspace has the incidence cell's profile."""
+        dimension either fails the dimension test or differs from the table
+        of textbook_cell_profile, so no subspace has the profile that table
+        gives the incidence cell."""
         rng = random.Random(6)
         seen = {"valid": 0, "invalid": 0, "member without profile": 0}
         for n in range(1, 7):
@@ -326,9 +347,43 @@ class TestCells:
                                            lambda a, s: None)
                                 if cell_member(L, a, s, flag):
                                     seen["member without profile"] += 1
-                                    assert not cell_profile_check(L, a, s, flag).passed
+                                    assert (list(flag.meet_dims(L)[:n])
+                                            != textbook_cell_profile(a, s))
         assert seen["valid"] >= 250 and seen["invalid"] >= 500, seen
         assert seen["member without profile"] >= 50, seen
+
+    def test_profile_is_the_position_of_cell_index(self, monkeypatch):
+        """For every valid (a, s) at n <= 9 the expected profile, the
+        Schubert position #{k : beta_k >= i} of beta = cell_index(a, s),
+        equals the table of cases it replaced."""
+        monkeypatch.setattr(schubgeom, "cell_member", lambda L, a, s, flag: True)
+        compared = 0
+        for n in range(1, 10):
+            flag, zero = standard_flag(n), span(n)
+            for m in range(1, n + 1):
+                for entries in combinations(range(n, 0, -1), m):
+                    a = DecSeq(n, entries)
+                    for s in range(1, n + 3):
+                        if not cell_parameter_valid(a, s):
+                            continue
+                        rep = cell_profile_check(zero, a, s, flag)
+                        assert [x.i for x in rep.entries] == list(range(1, n + 1))
+                        assert ([x.expected for x in rep.entries]
+                                == textbook_cell_profile(a, s)), (a, s)
+                        compared += 1
+        assert compared == 2483, compared
+
+    def test_boundary_member_outside_the_open_cell_fails_the_profile(self):
+        """At s = n+2-a_1 the incidence cell holds more than the open cell
+        of cell_index(a, s): <e_2> is in the level-2 cell of a = (3) in k^3,
+        but the open cell of (1) has dim F_2 cap L = 0."""
+        a, flag, L = DecSeq(3, (3,)), standard_flag(3), span(3, e(2, 3))
+        assert cell_index(a, 2).entries == (1,)
+        assert cell_member(L, a, 2, flag)
+        rep = cell_profile_check(L, a, 2, flag)
+        assert not rep.passed
+        assert [(x.i, x.expected, x.actual) for x in rep.entries
+                if x.expected != x.actual] == [(2, 0, 1)]
 
 
 class TestWitness:
