@@ -60,7 +60,6 @@ from .schubgeom import (
     standard_flag,
     tangent_codim,
     witness_point,
-    x_member,
 )
 from .seqcomb import DecSeq, pieri_set, tree_chains
 from .tableaux import pieri_bijection_check, schur_expand, trim_partition

@@ -47,6 +47,7 @@ from .schubgeom import (
     cell_member,
     cell_point,
     classify_pieri,
+    cycle_signature,
     meets_properly,
     profile_in_cell,
     restrict_flag,
@@ -337,7 +338,7 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
     dimension.  The limit is in the restricted cell iff it lies in F_b and
     its flag position from F_b on passes profile_in_cell.  The assembled
     cycle labels the distinct claimed children and is compared with M's
-    y_cycle.
+    y_cycle, read as cycle_signature: M's cell is checked above.
     """
     if s < 2:
         raise ValueError("step parameter s must be at least 2")
@@ -442,7 +443,7 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
 
     checks.append(StageCheck(
         "assembled components match the level-(r+1) cycle",
-        _cycle_labels(a, set(claimed), s - 1) == y_cycle(a, r + 1, s - 1, flag, M)))
+        _cycle_labels(a, set(claimed), s - 1) == cycle_signature(a, r + 1, s - 1)))
 
     return StepReport("step", a, s, r, tuple(checks), tuple(records))
 
@@ -487,6 +488,22 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
     A chain longer than n+1-a_1 raises ValueError: the descent into the
     level-b cell needs a hyperplane avoiding F_{a_1+b-1}, and for
     b = n+2-a_1 that space is zero, which every hyperplane contains.
+
+    The chain runs in the flag's own frame.  Every clause reads flag
+    positions and incidences, which any g in GL_n keeps (g(F_j cap L) =
+    gF_j cap gL), and a report carries no coordinates: only indices,
+    dimensions and named clauses.  The flag's integer adapted covectors
+    give such a g, v -> (phi_1(v), ..., phi_n(v)), which carries each F_j
+    onto the standard F_j.  So after the input checks K is mapped once and
+    the rest runs on standard_flag(n), whose coordinates do not grow with
+    n.  The two samplers meet the frame differently.  cell_point draws in
+    the flag's adapted basis, and g sends each adapted row to a positive
+    multiple of a unit vector, so its draw is the direct run's point up to
+    a diagonal scaling, which fixes every standard flag space.
+    _descend_hyperplane draws covectors in M's canonical coordinates, which
+    g changes, so it picks other hyperplanes than a run on the flag itself
+    would.  The conditions they must meet are open, so either draw lands in
+    the same generic flag position, and the reports come out equal.
     """
     if b < 1:
         raise ValueError("chain length must be at least 1")
@@ -499,6 +516,11 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
         raise ValueError("general position has the wrong dimension")
     if not meets_properly(K, flag):
         raise ValueError("general position must meet the flag properly")
+
+    # the flag's adapted covectors carry F_j onto the standard F_j
+    K = canonicalize([[sum(map(mul, v, phi)) for phi in flag._adapted_coords]
+                      for v in K.rows], n)
+    flag = standard_flag(n)
 
     rng = random.Random(seeds)
     positions = {b: cell_point(a, 1, flag, seed=seeds)}
@@ -526,7 +548,8 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
         reports.append(step_verify(a, b + 2 - i, i - 1, flag,
                                    positions[i], positions[i - 1]))
 
-    final = y_cycle(a, b, 1, flag, positions[b])
+    # positions[b] is a verified level-1 cell point
+    final = cycle_signature(a, b, 1)
     last = pieri_set(a, b)
     collapse_checks = [StageCheck(
         "final components indexed by the full branch set",

@@ -537,12 +537,19 @@ def _cycle_labels(a: DecSeq, members, s: int) -> frozenset:
 
 def y_cycle(a: DecSeq, r: int, s: int, flag: Flag, L: Subspace) -> frozenset:
     """Signature of the degeneration cycle after r branchings, for a special
-    subspace sitting in the incidence cell with parameter s: the
-    _cycle_labels of the r-step branch set, or of a alone when r = 0.  Two
-    labels with the same entries raise ValueError.
+    subspace sitting in the incidence cell with parameter s: cell_member,
+    then cycle_signature.
     """
     if not cell_member(L, a, s, flag):
         raise ValueError("special subspace is not in the stated incidence cell")
+    return cycle_signature(a, r, s)
+
+
+def cycle_signature(a: DecSeq, r: int, s: int) -> frozenset:
+    """y_cycle for a subspace already known to lie in the incidence cell with
+    parameter s: the _cycle_labels of the r-step branch set, or of a alone
+    when r = 0.  Two labels with the same entries raise ValueError.
+    """
     labels = _cycle_labels(a, pieri_set(a, r) if r else (a,), s)
     if len({label[1] for label in labels}) != len(labels):
         raise ValueError("duplicate component index")

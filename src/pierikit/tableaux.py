@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactla import StageCheck, Verdict
-from .seqcomb import DecSeq, alpha_of, lambda_of, pieri_set, tree_chains, trim_partition
+from .seqcomb import alpha_of, lambda_of, pieri_set, tree_chains, trim_partition
 
 Partition = tuple[int, ...]
 

@@ -1,5 +1,6 @@
 """Pencils, one-step degeneration, the full chain, and the worked run."""
 
+import itertools
 import os
 import random
 import sys
@@ -321,7 +322,7 @@ class TestStepVerify:
 
     def test_flag_position_of_m_is_read_once_per_step(self, monkeypatch):
         # step_verify reads M's flag position once, for its precondition and
-        # its clauses; y_cycle's own cell_member check reads it once more
+        # its clauses; its cycle clause reads no second copy
         K = span(9, *[e(i) for i in range(1, 5)])
         steps = recorded_steps(monkeypatch)
         assert all(rep.passed for rep in chain_deformation(A741, 3, FLAG, K, seeds=0))
@@ -338,7 +339,7 @@ class TestStepVerify:
 
             monkeypatch.setattr(Flag, "meet_dims", counting)
             assert step_verify(*args).passed
-            assert sorted(callers) == ["cell_member", "step_verify"], args[1]
+            assert callers == ["step_verify"], args[1]
 
 
 class TestChainDeformation:
@@ -740,8 +741,8 @@ class TestExactClauses:
 
     def test_step_reads_flag_positions_only(self, monkeypatch):
         # every step evaluates no fibre, builds no restricted flag and
-        # intersects nothing: it reads M's flag position, once in the step
-        # and once in y_cycle's cell_member, and one position per limit
+        # intersects nothing: it reads M's flag position once, and one
+        # position per limit
         steps = recorded_steps(monkeypatch)
         for a, b, flag, K, seeds in sweep_chains()[:6]:
             chain_deformation(a, b, flag, K, seeds=seeds)
@@ -761,7 +762,7 @@ class TestExactClauses:
             assert rep.passed and rep.to_json() == want.to_json()
             M = args[4]
             limits = {rec.limit_dim for rec in rep.records if rec.limit_dim is not None}
-            assert met.count(M) == 2
+            assert met.count(M) == 1
             assert sorted(L.dim for L in met if L != M) == sorted(limits), args[:3]
 
     @pytest.mark.parametrize("shift", [-1, 0, 1])
@@ -881,15 +882,73 @@ def textbook_step_verify(a, s, r, flag, M, L_inf):
     return StepReport("step", a, s, r, tuple(checks), tuple(records))
 
 
+# ----------------------------------------------------------------------
+# chain_deformation as it ran before it moved into the flag's own frame:
+# every stage on the given flag, K as given.  It stays here as the
+# differential reference for the frame.
+
+def direct_chain_deformation(a, b, flag, K, seeds=0):
+    n = flag.ambient
+    assert K.ambient == a.n == n and 1 <= b <= n + 1 - a.entries[0]
+    assert K.dim == n + 1 - a.m - b and meets_properly(K, flag)
+    rng = random.Random(seeds)
+    positions = {b: cell_point(a, 1, flag, seed=seeds)}
+    for i in range(b, 1, -1):
+        positions[i - 1] = deform._descend_hyperplane(a, b + 2 - i, flag,
+                                                      positions[i], rng)
+    level1 = pieri_set(a, 1)
+    start_checks = (
+        deform.StageCheck(
+            "general position meets transversally and irreducibly",
+            deform.classify_pieri(a, flag, K, b).verdict
+            == deform.TRANSVERSE_IRREDUCIBLE),
+        deform.StageCheck(
+            "first special position lies in the level-" + str(b) + " cell",
+            cell_member(positions[1], a, b, flag)),
+        deform.StageCheck(
+            "level-1 components match the branch set",
+            y_cycle(a, 1, b, flag, positions[1]) == deform._cycle_labels(a, level1, b)),
+    )
+    start_records = tuple(deform.ComponentRecord(g, first_diff_index(a, g), ())
+                          for g in level1)
+    reports = [StepReport("start", a, b, 0, start_checks, start_records)]
+    for i in range(2, b + 1):
+        reports.append(deform.step_verify(a, b + 2 - i, i - 1, flag,
+                                          positions[i], positions[i - 1]))
+    final = y_cycle(a, b, 1, flag, positions[b])
+    last = pieri_set(a, b)
+    checks = [deform.StageCheck(
+        "final components indexed by the full branch set",
+        {c[1] for c in final} == {g.entries for g in last})]
+    records = []
+    meets = flag.meet_dims(positions[b])
+    for g in last:
+        j = first_diff_index(a, g)
+        records.append(deform.ComponentRecord(g, j, ()))
+        if j == 1:
+            continue
+        gj = g.entries[j - 1]
+        checks.append(deform.StageCheck(
+            f"component {g}: special position meets F_{gj} in excess",
+            meets[gj - 1] == n + 2 - gj - j))
+        checks.append(deform.StageCheck(
+            f"component {g}: incidence condition holds on sampled points",
+            j + meets[gj - 1] > n + 1 - gj))
+    reports.append(StepReport("collapse", a, 1, b, tuple(checks), tuple(records)))
+    return reports
+
+
 def test_step_verify_matches_the_sampled_reference(monkeypatch):
-    """Every step of the sweep chains at n = 9..12, on standard and seeded
-    random flags, reports exactly as the fibre-evaluating reference does."""
+    """Every step of the sweep chains at n = 9..12, run in the flag's frame
+    and, on the seeded random flags, also directly on the flag, reports
+    exactly as the fibre-evaluating reference does."""
     steps = recorded_steps(monkeypatch)
-    flags = set()
     for a, b, flag, K, seeds in sweep_chains():
         chain_deformation(a, b, flag, K, seeds=seeds)
-        flags.add(flag == standard_flag(a.n))
-    assert flags == {True, False} and len(steps) >= 25, len(steps)
+        if flag != standard_flag(a.n):
+            direct_chain_deformation(a, b, flag, K, seeds)
+    flags = {args[3] == standard_flag(args[0].n) for args, _ in steps}
+    assert flags == {True, False} and len(steps) >= 35, len(steps)
     for args, rep in steps:
         assert rep.to_json() == textbook_step_verify(*args).to_json(), args[:3]
 
@@ -897,9 +956,10 @@ def test_step_verify_matches_the_sampled_reference(monkeypatch):
 @pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
                     reason="n = 13, 14 chains; set PIERIKIT_SLOW=1 to run them")
 def test_fibre_profiles_n13_14(monkeypatch):
-    """Every step of 18 chains on seeded random flags at n = 13, 14: the
-    sample clauses agree with cell_member on each fibre, and each fibre has
-    the flag position step_verify predicts."""
+    """Every step of 18 chains on seeded random flags at n = 13, 14, run
+    directly on the flag: the sample clauses agree with cell_member on each
+    fibre, and each fibre has the flag position step_verify predicts.  The
+    chain run in the flag's frame reports the same."""
     steps = recorded_steps(monkeypatch)
     rng = random.Random(13)
     compared = 0
@@ -912,14 +972,115 @@ def test_fibre_profiles_n13_14(monkeypatch):
                 flag = random_flag(n, rng.randrange(10**6))
                 while not meets_properly(K, flag):
                     flag = random_flag(n, rng.randrange(10**6))
+                seeds = rng.randrange(1000)
+                framed = chain_deformation(a, b, flag, K, seeds=seeds)
                 steps.clear()
-                reports = chain_deformation(a, b, flag, K, seeds=rng.randrange(1000))
+                reports = direct_chain_deformation(a, b, flag, K, seeds)
                 assert all(rep.passed for rep in reports), (a, b)
+                assert ([rep.to_json() for rep in reports]
+                        == [rep.to_json() for rep in framed])
                 for args, rep in steps:
                     want = sampled_cell_verdicts(*args)
                     assert verdicts(rep, want) == want
                     compared += len(want)
     assert compared == 160, compared
+
+
+def reversed_k(n, a, b):
+    """The last n+1-m-b coordinates: the reversed flag's coordinate K.  It
+    lies in a member of the standard flag, so a chain that reads it on the
+    standard flag without mapping it fails its start stage."""
+    return span(n, *[e(i, n) for i in range(a.m + b, n + 1)])
+
+
+def frame_cases():
+    """(a, b, flag, K, seeds) at n = 9..12 with b = 2, 3, 4: on seeded random
+    flags with the coordinate K and the reversed K, where the flag meets
+    them properly, and on the reversed flag with the reversed K."""
+    rng = random.Random(1996)
+    out = []
+    for n, entries, b, nrandom in ((9, (7, 4, 1), 2, 2), (10, (7, 4, 1), 3, 1),
+                                   (11, (8, 5, 2), 3, 1), (12, (9, 6, 3), 4, 1),
+                                   (12, (10, 7, 4), 2, 0)):
+        a = DecSeq(n, entries)
+        Ks = (coordinate_k(n, a, b), reversed_k(n, a, b))
+        while nrandom:
+            flag = random_flag(n, rng.randrange(10**6))
+            if all(meets_properly(K, flag) for K in Ks):
+                out.extend((a, b, flag, K, rng.randrange(1000)) for K in Ks)
+                nrandom -= 1
+        out.append((a, b, reversed_flag(n), Ks[1], rng.randrange(1000)))
+    return out
+
+
+def test_frame_matches_the_direct_run():
+    """A chain run in its flag's frame reports exactly as the same chain
+    run on the flag itself."""
+    cases = frame_cases()
+    assert {(a.n, b) for a, b, *_ in cases} >= {(9, 2), (10, 3), (12, 4)}
+    for a, b, flag, K, seeds in cases:
+        assert flag != standard_flag(a.n)
+        got = [rep.to_json() for rep in chain_deformation(a, b, flag, K, seeds=seeds)]
+        want = [rep.to_json() for rep in direct_chain_deformation(a, b, flag, K, seeds)]
+        assert got == want, (a, b, seeds)
+        assert all(rep["passed"] for rep in got)
+
+
+def every_chain(n):
+    """(a, b) for every index a of an m-plane in k^n, m < n, and every chain
+    length 1 <= b <= n+1-a_1."""
+    return [(DecSeq(n, entries), b)
+            for m in range(1, n)
+            for entries in itertools.combinations(range(n, 0, -1), m)
+            for b in range(1, n + 2 - entries[0])]
+
+
+def sweep_flag(n, kind):
+    """The flag and the general position K(a, b) of one sweep: the standard
+    flag with the coordinate K; the reversed flag with the reversed K; or
+    the first seeded random flag that every reversed K of the sweep meets
+    properly, with the reversed K."""
+    if kind == "standard":
+        return standard_flag(n), coordinate_k
+    if kind == "reversed":
+        return reversed_flag(n), reversed_k
+    rng = random.Random(n)
+    while True:
+        flag = random_flag(n, rng.randrange(10**6))
+        if all(meets_properly(reversed_k(n, a, b), flag) for a, b in every_chain(n)):
+            return flag, reversed_k
+
+
+@pytest.mark.parametrize("kind", ["standard", "random", "reversed"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_every_chain_up_to_six(n, kind):
+    """Every chain at n <= 6, 210 in all: each stage passes, the collapse
+    reads the branch set pieri_set(a, b), and the histories are the
+    branching tree's chains.  Any exception, GenericityError included,
+    fails the test."""
+    flag, general_k = sweep_flag(n, kind)
+    chains = every_chain(n)
+    assert len(chains) == {3: 10, 4: 25, 5: 56, 6: 119}[n]
+    for k, (a, b) in enumerate(chains):
+        reports = chain_deformation(a, b, flag, general_k(n, a, b), seeds=k)
+        assert [rep.failures() for rep in reports] == [()] * (b + 1), (a, b)
+        assert {rec.index for rec in reports[-1].records} == set(pieri_set(a, b)), (a, b)
+        assert chain_histories(reports) == tree_chains(a, b)[1], (a, b)
+
+
+@pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
+                    reason="n = 20, 24 chains; set PIERIKIT_SLOW=1 to run them")
+@pytest.mark.parametrize("n, entries, b", [(20, (15, 10, 5), 5), (24, (18, 12, 6), 5)])
+def test_random_flag_chain_n20_24(n, entries, b):
+    a = DecSeq(n, entries)
+    K = coordinate_k(n, a, b)
+    rng = random.Random(n)
+    flag = random_flag(n, rng.randrange(10**6))
+    while not meets_properly(K, flag):
+        flag = random_flag(n, rng.randrange(10**6))
+    reports = chain_deformation(a, b, flag, K, seeds=rng.randrange(1000))
+    assert [rep.stage for rep in reports] == ["start"] + ["step"] * (b - 1) + ["collapse"]
+    assert all(rep.passed for rep in reports)
 
 
 class TestOutOfRangeCellParameter:

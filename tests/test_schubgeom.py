@@ -38,6 +38,7 @@ from pierikit.schubgeom import (
     cell_point,
     cell_profile_check,
     classify_pieri,
+    cycle_signature,
     meets_properly,
     random_flag,
     restrict_flag,
@@ -715,6 +716,7 @@ class TestYCycleDifferential:
                             r = 0
                             while True:
                                 assert (y_cycle(a, r, s, flag, L)
+                                        == cycle_signature(a, r, s)
                                         == textbook_y_cycle(a, r, s, flag, L).signature)
                                 compared += 1
                                 if not pieri_set(a, r):
