@@ -3,167 +3,60 @@
 Sequence combinatorics, tableau bijections, exact rational subspace
 computations, intersection classification with explicit witnesses, rational
 deformation chains, and enumerative cross-checks, all over the rationals.
+
+`import pierikit` loads no submodule.  Each exported name is looked up in
+its home module on first access (PEP 562), so a program loads only the
+layers it uses.  The lookup is not cached here: `pierikit.X` is always the
+home module's current `X`.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .seqcomb import (
-    DecSeq,
-    PieriTree,
-    alpha_of,
-    bruhat_leq,
-    codim,
-    covers_under,
-    dual,
-    first_diff_index,
-    lambda_of,
-    pieri_set,
-    tree_chains,
-)
-from .exactla import (
-    Flag,
-    GenericityError,
-    PolyFamily,
-    Subspace,
-    VerificationError,
-    annihilator_basis,
-    intersect,
-    kernel_basis,
-    limit_at_zero,
-    span,
-    sum_span,
-    unit_vector,
-    verdict_line,
-    zero_subspace,
-)
-from .tableaux import (
-    BijectionReport,
-    SparsePoly,
-    Tableau,
-    chow_project,
-    complete_homogeneous,
-    pieri_bijection_check,
-    pieri_shapes,
-    row_insert,
-    schur_decompose,
-    schur_expand,
-    ssyt_enumerate,
-)
-from .schubgeom import (
-    Classification,
-    cell_index,
-    cell_member,
-    cell_point,
-    classify_pieri,
-    meets_properly,
-    random_flag,
-    restrict_flag,
-    restrict_sequence,
-    schubert_cell_point,
-    schubert_member,
-    standard_flag,
-    tangent_codim,
-    witness_point,
-    x_member,
-    y_cycle,
-)
-from .deform import (
-    GoldenReport,
-    Pencil,
-    StepReport,
-    build_pencil,
-    chain_deformation,
-    chain_histories,
-    flag_within,
-    golden_run_741,
-    step_verify,
-    worked_family,
-    worked_kernel,
-)
-from .enumerative import (
-    QuintupleProblem,
-    cohomology_oracle,
-    count_pairs_d,
-    pieri_pairing_oracle,
-    real_witness_set,
-    reversed_flag,
-    triple_witnesses,
-    valid_instances,
-    witness_table,
-)
+# exported names by home module
+_EXPORTS = {
+    "seqcomb": (
+        "DecSeq", "PieriTree", "alpha_of", "bruhat_leq", "codim", "covers_under",
+        "dual", "first_diff_index", "lambda_of", "pieri_set", "tree_chains",
+    ),
+    "exactla": (
+        "Flag", "GenericityError", "PolyFamily", "Subspace", "VerificationError",
+        "annihilator_basis", "intersect", "kernel_basis", "limit_at_zero", "span",
+        "sum_span", "unit_vector", "verdict_line", "zero_subspace",
+    ),
+    "tableaux": (
+        "BijectionReport", "SparsePoly", "Tableau", "chow_project",
+        "complete_homogeneous", "pieri_bijection_check", "pieri_shapes",
+        "row_insert", "schur_decompose", "schur_expand", "ssyt_enumerate",
+    ),
+    "schubgeom": (
+        "Classification", "cell_index", "cell_member", "cell_point",
+        "classify_pieri", "meets_properly", "random_flag", "restrict_flag",
+        "restrict_sequence", "schubert_cell_point", "schubert_member",
+        "standard_flag", "tangent_codim", "witness_point", "x_member", "y_cycle",
+    ),
+    "deform": (
+        "GoldenReport", "Pencil", "StepReport", "build_pencil", "chain_deformation",
+        "chain_histories", "flag_within", "golden_run_741", "step_verify",
+        "worked_family", "worked_kernel",
+    ),
+    "enumerative": (
+        "QuintupleProblem", "cohomology_oracle", "count_pairs_d",
+        "pieri_pairing_oracle", "real_witness_set", "reversed_flag",
+        "triple_witnesses", "valid_instances", "witness_table",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "BijectionReport",
-    "Classification",
-    "DecSeq",
-    "Flag",
-    "GenericityError",
-    "GoldenReport",
-    "Pencil",
-    "PieriTree",
-    "PolyFamily",
-    "QuintupleProblem",
-    "SparsePoly",
-    "StepReport",
-    "Subspace",
-    "Tableau",
-    "VerificationError",
-    "__version__",
-    "alpha_of",
-    "annihilator_basis",
-    "bruhat_leq",
-    "build_pencil",
-    "cell_index",
-    "cell_member",
-    "cell_point",
-    "chain_deformation",
-    "chain_histories",
-    "chow_project",
-    "classify_pieri",
-    "codim",
-    "cohomology_oracle",
-    "complete_homogeneous",
-    "count_pairs_d",
-    "covers_under",
-    "dual",
-    "first_diff_index",
-    "flag_within",
-    "golden_run_741",
-    "intersect",
-    "kernel_basis",
-    "lambda_of",
-    "limit_at_zero",
-    "meets_properly",
-    "pieri_bijection_check",
-    "pieri_pairing_oracle",
-    "pieri_set",
-    "pieri_shapes",
-    "random_flag",
-    "real_witness_set",
-    "restrict_flag",
-    "restrict_sequence",
-    "reversed_flag",
-    "row_insert",
-    "schubert_cell_point",
-    "schubert_member",
-    "schur_decompose",
-    "schur_expand",
-    "span",
-    "ssyt_enumerate",
-    "standard_flag",
-    "step_verify",
-    "sum_span",
-    "tangent_codim",
-    "tree_chains",
-    "triple_witnesses",
-    "unit_vector",
-    "valid_instances",
-    "verdict_line",
-    "witness_point",
-    "witness_table",
-    "worked_family",
-    "worked_kernel",
-    "x_member",
-    "y_cycle",
-    "zero_subspace",
-]
+__all__ = sorted([*_HOME, "__version__"])
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__():
+    return list(__all__)

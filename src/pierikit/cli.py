@@ -19,22 +19,8 @@ import json
 import os
 import sys
 
-from .deform import (
-    _mflag_space,
-    build_pencil,
-    chain_deformation,
-    chain_histories,
-    flag_within,
-    golden_run_741,
-    step_verify,
-)
-from .enumerative import (
-    QuintupleProblem,
-    cohomology_oracle,
-    count_pairs_d,
-    pieri_pairing_oracle,
-    real_witness_set,
-)
+# deform, enumerative and tableaux are imported inside the verbs that call
+# them, so a fresh process loads only the layers its verb runs
 from .exactla import (
     GenericityError,
     StageCheck,
@@ -61,8 +47,7 @@ from .schubgeom import (
     tangent_codim,
     witness_point,
 )
-from .seqcomb import DecSeq, pieri_set, tree_chains
-from .tableaux import pieri_bijection_check, schur_expand, trim_partition
+from .seqcomb import DecSeq, pieri_set, tree_chains, trim_partition
 
 SEED_ENV = "PIERIKIT_SEED"
 
@@ -196,6 +181,8 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_schensted(args) -> int:
+    from .tableaux import pieri_bijection_check
+
     report = pieri_bijection_check(trim_partition(args.shape), args.b, args.m)
     width = max(len(str(list(s))) for s, _ in report.image_counts) if report.image_counts else 0
     lines = [f"shape {list(report.lam)}, row length {report.b}, entries <= {report.m}",
@@ -207,6 +194,8 @@ def _cmd_schensted(args) -> int:
 
 
 def _cmd_schur(args) -> int:
+    from .tableaux import schur_expand
+
     shape = trim_partition(args.shape)
     terms = schur_expand(shape, args.m).to_json()
     lines = [f"{e}: {c}" for e, c in sorted(terms.items())]
@@ -284,6 +273,8 @@ def _cmd_tangent(args) -> int:
 
 
 def _cmd_pencil(args) -> int:
+    from .deform import _mflag_space, build_pencil, flag_within
+
     M = _load_subspace(args.file)
     marked = _load_subspace(args.marked_file)
     if args.n is not None and args.n != M.ambient:
@@ -317,6 +308,8 @@ def _cmd_pencil(args) -> int:
 
 
 def _cmd_step(args) -> int:
+    from .deform import step_verify
+
     a = _sequence(args)
     M = _load_subspace(args.file)
     marked = _load_subspace(args.marked_file)
@@ -325,6 +318,8 @@ def _cmd_step(args) -> int:
 
 
 def _cmd_chain_deform(args) -> int:
+    from .deform import chain_deformation, chain_histories
+
     a = _sequence(args)
     flag = _flag_of(args)
     if args.k_file:
@@ -354,17 +349,23 @@ def _cmd_chain_deform(args) -> int:
 
 
 def _cmd_appendix_a(args) -> int:
+    from .deform import golden_run_741
+
     report = golden_run_741()
     return _emit(args, report.to_json(), report.table(), report.checks)
 
 
-def _problem(args) -> QuintupleProblem:
+def _problem(args):
+    from .enumerative import QuintupleProblem
+
     alpha = _sequence(args)
     beta = _sequence(args, entries=args.beta)
     return QuintupleProblem(args.n, alpha.m, alpha, beta, args.a, args.b, args.c)
 
 
 def _cmd_count_real(args) -> int:
+    from .enumerative import cohomology_oracle, count_pairs_d, pieri_pairing_oracle
+
     p = _problem(args)
     d = count_pairs_d(p)
     try:
@@ -391,6 +392,8 @@ def _cmd_count_real(args) -> int:
 
 
 def _cmd_triple_witness(args) -> int:
+    from .enumerative import count_pairs_d, real_witness_set
+
     p = _problem(args)
     d = count_pairs_d(p)
     witnesses = real_witness_set(p, seed=_seed_of(args))

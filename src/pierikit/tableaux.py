@@ -207,8 +207,11 @@ def pieri_bijection_check(lam: Partition, b: int, m: int) -> BijectionReport:
 
     Checks: the map is injective; content is preserved; every image shape is
     a Pieri shape with the right multiplicity; the recorded shape chains are
-    exactly the root-to-leaf chains of the branching tree.
+    exactly the root-to-leaf chains of the branching tree.  Raises
+    ValueError for b < 0.
     """
+    if b < 0:
+        raise ValueError(f"row length must be nonnegative, got {b}")
     lam = trim_partition(lam)
     starts = ssyt_enumerate(lam, m)
     strips = ssyt_enumerate((b,) if b else (), m)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import pierikit.cli as cli
 import pierikit.deform as deform
 import pierikit.enumerative as enumerative
 import pierikit.schubgeom as schubgeom
+import pierikit.tableaux as tableaux
 from pierikit.deform import GoldenReport, StageCheck
 from pierikit.exactla import (
     GenericityError,
@@ -96,6 +98,12 @@ class TestCombinatoricsVerbs:
                          "--m", "3")
         assert rc == 0
         assert "result: PASS" in out
+
+    def test_schensted_negative_row_length(self, capsys):
+        rc, out, err = run(capsys, "schensted", "--shape", "2,1", "--b", "-1",
+                           "--m", "2")
+        assert (rc, out) == (2, "")
+        assert err == "error: row length must be nonnegative, got -1\n"
 
     def test_schur(self, capsys):
         rc, out, _ = run(capsys, "schur", "--shape", "2,1", "--m", "2",
@@ -276,7 +284,7 @@ class TestExitAndDeterminism:
             sections=(("stubbed section", (StageCheck("stubbed clause", False),)),),
             final_indices=(),
         )
-        monkeypatch.setattr(cli, "golden_run_741", lambda: broken)
+        monkeypatch.setattr(deform, "golden_run_741", lambda: broken)
         rc, out, err = run(capsys, "appendix-a")
         assert rc == 1
         assert "overall: FAIL" in out
@@ -344,20 +352,20 @@ STUB_FAILS = (StageCheck("stub pass", True),
 
 
 def _fail_step(monkeypatch):
-    real = cli.step_verify
-    monkeypatch.setattr(cli, "step_verify", lambda *a, **k: dataclasses.replace(
+    real = deform.step_verify
+    monkeypatch.setattr(deform, "step_verify", lambda *a, **k: dataclasses.replace(
         real(*a, **k), checks=STUB_FAILS))
     return ["stub clause one", "stub clause two"]
 
 
 def _fail_chain_deform(monkeypatch):
-    real = cli.chain_deformation
+    real = deform.chain_deformation
 
     def middle_stage_fails(*a, **k):
         reports = list(real(*a, **k))
         reports[1] = dataclasses.replace(reports[1], checks=STUB_FAILS)
         return reports
-    monkeypatch.setattr(cli, "chain_deformation", middle_stage_fails)
+    monkeypatch.setattr(deform, "chain_deformation", middle_stage_fails)
     return ["stub clause one", "stub clause two"]
 
 
@@ -367,8 +375,8 @@ def _fail_pencil(monkeypatch):
 
 
 def _fail_schensted(monkeypatch):
-    real = cli.pieri_bijection_check
-    monkeypatch.setattr(cli, "pieri_bijection_check", lambda *a: dataclasses.replace(
+    real = tableaux.pieri_bijection_check
+    monkeypatch.setattr(tableaux, "pieri_bijection_check", lambda *a: dataclasses.replace(
         real(*a), content_ok=False, chains_complete=False))
     return ["content_ok", "chains_complete"]
 
@@ -380,14 +388,14 @@ def _fail_cell(monkeypatch):
 
 
 def _fail_count_real(monkeypatch):
-    real = cli.pieri_pairing_oracle
-    monkeypatch.setattr(cli, "pieri_pairing_oracle", lambda p: real(p) + 1)
+    real = enumerative.pieri_pairing_oracle
+    monkeypatch.setattr(enumerative, "pieri_pairing_oracle", lambda p: real(p) + 1)
     return ["oracle agreement"]
 
 
 def _fail_triple_witness(monkeypatch):
-    real = cli.real_witness_set
-    monkeypatch.setattr(cli, "real_witness_set", lambda p, seed: real(p, seed=seed)[:-1])
+    real = enumerative.real_witness_set
+    monkeypatch.setattr(enumerative, "real_witness_set", lambda p, seed: real(p, seed=seed)[:-1])
     return ["witness count equals d"]
 
 
@@ -463,7 +471,7 @@ class TestVerdictPath:
     def test_verification_error_exits_one(self, capsys, monkeypatch):
         def broken():
             raise VerificationError("stubbed exact check")
-        monkeypatch.setattr(cli, "golden_run_741", broken)
+        monkeypatch.setattr(deform, "golden_run_741", broken)
         rc, out, err = run(capsys, "appendix-a")
         assert (rc, out, err) == (1, "", "failed: stubbed exact check\n")
 
@@ -563,3 +571,49 @@ class TestCellRange:
         rc, out, _ = run(capsys, "chain-deform", "--n", "9", "--alpha", "7,4,1",
                          "--b", "3")
         assert rc == 0 and out.endswith("overall: PASS\n")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the library layers a fresh `python -m pierikit.cli VERB` loads: the
+# counting verbs need no deform, the chain verbs no tableaux or enumerative
+LAYERS_RUN = {
+    "pieri": {"exactla", "seqcomb", "schubgeom"},
+    "count-real": {"exactla", "seqcomb", "schubgeom", "tableaux", "enumerative"},
+    "triple-witness": {"exactla", "seqcomb", "schubgeom", "tableaux", "enumerative"},
+    "chain-deform": {"exactla", "seqcomb", "schubgeom", "deform"},
+    "appendix-a": {"exactla", "seqcomb", "schubgeom", "deform"},
+}
+
+
+def fresh_run(*args):
+    """Run `python -X importtime ARGS` with src on the path.  Returns the
+    exit code, stdout, stderr without the import-time lines, and the set of
+    pierikit modules the interpreter imported."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    loaded, err = set(), []
+    for line in proc.stderr.splitlines(keepends=True):
+        if not line.startswith("import time:"):
+            err.append(line)
+            continue
+        name = line.rsplit("|", 1)[1].strip()
+        if name == "pierikit" or name.startswith("pierikit."):
+            loaded.add(name)
+    return proc.returncode, proc.stdout, "".join(err), loaded
+
+
+class TestImportFootprint:
+    @pytest.mark.parametrize("verb", sorted(LAYERS_RUN))
+    def test_verb_loads_only_its_layers(self, verb):
+        argv = next(argv for argv in VERB_ARGV if argv[0] == verb)
+        rc, out, err, loaded = fresh_run("-m", "pierikit.cli", *argv)
+        assert loaded == {"pierikit"} | {f"pierikit.{m}" for m in LAYERS_RUN[verb]}
+        pinned = json.loads(PINNED_OUTPUTS.read_text())[verb]
+        assert {"exit": rc, "stdout": sha256(out), "stderr": sha256(err)} == pinned
+
+    def test_package_import_loads_no_submodule(self):
+        rc, out, err, loaded = fresh_run("-c", "import pierikit")
+        assert (rc, out, err, loaded) == (0, "", "", {"pierikit"})

@@ -40,7 +40,15 @@ from pierikit.exactla import (
     zero_subspace,
 )
 from pierikit.enumerative import reversed_flag
-from pierikit.seqcomb import DecSeq, first_diff_index, pieri_set, tree_chains
+from pierikit.seqcomb import (
+    DecSeq,
+    first_diff_index,
+    lambda_of,
+    pieri_set,
+    tree_chains,
+    trim_partition,
+)
+from pierikit.tableaux import pieri_bijection_check, row_insert, ssyt_enumerate
 from pierikit.schubgeom import (
     _pivot_span,
     cell_member,
@@ -1051,13 +1059,25 @@ def sweep_flag(n, kind):
             return flag, reversed_k
 
 
+def schensted_chains(a, b):
+    """Shape chains recorded by row-inserting every one-row tableau of length
+    b into every tableau of shape lambda(a), entries <= m, keeping those whose
+    leaf fits the m x (n-m) box."""
+    words = [t.rows[0] for t in ssyt_enumerate((b,), a.m)]
+    chains = {tuple(trim_partition(shape) for shape in row_insert(s, word)[1])
+              for s in ssyt_enumerate(lambda_of(a), a.m) for word in words}
+    return {chain for chain in chains if chain[-1][0] <= a.n - a.m}
+
+
 @pytest.mark.parametrize("kind", ["standard", "random", "reversed"])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_every_chain_up_to_six(n, kind):
     """Every chain at n <= 6, 210 in all: each stage passes, the collapse
     reads the branch set pieri_set(a, b), and the histories are the
-    branching tree's chains.  Any exception, GenericityError included,
-    fails the test."""
+    branching tree's chains.  On the standard flag the Schensted side closes
+    the triangle: the tableau bijection passes, and the row-insertion
+    recording chains are the tree's chains read as partitions.  Any
+    exception, GenericityError included, fails the test."""
     flag, general_k = sweep_flag(n, kind)
     chains = every_chain(n)
     assert len(chains) == {3: 10, 4: 25, 5: 56, 6: 119}[n]
@@ -1066,6 +1086,10 @@ def test_every_chain_up_to_six(n, kind):
         assert [rep.failures() for rep in reports] == [()] * (b + 1), (a, b)
         assert {rec.index for rec in reports[-1].records} == set(pieri_set(a, b)), (a, b)
         assert chain_histories(reports) == tree_chains(a, b)[1], (a, b)
+        if kind == "standard":
+            assert pieri_bijection_check(lambda_of(a), b, a.m).passed, (a, b)
+            tree = {tuple(map(lambda_of, chain)) for chain in tree_chains(a, b)[1]}
+            assert schensted_chains(a, b) == tree, (a, b)
 
 
 @pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",

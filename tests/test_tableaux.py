@@ -153,6 +153,10 @@ class TestBijection:
         assert pieri_bijection_check((3, 1), 3, 3).passed
         assert pieri_bijection_check((2, 2), 2, 2).passed
 
+    def test_negative_row_length(self):
+        with pytest.raises(ValueError, match="row length must be nonnegative, got -1"):
+            pieri_bijection_check((2, 1), -1, 2)
+
     def test_failures_name_each_false_clause(self):
         rep = pieri_bijection_check((2, 1), 1, 3)
         assert rep.failures() == ()
