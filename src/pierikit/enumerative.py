@@ -34,7 +34,6 @@ from .exactla import (
 )
 from .schubgeom import schubert_member, standard_flag
 from .seqcomb import DecSeq, codim, dual, lambda_of, pieri_set
-from .tableaux import ssyt_enumerate
 
 # largest m*(n-m) the polynomial oracle will expand
 _EXPANSION_CAP = 16
@@ -128,6 +127,7 @@ def _schur_weights(shape: tuple[int, ...], m: int, n: int) -> dict[int, int]:
     """s_shape(x_1, ..., x_m) as {packed exponent: multiplicity}, one count
     per semistandard tableau content, keeping the exponents at most the
     target (n-1, n-2, ..., n-m).  Shared by every caller: never mutated."""
+    from .tableaux import ssyt_enumerate
     width = _field_width(n)
     target = range(n - 1, n - 1 - m, -1)
     out: dict[int, int] = {}

@@ -17,12 +17,13 @@ and S.from_coords convert vectors, and S.restrict and S.extend carry a
 subspace of S to k^dim S and back; restrict needs no elimination, because a
 subspace's canonical rows read at S's pivots are already canonical.  A
 one-parameter family caches its columns as integer polynomials: it
-evaluates them at t, and its flat limit at t=0 comes out of exact column
-operations over Z[t].  A complete flag caches its adapted basis, so a
-subspace's flag position (dim F_j cap L for every j) is one elimination in
-those coordinates.  Fractions appear only at the boundary, when a result
-leaves as a canonical basis, a kernel, solution, inverse, reduced vector or
-coordinate tuple.
+evaluates them at t, its flat limit at t=0 comes out of exact column
+operations over Z[t], and a degree bound on its minors lets finitely many
+fibres decide its generic rank and flag position.  A complete flag caches
+its adapted basis, so a subspace's flag position (dim F_j cap L for every
+j) is one elimination in those coordinates.  Fractions appear only at the
+boundary, when a result leaves as a canonical basis, a kernel, solution,
+inverse, reduced vector or coordinate tuple.
 """
 
 from __future__ import annotations
@@ -30,26 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import gcd, lcm
 from operator import mul
 
 Vec = tuple[Fraction, ...]
 Poly = tuple[Fraction, ...]  # coefficients, lowest degree first, trimmed
-
-# Fixed sample points in t.  Agreement at all five certifies nothing for a
-# family of higher degree.  No chain step and no verb evaluates a fibre:
-# build_pencil proves its fibres from the pencil's columns, and
-# step_verify's "sample t=... lies in the level-s cell" clauses keep their
-# names, one per point, and share one verdict proved for every nonzero t.
-# Still sampled at all five: limit_at_zero's generic-rank pre-check and the
-# sampled claims of golden_run_741.
-SAMPLE_POINTS = (
-    Fraction(1),
-    Fraction(1, 2),
-    Fraction(2),
-    Fraction(3),
-    Fraction(-1),
-)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -599,6 +586,20 @@ class Flag:
         pivots = _echelon(coords)[1]
         return tuple(sum(p >= c for p in pivots) for c in range(self.ambient + 1))
 
+    def generic_meet_dims(self, fam: "PolyFamily") -> tuple[int, ...]:
+        """meet_dims of fam's fibre L_t for all but finitely many t: the
+        componentwise least meet_dims over D+1 of fam's full-rank points, D
+        the sum of its column degrees.  Where dim L_t = d, dim F_j cap L_t
+        = dim F_j + d - rank[F_j; L_t]; that rank never exceeds its generic
+        value and reaches it off the zeros of a minor of degree at most D,
+        so at one of any D+1 points.  Generic rank below d: ValueError."""
+        D = sum(deg for deg, _ in fam._int_coeffs)
+        dims = [self.meet_dims(canonicalize(cols, fam.ambient))
+                for _, cols in islice(fam.full_rank_points(), D + 1)]
+        if not dims:
+            raise ValueError(f"family does not have generic rank {fam.ncols}")
+        return tuple(map(min, zip(*dims)))
+
 
 def flag_from_basis(vectors) -> Flag:
     """Flag with F_j spanned by vectors[j-1:]; vectors must be a basis."""
@@ -627,8 +628,9 @@ class PolyFamily:
     """A family of subspaces spanned by columns with polynomial entries.
 
     cols[q][i] is the entry of column q in coordinate i, a Poly in t.  The
-    declared dimension is the number of columns; it must be attained at the
-    fixed sample points for the family to count as generically that large.
+    declared dimension is the number of columns.  A maximal minor has degree
+    at most D, the sum of the column degrees, so a nonzero one vanishes at
+    D points at most: the rank at any D+1 points decides the generic rank.
     """
 
     ambient: int
@@ -674,6 +676,16 @@ class PolyFamily:
     def at(self, t) -> Subspace:
         return canonicalize(self._int_columns(t), self.ambient)
 
+    def full_rank_points(self):
+        """(t, integer columns at t) for t = 1, ..., 2D+1 wherever the
+        columns are independent: none at all when the generic rank is below
+        ncols, and at least D+1 otherwise."""
+        D = sum(deg for deg, _ in self._int_coeffs)
+        for t in range(1, 2 * D + 2):
+            cols = self._int_columns(t)
+            if rank(cols) == self.ncols:
+                yield t, cols
+
     def max_degree(self) -> int:
         return max((deg for deg, _ in self._int_coeffs), default=0)
 
@@ -700,16 +712,15 @@ def limit_at_zero(fam: PolyFamily) -> Subspace:
     the content and continue.  Rescaling a column by a nonzero constant
     changes neither its span nor which columns a vanishing combination
     involves.  The loop must stop because each division strictly drops the
-    t-order of a nonzero maximal minor.
+    t-order of a nonzero maximal minor.  A family of generic rank below its
+    column count, which no full-rank point shows, raises ValueError; a rank
+    of d at t = 1 already proves generic rank d.
     """
     d = fam.ncols
     if d == 0:
         return zero_subspace(fam.ambient)
-    bad = [t for t in SAMPLE_POINTS if rank(fam._int_columns(t)) != d]
-    if bad:
-        raise ValueError(
-            f"family does not have generic rank {d} at sample points {bad}"
-        )
+    if next(fam.full_rank_points(), None) is None:
+        raise ValueError(f"family does not have generic rank {d}")
     cols = [list(col) for _, col in fam._int_coeffs]
     budget = d * (fam.max_degree() + 2) + 8
     while True:

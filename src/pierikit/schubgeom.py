@@ -159,12 +159,16 @@ def classify_pieri(a: DecSeq, flag: Flag, L: Subspace, s: int) -> Classification
         intersection then breaks into one piece per equality row.
       TransverseOther: transverse but neither of the two named shapes.
     """
+    return classify_position(a, flag.meet_dims(L), s)
+
+
+def classify_position(a: DecSeq, meets, s: int) -> Classification:
+    """classify_pieri of any L whose flag position is meets, whose first
+    entry dim F_1 cap L = dim L must be n+1-m-s."""
     n, m = a.n, a.m
-    if L.dim != n + 1 - m - s:
-        raise ValueError(
-            f"special subspace must have dim {n + 1 - m - s}, got {L.dim}"
-        )
-    meets = flag.meet_dims(L)
+    if meets[0] != n + 1 - m - s:
+        raise ValueError(f"special subspace must have dim {n + 1 - m - s}, "
+                         f"got {meets[0]}")
     entries = tuple(DimEntry(j, aj, meets[aj - 1], n + 2 - aj - j - s)
                     for j, aj in enumerate(a.entries, 1))
     equality = tuple(e.j for e in entries if e.meet_dim and e.meet_dim == e.critical)

@@ -580,7 +580,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 LAYERS_RUN = {
     "pieri": {"exactla", "seqcomb", "schubgeom"},
     "count-real": {"exactla", "seqcomb", "schubgeom", "tableaux", "enumerative"},
-    "triple-witness": {"exactla", "seqcomb", "schubgeom", "tableaux", "enumerative"},
+    "triple-witness": {"exactla", "seqcomb", "schubgeom", "enumerative"},
     "chain-deform": {"exactla", "seqcomb", "schubgeom", "deform"},
     "appendix-a": {"exactla", "seqcomb", "schubgeom", "deform"},
 }

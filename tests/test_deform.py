@@ -4,6 +4,7 @@ import itertools
 import os
 import random
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from pierikit.deform import (
     worked_kernel,
 )
 from pierikit.exactla import (
-    SAMPLE_POINTS,
     Flag,
     PolyFamily,
     VerificationError,
@@ -35,6 +35,7 @@ from pierikit.exactla import (
     invert_matrix,
     limit_at_zero,
     span,
+    sum_span,
     unit_vector,
     vec_add,
     zero_subspace,
@@ -50,6 +51,7 @@ from pierikit.seqcomb import (
 )
 from pierikit.tableaux import pieri_bijection_check, row_insert, ssyt_enumerate
 from pierikit.schubgeom import (
+    TRANSVERSE_REDUCIBLE,
     _pivot_span,
     cell_member,
     cell_point,
@@ -57,6 +59,7 @@ from pierikit.schubgeom import (
     meets_properly,
     random_flag,
     schubert_cell_point,
+    classify_pieri,
     standard_flag,
     x_member,
     y_cycle,
@@ -64,6 +67,8 @@ from pierikit.schubgeom import (
 
 FLAG = standard_flag(9)
 A741 = DecSeq(9, (7, 4, 1))
+# the five fixed points at which families used to be sampled
+SAMPLE_POINTS = (F(1), F(1, 2), F(2), F(3), F(-1))
 
 
 def e(i, n=9):
@@ -447,6 +452,118 @@ class TestGoldenRun:
             "final assembly",
         ]
         assert blob["passed"] is True
+
+
+# ----------------------------------------------------------------------
+# The worked run's family claims read the generic flag position of
+# worked_family() and coefficient identities.  Section (B) as it read
+# before, sampled at the five points, stays here as a differential
+# reference.
+
+SECTION_B = "(B) first parameter sent to zero: "
+
+
+def sampled_section_b(fam):
+    """Section (B) of golden_run_741 sampled at the five points, as it read
+    before: clause name -> verdict.  The moving 3-plane is the real
+    family's column tail, whatever fam is."""
+    Fq = FLAG.subspace
+    inner = PolyFamily(9, worked_family().cols[2:])
+    moving = {t: fam.at(t) for t in SAMPLE_POINTS}
+    slices = {t: inner.at(t) for t in SAMPLE_POINTS}
+    cycle = frozenset({("schubert", (9, 4, 1)), ("incidence", (7, 5, 1), 2),
+                       ("incidence", (7, 4, 2), 3)})
+
+    def reducible_every_row(t, L):
+        c = classify_pieri(A741, FLAG, L, 2)
+        return c.verdict == TRANSVERSE_REDUCIBLE and c.equality_set == (1, 2, 3)
+
+    clauses = {
+        "stated basis spans the kernel of the specialized forms":
+            lambda t, L: L == worked_kernel(0, t),
+        "moving 5-plane lies in the level-2 cell":
+            lambda t, L: cell_member(L, A741, 2, FLAG),
+        "moving 5-plane lies inside F_2": lambda t, L: Fq(2).contains(L),
+        "meets F_4 and F_5 in the same moving 3-plane":
+            lambda t, L: (intersect(L, Fq(4)) == slices[t] == intersect(L, Fq(5))
+                          and slices[t].dim == 3),
+        "meets F_7 in the line F_9": lambda t, L: intersect(L, Fq(7)) == Fq(9),
+        "spans F_2 together with F_4": lambda t, L: sum_span(L, Fq(4)) == Fq(2),
+        "its F_4 slice spans F_5 together with F_7":
+            lambda t, L: sum_span(intersect(L, Fq(4)), Fq(7)) == Fq(5),
+        "its F_7 slice sits inside F_8":
+            lambda t, L: Fq(8).contains(intersect(L, Fq(7))),
+        "transverse reducible with every row critical": reducible_every_row,
+        "cycle components: one pushed Schubert plus two incidence pieces":
+            lambda t, L: y_cycle(A741, 1, 2, FLAG, L) == cycle,
+    }
+    return {SECTION_B + name: all(holds(t, L) for t, L in moving.items())
+            for name, holds in clauses.items()}
+
+
+def sample_product(with_t):
+    """Coefficients of prod_p (t - p), times t if with_t, p over the five
+    points: zero at each of them, and at 0 too if with_t."""
+    return vanishing_at_samples() if with_t else vanishing_at_samples()[1:]
+
+
+def worked_mutant(column, coordinate, bump):
+    """worked_family() with the polynomial bump added to the coordinate
+    entry of one column."""
+    cols = [list(col) for col in worked_family().cols]
+    entry = cols[column - 1][coordinate - 1]
+    cols[column - 1][coordinate - 1] = [x + (entry[k] if k < len(entry) else 0)
+                                        for k, x in enumerate(bump)]
+    return family_from_vectors(9, cols)
+
+
+MUTANT_ENTRIES = [(1, 1), (5, 1), (3, 7), (2, 4)]
+
+
+class TestWorkedFamilyProofs:
+    def test_generic_position_is_the_position_at_one(self):
+        # L_t = D_t L_1 for t != 0, D_t = diag(1, t^4, t^3, 1, t^2, t, 1, 1, 1);
+        # D_t fixes every coordinate flag space, so every L_t with t != 0
+        # has the flag position of L_1
+        fam = worked_family()
+        P = FLAG.generic_meet_dims(fam)
+        assert P == FLAG.meet_dims(fam.at(1)) == (5, 5, 4, 3, 3, 2, 1, 1, 1, 0)
+        for t in (F(2), F(5), F(-3), F(1, 7), F(11, 4)):
+            diag = (1, t ** 4, t ** 3, 1, t ** 2, t, 1, 1, 1)
+            moved = [[d * x for d, x in zip(diag, row)] for row in fam.at(1).basis]
+            assert fam.at(t) == canonicalize(moved, 9)
+            assert FLAG.meet_dims(fam.at(t)) == P
+
+    def test_section_b_agrees_with_its_sampled_form(self):
+        report = golden_run_741()
+        want = sampled_section_b(worked_family())
+        assert all(want.values())
+        assert {c.name: c.passed for c in report.checks
+                if c.name.startswith(SECTION_B)} == want
+
+    @pytest.mark.parametrize("with_t", [True, False], ids=["t-prod", "prod"])
+    @pytest.mark.parametrize("column, coordinate", MUTANT_ENTRIES)
+    def test_mutant_fails_section_b(self, monkeypatch, column, coordinate, with_t):
+        # t prod_p (t - p) agrees with the real family at every sample point
+        # and at 0, so the sampled section (B) passes it; prod_p (t - p)
+        # changes the fibre at 0 as well.  The kernel identity sees both.
+        mutant = worked_mutant(column, coordinate, sample_product(with_t))
+        assert mutant.at(5) != worked_family().at(5)
+        if with_t:
+            assert all(sampled_section_b(mutant).values())
+        monkeypatch.setattr(deform, "worked_family", lambda: mutant)
+        failed = golden_run_741().failures()
+        assert SECTION_B + "stated basis spans the kernel of the specialized forms" in failed
+        if coordinate == 1:
+            # e_1 leaves F_2, so the generic flag position moves too
+            assert FLAG.generic_meet_dims(mutant) != FLAG.meet_dims(worked_family().at(1))
+
+    def test_generic_position_needs_full_rank(self):
+        # a fifth column equal to the fourth: rank 4 at every t
+        fam = worked_family()
+        twin = PolyFamily(9, fam.cols[:4] + fam.cols[3:4])
+        with pytest.raises(ValueError, match="does not have generic rank 5"):
+            FLAG.generic_meet_dims(twin)
 
 
 # ----------------------------------------------------------------------
@@ -1069,27 +1186,49 @@ def schensted_chains(a, b):
     return {chain for chain in chains if chain[-1][0] <= a.n - a.m}
 
 
-@pytest.mark.parametrize("kind", ["standard", "random", "reversed"])
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_every_chain_up_to_six(n, kind):
-    """Every chain at n <= 6, 210 in all: each stage passes, the collapse
+def check_every_chain(n, kind):
+    """Every chain at n on one sweep flag: each stage passes, the collapse
     reads the branch set pieri_set(a, b), and the histories are the
-    branching tree's chains.  On the standard flag the Schensted side closes
+    branching tree's chains, in the tree's order up to n = 6.  On the standard flag the Schensted side closes
     the triangle: the tableau bijection passes, and the row-insertion
     recording chains are the tree's chains read as partitions.  Any
     exception, GenericityError included, fails the test."""
     flag, general_k = sweep_flag(n, kind)
     chains = every_chain(n)
-    assert len(chains) == {3: 10, 4: 25, 5: 56, 6: 119}[n]
+    assert len(chains) == {3: 10, 4: 25, 5: 56, 6: 119, 7: 246, 8: 501, 9: 1012}[n]
     for k, (a, b) in enumerate(chains):
         reports = chain_deformation(a, b, flag, general_k(n, a, b), seeds=k)
         assert [rep.failures() for rep in reports] == [()] * (b + 1), (a, b)
         assert {rec.index for rec in reports[-1].records} == set(pieri_set(a, b)), (a, b)
-        assert chain_histories(reports) == tree_chains(a, b)[1], (a, b)
+        histories, chains_by_leaf = chain_histories(reports), tree_chains(a, b)[1]
+        assert Counter(histories) == Counter(chains_by_leaf), (a, b)
+        # the orders agree up to n = 6; from n = 7 on they can differ
+        # (631 at n = 7, b = 2): the tree lists its chains by leaf, and
+        # chain_histories by the branch taken at each level in turn
+        assert n > 6 or histories == chains_by_leaf, (a, b)
         if kind == "standard":
             assert pieri_bijection_check(lambda_of(a), b, a.m).passed, (a, b)
             tree = {tuple(map(lambda_of, chain)) for chain in tree_chains(a, b)[1]}
             assert schensted_chains(a, b) == tree, (a, b)
+
+
+@pytest.mark.parametrize("kind", ["standard", "random", "reversed"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_every_chain_up_to_six(n, kind):
+    """All 210 chains at n <= 6 on three flags (see check_every_chain)."""
+    check_every_chain(n, kind)
+
+
+@pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
+                    reason="n = 7..9 chains; set PIERIKIT_SLOW=1 to run them")
+@pytest.mark.parametrize("n, kind", [(7, "standard"), (8, "standard"), (9, "standard"),
+                                     (7, "random"), (8, "random")])
+def test_every_chain_seven_to_nine(n, kind):
+    """The 1759 chains at n = 7..9 on the standard flag, the Schensted
+    triangle included, and those at n = 7, 8 on one seeded random flag per
+    n: with the tier-1 sweep, all 1969 chains at n <= 9 on the standard
+    flag (see check_every_chain)."""
+    check_every_chain(n, kind)
 
 
 @pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",

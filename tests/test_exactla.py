@@ -9,7 +9,6 @@ import pytest
 
 import pierikit.exactla as exactla
 from pierikit.exactla import (
-    SAMPLE_POINTS,
     Flag,
     PolyFamily,
     Subspace,
@@ -37,6 +36,9 @@ from pierikit.exactla import (
     vec,
     zero_subspace,
 )
+
+# the five fixed points at which families used to be sampled
+SAMPLE_POINTS = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3), Fraction(-1))
 
 F = Fraction
 
@@ -255,10 +257,16 @@ class TestFamily:
         )
         assert lim == want
 
-    def test_limit_requires_constant_rank(self):
-        # two columns that collide at t=1 fail the sample validation
+    def test_limit_requires_generic_rank(self):
+        # two columns that collide at t=1 only: generic rank 2, so the limit
+        # exists; the first full-rank point is t = 2
         fam = PolyFamily(2, (((F(1),), (F(0),)), ((F(0), F(1)), (F(1), F(-1)))))
-        with pytest.raises(ValueError):
+        assert [t for t, _ in fam.full_rank_points()] == [2, 3]
+        assert limit_at_zero(fam) == span(2, vec([1, 0]), vec([0, 1]))
+        # a second column t times the first: rank 1 at every t
+        fam = PolyFamily(2, (((F(1),), (F(1),)), ((F(0), F(1)), (F(0), F(1)))))
+        assert list(fam.full_rank_points()) == []
+        with pytest.raises(ValueError, match="does not have generic rank 2"):
             limit_at_zero(fam)
 
     def test_limit_combination_not_divisible_by_t(self, monkeypatch):
@@ -713,9 +721,11 @@ def textbook_limit(fam):
     """Rows of the canonical basis of the flat limit at t=0, and the number
     of divisions by t it took."""
     d, ambient = fam.ncols, fam.ambient
-    bad = [t for t in SAMPLE_POINTS if len(textbook_rref(eval_columns(fam, t))[1]) != d]
-    if bad:
-        raise ValueError(f"family does not have generic rank {d} at sample points {bad}")
+    # a maximal minor has degree at most D, the sum of the column degrees:
+    # a nonzero one is nonzero at one of t = 1, ..., D+1
+    D = sum(max((len(p) - 1 for p in col), default=0) for col in fam.cols)
+    if all(len(textbook_rref(eval_columns(fam, t))[1]) != d for t in range(1, D + 2)):
+        raise ValueError(f"family does not have generic rank {d}")
     cols = [list(col) for col in fam.cols]
     budget = d * (max((len(p) - 1 for col in cols for p in col), default=0) + 2) + 8
     divisions = 0
@@ -812,12 +822,12 @@ def twisted(cols, n, rng):
     return [tuple(combined_entry(c1[q], mid, i) for i in range(n)) for q in range(d)], n
 
 
-def not_generic(cols, n, rng):
-    """Add a multiple of a column, or a column that meets it at the sample
-    point t = 1."""
+def not_generic(cols, n, rng, multiple):
+    """Add a multiple of a column (generic rank drops), or a column that
+    meets it at t = 1 (rank drops at t = 1 only, for most draws)."""
     keep = list(cols[:5])
     q = rng.choice(keep)
-    if rng.random() < 0.5:
+    if multiple:
         new = tuple(t_scale(rng.randint(1, 3), p) for p in q)
     else:
         new = tuple(t_add(p, (F(-w), F(w))) for p, w in
@@ -829,7 +839,7 @@ class TestLimitDifferential:
     def test_against_textbook_column_operations(self):
         rng = random.Random(19960109)
         seen = dict.fromkeys(("random", "chain", "pencil", "100-bit", "not generic",
-                              "several divisions"), 0)
+                              "drops at t = 1 only", "several divisions"), 0)
         for i in range(300):
             kind = ("int", "small", "big")[i % 3]
             source = ("random", "chain", "pencil")[i // 3 % 3]
@@ -839,8 +849,8 @@ class TestLimitDifferential:
                        "pencil": pencil_family}[source](rng, kind)
             if source != "random" and i % 4:
                 cols, n = twisted(cols, n, rng)
-            if i % 10 == 7:
-                cols, n = not_generic(cols, n, rng)
+            if i % 10 in (3, 5, 7):
+                cols, n = not_generic(cols, n, rng, multiple=i % 10 == 7)
             fam = family_from_vectors(n, cols)
             assert fam.ncols <= 6 and fam.max_degree() <= 4 and n <= 8
             try:
@@ -852,6 +862,7 @@ class TestLimitDifferential:
                 assert str(got.value) == str(exc)
                 continue
             seen["several divisions"] += divisions >= 2
+            seen["drops at t = 1 only"] += rank(eval_columns(fam, 1)) < fam.ncols
             assert strs(limit_at_zero(fam).basis) == strs(want)
         assert all(count >= 30 for count in seen.values()), seen
 
