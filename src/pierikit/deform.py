@@ -9,6 +9,7 @@ Schubert variety.
 """
 
 from dataclasses import dataclass
+from math import lcm
 from operator import mul
 import random
 
@@ -22,6 +23,10 @@ from .exactla import (
     VerificationError,
     _echelon,
     _int_row,
+    _null_vector,
+    _null_vectors,
+    _over,
+    _read_null_vectors,
     annihilator_basis,
     canonicalize,
     check_lines,
@@ -173,6 +178,16 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
     dual basis e.  With l = 2 there are no moving vectors and the family is
     the constant M_2 = L_inf.
 
+    The covectors are read off canonical rows in M's coordinates, with no
+    elimination.  x_{l-1} is the first covector of L_inf's annihilator.
+    For i != l-1, x_i is the null vector of M_{i+1} (of 0 for i = N) at p,
+    the one pivot of M_i that M_{i+1} lacks: it kills M_{i+1}, and M_i is
+    M_{i+1} plus M_i's canonical row at p.  That row leads at p and is zero
+    at M_{i+1}'s pivots, while the null vector at a free column c is zero
+    at the other free columns; so the null vector at c vanishes on M_i for
+    every free c < p and not for c = p.  x_i is thus the first covector of
+    M_{i+1}'s annihilator basis that does not vanish on M_i.
+
     The fibres are proved, not sampled.  The dual vectors are independent,
     so the tail from e_i spans M_i once each e_i lies in M_i (the flag is
     nested), and the dual basis without e_{l-1} spans L_inf once its N-1
@@ -205,19 +220,18 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
     if L_inf.contains(upper):
         raise ValueError("marked hyperplane must not contain M_(l-1)")
 
-    inner = [M.restrict(s) for s in mflag]
+    # M_1, ..., M_N and then M_(N+1) = 0, in M's coordinates
+    inner = [M.restrict(s) for s in mflag] + [zero_subspace(N)]
     covectors = []
     for i in range(1, N + 1):
         if i == l - 1:
             x = annihilator_basis(M.restrict(L_inf))[0]
         else:
-            below = inner[i] if i < N else zero_subspace(N)
-            # the first candidate not vanishing on M_i, tested through a
-            # positive integer multiple; the flag is nested, so one exists
-            for x in annihilator_basis(below):
-                xi = _int_row(x)
-                if any(sum(map(mul, xi, row)) for row in inner[i - 1].rows):
-                    break
+            # the null vector of M_(i+1) at the one pivot of M_i it lacks
+            below = inner[i]
+            p = next(c for c in inner[i - 1].pivots if c not in below.pivots)
+            d, v = _null_vector(below.rows, below.pivots, p, N)
+            x = _over(v, d)
         covectors.append(list(x))
     try:
         inverse = invert_matrix(covectors)
@@ -454,19 +468,33 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
 def _descend_hyperplane(a: DecSeq, s: int, flag: Flag, M: Subspace, rng) -> Subspace:
     """A hyperplane of M through F_{a_1+s}, otherwise generic, landing in
     the level-s cell.  The wanted conditions are open, so a few random
-    covectors suffice."""
+    covectors suffice.
+
+    All in integers.  top's annihilator basis is read off its canonical
+    rows as pairs (d, v), each v scaled to the common denominator D, so a
+    draw's covector is D times the same combination of
+    annihilator_basis(top) and cuts the same hyperplane of k^N.  Each of
+    its integer null vectors is lifted to k^n through M's canonical rows
+    scaled by the lcm P of their pivots over the pivot: a positive multiple
+    of M.from_coords of the vector.  So each draw gives the L that the
+    Fraction kernel of that combination, lifted by M.from_coords, spans.
+    """
     N = M.dim
     top = M.restrict(flag.subspace(a.entries[0] + s))
     upper = flag.subspace(a.entries[0] + s - 1)
-    ann = annihilator_basis(top)
+    null = _read_null_vectors(top.rows, top.pivots, N)
+    D = lcm(*[d for d, _ in null])
+    ann = [[x * (D // d) for x in v] for d, v in null]
+    P = lcm(*[row[p] for row, p in zip(M.rows, M.pivots)])
+    lift = [[x * (P // row[p]) for x in row] for row, p in zip(M.rows, M.pivots)]
     for _ in range(64):
-        coeffs = [frac(rng.randint(-9, 9)) for _ in ann]
-        covector = [sum(c * row[i] for c, row in zip(coeffs, ann))
-                    for i in range(N)]
-        if all(x == 0 for x in covector):
+        coeffs = [rng.randint(-9, 9) for _ in ann]
+        covector = [sum(map(mul, coeffs, col)) for col in zip(*ann)]
+        if not any(covector):
             continue
-        inside = kernel_basis([covector], N)
-        L = canonicalize([M.from_coords(v) for v in inside], M.ambient)
+        inside = [[sum(map(mul, v, col)) for col in zip(*lift)]
+                  for _, v in _null_vectors([covector], N)]
+        L = canonicalize(inside, M.ambient)
         if L.dim != N - 1 or L.contains(upper):
             continue
         if cell_member(L, a, s, flag):
@@ -578,7 +606,14 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
 
 
 def chain_histories(reports) -> tuple:
-    """Root-to-leaf index chains reconstructed from a chain of stage reports."""
+    """Root-to-leaf index chains reconstructed from a chain of stage reports.
+
+    They are ordered by the branch taken at each level in turn: the start
+    stage's level-1 components in report order, each followed by its
+    children in step-report order.  As a multiset they are the branching
+    tree's chains, but seqcomb.PieriTree.chains orders by leaf, and from
+    n = 7 on the two orders can differ (631 at n = 7 with b = 2).
+    """
     start = reports[0]
     a = start.alpha
     edges = {}
@@ -748,7 +783,8 @@ def golden_run_741() -> GoldenReport:
         StageCheck(
             "stated basis spans the kernel of the specialized forms",
             all(sum(map(mul, phi, col)) == 0 for t in range(deg + 1)
-                for phi in worked_forms(0, t) for col in fam._int_columns(t))
+                for phi in map(_int_row, worked_forms(0, t))
+                for col in fam._int_columns(t))
             and rank(worked_forms(0, 1)) == 4),
         StageCheck(
             "moving 5-plane lies in the level-2 cell",

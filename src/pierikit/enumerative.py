@@ -35,8 +35,10 @@ from .exactla import (
 from .schubgeom import schubert_member, standard_flag
 from .seqcomb import DecSeq, codim, dual, lambda_of, pieri_set
 
-# largest m*(n-m) the polynomial oracle will expand
-_EXPANSION_CAP = 16
+# largest m*(n-m) the bialternant oracle will expand: at 30 (n = 11,
+# min(m, n-m) = 5) a problem takes a few tenths of a second, at 36 (n = 12,
+# m = 6) several seconds
+_EXPANSION_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,11 @@ def _schur_weights(shape: tuple[int, ...], m: int, n: int) -> dict[int, int]:
     return out
 
 
+def _conjugate(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The conjugate partition: column lengths of the shape's diagram."""
+    return tuple(sum(1 for x in shape if x > j) for j in range(shape[0] if shape else 0))
+
+
 @lru_cache(maxsize=None)
 def _vandermonde(m: int, n: int) -> dict[int, int]:
     """a_delta = prod_{i<j} (x_i - x_j) as {packed exponent: sign}, keeping
@@ -167,16 +174,26 @@ def cohomology_oracle(p: QuintupleProblem) -> int:
     product stays in int coefficients and drops, after every factor, each
     exponent that is not componentwise at most R+delta; the last factor is
     a lookup of (R+delta) - e.
+
+    The cost grows with the number of variables, so for m > n/2 the oracle
+    counts in n-m variables instead: the involution omega carries s_mu to
+    s_mu' (h_a to e_a) and R to R' = (m^(n-m)), the rectangle of
+    Gr(n-m, n), and it keeps the coefficient.  The one size cap is then
+    m(n-m) <= 30, the Grassmannian's dimension; a larger problem raises
+    ValueError.
     """
-    if p.n > 8 or p.m * (p.n - p.m) > _EXPANSION_CAP:
+    if p.m * (p.n - p.m) > _EXPANSION_CAP:
         raise ValueError("instance too large for polynomial expansion")
     n, m = p.n, p.m
+    shapes = (lambda_of(p.alpha), lambda_of(p.beta),
+              *((d,) if d else () for d in (p.a, p.b, p.c)))
+    if 2 * m > n:
+        m = n - m
+        shapes = tuple(_conjugate(s) for s in shapes)
     width = _field_width(n)
     guards = _pack([1 << (width - 1)] * m, width)
     target = _pack(range(n - 1, n - 1 - m, -1), width)
     top = target | guards
-    shapes = (lambda_of(p.alpha), lambda_of(p.beta),
-              *((d,) if d else () for d in (p.a, p.b, p.c)))
     factors = sorted((_schur_weights(s, m, n) for s in shapes), key=len)
     poly = _vandermonde(m, n)
     for weights in factors[:-1]:

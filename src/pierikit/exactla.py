@@ -15,7 +15,11 @@ canonical Fraction basis (pivot entries 1) is a view built on first read.
 Coordinates on a subspace S are the entries at S's pivot columns: S.coords
 and S.from_coords convert vectors, and S.restrict and S.extend carry a
 subspace of S to k^dim S and back; restrict needs no elimination, because a
-subspace's canonical rows read at S's pivots are already canonical.  A
+subspace's canonical rows read at S's pivots are already canonical.  Null
+vectors of canonical rows need none either: the one with 1 at a free
+column c and 0 at the other free columns has, at each row's pivot, minus
+the row's entry at c over its pivot entry, so S's annihilator is read
+straight off S's rows.  A
 one-parameter family caches its columns as integer polynomials: it
 evaluates them at t, its flat limit at t=0 comes out of exact column
 operations over Z[t], and a degree bound on its minors lets finitely many
@@ -221,21 +225,31 @@ def _over(row, d: int) -> Vec:
     return tuple(Fraction(x, d) if x else _ZERO for x in row)
 
 
+def _null_vector(rows, pivots, fc: int, ncols: int) -> tuple[int, list[int]]:
+    """The null vector at free column fc of rows already in canonical form
+    (reduced, primitive, positive pivots), read off without elimination, as
+    a pair (d, v): v's entry at fc is d > 0, and v / d is the null vector
+    that has 1 at fc and 0 at the other free columns."""
+    d = lcm(*[row[pc] for row, pc in zip(rows, pivots) if row[fc]])
+    v = [0] * ncols
+    v[fc] = d
+    for row, pc in zip(rows, pivots):
+        if row[fc]:
+            v[pc] = -row[fc] * (d // row[pc])
+    return d, v
+
+
+def _read_null_vectors(rows, pivots, ncols: int) -> list[tuple[int, list[int]]]:
+    """Integer basis of the null space of canonical rows, one _null_vector
+    per free column, in increasing column order."""
+    return [_null_vector(rows, pivots, fc, ncols)
+            for fc in sorted(set(range(ncols)).difference(pivots))]
+
+
 def _null_vectors(rows, ncols: int) -> list[tuple[int, list[int]]]:
-    """Integer basis of the null space {x : rows . x = 0}, as pairs (d, v)
-    with one v per free column; v's entry there is d > 0, and v / d is the
-    basis vector that has 1 in that free column and 0 in the others."""
-    reduced, pivots = _echelon(rows)
-    basis = []
-    for fc in sorted(set(range(ncols)).difference(pivots)):
-        d = lcm(*[row[pc] for row, pc in zip(reduced, pivots) if row[fc]])
-        v = [0] * ncols
-        v[fc] = d
-        for row, pc in zip(reduced, pivots):
-            if row[fc]:
-                v[pc] = -row[fc] * (d // row[pc])
-        basis.append((d, v))
-    return basis
+    """Integer basis of the null space {x : rows . x = 0}: one elimination,
+    then the read-off (see _null_vector)."""
+    return _read_null_vectors(*_echelon(rows), ncols)
 
 
 def rref(rows):
@@ -507,10 +521,10 @@ def quotient_dim(a: Subspace, k: Subspace) -> int:
 
 
 def annihilator_basis(s: Subspace):
-    """Covectors (as plain tuples) vanishing on s, deterministic order."""
-    if s.is_zero:
-        return [unit_vector(s.ambient, i + 1) for i in range(s.ambient)]
-    return kernel_basis(list(s.rows), s.ambient)
+    """Covectors (as plain tuples) vanishing on s, deterministic order:
+    kernel_basis of s's rows, read off them directly, since they are
+    already canonical (for the zero space, the unit covectors)."""
+    return [_over(v, d) for d, v in _read_null_vectors(s.rows, s.pivots, s.ambient)]
 
 
 # ----------------------------------------------------------------------

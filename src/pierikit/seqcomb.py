@@ -190,7 +190,13 @@ class PieriTree:
     edges: tuple[tuple[DecSeq, DecSeq], ...]
 
     def chains(self) -> tuple[tuple[DecSeq, ...], ...]:
-        """All root-to-leaf chains, ordered by leaf (lex decreasing)."""
+        """All root-to-leaf chains, ordered by leaf (lex decreasing).
+
+        deform.chain_histories lists the same chains ordered by the branch
+        taken at each level in turn.  The two orders agree up to n = 6 and
+        can differ from n = 7 on: for 631 at n = 7 and depth 2 the leaves
+        run 741, 732, 651, 642 here and 741, 651, 732, 642 there.
+        """
         parents = {c: p for p, c in self.edges}
         out = []
         for leaf in self.levels[-1]:

@@ -26,13 +26,15 @@ from pierikit.deform import (
 )
 from pierikit.exactla import (
     Flag,
+    GenericityError,
     PolyFamily,
+    Subspace,
     VerificationError,
-    annihilator_basis,
     canonicalize,
     family_from_vectors,
     intersect,
     invert_matrix,
+    kernel_basis,
     limit_at_zero,
     span,
     sum_span,
@@ -257,7 +259,7 @@ class TestBuildPencil:
             build_pencil(mf, 6, bad)
 
     def test_rejects_dependent_covectors(self, monkeypatch):
-        # offering x_1 first everywhere makes covectors 1 and l-1 equal
+        # offering x_1 = e_1 first for x_(l-1) makes covectors 1 and l-1 equal
         real = deform.annihilator_basis
         monkeypatch.setattr(deform, "annihilator_basis",
                             lambda s: [unit_vector(s.ambient, 1)] + real(s))
@@ -1310,24 +1312,38 @@ def sampled_fibres_hold(family, mflag, l):
                for fibre in map(family.at, SAMPLE_POINTS))
 
 
-def textbook_pencil_family(mflag, l, L_inf):
+def search_covectors(mflag, l, L_inf):
+    """build_pencil's covectors by search, in the chart of M's pivot
+    coordinates: x_(l-1) is the first covector of L_inf's annihilator, any
+    other x_i the first covector of M_(i+1)'s annihilator (of 0 for i = N)
+    that does not vanish on M_i.  Each annihilator is kernel_basis of the
+    space's rows, which eliminates them first."""
     M = mflag[0]
     N = M.dim
 
     def chart(S):
         return canonicalize([[row[p] for p in M.pivots] for row in S.rows], N)
 
-    inner = [chart(S) for S in mflag]
+    def annihilator(S):
+        return kernel_basis(list(S.rows), N)
+
+    inner = [chart(S) for S in mflag] + [zero_subspace(N)]
     covectors = []
     for i in range(1, N + 1):
         if i == l - 1:
-            x = annihilator_basis(chart(L_inf))[0]
+            x = annihilator(chart(L_inf))[0]
         else:
-            below = inner[i] if i < N else zero_subspace(N)
-            x = next(c for c in annihilator_basis(below)
+            x = next(c for c in annihilator(inner[i])
                      if any(sum(ci * vi for ci, vi in zip(c, row)) != 0
                             for row in inner[i - 1].rows))
         covectors.append(list(x))
+    return covectors
+
+
+def textbook_pencil_family(mflag, l, L_inf):
+    M = mflag[0]
+    N = M.dim
+    covectors = search_covectors(mflag, l, L_inf)
     dual = tuple(M.from_coords(col) for col in zip(*invert_matrix(covectors)))
     for i in range(1, N + 1):
         assert span(M.ambient, *dual[i - 1:]) == mflag[i - 1]
@@ -1463,3 +1479,120 @@ class TestExactPencil:
         mf[2] = other[2]
         with pytest.raises(ValueError, match="M_3 of the flag in M is not contained in M_2"):
             build_pencil(tuple(mf), 2, mf[1])
+
+
+# ----------------------------------------------------------------------
+# Integer pencil steps.  build_pencil reads each covector off canonical
+# rows, and _descend_hyperplane draws its hyperplanes in integers.  The
+# annihilator search and the Fraction descent they replace stay here as
+# differential references (see also search_covectors above).
+
+def recorded_inversions(monkeypatch):
+    """Record every matrix build_pencil inverts: its covectors."""
+    inverted = []
+    real = deform.invert_matrix
+
+    def recording(rows):
+        inverted.append([list(r) for r in rows])
+        return real(rows)
+
+    monkeypatch.setattr(deform, "invert_matrix", recording)
+    return inverted
+
+
+def search_pencil(mflag, l, L_inf):
+    """(covectors, Pencil) as build_pencil built them by search."""
+    M = mflag[0]
+    covectors = search_covectors(mflag, l, L_inf)
+    dual = tuple(M.from_coords(col) for col in zip(*invert_matrix(covectors)))
+    family = deform._pencil_columns(M.ambient, dual, l)
+    return covectors, Pencil(M, tuple(mflag), l, family, L_inf)
+
+
+def fraction_draws(a, s, flag, M, rng):
+    """_descend_hyperplane's draws as they read in Fractions: for each draw,
+    the span of M.from_coords over the Fraction kernel of the covector, or
+    None when the covector is zero."""
+    N = M.dim
+    top = M.restrict(flag.subspace(a.entries[0] + s))
+    ann = kernel_basis(list(top.rows), N)
+    while True:
+        coeffs = [F(rng.randint(-9, 9)) for _ in ann]
+        covector = [sum(c * row[i] for c, row in zip(coeffs, ann)) for i in range(N)]
+        if all(x == 0 for x in covector):
+            yield None
+            continue
+        inside = kernel_basis([covector], N)
+        yield canonicalize([M.from_coords(v) for v in inside], M.ambient)
+
+
+def descent_cases():
+    """(a, s, flag, M) of every descent in the chains of sweep_chains(), run
+    in the flag's frame and, on the seeded random flags, directly on the
+    flag, where top's annihilator has denominators other than 1."""
+    cases = []
+    real = deform._descend_hyperplane
+
+    def recording(a, s, flag, M, rng):
+        cases.append((a, s, flag, M))
+        return real(a, s, flag, M, rng)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(deform, "_descend_hyperplane", recording)
+        for a, b, flag, K, seeds in sweep_chains():
+            chain_deformation(a, b, flag, K, seeds=seeds)
+            if flag != standard_flag(a.n):
+                direct_chain_deformation(a, b, flag, K, seeds)
+    return cases
+
+
+class TestIntegerSteps:
+    def test_pencil_is_the_search_pencil_on_any_flag(self, monkeypatch):
+        """A chain runs on the standard flag, where every flag in M is the
+        coordinate flag of M's chart and every covector read off is a unit
+        covector.  On flags in M cut out by standard, reversed and random
+        flags, build_pencil still inverts the search covectors and returns
+        the search Pencil, and it calls annihilator_basis once, for
+        x_(l-1)."""
+        inverted, searched = recorded_inversions(monkeypatch), []
+        real = deform.annihilator_basis
+        monkeypatch.setattr(deform, "annihilator_basis",
+                            lambda S: searched.append(S) or real(S))
+        cases, units = pencil_cases(), 0
+        for mf, l, L_inf in cases:
+            inverted.clear()
+            searched.clear()
+            got = build_pencil(mf, l, L_inf)
+            covectors, want = search_pencil(mf, l, L_inf)
+            assert inverted == [covectors] and got == want, (l, str(mf[0]))
+            assert len(searched) == 1
+            units += all(sorted(x) == [0] * (len(x) - 1) + [1] for x in covectors)
+        assert units < len(cases) // 2, units
+
+    def test_every_draw_is_the_fraction_draw(self, monkeypatch):
+        """With cell_member refusing every plane, a descent makes all 64
+        draws, calling neither kernel_basis nor Subspace.from_coords; the
+        hyperplane each one builds equals the Fraction draw from the same
+        rng state, and the rng ends in the same state."""
+        cases = descent_cases()
+        assert len(cases) >= 15
+        real = deform.canonicalize
+        for k, (a, s, flag, M) in enumerate(cases):
+            built = []
+
+            def recording(vectors, ambient):
+                built.append(real(vectors, ambient))
+                return built[-1]
+
+            rng, ref = random.Random(k), random.Random(k)
+            with monkeypatch.context() as m:
+                m.setattr(deform, "canonicalize", recording)
+                m.setattr(deform, "cell_member", lambda *args: False)
+                m.setattr(deform, "kernel_basis", forbid)
+                m.setattr(Subspace, "from_coords", forbid)
+                with pytest.raises(GenericityError):
+                    deform._descend_hyperplane(a, s, flag, M, rng)
+            want = [L for L in itertools.islice(fraction_draws(a, s, flag, M, ref), 64)
+                    if L is not None]
+            assert built == want and len(want) >= 60, (a, s)
+            assert rng.getstate() == ref.getstate()

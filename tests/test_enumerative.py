@@ -127,9 +127,25 @@ class TestCohomologyOracle:
             assert count_pairs_d(p) == want
 
     def test_size_guard(self):
-        a = seq(9, 2, 1)
+        # m(n-m) = 36 is past the one cap of 30
+        p = QuintupleProblem(12, 6, seq(12, 9, 8, 7, 6, 5, 4), seq(12, 6, 5, 4, 3, 2, 1),
+                             6, 6, 6)
         with pytest.raises(ValueError, match="too large"):
-            cohomology_oracle(QuintupleProblem(9, 2, a, a, 5, 5, 4))
+            cohomology_oracle(p)
+
+    def test_counts_past_half_in_n_minus_m_variables(self, monkeypatch):
+        """For m > n/2 the bialternant is built in n-m variables, whose
+        cost stays that of Gr(n-m, n): 14 variables at n = 16 would walk
+        14! permutations."""
+        variables = []
+        real = enumerative._vandermonde
+        monkeypatch.setattr(enumerative, "_vandermonde",
+                            lambda m, n: variables.append((n, m)) or real(m, n))
+        rng = random.Random(30)
+        for n, m in [(16, 14), (31, 30), (13, 10), (11, 6)]:
+            p = reachable_problem(rng, n, m)
+            assert cohomology_oracle(p) == pieri_pairing_oracle(p) == count_pairs_d(p) >= 1
+            assert variables[-1] == (n, n - m)
 
 
 def expansion_oracle(p):
@@ -176,7 +192,7 @@ class TestOracleAgainstExpansion:
             QuintupleProblem(6, 3, seq(6, 6, 4, 2), seq(6, 5, 3, 1), 0, 0, 0),
             QuintupleProblem(7, 4, seq(7, 6, 4, 3, 1), seq(7, 5, 4, 2, 1), 0, 4, 2),
         ]
-        # the cap edge: m(n-m) = 16
+        # n = 8, m = 4: m(n-m) = 16
         problems.append(QuintupleProblem(8, 4, seq(8, 7, 5, 3, 2),
                                          seq(8, 6, 5, 3, 1), 1, 1, 2))
         assert len(problems) == 150
@@ -200,6 +216,38 @@ def test_three_way_agreement_full_n7():
         assert d == cohomology_oracle(p) == pieri_pairing_oracle(p), p
         count += 1
     assert count == 7463
+
+
+def reachable_problem(rng, n, m):
+    """A problem with a, b, c <= n-m whose count is at least one: beta is
+    the dual of an endpoint of a random walk alpha -> h_a -> h_b -> h_c
+    through the branch sets."""
+    seqs = [DecSeq(n, e) for e in combinations(range(n, 0, -1), m)]
+    while True:
+        a, b, c = (rng.randint(0, n - m) for _ in range(3))
+        g = alpha = rng.choice(seqs)
+        for r in (a, b, c):
+            branch = pieri_set(g, r)
+            if not branch:
+                break
+            g = rng.choice(branch)
+        else:
+            return QuintupleProblem(n, m, alpha, dual(g), a, b, c)
+
+
+@pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
+                    reason="n = 9..11 oracle counts; set PIERIKIT_SLOW=1 to run them")
+def test_three_way_agreement_n9_to_11():
+    """Twenty seeded problems at n = 9..11 up to the cap m(n-m) = 30 (n = 11,
+    m = 5 and m = 6), each counted three ways and counted at least once."""
+    rng = random.Random(9601006)
+    shapes = [(9, 3), (9, 4), (10, 4), (10, 5), (11, 4), (11, 5),
+              (9, 6), (10, 6), (11, 6), (11, 7)]
+    problems = [reachable_problem(rng, n, m) for n, m in shapes for _ in range(2)]
+    assert max(p.m * (p.n - p.m) for p in problems) == 30
+    for p in problems:
+        d = count_pairs_d(p)
+        assert d >= 1 and d == cohomology_oracle(p) == pieri_pairing_oracle(p), p
 
 
 class TestPieriPairingOracle:

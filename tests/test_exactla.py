@@ -600,6 +600,29 @@ class TestSubspaceDifferential:
         with pytest.raises(ValueError, match="expected vector of length 1, got 2"):
             span(3, vec([1, 1, 0])).from_coords([1, 2])
 
+    def test_annihilator_is_read_off_the_canonical_rows(self, monkeypatch):
+        """annihilator_basis reads the null vectors off s's canonical rows
+        without elimination; kernel_basis of the same rows, which eliminates
+        them first, gives the same covectors in the same order, on random
+        spaces including the zero and the full space."""
+        rng = random.Random(20261019)
+        seen = dict.fromkeys(("zero space", "full space", "150-bit", "proper"), 0)
+        for i in range(700):
+            kind = KINDS[i % len(KINDS)]
+            n = rng.randint(1, 4 if kind == "big" else 7)
+            s = random_space(rng, n, kind, i)
+            seen["zero space"] += s.is_zero
+            seen["full space"] += s.dim == n
+            seen["150-bit"] += kind == "big"
+            seen["proper"] += 0 < s.dim < n
+            want = kernel_basis(list(s.rows), s.ambient)
+            with monkeypatch.context() as m:
+                m.setattr(exactla, "_echelon", forbid_call)
+                got = annihilator_basis(s)
+            assert got == want and strs(got) == strs(want)
+            assert len(got) == n - s.dim
+        assert all(count >= 50 for count in seen.values()), seen
+
     def test_restrict_against_canonicalize_of_coordinates(self, monkeypatch):
         """restrict reads a's canonical rows at s's pivots and divides out
         each row's content, with no elimination; canonicalizing those
