@@ -9,7 +9,7 @@ Schubert variety.
 """
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 import random
 
@@ -27,13 +27,13 @@ from .exactla import (
     _null_vectors,
     _over,
     _read_null_vectors,
+    _scaled_row,
     annihilator_basis,
     canonicalize,
     check_lines,
     family_from_vectors,
     frac,
     intersect,
-    invert_matrix,
     kernel_basis,
     limit_at_zero,
     rank,
@@ -43,7 +43,7 @@ from .exactla import (
     verdict_line,
     zero_subspace,
 )
-from .seqcomb import DecSeq, covers_under, first_diff_index, pieri_set
+from .seqcomb import DecSeq, branch_parent, first_diff_index, pieri_set
 from .schubgeom import (
     IMPROPER,
     TRANSVERSE_IRREDUCIBLE,
@@ -70,24 +70,33 @@ from .schubgeom import (
 def flag_within(M: Subspace, flag: Flag) -> tuple:
     """Complete flag (M_1, ..., M_N) on M cut out by the ambient flag.
 
-    M_1 = M and dim M_i = N+1-i.  All of it comes from one echelon of the
-    rows [phi(v) | v], v over M's rows and phi the flag's integer adapted
-    covectors.  The pivots of its left half are M's flag position, as in
-    Flag.meet_dims.  F_q is cut out by phi_1..phi_{q-1}, so F_q cap M is
-    spanned by the right halves of the rows whose pivot lies at column q-1
-    or later.  So M_i is spanned by the last N+1-i rows, and it is F_q cap
-    M from the first q where the meet reads N+1-i; each M_i is checked to
-    have that dimension and to lie in that F_q.
+    M_1 = M and dim M_i = N+1-i.  In adapted coordinates, with phi the
+    flag's integer adapted covectors, F_q is cut out by phi_1..phi_{q-1}.
+    Take rows of M in echelon form in those coordinates: their pivots are
+    M's flag position, as in Flag.meet_dims, and F_q cap M is spanned by
+    the rows whose pivot lies at column q-1 or later.  So M_i is spanned by
+    the last N+1-i rows, and it is F_q cap M from the first q where the
+    meet reads N+1-i; each M_i is checked to have that dimension and to
+    lie in that F_q.
+
+    On the coordinate flag M's canonical rows are such rows, and their
+    tails are canonical too, so M_i is read off with no elimination.  On
+    any other flag the rows are the right halves of one echelon of
+    [phi(v) | v], v over M's rows.
     """
     n = flag.ambient
     if M.ambient != n:
         raise ValueError("ambient mismatch")
-    rows, pivots = _echelon([[sum(map(mul, v, phi)) for phi in flag._adapted_coords]
-                             + list(v) for v in M.rows])
+    if flag._is_coordinate:
+        pivots = M.pivots
+        cuts = (Subspace(n, M.rows[i:]) for i in range(1, M.dim))
+    else:
+        rows, pivots = _echelon([[sum(map(mul, v, phi)) for phi in flag._adapted_coords]
+                                 + list(v) for v in M.rows])
+        cuts = (canonicalize([row[n:] for row in rows[i:]], n) for i in range(1, M.dim))
     spaces = [M] if M.dim else []
-    for i in range(2, M.dim + 1):
+    for i, cut in enumerate(cuts, start=2):
         d, q = M.dim + 1 - i, pivots[i - 2] + 2
-        cut = canonicalize([row[n:] for row in rows[i - 1:]], n)
         if cut.dim != d or not flag.subspace(q).contains(cut):
             raise VerificationError(f"F_{q} cap M is not the {d}-dimensional "
                                     "space the flag position predicts")
@@ -168,6 +177,61 @@ def _in_pencil_form(M: Subspace, covectors, family: PolyFamily, l: int) -> bool:
     return True
 
 
+def _scaled_lift(M: Subspace) -> tuple[int, list[list[int]]]:
+    """(P, rows): M's canonical rows, each times P over its pivot entry, P
+    the lcm of the pivot entries.  For coordinates y on M, the sum of y_k
+    times row k is P times M.from_coords(y)."""
+    P = lcm(*[row[p] for row, p in zip(M.rows, M.pivots)])
+    return P, [[x * (P // row[p]) for x in row] for row, p in zip(M.rows, M.pivots)]
+
+
+def _dual_basis(tri, order, r: int, x) -> list:
+    """The basis e_1..e_N of k^N dual to covectors x_1..x_N, as pairs (s, w)
+    with e_k = w / s in integers.
+
+    Each covector is a pair (d, v) meaning v / d.  x_i is tri[i] for i != r
+    and x_r is x.  tri is upper triangular in the column order `order`:
+    v is zero at order[:i] and equals d at order[i].  Its dual basis e'_k
+    comes from back substitution: e'_k is one at order[k], zero past it in
+    that order, and row i < k fixes its entry at order[i], each step
+    fraction-free.  x expands as sum_k c_k tri_k, c_k = x(e'_k), so one
+    correction gives the dual basis with x in row r: e_r = e'_r / c_r and
+    e_k = e'_k - c_k e_r for k != r.  c_r = 0 means the covectors are
+    dependent: ValueError.
+    """
+    N = len(order)
+    # each triangular covector's nonzero entries past its diagonal
+    tails = [[(c, v[c]) for c in order[i + 1:] if v[c]] for i, (_, v) in enumerate(tri)]
+    solved = []
+    for k in range(N):
+        z = [0] * N
+        z[order[k]] = 1
+        s = 1
+        for i in range(k - 1, -1, -1):
+            S = sum(z[c] * y for c, y in tails[i])
+            if S:
+                d = tri[i][0]
+                g = gcd(d, S)
+                if d > g:
+                    z = [y * (d // g) for y in z]
+                    s *= d // g
+                z[order[i]] = -S // g
+        solved.append((s, z))
+    d0, u = x
+    zr = solved[r][1]
+    cr = sum(map(mul, u, zr))  # c_r = cr / (d0 s_r)
+    if not cr:
+        raise ValueError("covectors are not independent")
+    out = []
+    for k, (s, z) in enumerate(solved):
+        if k == r:
+            out.append((cr, [d0 * y for y in zr]))
+            continue
+        ck = sum(map(mul, u, z))  # c_k = ck / (d0 s_k)
+        out.append((s * cr, [y * cr - ck * w for y, w in zip(z, zr)]) if ck else (s, z))
+    return out
+
+
 def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
     """Pencil of hyperplanes of M_1 closing up at L_inf.
 
@@ -180,25 +244,32 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
 
     The covectors are read off canonical rows in M's coordinates, with no
     elimination.  x_{l-1} is the first covector of L_inf's annihilator.
-    For i != l-1, x_i is the null vector of M_{i+1} (of 0 for i = N) at p,
+    For i != l-1, x_i is the null vector of M_{i+1} (of 0 for i = N) at p_i,
     the one pivot of M_i that M_{i+1} lacks: it kills M_{i+1}, and M_i is
-    M_{i+1} plus M_i's canonical row at p.  That row leads at p and is zero
-    at M_{i+1}'s pivots, while the null vector at a free column c is zero
-    at the other free columns; so the null vector at c vanishes on M_i for
-    every free c < p and not for c = p.  x_i is thus the first covector of
-    M_{i+1}'s annihilator basis that does not vanish on M_i.
+    M_{i+1} plus M_i's canonical row at p_i.  That row leads at p_i and is
+    zero at M_{i+1}'s pivots, while the null vector at a free column c is
+    zero at the other free columns; so the null vector at c vanishes on M_i
+    for every free c < p_i and not for c = p_i.  x_i is thus the first
+    covector of M_{i+1}'s annihilator basis that does not vanish on M_i.
+
+    The dual basis needs no inverse: the free columns of M_{i+1} include
+    p_1..p_{i-1}, so in the column order p_1..p_N these null vectors are
+    upper triangular, and _dual_basis solves them (with the null vector at
+    p_{l-1} standing in for row l-1) and then corrects row l-1.  On the
+    coordinate flag, where a chain runs, they are unit covectors.
 
     The fibres are proved, not sampled.  The dual vectors are independent,
     so the tail from e_i spans M_i once each e_i lies in M_i (the flag is
     nested), and the dual basis without e_{l-1} spans L_inf once its N-1
-    vectors lie in it.  Then every t-coefficient of every column is checked
-    to lie in M and to read, in the x coordinates, (nonzero) t e_j +
-    (nonzero) e_{j+1} for a moving column j and (nonzero) e_k for a fixed
-    column k.  On x_2..x_N the columns are then triangular with nonzero
-    constant diagonal, so dim L_t = N-1 for every t; the fixed columns span
-    M_l, so every L_t contains M_l; and L_t is the kernel of a covector psi
-    with psi_k a nonzero multiple of t^(k-1) for k <= l-1, so for t != 0
-    (for every t when l = 2) no L_t contains M_{l-1}.
+    vectors lie in it; both are checked on the integer vectors.  Then every
+    t-coefficient of every column is checked to lie in M and to read, in
+    the x coordinates, (nonzero) t e_j + (nonzero) e_{j+1} for a moving
+    column j and (nonzero) e_k for a fixed column k.  On x_2..x_N the
+    columns are then triangular with nonzero constant diagonal, so dim L_t
+    = N-1 for every t; the fixed columns span M_l, so every L_t contains
+    M_l; and L_t is the kernel of a covector psi with psi_k a nonzero
+    multiple of t^(k-1) for k <= l-1, so for t != 0 (for every t when
+    l = 2) no L_t contains M_{l-1}.
     """
     mflag = tuple(mflag)
     M = mflag[0]
@@ -222,22 +293,21 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
 
     # M_1, ..., M_N and then M_(N+1) = 0, in M's coordinates
     inner = [M.restrict(s) for s in mflag] + [zero_subspace(N)]
-    covectors = []
-    for i in range(1, N + 1):
-        if i == l - 1:
-            x = annihilator_basis(M.restrict(L_inf))[0]
-        else:
-            # the null vector of M_(i+1) at the one pivot of M_i it lacks
-            below = inner[i]
-            p = next(c for c in inner[i - 1].pivots if c not in below.pivots)
-            d, v = _null_vector(below.rows, below.pivots, p, N)
-            x = _over(v, d)
-        covectors.append(list(x))
-    try:
-        inverse = invert_matrix(covectors)
-    except ValueError:
-        raise ValueError("covectors are not independent") from None
-    dual = tuple(M.from_coords(col) for col in zip(*inverse))
+    order, tri = [], []
+    for above, below in zip(inner, inner[1:]):
+        # the null vector of M_(i+1) at the one pivot of M_i it lacks; for
+        # row l-1 it is the triangular stand-in that _dual_basis corrects
+        p = next(c for c in above.pivots if c not in below.pivots)
+        order.append(p)
+        tri.append(_null_vector(below.rows, below.pivots, p, N))
+    u, d0 = _scaled_row(annihilator_basis(M.restrict(L_inf))[0])
+    solved = _dual_basis(tri, order, l - 2, (d0, u))
+    covectors = [v for _, v in tri]
+    covectors[l - 2] = u
+    P, lift = _scaled_lift(M)
+    cols = list(zip(*lift))
+    # e_k = dual[k] / (P s_k)
+    dual = [[sum(map(mul, w, col)) for col in cols] for _, w in solved]
 
     # construction sanity: the dual basis tails trace out the given flag;
     # the flag is nested and the dual vectors independent, so e_i in M_i
@@ -248,7 +318,8 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
     if not all(L_inf.contains_vector(dual[q]) for q in range(N) if q != l - 2):
         raise VerificationError(f"dual basis without vector {l - 1} does not span L_inf")
 
-    family = _pencil_columns(M.ambient, dual, l)
+    family = _pencil_columns(M.ambient, tuple(
+        _over(w, P * s) for w, (s, _) in zip(dual, solved)), l)
     if not _in_pencil_form(M, covectors, family, l):
         raise VerificationError("pencil columns are not t e_j + e_(j+1) and e_k "
                                 "in the dual basis")
@@ -350,8 +421,11 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
     The limit clauses are exact: the limit is computed over Z[t], and the
     expected F_{b_j+1} cap M is the member of the flag in M of its
     dimension.  The limit is in the restricted cell iff it lies in F_b and
-    its flag position from F_b on passes profile_in_cell.  The assembled
-    cycle labels the distinct claimed children and is compared with M's
+    its flag position from F_b on passes profile_in_cell.  Each component's
+    children are the next-level indices filed under it by branch_parent,
+    in one pass; the clauses compare them with the restricted branch set
+    and check that they partition the next level.  The assembled cycle
+    labels the distinct claimed children and is compared with M's
     y_cycle, read as cycle_signature: M's cell is checked above.
     """
     if s < 2:
@@ -392,13 +466,17 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
 
     level = pieri_set(a, r)
     nxt = pieri_set(a, r + 1)
+    # the next level grouped by parent, each group in the order of nxt
+    children = {}
+    for g in nxt:
+        children.setdefault(branch_parent(a, g), []).append(g)
     claimed = []
     # components with the same slice position q share M_q cap L_t: its
     # limit and the limit's flag position are computed once per q
     moving_by_q = {}
     for b in level:
         j = first_diff_index(a, b)
-        kids = tuple(g for g in nxt if covers_under(a, b, g))
+        kids = tuple(children.get(b, ()))
         claimed.extend(kids)
         if j == 1:
             # the carried Schubert variety is relabeled, not deformed: the
@@ -475,9 +553,10 @@ def _descend_hyperplane(a: DecSeq, s: int, flag: Flag, M: Subspace, rng) -> Subs
     draw's covector is D times the same combination of
     annihilator_basis(top) and cuts the same hyperplane of k^N.  Each of
     its integer null vectors is lifted to k^n through M's canonical rows
-    scaled by the lcm P of their pivots over the pivot: a positive multiple
-    of M.from_coords of the vector.  So each draw gives the L that the
-    Fraction kernel of that combination, lifted by M.from_coords, spans.
+    scaled by the lcm P of their pivots over the pivot (_scaled_lift): a
+    positive multiple of M.from_coords of the vector.  So each draw gives
+    the L that the Fraction kernel of that combination, lifted by
+    M.from_coords, spans.
     """
     N = M.dim
     top = M.restrict(flag.subspace(a.entries[0] + s))
@@ -485,8 +564,7 @@ def _descend_hyperplane(a: DecSeq, s: int, flag: Flag, M: Subspace, rng) -> Subs
     null = _read_null_vectors(top.rows, top.pivots, N)
     D = lcm(*[d for d, _ in null])
     ann = [[x * (D // d) for x in v] for d, v in null]
-    P = lcm(*[row[p] for row, p in zip(M.rows, M.pivots)])
-    lift = [[x * (P // row[p]) for x in row] for row, p in zip(M.rows, M.pivots)]
+    lift = _scaled_lift(M)[1]
     for _ in range(64):
         coeffs = [rng.randint(-9, 9) for _ in ann]
         covector = [sum(map(mul, coeffs, col)) for col in zip(*ann)]
@@ -524,10 +602,12 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
     give such a g, v -> (phi_1(v), ..., phi_n(v)), which carries each F_j
     onto the standard F_j.  So after the input checks K is mapped once and
     the rest runs on standard_flag(n), whose coordinates do not grow with
-    n.  The two samplers meet the frame differently.  cell_point draws in
-    the flag's adapted basis, and g sends each adapted row to a positive
-    multiple of a unit vector, so its draw is the direct run's point up to
-    a diagonal scaling, which fixes every standard flag space.
+    n, and where flag positions and flags in a carrier are read off
+    canonical rows with no elimination.  The two samplers meet the frame
+    differently.  cell_point draws in the flag's adapted basis, and g
+    sends each adapted row to a positive multiple of a unit vector, so its
+    draw is the direct run's point up to a diagonal scaling, which fixes
+    every standard flag space.
     _descend_hyperplane draws covectors in M's canonical coordinates, which
     g changes, so it picks other hyperplanes than a run on the flag itself
     would.  The conditions they must meet are open, so either draw lands in

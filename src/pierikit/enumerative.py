@@ -311,11 +311,12 @@ def triple_witnesses(
 
     Returns [H] with membership in all three varieties verified, or []
     when dual(beta) falls outside alpha*c, c read off from dim C (the
-    intersection is empty then).  Raises ValueError when the inputs are
-    not in general position: a slice vanishes, the slice sum is not
-    direct, C meets it off a line, or a basis vector falls too deep in
-    either flag.  Raises VerificationError when the plane it built fails
-    one of the three memberships.
+    intersection is empty then).  Raises GenericityError when C is not in
+    general position: C meets the slice sum off a line, or a basis vector
+    falls too deep in either flag; another C may work.  Raises ValueError
+    on bad input and when the flags are not: a slice vanishes or the slice
+    sum is not direct, which no C changes.  Raises VerificationError when
+    the plane it built fails one of the three memberships.
     """
     n, m = alpha.n, alpha.m
     if beta.n != n or beta.m != m:
@@ -332,7 +333,7 @@ def triple_witnesses(
     rows = [row for K in slices for row in K.rows]
     null = _null_vectors(list(zip(*C.rows, *rows)), C.dim + len(rows))
     if len(null) != 1:
-        raise ValueError(f"C meets the slice sum in dimension {len(null)}, not a line")
+        raise GenericityError(f"C meets the slice sum in dimension {len(null)}, not a line")
 
     v = null[0][1][C.dim:]
     basis = []
@@ -346,9 +347,9 @@ def triple_witnesses(
         basis.append(f)
     for j, f in enumerate(basis, start=1):
         if flag.subspace(alpha.entries[j - 1] + 1).contains_vector(f):
-            raise ValueError(f"vector {j} falls too deep in the first flag")
+            raise GenericityError(f"vector {j} falls too deep in the first flag")
         if flag2.subspace(beta.entries[m - j] + 1).contains_vector(f):
-            raise ValueError(f"vector {j} falls too deep in the second flag")
+            raise GenericityError(f"vector {j} falls too deep in the second flag")
 
     H = span(n, *basis)
     if H.dim != m:
@@ -369,8 +370,10 @@ def witness_table(p: QuintupleProblem, seed: int = 0, retries: int = 32):
     Iterates triple_witnesses over every branch pair of the problem with
     the standard and the reversed coordinate flags; C, spanned by rows of
     seeded random ints, is resampled until the general-position checks
-    pass for all pairs at once.  A resample redoes only the work that
-    depends on C: each pair's slice frame stays cached.  The rows carry
+    pass for all pairs at once.  Only a GenericityError, which depends on
+    C, draws again; a ValueError or VerificationError escapes at once.  A
+    resample redoes only the work that depends on C: each pair's slice
+    frame stays cached.  The rows carry
     exactly count_pairs_d(p) pairwise distinct planes, every coordinate
     an exact rational.
     """
@@ -394,7 +397,7 @@ def witness_table(p: QuintupleProblem, seed: int = 0, retries: int = 32):
                 for dlt in pieri_set(p.beta, p.b):
                     for H in triple_witnesses(g, dlt, C, flag, flag2):
                         out.append((g, dlt, H))
-        except ValueError as exc:
+        except GenericityError as exc:
             last = exc
             continue
         if len({H for _, _, H in out}) != len(out):

@@ -25,7 +25,8 @@ evaluates them at t, its flat limit at t=0 comes out of exact column
 operations over Z[t], and a degree bound on its minors lets finitely many
 fibres decide its generic rank and flag position.  A complete flag caches
 its adapted basis, so a subspace's flag position (dim F_j cap L for every
-j) is one elimination in those coordinates.  Fractions appear only at the
+j) is one elimination in those coordinates; on the coordinate flag it is
+read off the subspace's canonical pivots with none.  Fractions appear only at the
 boundary, when a result leaves as a canonical basis, a kernel, solution,
 inverse, reduced vector or coordinate tuple.
 """
@@ -50,14 +51,16 @@ class VerificationError(Exception):
     """An exact check of a constructed object failed.
 
     Raised instead of assert, so python -O cannot strip the check.
-    Deliberately not a ValueError: the samplers resample on ValueError (a
-    genericity failure), and a wrong result must not be retried away.
+    Deliberately neither a ValueError (bad input) nor a GenericityError,
+    on which witness_table draws again: a wrong result must not be retried
+    away.
     """
 
 
 class GenericityError(RuntimeError):
-    """A seeded sampler used up its retry budget without drawing a point
-    in general position.  Nothing was shown wrong: another seed may work."""
+    """A random draw was not in general position, or a seeded sampler used
+    up its retry budget without drawing a point that is.  Nothing was shown
+    wrong: another draw or seed may work."""
 
 
 @dataclass(frozen=True)
@@ -588,16 +591,31 @@ class Flag:
                                for k, col in enumerate(zip(*self._adapted_rows))])
         return tuple(tuple(_int_row(row[n:])) for row in reduced)
 
+    @cached_property
+    def _is_coordinate(self) -> bool:
+        """Whether the adapted covectors are the unit covectors, as for the
+        coordinate flag (F_j spanned by e_j, ..., e_n): then F_j is where
+        the first j-1 coordinates vanish, and a subspace's canonical rows
+        are already in adapted coordinates."""
+        n = self.ambient
+        return self._adapted_coords == tuple(tuple(int(i == k) for i in range(n))
+                                             for k in range(n))
+
     def meet_dims(self, L: Subspace) -> tuple[int, ...]:
-        """(dim F_1 cap L, ..., dim F_{n+1} cap L) from one elimination: in
-        adapted coordinates F_j is where the first j-1 coordinates vanish,
-        so dim F_j cap L counts the pivots of L there at or after column j
-        (the Schubert position of L; Fulton, Young Tableaux, 9.4)."""
+        """(dim F_1 cap L, ..., dim F_{n+1} cap L): in adapted coordinates
+        F_j is where the first j-1 coordinates vanish, so dim F_j cap L
+        counts the pivots of L there at or after column j (the Schubert
+        position of L; Fulton, Young Tableaux, 9.4).  On the coordinate
+        flag those pivots are L.pivots, read with no product and no
+        elimination; on any other flag they come from one elimination of
+        L's rows mapped through the adapted covectors."""
         if L.ambient != self.ambient:
             raise ValueError("ambient mismatch")
-        coords = [[sum(map(mul, row, phi)) for phi in self._adapted_coords]
-                  for row in L.rows]
-        pivots = _echelon(coords)[1]
+        if self._is_coordinate:
+            pivots = L.pivots
+        else:
+            pivots = _echelon([[sum(map(mul, row, phi)) for phi in self._adapted_coords]
+                               for row in L.rows])[1]
         return tuple(sum(p >= c for p in pivots) for c in range(self.ambient + 1))
 
     def generic_meet_dims(self, fam: "PolyFamily") -> tuple[int, ...]:

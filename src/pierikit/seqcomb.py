@@ -180,6 +180,18 @@ def covers_under(a: DecSeq, b: DecSeq, g: DecSeq) -> bool:
     return first_diff_index(a, g) == first_diff_index(b, g)
 
 
+def branch_parent(a: DecSeq, g: DecSeq) -> DecSeq:
+    """The one b that g covers in the branching order rooted at a, for g in
+    a*r, r >= 1: g - e_j with j = first_diff_index(a, g).
+
+    If g covers b, then g lies in b*1, so g = b + e_i for the index i =
+    first_diff_index(b, g), and covers_under makes i equal to j.  Conversely
+    g - e_j is a valid sequence in a*(r-1) that g covers: a_j <= g_j - 1
+    and g_(j+1) < a_j, so the interlacing with a and with g still holds.
+    """
+    return g.bump(first_diff_index(a, g), -1)
+
+
 @dataclass(frozen=True)
 class PieriTree:
     """Levels a*0, a*1, ..., a*b with the unique-parent covering edges."""
@@ -210,20 +222,22 @@ class PieriTree:
 def tree_chains(a: DecSeq, b: int):
     """Build the depth-b branching tree and return (tree, chains).
 
-    Construction checks the partition property: every node at level i+1 has
-    exactly one parent at level i.
+    Each node at level i+1 is joined to its branch_parent, the one node it
+    covers; construction checks that this parent lies at level i, so the
+    levels are partitioned by parent.
     """
     if b < 0:
         raise ValueError("depth must be nonnegative")
     levels = [pieri_set(a, i) for i in range(b + 1)]
     edges = []
     for i in range(b):
+        below = set(levels[i])
         for g in levels[i + 1]:
-            parents = [p for p in levels[i] if covers_under(a, p, g)]
-            if len(parents) != 1:
+            p = branch_parent(a, g)
+            if p not in below:
                 raise VerificationError(
-                    f"node {g} at level {i + 1} has {len(parents)} parents"
+                    f"node {g} at level {i + 1} has its parent {p} off level {i}"
                 )
-            edges.append((parents[0], g))
+            edges.append((p, g))
     tree = PieriTree(a, b, tuple(levels), tuple(edges))
     return tree, tree.chains()

@@ -521,9 +521,10 @@ def _exhaust_descent(monkeypatch):
 
 def _exhaust_witness_table(monkeypatch):
     def not_generic(*a):
-        raise ValueError("stub slice is zero")
+        raise GenericityError("stub C meets the slice sum off a line")
     monkeypatch.setattr(enumerative, "triple_witnesses", not_generic)
-    return ("triple-witness",) + PROBLEM, "no suitable C after 32 draws: stub slice is zero"
+    return ("triple-witness",) + PROBLEM, \
+        "no suitable C after 32 draws: stub C meets the slice sum off a line"
 
 
 class TestGenericityExit:

@@ -24,12 +24,14 @@ from pierikit.deform import (
     worked_family,
     worked_kernel,
 )
+from pierikit import exactla
 from pierikit.exactla import (
     Flag,
     GenericityError,
     PolyFamily,
     Subspace,
     VerificationError,
+    _int_row,
     canonicalize,
     family_from_vectors,
     intersect,
@@ -45,6 +47,7 @@ from pierikit.exactla import (
 from pierikit.enumerative import reversed_flag
 from pierikit.seqcomb import (
     DecSeq,
+    covers_under,
     first_diff_index,
     lambda_of,
     pieri_set,
@@ -107,24 +110,41 @@ class TestFlagWithin:
         mf = flag_within(M, FLAG)
         assert [s.dim for s in mf] == [6, 5, 4, 3, 2, 1]
 
-    # flag_within spans each F_q cap M with canonicalize; these faults make
-    # that span come out as the wrong space
+    # off the coordinate flag, flag_within spans each F_q cap M with
+    # canonicalize; these faults make that span come out as the wrong space
+
+    RANDOM = random_flag(9, 4)
+    M_RANDOM = cell_point(A741, 1, RANDOM, seed=3)
+
+    def test_mutants_run_the_echelon_path(self):
+        assert not self.RANDOM._is_coordinate and FLAG._is_coordinate
 
     def test_meet_that_never_cuts_raises(self, monkeypatch):
-        monkeypatch.setattr(deform, "canonicalize", lambda rows, n: M_COMPANION)
+        monkeypatch.setattr(deform, "canonicalize", lambda rows, n: self.M_RANDOM)
         with pytest.raises(VerificationError, match="flag position predicts"):
-            flag_within(M_COMPANION, FLAG)
+            flag_within(self.M_RANDOM, self.RANDOM)
 
     def test_meet_that_cuts_too_much_raises(self, monkeypatch):
         monkeypatch.setattr(deform, "canonicalize", lambda rows, n: zero_subspace(n))
         with pytest.raises(VerificationError, match="flag position predicts"):
-            flag_within(M_COMPANION, FLAG)
+            flag_within(self.M_RANDOM, self.RANDOM)
 
     def test_meet_outside_the_flag_space_raises(self, monkeypatch):
-        # the right dimension, but the leading rows of M: e_2 leaves F_3
+        # the right dimension, but the leading rows of M, which leave F_q
+        M, flag = self.M_RANDOM, self.RANDOM
+        q = flag.meet_dims(M).index(M.dim - 1) + 1
+        assert not flag.subspace(q).contains(span(9, *M.rows[:M.dim - 1]))
         monkeypatch.setattr(deform, "canonicalize",
-                            lambda rows, n: span(n, *M_COMPANION.rows[:len(rows)]))
-        with pytest.raises(VerificationError, match="F_3 cap M is not"):
+                            lambda rows, n: span(n, *M.rows[:len(rows)]))
+        with pytest.raises(VerificationError, match=f"F_{q} cap M is not"):
+            flag_within(M, flag)
+
+    def test_coordinate_read_off_dropping_a_row_raises(self, monkeypatch):
+        # on the coordinate flag M_i is read off M's rows from i on; a
+        # read-off that drops the first of them has one dimension too few
+        monkeypatch.setattr(deform, "canonicalize", forbid)
+        monkeypatch.setattr(deform, "Subspace", lambda n, rows: Subspace(n, rows[1:]))
+        with pytest.raises(VerificationError, match="F_3 cap M is not the 5-dimensional"):
             flag_within(M_COMPANION, FLAG)
 
 
@@ -644,6 +664,17 @@ def recorded_steps(monkeypatch):
     return steps
 
 
+def off_by_one_row_parent(a, g):
+    """The branch parent taken one row off: g - e_k with k = j+1 (k = j-1
+    in the last row), j = first_diff_index(a, g); None where entry k
+    cannot drop."""
+    j = first_diff_index(a, g)
+    try:
+        return g.bump(j + 1 if j < g.m else j - 1, -1)
+    except ValueError:
+        return None
+
+
 def coordinate_k(n, a, b):
     return span(n, *[e(i, n) for i in range(1, n + 2 - a.m - b)])
 
@@ -835,25 +866,40 @@ class TestExactClauses:
             "component 751: limit lies in the restricted level-1 cell",
             "component 742: limit lies in the restricted level-1 cell"}
 
-    @pytest.mark.parametrize("fault", ["duplicate", "dropped"])
+    @pytest.mark.parametrize("fault", ["moved", "dropped"])
     def test_children_faults_fail_their_clauses(self, monkeypatch, fault):
-        # the assembled cycle is built from the distinct claimed children:
-        # a child claimed twice fails the partition, not with a ValueError,
-        # and a child claimed by nobody also leaves the cycle short
-        real = deform.covers_under
+        # a parent rule that hands 851 to 742 instead of 751 fails both
+        # components' restricted branch sets; one that gives 743 a parent
+        # off the level leaves it claimed by nobody, so the partition and
+        # the assembled cycle fail too
+        real = deform.branch_parent
 
-        def covers(a, b, g):
-            if str(b) == "742" and str(g) == ("851" if fault == "duplicate" else "743"):
-                return fault == "duplicate"
-            return real(a, b, g)
+        def parent(a, g):
+            if str(g) == ("851" if fault == "moved" else "743"):
+                return DecSeq(9, (7, 4, 2)) if fault == "moved" else a
+            return real(a, g)
 
-        monkeypatch.setattr(deform, "covers_under", covers)
+        monkeypatch.setattr(deform, "branch_parent", parent)
         rep = step_verify(A741, 2, 1, FLAG, M_COMPANION, L_MARKED)
-        want = {"children partition the next branch level",
-                "component 742: children match the restricted branch set"}
-        if fault == "dropped":
-            want.add("assembled components match the level-(r+1) cycle")
+        want = {"component 742: children match the restricted branch set"}
+        if fault == "moved":
+            want.add("component 751: children match the restricted branch set")
+        else:
+            want |= {"children partition the next branch level",
+                     "assembled components match the level-(r+1) cycle"}
         assert set(rep.failures()) == want
+
+    def test_parent_off_by_one_row_fails(self, monkeypatch):
+        # g - e_k for the row k next to j = first_diff_index(a, g) (no
+        # parent where that row cannot drop): every step of the sweep
+        # chains fails a clause on it
+        monkeypatch.setattr(deform, "branch_parent", off_by_one_row_parent)
+        steps = recorded_steps(monkeypatch)
+        for a, b, flag, K, seeds in sweep_chains():
+            if flag == standard_flag(a.n):
+                steps.clear()
+                chain_deformation(a, b, flag, K, seeds=seeds)
+                assert steps and not any(rep.passed for _, rep in steps), (a, b)
 
     def test_chain_makes_no_sampled_collapse_call(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -960,7 +1006,7 @@ def textbook_step_verify(a, s, r, flag, M, L_inf):
     level, nxt = pieri_set(a, r), pieri_set(a, r + 1)
     for b in level:
         j = first_diff_index(a, b)
-        kids = tuple(g for g in nxt if deform.covers_under(a, b, g))
+        kids = tuple(g for g in nxt if covers_under(a, b, g))
         claimed.extend(kids)
         if j == 1:
             want = (b.bump(1),) if b.entries[0] < a.n else ()
@@ -1487,17 +1533,18 @@ class TestExactPencil:
 # annihilator search and the Fraction descent they replace stay here as
 # differential references (see also search_covectors above).
 
-def recorded_inversions(monkeypatch):
-    """Record every matrix build_pencil inverts: its covectors."""
-    inverted = []
-    real = deform.invert_matrix
+def recorded_covectors(monkeypatch):
+    """Record the covectors x_1..x_N of every pencil that build_pencil
+    checks, each scaled to a primitive integer row."""
+    recorded = []
+    real = deform._in_pencil_form
 
-    def recording(rows):
-        inverted.append([list(r) for r in rows])
-        return real(rows)
+    def recording(M, covectors, family, l):
+        recorded.append([_int_row(x) for x in covectors])
+        return real(M, covectors, family, l)
 
-    monkeypatch.setattr(deform, "invert_matrix", recording)
-    return inverted
+    monkeypatch.setattr(deform, "_in_pencil_form", recording)
+    return recorded
 
 
 def search_pencil(mflag, l, L_inf):
@@ -1551,20 +1598,21 @@ class TestIntegerSteps:
         """A chain runs on the standard flag, where every flag in M is the
         coordinate flag of M's chart and every covector read off is a unit
         covector.  On flags in M cut out by standard, reversed and random
-        flags, build_pencil still inverts the search covectors and returns
+        flags, build_pencil still checks the search covectors and returns
         the search Pencil, and it calls annihilator_basis once, for
         x_(l-1)."""
-        inverted, searched = recorded_inversions(monkeypatch), []
+        checked, searched = recorded_covectors(monkeypatch), []
         real = deform.annihilator_basis
         monkeypatch.setattr(deform, "annihilator_basis",
                             lambda S: searched.append(S) or real(S))
         cases, units = pencil_cases(), 0
         for mf, l, L_inf in cases:
-            inverted.clear()
+            checked.clear()
             searched.clear()
             got = build_pencil(mf, l, L_inf)
             covectors, want = search_pencil(mf, l, L_inf)
-            assert inverted == [covectors] and got == want, (l, str(mf[0]))
+            assert checked == [[_int_row(x) for x in covectors]], (l, str(mf[0]))
+            assert got == want, (l, str(mf[0]))
             assert len(searched) == 1
             units += all(sorted(x) == [0] * (len(x) - 1) + [1] for x in covectors)
         assert units < len(cases) // 2, units
@@ -1596,3 +1644,99 @@ class TestIntegerSteps:
                     if L is not None]
             assert built == want and len(want) >= 60, (a, s)
             assert rng.getstate() == ref.getstate()
+
+
+# ----------------------------------------------------------------------
+# build_pencil's dual basis comes from integer back substitution on the
+# triangular covectors plus one correction for row l-1.  The inverse of the
+# covector matrix, lifted by M.from_coords, as build_pencil built it
+# before, stays here as the reference.
+
+def recorded_duals(monkeypatch):
+    """Record the dual basis e_1..e_N of every pencil build_pencil builds."""
+    recorded = []
+    real = deform._pencil_columns
+
+    def recording(ambient, dual, l):
+        recorded.append(dual)
+        return real(ambient, dual, l)
+
+    monkeypatch.setattr(deform, "_pencil_columns", recording)
+    return recorded
+
+
+def inverse_dual(mflag, l, L_inf):
+    """The dual basis as the inverse of the search covectors, lifted by
+    M.from_coords one column at a time."""
+    M = mflag[0]
+    inverse = invert_matrix(search_covectors(mflag, l, L_inf))
+    return tuple(M.from_coords(col) for col in zip(*inverse))
+
+
+def sweep_pencils():
+    """(mflag, l, L_inf) of every pencil built in the chains of
+    sweep_chains(), run in the flag's frame and, on the seeded random flags,
+    directly on the flag."""
+    cases = []
+    real = deform.build_pencil
+
+    def recording(mflag, l, L_inf):
+        cases.append((mflag, l, L_inf))
+        return real(mflag, l, L_inf)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(deform, "build_pencil", recording)
+        for a, b, flag, K, seeds in sweep_chains():
+            chain_deformation(a, b, flag, K, seeds=seeds)
+            if flag != standard_flag(a.n):
+                direct_chain_deformation(a, b, flag, K, seeds)
+    return cases
+
+
+class TestTriangularDual:
+    def test_dual_is_the_inverse_on_every_case(self, monkeypatch):
+        """On the 98 pencil_cases() and every pencil of the sweep chains,
+        the dual basis equals the columns of the inverse covector matrix,
+        value for value, with no inverse taken."""
+        duals = recorded_duals(monkeypatch)
+        cases = pencil_cases()
+        assert len(cases) == 98
+        cases += sweep_pencils()
+        seen = {"coordinate": 0, "other": 0}
+        for mf, l, L_inf in cases:
+            want = inverse_dual(mf, l, L_inf)
+            duals.clear()
+            with monkeypatch.context() as m:
+                m.setattr(exactla, "invert_matrix", forbid)
+                m.setattr(Subspace, "from_coords", forbid)
+                build_pencil(mf, l, L_inf)
+            assert duals == [want], (l, str(mf[0]))
+            assert all(type(x) is F for v in duals[0] for x in v)
+            M = mf[0]
+            unit = all(s == Subspace(M.ambient, M.rows[i:]) for i, s in enumerate(mf))
+            seen["coordinate" if unit else "other"] += 1
+        assert seen["coordinate"] >= 50 and seen["other"] >= 75, seen
+
+    def test_dual_without_the_correction_fails(self, monkeypatch):
+        """A dual basis solved with the triangular stand-in in row l-1, so
+        without the correction, is dual to the wrong covectors: build_pencil
+        refuses it on every case whose L_inf is not the stand-in's kernel,
+        among them every generic L_inf that a chain descends to."""
+        cases = pencil_cases() + sweep_pencils()[:20]
+        real = deform._dual_basis
+        monkeypatch.setattr(deform, "_dual_basis",
+                            lambda tri, order, r, x: real(tri, order, r, tri[r]))
+        refused = kept = 0
+        for mf, l, L_inf in cases:
+            M = mf[0]
+            # with no l-1 in range every row is the triangular stand-in
+            stand_in = search_covectors(mf, M.dim + 2, L_inf)[l - 2]
+            if all(sum(x * row[p] for x, p in zip(stand_in, M.pivots)) == 0
+                   for row in L_inf.rows):
+                build_pencil(mf, l, L_inf)
+                kept += 1
+                continue
+            with pytest.raises(VerificationError, match="does not span L_inf"):
+                build_pencil(mf, l, L_inf)
+            refused += 1
+        assert refused >= 80 and kept >= 20, (refused, kept)

@@ -24,6 +24,7 @@ from pierikit.enumerative import (
     valid_instances,
 )
 from pierikit.exactla import (
+    GenericityError,
     VerificationError,
     flag_from_basis,
     frac,
@@ -325,7 +326,7 @@ class TestTripleWitnesses:
         # C inside the slice sum meets it in a plane, not a line
         flag, flag2 = standard_flag(4), reversed_flag(4)
         C = span(4, unit_vector(4, 1), unit_vector(4, 2))
-        with pytest.raises(ValueError, match="not a line"):
+        with pytest.raises(GenericityError, match="not a line"):
             triple_witnesses(seq(4, 4, 1), seq(4, 3, 1), C, flag, flag2)
 
     def test_aligned_flags_rejected(self):
@@ -339,7 +340,7 @@ class TestTripleWitnesses:
         # the cut line has no component along the first slice
         flag, flag2 = standard_flag(4), reversed_flag(4)
         C = span(4, unit_vector(4, 1), unit_vector(4, 3))
-        with pytest.raises(ValueError, match="too deep"):
+        with pytest.raises(GenericityError, match="too deep"):
             triple_witnesses(seq(4, 4, 1), seq(4, 3, 1), C, flag, flag2)
 
 
@@ -367,7 +368,7 @@ def fraction_witnesses(alpha, beta, C, flag, flag2):
         raise ValueError("slice sum is not direct")
     line = intersect(C, total)
     if line.dim != 1:
-        raise ValueError(f"C meets the slice sum in dimension {line.dim}, not a line")
+        raise GenericityError(f"C meets the slice sum in dimension {line.dim}, not a line")
     coeffs = solve_columns([v for K in slices for v in K.basis], line.basis[0])
     basis = []
     at = 0
@@ -379,9 +380,9 @@ def fraction_witnesses(alpha, beta, C, flag, flag2):
         basis.append(f)
     for j, f in enumerate(basis, start=1):
         if flag.subspace(alpha.entries[j - 1] + 1).contains_vector(f):
-            raise ValueError(f"vector {j} falls too deep in the first flag")
+            raise GenericityError(f"vector {j} falls too deep in the first flag")
         if flag2.subspace(beta.entries[m - j] + 1).contains_vector(f):
-            raise ValueError(f"vector {j} falls too deep in the second flag")
+            raise GenericityError(f"vector {j} falls too deep in the second flag")
     H = span(n, *basis)
     if H.dim != m or intersect(H, C).dim < 1:
         raise VerificationError("reference witness failed")
@@ -391,11 +392,11 @@ def fraction_witnesses(alpha, beta, C, flag, flag2):
 
 
 def witness_outcome(fn, *args):
-    """The witness list, or the ValueError message."""
+    """The witness list, or the error's type and message."""
     try:
         return fn(*args)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
+    except (ValueError, GenericityError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def witness_inputs(n_max=6):
@@ -447,12 +448,13 @@ class TestWitnessFrames:
                     planes += len(want)
         assert planes >= 300
         # every general-position failure that a pair with dual(delta) in
-        # gamma*c can meet occurs (for those pairs no slice is zero)
+        # gamma*c can meet occurs (for those pairs no slice is zero); only
+        # those that depend on C are genericity failures
         assert messages == {
             "ValueError: slice sum is not direct",
-            "ValueError: C meets the slice sum in dimension #, not a line",
-            "ValueError: vector # falls too deep in the first flag",
-            "ValueError: vector # falls too deep in the second flag",
+            "GenericityError: C meets the slice sum in dimension #, not a line",
+            "GenericityError: vector # falls too deep in the first flag",
+            "GenericityError: vector # falls too deep in the second flag",
         }
 
     def test_rebuilt_flag_hits_the_frame_cache(self):
@@ -623,6 +625,23 @@ class TestRealWitnessSet:
         from fractions import Fraction
         for H in real_witness_set(FOUR_LINES, seed=1):
             assert all(isinstance(x, Fraction) for row in H.basis for x in row)
+
+    def test_only_genericity_draws_again(self, monkeypatch):
+        # a triple_witnesses that raises ValueError on every call (a bad
+        # frame, which no C changes) escapes at the first draw; one that
+        # raises GenericityError uses up all 32 draws
+        for error, calls_wanted in ((ValueError, 1), (GenericityError, 32)):
+            calls = []
+
+            def failing(*args):
+                calls.append(args)
+                raise error("stub failure")
+
+            monkeypatch.setattr(enumerative, "triple_witnesses", failing)
+            with pytest.raises(error, match="stub failure" if error is ValueError
+                               else "no suitable C after 32 draws: stub failure"):
+                enumerative.witness_table(FOUR_LINES, seed=0)
+            assert len(calls) == calls_wanted, error
 
     def test_oversized_c_has_no_witnesses(self):
         p = QuintupleProblem(6, 3, seq(6, 3, 2, 1), seq(6, 3, 2, 1), 1, 1, 7)

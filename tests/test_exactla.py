@@ -973,5 +973,58 @@ class TestAdaptedCoordinates:
         assert checked == 60
 
 
+# ----------------------------------------------------------------------
+# On the coordinate flag a flag position is read off the canonical pivots
+# and the flag induced on a subspace off its canonical rows.  The echelon
+# path, which every other flag takes, stays as the reference.
+
+def echelon_view(flag):
+    """The same flag with _is_coordinate forced off, so that meet_dims and
+    deform.flag_within take the echelon path."""
+    view = Flag(flag.ambient, flag.spaces)
+    view.__dict__["_is_coordinate"] = False
+    return view
+
+
+class TestCoordinateReadOff:
+    def test_only_the_coordinate_flag_reads_off(self):
+        from pierikit.enumerative import reversed_flag
+        from pierikit.schubgeom import random_flag, restrict_flag, standard_flag
+        for n in range(1, 13):
+            rebuilt = flag_from_basis([unit_vector(n, i) for i in range(1, n + 1)])
+            assert standard_flag(n)._is_coordinate and rebuilt._is_coordinate
+            assert restrict_flag(standard_flag(n + 2), 3)._is_coordinate
+            # in k^1 there is one flag; otherwise these are not coordinate
+            assert reversed_flag(n)._is_coordinate is (n == 1)
+            assert random_flag(n, n)._is_coordinate is (n == 1)
+
+    def test_read_off_matches_the_echelon_path(self, monkeypatch):
+        """meet_dims and flag_within on the standard flag, with no
+        elimination, equal the echelon path's, on random subspaces
+        including the zero and the full space."""
+        from pierikit import deform
+        from pierikit.schubgeom import standard_flag
+        rng = random.Random(9601006)
+        seen = dict.fromkeys(("zero space", "full space", "150-bit", "proper"), 0)
+        for i in range(700):
+            kind = KINDS[i % len(KINDS)]
+            n = rng.randint(1, 4 if kind == "big" else 8)
+            L = random_space(rng, n, kind, i)
+            seen["zero space"] += L.is_zero
+            seen["full space"] += L.dim == n
+            seen["150-bit"] += kind == "big"
+            seen["proper"] += 0 < L.dim < n
+            flag, view = standard_flag(n), echelon_view(standard_flag(n))
+            assert flag._is_coordinate  # cached before elimination is forbidden
+            want = (view.meet_dims(L), deform.flag_within(L, view))
+            with monkeypatch.context() as m:
+                m.setattr(exactla, "_echelon", forbid_call)
+                m.setattr(deform, "_echelon", forbid_call)
+                got = (flag.meet_dims(L), deform.flag_within(L, flag))
+            assert got == want, (n, str(L))
+            assert [s.pivots for s in got[1]] == [L.pivots[k:] for k in range(L.dim)]
+        assert all(count >= 50 for count in seen.values()), seen
+
+
 def forbid_call(*args, **kwargs):
     raise AssertionError("forbidden call")

@@ -49,6 +49,20 @@ def all_seqs(n, m):
         yield DecSeq(n, tuple(sorted(entries, reverse=True)))
 
 
+def scanned_edges(a, b):
+    """tree_chains' edges as it built them before: each node at level i+1
+    joined to the one node at level i that covers_under finds in a scan of
+    the whole level."""
+    levels = [pieri_set(a, i) for i in range(b + 1)]
+    edges = []
+    for i in range(b):
+        for g in levels[i + 1]:
+            parents = [p for p in levels[i] if covers_under(a, p, g)]
+            assert len(parents) == 1, (a, g)
+            edges.append((parents[0], g))
+    return tuple(edges)
+
+
 class TestDecSeq:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -222,11 +236,53 @@ class TestTree:
                                 ]
                                 assert len(parents) == 1, (a, g)
 
-    def test_several_parents_raise_verification_error(self, monkeypatch):
-        # a covering relation that admits every pair breaks the partition
-        monkeypatch.setattr(seqcomb, "covers_under", lambda a, p, g: True)
-        with pytest.raises(VerificationError, match="has 3 parents"):
+    def test_edges_match_the_covers_under_scan(self, monkeypatch):
+        """On every root at n = 3..8 and every depth up to its last nonempty
+        level, the closed-form parents give the edges of the all-pairs
+        covers_under scan, in the same order; tree_chains scans no more."""
+        def forbid(*args):
+            raise AssertionError("tree_chains called covers_under")
+
+        monkeypatch.setattr(seqcomb, "covers_under", forbid)
+        trees = edges = 0
+        for n in range(3, 9):
+            for m in range(1, n + 1):
+                for a in all_seqs(n, m):
+                    # a*r is empty past the sum of the interlacing gaps
+                    e = a.entries
+                    depth = n - e[0] + sum(x - 1 - y for x, y in zip(e, e[1:]))
+                    assert pieri_set(a, depth) and not pieri_set(a, depth + 1)
+                    want = scanned_edges(a, depth)
+                    for b in range(depth + 1):
+                        tree, _ = tree_chains(a, b)
+                        assert tree.edges == want[:len(tree.edges)], (a, b)
+                        assert len(tree.edges) == sum(map(len, tree.levels[1:]))
+                        trees += 1
+                    edges += len(want)
+        assert (trees, edges) == (1788, 2072)
+
+    def test_parent_off_by_one_row_raises_verification_error(self, monkeypatch):
+        # g - e_(j+1) for j = first_diff_index(a, g): the parent of 841
+        # under 741 would be 831, which is not at level 0
+        def off_by_one_row(a, g):
+            j = first_diff_index(a, g)
+            try:
+                return g.bump(j + 1 if j < g.m else j - 1, -1)
+            except ValueError:
+                return None
+
+        monkeypatch.setattr(seqcomb, "branch_parent", off_by_one_row)
+        with pytest.raises(VerificationError,
+                           match="node 841 at level 1 has its parent 831 off level 0"):
             tree_chains(DecSeq(9, (7, 4, 1)), 2)
+
+    def test_branch_parent_is_the_covered_node(self):
+        a = DecSeq(9, (7, 4, 1))
+        parents = {str(g): str(seqcomb.branch_parent(a, g)) for g in pieri_set(a, 2)}
+        assert parents == {"941": "841", "851": "751", "842": "742",
+                           "761": "751", "752": "742", "743": "742"}
+        with pytest.raises(ValueError, match="does not lie in any a\\*r"):
+            seqcomb.branch_parent(a, a)
 
     def test_covers_under(self):
         a = DecSeq(9, (7, 4, 1))
