@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import mul
 from typing import Iterator
 
 from .exactla import (
@@ -26,6 +27,7 @@ from .exactla import (
     Subspace,
     VerificationError,
     _null_vectors,
+    _read_null_vectors,
     flag_from_basis,
     intersect,
     rank,
@@ -71,12 +73,6 @@ class QuintupleProblem:
         got = self.a + self.b + self.c + codim(self.alpha) + codim(self.beta)
         if got != need:
             raise ValueError(f"degrees sum to {got}, the ambient dimension is {need}")
-
-    def swapped(self) -> "QuintupleProblem":
-        """The same problem with the two flag conditions exchanged."""
-        return QuintupleProblem(
-            self.n, self.m, self.beta, self.alpha, self.b, self.a, self.c
-        )
 
     def to_json(self) -> dict:
         return {
@@ -285,6 +281,12 @@ def _slice_frame(alpha: DecSeq, beta: DecSeq, flag: Flag, flag2: Flag):
     return tuple(slices)
 
 
+def _falls_deeper(flag: Flag, j: int, f) -> bool:
+    """Whether f, a vector of F_j, lies in F_{j+1}: F_j is cut out by the
+    adapted covectors phi_1..phi_{j-1}, so that is phi_j . f == 0."""
+    return sum(map(mul, flag._adapted_coords[j - 1], f)) == 0
+
+
 def triple_witnesses(
     alpha: DecSeq, beta: DecSeq, C: Subspace, flag: Flag, flag2: Flag
 ) -> list[Subspace]:
@@ -296,18 +298,23 @@ def triple_witnesses(
     witness.  The slices do not depend on C and come from a frame cached
     per (alpha, beta, flag, flag2).
 
-    One fraction-free elimination finds the line and its slice
-    coordinates at once: the null vectors (u, v) of the integer matrix
-    whose columns are C's canonical rows C_q followed by the slices'
-    canonical rows.  Both row sets are independent (C is canonical, and
-    the frame checks that the slice sum is direct), so the null space
-    has dimension dim(C cap (K_1 + ... + K_m)), and a line means exactly
-    one null vector.  Then f_j = sum_k v_k (row k of K_j) in integers, and
-    w = f_1 + ... + f_m = -sum_q u_q C_q.  The witness H = span(f_j) is
+    One small fraction-free elimination finds the line's slice
+    coordinates.  C's annihilator covectors phi_1..phi_{n-dim C} are read
+    off its canonical rows with no elimination, and sum_k v_k s_k, the s_k
+    the slices' canonical rows, lies in C exactly when every phi_i
+    vanishes on it: so the slice coordinates v are the null vectors of
+    the (n - dim C) x (sum dim K_j) integer matrix [phi_i . s_k].  The s_k
+    are independent (the frame checks that the slice sum is direct), so
+    the null space has dimension dim(C cap (K_1 + ... + K_m)), and a line
+    means exactly one null vector.  Then f_j = sum_k v_k (row k of K_j) in
+    integers and w = f_1 + ... + f_m.  The witness H = span(f_j) is
     canonical, so rescaling the null vector changes nothing.
 
-    Meeting C is proved by the witness point itself: w is nonzero, lies
-    in C and lies in H, so H cap C != 0; no rank is computed.
+    f_j lies in F_{alpha_j}, so it falls too deep in the first flag when
+    the one adapted covector that cuts F_{alpha_j + 1} out of F_{alpha_j}
+    vanishes on it; likewise in the second flag.  Meeting C is proved by
+    the witness point itself: w is nonzero, lies in C and lies in H, so
+    H cap C != 0; no rank is computed.
 
     Returns [H] with membership in all three varieties verified, or []
     when dual(beta) falls outside alpha*c, c read off from dim C (the
@@ -331,11 +338,13 @@ def triple_witnesses(
 
     slices = _slice_frame(alpha, beta, flag, flag2)
     rows = [row for K in slices for row in K.rows]
-    null = _null_vectors(list(zip(*C.rows, *rows)), C.dim + len(rows))
+    phis = [phi for _, phi in _read_null_vectors(C.rows, C.pivots, n)]
+    null = _null_vectors([[sum(map(mul, phi, row)) for row in rows] for phi in phis],
+                         len(rows))
     if len(null) != 1:
         raise GenericityError(f"C meets the slice sum in dimension {len(null)}, not a line")
 
-    v = null[0][1][C.dim:]
+    v = null[0][1]
     basis = []
     at = 0
     for K in slices:
@@ -346,9 +355,9 @@ def triple_witnesses(
         at += K.dim
         basis.append(f)
     for j, f in enumerate(basis, start=1):
-        if flag.subspace(alpha.entries[j - 1] + 1).contains_vector(f):
+        if _falls_deeper(flag, alpha.entries[j - 1], f):
             raise GenericityError(f"vector {j} falls too deep in the first flag")
-        if flag2.subspace(beta.entries[m - j] + 1).contains_vector(f):
+        if _falls_deeper(flag2, beta.entries[m - j], f):
             raise GenericityError(f"vector {j} falls too deep in the second flag")
 
     H = span(n, *basis)
@@ -370,13 +379,18 @@ def witness_table(p: QuintupleProblem, seed: int = 0, retries: int = 32):
     Iterates triple_witnesses over every branch pair of the problem with
     the standard and the reversed coordinate flags; C, spanned by rows of
     seeded random ints, is resampled until the general-position checks
-    pass for all pairs at once.  Only a GenericityError, which depends on
-    C, draws again; a ValueError or VerificationError escapes at once.  A
-    resample redoes only the work that depends on C: each pair's slice
-    frame stays cached.  The rows carry
-    exactly count_pairs_d(p) pairwise distinct planes, every coordinate
-    an exact rational.
+    pass for all pairs at once.  A draw of rank below dim C, a
+    GenericityError from triple_witnesses and two pairs with the same
+    plane depend on C and draw again; the last of these reasons ends the
+    GenericityError raised when retries draws are used up.  A ValueError
+    or VerificationError escapes at once, and retries < 1 is a
+    ValueError.  A resample redoes only the work that depends on C: each
+    pair's slice frame stays cached.  The rows carry exactly
+    count_pairs_d(p) pairwise distinct planes, every coordinate an exact
+    rational.
     """
+    if retries < 1:
+        raise ValueError(f"retries must be at least 1, got {retries}")
     flag = standard_flag(p.n)
     flag2 = reversed_flag(p.n)
     dim_c = p.n + 1 - p.m - p.c
@@ -384,12 +398,12 @@ def witness_table(p: QuintupleProblem, seed: int = 0, retries: int = 32):
         # c exceeds every branch capacity, so no pair can match
         return None, ()
     rng = random.Random(seed)
-    last = None
     for _ in range(retries):
         rows = [tuple(rng.randint(-99, 99) for _ in range(p.n))
                 for _ in range(dim_c)]
         C = span(p.n, *rows)
         if C.dim != dim_c:
+            reason = f"C drawn has dimension {C.dim}, not {dim_c}"
             continue
         try:
             out = []
@@ -398,12 +412,13 @@ def witness_table(p: QuintupleProblem, seed: int = 0, retries: int = 32):
                     for H in triple_witnesses(g, dlt, C, flag, flag2):
                         out.append((g, dlt, H))
         except GenericityError as exc:
-            last = exc
+            reason = str(exc)
             continue
         if len({H for _, _, H in out}) != len(out):
-            continue  # a collision counts as a genericity failure
+            reason = "two branch pairs give the same plane"
+            continue
         return C, tuple(out)
-    raise GenericityError(f"no suitable C after {retries} draws: {last}")
+    raise GenericityError(f"no suitable C after {retries} draws: {reason}")
 
 
 def real_witness_set(p: QuintupleProblem, seed: int = 0, retries: int = 32) -> list[Subspace]:

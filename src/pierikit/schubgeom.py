@@ -83,10 +83,14 @@ def meets_properly(L: Subspace, flag: Flag) -> bool:
 def schubert_member(H: Subspace, a: DecSeq, flag: Flag) -> bool:
     """Does the m-plane H satisfy dim H meet F_{a_j} >= j for all j?
 
-    Computed twice, on disjoint code paths in the linear algebra: from the
-    flag position of H, and through quotients (dim of the image of H in
-    V/F_{a_j} at most m-j, a rank modulo F_{a_j} by quotient_dim);
-    VerificationError when they disagree.
+    Computed twice, on disjoint code paths in the linear algebra, and
+    VerificationError when they disagree.  The first reads the flag
+    position of H (Flag.meet_dims: on the coordinate flag, H's pivots).
+    The second goes through quotients: the image of H in V/F_{a_j} has
+    dimension at most m-j, a rank modulo F_{a_j} by quotient_dim, which
+    back-substitutes H's rows against F_{a_j} and finds the leading
+    columns of the remainders itself; it never reads H's pivots or its
+    flag position.
     """
     m = a.m
     if H.dim != m:

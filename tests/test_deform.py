@@ -1431,6 +1431,14 @@ def forbid(*args, **kwargs):
     raise AssertionError("build_pencil sampled a fibre or eliminated a span")
 
 
+def remainder(M, v):
+    """A nonzero multiple of v minus its projection to M (v itself scaled
+    to a primitive integer vector), by M's fraction-free back
+    substitution."""
+    r, s = M._back_substitute(_int_row(v))
+    return tuple(F(x, s) for x in r)
+
+
 def pencil_column_mutant(monkeypatch, kind):
     """Replace _pencil_columns by a wrong construction; returns the list of
     families it makes.  "sample-blind" adds t prod_p (t - p) e_1 to the
@@ -1448,8 +1456,8 @@ def pencil_column_mutant(monkeypatch, kind):
         elif kind == "leaves M":
             fam = real(ambient, dual, l)
             M = span(ambient, *dual)
-            w = next(r for r in map(M.reduce_vector, (e(i, ambient) for i in
-                                                      range(1, ambient + 1))) if any(r))
+            w = next(r for r in (remainder(M, e(i, ambient)) for i in
+                                 range(1, ambient + 1)) if any(r))
             cols = list(fam.cols)
             cols[l - 2] = [((p[0] if p else 0) + x,) for p, x in zip(cols[l - 2], w)]
             fam = family_from_vectors(ambient, cols)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from itertools import combinations
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -70,11 +71,6 @@ class TestProblem:
         with pytest.raises(ValueError):
             QuintupleProblem(4, 2, seq(5, 3, 1), seq(4, 2, 1), 1, 1, 1)
 
-    def test_swapped(self):
-        q = FOUR_LINES.swapped()
-        assert (q.alpha, q.beta, q.a, q.b, q.c) == (
-            FOUR_LINES.beta, FOUR_LINES.alpha, 1, 1, 1)
-
     def test_json_round(self):
         blob = FOUR_LINES.to_json()
         assert blob["alpha"]["entries"] == [3, 1] and blob["c"] == 1
@@ -99,7 +95,8 @@ class TestCountPairs:
         for p in (FOUR_LINES,
                   QuintupleProblem(5, 2, seq(5, 3, 1), seq(5, 3, 2), 1, 1, 1),
                   QuintupleProblem(6, 3, seq(6, 5, 3, 1), seq(6, 4, 2, 1), 1, 1, 3)):
-            q = p.swapped()
+            # the same problem with the two flag conditions exchanged
+            q = QuintupleProblem(p.n, p.m, p.beta, p.alpha, p.b, p.a, p.c)
             assert count_pairs_d(p) == cohomology_oracle(p)
             assert count_pairs_d(q) == cohomology_oracle(q)
             assert cohomology_oracle(p) == cohomology_oracle(q)
@@ -499,9 +496,10 @@ class TestWitnessFrames:
 
 
 class TestOneEliminationPerWitness:
-    """triple_witnesses reads the line and its slice coordinates off one
-    null vector of [C | slices], and proves that the plane meets C with the
-    witness point w = f_1 + ... + f_m itself."""
+    """triple_witnesses reads the line's slice coordinates off the one null
+    vector of [phi_i . s_k], C's annihilator covectors against the slices'
+    rows, and proves that the plane meets C with the witness point
+    w = f_1 + ... + f_m itself."""
 
     FLAGS = (standard_flag(4), reversed_flag(4))
     C = span(4, (1, 2, 0, 5), (0, 1, 3, 7))
@@ -519,12 +517,15 @@ class TestOneEliminationPerWitness:
         calls = []
         real = enumerative._null_vectors
         monkeypatch.setattr(enumerative, "_null_vectors",
-                            lambda rows, ncols: calls.append(ncols) or real(rows, ncols))
+                            lambda rows, ncols: calls.append((len(rows), ncols))
+                            or real(rows, ncols))
         for (g, d), planes in zip(pairs, want):
             calls.clear()
             assert triple_witnesses(g, d, self.C, *self.FLAGS) == planes
-            # one column per row of C and per row of the slices
-            assert calls == [self.C.dim + sum(K.dim for K in _slice_frame(g, d, *self.FLAGS))]
+            # one row per covector of C's annihilator, one column per row
+            # of the slices
+            assert calls == [(4 - self.C.dim,
+                              sum(K.dim for K in _slice_frame(g, d, *self.FLAGS)))]
 
     def test_plane_missing_c_raises(self, monkeypatch):
         # push the null vector's last slice coordinate off the line: each
@@ -547,6 +548,69 @@ class TestOneEliminationPerWitness:
         assert intersect(planes[0], self.C).dim == 0
         assert real_member(planes[0], seq(4, 4, 1), self.FLAGS[0])
         assert real_member(planes[0], seq(4, 3, 1), self.FLAGS[1])
+
+
+def forbid_draw(*args, **kwargs):
+    raise AssertionError("a C was drawn")
+
+
+def disagreements_with_reference(n_max=5):
+    """(planes, wrong): how many seeded witness inputs with n <= n_max, on
+    the coordinate and a random flag pair, the Fraction reference gives a
+    plane for, and on how many triple_witnesses does not give the
+    reference's plane or error."""
+    rng = random.Random(1996)
+    planes = wrong = 0
+    for g, d, dim_c in witness_inputs(n_max):
+        n = g.n
+        C = random_special(rng, n, dim_c)
+        for flag, flag2 in ((standard_flag(n), reversed_flag(n)),
+                            (random_flag(n, 10 + n), random_flag(n, 20 + n))):
+            want = witness_outcome(fraction_witnesses, g, d, C, flag, flag2)
+            try:
+                got = witness_outcome(triple_witnesses, g, d, C, flag, flag2)
+            except (IndexError, VerificationError) as exc:
+                got = f"{type(exc).__name__}: {exc}"
+            planes += not isinstance(want, str) and len(want)
+            wrong += got != want
+    return planes, wrong
+
+
+class TestWitnessMutants:
+    """Wrong variants of the line and depth steps of triple_witnesses,
+    each caught against the Fraction reference (which the real steps match:
+    TestWitnessFrames)."""
+
+    def test_depth_one_covector_further_fails(self, monkeypatch):
+        # phi_{j+1} instead of phi_j: a one-dimensional slice <e_{alpha_j}>
+        # of the coordinate flags is killed by it, so good planes are
+        # refused, and at alpha_j = n there is no such covector
+        monkeypatch.setattr(
+            enumerative, "_falls_deeper",
+            lambda flag, j, f: sum(map(mul, flag._adapted_coords[j], f)) == 0)
+        planes, wrong = disagreements_with_reference()
+        assert wrong >= planes // 2, (planes, wrong)
+
+    def test_annihilator_missing_a_covector_fails(self, monkeypatch):
+        # one equation of C fewer cuts the slice sum in a plane, not a line
+        real = enumerative._read_null_vectors
+        monkeypatch.setattr(enumerative, "_read_null_vectors",
+                            lambda *args: real(*args)[1:])
+        planes, wrong = disagreements_with_reference()
+        assert wrong >= planes, (planes, wrong)
+
+    def test_corrupted_pivots_make_the_paths_disagree(self):
+        # schubert_member's quotient path never reads H's pivots, which the
+        # standard flag's position is read off: corrupting them must
+        # surface as a disagreement, not as a silent verdict
+        flag = standard_flag(4)
+        _, rows = enumerative.witness_table(FOUR_LINES, seed=0)
+        for g, _, H in rows:
+            assert schubert_member(H, g, flag)
+            assert H.pivots != (0, 1)
+            object.__setattr__(H, "pivots", (0, 1))
+            with pytest.raises(VerificationError, match="disagree"):
+                schubert_member(H, g, flag)
 
 
 @pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
@@ -642,6 +706,30 @@ class TestRealWitnessSet:
                                else "no suitable C after 32 draws: stub failure"):
                 enumerative.witness_table(FOUR_LINES, seed=0)
             assert len(calls) == calls_wanted, error
+
+    def test_exhausted_budget_names_its_reason(self, monkeypatch):
+        # every kind of redraw records why it drew again: a collision of
+        # two pairs' planes and a C of short rank as well as a
+        # GenericityError
+        plane = span(4, (1, 0, 0, 0), (0, 1, 0, 0))
+        with monkeypatch.context() as m:
+            m.setattr(enumerative, "triple_witnesses", lambda *args: [plane])
+            with pytest.raises(GenericityError) as info:
+                enumerative.witness_table(FOUR_LINES, seed=0)
+        assert str(info.value) == (
+            "no suitable C after 32 draws: two branch pairs give the same plane")
+        real = enumerative.span
+        with monkeypatch.context() as m:
+            m.setattr(enumerative, "span", lambda n, *rows: real(n, *rows[:1]))
+            with pytest.raises(GenericityError) as info:
+                enumerative.witness_table(FOUR_LINES, seed=0, retries=3)
+        assert str(info.value) == "no suitable C after 3 draws: C drawn has dimension 1, not 2"
+
+    @pytest.mark.parametrize("retries", [0, -1])
+    def test_no_draw_budget_is_bad_input(self, monkeypatch, retries):
+        monkeypatch.setattr(enumerative, "span", forbid_draw)
+        with pytest.raises(ValueError, match=f"retries must be at least 1, got {retries}"):
+            enumerative.witness_table(FOUR_LINES, seed=0, retries=retries)
 
     def test_oversized_c_has_no_witnesses(self):
         p = QuintupleProblem(6, 3, seq(6, 3, 2, 1), seq(6, 3, 2, 1), 1, 1, 7)

@@ -480,7 +480,145 @@ class TestDifferential:
 
 
 # ----------------------------------------------------------------------
-# Differential check of the integer Subspace paths (reduce_vector,
+# span builds its Subspace straight from _echelon and rank counts rows with
+# pairwise distinct leading columns without eliminating; canonicalize and
+# the elimination's pivot count are their references.
+
+def rank_cases(rng, count):
+    """(rows, feed) pairs: random_matrix's rows (zero rows, rank-deficient
+    ones, Fraction and 150-bit entries), every third with random leading
+    zeros so that leading columns are sometimes distinct; feed is the rows
+    as a list, a tuple of tuples or a generator."""
+    for i in range(count):
+        rows, ncols = random_matrix(rng, i)
+        if i % 3 == 2:
+            for row in rows:
+                z = rng.randint(0, ncols)
+                row[:z] = [0] * z
+        feed = (rows, tuple(map(tuple, rows)), (row for row in rows))[i % 3]
+        yield rows, feed
+
+
+def leads(rows):
+    return [next(c for c, x in enumerate(row) if x) for row in rows if any(row)]
+
+
+def rank_disagreements(rank_fn, seen=None):
+    """How many seeded cases rank_fn gets wrong against the pivot count of
+    the elimination."""
+    wrong = 0
+    for rows, feed in rank_cases(random.Random(2026), 1500):
+        want = len(exactla._echelon(rows)[1])
+        if seen is not None:
+            lead = leads(rows)
+            seen["colliding leads" if len(set(lead)) < len(lead) else "distinct leads"] += 1
+            seen["zero row"] += any(not any(row) for row in rows)
+            seen["Fraction entries"] += any(type(x) is F for row in rows for x in row)
+            seen["generator"] += not isinstance(feed, (list, tuple))
+            seen["rank-deficient"] += want < len(rows)
+        wrong += rank_fn(feed) != want
+    return wrong
+
+
+def counting_nonzero_rows(rows):
+    """Mutant rank: counts the nonzero rows without checking their leads."""
+    return sum(1 for row in rows if any(row))
+
+
+LENGTH_FAULTS = [(3, [(0, 0)]), (3, [(1, 0, 0), (0, 0)]), (3, [(1, 2)]),
+                 (2, [(1, 2, 3)]), (2, [(0, 0, 0)]), (1, [(0,), ()])]
+
+
+def length_errors(span_fn):
+    """How many LENGTH_FAULTS span_fn rejects with the length ValueError."""
+    caught = 0
+    for ambient, vectors in LENGTH_FAULTS:
+        try:
+            span_fn(ambient, *vectors)
+        except ValueError as exc:
+            caught += str(exc).startswith("expected vector of length")
+    return caught
+
+
+def span_without_length_check(ambient, *vectors):
+    """Mutant span: _echelon's rows with no length check."""
+    reduced, _ = exactla._echelon([tuple(v) for v in vectors])
+    return Subspace(ambient, tuple(map(tuple, reduced)))
+
+
+class TestSpanAndRank:
+    def test_span_equals_canonicalize(self, monkeypatch):
+        """span never builds the Fraction rref: it equals canonicalize, rows,
+        pivots and basis, on random vectors fed as lists, tuples and
+        generators, including zero vectors and 150-bit entries."""
+        rng = random.Random(1601)
+        seen = dict.fromkeys(("zero space", "zero row", "rank-deficient", "150-bit",
+                              "generator"), 0)
+        for i in range(1500):
+            rows, ncols = random_matrix(rng, i)
+            if i % 10 == 7:
+                rows = [[0] * ncols for _ in rows[:i % 3]]
+            want = exactla.canonicalize(rows, ncols)
+            feed = [row if i % 3 else (x for x in row) for row in rows]
+            with monkeypatch.context() as m:
+                m.setattr(exactla, "rref", forbid_call)
+                got = span(ncols, *feed)
+            assert got == want and got.rows == want.rows and got.pivots == want.pivots
+            assert strs(got.basis) == strs(want.basis)
+            seen["zero space"] += got.is_zero
+            seen["zero row"] += any(not any(row) for row in rows)
+            seen["rank-deficient"] += got.dim < len(rows)
+            seen["150-bit"] += KINDS[i % len(KINDS)] == "big"
+            seen["generator"] += i % 3 == 0
+        assert all(count >= 50 for count in seen.values()), seen
+        assert span(3) == exactla.canonicalize([], 3) == zero_subspace(3)
+
+    def test_rank_equals_the_elimination(self):
+        seen = dict.fromkeys(("colliding leads", "distinct leads", "zero row",
+                              "Fraction entries", "generator", "rank-deficient"), 0)
+        assert rank_disagreements(rank, seen) == 0
+        assert all(count >= 100 for count in seen.values()), seen
+
+    def test_distinct_leads_need_no_elimination(self, monkeypatch):
+        monkeypatch.setattr(exactla, "_echelon", forbid_call)
+        assert rank([[0, 2, 1], [3, 0, 0], [0, 0, F(1, 2)], [0, 0, 0]]) == 3
+        assert rank(iter([(0, 1), (1, 1)])) == 2
+        assert rank([]) == 0
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0.5]],                          # a float behind a distinct lead
+        [[0.5, 1]],                          # a float as the lead
+        [[1, 2], [0, 0.0]],                  # a float zero
+        [[1, 2], [2, 4], [0, 0.5]],          # after a lead collision
+    ])
+    @pytest.mark.parametrize("call", [rank, lambda rows: span(2, *rows),
+                                      lambda rows: exactla.canonicalize(rows, 2)])
+    def test_float_entries_raise(self, call, rows):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            call(rows)
+        with pytest.raises(TypeError, match="int or Fraction"):
+            call(iter(rows))
+
+    def test_length_check_is_shared(self):
+        assert length_errors(span) == len(LENGTH_FAULTS)
+        assert length_errors(lambda n, *vs: exactla.canonicalize(vs, n)) == len(LENGTH_FAULTS)
+
+    def test_rank_counting_nonzero_rows_fails(self):
+        # the mutant agrees wherever the nonzero rows are independent, and
+        # is wrong on every rank-deficient case with no zero row
+        assert rank_disagreements(counting_nonzero_rows) >= 300
+
+    def test_span_without_length_check_fails(self):
+        # a short or long zero vector is dropped by the elimination, and a
+        # short nonzero one fails only Subspace's own check
+        assert length_errors(span_without_length_check) < len(LENGTH_FAULTS)
+        with pytest.raises(ValueError, match="expected vector of length 3, got 2"):
+            span(3, (0, 0))
+        assert span_without_length_check(3, (0, 0)) == zero_subspace(3)
+
+
+# ----------------------------------------------------------------------
+# Differential check of the integer Subspace paths (back substitution,
 # contains_vector, coords, quotient_subspace) against textbook Fraction
 # back-substitution on the canonical basis, of PolyFamily.at against
 # canonicalizing the Fraction evaluation, and of the memoised coordinate
@@ -559,7 +697,9 @@ class TestSubspaceDifferential:
             inside = all(x == 0 for x in want)
             seen["contained" if inside else "not contained"] += 1
             feed = iter(v) if i % 11 == 6 else v
-            assert strs([s.reduce_vector(feed)]) == strs([want])
+            w, d = exactla._int_vector(feed, n)
+            r, scale = s._back_substitute(w)
+            assert strs([tuple(F(x, d * scale) for x in r)]) == strs([want])
             assert s.contains_vector(v) is inside
             if inside:
                 assert strs([s.coords(v)]) == strs([tuple(F(v[p]) for p in s.pivots)])
@@ -676,15 +816,17 @@ class TestSubspaceDifferential:
             assert s.extend(got) == a
         assert all(count >= 50 for count in seen.values()), seen
 
-    def test_reduce_vector_inputs(self):
+    def test_vector_inputs(self):
         s = span(3, vec([1, 1, 0]))
-        want = (F(0), F(1, 2), F(3))
+        for v in ([F(1, 2), F(1, 2), 0], (0.5, 0.5, 0), ("1/2", "1/2", "0"),
+                  (x for x in (F(1, 2), F(1, 2), False))):
+            got = s.coords(v)
+            assert got == (F(1, 2),) and all(type(x) is F for x in got)
         for v in ([F(1, 2), 1, 3], (0.5, 1.0, 3), ("1/2", "1", "3"),
                   (x for x in (F(1, 2), True, 3))):
-            got = s.reduce_vector(v)
-            assert got == want and all(type(x) is F for x in got)
+            assert not s.contains_vector(v)
         with pytest.raises(ValueError, match="expected vector of length 3, got 2"):
-            s.reduce_vector([1, 2])
+            s.coords([1, 2])
         with pytest.raises(ValueError, match="expected vector of length 3, got 2"):
             s.contains_vector(("1", "2"))
 
