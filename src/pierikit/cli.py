@@ -68,7 +68,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"error: {SEED_ENV} must be an integer, got {raw!r}")
+        raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
 
 
 def _add_common(p, *, seq=True, seed=False, flag_seed=False):

@@ -27,8 +27,7 @@ from .exactla import (
     _null_vectors,
     _over,
     _read_null_vectors,
-    _scaled_row,
-    annihilator_basis,
+    _scaled_lift,
     canonicalize,
     check_lines,
     family_from_vectors,
@@ -82,7 +81,7 @@ def flag_within(M: Subspace, flag: Flag) -> tuple:
     On the coordinate flag M's canonical rows are such rows, and their
     tails are canonical too, so M_i is read off with no elimination.  On
     any other flag the rows are the right halves of one echelon of
-    [phi(v) | v], v over M's rows.
+    [flag.frame(v) | v], v over M's rows.
     """
     n = flag.ambient
     if M.ambient != n:
@@ -91,8 +90,7 @@ def flag_within(M: Subspace, flag: Flag) -> tuple:
         pivots = M.pivots
         cuts = (Subspace(n, M.rows[i:]) for i in range(1, M.dim))
     else:
-        rows, pivots = _echelon([[sum(map(mul, v, phi)) for phi in flag._adapted_coords]
-                                 + list(v) for v in M.rows])
+        rows, pivots = _echelon([flag.frame(v) + list(v) for v in M.rows])
         cuts = (canonicalize([row[n:] for row in rows[i:]], n) for i in range(1, M.dim))
     spaces = [M] if M.dim else []
     for i, cut in enumerate(cuts, start=2):
@@ -177,14 +175,6 @@ def _in_pencil_form(M: Subspace, covectors, family: PolyFamily, l: int) -> bool:
     return True
 
 
-def _scaled_lift(M: Subspace) -> tuple[int, list[list[int]]]:
-    """(P, rows): M's canonical rows, each times P over its pivot entry, P
-    the lcm of the pivot entries.  For coordinates y on M, the sum of y_k
-    times row k is P times M.from_coords(y)."""
-    P = lcm(*[row[p] for row, p in zip(M.rows, M.pivots)])
-    return P, [[x * (P // row[p]) for x in row] for row, p in zip(M.rows, M.pivots)]
-
-
 def _dual_basis(tri, order, r: int, x) -> list:
     """The basis e_1..e_N of k^N dual to covectors x_1..x_N, as pairs (s, w)
     with e_k = w / s in integers.
@@ -243,7 +233,9 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
     the constant M_2 = L_inf.
 
     The covectors are read off canonical rows in M's coordinates, with no
-    elimination.  x_{l-1} is the first covector of L_inf's annihilator.
+    elimination.  x_{l-1} is the first null vector of L_inf's canonical
+    rows: the first covector of L_inf's annihilator up to a positive
+    factor, which _dual_basis is homogeneous in.
     For i != l-1, x_i is the null vector of M_{i+1} (of 0 for i = N) at p_i,
     the one pivot of M_i that M_{i+1} lacks: it kills M_{i+1}, and M_i is
     M_{i+1} plus M_i's canonical row at p_i.  That row leads at p_i and is
@@ -300,11 +292,12 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
         p = next(c for c in above.pivots if c not in below.pivots)
         order.append(p)
         tri.append(_null_vector(below.rows, below.pivots, p, N))
-    u, d0 = _scaled_row(annihilator_basis(M.restrict(L_inf))[0])
-    solved = _dual_basis(tri, order, l - 2, (d0, u))
+    marked = M.restrict(L_inf)
+    x = _read_null_vectors(marked.rows, marked.pivots, N)[0]
+    solved = _dual_basis(tri, order, l - 2, x)
     covectors = [v for _, v in tri]
-    covectors[l - 2] = u
-    P, lift = _scaled_lift(M)
+    covectors[l - 2] = x[1]
+    P, lift = _scaled_lift(M.rows)
     cols = list(zip(*lift))
     # e_k = dual[k] / (P s_k)
     dual = [[sum(map(mul, w, col)) for col in cols] for _, w in solved]
@@ -550,13 +543,13 @@ def _descend_hyperplane(a: DecSeq, s: int, flag: Flag, M: Subspace, rng) -> Subs
 
     All in integers.  top's annihilator basis is read off its canonical
     rows as pairs (d, v), each v scaled to the common denominator D, so a
-    draw's covector is D times the same combination of
-    annihilator_basis(top) and cuts the same hyperplane of k^N.  Each of
-    its integer null vectors is lifted to k^n through M's canonical rows
-    scaled by the lcm P of their pivots over the pivot (_scaled_lift): a
-    positive multiple of M.from_coords of the vector.  So each draw gives
-    the L that the Fraction kernel of that combination, lifted by
-    M.from_coords, spans.
+    draw's covector is D times the same combination of the Fraction
+    annihilator of top and cuts the same hyperplane of k^N.  Each of its
+    integer null vectors y is lifted to k^n through M's canonical rows
+    lifted to one pivot multiple P (_scaled_lift): P times the vector with
+    coordinates y on M's canonical basis.  So each draw gives the L that
+    the Fraction kernel of that combination, taken as coordinates on M's
+    canonical basis, spans.
     """
     N = M.dim
     top = M.restrict(flag.subspace(a.entries[0] + s))
@@ -564,7 +557,7 @@ def _descend_hyperplane(a: DecSeq, s: int, flag: Flag, M: Subspace, rng) -> Subs
     null = _read_null_vectors(top.rows, top.pivots, N)
     D = lcm(*[d for d, _ in null])
     ann = [[x * (D // d) for x in v] for d, v in null]
-    lift = _scaled_lift(M)[1]
+    lift = _scaled_lift(M.rows)[1]
     for _ in range(64):
         coeffs = [rng.randint(-9, 9) for _ in ann]
         covector = [sum(map(mul, coeffs, col)) for col in zip(*ann)]
@@ -599,12 +592,12 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
     positions and incidences, which any g in GL_n keeps (g(F_j cap L) =
     gF_j cap gL), and a report carries no coordinates: only indices,
     dimensions and named clauses.  The flag's integer adapted covectors
-    give such a g, v -> (phi_1(v), ..., phi_n(v)), which carries each F_j
-    onto the standard F_j.  So after the input checks K is mapped once and
-    the rest runs on standard_flag(n), whose coordinates do not grow with
-    n, and where flag positions and flags in a carrier are read off
-    canonical rows with no elimination.  The two samplers meet the frame
-    differently.  cell_point draws in the flag's adapted basis, and g
+    give such a g, Flag.frame: v -> (phi_1(v), ..., phi_n(v)), which
+    carries each F_j onto the standard F_j.  So after the input checks K
+    is mapped once and the rest runs on standard_flag(n), whose
+    coordinates do not grow with n, and where flag positions and flags in
+    a carrier are read off canonical rows with no elimination.  The two
+    samplers meet the frame differently.  cell_point draws in the flag's adapted basis, and g
     sends each adapted row to a positive multiple of a unit vector, so its
     draw is the direct run's point up to a diagonal scaling, which fixes
     every standard flag space.
@@ -626,8 +619,7 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
         raise ValueError("general position must meet the flag properly")
 
     # the flag's adapted covectors carry F_j onto the standard F_j
-    K = canonicalize([[sum(map(mul, v, phi)) for phi in flag._adapted_coords]
-                      for v in K.rows], n)
+    K = canonicalize([flag.frame(v) for v in K.rows], n)
     flag = standard_flag(n)
 
     rng = random.Random(seeds)

@@ -8,27 +8,32 @@ Fraction; anything else raises TypeError.
 
 A Subspace is its canonical integer rows: the reduced echelon basis with
 each row scaled to a primitive integer vector whose pivot entry is positive.
-That form is unique.  Membership, coordinates, intersections and
-quotients work on those rows, and quotient_dim reads the dimension of a
-quotient as the rank of back-substituted rows without building it; the
-canonical Fraction basis (pivot entries 1) is a view built on first read.
-Coordinates on a subspace S are the entries at S's pivot columns: S.coords
-and S.from_coords convert vectors, and S.restrict and S.extend carry a
-subspace of S to k^dim S and back; restrict needs no elimination, because a
-subspace's canonical rows read at S's pivots are already canonical.  Null
-vectors of canonical rows need none either: the one with 1 at a free
-column c and 0 at the other free columns has, at each row's pivot, minus
-the row's entry at c over its pivot entry, so S's annihilator is read
-straight off S's rows.  A
-one-parameter family caches its columns as integer polynomials: it
-evaluates them at t, its flat limit at t=0 comes out of exact column
-operations over Z[t], and a degree bound on its minors lets finitely many
-fibres decide its generic rank and flag position.  A complete flag caches
-its adapted basis, so a subspace's flag position (dim F_j cap L for every
-j) is one elimination in those coordinates; on the coordinate flag it is
-read off the subspace's canonical pivots with none.  Fractions appear only at the
-boundary, when a result leaves as a canonical basis, a kernel, solution,
-inverse or coordinate tuple.
+That form is unique.  Membership, intersections and quotients work on those
+rows, and quotient_dim reads the dimension of a quotient as the rank of
+back-substituted rows without building it; the canonical Fraction basis
+(pivot entries 1) is a view built on first read.  Coordinates on a subspace
+S are the entries at S's pivot columns, and S.restrict carries a subspace of
+S to k^dim S with no elimination, because a subspace's canonical rows read
+at S's pivots are already canonical.  Null vectors of canonical rows need
+none either: the one with 1 at a free column c and 0 at the other free
+columns has, at each row's pivot, minus the row's entry at c over its pivot
+entry, so S's annihilator is read straight off S's rows.  Vectors stay
+integer rows: _scaled_lift scales rows with leading entries to one common
+leading multiple P, so an integer combination of the lifted rows is P times
+the same combination of the rows over their leading entries (for canonical
+rows, of the canonical basis).  A one-parameter family caches its columns
+as integer polynomials: it evaluates them at t, its flat limit at t=0 comes
+out of exact column operations over Z[t], and a degree bound on its minors
+lets finitely many fibres decide its generic rank and flag position.  A
+complete flag caches its integer adapted covectors; Flag.frame maps a
+vector through them, so a subspace's flag position (dim F_j cap L for every
+j) is one elimination of its framed rows, and on the coordinate flag it is
+read off the subspace's canonical pivots with none.  Fractions appear only
+at the boundary: Subspace.basis, JSON, and the public Fraction views (rref,
+kernel_basis, solve_columns, invert_matrix, annihilator_basis,
+Flag.adapted_basis); inside, canonicalize still goes through rref,
+limit_at_zero through kernel_basis, and flag_from_basis reads its vectors
+as Fractions.
 """
 
 from __future__ import annotations
@@ -127,19 +132,6 @@ def unit_vector(n: int, i: int) -> Vec:
     return tuple(_ONE if k == i - 1 else _ZERO for k in range(n))
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Vec) -> Vec:
-    c = frac(c)
-    return tuple(c * a for a in v)
-
-
-def is_zero_vec(v) -> bool:
-    return all(a == 0 for a in v)
-
-
 # ----------------------------------------------------------------------
 # Matrix routines.  Matrices are lists of rows with int or Fraction
 # entries; _echelon is the one elimination loop.
@@ -229,6 +221,17 @@ def _over(row, d: int) -> Vec:
     return tuple(Fraction(x, d) if x else _ZERO for x in row)
 
 
+def _scaled_lift(rows) -> tuple[int, list[list[int]]]:
+    """(P, lifted): P the lcm of the integer rows' leading (first nonzero)
+    entries, and each row times P over its leading entry.  An integer
+    combination of the lifted rows is P times the same combination of the
+    rows over their leading entries: for canonical rows, of the canonical
+    basis."""
+    leads = [next(filter(None, row)) for row in rows]
+    P = lcm(*leads)
+    return P, [[x * (P // lead) for x in row] for row, lead in zip(rows, leads)]
+
+
 def _null_vector(rows, pivots, fc: int, ncols: int) -> tuple[int, list[int]]:
     """The null vector at free column fc of rows already in canonical form
     (reduced, primitive, positive pivots), read off without elimination, as
@@ -301,7 +304,7 @@ def solve_columns(cols, target):
     the columns are dependent.
     """
     if not cols:
-        return None if not is_zero_vec(target) else ()
+        return None if any(target) else ()
     ncols = len(cols)
     aug = [[col[i] for col in cols] + [target[i]] for i in range(len(cols[0]))]
     reduced, pivots = _echelon(aug)
@@ -400,29 +403,6 @@ class Subspace:
         return other.dim <= self.dim and not any(
             any(self._back_substitute(row)[0]) for row in other.rows)
 
-    def coords(self, v) -> Vec:
-        """Coordinates of v in the canonical basis; v must lie in the span."""
-        w, d = _int_vector(v, self.ambient)
-        if any(self._back_substitute(w)[0]):
-            raise ValueError("vector not in subspace")
-        return tuple(Fraction(w[p], d) for p in self.pivots)
-
-    def from_coords(self, x) -> Vec:
-        """Inverse of coords: the vector with coordinates x in the basis.
-
-        In integers: with x = c / d, basis vector k is rows[k] over its
-        pivot entry, so the vector is sum_k c_k (P / pivot_k) rows[k] over
-        the one denominator d P, P the lcm of the pivots that are used.
-        """
-        c, d = _int_vector(x, self.dim)
-        used = [(ck, row, row[p]) for ck, row, p in zip(c, self.rows, self.pivots) if ck]
-        P = lcm(*[piv for _, _, piv in used])
-        w = [0] * self.ambient
-        for ck, row, piv in used:
-            f = ck * (P // piv)
-            w = [u + f * v for u, v in zip(w, row)]
-        return _over(w, d * P)
-
     def restrict(self, a: "Subspace") -> "Subspace":
         """Rewrite a subspace a contained in this one in its coordinates.
 
@@ -441,12 +421,6 @@ class Subspace:
             g = gcd(*coords)
             rows.append(tuple(x // g for x in coords) if g > 1 else tuple(coords))
         return Subspace(self.dim, tuple(rows))
-
-    def extend(self, a: "Subspace") -> "Subspace":
-        """Inverse of restrict: map a subspace of k^dim back into k^ambient."""
-        if a.ambient != self.dim:
-            raise ValueError("ambient mismatch")
-        return canonicalize([self.from_coords(r) for r in a.rows], self.ambient)
 
     def __str__(self):
         if self.is_zero:
@@ -626,6 +600,12 @@ class Flag:
         return self._adapted_coords == tuple(tuple(int(i == k) for i in range(n))
                                              for k in range(n))
 
+    def frame(self, v) -> list[int]:
+        """v in adapted coordinates, (phi_1(v), ..., phi_n(v)) with the
+        integer adapted covectors: a linear map that carries each F_j onto
+        the coordinate flag's F_j, spanned by e_j, ..., e_n."""
+        return [sum(map(mul, v, phi)) for phi in self._adapted_coords]
+
     def meet_dims(self, L: Subspace) -> tuple[int, ...]:
         """(dim F_1 cap L, ..., dim F_{n+1} cap L): in adapted coordinates
         F_j is where the first j-1 coordinates vanish, so dim F_j cap L
@@ -633,14 +613,13 @@ class Flag:
         position of L; Fulton, Young Tableaux, 9.4).  On the coordinate
         flag those pivots are L.pivots, read with no product and no
         elimination; on any other flag they come from one elimination of
-        L's rows mapped through the adapted covectors."""
+        L's framed rows."""
         if L.ambient != self.ambient:
             raise ValueError("ambient mismatch")
         if self._is_coordinate:
             pivots = L.pivots
         else:
-            pivots = _echelon([[sum(map(mul, row, phi)) for phi in self._adapted_coords]
-                               for row in L.rows])[1]
+            pivots = _echelon([self.frame(row) for row in L.rows])[1]
         return tuple(sum(p >= c for p in pivots) for c in range(self.ambient + 1))
 
     def generic_meet_dims(self, fam: "PolyFamily") -> tuple[int, ...]:
@@ -818,10 +797,21 @@ def subspace_to_json(s: Subspace) -> dict:
 
 
 def subspace_from_json(d) -> Subspace:
-    return canonicalize(
-        [[Fraction(x) for x in row] for row in d["basis"]],
-        int(d["ambient"]),
-    )
+    """The subspace that subspace_to_json wrote.  A document that is not an
+    object with an integer "ambient" and a list of rows in "basis", or an
+    entry that is not a number, raises ValueError."""
+    if not isinstance(d, dict):
+        d = {}
+    ambient, basis = d.get("ambient"), d.get("basis")
+    if (type(ambient) is not int or not isinstance(basis, list)
+            or not all(isinstance(row, list) for row in basis)):
+        raise ValueError('subspace JSON must be an object with an integer '
+                         '"ambient" and a list of rows in "basis"')
+    try:
+        rows = [[Fraction(x) for x in row] for row in basis]
+    except (TypeError, OverflowError):
+        raise ValueError("subspace JSON basis entries must be rational numbers") from None
+    return canonicalize(rows, ambient)
 
 
 def family_to_json(fam: PolyFamily) -> dict:

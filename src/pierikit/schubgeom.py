@@ -4,7 +4,8 @@ Everything is exact: membership predicates read the flag position of a
 subspace (Flag.meet_dims, dim F_j cap L for every j from one elimination),
 witness subspaces are built vector by vector and post-verified, and tangent
 codimensions come from literal rank computations on the space of maps
-H -> V/H.
+H -> V/H.  Vectors are integer rows throughout; vector_avoiding returns its
+vector as Fractions.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 
 from .exactla import (
     Flag,
@@ -21,19 +21,17 @@ from .exactla import (
     Subspace,
     Verdict,
     VerificationError,
-    annihilator_basis,
+    _over,
+    _read_null_vectors,
+    _scaled_lift,
     flag_from_basis,
-    frac,
     intersect,
-    is_zero_vec,
     quotient_dim,
     quotient_subspace,
     rank,
     span,
     sum_span,
     unit_vector,
-    vec_add,
-    vec_scale,
 )
 from .seqcomb import DecSeq, first_diff_index, pieri_set
 
@@ -57,10 +55,10 @@ def standard_flag(n: int) -> Flag:
 
 
 def random_flag(n: int, seed: int = 0) -> Flag:
-    """Flag on a seeded random rational basis; resampled until invertible."""
+    """Flag on a seeded random integer basis; resampled until invertible."""
     rng = random.Random(seed)
     while True:
-        rows = [tuple(frac(rng.randint(-9, 9)) for _ in range(n)) for _ in range(n)]
+        rows = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)]
         if rank(rows) == n:
             return flag_from_basis(rows)
 
@@ -303,26 +301,20 @@ def _pivot_span(pivots, flag: Flag, rng) -> Subspace:
     """Span with one generator per pivot row of the adapted basis, plus
     random entries in the free rows below each pivot.  For any values of the
     free entries the result lies in the open cell of its pivot set.  Each
-    generator u_p + sum c_i u_i is summed in integers: u_k is the adapted
-    row w_k over its leading entry, so D times the generator is
-    sum c_i (D / lead_i) w_i, D the lcm of the leading entries it uses."""
-    w = flag._adapted_rows
+    generator u_p + sum c_i u_i is summed in integers over the adapted rows
+    lifted to one leading multiple P (_scaled_lift), which gives P times
+    the generator: the same line, so the same span."""
+    w = _scaled_lift(flag._adapted_rows)[1]
     n = flag.ambient
     pivset = set(pivots)
     rows = []
     for p in pivots:
-        terms = [(1, w[p - 1])]
+        v = w[p - 1]
         for i in range(p + 1, n + 1):
             if i not in pivset:
                 c = rng.randint(-9, 9)
                 if c:
-                    terms.append((c, w[i - 1]))
-        leads = [next(filter(None, row)) for _, row in terms]
-        D = lcm(*leads)
-        v = [0] * n
-        for (c, row), lead in zip(terms, leads):
-            f = c * (D // lead)
-            v = [x + f * y for x, y in zip(v, row)]
+                    v = [x + c * y for x, y in zip(v, w[i - 1])]
         rows.append(v)
     return span(n, *rows)
 
@@ -356,41 +348,44 @@ def schubert_cell_point(b: DecSeq, flag: Flag, seed: int = 0) -> Subspace:
 
 
 def vector_avoiding(inside: Subspace, avoid, rng=None) -> tuple:
-    """A vector of `inside` outside every subspace in `avoid`.
+    """A vector of `inside` outside every subspace in `avoid`, as Fractions.
 
     Tries the canonical basis first, then pairwise sums, then seeded random
     combinations.  Raises ValueError when no such vector exists at all.
+    The candidates are summed in integers over inside's canonical rows
+    lifted to one pivot multiple P (_scaled_lift), so each is P times the
+    same combination of the canonical basis; membership and nonzero-ness
+    do not see the factor, and the vector found is returned over P.
     """
     avoid = [A for A in avoid if not A.is_zero]
     for A in avoid:
         if A.contains(inside):
             raise ValueError("every vector of the source lies in an excluded space")
-    cand = list(inside.basis)
-    if not cand:
+    if inside.is_zero:
         raise ValueError("source space is zero")
+    P, cand = _scaled_lift(inside.rows)
 
     def ok(v):
-        return not is_zero_vec(v) and all(not A.contains_vector(v) for A in avoid)
+        return any(v) and all(not A.contains_vector(v) for A in avoid)
 
     for v in cand:
         if ok(v):
-            return v
+            return _over(v, P)
     for i in range(len(cand)):
         for k in range(i + 1, len(cand)):
-            v = vec_add(cand[i], cand[k])
+            v = [x + y for x, y in zip(cand[i], cand[k])]
             if ok(v):
-                return v
+                return _over(v, P)
     rng = rng or random.Random(0)
     for trial in range(64):
         bound = 3 + trial
-        v = None
+        v = [0] * inside.ambient
         for row in cand:
             c = rng.randint(-bound, bound)
             if c:
-                w = vec_scale(frac(c), row)
-                v = w if v is None else vec_add(v, w)
-        if v is not None and ok(v):
-            return v
+                v = [x + c * y for x, y in zip(v, row)]
+        if ok(v):
+            return _over(v, P)
     raise GenericityError("random search for an avoiding vector failed")
 
 
@@ -400,8 +395,10 @@ def witness_point(a: DecSeq, flag: Flag, L: Subspace, mode: int, seed: int = 0) 
 
     Built inductively: the mode-th vector comes from the meet of its flag
     space with L; every other vector avoids both L-with-prior-choices and
-    the previous flag space.  The result is post-verified against all of its
-    defining conditions.
+    the previous flag space.  L enters through its canonical integer rows,
+    the chosen vectors as vector_avoiding returns them; span scales each to
+    a primitive integer row.  The result is post-verified against all of
+    its defining conditions.
     """
     n, m = a.n, a.m
     if not 1 <= mode <= m:
@@ -425,7 +422,7 @@ def witness_point(a: DecSeq, flag: Flag, L: Subspace, mode: int, seed: int = 0) 
     rng = random.Random(seed)
     for _ in range(8):
         fs = []
-        picked = list(L.basis)
+        picked = list(L.rows)
         for i in range(1, m + 1):
             if i == mode:
                 v = vector_avoiding(carrier, [upper(i)], rng)
@@ -462,6 +459,13 @@ def tangent_codim(H: Subspace, a: DecSeq, flag: Flag, L: Subspace) -> int:
     V/H is realized once as the non-pivot coordinates of H; each condition
     "phi(u) lands in (W+H)/H" contributes one equation per annihilating
     covector of the image of W.  The answer is a difference of two ranks.
+
+    The equations are integer rows: a vector u of H has coordinates its
+    entries at H.pivots, since the canonical basis is 1 at its own pivot
+    and 0 at the others; u runs over the meet's canonical rows, and the
+    covectors nu are read off the image's canonical rows
+    (_read_null_vectors).  Scaling u or nu by a nonzero factor scales an
+    equation without changing either rank.
     """
     n, m = H.ambient, H.dim
     if a.m != m or a.n != n:
@@ -475,25 +479,17 @@ def tangent_codim(H: Subspace, a: DecSeq, flag: Flag, L: Subspace) -> int:
 
     ncols = n - m  # dim of V/H in the chart
 
-    def equations(u_basis, W):
+    def equations(us, W):
         img = quotient_subspace(sum_span(W, H), H)
-        rows = []
-        for nu in annihilator_basis(img):
-            for u in u_basis:
-                coords = H.coords(u)
-                row = [frac(0)] * (m * ncols)
-                for k in range(m):
-                    if coords[k]:
-                        for r in range(ncols):
-                            row[k * ncols + r] = coords[k] * nu[r]
-                rows.append(tuple(row))
-        return rows
+        return [[u[p] * x for p in H.pivots for x in nu]
+                for _, nu in _read_null_vectors(img.rows, img.pivots, ncols)
+                for u in us]
 
     schubert_rows = []
     for j in range(1, m + 1):
         fj = flag.subspace(a.entries[j - 1])
-        schubert_rows.extend(equations(intersect(H, fj).basis, fj))
-    special_rows = equations(line.basis, L)
+        schubert_rows.extend(equations(intersect(H, fj).rows, fj))
+    special_rows = equations(line.rows, L)
     return rank(schubert_rows + special_rows) - rank(schubert_rows)
 
 

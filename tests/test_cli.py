@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import fraction_reference as ref
 import pierikit
 import pierikit.cli as cli
 import pierikit.deform as deform
@@ -24,7 +25,6 @@ from pierikit.exactla import (
     span,
     subspace_to_json,
     unit_vector,
-    vec_add,
 )
 from pierikit.schubgeom import ProfileEntry, ProfileReport, cell_point, standard_flag
 from pierikit.seqcomb import DecSeq
@@ -171,7 +171,7 @@ class TestGeometryVerbs:
         m_path, lm_path = worked_files
         if case == "generic marked":
             lm_path = dump(tmp_path / "generic.json",
-                           span(9, e(2), e(3), e(5), e(6), vec_add(e(8), e(9))))
+                           span(9, e(2), e(3), e(5), e(6), ref.vec_add(e(8), e(9))))
             extra = []
         else:
             extra = ["--flag-seed", "1"]
@@ -319,6 +319,27 @@ class TestExitAndDeterminism:
         monkeypatch.setenv(cli.SEED_ENV, "5")
         _, env_beaten, _ = run(capsys, *argv, "--seed", "0")
         assert env_beaten == via_default
+
+    def test_malformed_seed_variable_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV, "abc")
+        rc, out, err = run(capsys, "cell", "--n", "9", "--alpha", "7,4,1", "--s", "2")
+        assert (rc, out) == (2, "")
+        assert err == "error: PIERIKIT_SEED must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize("doc", ["{}", "[1, 2]", '{"ambient": 3, "basis": 5}'])
+    @pytest.mark.parametrize("verb", ["classify", "pencil"])
+    def test_malformed_subspace_json_is_usage_error(self, capsys, tmp_path, worked_files,
+                                                    verb, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        if verb == "classify":
+            argv = ("classify", "--n", "9", "--alpha", "7,4,1", "--file", str(bad))
+        else:
+            argv = ("pencil", "--file", worked_files[0], "--marked-file", str(bad))
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == ('error: subspace JSON must be an object with an integer '
+                       '"ambient" and a list of rows in "basis"\n')
 
     def test_module_entry_point(self):
         proc = subprocess.run(

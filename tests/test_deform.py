@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import fraction_reference as ref
 from pierikit import cli, deform, schubgeom
 from pierikit.deform import (
     GoldenReport,
@@ -41,7 +42,6 @@ from pierikit.exactla import (
     span,
     sum_span,
     unit_vector,
-    vec_add,
     zero_subspace,
 )
 from pierikit.enumerative import reversed_flag
@@ -280,9 +280,10 @@ class TestBuildPencil:
 
     def test_rejects_dependent_covectors(self, monkeypatch):
         # offering x_1 = e_1 first for x_(l-1) makes covectors 1 and l-1 equal
-        real = deform.annihilator_basis
-        monkeypatch.setattr(deform, "annihilator_basis",
-                            lambda s: [unit_vector(s.ambient, 1)] + real(s))
+        real = deform._read_null_vectors
+        monkeypatch.setattr(deform, "_read_null_vectors",
+                            lambda rows, pivots, ncols: [(1, [1] + [0] * (ncols - 1))]
+                            + real(rows, pivots, ncols))
         mf = flag_within(M_COMPANION, FLAG)
         with pytest.raises(ValueError, match="covectors are not independent"):
             build_pencil(mf, 6, L_MARKED)
@@ -328,7 +329,7 @@ class TestStepVerify:
         F4 = flag.subspace(4)
         line = next(
             span(4, v)
-            for v in (vec_add(M.basis[0], M.basis[1]), M.basis[0], M.basis[1])
+            for v in (ref.vec_add(M.basis[0], M.basis[1]), M.basis[0], M.basis[1])
             if not span(4, v).contains(F4)
         )
         rep = step_verify(a, 2, 2, flag, M, line)
@@ -799,7 +800,7 @@ class TestExactClauses:
 
         def mutated(M, flag):
             mflag = list(real(M, flag))
-            mflag[4] = span(9, vec_add(e(6), e(8)), e(9))
+            mflag[4] = span(9, ref.vec_add(e(6), e(8)), e(9))
             return tuple(mflag)
 
         build_pencil(mutated(M_COMPANION, FLAG), 6, L_MARKED)
@@ -1390,7 +1391,7 @@ def textbook_pencil_family(mflag, l, L_inf):
     M = mflag[0]
     N = M.dim
     covectors = search_covectors(mflag, l, L_inf)
-    dual = tuple(M.from_coords(col) for col in zip(*invert_matrix(covectors)))
+    dual = tuple(ref.from_coords(M, col) for col in zip(*invert_matrix(covectors)))
     for i in range(1, N + 1):
         assert span(M.ambient, *dual[i - 1:]) == mflag[i - 1]
     assert span(M.ambient, *(dual[q] for q in range(N) if q != l - 2)) == L_inf
@@ -1559,15 +1560,15 @@ def search_pencil(mflag, l, L_inf):
     """(covectors, Pencil) as build_pencil built them by search."""
     M = mflag[0]
     covectors = search_covectors(mflag, l, L_inf)
-    dual = tuple(M.from_coords(col) for col in zip(*invert_matrix(covectors)))
+    dual = tuple(ref.from_coords(M, col) for col in zip(*invert_matrix(covectors)))
     family = deform._pencil_columns(M.ambient, dual, l)
     return covectors, Pencil(M, tuple(mflag), l, family, L_inf)
 
 
 def fraction_draws(a, s, flag, M, rng):
     """_descend_hyperplane's draws as they read in Fractions: for each draw,
-    the span of M.from_coords over the Fraction kernel of the covector, or
-    None when the covector is zero."""
+    the span of the Fraction kernel of the covector, read as coordinates on
+    M's canonical basis, or None when the covector is zero."""
     N = M.dim
     top = M.restrict(flag.subspace(a.entries[0] + s))
     ann = kernel_basis(list(top.rows), N)
@@ -1578,7 +1579,7 @@ def fraction_draws(a, s, flag, M, rng):
             yield None
             continue
         inside = kernel_basis([covector], N)
-        yield canonicalize([M.from_coords(v) for v in inside], M.ambient)
+        yield canonicalize([ref.from_coords(M, v) for v in inside], M.ambient)
 
 
 def descent_cases():
@@ -1607,12 +1608,12 @@ class TestIntegerSteps:
         coordinate flag of M's chart and every covector read off is a unit
         covector.  On flags in M cut out by standard, reversed and random
         flags, build_pencil still checks the search covectors and returns
-        the search Pencil, and it calls annihilator_basis once, for
-        x_(l-1)."""
+        the search Pencil, and it reads null vectors off one space's rows,
+        for x_(l-1)."""
         checked, searched = recorded_covectors(monkeypatch), []
-        real = deform.annihilator_basis
-        monkeypatch.setattr(deform, "annihilator_basis",
-                            lambda S: searched.append(S) or real(S))
+        real = deform._read_null_vectors
+        monkeypatch.setattr(deform, "_read_null_vectors",
+                            lambda *args: searched.append(args) or real(*args))
         cases, units = pencil_cases(), 0
         for mf, l, L_inf in cases:
             checked.clear()
@@ -1627,7 +1628,7 @@ class TestIntegerSteps:
 
     def test_every_draw_is_the_fraction_draw(self, monkeypatch):
         """With cell_member refusing every plane, a descent makes all 64
-        draws, calling neither kernel_basis nor Subspace.from_coords; the
+        draws, calling no kernel_basis and reading no Fraction basis; the
         hyperplane each one builds equals the Fraction draw from the same
         rng state, and the rng ends in the same state."""
         cases = descent_cases()
@@ -1645,7 +1646,7 @@ class TestIntegerSteps:
                 m.setattr(deform, "canonicalize", recording)
                 m.setattr(deform, "cell_member", lambda *args: False)
                 m.setattr(deform, "kernel_basis", forbid)
-                m.setattr(Subspace, "from_coords", forbid)
+                m.setattr(Subspace, "basis", property(forbid))
                 with pytest.raises(GenericityError):
                     deform._descend_hyperplane(a, s, flag, M, rng)
             want = [L for L in itertools.islice(fraction_draws(a, s, flag, M, ref), 64)
@@ -1657,7 +1658,7 @@ class TestIntegerSteps:
 # ----------------------------------------------------------------------
 # build_pencil's dual basis comes from integer back substitution on the
 # triangular covectors plus one correction for row l-1.  The inverse of the
-# covector matrix, lifted by M.from_coords, as build_pencil built it
+# covector matrix, lifted through M's canonical basis, as build_pencil built it
 # before, stays here as the reference.
 
 def recorded_duals(monkeypatch):
@@ -1674,11 +1675,11 @@ def recorded_duals(monkeypatch):
 
 
 def inverse_dual(mflag, l, L_inf):
-    """The dual basis as the inverse of the search covectors, lifted by
-    M.from_coords one column at a time."""
+    """The dual basis as the inverse of the search covectors, each column
+    read as coordinates on M's canonical basis."""
     M = mflag[0]
     inverse = invert_matrix(search_covectors(mflag, l, L_inf))
-    return tuple(M.from_coords(col) for col in zip(*inverse))
+    return tuple(ref.from_coords(M, col) for col in zip(*inverse))
 
 
 def sweep_pencils():
@@ -1716,7 +1717,7 @@ class TestTriangularDual:
             duals.clear()
             with monkeypatch.context() as m:
                 m.setattr(exactla, "invert_matrix", forbid)
-                m.setattr(Subspace, "from_coords", forbid)
+                m.setattr(Subspace, "basis", property(forbid))
                 build_pencil(mf, l, L_inf)
             assert duals == [want], (l, str(mf[0]))
             assert all(type(x) is F for v in duals[0] for x in v)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import fraction_reference as ref
 import pierikit
 from pierikit import enumerative
 from pierikit.enumerative import (
@@ -37,8 +38,6 @@ from pierikit.exactla import (
     span,
     sum_span,
     unit_vector,
-    vec_add,
-    vec_scale,
     zero_subspace,
 )
 from pierikit.schubgeom import random_flag, schubert_member, standard_flag
@@ -372,7 +371,7 @@ def fraction_witnesses(alpha, beta, C, flag, flag2):
     for K in slices:
         f = (frac(0),) * n
         for q in range(K.dim):
-            f = vec_add(f, vec_scale(coeffs[at + q], K.basis[q]))
+            f = ref.vec_add(f, ref.vec_scale(coeffs[at + q], K.basis[q]))
         at += K.dim
         basis.append(f)
     for j, f in enumerate(basis, start=1):

@@ -12,9 +12,11 @@ from itertools import combinations
 
 import pytest
 
-from pierikit import schubgeom
+import fraction_reference as ref
+from pierikit import deform, exactla, schubgeom
 from pierikit.exactla import (
     GenericityError,
+    Subspace,
     VerificationError,
     canonicalize,
     intersect,
@@ -23,8 +25,6 @@ from pierikit.exactla import (
     sum_span,
     unit_vector,
     vec,
-    vec_add,
-    vec_scale,
 )
 from pierikit.seqcomb import DecSeq, first_diff_index, pieri_set
 from pierikit.schubgeom import (
@@ -442,10 +442,10 @@ class TestVectorAvoiding:
 
     def test_exhausted_search_is_a_genericity_error(self, monkeypatch):
         # every candidate rejected: the seeded search runs out of draws
-        monkeypatch.setattr(schubgeom, "is_zero_vec", lambda v: True)
+        monkeypatch.setattr(Subspace, "contains_vector", lambda self, v: True)
         inside = span(3, vec([1, 0, 0]), vec([0, 1, 0]))
         with pytest.raises(GenericityError, match="avoiding vector"):
-            vector_avoiding(inside, [])
+            vector_avoiding(inside, [span(3, vec([0, 0, 1]))])
 
     def test_exhausted_cell_samplers(self, monkeypatch):
         monkeypatch.setattr(schubgeom, "schubert_member", lambda *a: False)
@@ -532,7 +532,7 @@ class TestRestriction:
             assert rf.subspace(i).dim == 6 - i
         assert rf.subspace(6).is_zero
         # F_5's coordinates pull the restricted spaces back to the originals
-        assert FLAG.subspace(5).extend(rf.subspace(3)) == FLAG.subspace(7)
+        assert ref.extend(FLAG.subspace(5), rf.subspace(3)) == FLAG.subspace(7)
 
     def test_fibration_consistency(self):
         # incidence membership factors through the meet with flag space b_j
@@ -572,7 +572,7 @@ class TestRestriction:
                 assert inner.ambient == Fq.dim and inner.dim == L.dim
                 assert (restrict_flag(flag, q).meet_dims(inner)
                         == flag.meet_dims(L)[q - 1:])
-                assert Fq.extend(inner) == L
+                assert ref.extend(Fq, inner) == L
                 checked += L.dim > 0 and q > 1
         assert checked >= 40, checked
 
@@ -846,23 +846,6 @@ class TestFlagPositionDifferential:
                 check(a, 3)
 
 
-def textbook_pivot_span(pivots, flag, rng):
-    """_pivot_span as built in Fractions: each generator summed with
-    vec_add and vec_scale over the adapted basis."""
-    u = flag.adapted_basis
-    n = flag.ambient
-    rows = []
-    for p in pivots:
-        v = u[p - 1]
-        for i in range(p + 1, n + 1):
-            if i not in pivots:
-                c = rng.randint(-9, 9)
-                if c:
-                    v = vec_add(v, vec_scale(Fraction(c), u[i - 1]))
-        rows.append(v)
-    return span(n, *rows)
-
-
 class TestPivotSpanDifferential:
     def test_against_the_fraction_sum(self):
         from pierikit.enumerative import reversed_flag
@@ -876,8 +859,201 @@ class TestPivotSpanDifferential:
                     seed = rng.randrange(10**6)
                     ours, theirs = random.Random(seed), random.Random(seed)
                     got = schubgeom._pivot_span(pivots, flag, ours)
-                    assert got == textbook_pivot_span(pivots, flag, theirs), (n, pivots)
+                    assert got == ref.pivot_span(pivots, flag, theirs), (n, pivots)
                     # the same random stream was drawn
                     assert ours.getstate() == theirs.getstate()
                     checked += 1
         assert checked == 160
+
+
+# ----------------------------------------------------------------------
+# Integer witness planes and tangent spaces.  vector_avoiding,
+# witness_point, tangent_codim, cell_point and random_flag work on integer
+# rows; the Fraction code they replaced stays in fraction_reference as the
+# reference, value for value.
+
+@dataclass(frozen=True)
+class Raised:
+    kind: str
+    message: str
+
+
+def outcome(fn, *args):
+    """fn's value, or the ValueError or GenericityError it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, GenericityError) as exc:
+        return Raised(type(exc).__name__, str(exc))
+
+
+def witness_cases():
+    """(a, flag, L, seed) at n = 4..9, on the standard flag and two seeded
+    random flags: for two random a, the cell point of every nonempty cell
+    parameter and one random subspace of a random admissible dimension."""
+    rng = random.Random(19960122)
+    cases = []
+    for n in range(4, 10):
+        for flag in (standard_flag(n), random_flag(n, n), random_flag(n, 10 * n)) * 2:
+            m = rng.randint(1, min(3, n - 1))
+            a = DecSeq(n, tuple(sorted(rng.sample(range(1, n + 1), m), reverse=True)))
+            for s in range(1, n + 2 - m):
+                seed = rng.randrange(1000)
+                L = outcome(cell_point, a, s, flag, seed)
+                assert L == outcome(ref.cell_point, a, s, flag, seed), (a, s)
+                if isinstance(L, Subspace):
+                    cases.append((a, flag, L, seed))
+            d = rng.randint(0, n - m)
+            L = span(n, *[[rng.randint(-4, 4) for _ in range(n)] for _ in range(d)])
+            cases.append((a, flag, L, rng.randrange(1000)))
+    return cases
+
+
+def avoiding_cases():
+    """(inside, avoid, seed) at n = 4..9: random rows for inside, and to
+    avoid random subspaces (its rows pass), the lines through its rows
+    (a pairwise sum passes) or those and the lines through every pairwise
+    sum (a random combination passes)."""
+    rng = random.Random(20261019)
+    cases = []
+    for i in range(240):
+        n = rng.randint(4, 9)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(2, n - 1))]
+        inside = span(n, *rows)
+        regime = i % 3
+        if regime == 0:
+            avoid = [span(n, *[[rng.randint(-3, 3) for _ in range(n)]
+                               for _ in range(rng.randint(0, n - 1))])]
+        else:
+            lines = list(inside.basis)
+            if regime == 2:
+                lines += [ref.vec_add(u, v) for k, u in enumerate(inside.basis)
+                          for v in inside.basis[k + 1:]]
+            avoid = [span(n, v) for v in lines]
+        cases.append((inside, avoid, rng.randrange(10**6)))
+    return cases
+
+
+def avoiding_disagreements():
+    """How many avoiding_cases() vector_avoiding gets wrong against the
+    Fraction reference: a different vector, not a Fraction vector, or a
+    different rng stream."""
+    wrong = 0
+    for inside, avoid, seed in avoiding_cases():
+        ours, theirs = random.Random(seed), random.Random(seed)
+        got = outcome(schubgeom.vector_avoiding, inside, avoid, ours)
+        want = outcome(ref.vector_avoiding, inside, avoid, theirs)
+        wrong += (got != want or ours.getstate() != theirs.getstate()
+                  or not (isinstance(got, Raised)
+                          or all(type(x) is Fraction for x in got)))
+    return wrong
+
+
+def witness_disagreements(cases):
+    """How many witness planes and tangent codimensions differ from the
+    Fraction reference over the cases, and the planes built."""
+    planes = wrong = 0
+    for a, flag, L, seed in cases:
+        for mode in range(1, a.m + 1):
+            H = outcome(schubgeom.witness_point, a, flag, L, mode, seed)
+            wrong += H != outcome(ref.witness_point, a, flag, L, mode, seed)
+            if isinstance(H, Subspace):
+                planes += 1
+                wrong += (outcome(schubgeom.tangent_codim, H, a, flag, L)
+                          != outcome(ref.tangent_codim, H, a, flag, L))
+    return planes, wrong
+
+
+class TestIntegerWitnesses:
+    def test_vector_avoiding_is_the_fraction_vector(self):
+        """The same vector, as Fractions, from the same rng draws, whether
+        a row, a pairwise sum or a random combination passes."""
+        cases = avoiding_cases()
+        assert avoiding_disagreements() == 0
+        # every regime reaches the stage it is built for
+        stages = {"row": 0, "sum": 0, "random": 0}
+        for inside, avoid, seed in cases:
+            v = outcome(vector_avoiding, inside, avoid, random.Random(seed))
+            if isinstance(v, Raised):
+                continue
+            if v in inside.basis:
+                stages["row"] += 1
+            elif v in [ref.vec_add(u, w) for k, u in enumerate(inside.basis)
+                       for w in inside.basis[k + 1:]]:
+                stages["sum"] += 1
+            else:
+                stages["random"] += 1
+        assert all(count >= 50 for count in stages.values()), stages
+
+    def test_witness_planes_and_codimensions_are_the_fraction_ones(self):
+        """witness_point and tangent_codim on the cases give the reference
+        plane and codimension, or raise what it raises; cell_point is
+        checked while the cases are drawn."""
+        cases = witness_cases()
+        planes, wrong = witness_disagreements(cases)
+        assert wrong == 0
+        assert planes >= 100 and len(cases) >= 150, (planes, len(cases))
+        assert sum(not flag._is_coordinate for _, flag, _, _ in cases) >= 100
+
+    def test_random_flag_draws_the_fraction_basis(self):
+        for n in range(1, 10):
+            for seed in range(6):
+                got, want = random_flag(n, seed), ref.random_flag(n, seed)
+                assert got == want and got.adapted_basis == want.adapted_basis
+
+    def test_no_fraction_basis_is_read(self, monkeypatch):
+        """witness_point, tangent_codim and _pivot_span never read a
+        subspace's Fraction basis."""
+        cases, want = witness_cases()[::3], []
+        for a, flag, L, seed in cases:
+            H = outcome(ref.witness_point, a, flag, L, 1, seed)
+            H = H if isinstance(H, Subspace) else None
+            want.append((ref.pivot_span(a.entries, flag, random.Random(seed)), H,
+                         None if H is None else ref.tangent_codim(H, a, flag, L)))
+
+        def forbid(self):
+            raise AssertionError("read a Subspace's Fraction basis")
+
+        monkeypatch.setattr(Subspace, "basis", property(forbid))
+        for (a, flag, L, seed), (pivot_span, H, codim) in zip(cases, want):
+            assert schubgeom._pivot_span(a.entries, flag, random.Random(seed)) == pivot_span
+            if H is not None:
+                assert witness_point(a, flag, L, 1, seed) == H
+                assert tangent_codim(H, a, flag, L) == codim
+        assert sum(H is not None for _, H, _ in want) >= 10
+
+
+class TestIntegerWitnessMutants:
+    """Wrong integer variants, each caught by the differentials above."""
+
+    def test_avoiding_sum_without_the_lift_fails(self, monkeypatch):
+        # the canonical rows summed as they are: each is its canonical basis
+        # vector times its own pivot entry, not one common multiple
+        monkeypatch.setattr(schubgeom, "vector_avoiding", ref.source_mutant(
+            schubgeom.vector_avoiding, "P, cand = _scaled_lift(inside.rows)",
+            "P, cand = 1, [list(row) for row in inside.rows]"))
+        assert avoiding_disagreements() >= 200
+
+    def test_tangent_coordinates_one_column_off_fail(self, monkeypatch):
+        monkeypatch.setattr(schubgeom, "tangent_codim", ref.source_mutant(
+            schubgeom.tangent_codim, "u[p] * x", "u[p - 1] * x"))
+        planes, wrong = witness_disagreements(witness_cases())
+        assert wrong >= 30, (planes, wrong)
+
+    def test_lift_by_the_first_leading_entry_fails(self, monkeypatch):
+        # P = the first row's leading entry, not the lcm of them all: the
+        # other rows are scaled by P // lead, rounded down
+        mutant = ref.source_mutant(exactla._scaled_lift, "P = lcm(*leads)",
+                                   "P = leads[0] if leads else 1")
+        for module in (exactla, schubgeom, deform):
+            monkeypatch.setattr(module, "_scaled_lift", mutant)
+        assert avoiding_disagreements() >= 40
+        rng = random.Random(4)
+        wrong = 0
+        for n in range(4, 10):
+            flag = random_flag(n, n)
+            for _ in range(5):
+                pivots = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+                seed = rng.randrange(1000)
+                wrong += (schubgeom._pivot_span(pivots, flag, random.Random(seed))
+                          != ref.pivot_span(pivots, flag, random.Random(seed)))
+        assert wrong >= 15, wrong
