@@ -8,7 +8,6 @@ position to the fully special one where every component is a plain
 Schubert variety.
 """
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
 import random
@@ -17,6 +16,7 @@ from .exactla import (
     Flag,
     GenericityError,
     PolyFamily,
+    Record,
     StageCheck,
     Subspace,
     Verdict,
@@ -28,6 +28,7 @@ from .exactla import (
     _over,
     _read_null_vectors,
     _scaled_lift,
+    _set_field,
     canonicalize,
     check_lines,
     family_from_vectors,
@@ -119,8 +120,7 @@ def _pencil_columns(ambient: int, dual_basis: tuple, l: int):
     return family_from_vectors(ambient, moving + fixed)
 
 
-@dataclass(frozen=True)
-class Pencil:
+class Pencil(Record):
     """A one-parameter family L_t of hyperplanes of M adapted to a flag in M.
 
     Over a basis e_1, ..., e_N of M with M_i = <e_i, ..., e_N>, the family's
@@ -130,11 +130,15 @@ class Pencil:
     past N in the flag in M are the zero space, as for Flag.subspace.
     """
 
-    M: Subspace
-    mflag: tuple
-    l: int
-    family: PolyFamily
-    marked: Subspace
+    _fields = ("M", "mflag", "l", "family", "marked")
+
+    def __init__(self, M: Subspace, mflag: tuple, l: int, family: PolyFamily,
+                 marked: Subspace):
+        _set_field(self, "M", M)
+        _set_field(self, "mflag", mflag)
+        _set_field(self, "l", l)
+        _set_field(self, "family", family)
+        _set_field(self, "marked", marked)
 
     def space(self, i: int) -> Subspace:
         return _mflag_space(self.mflag, i, self.M.ambient)
@@ -322,16 +326,19 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
 # ----------------------------------------------------------------------
 # Stage reports.
 
-@dataclass(frozen=True)
-class ComponentRecord:
+class ComponentRecord(Record):
     """One cycle component at a stage: its index, branching row, and the
     indices it breaks into at the next stage.  Row 1 carries a Schubert
     variety, any other row an incidence component."""
 
-    index: DecSeq
-    j: int
-    children: tuple
-    limit_dim: int | None = None
+    _fields = ("index", "j", "children", "limit_dim")
+
+    def __init__(self, index: DecSeq, j: int, children: tuple,
+                 limit_dim: int | None = None):
+        _set_field(self, "index", index)
+        _set_field(self, "j", j)
+        _set_field(self, "children", children)
+        _set_field(self, "limit_dim", limit_dim)
 
     @property
     def kind(self) -> str:
@@ -349,14 +356,17 @@ class ComponentRecord:
         return out
 
 
-@dataclass(frozen=True)
 class StepReport(Verdict):
-    stage: str
-    alpha: DecSeq
-    s: int
-    r: int
-    checks: tuple
-    records: tuple = ()
+    _fields = ("stage", "alpha", "s", "r", "checks", "records")
+
+    def __init__(self, stage: str, alpha: DecSeq, s: int, r: int, checks: tuple,
+                 records: tuple = ()):
+        _set_field(self, "stage", stage)
+        _set_field(self, "alpha", alpha)
+        _set_field(self, "s", s)
+        _set_field(self, "r", r)
+        _set_field(self, "checks", checks)
+        _set_field(self, "records", records)
 
     def to_json(self):
         return {
@@ -764,13 +774,15 @@ def worked_family() -> PolyFamily:
     return family_from_vectors(9, cols)
 
 
-@dataclass(frozen=True)
 class GoldenReport(Verdict):
     """Outcome of the worked run: named sections of checks plus the final
     component index set."""
 
-    sections: tuple
-    final_indices: tuple
+    _fields = ("sections", "final_indices")
+
+    def __init__(self, sections: tuple, final_indices: tuple):
+        _set_field(self, "sections", sections)
+        _set_field(self, "final_indices", final_indices)
 
     @property
     def checks(self) -> tuple:

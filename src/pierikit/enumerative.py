@@ -15,7 +15,6 @@ coordinates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from operator import mul
@@ -24,10 +23,12 @@ from typing import Iterator
 from .exactla import (
     Flag,
     GenericityError,
+    Record,
     Subspace,
     VerificationError,
     _null_vectors,
     _read_null_vectors,
+    _set_field,
     flag_from_basis,
     intersect,
     rank,
@@ -43,8 +44,7 @@ from .seqcomb import DecSeq, codim, dual, lambda_of, pieri_set
 _EXPANSION_CAP = 30
 
 
-@dataclass(frozen=True)
-class QuintupleProblem:
+class QuintupleProblem(Record):
     """Data for a five-condition intersection of m-planes in k^n.
 
     alpha and beta index the two flag conditions; a, b, c are the
@@ -53,26 +53,38 @@ class QuintupleProblem:
     m(n-m).  Zero values of a, b, c are allowed (an empty condition).
     """
 
-    n: int
-    m: int
-    alpha: DecSeq
-    beta: DecSeq
-    a: int
-    b: int
-    c: int
+    _fields = ("n", "m", "alpha", "beta", "a", "b", "c")
 
-    def __post_init__(self):
-        if not 1 <= self.m < self.n:
+    def __init__(self, n: int, m: int, alpha: DecSeq, beta: DecSeq,
+                 a: int, b: int, c: int):
+        if not 1 <= m < n:
             raise ValueError("need 1 <= m < n")
-        for s in (self.alpha, self.beta):
-            if s.n != self.n or s.m != self.m:
-                raise ValueError(f"{s} does not index m-planes in k^{self.n}")
-        if min(self.a, self.b, self.c) < 0:
+        for s in (alpha, beta):
+            if s.n != n or s.m != m:
+                raise ValueError(f"{s} does not index m-planes in k^{n}")
+        if min(a, b, c) < 0:
             raise ValueError("special codimensions must be nonnegative")
-        need = self.m * (self.n - self.m)
-        got = self.a + self.b + self.c + codim(self.alpha) + codim(self.beta)
+        need = m * (n - m)
+        got = a + b + c + codim(alpha) + codim(beta)
         if got != need:
             raise ValueError(f"degrees sum to {got}, the ambient dimension is {need}")
+        _set_field(self, "n", n)
+        _set_field(self, "m", m)
+        _set_field(self, "alpha", alpha)
+        _set_field(self, "beta", beta)
+        _set_field(self, "a", a)
+        _set_field(self, "b", b)
+        _set_field(self, "c", c)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.n, self.m, self.alpha, self.beta, self.a, self.b, self.c)
+                    == (other.n, other.m, other.alpha, other.beta, other.a, other.b,
+                        other.c))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.m, self.alpha, self.beta, self.a, self.b, self.c))
 
     def to_json(self) -> dict:
         return {

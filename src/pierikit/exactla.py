@@ -31,14 +31,18 @@ j) is one elimination of its framed rows, and on the coordinate flag it is
 read off the subspace's canonical pivots with none.  Fractions appear only
 at the boundary: Subspace.basis, JSON, and the public Fraction views (rref,
 kernel_basis, solve_columns, invert_matrix, annihilator_basis,
-Flag.adapted_basis); inside, canonicalize still goes through rref,
-limit_at_zero through kernel_basis, and flag_from_basis reads its vectors
-as Fractions.
+Flag.adapted_basis); inside, canonicalize still goes through rref and
+limit_at_zero through kernel_basis.  flag_from_basis reads each vector as
+an integer row and builds every F_j with span.
+
+The value types (StageCheck, Subspace, Flag, PolyFamily here, and the
+records of the other layers) are frozen Records written out by hand, not
+dataclasses: importing dataclasses (and with it inspect) and running its
+generated code would cost every CLI process about 25 ms at start-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -68,14 +72,59 @@ class GenericityError(RuntimeError):
     wrong: another draw or seed may work."""
 
 
-@dataclass(frozen=True)
-class StageCheck:
+# stores a field of a frozen Record, as a frozen dataclass's __init__ does;
+# writing into self.__dict__ instead would be faster to build but slower to
+# read, since it turns off CPython's inline attribute values
+_set_field = object.__setattr__
+
+
+class Record:
+    """Base of the library's frozen value records.
+
+    A record lists its fields in _fields.  Two records are equal when they
+    are instances of the same class with equal field tuples, a record
+    hashes as its field tuple, and its repr reads Cls(field=value, ...), as
+    for a frozen dataclass; assigning or deleting any attribute raises
+    AttributeError.  Each record class writes its own __init__, which
+    stores each field with _set_field, past the frozen __setattr__, and
+    the records that key caches and sets write __eq__ and __hash__ out in
+    full.  Instances keep a __dict__, where cached_property caches.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}("
+                + ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields) + ")")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class StageCheck(Record):
     """One named clause of a verification and its verdict: every report
     and every CLI verb states its clauses as StageChecks."""
 
-    name: str
-    passed: bool
-    detail: str = ""
+    _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        _set_field(self, "name", name)
+        _set_field(self, "passed", passed)
+        _set_field(self, "detail", detail)
 
     def to_json(self):
         out = {"name": self.name, "passed": self.passed}
@@ -101,8 +150,8 @@ def verdict_line(label: str, checks) -> str:
     return f"{label}: " + ("FAIL" if failed_names(checks) else "PASS")
 
 
-class Verdict:
-    """Mixin: a report's `passed` and `failures()` read its `checks`."""
+class Verdict(Record):
+    """A report record whose `passed` and `failures()` read its `checks`."""
 
     @property
     def passed(self) -> bool:
@@ -329,8 +378,7 @@ def invert_matrix(rows):
 # ----------------------------------------------------------------------
 # Subspaces.
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """A subspace of k^ambient, stored as its canonical integer rows.
 
     rows is the reduced echelon basis with each row scaled to a primitive
@@ -339,27 +387,36 @@ class Subspace:
     unique, so two Subspace values are equal iff they are the same
     subspace.  pivots holds each row's pivot column, found while the rows
     are validated; basis is the Fraction view with pivot entries 1, built
-    on first read.  The zero space has no rows.
+    on first read.  The zero space has no rows.  pivots is derived, so it
+    is not a field: it takes no part in ==, hash or repr.
     """
 
-    ambient: int
-    rows: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("ambient", "rows")
 
-    def __post_init__(self):
+    def __init__(self, ambient: int, rows: tuple[tuple[int, ...], ...]):
         pivots = []
-        for row in self.rows:
-            if len(row) != self.ambient:
+        for row in rows:
+            if len(row) != ambient:
                 raise ValueError("basis vector length does not match ambient")
             lead = next(filter(None, row), 0)
             p = row.index(lead) if lead else -1
             if lead <= 0 or (pivots and p <= pivots[-1]) or gcd(*row) != 1:
                 raise ValueError("basis is not in reduced echelon form")
             # later rows are zero at p because their pivots come after it
-            if pivots and any(other[p] for other in self.rows[:len(pivots)]):
+            if pivots and any(other[p] for other in rows[:len(pivots)]):
                 raise ValueError("basis is not fully reduced")
             pivots.append(p)
-        object.__setattr__(self, "pivots", tuple(pivots))
+        _set_field(self, "ambient", ambient)
+        _set_field(self, "rows", rows)
+        _set_field(self, "pivots", tuple(pivots))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ambient, self.rows) == (other.ambient, other.rows)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ambient, self.rows))
 
     @property
     def dim(self) -> int:
@@ -532,28 +589,36 @@ def annihilator_basis(s: Subspace):
 # ----------------------------------------------------------------------
 # Complete flags.
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Record):
     """A complete flag F_1 > F_2 > ... > F_{n+1} = 0 with dim F_j = n+1-j.
 
     spaces[j-1] is F_j.  Indices beyond n+1 are clamped to the zero space by
     subspace(), which keeps index arithmetic like F_{a+s} total.
     """
 
-    ambient: int
-    spaces: tuple[Subspace, ...]
+    _fields = ("ambient", "spaces")
 
-    def __post_init__(self):
-        n = self.ambient
-        if len(self.spaces) != n + 1:
+    def __init__(self, ambient: int, spaces: tuple[Subspace, ...]):
+        n = ambient
+        if len(spaces) != n + 1:
             raise ValueError(f"flag needs {n + 1} subspaces F_1..F_{n + 1}")
-        for j, s in enumerate(self.spaces, start=1):
+        for j, s in enumerate(spaces, start=1):
             if s.ambient != n:
                 raise ValueError("flag subspace has wrong ambient")
             if s.dim != n + 1 - j:
                 raise ValueError(f"dim F_{j} must be {n + 1 - j}")
-            if j > 1 and not self.spaces[j - 2].contains(s):
+            if j > 1 and not spaces[j - 2].contains(s):
                 raise ValueError(f"F_{j} is not contained in F_{j - 1}")
+        _set_field(self, "ambient", ambient)
+        _set_field(self, "spaces", spaces)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ambient, self.spaces) == (other.ambient, other.spaces)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ambient, self.spaces))
 
     def subspace(self, j: int) -> Subspace:
         if j < 1:
@@ -566,7 +631,7 @@ class Flag:
     def _adapted_rows(self) -> tuple[tuple[int, ...], ...]:
         """Integer vectors w_1, ..., w_n with F_j spanned by w_j, ..., w_n:
         w_j is the first canonical integer row of F_j outside F_{j+1} (a
-        hyperplane of F_j by __post_init__), so the choice is deterministic."""
+        hyperplane of F_j by __init__), so the choice is deterministic."""
         return tuple(next(row for row in self.spaces[j].rows
                           if not self.spaces[j + 1].contains_vector(row))
                      for j in range(self.ambient))
@@ -638,12 +703,14 @@ class Flag:
 
 
 def flag_from_basis(vectors) -> Flag:
-    """Flag with F_j spanned by vectors[j-1:]; vectors must be a basis."""
+    """Flag with F_j spanned by vectors[j-1:]; vectors must be a basis.
+    Each vector is read as an integer multiple of itself, so the rank
+    check and every F_j are integer eliminations (span)."""
     n = len(vectors)
-    vs = [vec(v, n) for v in vectors]
-    if rank(vs) != n:
+    rows = [_int_vector(v, n)[0] for v in vectors]
+    if rank(rows) != n:
         raise ValueError("vectors do not form a basis")
-    spaces = [canonicalize(vs[j - 1:], n) for j in range(1, n + 1)]
+    spaces = [span(n, *rows[j:]) for j in range(n)]
     spaces.append(zero_subspace(n))
     return Flag(n, tuple(spaces))
 
@@ -659,8 +726,7 @@ def ptrim(c) -> Poly:
     return tuple(c)
 
 
-@dataclass(frozen=True)
-class PolyFamily:
+class PolyFamily(Record):
     """A family of subspaces spanned by columns with polynomial entries.
 
     cols[q][i] is the entry of column q in coordinate i, a Poly in t.  The
@@ -669,13 +735,14 @@ class PolyFamily:
     D points at most: the rank at any D+1 points decides the generic rank.
     """
 
-    ambient: int
-    cols: tuple[tuple[Poly, ...], ...]
+    _fields = ("ambient", "cols")
 
-    def __post_init__(self):
-        for col in self.cols:
-            if len(col) != self.ambient:
+    def __init__(self, ambient: int, cols: tuple[tuple[Poly, ...], ...]):
+        for col in cols:
+            if len(col) != ambient:
                 raise ValueError("column length does not match ambient")
+        _set_field(self, "ambient", ambient)
+        _set_field(self, "cols", cols)
 
     @property
     def ncols(self) -> int:

@@ -11,12 +11,12 @@ vector as Fractions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactla import (
     Flag,
     GenericityError,
+    Record,
     StageCheck,
     Subspace,
     Verdict,
@@ -24,6 +24,7 @@ from .exactla import (
     _over,
     _read_null_vectors,
     _scaled_lift,
+    _set_field,
     flag_from_basis,
     intersect,
     quotient_dim,
@@ -117,20 +118,25 @@ def x_member(H: Subspace, b: DecSeq, j: int, flag: Flag, L: Subspace) -> bool:
 # the trichotomy classifier
 
 
-@dataclass(frozen=True)
-class DimEntry:
-    j: int
-    flag_index: int
-    meet_dim: int
-    critical: int
+class DimEntry(Record):
+    _fields = ("j", "flag_index", "meet_dim", "critical")
+
+    def __init__(self, j: int, flag_index: int, meet_dim: int, critical: int):
+        _set_field(self, "j", j)
+        _set_field(self, "flag_index", flag_index)
+        _set_field(self, "meet_dim", meet_dim)
+        _set_field(self, "critical", critical)
 
 
-@dataclass(frozen=True)
-class Classification:
-    verdict: str
-    entries: tuple[DimEntry, ...]
-    equality_set: tuple[int, ...]
-    s: int
+class Classification(Record):
+    _fields = ("verdict", "entries", "equality_set", "s")
+
+    def __init__(self, verdict: str, entries: tuple[DimEntry, ...],
+                 equality_set: tuple[int, ...], s: int):
+        _set_field(self, "verdict", verdict)
+        _set_field(self, "entries", entries)
+        _set_field(self, "equality_set", equality_set)
+        _set_field(self, "s", s)
 
     def to_json(self) -> dict:
         return {
@@ -253,16 +259,20 @@ def profile_in_cell(meets, a: DecSeq, s: int) -> bool:
                for j, aj in enumerate(a.entries[1:], 2))
 
 
-@dataclass(frozen=True)
-class ProfileEntry:
-    i: int
-    expected: int
-    actual: int
+class ProfileEntry(Record):
+    _fields = ("i", "expected", "actual")
+
+    def __init__(self, i: int, expected: int, actual: int):
+        _set_field(self, "i", i)
+        _set_field(self, "expected", expected)
+        _set_field(self, "actual", actual)
 
 
-@dataclass(frozen=True)
 class ProfileReport(Verdict):
-    entries: tuple[ProfileEntry, ...]
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[ProfileEntry, ...]):
+        _set_field(self, "entries", entries)
 
     @property
     def checks(self) -> tuple:

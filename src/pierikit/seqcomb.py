@@ -9,30 +9,55 @@ tree whose root-to-leaf chains drive everything downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
-from .exactla import VerificationError
+from .exactla import Record, VerificationError, _set_field
 
 
-@dataclass(frozen=True)
-class DecSeq:
-    """Strictly decreasing sequence n >= a_1 > ... > a_m >= 1."""
+class DecSeq(Record):
+    """Strictly decreasing sequence n >= a_1 > ... > a_m >= 1.
 
-    n: int
-    entries: tuple[int, ...]
+    n and every entry must be integers (anything operator.index takes,
+    stored as int); a float or a string raises ValueError rather than
+    being truncated or parsed."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
-        if self.n < 1:
+    _fields = ("n", "entries")
+
+    def __init__(self, n: int, entries: tuple[int, ...]):
+        try:
+            n = index(n)
+        except TypeError:
+            raise ValueError(f"ambient parameter n must be an integer, got {n!r}") from None
+        entries = tuple(entries)
+        try:
+            entries = tuple(map(index, entries))
+        except TypeError:
+            for x in entries:
+                try:
+                    index(x)
+                except TypeError:
+                    raise ValueError(f"entries must be integers, got {x!r}") from None
+            raise
+        if n < 1:
             raise ValueError("ambient parameter n must be positive")
-        prev = self.n + 1
-        for x in self.entries:
+        prev = n + 1
+        for x in entries:
             if not 1 <= x < prev:
                 raise ValueError(
-                    f"entries must satisfy n >= a_1 > ... > a_m >= 1, got {self.entries}"
+                    f"entries must satisfy n >= a_1 > ... > a_m >= 1, got {entries}"
                 )
             prev = x
+        _set_field(self, "n", n)
+        _set_field(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.entries) == (other.n, other.entries)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.entries))
 
     @property
     def m(self) -> int:
@@ -192,14 +217,18 @@ def branch_parent(a: DecSeq, g: DecSeq) -> DecSeq:
     return g.bump(first_diff_index(a, g), -1)
 
 
-@dataclass(frozen=True)
-class PieriTree:
+class PieriTree(Record):
     """Levels a*0, a*1, ..., a*b with the unique-parent covering edges."""
 
-    root: DecSeq
-    depth: int
-    levels: tuple[tuple[DecSeq, ...], ...]
-    edges: tuple[tuple[DecSeq, DecSeq], ...]
+    _fields = ("root", "depth", "levels", "edges")
+
+    def __init__(self, root: DecSeq, depth: int,
+                 levels: tuple[tuple[DecSeq, ...], ...],
+                 edges: tuple[tuple[DecSeq, DecSeq], ...]):
+        _set_field(self, "root", root)
+        _set_field(self, "depth", depth)
+        _set_field(self, "levels", levels)
+        _set_field(self, "edges", edges)
 
     def chains(self) -> tuple[tuple[DecSeq, ...], ...]:
         """All root-to-leaf chains, ordered by leaf (lex decreasing).

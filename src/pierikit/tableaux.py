@@ -9,42 +9,39 @@ polynomials live in a fixed number of variables as sparse exponent maps.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactla import StageCheck, Verdict
+from .exactla import Record, StageCheck, Verdict, _set_field
 from .seqcomb import alpha_of, lambda_of, pieri_set, tree_chains, trim_partition
 
 Partition = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(Record):
     """Semistandard tableau: rows weakly increase, columns strictly increase,
     entries in 1..entry_bound.  Shapes are stored without empty rows."""
 
-    rows: tuple[tuple[int, ...], ...]
-    entry_bound: int
+    _fields = ("rows", "entry_bound")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "rows", tuple(tuple(int(x) for x in r) for r in self.rows)
-        )
+    def __init__(self, rows: tuple[tuple[int, ...], ...], entry_bound: int):
+        rows = tuple(tuple(int(x) for x in r) for r in rows)
         prev_len = None
-        for ri, row in enumerate(self.rows):
+        for ri, row in enumerate(rows):
             if not row:
                 raise ValueError("empty rows are not stored")
             if prev_len is not None and len(row) > prev_len:
                 raise ValueError("row lengths must weakly decrease")
             prev_len = len(row)
             for ci, x in enumerate(row):
-                if not 1 <= x <= self.entry_bound:
-                    raise ValueError(f"entry {x} outside 1..{self.entry_bound}")
+                if not 1 <= x <= entry_bound:
+                    raise ValueError(f"entry {x} outside 1..{entry_bound}")
                 if ci > 0 and row[ci - 1] > x:
                     raise ValueError("rows must weakly increase")
-                if ri > 0 and self.rows[ri - 1][ci] >= x:
+                if ri > 0 and rows[ri - 1][ci] >= x:
                     raise ValueError("columns must strictly increase")
+        _set_field(self, "rows", rows)
+        _set_field(self, "entry_bound", entry_bound)
 
     @property
     def shape(self) -> Partition:
@@ -161,20 +158,28 @@ def shape_tree_chains(lam: Partition, b: int, m: int) -> tuple[tuple[Partition, 
     return tuple(tuple(lambda_of(x) for x in chain) for chain in chains)
 
 
-@dataclass(frozen=True)
 class BijectionReport(Verdict):
-    lam: Partition
-    b: int
-    m: int
-    pairs_total: int
-    image_counts: tuple[tuple[Partition, int], ...]
-    expected_counts: tuple[tuple[Partition, int], ...]
-    injective: bool
-    content_ok: bool
-    shapes_ok: bool
-    counts_ok: bool
-    chains_ok: bool
-    chains_complete: bool
+    _fields = ("lam", "b", "m", "pairs_total", "image_counts", "expected_counts",
+               "injective", "content_ok", "shapes_ok", "counts_ok", "chains_ok",
+               "chains_complete")
+
+    def __init__(self, lam: Partition, b: int, m: int, pairs_total: int,
+                 image_counts: tuple[tuple[Partition, int], ...],
+                 expected_counts: tuple[tuple[Partition, int], ...],
+                 injective: bool, content_ok: bool, shapes_ok: bool,
+                 counts_ok: bool, chains_ok: bool, chains_complete: bool):
+        _set_field(self, "lam", lam)
+        _set_field(self, "b", b)
+        _set_field(self, "m", m)
+        _set_field(self, "pairs_total", pairs_total)
+        _set_field(self, "image_counts", image_counts)
+        _set_field(self, "expected_counts", expected_counts)
+        _set_field(self, "injective", injective)
+        _set_field(self, "content_ok", content_ok)
+        _set_field(self, "shapes_ok", shapes_ok)
+        _set_field(self, "counts_ok", counts_ok)
+        _set_field(self, "chains_ok", chains_ok)
+        _set_field(self, "chains_complete", chains_complete)
 
     CLAUSES = ("injective", "content_ok", "shapes_ok", "counts_ok",
                "chains_ok", "chains_complete")

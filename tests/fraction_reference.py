@@ -4,9 +4,10 @@ The library keeps vectors as integer rows and makes Fractions only where a
 result leaves it.  The code here does the same work the textbook way, on
 the canonical Fraction basis, and stays as the reference that the
 differential tests compare the integer paths against, value for value:
-the vector helpers, coordinates on a subspace and their inverse, and the
-witness, tangent and sampling routines of schubgeom as they read in
-Fractions.  It also makes source mutants of library functions.
+the vector helpers, coordinates on a subspace and their inverse, a flag
+built from a basis, and the witness, tangent and sampling routines of
+schubgeom as they read in Fractions.  It also makes source mutants of
+library functions.
 """
 
 import __future__
@@ -16,6 +17,7 @@ import textwrap
 from fractions import Fraction
 
 from pierikit.exactla import (
+    Flag,
     GenericityError,
     annihilator_basis,
     canonicalize,
@@ -27,6 +29,7 @@ from pierikit.exactla import (
     span,
     sum_span,
     vec,
+    zero_subspace,
 )
 from pierikit.schubgeom import cell_index, cell_member
 
@@ -67,6 +70,18 @@ def extend(S, a):
     if a.ambient != S.dim:
         raise ValueError("ambient mismatch")
     return canonicalize([from_coords(S, r) for r in a.rows], S.ambient)
+
+
+def fraction_flag_from_basis(vectors):
+    """exactla.flag_from_basis on Fractions: every entry read with vec, the
+    rank taken on Fraction rows and each F_j canonicalized through rref."""
+    n = len(vectors)
+    vs = [vec(v, n) for v in vectors]
+    if rank(vs) != n:
+        raise ValueError("vectors do not form a basis")
+    spaces = [canonicalize(vs[j - 1:], n) for j in range(1, n + 1)]
+    spaces.append(zero_subspace(n))
+    return Flag(n, tuple(spaces))
 
 
 def random_flag(n, seed=0):

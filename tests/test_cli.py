@@ -1,6 +1,5 @@
 """Verb coverage, exit codes, and byte determinism of the front end."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -28,6 +27,7 @@ from pierikit.exactla import (
 )
 from pierikit.schubgeom import ProfileEntry, ProfileReport, cell_point, standard_flag
 from pierikit.seqcomb import DecSeq
+from records_reference import replace
 
 
 def run(capsys, *argv):
@@ -374,7 +374,7 @@ STUB_FAILS = (StageCheck("stub pass", True),
 
 def _fail_step(monkeypatch):
     real = deform.step_verify
-    monkeypatch.setattr(deform, "step_verify", lambda *a, **k: dataclasses.replace(
+    monkeypatch.setattr(deform, "step_verify", lambda *a, **k: replace(
         real(*a, **k), checks=STUB_FAILS))
     return ["stub clause one", "stub clause two"]
 
@@ -384,7 +384,7 @@ def _fail_chain_deform(monkeypatch):
 
     def middle_stage_fails(*a, **k):
         reports = list(real(*a, **k))
-        reports[1] = dataclasses.replace(reports[1], checks=STUB_FAILS)
+        reports[1] = replace(reports[1], checks=STUB_FAILS)
         return reports
     monkeypatch.setattr(deform, "chain_deformation", middle_stage_fails)
     return ["stub clause one", "stub clause two"]
@@ -397,7 +397,7 @@ def _fail_pencil(monkeypatch):
 
 def _fail_schensted(monkeypatch):
     real = tableaux.pieri_bijection_check
-    monkeypatch.setattr(tableaux, "pieri_bijection_check", lambda *a: dataclasses.replace(
+    monkeypatch.setattr(tableaux, "pieri_bijection_check", lambda *a: replace(
         real(*a), content_ok=False, chains_complete=False))
     return ["content_ok", "chains_complete"]
 
@@ -608,10 +608,18 @@ LAYERS_RUN = {
 }
 
 
+# modules whose import cost a fresh process about 25 ms at start-up:
+# dataclasses pulls in inspect (and with it ast, dis, tokenize, linecache)
+START_UP_HEAVY = {"dataclasses", "inspect"}
+LAYERS = ("exactla", "seqcomb", "schubgeom", "deform", "enumerative", "tableaux", "cli")
+
+
 def fresh_run(*args):
     """Run `python -X importtime ARGS` with src on the path.  Returns the
     exit code, stdout, stderr without the import-time lines, and the set of
-    pierikit modules the interpreter imported."""
+    modules the interpreter imported: every module -X importtime reports
+    (a module the interpreter preloads before it starts reporting is not
+    among them)."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                           capture_output=True, text=True,
@@ -621,21 +629,41 @@ def fresh_run(*args):
         if not line.startswith("import time:"):
             err.append(line)
             continue
-        name = line.rsplit("|", 1)[1].strip()
-        if name == "pierikit" or name.startswith("pierikit."):
-            loaded.add(name)
+        loaded.add(line.rsplit("|", 1)[1].strip())
     return proc.returncode, proc.stdout, "".join(err), loaded
+
+
+def pierikit_modules(loaded) -> set:
+    return {name for name in loaded if name == "pierikit" or name.startswith("pierikit.")}
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """What a bare interpreter imports on this host (site hooks included):
+    the start-up guard holds the library to what it adds."""
+    rc, _, _, loaded = fresh_run("-c", "pass")
+    assert rc == 0
+    return loaded
 
 
 class TestImportFootprint:
     @pytest.mark.parametrize("verb", sorted(LAYERS_RUN))
-    def test_verb_loads_only_its_layers(self, verb):
+    def test_verb_loads_only_its_layers(self, verb, bare_modules):
         argv = next(argv for argv in VERB_ARGV if argv[0] == verb)
         rc, out, err, loaded = fresh_run("-m", "pierikit.cli", *argv)
-        assert loaded == {"pierikit"} | {f"pierikit.{m}" for m in LAYERS_RUN[verb]}
+        assert pierikit_modules(loaded) == {"pierikit"} | {
+            f"pierikit.{m}" for m in LAYERS_RUN[verb]}
+        assert (loaded - bare_modules) & START_UP_HEAVY == set()
         pinned = json.loads(PINNED_OUTPUTS.read_text())[verb]
         assert {"exit": rc, "stdout": sha256(out), "stderr": sha256(err)} == pinned
 
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_layer_import_skips_start_up_heavy_modules(self, layer, bare_modules):
+        rc, out, err, loaded = fresh_run("-c", f"import pierikit.{layer}")
+        assert (rc, out, err) == (0, "", "")
+        assert f"pierikit.{layer}" in loaded
+        assert (loaded - bare_modules) & START_UP_HEAVY == set()
+
     def test_package_import_loads_no_submodule(self):
         rc, out, err, loaded = fresh_run("-c", "import pierikit")
-        assert (rc, out, err, loaded) == (0, "", "", {"pierikit"})
+        assert (rc, out, err, pierikit_modules(loaded)) == (0, "", "", {"pierikit"})

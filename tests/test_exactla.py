@@ -195,6 +195,72 @@ class TestFlag:
             Flag(n, (span(n, vec([1, 0])), full_space(n), zero_subspace(n)))
 
 
+def seeded_basis(n, seed):
+    """The integer basis that schubgeom.random_flag(n, seed) draws."""
+    rng = random.Random(seed)
+    while True:
+        rows = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)]
+        if rank(rows) == n:
+            return rows
+
+
+class TestFlagFromBasis:
+    """flag_from_basis on integer rows and span against the Fraction
+    construction it replaced, fraction_reference.fraction_flag_from_basis,
+    with rref forbidden inside the library call."""
+
+    def built(self, monkeypatch, vectors):
+        def refuse(*a, **k):
+            raise AssertionError("flag_from_basis went through rref")
+        want = ref.fraction_flag_from_basis(vectors)
+        with monkeypatch.context() as m:
+            m.setattr(exactla, "rref", refuse)
+            got = flag_from_basis(vectors)
+        assert got == want
+        assert [s.pivots for s in got.spaces] == [s.pivots for s in want.spaces]
+        return got
+
+    def test_random_flags(self, monkeypatch):
+        from pierikit.schubgeom import random_flag
+        for n in range(2, 13):
+            for seed in range(21):
+                got = self.built(monkeypatch, seeded_basis(n, seed))
+                assert random_flag(n, seed) == got
+
+    def test_coordinate_flags(self, monkeypatch):
+        from pierikit.enumerative import reversed_flag
+        from pierikit.schubgeom import standard_flag
+        for n in range(1, 13):
+            assert standard_flag(n) == self.built(
+                monkeypatch, [unit_vector(n, i) for i in range(1, n + 1)])
+            assert reversed_flag(n) == self.built(
+                monkeypatch, [unit_vector(n, i) for i in range(n, 0, -1)])
+
+    def test_fraction_and_inexact_bases(self, monkeypatch):
+        rng = random.Random(2024)
+        done = 0
+        for i in range(60):
+            kind = KINDS[i % len(KINDS)]
+            n = rng.randint(1, 4 if kind == "big" else 7)
+            vectors = [[random_entry(rng, kind) for _ in range(n)] for _ in range(n)]
+            if rank(vectors) == n:
+                self.built(monkeypatch, vectors)
+                done += 1
+        assert done >= 50
+        # anything vec reads, as before: floats, decimal strings, Decimals
+        self.built(monkeypatch, [[0.5, "1/3", Decimal("2.5")], [0, 1, 0], [1, 0, 0]])
+
+    @pytest.mark.parametrize("vectors, message", [
+        ([[1, 2], [2, 4]], "vectors do not form a basis"),
+        ([[1, 0], [0, 1, 0]], "expected vector of length 2, got 3"),
+        ([[F(1, 2), 0], [0, F(0)]], "vectors do not form a basis"),
+    ])
+    def test_refusals_match(self, vectors, message):
+        for build in (flag_from_basis, ref.fraction_flag_from_basis):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(vectors)
+
+
 class TestFamily:
     def test_eval_and_dims(self):
         n = 3

@@ -74,6 +74,25 @@ class TestDecSeq:
         with pytest.raises(ValueError):
             DecSeq(4, (1, 0))
 
+    @pytest.mark.parametrize("n, entries, bad", [
+        (9, (7.9, 4, 1), "7.9"),
+        (9, ("7", 4, 1), "'7'"),
+        (9, (7, 4, 1.0), "1.0"),
+        (9.5, (7, 4, 1), "9.5"),
+        ("9", (7, 4, 1), "'9'"),
+    ])
+    def test_non_integers_are_refused(self, n, entries, bad):
+        """No entry or n is truncated (7.9 used to print as 741) or parsed
+        ("7" used to be accepted); the message names the bad value."""
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            DecSeq(n, entries)
+
+    def test_integer_likes_are_stored_as_int(self):
+        a = DecSeq(True + 8, (7, 4, True))
+        assert a == DecSeq(9, (7, 4, 1)) and str(a) == "741"
+        assert type(a.n) is int and all(type(x) is int for x in a.entries)
+        assert DecSeq(9, iter([7, 4, 1])) == a and DecSeq(9, [7, 4, 1]).entries == (7, 4, 1)
+
     def test_str_compact(self):
         assert str(DecSeq(9, (7, 4, 1))) == "741"
         assert str(DecSeq(12, (11, 3))) == "11,3"

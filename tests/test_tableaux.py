@@ -5,7 +5,6 @@ filling with both tableau conditions checked on the complete array), then
 frozen.  Polynomial identities are verified coefficient by coefficient.
 """
 
-import dataclasses
 import itertools
 
 import pytest
@@ -24,6 +23,7 @@ from pierikit.tableaux import (
     shape_tree_chains,
     ssyt_enumerate,
 )
+from records_reference import replace
 
 
 def oracle_ssyt_count(shape, m):
@@ -161,7 +161,7 @@ class TestBijection:
         rep = pieri_bijection_check((2, 1), 1, 3)
         assert rep.failures() == ()
         for clause in rep.CLAUSES:
-            broken = dataclasses.replace(rep, **{clause: False})
+            broken = replace(rep, **{clause: False})
             assert broken.failures() == (clause,)
             assert not broken.passed
             assert broken.to_json()["passed"] is False
