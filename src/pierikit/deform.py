@@ -82,7 +82,9 @@ def flag_within(M: Subspace, flag: Flag) -> tuple:
     On the coordinate flag M's canonical rows are such rows, and their
     tails are canonical too, so M_i is read off with no elimination.  On
     any other flag the rows are the right halves of one echelon of
-    [flag.frame(v) | v], v over M's rows.
+    [flag.frame(v) | v], v over M's rows, and each M_i is the span of
+    their tail, built by span from the integer elimination with no
+    Fraction.
     """
     n = flag.ambient
     if M.ambient != n:
@@ -92,7 +94,7 @@ def flag_within(M: Subspace, flag: Flag) -> tuple:
         cuts = (Subspace(n, M.rows[i:]) for i in range(1, M.dim))
     else:
         rows, pivots = _echelon([flag.frame(v) + list(v) for v in M.rows])
-        cuts = (canonicalize([row[n:] for row in rows[i:]], n) for i in range(1, M.dim))
+        cuts = (span(n, *[row[n:] for row in rows[i:]]) for i in range(1, M.dim))
     spaces = [M] if M.dim else []
     for i, cut in enumerate(cuts, start=2):
         d, q = M.dim + 1 - i, pivots[i - 2] + 2
@@ -149,10 +151,14 @@ class Pencil(Record):
     def restricted_family(self, i: int) -> PolyFamily:
         """The family M_i cap L_t, for 1 <= i <= l-1: the tail of the
         pencil's columns from t e_i + e_{i+1} on (from e_l when i = l-1),
-        which lies in M_i and in every L_t by construction."""
+        which lies in M_i and in every L_t by construction.  Each column's
+        integer form depends on that column alone, so the tail family takes
+        the same tail of the pencil family's cached _int_coeffs."""
         if not 1 <= i <= self.l - 1:
             raise ValueError("restricted family needs 1 <= i <= l-1")
-        return PolyFamily(self.M.ambient, self.family.cols[i - 1:])
+        fam = PolyFamily(self.M.ambient, self.family.cols[i - 1:])
+        fam.__dict__["_int_coeffs"] = self.family._int_coeffs[i - 1:]
+        return fam
 
 
 def _in_pencil_form(M: Subspace, covectors, family: PolyFamily, l: int) -> bool:
@@ -559,7 +565,8 @@ def _descend_hyperplane(a: DecSeq, s: int, flag: Flag, M: Subspace, rng) -> Subs
     lifted to one pivot multiple P (_scaled_lift): P times the vector with
     coordinates y on M's canonical basis.  So each draw gives the L that
     the Fraction kernel of that combination, taken as coordinates on M's
-    canonical basis, spans.
+    canonical basis, spans; span builds it straight from the integer
+    elimination.
     """
     N = M.dim
     top = M.restrict(flag.subspace(a.entries[0] + s))
@@ -575,7 +582,7 @@ def _descend_hyperplane(a: DecSeq, s: int, flag: Flag, M: Subspace, rng) -> Subs
             continue
         inside = [[sum(map(mul, v, col)) for col in zip(*lift)]
                   for _, v in _null_vectors([covector], N)]
-        L = canonicalize(inside, M.ambient)
+        L = span(M.ambient, *inside)
         if L.dim != N - 1 or L.contains(upper):
             continue
         if cell_member(L, a, s, flag):
@@ -604,7 +611,8 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
     dimensions and named clauses.  The flag's integer adapted covectors
     give such a g, Flag.frame: v -> (phi_1(v), ..., phi_n(v)), which
     carries each F_j onto the standard F_j.  So after the input checks K
-    is mapped once and the rest runs on standard_flag(n), whose
+    is mapped once (span of its framed rows, an integer elimination with
+    no Fraction) and the rest runs on standard_flag(n), whose
     coordinates do not grow with n, and where flag positions and flags in
     a carrier are read off canonical rows with no elimination.  The two
     samplers meet the frame differently.  cell_point draws in the flag's adapted basis, and g
@@ -629,7 +637,7 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
         raise ValueError("general position must meet the flag properly")
 
     # the flag's adapted covectors carry F_j onto the standard F_j
-    K = canonicalize([flag.frame(v) for v in K.rows], n)
+    K = span(n, *[flag.frame(v) for v in K.rows])
     flag = standard_flag(n)
 
     rng = random.Random(seeds)

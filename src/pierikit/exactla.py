@@ -43,6 +43,7 @@ generated code would cost every CLI process about 25 ms at start-up.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -455,10 +456,17 @@ class Subspace(Record):
         return not any(self._back_substitute(w)[0])
 
     def contains(self, other: "Subspace") -> bool:
+        """Whether other is a subspace of this one: every row of other
+        back-substitutes to zero, except a row that is literally one of
+        this space's canonical rows, which lies in it with no work.  On
+        the coordinate flag every space of the flag in M is a tail of M's
+        canonical rows (see deform.flag_within), so the checks among them
+        are tuple lookups."""
         if other.ambient != self.ambient:
             raise ValueError("ambient mismatch")
+        own = self.rows
         return other.dim <= self.dim and not any(
-            any(self._back_substitute(row)[0]) for row in other.rows)
+            any(self._back_substitute(row)[0]) for row in other.rows if row not in own)
 
     def restrict(self, a: "Subspace") -> "Subspace":
         """Rewrite a subspace a contained in this one in its coordinates.
@@ -466,13 +474,16 @@ class Subspace(Record):
         No elimination: a vector of this space leads at one of its pivots,
         so a's pivots are among them, and a's canonical rows read at these
         pivots are already in reduced echelon form with positive pivots;
-        each only needs dividing by its content.
+        each only needs dividing by its content.  Containment is checked
+        row by row as in contains: a row that is one of this space's
+        canonical rows skips the back substitution (its coordinates are
+        still read), any other row outside raises ValueError.
         """
         if a.ambient != self.ambient:
             raise ValueError("ambient mismatch")
-        rows = []
+        own, rows = self.rows, []
         for row in a.rows:
-            if any(self._back_substitute(row)[0]):
+            if row not in own and any(self._back_substitute(row)[0]):
                 raise ValueError("subspace is not contained in the chart space")
             coords = [row[p] for p in self.pivots]
             g = gcd(*coords)
@@ -678,14 +689,16 @@ class Flag(Record):
         position of L; Fulton, Young Tableaux, 9.4).  On the coordinate
         flag those pivots are L.pivots, read with no product and no
         elimination; on any other flag they come from one elimination of
-        L's framed rows."""
+        L's framed rows.  The pivots strictly increase, so each count is
+        dim L minus the bisect_left position of the column."""
         if L.ambient != self.ambient:
             raise ValueError("ambient mismatch")
         if self._is_coordinate:
             pivots = L.pivots
         else:
             pivots = _echelon([self.frame(row) for row in L.rows])[1]
-        return tuple(sum(p >= c for p in pivots) for c in range(self.ambient + 1))
+        d = len(pivots)
+        return tuple([d - bisect_left(pivots, c) for c in range(self.ambient + 1)])
 
     def generic_meet_dims(self, fam: "PolyFamily") -> tuple[int, ...]:
         """meet_dims of fam's fibre L_t for all but finitely many t: the

@@ -145,8 +145,14 @@ def pieri_set(a: DecSeq, r: int) -> tuple[DecSeq, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def first_diff_index(a: DecSeq, b: DecSeq) -> int:
-    """Least i (1-indexed) with b_i > a_i, for b in a*r, r >= 1."""
+    """Least i (1-indexed) with b_i > a_i, for b in a*r, r >= 1.
+
+    Memoized like pieri_set: a chain step asks for the same pairs again and
+    again (branch_parent, step_verify, the cycle labels), and the answer is
+    validated once per pair.  A pair outside every a*r with r >= 1 raises
+    ValueError on every call; a raised error is never cached."""
     r = pieri_increment(a, b)
     if r is None or r == 0:
         raise ValueError(f"{b} does not lie in any a*r with r >= 1 for a = {a}")

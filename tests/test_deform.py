@@ -110,8 +110,8 @@ class TestFlagWithin:
         mf = flag_within(M, FLAG)
         assert [s.dim for s in mf] == [6, 5, 4, 3, 2, 1]
 
-    # off the coordinate flag, flag_within spans each F_q cap M with
-    # canonicalize; these faults make that span come out as the wrong space
+    # off the coordinate flag, flag_within spans each F_q cap M with span;
+    # these faults make that span come out as the wrong space
 
     RANDOM = random_flag(9, 4)
     M_RANDOM = cell_point(A741, 1, RANDOM, seed=3)
@@ -120,12 +120,12 @@ class TestFlagWithin:
         assert not self.RANDOM._is_coordinate and FLAG._is_coordinate
 
     def test_meet_that_never_cuts_raises(self, monkeypatch):
-        monkeypatch.setattr(deform, "canonicalize", lambda rows, n: self.M_RANDOM)
+        monkeypatch.setattr(deform, "span", lambda n, *rows: self.M_RANDOM)
         with pytest.raises(VerificationError, match="flag position predicts"):
             flag_within(self.M_RANDOM, self.RANDOM)
 
     def test_meet_that_cuts_too_much_raises(self, monkeypatch):
-        monkeypatch.setattr(deform, "canonicalize", lambda rows, n: zero_subspace(n))
+        monkeypatch.setattr(deform, "span", lambda n, *rows: zero_subspace(n))
         with pytest.raises(VerificationError, match="flag position predicts"):
             flag_within(self.M_RANDOM, self.RANDOM)
 
@@ -134,8 +134,8 @@ class TestFlagWithin:
         M, flag = self.M_RANDOM, self.RANDOM
         q = flag.meet_dims(M).index(M.dim - 1) + 1
         assert not flag.subspace(q).contains(span(9, *M.rows[:M.dim - 1]))
-        monkeypatch.setattr(deform, "canonicalize",
-                            lambda rows, n: span(n, *M.rows[:len(rows)]))
+        monkeypatch.setattr(deform, "span",
+                            lambda n, *rows: span(n, *M.rows[:len(rows)]))
         with pytest.raises(VerificationError, match=f"F_{q} cap M is not"):
             flag_within(M, flag)
 
@@ -1633,17 +1633,17 @@ class TestIntegerSteps:
         rng state, and the rng ends in the same state."""
         cases = descent_cases()
         assert len(cases) >= 15
-        real = deform.canonicalize
+        real = deform.span
         for k, (a, s, flag, M) in enumerate(cases):
             built = []
 
-            def recording(vectors, ambient):
-                built.append(real(vectors, ambient))
+            def recording(ambient, *vectors):
+                built.append(real(ambient, *vectors))
                 return built[-1]
 
             rng, ref = random.Random(k), random.Random(k)
             with monkeypatch.context() as m:
-                m.setattr(deform, "canonicalize", recording)
+                m.setattr(deform, "span", recording)
                 m.setattr(deform, "cell_member", lambda *args: False)
                 m.setattr(deform, "kernel_basis", forbid)
                 m.setattr(Subspace, "basis", property(forbid))
@@ -1749,3 +1749,43 @@ class TestTriangularDual:
                 build_pencil(mf, l, L_inf)
             refused += 1
         assert refused >= 80 and kept >= 20, (refused, kept)
+
+
+# ----------------------------------------------------------------------
+# A restricted family takes its integer column forms from the pencil
+# family's cache; a fresh family on the same column tail stays the
+# reference.
+
+def tail_form_mismatches():
+    """(nonempty, mismatched): restricted_family(q) against a fresh
+    PolyFamily on the pencil's column tail from q, for every
+    pencil_cases() case and every q = 1..l-1; nonempty counts the pairs
+    whose tail has a column (for l = N+1 the tail from q = N has none)."""
+    nonempty = mismatched = 0
+    for mf, l, L_inf in pencil_cases():
+        pencil = build_pencil(mf, l, L_inf)
+        for q in range(1, l):
+            fam = pencil.restricted_family(q)
+            fresh = PolyFamily(pencil.M.ambient, pencil.family.cols[q - 1:])
+            assert fam == fresh and "_int_coeffs" not in vars(fresh)
+            mismatched += fam._int_coeffs != fresh._int_coeffs
+            nonempty += fresh.ncols > 0
+    return nonempty, mismatched
+
+
+class TestRestrictedFamilyForms:
+    def test_tail_forms_equal_a_fresh_family(self):
+        assert tail_form_mismatches() == (263, 0)
+
+    def test_forms_are_handed_down(self):
+        pencil = companion_pencil()
+        forms = pencil.family._int_coeffs
+        for q in range(1, pencil.l):
+            handed = vars(pencil.restricted_family(q))["_int_coeffs"]
+            assert len(handed) == len(forms) - q + 1
+            assert all(x is y for x, y in zip(handed, forms[q - 1:]))
+
+    def test_off_by_one_tail_fails(self, monkeypatch):
+        monkeypatch.setattr(Pencil, "restricted_family", ref.source_mutant(
+            Pencil.restricted_family, "_int_coeffs[i - 1:]", "_int_coeffs[i:]"))
+        assert tail_form_mismatches() == (263, 263)

@@ -1237,3 +1237,180 @@ class TestCoordinateReadOff:
 
 def forbid_call(*args, **kwargs):
     raise AssertionError("forbidden call")
+
+
+# ----------------------------------------------------------------------
+# contains and restrict skip the back substitution for a row that is one of
+# the space's own canonical rows.  Back-substituting every row, as both did
+# before, stays as the reference.
+
+def back_substituted_contains(s, a):
+    return a.dim <= s.dim and all(s.contains_vector(row) for row in a.rows)
+
+
+def back_substituted_restrict(s, a):
+    """a in s's coordinates, every row checked by back substitution, the
+    coordinates canonicalized."""
+    for row in a.rows:
+        if not s.contains_vector(row):
+            raise ValueError("subspace is not contained in the chart space")
+    return exactla.canonicalize([[row[p] for p in s.pivots] for row in a.rows], s.dim)
+
+
+def containment_pairs():
+    """Seeded (s, a) in k^n, n <= 7 (4 for 150-bit entries), in four shapes
+    in turn: a tail of s's rows; that tail with combinations of the rows
+    before it; that tail with a vector outside s (a combination of the
+    rows before it plus a vector on the columns before the tail where s
+    has no pivot); an unrelated random space.  Every other pair of the
+    second shape takes the empty tail, combinations of all of s's rows.  In the middle two, the
+    added vectors are zero at the tail's pivots and the tail's rows are
+    zero at their leads, so the tail's rows stay rows of a.  Also counts
+    what the pairs cover."""
+    rng = random.Random(19960126)
+    seen = dict.fromkeys(("tail", "shared rows, contained", "disjoint rows, contained",
+                          "not contained, shared row", "not contained at a pivot of s",
+                          "150-bit"), 0)
+    pairs = []
+    for i in range(1600):
+        kind = KINDS[i % len(KINDS)]
+        n = rng.randint(1, 4 if kind == "big" else 7)
+        s = random_space(rng, n, kind, i)
+        # in the middle shapes, rows before the tail and a nonempty tail,
+        # except that every other pair of the second shape has no tail
+        if i % 4 in (0, 3):
+            k = rng.randint(0, s.dim)
+        elif i % 8 == 5:
+            k = s.dim
+        else:
+            k = min(1, s.dim) + rng.randrange(max(1, s.dim - 1))
+        tail = s.rows[k:]
+        if i % 4 == 0:
+            a = Subspace(n, tail)
+        elif i % 4 == 3:
+            a = random_space(rng, n, kind, i + 2)
+        else:
+            first = s.pivots[k] if tail else n
+            free = [c for c in range(first) if c not in s.pivots]
+            extra = []
+            for _ in range(rng.randint(1, 2)):
+                v = [sum(random_entry(rng, kind) * row[c] for row in s.rows[:k])
+                     for c in range(n)]
+                if i % 4 == 2 and free:
+                    c = rng.choice(free)
+                    v[c] += random_entry(rng, kind) or 1
+                extra.append(v)
+            a = span(n, *extra, *tail)
+        pairs.append((s, a))
+        inside = back_substituted_contains(s, a)
+        shared = sum(row in s.rows for row in a.rows)
+        seen["tail"] += i % 4 == 0 and not a.is_zero
+        seen["shared rows, contained"] += inside and 0 < shared < a.dim
+        seen["disjoint rows, contained"] += inside and not shared and not a.is_zero
+        seen["not contained, shared row"] += not inside and shared > 0
+        seen["not contained at a pivot of s"] += not inside and any(
+            not s.contains_vector(row) and p in s.pivots
+            for row, p in zip(a.rows, a.pivots))
+        seen["150-bit"] += kind == "big"
+    return pairs, seen
+
+
+def containment_disagreements(pairs):
+    """(pairs where contains is wrong, pairs where restrict is wrong) against
+    the back-substituted references; a refusal counts by its message."""
+    def outcome(fn, s, a):
+        try:
+            return fn(s, a)
+        except ValueError as exc:
+            return str(exc)
+
+    wrong_contains = wrong_restrict = 0
+    for s, a in pairs:
+        wrong_contains += s.contains(a) != back_substituted_contains(s, a)
+        got = outcome(Subspace.restrict, s, a)
+        want = outcome(back_substituted_restrict, s, a)
+        wrong_restrict += got != want or (isinstance(got, Subspace) and got.pivots != want.pivots)
+    return wrong_contains, wrong_restrict
+
+
+OWN_ROW_MUTANTS = {
+    # a row that leads at one of s's pivots counts as one of s's rows
+    "shares a pivot": "row.index(next(filter(None, row))) not in self.pivots",
+    # every row of the ambient length counts as one of s's rows
+    "matching length": "len(row) != self.ambient",
+}
+
+
+class TestOwnRowsSkipBackSubstitution:
+    def test_against_the_full_back_substitution(self):
+        pairs, seen = containment_pairs()
+        assert containment_disagreements(pairs) == (0, 0)
+        assert all(count >= 50 for count in seen.values()), seen
+
+    def test_a_tail_of_own_rows_is_never_back_substituted(self, monkeypatch):
+        """Every tail of s's rows, among them each space of the flag that the
+        coordinate flag induces on s, is contained and restricted with no
+        back substitution; its coordinates are still read."""
+        from pierikit import deform
+        from pierikit.schubgeom import standard_flag
+        rng = random.Random(9601)
+        checked = 0
+        for i in range(300):
+            kind = KINDS[i % len(KINDS)]
+            n = rng.randint(1, 4 if kind == "big" else 8)
+            s = random_space(rng, n, kind, i)
+            tails = [Subspace(n, s.rows[k:]) for k in range(s.dim + 1)]
+            assert list(deform.flag_within(s, standard_flag(n))) == tails[:s.dim]
+            want = [back_substituted_restrict(s, a) for a in tails]
+            with monkeypatch.context() as m:
+                m.setattr(Subspace, "_back_substitute", forbid_call)
+                assert all(s.contains(a) for a in tails)
+                assert all(upper.contains(lower) for upper, lower in zip(tails, tails[1:]))
+                got = [s.restrict(a) for a in tails]
+            assert got == want
+            checked += len(tails)
+        assert checked >= 1000
+
+    def test_restrict_refuses_a_space_outside_the_chart(self):
+        """Also when a's other row is one of s's own rows or lies in s."""
+        s = span(4, (1, 0, 2, 0), (0, 1, 3, 0))
+        shared = span(4, (1, 0, 2, 0), (0, 0, 0, 1))
+        assert shared.rows[0] == s.rows[0]
+        for a in (span(4, (0, 0, 0, 1)), shared, span(4, (1, 1, 5, 0), (0, 0, 0, 1)),
+                  span(4, (1, 0, 2, 0), (0, 1, 3, 1))):
+            assert not s.contains(a)
+            with pytest.raises(ValueError, match="not contained in the chart space"):
+                s.restrict(a)
+
+    @pytest.mark.parametrize("skip", list(OWN_ROW_MUTANTS.values()), ids=list(OWN_ROW_MUTANTS))
+    def test_mutant_skip_rules_fail(self, monkeypatch, skip):
+        for name, old in (("contains", "row not in own)"), ("restrict", "row not in own and")):
+            mutant = ref.source_mutant(getattr(Subspace, name), old,
+                                       old.replace("row not in own", skip))
+            monkeypatch.setattr(Subspace, name, mutant)
+        wrong_contains, wrong_restrict = containment_disagreements(containment_pairs()[0])
+        assert wrong_contains >= 50 and wrong_restrict >= 50, (wrong_contains, wrong_restrict)
+
+
+class TestMeetDimsBisection:
+    def test_bisection_equals_the_pivot_count(self):
+        """meet_dims counts the pivots at or after each column by bisection;
+        on random strictly increasing pivot tuples, read on the coordinate
+        flag and through the echelon path, that is sum(p >= c for p in
+        pivots) for every column c."""
+        from pierikit.schubgeom import standard_flag
+        rng = random.Random(1996)
+        seen = {"empty": 0, "full": 0, "proper": 0}
+        for _ in range(600):
+            n = rng.randint(1, 12)
+            pivots = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+            # a row leading at each pivot, random past it: distinct leads
+            L = span(n, *[[0] * p + [rng.randint(1, 5)]
+                          + [rng.randint(-5, 5) for _ in range(n - p - 1)]
+                          for p in pivots])
+            assert L.pivots == pivots
+            want = tuple(sum(p >= c for p in pivots) for c in range(n + 1))
+            flag = standard_flag(n)
+            assert flag.meet_dims(L) == want == echelon_view(flag).meet_dims(L)
+            seen["empty" if not pivots else "full" if len(pivots) == n else "proper"] += 1
+        assert all(count >= 30 for count in seen.values()), seen

@@ -169,6 +169,43 @@ class TestFirstDiff:
         with pytest.raises(ValueError):
             first_diff_index(a, DecSeq(9, (9, 8, 1)))
 
+    def test_memoized_equals_the_uncached_scan(self):
+        """On every a with n <= 8 and every g in a*r, r = 1..3, the memoized
+        first_diff_index, from a cold cache and from a warm one (asked with
+        an equal, not identical, g), is the least i with g_i > a_i, as the
+        uncached function also finds."""
+        uncached = first_diff_index.__wrapped__
+        first_diff_index.cache_clear()
+        pairs = 0
+        for n in range(1, 9):
+            for m in range(1, n + 1):
+                for a in all_seqs(n, m):
+                    for r in (1, 2, 3):
+                        for g in pieri_set(a, r):
+                            want = next(i for i, (x, y) in enumerate(zip(a, g), start=1)
+                                        if y > x)
+                            assert uncached(a, g) == first_diff_index(a, g) == want
+                            assert first_diff_index(a, DecSeq(n, g.entries)) == want
+                            pairs += 1
+        info = first_diff_index.cache_info()
+        assert (info.currsize, info.hits) == (pairs, pairs)
+        assert pairs == 1841
+
+    def test_errors_are_raised_every_time_and_never_cached(self):
+        a = DecSeq(9, (7, 4, 1))
+        first_diff_index.cache_clear()
+        outside = (a, DecSeq(9, (9, 8, 1)), DecSeq(9, (6, 4, 1)), DecSeq(8, (7, 4, 1)),
+                   DecSeq(9, (7, 4)))
+        for _ in range(3):
+            for g in outside:
+                with pytest.raises(ValueError, match=r"does not lie in any a\*r"):
+                    first_diff_index(a, g)
+        assert first_diff_index.cache_info().currsize == 0
+        assert first_diff_index(a, DecSeq(9, (7, 5, 1))) == 2
+        with pytest.raises(ValueError, match=r"does not lie in any a\*r"):
+            first_diff_index(a, a)
+        assert first_diff_index.cache_info().currsize == 1
+
 
 class TestDualAndShape:
     def test_dual_741(self):
