@@ -21,11 +21,11 @@ from .exactla import (
     Subspace,
     Verdict,
     VerificationError,
+    _column_form,
     _echelon,
     _int_row,
     _null_vector,
     _null_vectors,
-    _over,
     _read_null_vectors,
     _scaled_lift,
     _set_field,
@@ -79,12 +79,10 @@ def flag_within(M: Subspace, flag: Flag) -> tuple:
     meet reads N+1-i; each M_i is checked to have that dimension and to
     lie in that F_q.
 
-    On the coordinate flag M's canonical rows are such rows, and their
-    tails are canonical too, so M_i is read off with no elimination.  On
-    any other flag the rows are the right halves of one echelon of
-    [flag.frame(v) | v], v over M's rows, and each M_i is the span of
-    their tail, built by span from the integer elimination with no
-    Fraction.
+    On the coordinate flag M's canonical rows are such rows and their tails
+    are canonical, so M_i is read off with no elimination; on any other flag
+    the rows are the right halves of one echelon of [flag.frame(v) | v] over
+    M's rows, and M_i is the span of their tail.
     """
     n = flag.ambient
     if M.ambient != n:
@@ -114,12 +112,16 @@ def _mflag_space(mflag: tuple, i: int, ambient: int) -> Subspace:
 # ----------------------------------------------------------------------
 # Pencils of hyperplanes.
 
-def _pencil_columns(ambient: int, dual_basis: tuple, l: int):
-    """Columns t e_j + e_{j+1} for 1 <= j <= l-2, then e_l, ..., e_N (M_l)."""
-    moving = [tuple((e_next[i], e_j[i]) for i in range(ambient))
-              for e_j, e_next in zip(dual_basis[:l - 2], dual_basis[1:l - 1])]
-    fixed = [tuple((e[i],) for i in range(ambient)) for e in dual_basis[l - 1:]]
-    return family_from_vectors(ambient, moving + fixed)
+def _pencil_columns(ambient: int, dual: list, l: int) -> PolyFamily:
+    """Columns t e_j + e_{j+1} for 1 <= j <= l-2, then e_l, ..., e_N (M_l),
+    as integer forms, the dual basis given as pairs (d_k, w_k), e_k = w_k / d_k."""
+    forms = []
+    for (d, w), (d_next, w_next) in zip(dual[:l - 2], dual[1:l - 1]):
+        den = lcm(d, d_next)
+        a, b = den // d_next, den // d
+        forms.append(_column_form(den, [(x * a, y * b) for x, y in zip(w_next, w)]))
+    forms += [_column_form(d, [(x,) for x in w]) for d, w in dual[l - 1:]]
+    return PolyFamily._of_forms(ambient, forms)
 
 
 class Pencil(Record):
@@ -151,14 +153,11 @@ class Pencil(Record):
     def restricted_family(self, i: int) -> PolyFamily:
         """The family M_i cap L_t, for 1 <= i <= l-1: the tail of the
         pencil's columns from t e_i + e_{i+1} on (from e_l when i = l-1),
-        which lies in M_i and in every L_t by construction.  Each column's
-        integer form depends on that column alone, so the tail family takes
-        the same tail of the pencil family's cached _int_coeffs."""
+        which lies in M_i and in every L_t by construction; it shares the
+        pencil family's column forms (PolyFamily.tail)."""
         if not 1 <= i <= self.l - 1:
             raise ValueError("restricted family needs 1 <= i <= l-1")
-        fam = PolyFamily(self.M.ambient, self.family.cols[i - 1:])
-        fam.__dict__["_int_coeffs"] = self.family._int_coeffs[i - 1:]
-        return fam
+        return self.family.tail(i - 1)
 
 
 def _in_pencil_form(M: Subspace, covectors, family: PolyFamily, l: int) -> bool:
@@ -171,7 +170,7 @@ def _in_pencil_form(M: Subspace, covectors, family: PolyFamily, l: int) -> bool:
               + [(k,) for k in range(l, M.dim + 1)])
     if family.ncols != len(shapes):
         return False
-    for (deg, col), shape in zip(family._int_coeffs, shapes):
+    for (_, deg, col), shape in zip(family._forms, shapes):
         if deg + 1 != len(shape):
             return False
         for k, want in enumerate(shape):
@@ -189,15 +188,14 @@ def _dual_basis(tri, order, r: int, x) -> list:
     """The basis e_1..e_N of k^N dual to covectors x_1..x_N, as pairs (s, w)
     with e_k = w / s in integers.
 
-    Each covector is a pair (d, v) meaning v / d.  x_i is tri[i] for i != r
-    and x_r is x.  tri is upper triangular in the column order `order`:
-    v is zero at order[:i] and equals d at order[i].  Its dual basis e'_k
-    comes from back substitution: e'_k is one at order[k], zero past it in
-    that order, and row i < k fixes its entry at order[i], each step
-    fraction-free.  x expands as sum_k c_k tri_k, c_k = x(e'_k), so one
-    correction gives the dual basis with x in row r: e_r = e'_r / c_r and
-    e_k = e'_k - c_k e_r for k != r.  c_r = 0 means the covectors are
-    dependent: ValueError.
+    Each covector is a pair (d, v) meaning v / d; x_i is tri[i] for i != r
+    and x_r is x.  tri is upper triangular in the column order `order` (v
+    zero at order[:i], d at order[i]), so its dual basis e'_k comes from
+    fraction-free back substitution: e'_k is one at order[k], zero past it
+    in that order, and row i < k fixes its entry at order[i].  x = sum_k
+    c_k tri_k with c_k = x(e'_k), so e_r = e'_r / c_r and e_k = e'_k -
+    c_k e_r for k != r is the dual basis with x in row r; c_r = 0 means
+    the covectors are dependent: ValueError.
     """
     N = len(order)
     # each triangular covector's nonzero entries past its diagonal
@@ -237,41 +235,34 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
 
     mflag is the complete flag (M_1, ..., M_N) inside M = M_1; L_inf must be
     a hyperplane of M containing M_l but not M_{l-1}.  Coordinates x_1..x_N
-    on M are chosen so that M_i is cut out by x_1, ..., x_{i-1} and L_inf by
-    x_{l-1}; the family is then spanned by M_l and t e_j + e_{j+1} over the
-    dual basis e.  With l = 2 there are no moving vectors and the family is
-    the constant M_2 = L_inf.
+    on M cut out M_i by x_1, ..., x_{i-1} and L_inf by x_{l-1}; the family
+    is spanned by M_l and t e_j + e_{j+1} over the dual basis e (for l = 2,
+    the constant M_2 = L_inf).
 
     The covectors are read off canonical rows in M's coordinates, with no
-    elimination.  x_{l-1} is the first null vector of L_inf's canonical
-    rows: the first covector of L_inf's annihilator up to a positive
-    factor, which _dual_basis is homogeneous in.
-    For i != l-1, x_i is the null vector of M_{i+1} (of 0 for i = N) at p_i,
-    the one pivot of M_i that M_{i+1} lacks: it kills M_{i+1}, and M_i is
-    M_{i+1} plus M_i's canonical row at p_i.  That row leads at p_i and is
-    zero at M_{i+1}'s pivots, while the null vector at a free column c is
-    zero at the other free columns; so the null vector at c vanishes on M_i
-    for every free c < p_i and not for c = p_i.  x_i is thus the first
-    covector of M_{i+1}'s annihilator basis that does not vanish on M_i.
-
-    The dual basis needs no inverse: the free columns of M_{i+1} include
-    p_1..p_{i-1}, so in the column order p_1..p_N these null vectors are
-    upper triangular, and _dual_basis solves them (with the null vector at
-    p_{l-1} standing in for row l-1) and then corrects row l-1.  On the
-    coordinate flag, where a chain runs, they are unit covectors.
+    elimination.  x_{l-1} is the first null vector of L_inf's rows, a
+    positive multiple of its first annihilator covector (_dual_basis is
+    homogeneous).  For i != l-1, x_i is the null vector of M_{i+1} (of 0 for
+    i = N) at p_i, the one pivot of M_i that M_{i+1} lacks: M_i is M_{i+1}
+    plus M_i's canonical row at p_i, which leads at p_i and is zero at
+    M_{i+1}'s pivots, so the null vector at a free column c vanishes on M_i
+    for every c < p_i and not for c = p_i.  In the column order p_1..p_N
+    these null vectors are upper triangular, so _dual_basis solves them with
+    no inverse (the one at p_{l-1} standing in for row l-1) and then
+    corrects row l-1.  On the coordinate flag, where a chain runs, they are
+    unit covectors.
 
     The fibres are proved, not sampled.  The dual vectors are independent,
-    so the tail from e_i spans M_i once each e_i lies in M_i (the flag is
-    nested), and the dual basis without e_{l-1} spans L_inf once its N-1
-    vectors lie in it; both are checked on the integer vectors.  Then every
-    t-coefficient of every column is checked to lie in M and to read, in
-    the x coordinates, (nonzero) t e_j + (nonzero) e_{j+1} for a moving
-    column j and (nonzero) e_k for a fixed column k.  On x_2..x_N the
-    columns are then triangular with nonzero constant diagonal, so dim L_t
-    = N-1 for every t; the fixed columns span M_l, so every L_t contains
-    M_l; and L_t is the kernel of a covector psi with psi_k a nonzero
-    multiple of t^(k-1) for k <= l-1, so for t != 0 (for every t when
-    l = 2) no L_t contains M_{l-1}.
+    so e_i in M_i for each i, and the N-1 vectors other than e_{l-1} in
+    L_inf, checked on the integer vectors, prove that the tails span the
+    flag and those vectors L_inf.  Then every t-coefficient of every column
+    of the integer forms the Pencil holds is checked to lie in M and to
+    read, in the x coordinates, (nonzero) t e_j + (nonzero) e_{j+1} for a
+    moving column j and (nonzero) e_k for a fixed column k.  On x_2..x_N the
+    columns are then triangular with nonzero constant diagonal, so dim L_t =
+    N-1 for every t; the fixed columns span M_l; and L_t is the kernel of a
+    covector psi with psi_k a nonzero multiple of t^(k-1) for k <= l-1, so
+    for t != 0 (every t when l = 2) no L_t contains M_{l-1}.
     """
     mflag = tuple(mflag)
     M = mflag[0]
@@ -321,8 +312,7 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
     if not all(L_inf.contains_vector(dual[q]) for q in range(N) if q != l - 2):
         raise VerificationError(f"dual basis without vector {l - 1} does not span L_inf")
 
-    family = _pencil_columns(M.ambient, tuple(
-        _over(w, P * s) for w, (s, _) in zip(dual, solved)), l)
+    family = _pencil_columns(M.ambient, [(P * s, w) for w, (s, _) in zip(dual, solved)], l)
     if not _in_pencil_form(M, covectors, family, l):
         raise VerificationError("pencil columns are not t e_j + e_(j+1) and e_k "
                                 "in the dual basis")
@@ -395,7 +385,7 @@ def _kills_family(covectors, fam: PolyFamily) -> bool:
     return all(
         not any(sum(c * p[k] for c, p in zip(phi, col) if len(p) > k)
                 for k in range(deg + 1))
-        for deg, col in fam._int_coeffs for phi in covectors)
+        for _, deg, col in fam._forms for phi in covectors)
 
 
 def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
@@ -404,38 +394,35 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
 
     M sits in the level-(s-1) cell and the pencil of hyperplanes of M marked
     at L_inf carries the level-r cycle to the level-(r+1) cycle of M.  The
-    report records, per component: the moving-plane family, its limit, cell
-    membership of the limit after restriction, and the branching bookkeeping.
-    Precondition violations raise; failed verifications are recorded with
-    the failing item named.
+    report records, per component, the moving-plane family, its limit, the
+    limit's restricted cell and the branching; bad input raises, and each
+    failed clause is named.
 
-    Every clause is exact.  The five "sample t=... lies in the level-s
-    cell" clauses share one verdict, read off a flag position that holds
-    for every t != 0.  M lies in the level-(s-1) cell, so it contains
-    upper = F_{a1+s-1}; the flag in M has M_l = top = F_{a1+s} and
-    M_{l-1} = upper, and both are checked.  build_pencil proves that every
-    L_t with t != 0 is a hyperplane of M through M_l and not through
-    M_{l-1}.  For q <= a1+s-1, F_q cap M contains upper, which L_t does
-    not, so L_t cuts it in one dimension less; for q >= a1+s, F_q lies in
-    top, so in L_t.  So dim(F_q cap L_t) = dim(F_q cap M) - [q <= a1+s-1]
-    for every t != 0, and profile_in_cell of that profile is the verdict at
-    every sample point, none of which is 0.
+    Every clause is exact.  The five "sample t=... lies in the level-s cell"
+    clauses share one verdict, true for every t != 0.  M contains upper =
+    F_{a1+s-1}, and the flag in M is checked to have M_l = top = F_{a1+s}
+    and M_{l-1} = upper.  build_pencil proves every L_t with t != 0 a
+    hyperplane of M through M_l and not through M_{l-1}, so it cuts F_q cap
+    M in one dimension less for q <= a1+s-1 (that space contains upper) and
+    contains F_q for q >= a1+s: the verdict is profile_in_cell of
+    dim(F_q cap M) - [q <= a1+s-1].
     The moving-plane clause holds for every t != 0.  For slice position q
-    the moving family is M_q cap L_t: (a) its columns are the pencil's
-    column tail from q on, so it lies in every L_t; (b) every integer
-    covector of F_b's annihilator kills every t-coefficient, so it lies in
-    F_b; (c) build_pencil proves the columns triangular with nonzero
-    constant diagonal, so its dimension is ncols at every t, and ncols is
-    dim(F_b cap L_t), read off the flag position above.
-    The limit clauses are exact: the limit is computed over Z[t], and the
-    expected F_{b_j+1} cap M is the member of the flag in M of its
-    dimension.  The limit is in the restricted cell iff it lies in F_b and
-    its flag position from F_b on passes profile_in_cell.  Each component's
-    children are the next-level indices filed under it by branch_parent,
-    in one pass; the clauses compare them with the restricted branch set
-    and check that they partition the next level.  The assembled cycle
-    labels the distinct claimed children and is compared with M's
-    y_cycle, read as cycle_signature: M's cell is checked above.
+    the moving family is M_q cap L_t: (a) its integer column forms are the
+    pencil's from q on, so it lies in every L_t; (b) every integer covector
+    of F_b's annihilator kills every t-coefficient, so it lies in F_b; (c)
+    build_pencil proves the columns triangular with nonzero constant
+    diagonal, so its dimension is ncols at every t, and ncols is dim(F_b cap
+    L_t), read off the flag position above.  (c) follows from (a) and the
+    definition of q, since the pencil has N-1 columns; it is kept as a
+    check of that count.
+    The limit is computed over Z[t], and the expected F_{b_j+1} cap M is the
+    member of the flag in M of its dimension; it lies in the restricted cell
+    iff it lies in F_b and its flag position from F_b on passes
+    profile_in_cell.  Each component's children are the next-level indices
+    branch_parent files under it, compared with the restricted branch set
+    and checked to partition the next level.  The assembled cycle labels the
+    distinct claimed children and is compared with M's y_cycle, read as
+    cycle_signature: M's cell is checked above.
     """
     if s < 2:
         raise ValueError("step parameter s must be at least 2")
@@ -506,7 +493,7 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
         moving, lim, lim_meets = moving_by_q[q]
         # clauses (a), (b), (c) of the docstring; F_b's annihilator is
         # spanned by the flag's first b_j - 1 integer adapted covectors
-        fam_ok = (moving.cols == pencil.family.cols[q - 1:]
+        fam_ok = (moving._forms == pencil.family._forms[q - 1:]
                   and _kills_family(flag._adapted_coords[:bj - 1], moving)
                   and moving.ncols == meets_t[bj - 1])
         checks.append(StageCheck(
@@ -560,13 +547,10 @@ def _descend_hyperplane(a: DecSeq, s: int, flag: Flag, M: Subspace, rng) -> Subs
     All in integers.  top's annihilator basis is read off its canonical
     rows as pairs (d, v), each v scaled to the common denominator D, so a
     draw's covector is D times the same combination of the Fraction
-    annihilator of top and cuts the same hyperplane of k^N.  Each of its
-    integer null vectors y is lifted to k^n through M's canonical rows
-    lifted to one pivot multiple P (_scaled_lift): P times the vector with
-    coordinates y on M's canonical basis.  So each draw gives the L that
-    the Fraction kernel of that combination, taken as coordinates on M's
-    canonical basis, spans; span builds it straight from the integer
-    elimination.
+    annihilator and cuts the same hyperplane of k^N.  Each integer null
+    vector y of it is lifted through M's rows scaled to one pivot multiple
+    P (_scaled_lift) to P times the vector with coordinates y on M's
+    canonical basis, so span gives the L of the Fraction draw.
     """
     N = M.dim
     top = M.restrict(flag.subspace(a.entries[0] + s))
@@ -607,22 +591,18 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
 
     The chain runs in the flag's own frame.  Every clause reads flag
     positions and incidences, which any g in GL_n keeps (g(F_j cap L) =
-    gF_j cap gL), and a report carries no coordinates: only indices,
-    dimensions and named clauses.  The flag's integer adapted covectors
-    give such a g, Flag.frame: v -> (phi_1(v), ..., phi_n(v)), which
-    carries each F_j onto the standard F_j.  So after the input checks K
-    is mapped once (span of its framed rows, an integer elimination with
-    no Fraction) and the rest runs on standard_flag(n), whose
-    coordinates do not grow with n, and where flag positions and flags in
-    a carrier are read off canonical rows with no elimination.  The two
-    samplers meet the frame differently.  cell_point draws in the flag's adapted basis, and g
-    sends each adapted row to a positive multiple of a unit vector, so its
-    draw is the direct run's point up to a diagonal scaling, which fixes
-    every standard flag space.
-    _descend_hyperplane draws covectors in M's canonical coordinates, which
-    g changes, so it picks other hyperplanes than a run on the flag itself
-    would.  The conditions they must meet are open, so either draw lands in
-    the same generic flag position, and the reports come out equal.
+    gF_j cap gL), and a report carries only indices, dimensions and named
+    clauses.  Flag.frame, v -> (phi_1(v), ..., phi_n(v)) over the flag's
+    integer adapted covectors, is such a g and carries each F_j onto the
+    standard F_j.  So K is mapped once (span of its framed rows) and the
+    rest runs on standard_flag(n), whose coordinates do not grow with n and
+    whose flag positions are read off canonical rows.  cell_point draws in
+    the adapted basis, which g sends to positive multiples of unit vectors,
+    so its point is the direct run's up to a diagonal scaling that fixes
+    every standard flag space.  _descend_hyperplane draws covectors in M's
+    canonical coordinates, which g changes, so it picks other hyperplanes
+    than a direct run; the conditions are open, so either draw lands in the
+    same generic flag position, and the reports come out equal.
     """
     if b < 1:
         raise ValueError("chain length must be at least 1")
@@ -866,7 +846,7 @@ def golden_run_741() -> GoldenReport:
     # the moving 5-plane's flag position for all but finitely many t, and
     # its moving 3-plane, the column tail as in step_verify
     P = flag.generic_meet_dims(fam)
-    inner = PolyFamily(9, fam.cols[2:])
+    inner = fam.tail(2)
     cls = classify_position(a741, P, 2)
     # form . column has degree at most 4 + deg(column) in t: an identity
     # once it vanishes at one point more, here in integers

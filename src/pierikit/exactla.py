@@ -9,31 +9,26 @@ Fraction; anything else raises TypeError.
 A Subspace is its canonical integer rows: the reduced echelon basis with
 each row scaled to a primitive integer vector whose pivot entry is positive.
 That form is unique.  Membership, intersections and quotients work on those
-rows, and quotient_dim reads the dimension of a quotient as the rank of
-back-substituted rows without building it; the canonical Fraction basis
-(pivot entries 1) is a view built on first read.  Coordinates on a subspace
-S are the entries at S's pivot columns, and S.restrict carries a subspace of
-S to k^dim S with no elimination, because a subspace's canonical rows read
-at S's pivots are already canonical.  Null vectors of canonical rows need
-none either: the one with 1 at a free column c and 0 at the other free
-columns has, at each row's pivot, minus the row's entry at c over its pivot
-entry, so S's annihilator is read straight off S's rows.  Vectors stay
-integer rows: _scaled_lift scales rows with leading entries to one common
-leading multiple P, so an integer combination of the lifted rows is P times
-the same combination of the rows over their leading entries (for canonical
-rows, of the canonical basis).  A one-parameter family caches its columns
-as integer polynomials: it evaluates them at t, its flat limit at t=0 comes
-out of exact column operations over Z[t], and a degree bound on its minors
-lets finitely many fibres decide its generic rank and flag position.  A
-complete flag caches its integer adapted covectors; Flag.frame maps a
-vector through them, so a subspace's flag position (dim F_j cap L for every
-j) is one elimination of its framed rows, and on the coordinate flag it is
-read off the subspace's canonical pivots with none.  Fractions appear only
-at the boundary: Subspace.basis, JSON, and the public Fraction views (rref,
-kernel_basis, solve_columns, invert_matrix, annihilator_basis,
-Flag.adapted_basis); inside, canonicalize still goes through rref and
-limit_at_zero through kernel_basis.  flag_from_basis reads each vector as
-an integer row and builds every F_j with span.
+rows (quotient_dim reads a quotient's dimension as the rank of
+back-substituted rows); the canonical Fraction basis (pivot entries 1) is a
+view built on first read.  Coordinates on a subspace S are the entries at
+S's pivot columns, and S.restrict carries a subspace of S to k^dim S with no
+elimination, because canonical rows read at S's pivots are canonical.  The
+null vector of canonical rows with 1 at a free column c and 0 at the other
+free columns has, at each row's pivot, minus the row's entry at c over its
+pivot entry, so S's annihilator is read straight off S's rows.
+A one-parameter family is its integer column forms: it evaluates them at
+t, its flat limit at t=0 comes out of exact column operations over Z[t],
+and a degree bound on its minors lets finitely many fibres decide its
+generic rank and flag position.  A complete flag caches its integer adapted
+covectors; Flag.frame maps a vector through them, so a subspace's flag
+position (dim F_j cap L for every j) is one elimination of its framed rows,
+and on the coordinate flag it is read off the canonical pivots with none.
+Fractions appear only at the boundary: Subspace.basis, PolyFamily.cols,
+JSON, and the public Fraction views (rref, kernel_basis, solve_columns,
+invert_matrix, annihilator_basis, Flag.adapted_basis); inside,
+canonicalize still goes through rref and limit_at_zero through
+kernel_basis.
 
 The value types (StageCheck, Subspace, Flag, PolyFamily here, and the
 records of the other layers) are frozen Records written out by hand, not
@@ -707,8 +702,8 @@ class Flag(Record):
         = dim F_j + d - rank[F_j; L_t]; that rank never exceeds its generic
         value and reaches it off the zeros of a minor of degree at most D,
         so at one of any D+1 points.  Generic rank below d: ValueError."""
-        D = sum(deg for deg, _ in fam._int_coeffs)
-        dims = [self.meet_dims(canonicalize(cols, fam.ambient))
+        D = sum(deg for _, deg, _ in fam._forms)
+        dims = [self.meet_dims(span(fam.ambient, *cols))
                 for _, cols in islice(fam.full_rank_points(), D + 1)]
         if not dims:
             raise ValueError(f"family does not have generic rank {fam.ncols}")
@@ -739,39 +734,66 @@ def ptrim(c) -> Poly:
     return tuple(c)
 
 
+def _column_form(den: int, polys) -> tuple:
+    """(den, deg, polys) for the column of integer polys over den, trimmed
+    and reduced to den > 0 coprime to the coefficients: den is then the lcm
+    of the column's Fraction denominators, so equal columns have one form."""
+    polys = [ptrim(p) for p in polys]
+    g = gcd(den, *[x for p in polys for x in p])
+    if den < 0:
+        g = -g
+    if g != 1:
+        den //= g
+        polys = [tuple([x // g for x in p]) for p in polys]
+    return den, max([len(p) - 1 for p in polys] + [0]), tuple(polys)
+
+
 class PolyFamily(Record):
     """A family of subspaces spanned by columns with polynomial entries.
 
-    cols[q][i] is the entry of column q in coordinate i, a Poly in t.  The
-    declared dimension is the number of columns.  A maximal minor has degree
-    at most D, the sum of the column degrees, so a nonzero one vanishes at
-    D points at most: the rank at any D+1 points decides the generic rank.
+    Stored as one integer form (den, deg, polys) per column (_column_form):
+    entry i is the Poly polys[i] / den in t.  The constructor converts Poly
+    columns once, and the integer builders go through _of_forms.  cols, the
+    Fraction view that ==, hash and repr read, is built on first read.  A
+    maximal minor has degree at most D, the sum of the column degrees, so a
+    nonzero one vanishes at D points at most: the rank at any D+1 points
+    decides the generic rank.
     """
 
     _fields = ("ambient", "cols")
 
     def __init__(self, ambient: int, cols: tuple[tuple[Poly, ...], ...]):
+        forms = []
         for col in cols:
             if len(col) != ambient:
                 raise ValueError("column length does not match ambient")
+            den = lcm(*[c.denominator for p in col for c in p])
+            forms.append(_column_form(den, [
+                [c.numerator * (den // c.denominator) for c in p] for p in col]))
         _set_field(self, "ambient", ambient)
-        _set_field(self, "cols", cols)
+        _set_field(self, "_forms", tuple(forms))
+
+    @classmethod
+    def _of_forms(cls, ambient: int, forms) -> "PolyFamily":
+        """The family with these column forms, taken as they are."""
+        fam = cls.__new__(cls)
+        _set_field(fam, "ambient", ambient)
+        _set_field(fam, "_forms", tuple(forms))
+        return fam
+
+    @cached_property
+    def cols(self) -> tuple[tuple[Poly, ...], ...]:
+        return tuple(tuple(tuple(Fraction(c, den) for c in p) for p in polys)
+                     for den, _, polys in self._forms)
 
     @property
     def ncols(self) -> int:
-        return len(self.cols)
+        return len(self._forms)
 
-    @cached_property
-    def _int_coeffs(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
-        """(degree, integer coefficient tuples) per column, the column
-        scaled by the lcm of its coefficient denominators."""
-        out = []
-        for col in self.cols:
-            den = lcm(*[c.denominator for p in col for c in p])
-            deg = max([len(p) - 1 for p in col] + [0])
-            out.append((deg, tuple(
-                tuple(c.numerator * (den // c.denominator) for c in p) for p in col)))
-        return tuple(out)
+    def tail(self, q: int) -> "PolyFamily":
+        """The family on the columns from index q on (cols[q:]), sharing
+        this family's forms: a column's form depends on that column alone."""
+        return self._of_forms(self.ambient, self._forms[q:])
 
     def _int_columns(self, t) -> list[list[int]]:
         """The columns at t = p/q as integer vectors, each a nonzero
@@ -782,7 +804,7 @@ class PolyFamily(Record):
         p, q = t.numerator, t.denominator
         powers = {}
         out = []
-        for deg, col in self._int_coeffs:
+        for _, deg, col in self._forms:
             pw = powers.get(deg)
             if pw is None:
                 pw = powers[deg] = [p ** k * q ** (deg - k) for k in range(deg + 1)]
@@ -790,33 +812,31 @@ class PolyFamily(Record):
         return out
 
     def at(self, t) -> Subspace:
-        return canonicalize(self._int_columns(t), self.ambient)
+        return span(self.ambient, *self._int_columns(t))
 
     def full_rank_points(self):
         """(t, integer columns at t) for t = 1, ..., 2D+1 wherever the
         columns are independent: none at all when the generic rank is below
         ncols, and at least D+1 otherwise."""
-        D = sum(deg for deg, _ in self._int_coeffs)
+        D = sum(deg for _, deg, _ in self._forms)
         for t in range(1, 2 * D + 2):
             cols = self._int_columns(t)
             if rank(cols) == self.ncols:
                 yield t, cols
 
     def max_degree(self) -> int:
-        return max((deg for deg, _ in self._int_coeffs), default=0)
+        return max((deg for _, deg, _ in self._forms), default=0)
 
 
 def family_from_vectors(ambient: int, columns) -> PolyFamily:
     """Build a PolyFamily from columns whose entries are Poly-like iterables."""
-    cols = tuple(
-        tuple(ptrim(tuple(frac(c) for c in entry)) for entry in col)
-        for col in columns
-    )
-    return PolyFamily(ambient, cols)
+    return PolyFamily(ambient, tuple(
+        tuple(tuple(frac(c) for c in entry) for entry in col) for col in columns))
 
 
 def constant_family(s: Subspace) -> PolyFamily:
-    return family_from_vectors(s.ambient, [[(x,) for x in row] for row in s.basis])
+    return PolyFamily._of_forms(s.ambient, [
+        _column_form(row[p], [(x,) for x in row]) for p, row in zip(s.pivots, s.rows)])
 
 
 def limit_at_zero(fam: PolyFamily) -> Subspace:
@@ -837,7 +857,7 @@ def limit_at_zero(fam: PolyFamily) -> Subspace:
         return zero_subspace(fam.ambient)
     if next(fam.full_rank_points(), None) is None:
         raise ValueError(f"family does not have generic rank {d}")
-    cols = [list(col) for _, col in fam._int_coeffs]
+    cols = [list(col) for _, _, col in fam._forms]
     budget = d * (fam.max_degree() + 2) + 8
     while True:
         ev = [[p[0] if p else 0 for p in col] for col in cols]

@@ -5,9 +5,9 @@ result leaves it.  The code here does the same work the textbook way, on
 the canonical Fraction basis, and stays as the reference that the
 differential tests compare the integer paths against, value for value:
 the vector helpers, coordinates on a subspace and their inverse, a flag
-built from a basis, and the witness, tangent and sampling routines of
-schubgeom as they read in Fractions.  It also makes source mutants of
-library functions.
+built from a basis, the witness, tangent and sampling routines of
+schubgeom and the pencil columns of deform as they read in Fractions.  It
+also makes source mutants of library functions.
 """
 
 import __future__
@@ -21,6 +21,7 @@ from pierikit.exactla import (
     GenericityError,
     annihilator_basis,
     canonicalize,
+    family_from_vectors,
     flag_from_basis,
     frac,
     intersect,
@@ -233,6 +234,16 @@ def tangent_codim(H, a, flag, L):
         schubert_rows.extend(equations(intersect(H, fj).basis, fj))
     special_rows = equations(line.basis, L)
     return rank(schubert_rows + special_rows) - rank(schubert_rows)
+
+
+def pencil_columns(ambient, dual_basis, l):
+    """deform._pencil_columns over the Fraction dual basis e_1..e_N: the
+    moving columns t e_j + e_{j+1} for 1 <= j <= l-2, then e_l, ..., e_N,
+    built through family_from_vectors."""
+    moving = [tuple((e_next[i], e_j[i]) for i in range(ambient))
+              for e_j, e_next in zip(dual_basis[:l - 2], dual_basis[1:l - 1])]
+    fixed = [tuple((e[i],) for i in range(ambient)) for e in dual_basis[l - 1:]]
+    return family_from_vectors(ambient, moving + fixed)
 
 
 def source_mutant(fn, old, new):

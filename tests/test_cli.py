@@ -453,10 +453,15 @@ VERB_ARGV = [
     ("triple-witness",) + PROBLEM,
 ]
 
+# the pencil on a random flag, whose dual vectors carry denominators other than 1
+RANDOM_FLAG_PENCIL = ("pencil", "--file", "{M}", "--marked-file", "{Lm}",
+                      "--flag-seed", "3")
+
 # exit code and sha256 of stdout and stderr of every verb, passing and with
 # its clauses forced to fail, in text and --json mode
 PINNED_OUTPUTS = Path(__file__).parent / "golden" / "cli_outputs.json"
 PINNED_RUNS = ([(argv[0], argv, None) for argv in VERB_ARGV]
+               + [("pencil --flag-seed 3", RANDOM_FLAG_PENCIL, None)]
                + [("forced " + argv[0], argv, force) for argv, force in FORCED_FAILURES])
 
 

@@ -35,6 +35,7 @@ from pierikit.exactla import (
     _int_row,
     canonicalize,
     family_from_vectors,
+    family_to_json,
     intersect,
     invert_matrix,
     kernel_basis,
@@ -1395,7 +1396,7 @@ def textbook_pencil_family(mflag, l, L_inf):
     for i in range(1, N + 1):
         assert span(M.ambient, *dual[i - 1:]) == mflag[i - 1]
     assert span(M.ambient, *(dual[q] for q in range(N) if q != l - 2)) == L_inf
-    family = deform._pencil_columns(M.ambient, dual, l)
+    family = ref.pencil_columns(M.ambient, dual, l)
     assert sampled_fibres_hold(family, mflag, l)
     return family
 
@@ -1440,6 +1441,12 @@ def remainder(M, v):
     return tuple(F(x, s) for x in r)
 
 
+def as_fractions(dual):
+    """The dual basis given to _pencil_columns as pairs (d, w), each vector
+    w / d read in Fractions."""
+    return tuple(tuple(F(x, d) for x in w) for d, w in dual)
+
+
 def pencil_column_mutant(monkeypatch, kind):
     """Replace _pencil_columns by a wrong construction; returns the list of
     families it makes.  "sample-blind" adds t prod_p (t - p) e_1 to the
@@ -1452,11 +1459,12 @@ def pencil_column_mutant(monkeypatch, kind):
     made = []
 
     def mutated(ambient, dual, l):
+        vecs = as_fractions(dual)
         if kind == "shifted index":
             fam = real(ambient, dual[1:] + dual[:1], l)
         elif kind == "leaves M":
             fam = real(ambient, dual, l)
-            M = span(ambient, *dual)
+            M = span(ambient, *vecs)
             w = next(r for r in (remainder(M, e(i, ambient)) for i in
                                  range(1, ambient + 1)) if any(r))
             cols = list(fam.cols)
@@ -1465,13 +1473,13 @@ def pencil_column_mutant(monkeypatch, kind):
         elif kind == "t on e_(j+1)":
             fixed = real(ambient, dual, l).cols[l - 2:]
             moving = [tuple(zip(e_j, e_next))  # e_j + t e_(j+1)
-                      for e_j, e_next in zip(dual[:l - 2], dual[1:l - 1])]
+                      for e_j, e_next in zip(vecs[:l - 2], vecs[1:l - 1])]
             fam = family_from_vectors(ambient, moving + list(fixed))
         else:
             fam = real(ambient, dual, l)
             bump = vanishing_at_samples()
             cols = list(fam.cols)
-            cols[l - 2] = [[(p[k] if k < len(p) else 0) + b * dual[0][i]
+            cols[l - 2] = [[(p[k] if k < len(p) else 0) + b * vecs[0][i]
                             for k, b in enumerate(bump)]
                            for i, p in enumerate(cols[l - 2])]
             fam = family_from_vectors(ambient, cols)
@@ -1482,19 +1490,42 @@ def pencil_column_mutant(monkeypatch, kind):
     return made
 
 
+def textbook_mismatches(monkeypatch):
+    """The pencil_cases() (l, M) on which build_pencil's family, built in
+    integers with no span and no fibre, differs from the textbook Fraction
+    construction by ==, by its Fraction columns, by family_to_json or by
+    its integer column forms."""
+    bad = []
+    for mf, l, L_inf in pencil_cases():
+        want = textbook_pencil_family(mf, l, L_inf)
+        with monkeypatch.context() as m:
+            m.setattr(deform, "span", forbid)
+            m.setattr(PolyFamily, "at", forbid)
+            got = build_pencil(mf, l, L_inf).family
+        if (got != want or got.cols != want.cols or got._forms != want._forms
+                or family_to_json(got) != family_to_json(want)):
+            bad.append((l, str(mf[0])))
+    return bad
+
+
 class TestExactPencil:
     def test_family_equals_the_textbook_construction(self, monkeypatch):
+        assert textbook_mismatches(monkeypatch) == []
         seen = {"l = 2": 0, "l = N+1": 0, "between": 0}
-        for mf, l, L_inf in pencil_cases():
-            want = textbook_pencil_family(mf, l, L_inf)
-            with monkeypatch.context() as m:
-                m.setattr(deform, "span", forbid)
-                m.setattr(PolyFamily, "at", forbid)
-                got = build_pencil(mf, l, L_inf)
-            assert got.family == want, (l, str(mf[0]))
+        for mf, l, _ in pencil_cases():
             N = mf[0].dim
             seen["l = 2" if l == 2 else "l = N+1" if l == N + 1 else "between"] += 1
+        assert sum(seen.values()) == 98
         assert all(count >= 20 for count in seen.values()), seen
+
+    def test_one_denominator_columns_fail_the_comparison(self, monkeypatch):
+        # moving columns over e_j's denominator alone, t e_j + (d_(j+1)/d_j)
+        # e_(j+1): still t e_j + e_(j+1) up to nonzero factors, so every
+        # check of build_pencil passes them; where d_j = d_(j+1), as on
+        # every coordinate flag, the mutant builds the real family
+        monkeypatch.setattr(deform, "_pencil_columns", ref.source_mutant(
+            deform._pencil_columns, "den // d_next, den // d", "den // d, den // d"))
+        assert len(textbook_mismatches(monkeypatch)) >= 20
 
     @pytest.mark.parametrize("kind", ["sample-blind", "t on e_(j+1)", "shifted index",
                                       "leaves M"])
@@ -1561,7 +1592,7 @@ def search_pencil(mflag, l, L_inf):
     M = mflag[0]
     covectors = search_covectors(mflag, l, L_inf)
     dual = tuple(ref.from_coords(M, col) for col in zip(*invert_matrix(covectors)))
-    family = deform._pencil_columns(M.ambient, dual, l)
+    family = ref.pencil_columns(M.ambient, dual, l)
     return covectors, Pencil(M, tuple(mflag), l, family, L_inf)
 
 
@@ -1719,8 +1750,8 @@ class TestTriangularDual:
                 m.setattr(exactla, "invert_matrix", forbid)
                 m.setattr(Subspace, "basis", property(forbid))
                 build_pencil(mf, l, L_inf)
-            assert duals == [want], (l, str(mf[0]))
-            assert all(type(x) is F for v in duals[0] for x in v)
+            assert [as_fractions(dual) for dual in duals] == [want], (l, str(mf[0]))
+            assert all(type(x) is int for d, w in duals[0] for x in (d, *w))
             M = mf[0]
             unit = all(s == Subspace(M.ambient, M.rows[i:]) for i, s in enumerate(mf))
             seen["coordinate" if unit else "other"] += 1
@@ -1752,40 +1783,51 @@ class TestTriangularDual:
 
 
 # ----------------------------------------------------------------------
-# A restricted family takes its integer column forms from the pencil
-# family's cache; a fresh family on the same column tail stays the
-# reference.
+# A restricted family is a column tail of the pencil family that shares
+# its integer column forms; a fresh family built from the Fraction columns
+# of the same tail stays the reference.
 
-def tail_form_mismatches():
+def tail_mismatches():
     """(nonempty, mismatched): restricted_family(q) against a fresh
-    PolyFamily on the pencil's column tail from q, for every
-    pencil_cases() case and every q = 1..l-1; nonempty counts the pairs
-    whose tail has a column (for l = N+1 the tail from q = N has none)."""
+    PolyFamily built from the pencil's Fraction column tail from q, by ==
+    and by integer forms, for every pencil_cases() case and every
+    q = 1..l-1; nonempty counts the pairs whose tail has a column (for
+    l = N+1 the tail from q = N has none)."""
     nonempty = mismatched = 0
     for mf, l, L_inf in pencil_cases():
         pencil = build_pencil(mf, l, L_inf)
         for q in range(1, l):
             fam = pencil.restricted_family(q)
             fresh = PolyFamily(pencil.M.ambient, pencil.family.cols[q - 1:])
-            assert fam == fresh and "_int_coeffs" not in vars(fresh)
-            mismatched += fam._int_coeffs != fresh._int_coeffs
+            mismatched += fam != fresh or fam._forms != fresh._forms
             nonempty += fresh.ncols > 0
     return nonempty, mismatched
 
 
 class TestRestrictedFamilyForms:
     def test_tail_forms_equal_a_fresh_family(self):
-        assert tail_form_mismatches() == (263, 0)
+        assert tail_mismatches() == (263, 0)
 
     def test_forms_are_handed_down(self):
         pencil = companion_pencil()
-        forms = pencil.family._int_coeffs
+        forms = pencil.family._forms
         for q in range(1, pencil.l):
-            handed = vars(pencil.restricted_family(q))["_int_coeffs"]
-            assert len(handed) == len(forms) - q + 1
-            assert all(x is y for x, y in zip(handed, forms[q - 1:]))
+            shared = pencil.restricted_family(q)._forms
+            assert len(shared) == len(forms) - q + 1
+            assert all(x is y for x, y in zip(shared, forms[q - 1:]))
 
     def test_off_by_one_tail_fails(self, monkeypatch):
         monkeypatch.setattr(Pencil, "restricted_family", ref.source_mutant(
-            Pencil.restricted_family, "_int_coeffs[i - 1:]", "_int_coeffs[i:]"))
-        assert tail_form_mismatches() == (263, 263)
+            Pencil.restricted_family, "tail(i - 1)", "tail(i)"))
+        assert tail_mismatches() == (263, 263)
+
+
+def test_chain_reads_no_fraction_columns(monkeypatch):
+    """A pencil, a step and a chain at (741, b=2), and the worked run, read
+    only the integer column forms of their families."""
+    monkeypatch.setattr(PolyFamily, "cols", property(forbid))
+    assert companion_pencil().l == 6
+    assert step_verify(A741, 2, 1, FLAG, M_COMPANION, L_MARKED).passed
+    K = span(9, *[e(i) for i in range(1, 6)])
+    assert all(rep.passed for rep in chain_deformation(A741, 2, FLAG, K, seeds=0))
+    assert golden_run_741().passed

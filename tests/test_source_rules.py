@@ -1,8 +1,11 @@
-"""Two rules every library module keeps.
+"""Three rules every library module keeps.
 
 No assert statement: python -O strips asserts, so a check written as one
 would vanish there (checks raise VerificationError instead).  No absolute
-import outside the standard library: the library has no dependencies.
+import outside the standard library: the library has no dependencies.  No
+write to an instance __dict__: a record holds what its constructor stored
+and what its cached properties derive, never a value slipped in beside
+them.
 """
 
 import ast
@@ -34,6 +37,28 @@ def foreign_imports(source: str) -> list:
                   if name.split(".")[0] not in sys.stdlib_module_names)
 
 
+def _is_dict(node) -> bool:
+    """Whether node reads an instance dictionary: x.__dict__ or vars(x)."""
+    return ((isinstance(node, ast.Attribute) and node.attr == "__dict__")
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "vars"))
+
+
+def dict_write_lines(source: str) -> list:
+    """The line of every item assignment or deletion on x.__dict__ or
+    vars(x), and of every call of a method of one other than a read."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+                and _is_dict(node.value)):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and _is_dict(node.func.value)
+              and node.func.attr not in ("get", "keys", "values", "items", "copy")):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def test_checker_sees_an_assert():
     source = ("def f(x):\n    assert x > 0, 'positive'\n    return x\n"
               "assert_ok = True\nassert f(1)\n")
@@ -48,6 +73,14 @@ def test_checker_sees_a_foreign_import():
     assert foreign_imports(source) == ["numpy.linalg", "requests", "sympy"]
 
 
+def test_checker_sees_a_dict_write():
+    source = ("def f(o, k):\n    o.__dict__['x'] = 1\n    vars(o)[k] += 1\n"
+              "    del o.__dict__['x']\n    o.__dict__.update(y=2)\n"
+              "    vars(o).setdefault('z', 3)\n"
+              "    return o.__dict__.get('x'), vars(o)['y'], o.__dict__\n")
+    assert dict_write_lines(source) == [2, 3, 4, 5, 6]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_assert_statement(path):
     assert assert_lines(path.read_text()) == []
@@ -56,3 +89,8 @@ def test_no_assert_statement(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_only_the_standard_library(path):
     assert foreign_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_instance_dict_write(path):
+    assert dict_write_lines(path.read_text()) == []
