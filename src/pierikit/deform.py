@@ -8,7 +8,7 @@ position to the fully special one where every component is a plain
 Schubert variety.
 """
 
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 import random
 
@@ -24,6 +24,7 @@ from .exactla import (
     _column_form,
     _echelon,
     _int_row,
+    _inverse_rows,
     _null_vector,
     _null_vectors,
     _read_null_vectors,
@@ -184,52 +185,6 @@ def _in_pencil_form(M: Subspace, covectors, family: PolyFamily, l: int) -> bool:
     return True
 
 
-def _dual_basis(tri, order, r: int, x) -> list:
-    """The basis e_1..e_N of k^N dual to covectors x_1..x_N, as pairs (s, w)
-    with e_k = w / s in integers.
-
-    Each covector is a pair (d, v) meaning v / d; x_i is tri[i] for i != r
-    and x_r is x.  tri is upper triangular in the column order `order` (v
-    zero at order[:i], d at order[i]), so its dual basis e'_k comes from
-    fraction-free back substitution: e'_k is one at order[k], zero past it
-    in that order, and row i < k fixes its entry at order[i].  x = sum_k
-    c_k tri_k with c_k = x(e'_k), so e_r = e'_r / c_r and e_k = e'_k -
-    c_k e_r for k != r is the dual basis with x in row r; c_r = 0 means
-    the covectors are dependent: ValueError.
-    """
-    N = len(order)
-    # each triangular covector's nonzero entries past its diagonal
-    tails = [[(c, v[c]) for c in order[i + 1:] if v[c]] for i, (_, v) in enumerate(tri)]
-    solved = []
-    for k in range(N):
-        z = [0] * N
-        z[order[k]] = 1
-        s = 1
-        for i in range(k - 1, -1, -1):
-            S = sum(z[c] * y for c, y in tails[i])
-            if S:
-                d = tri[i][0]
-                g = gcd(d, S)
-                if d > g:
-                    z = [y * (d // g) for y in z]
-                    s *= d // g
-                z[order[i]] = -S // g
-        solved.append((s, z))
-    d0, u = x
-    zr = solved[r][1]
-    cr = sum(map(mul, u, zr))  # c_r = cr / (d0 s_r)
-    if not cr:
-        raise ValueError("covectors are not independent")
-    out = []
-    for k, (s, z) in enumerate(solved):
-        if k == r:
-            out.append((cr, [d0 * y for y in zr]))
-            continue
-        ck = sum(map(mul, u, z))  # c_k = ck / (d0 s_k)
-        out.append((s * cr, [y * cr - ck * w for y, w in zip(z, zr)]) if ck else (s, z))
-    return out
-
-
 def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
     """Pencil of hyperplanes of M_1 closing up at L_inf.
 
@@ -240,17 +195,16 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
     the constant M_2 = L_inf).
 
     The covectors are read off canonical rows in M's coordinates, with no
-    elimination.  x_{l-1} is the first null vector of L_inf's rows, a
-    positive multiple of its first annihilator covector (_dual_basis is
-    homogeneous).  For i != l-1, x_i is the null vector of M_{i+1} (of 0 for
-    i = N) at p_i, the one pivot of M_i that M_{i+1} lacks: M_i is M_{i+1}
-    plus M_i's canonical row at p_i, which leads at p_i and is zero at
-    M_{i+1}'s pivots, so the null vector at a free column c vanishes on M_i
-    for every c < p_i and not for c = p_i.  In the column order p_1..p_N
-    these null vectors are upper triangular, so _dual_basis solves them with
-    no inverse (the one at p_{l-1} standing in for row l-1) and then
-    corrects row l-1.  On the coordinate flag, where a chain runs, they are
-    unit covectors.
+    elimination.  x_{l-1} is the first null vector of L_inf's rows.  For
+    i != l-1, x_i is the null vector of M_{i+1} (of 0 for i = N) at p_i,
+    the one pivot of M_i that M_{i+1} lacks: M_i is M_{i+1} plus M_i's
+    canonical row at p_i, which leads at p_i and is zero at M_{i+1}'s
+    pivots, so the null vector at a free column c vanishes on M_i for every
+    c < p_i and not for c = p_i.  On the coordinate flag, where a chain
+    runs, they are unit covectors.  With x_k = v_k / d_k, the dual vector
+    e_k is d_k times column k of V^-1 (V the matrix of rows v_k), read off
+    one echelon of [V^T | I] (_inverse_rows); a singular V means the
+    covectors are dependent: ValueError.
 
     The fibres are proved, not sampled.  The dual vectors are independent,
     so e_i in M_i for each i, and the N-1 vectors other than e_{l-1} in
@@ -286,22 +240,20 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
 
     # M_1, ..., M_N and then M_(N+1) = 0, in M's coordinates
     inner = [M.restrict(s) for s in mflag] + [zero_subspace(N)]
-    order, tri = [], []
-    for above, below in zip(inner, inner[1:]):
-        # the null vector of M_(i+1) at the one pivot of M_i it lacks; for
-        # row l-1 it is the triangular stand-in that _dual_basis corrects
-        p = next(c for c in above.pivots if c not in below.pivots)
-        order.append(p)
-        tri.append(_null_vector(below.rows, below.pivots, p, N))
+    x = [_null_vector(below.rows, below.pivots,
+                      next(c for c in above.pivots if c not in below.pivots), N)
+         for above, below in zip(inner, inner[1:])]
     marked = M.restrict(L_inf)
-    x = _read_null_vectors(marked.rows, marked.pivots, N)[0]
-    solved = _dual_basis(tri, order, l - 2, x)
-    covectors = [v for _, v in tri]
-    covectors[l - 2] = x[1]
+    x[l - 2] = _read_null_vectors(marked.rows, marked.pivots, N)[0]
+    covectors = [v for _, v in x]
+    inverse = _inverse_rows(list(zip(*covectors)))
+    if inverse is None:
+        raise ValueError("covectors are not independent")
     P, lift = _scaled_lift(M.rows)
     cols = list(zip(*lift))
-    # e_k = dual[k] / (P s_k)
-    dual = [[sum(map(mul, w, col)) for col in cols] for _, w in solved]
+    # e_k = d_k (column k of V^-1) = dual[k] / (P s_k)
+    dual = [[d * sum(map(mul, w, col)) for col in cols]
+            for (d, _), (_, w) in zip(x, inverse)]
 
     # construction sanity: the dual basis tails trace out the given flag;
     # the flag is nested and the dual vectors independent, so e_i in M_i
@@ -312,7 +264,7 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
     if not all(L_inf.contains_vector(dual[q]) for q in range(N) if q != l - 2):
         raise VerificationError(f"dual basis without vector {l - 1} does not span L_inf")
 
-    family = _pencil_columns(M.ambient, [(P * s, w) for w, (s, _) in zip(dual, solved)], l)
+    family = _pencil_columns(M.ambient, [(P * s, w) for w, (s, _) in zip(dual, inverse)], l)
     if not _in_pencil_form(M, covectors, family, l):
         raise VerificationError("pencil columns are not t e_j + e_(j+1) and e_k "
                                 "in the dual basis")

@@ -4,7 +4,8 @@ Everything is over the rationals and nothing is ever rounded.  Elimination
 is fraction-free: one integer Gauss-Jordan routine does every rank, kernel,
 solve, inverse, span and intersection; it scales each input row to a
 primitive integer vector and keeps it primitive.  Its inputs must be int or
-Fraction; anything else raises TypeError.
+Fraction; anything else raises TypeError.  Every inverse is one echelon of
+[A | I] (_inverse_rows), a pencil's dual basis included.
 
 A Subspace is its canonical integer rows: the reduced echelon basis with
 each row scaled to a primitive integer vector whose pivot entry is positive.
@@ -362,13 +363,23 @@ def solve_columns(cols, target):
     return tuple(x)
 
 
-def invert_matrix(rows):
+def _inverse_rows(rows):
+    """The rows of the inverse of the square matrix as integer pairs
+    (d_k, w_k), row k being w_k / d_k with d_k > 0, read off one echelon of
+    [A | I]; None when A is singular."""
     n = len(rows)
-    aug = [list(r) + [int(j == i) for j in range(n)] for i, r in enumerate(rows)]
-    reduced, pivots = _echelon(aug)
-    if pivots[:n] != list(range(n)) or len(reduced) != n:
+    reduced, pivots = _echelon([list(r) + [int(j == i) for j in range(n)]
+                                for i, r in enumerate(rows)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [(row[k], row[n:]) for k, row in enumerate(reduced)]
+
+
+def invert_matrix(rows):
+    inverse = _inverse_rows(rows)
+    if inverse is None:
         raise ValueError("matrix is singular")
-    return [_over(row[n:], row[i]) for i, row in enumerate(reduced)]
+    return [_over(w, d) for d, w in inverse]
 
 
 # ----------------------------------------------------------------------
@@ -652,14 +663,12 @@ class Flag(Record):
     def _adapted_coords(self) -> tuple[tuple[int, ...], ...]:
         """Integer covectors phi_1..phi_n, phi_k a multiple of the k-th
         adapted coordinate, so F_j is cut out by phi_1..phi_{j-1}: the rows
-        of the inverse of the matrix W with columns w_1..w_n, read off the
-        right half of one echelon of [W | I].  Each w_k is a positive
+        of the inverse of the matrix W with columns w_1..w_n (_inverse_rows),
+        each scaled to a primitive integer vector.  Each w_k is a positive
         multiple of u_k, so each row of W^-1 is a positive multiple of the
         same row of the inverse of the matrix with columns u_1..u_n."""
-        n = self.ambient
-        reduced, _ = _echelon([list(col) + [int(i == k) for i in range(n)]
-                               for k, col in enumerate(zip(*self._adapted_rows))])
-        return tuple(tuple(_int_row(row[n:])) for row in reduced)
+        inverse = _inverse_rows(list(zip(*self._adapted_rows)))
+        return tuple(tuple(_int_row(w)) for _, w in inverse)
 
     @cached_property
     def _is_coordinate(self) -> bool:
@@ -767,9 +776,9 @@ class PolyFamily(Record):
         for col in cols:
             if len(col) != ambient:
                 raise ValueError("column length does not match ambient")
-            den = lcm(*[c.denominator for p in col for c in p])
-            forms.append(_column_form(den, [
-                [c.numerator * (den // c.denominator) for c in p] for p in col]))
+            ints, den = _scaled_row([c for p in col for c in p])
+            flat = iter(ints)
+            forms.append(_column_form(den, [list(islice(flat, len(p))) for p in col]))
         _set_field(self, "ambient", ambient)
         _set_field(self, "_forms", tuple(forms))
 

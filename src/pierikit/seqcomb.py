@@ -15,6 +15,18 @@ from operator import index
 from .exactla import Record, VerificationError, _set_field
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """The values as ints, through operator.index: a float, a string or any
+    other non-integer raises a ValueError that names it, rather than being
+    truncated or parsed."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        bad = next(x for x in values if not hasattr(type(x), "__index__"))
+        raise ValueError(f"{what} must be integers, got {bad!r}") from None
+
+
 class DecSeq(Record):
     """Strictly decreasing sequence n >= a_1 > ... > a_m >= 1.
 
@@ -29,16 +41,7 @@ class DecSeq(Record):
             n = index(n)
         except TypeError:
             raise ValueError(f"ambient parameter n must be an integer, got {n!r}") from None
-        entries = tuple(entries)
-        try:
-            entries = tuple(map(index, entries))
-        except TypeError:
-            for x in entries:
-                try:
-                    index(x)
-                except TypeError:
-                    raise ValueError(f"entries must be integers, got {x!r}") from None
-            raise
+        entries = _integers(entries, "entries")
         if n < 1:
             raise ValueError("ambient parameter n must be positive")
         prev = n + 1
@@ -186,7 +189,7 @@ def alpha_of(lam, n: int, m: int) -> DecSeq:
 
 
 def trim_partition(parts) -> tuple[int, ...]:
-    parts = [int(p) for p in parts]
+    parts = list(_integers(parts, "partition parts"))
     if any(p < 0 for p in parts):
         raise ValueError("partition parts must be nonnegative")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactla import Record, StageCheck, Verdict, _set_field
-from .seqcomb import alpha_of, lambda_of, pieri_set, tree_chains, trim_partition
+from .seqcomb import _integers, alpha_of, lambda_of, pieri_set, tree_chains, trim_partition
 
 Partition = tuple[int, ...]
 
@@ -25,7 +25,7 @@ class Tableau(Record):
     _fields = ("rows", "entry_bound")
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], entry_bound: int):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(_integers(r, "tableau entries") for r in rows)
         prev_len = None
         for ri, row in enumerate(rows):
             if not row:
@@ -112,7 +112,7 @@ def row_insert(t: Tableau, word) -> tuple[Tableau, tuple[Partition, ...]]:
     Returns the final tableau and the chain of shapes, starting with the
     shape of t and recording one shape per letter.
     """
-    word = tuple(int(x) for x in word)
+    word = _integers(word, "letters")
     for i, x in enumerate(word):
         if not 1 <= x <= t.entry_bound:
             raise ValueError(f"letter {x} outside 1..{t.entry_bound}")
@@ -278,7 +278,7 @@ class SparsePoly:
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for e, c in (terms.items() if isinstance(terms, dict) else terms):
-                e = tuple(int(x) for x in e)
+                e = _integers(e, "exponents")
                 if len(e) != nvars:
                     raise ValueError("exponent length does not match nvars")
                 c = c if isinstance(c, Fraction) else Fraction(c)
@@ -428,7 +428,7 @@ def schur_decompose(p: SparsePoly, m: int) -> dict[Partition, int]:
         work = work - schur_expand(lam, m) * c
         if c.denominator != 1:
             raise ValueError(f"non-integer Schur coefficient {c} at {lam}")
-        out[lam] = out.get(lam, 0) + int(c)
+        out[lam] = out.get(lam, 0) + c.numerator
         guard -= 1
         if guard < 0:
             raise RuntimeError("Schur decomposition did not terminate")

@@ -1501,7 +1501,7 @@ def textbook_mismatches(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(deform, "span", forbid)
             m.setattr(PolyFamily, "at", forbid)
-            got = build_pencil(mf, l, L_inf).family
+            got = deform.build_pencil(mf, l, L_inf).family
         if (got != want or got.cols != want.cols or got._forms != want._forms
                 or family_to_json(got) != family_to_json(want)):
             bad.append((l, str(mf[0])))
@@ -1687,10 +1687,10 @@ class TestIntegerSteps:
 
 
 # ----------------------------------------------------------------------
-# build_pencil's dual basis comes from integer back substitution on the
-# triangular covectors plus one correction for row l-1.  The inverse of the
-# covector matrix, lifted through M's canonical basis, as build_pencil built it
-# before, stays here as the reference.
+# build_pencil's dual basis is d_k times column k of the inverse of the
+# integer covector matrix, read off one integer echelon (_inverse_rows).  The
+# Fraction inverse of the search covectors, lifted through M's canonical
+# basis, as build_pencil built it before, stays here as the reference.
 
 def recorded_duals(monkeypatch):
     """Record the dual basis e_1..e_N of every pencil build_pencil builds."""
@@ -1733,39 +1733,52 @@ def sweep_pencils():
     return cases
 
 
+def dual_mismatches(monkeypatch, cases):
+    """The cases on which the dual basis build_pencil hands _pencil_columns,
+    read as Fractions, differs from the columns of the Fraction inverse of
+    the search covectors; build_pencil takes no Fraction inverse and reads
+    no Fraction basis."""
+    duals = recorded_duals(monkeypatch)
+    bad = []
+    for mf, l, L_inf in cases:
+        want = inverse_dual(mf, l, L_inf)
+        duals.clear()
+        with monkeypatch.context() as m:
+            m.setattr(exactla, "invert_matrix", forbid)
+            m.setattr(Subspace, "basis", property(forbid))
+            deform.build_pencil(mf, l, L_inf)
+        assert all(type(x) is int for d, w in duals[0] for x in (d, *w))
+        if [as_fractions(dual) for dual in duals] != [want]:
+            bad.append((l, str(mf[0])))
+    return bad
+
+
 class TestTriangularDual:
     def test_dual_is_the_inverse_on_every_case(self, monkeypatch):
         """On the 98 pencil_cases() and every pencil of the sweep chains,
         the dual basis equals the columns of the inverse covector matrix,
-        value for value, with no inverse taken."""
-        duals = recorded_duals(monkeypatch)
+        value for value."""
         cases = pencil_cases()
         assert len(cases) == 98
         cases += sweep_pencils()
+        assert dual_mismatches(monkeypatch, cases) == []
         seen = {"coordinate": 0, "other": 0}
-        for mf, l, L_inf in cases:
-            want = inverse_dual(mf, l, L_inf)
-            duals.clear()
-            with monkeypatch.context() as m:
-                m.setattr(exactla, "invert_matrix", forbid)
-                m.setattr(Subspace, "basis", property(forbid))
-                build_pencil(mf, l, L_inf)
-            assert [as_fractions(dual) for dual in duals] == [want], (l, str(mf[0]))
-            assert all(type(x) is int for d, w in duals[0] for x in (d, *w))
+        for mf, _, _ in cases:
             M = mf[0]
             unit = all(s == Subspace(M.ambient, M.rows[i:]) for i, s in enumerate(mf))
             seen["coordinate" if unit else "other"] += 1
         assert seen["coordinate"] >= 50 and seen["other"] >= 75, seen
 
     def test_dual_without_the_correction_fails(self, monkeypatch):
-        """A dual basis solved with the triangular stand-in in row l-1, so
-        without the correction, is dual to the wrong covectors: build_pencil
-        refuses it on every case whose L_inf is not the stand-in's kernel,
-        among them every generic L_inf that a chain descends to."""
+        """A build_pencil that keeps the triangular stand-in, the null
+        vector of M_l at p_(l-1), in row l-1 of the covectors in place of
+        L_inf's null vector is dual to the wrong covectors: it refuses every
+        case whose L_inf is not the stand-in's kernel, among them every
+        generic L_inf that a chain descends to."""
         cases = pencil_cases() + sweep_pencils()[:20]
-        real = deform._dual_basis
-        monkeypatch.setattr(deform, "_dual_basis",
-                            lambda tri, order, r, x: real(tri, order, r, tri[r]))
+        monkeypatch.setattr(deform, "build_pencil", ref.source_mutant(
+            deform.build_pencil,
+            "x[l - 2] = _read_null_vectors(marked.rows, marked.pivots, N)[0]", "pass"))
         refused = kept = 0
         for mf, l, L_inf in cases:
             M = mf[0]
@@ -1773,13 +1786,24 @@ class TestTriangularDual:
             stand_in = search_covectors(mf, M.dim + 2, L_inf)[l - 2]
             if all(sum(x * row[p] for x, p in zip(stand_in, M.pivots)) == 0
                    for row in L_inf.rows):
-                build_pencil(mf, l, L_inf)
+                deform.build_pencil(mf, l, L_inf)
                 kept += 1
                 continue
             with pytest.raises(VerificationError, match="does not span L_inf"):
-                build_pencil(mf, l, L_inf)
+                deform.build_pencil(mf, l, L_inf)
             refused += 1
         assert refused >= 80 and kept >= 20, (refused, kept)
+
+    def test_dual_without_the_covector_scale_fails(self, monkeypatch):
+        """Columns of V^-1 without the factor d_k are dual to the covectors
+        v_k, not to x_k = v_k / d_k.  Each such vector is a positive multiple
+        of e_k, so every check of build_pencil passes it; the comparisons
+        with the inverse and with the textbook family fail it wherever some
+        d_k is not 1, which never happens on the coordinate flag."""
+        monkeypatch.setattr(deform, "build_pencil", ref.source_mutant(
+            deform.build_pencil, "[d * sum(map(mul, w, col))", "[sum(map(mul, w, col))"))
+        assert len(dual_mismatches(monkeypatch, pencil_cases())) >= 60
+        assert len(textbook_mismatches(monkeypatch)) >= 60
 
 
 # ----------------------------------------------------------------------

@@ -275,6 +275,20 @@ class TestFamily:
         assert at1 == span(3, vec([1, 1, 0]), vec([0, 0, 1]))
         assert fam.at(F(0)) == span(3, vec([0, 1, 0]), vec([0, 0, 1]))
 
+    @pytest.mark.parametrize("entry", [1.5, Decimal("1.5"), "1"])
+    def test_non_exact_entry_is_a_type_error(self, entry):
+        # a float entry used to raise AttributeError on its denominator
+        with pytest.raises(TypeError, match="int or Fraction"):
+            PolyFamily(1, (((entry,),),))
+        with pytest.raises(TypeError, match="int or Fraction"):
+            PolyFamily(2, (((1, F(1, 2)), (0, entry)),))
+
+    def test_int_and_fraction_entries_agree(self):
+        fam = PolyFamily(2, (((F(1, 2), 3), (F(2, 3),)), ((1,), (0, F(5, 4)))))
+        assert fam._forms == ((6, 1, ((3, 18), (4,))), (4, 1, ((4,), (0, 5))))
+        assert fam == PolyFamily(2, tuple(tuple(tuple(F(c) for c in p) for p in col)
+                                          for col in fam.cols))
+
     def test_limit_drops_t_factor(self):
         # column t*e1 has limit e1, not zero
         fam = PolyFamily(2, (((F(0), F(1)), (F(0),)),))
@@ -548,6 +562,57 @@ class TestDifferential:
             assert got_piv == list(pivots)
             assert strs(got_red) == [[str(want[r, c]) for c in range(want.cols)]
                                      for r in range(len(pivots))]
+
+
+# ----------------------------------------------------------------------
+# _inverse_rows is the one inverse: invert_matrix, Flag._adapted_coords and
+# build_pencil's dual basis all read it.  The textbook Gauss-Jordan inverse
+# is its reference.
+
+def square_matrix(rng, i):
+    """Seeded square matrix number i: int, small-Fraction or 150-bit
+    entries by KINDS, 1x1 to 6x6 (4x4 for 150-bit entries), every third
+    singular by construction (one row a combination of the others)."""
+    kind = KINDS[i % len(KINDS)]
+    n = rng.randint(1, 4 if kind == "big" else 6)
+    rows = [[random_entry(rng, kind) for _ in range(n)] for _ in range(n)]
+    if i % 3 == 0:
+        r = rng.randrange(n)
+        others = rows[:r] + rows[r + 1:]
+        coeffs = [rng.randint(-3, 3) for _ in others]
+        rows[r] = [sum(k * row[c] for k, row in zip(coeffs, others)) for c in range(n)]
+    return rows
+
+
+class TestInverseRows:
+    def test_against_textbook_inverse(self):
+        rng = random.Random(9601)
+        seen = dict.fromkeys(("int", "small", "big", "singular"), 0)
+        for i in range(600):
+            rows = square_matrix(rng, i)
+            want = textbook_inverse(rows)
+            got = exactla._inverse_rows(rows)
+            seen[KINDS[i % len(KINDS)]] += 1
+            if want is None:
+                seen["singular"] += 1
+                assert got is None
+                continue
+            assert len(got) == len(rows)
+            for (d, w), row in zip(got, want):
+                assert type(d) is int and d > 0
+                assert all(type(x) is int for x in w)
+                assert [F(x, d) for x in w] == list(row)
+        assert all(count >= 100 for count in seen.values()), seen
+
+    def test_singular_gives_none(self):
+        assert exactla._inverse_rows([[1, 2], [2, 4]]) is None
+        assert exactla._inverse_rows([[0]]) is None
+        assert exactla._inverse_rows([[F(1, 2), 1], [0, 0]]) is None
+
+    def test_rows_of_the_inverse(self):
+        assert exactla._inverse_rows([[2, 1], [1, 1]]) == [(1, [1, -1]), (1, [-1, 2])]
+        assert exactla._inverse_rows([[2]]) == [(2, [1])]
+        assert exactla._inverse_rows([]) == []
 
 
 # ----------------------------------------------------------------------

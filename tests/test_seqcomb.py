@@ -24,6 +24,7 @@ from pierikit.seqcomb import (
     pieri_increment,
     pieri_set,
     tree_chains,
+    trim_partition,
 )
 
 
@@ -227,6 +228,19 @@ class TestDualAndShape:
         assert alpha_of((4, 2), 9, 3) == a
         for b in all_seqs(7, 3):
             assert alpha_of(lambda_of(b), 7, 3) == b
+
+    @pytest.mark.parametrize("parts, bad", [((2.5, 1), "2.5"), ((2, 1.0), "1.0"),
+                                            (("2", 1), "'2'")])
+    def test_partition_parts_are_not_truncated(self, parts, bad):
+        # (2.5, 1) used to read as (2, 1)
+        with pytest.raises(ValueError, match=f"partition parts must be integers, got {bad}$"):
+            trim_partition(parts)
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            alpha_of(parts, 9, 3)
+
+    def test_partition_parts_are_stored_as_int(self):
+        assert trim_partition(iter([True + 1, True, 0])) == (2, 1)
+        assert all(type(p) is int for p in trim_partition((True, False)))
 
     def test_alpha_of_rejects_wide(self):
         with pytest.raises(ValueError):

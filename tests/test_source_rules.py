@@ -1,11 +1,13 @@
-"""Three rules every library module keeps.
+"""Four rules every library module keeps.
 
 No assert statement: python -O strips asserts, so a check written as one
 would vanish there (checks raise VerificationError instead).  No absolute
 import outside the standard library: the library has no dependencies.  No
 write to an instance __dict__: a record holds what its constructor stored
 and what its cached properties derive, never a value slipped in beside
-them.
+them.  Outside the CLI, int() converts only a comparison: int(1.9) is 1, so
+an integer input goes through operator.index, which refuses a float, and an
+integral Fraction is read by its numerator.
 """
 
 import ast
@@ -59,6 +61,15 @@ def dict_write_lines(source: str) -> list:
     return sorted(lines)
 
 
+def int_call_lines(source: str) -> list:
+    """The line of every call of int() on anything but one comparison."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "int"
+                  and not (len(node.args) == 1 and not node.keywords
+                           and isinstance(node.args[0], ast.Compare)))
+
+
 def test_checker_sees_an_assert():
     source = ("def f(x):\n    assert x > 0, 'positive'\n    return x\n"
               "assert_ok = True\nassert f(1)\n")
@@ -81,6 +92,13 @@ def test_checker_sees_a_dict_write():
     assert dict_write_lines(source) == [2, 3, 4, 5, 6]
 
 
+def test_checker_sees_an_int_conversion():
+    source = ("def f(x, i, j):\n    a = int(x)\n    b = int(i == j) + int(i < j <= x)\n"
+              "    c = [int(y) for y in x]\n    d = int('ff', base=16)\n"
+              "    return int(), rng.int(x), isinstance(x, int), int(not x)\n")
+    assert int_call_lines(source) == [2, 4, 5, 6, 6]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_assert_statement(path):
     assert assert_lines(path.read_text()) == []
@@ -94,3 +112,9 @@ def test_imports_only_the_standard_library(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_instance_dict_write(path):
     assert dict_write_lines(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_int_converts_only_a_comparison(path):
+    assert int_call_lines(path.read_text()) == []

@@ -245,6 +245,45 @@ class TestSchur:
             schur_decompose(p, 2)
 
 
+class TestIntegerInputs:
+    """Entries, letters, shapes and exponents go through operator.index: a
+    float or a string raises a ValueError that names it, where it used to be
+    truncated (Tableau(((1.9, 2.2),), 3) printed as 12)."""
+
+    @pytest.mark.parametrize("build, bad", [
+        (lambda: Tableau(((1.9, 2.2),), 3), "1.9"),
+        (lambda: Tableau(((1, 2), (2.0,)), 3), "2.0"),
+        (lambda: Tableau(((1, "2"),), 3), "'2'"),
+        (lambda: row_insert(empty_tableau(3), (1.7, 2.9)), "1.7"),
+        (lambda: ssyt_enumerate((2.5, 1), 3), "2.5"),
+        (lambda: pieri_shapes((2.5, 1), 1, 3), "2.5"),
+        (lambda: schur_expand((2, 1.5), 3), "1.5"),
+        (lambda: SparsePoly(2, {(1.5, 0): 1}), "1.5"),
+        (lambda: SparsePoly(2, [(("1", 0), 1)]), "'1'"),
+    ], ids=["tableau", "tableau 2.0", "tableau str", "row_insert", "ssyt_enumerate",
+            "pieri_shapes", "schur_expand", "exponent", "exponent str"])
+    def test_non_integers_are_refused(self, build, bad):
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            build()
+
+    def test_integer_likes_are_stored_as_int(self):
+        t = Tableau(((True, 2),), 3)
+        assert t == Tableau(((1, 2),), 3) and str(t) == "12"
+        assert all(type(x) is int for row in t.rows for x in row)
+        res, chain = row_insert(empty_tableau(3), iter([True, 2]))
+        assert res.rows == ((1, 2),) and chain == ((), (1,), (2,))
+        p = SparsePoly(2, {(True, 0): 1})
+        assert p == SparsePoly(2, {(1, 0): 1})
+        assert all(type(x) is int for e in p.terms for x in e)
+
+    def test_decompose_coefficients_are_int(self):
+        m = 3
+        p = schur_expand((2, 1), m) * complete_homogeneous(2, m) * 3
+        got = schur_decompose(p, m)
+        assert got == {(4, 1): 3, (3, 2): 3, (3, 1, 1): 3, (2, 2, 1): 3}
+        assert all(type(c) is int for c in got.values())
+
+
 class TestChowProject:
     def test_truncation(self):
         assert chow_project({(3,): 1, (2, 1): 2}, 4, 2) == {(2, 1): 2}
