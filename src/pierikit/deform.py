@@ -29,7 +29,6 @@ from .exactla import (
     _null_vectors,
     _read_null_vectors,
     _scaled_lift,
-    _set_field,
     canonicalize,
     check_lines,
     family_from_vectors,
@@ -132,18 +131,11 @@ class Pencil(Record):
     columns are the moving vectors t e_j + e_{j+1} for 1 <= j <= l-2 and then
     e_l, ..., e_N, which span M_l.  It interpolates between the marked
     hyperplane (the fibre at infinity) and M_2 (the fibre at zero).  Positions
-    past N in the flag in M are the zero space, as for Flag.subspace.
+    past N in the flag in M are the zero space, as for Flag.subspace.  mflag
+    is the tuple of Subspaces M_1, ..., M_N, and family is the PolyFamily.
     """
 
     _fields = ("M", "mflag", "l", "family", "marked")
-
-    def __init__(self, M: Subspace, mflag: tuple, l: int, family: PolyFamily,
-                 marked: Subspace):
-        _set_field(self, "M", M)
-        _set_field(self, "mflag", mflag)
-        _set_field(self, "l", l)
-        _set_field(self, "family", family)
-        _set_field(self, "marked", marked)
 
     def space(self, i: int) -> Subspace:
         return _mflag_space(self.mflag, i, self.M.ambient)
@@ -277,16 +269,11 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
 class ComponentRecord(Record):
     """One cycle component at a stage: its index, branching row, and the
     indices it breaks into at the next stage.  Row 1 carries a Schubert
-    variety, any other row an incidence component."""
+    variety, any other row an incidence component.  children holds DecSeqs;
+    limit_dim is an int or None."""
 
     _fields = ("index", "j", "children", "limit_dim")
-
-    def __init__(self, index: DecSeq, j: int, children: tuple,
-                 limit_dim: int | None = None):
-        _set_field(self, "index", index)
-        _set_field(self, "j", j)
-        _set_field(self, "children", children)
-        _set_field(self, "limit_dim", limit_dim)
+    _defaults = (None,)
 
     @property
     def kind(self) -> str:
@@ -305,16 +292,11 @@ class ComponentRecord(Record):
 
 
 class StepReport(Verdict):
-    _fields = ("stage", "alpha", "s", "r", "checks", "records")
+    """One stage ("start", "step" or "collapse") of the chain from the DecSeq
+    alpha, at the ints s and r: its StageChecks and ComponentRecords."""
 
-    def __init__(self, stage: str, alpha: DecSeq, s: int, r: int, checks: tuple,
-                 records: tuple = ()):
-        _set_field(self, "stage", stage)
-        _set_field(self, "alpha", alpha)
-        _set_field(self, "s", s)
-        _set_field(self, "r", r)
-        _set_field(self, "checks", checks)
-        _set_field(self, "records", records)
+    _fields = ("stage", "alpha", "s", "r", "checks", "records")
+    _defaults = ((),)
 
     def to_json(self):
         return {
@@ -716,13 +698,9 @@ def worked_family() -> PolyFamily:
 
 class GoldenReport(Verdict):
     """Outcome of the worked run: named sections of checks plus the final
-    component index set."""
+    component index set: (name, StageChecks) pairs and DecSeqs."""
 
     _fields = ("sections", "final_indices")
-
-    def __init__(self, sections: tuple, final_indices: tuple):
-        _set_field(self, "sections", sections)
-        _set_field(self, "final_indices", final_indices)
 
     @property
     def checks(self) -> tuple:

@@ -36,7 +36,7 @@ from .exactla import (
     unit_vector,
 )
 from .schubgeom import schubert_member, standard_flag
-from .seqcomb import DecSeq, codim, dual, lambda_of, pieri_set
+from .seqcomb import DecSeq, _integers, codim, dual, lambda_of, pieri_set
 
 # largest m*(n-m) the bialternant oracle will expand: at 30 (n = 11,
 # min(m, n-m) = 5) a problem takes a few tenths of a second, at 36 (n = 12,
@@ -51,12 +51,14 @@ class QuintupleProblem(Record):
     codimensions of the three special conditions.  The degrees must fill
     the ambient dimension: a + b + c + codim(alpha) + codim(beta) equals
     m(n-m).  Zero values of a, b, c are allowed (an empty condition).
+    n, m, a, b and c go through operator.index and are stored as int.
     """
 
     _fields = ("n", "m", "alpha", "beta", "a", "b", "c")
 
     def __init__(self, n: int, m: int, alpha: DecSeq, beta: DecSeq,
                  a: int, b: int, c: int):
+        n, m, a, b, c = _integers((n, m, a, b, c), "n, m, a, b and c")
         if not 1 <= m < n:
             raise ValueError("need 1 <= m < n")
         for s in (alpha, beta):
@@ -75,16 +77,6 @@ class QuintupleProblem(Record):
         _set_field(self, "a", a)
         _set_field(self, "b", b)
         _set_field(self, "c", c)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.n, self.m, self.alpha, self.beta, self.a, self.b, self.c)
-                    == (other.n, other.m, other.alpha, other.beta, other.a, other.b,
-                        other.c))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.m, self.alpha, self.beta, self.a, self.b, self.c))
 
     def to_json(self) -> dict:
         return {

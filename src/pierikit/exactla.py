@@ -32,9 +32,10 @@ canonicalize still goes through rref and limit_at_zero through
 kernel_basis.
 
 The value types (StageCheck, Subspace, Flag, PolyFamily here, and the
-records of the other layers) are frozen Records written out by hand, not
-dataclasses: importing dataclasses (and with it inspect) and running its
-generated code would cost every CLI process about 25 ms at start-up.
+records of the other layers) are frozen Records, not dataclasses: importing
+dataclasses (and with it inspect) would cost every CLI process about 25 ms
+at start-up.  Record writes each class's __eq__, __hash__ and plain __init__
+from its _fields with one exec, about 2 ms for all the classes.
 """
 
 from __future__ import annotations
@@ -75,6 +76,30 @@ class GenericityError(RuntimeError):
 _set_field = object.__setattr__
 
 
+def _record_methods(cls) -> dict:
+    """cls's __eq__ and __hash__ over its _fields, and its __init__ unless it
+    writes its own, written as a frozen dataclass writes them: straight-line
+    code from one exec.  The __init__ stores the fields in order with
+    _set_field, the last len(cls._defaults) of them defaulting to those."""
+    fields = cls._fields
+    own, other = ("".join(f"{obj}.{f}, " for f in fields) for obj in ("self", "other"))
+    source = ("def __eq__(self, other):\n"
+              "    if other.__class__ is self.__class__:\n"
+              f"        return ({own}) == ({other})\n"
+              "    return NotImplemented\n"
+              f"def __hash__(self):\n    return hash(({own}))\n")
+    if "__init__" not in vars(cls):
+        source += (f"def __init__(self, {', '.join(fields)}):\n"
+                   + "".join(f"    _set_field(self, {f!r}, {f})\n" for f in fields))
+    methods = {}
+    exec(source, {"_set_field": _set_field}, methods)
+    for name, method in methods.items():
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+    if "__init__" in methods:
+        methods["__init__"].__defaults__ = cls._defaults
+    return methods
+
+
 class Record:
     """Base of the library's frozen value records.
 
@@ -82,13 +107,21 @@ class Record:
     are instances of the same class with equal field tuples, a record
     hashes as its field tuple, and its repr reads Cls(field=value, ...), as
     for a frozen dataclass; assigning or deleting any attribute raises
-    AttributeError.  Each record class writes its own __init__, which
-    stores each field with _set_field, past the frozen __setattr__, and
-    the records that key caches and sets write __eq__ and __hash__ out in
-    full.  Instances keep a __dict__, where cached_property caches.
+    AttributeError.  Each class that declares _fields gets its __eq__,
+    __hash__ and __init__ from _record_methods, the last len(_defaults)
+    fields defaulting to _defaults; a class that validates or derives a
+    value writes its own __init__, which stores each field with _set_field,
+    past the frozen __setattr__.  Instances keep a __dict__, where
+    cached_property caches.
     """
 
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls):
+        if "_fields" in vars(cls):
+            for name, method in _record_methods(cls).items():
+                setattr(cls, name, method)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -100,28 +133,14 @@ class Record:
         return (f"{self.__class__.__qualname__}("
                 + ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields) + ")")
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
 
 class StageCheck(Record):
     """One named clause of a verification and its verdict: every report
-    and every CLI verb states its clauses as StageChecks."""
+    and every CLI verb states its clauses as StageChecks: strings name and
+    detail, and the bool passed."""
 
     _fields = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str = ""):
-        _set_field(self, "name", name)
-        _set_field(self, "passed", passed)
-        _set_field(self, "detail", detail)
+    _defaults = ("",)
 
     def to_json(self):
         out = {"name": self.name, "passed": self.passed}
@@ -376,6 +395,8 @@ def _inverse_rows(rows):
 
 
 def invert_matrix(rows):
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix is not square")
     inverse = _inverse_rows(rows)
     if inverse is None:
         raise ValueError("matrix is singular")
@@ -416,14 +437,6 @@ class Subspace(Record):
         _set_field(self, "ambient", ambient)
         _set_field(self, "rows", rows)
         _set_field(self, "pivots", tuple(pivots))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ambient, self.rows) == (other.ambient, other.rows)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ambient, self.rows))
 
     @property
     def dim(self) -> int:
@@ -628,14 +641,6 @@ class Flag(Record):
                 raise ValueError(f"F_{j} is not contained in F_{j - 1}")
         _set_field(self, "ambient", ambient)
         _set_field(self, "spaces", spaces)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ambient, self.spaces) == (other.ambient, other.spaces)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ambient, self.spaces))
 
     def subspace(self, j: int) -> Subspace:
         if j < 1:

@@ -24,7 +24,6 @@ from .exactla import (
     _over,
     _read_null_vectors,
     _scaled_lift,
-    _set_field,
     flag_from_basis,
     intersect,
     quotient_dim,
@@ -119,24 +118,15 @@ def x_member(H: Subspace, b: DecSeq, j: int, flag: Flag, L: Subspace) -> bool:
 
 
 class DimEntry(Record):
-    _fields = ("j", "flag_index", "meet_dim", "critical")
+    """Row j of a classification: a_j, dim F_{a_j} cap L, its critical value."""
 
-    def __init__(self, j: int, flag_index: int, meet_dim: int, critical: int):
-        _set_field(self, "j", j)
-        _set_field(self, "flag_index", flag_index)
-        _set_field(self, "meet_dim", meet_dim)
-        _set_field(self, "critical", critical)
+    _fields = ("j", "flag_index", "meet_dim", "critical")
 
 
 class Classification(Record):
-    _fields = ("verdict", "entries", "equality_set", "s")
+    """A verdict string, its DimEntries and the rows where a meet is critical."""
 
-    def __init__(self, verdict: str, entries: tuple[DimEntry, ...],
-                 equality_set: tuple[int, ...], s: int):
-        _set_field(self, "verdict", verdict)
-        _set_field(self, "entries", entries)
-        _set_field(self, "equality_set", equality_set)
-        _set_field(self, "s", s)
+    _fields = ("verdict", "entries", "equality_set", "s")
 
     def to_json(self) -> dict:
         return {
@@ -260,19 +250,15 @@ def profile_in_cell(meets, a: DecSeq, s: int) -> bool:
 
 
 class ProfileEntry(Record):
-    _fields = ("i", "expected", "actual")
+    """The expected and actual dim F_i cap L."""
 
-    def __init__(self, i: int, expected: int, actual: int):
-        _set_field(self, "i", i)
-        _set_field(self, "expected", expected)
-        _set_field(self, "actual", actual)
+    _fields = ("i", "expected", "actual")
 
 
 class ProfileReport(Verdict):
-    _fields = ("entries",)
+    """A cell member's dimension profile, as ProfileEntries."""
 
-    def __init__(self, entries: tuple[ProfileEntry, ...]):
-        _set_field(self, "entries", entries)
+    _fields = ("entries",)
 
     @property
     def checks(self) -> tuple:

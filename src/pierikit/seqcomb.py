@@ -27,6 +27,14 @@ def _integers(values, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers, got {bad!r}") from None
 
 
+def _integer(x, what: str) -> int:
+    """x as an int, through operator.index, as _integers takes each value."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+
+
 class DecSeq(Record):
     """Strictly decreasing sequence n >= a_1 > ... > a_m >= 1.
 
@@ -37,10 +45,7 @@ class DecSeq(Record):
     _fields = ("n", "entries")
 
     def __init__(self, n: int, entries: tuple[int, ...]):
-        try:
-            n = index(n)
-        except TypeError:
-            raise ValueError(f"ambient parameter n must be an integer, got {n!r}") from None
+        n = _integer(n, "ambient parameter n")
         entries = _integers(entries, "entries")
         if n < 1:
             raise ValueError("ambient parameter n must be positive")
@@ -53,14 +58,6 @@ class DecSeq(Record):
             prev = x
         _set_field(self, "n", n)
         _set_field(self, "entries", entries)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.entries) == (other.n, other.entries)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.entries))
 
     @property
     def m(self) -> int:
@@ -227,17 +224,11 @@ def branch_parent(a: DecSeq, g: DecSeq) -> DecSeq:
 
 
 class PieriTree(Record):
-    """Levels a*0, a*1, ..., a*b with the unique-parent covering edges."""
+    """Levels a*0, a*1, ..., a*b with the unique-parent covering edges:
+    root is a, depth is b, levels[r] is the tuple of DecSeqs a*r, and edges
+    holds the (parent, child) pairs."""
 
     _fields = ("root", "depth", "levels", "edges")
-
-    def __init__(self, root: DecSeq, depth: int,
-                 levels: tuple[tuple[DecSeq, ...], ...],
-                 edges: tuple[tuple[DecSeq, DecSeq], ...]):
-        _set_field(self, "root", root)
-        _set_field(self, "depth", depth)
-        _set_field(self, "levels", levels)
-        _set_field(self, "edges", edges)
 
     def chains(self) -> tuple[tuple[DecSeq, ...], ...]:
         """All root-to-leaf chains, ordered by leaf (lex decreasing).

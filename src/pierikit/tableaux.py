@@ -13,19 +13,29 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactla import Record, StageCheck, Verdict, _set_field
-from .seqcomb import _integers, alpha_of, lambda_of, pieri_set, tree_chains, trim_partition
+from .seqcomb import (
+    _integer,
+    _integers,
+    alpha_of,
+    lambda_of,
+    pieri_set,
+    tree_chains,
+    trim_partition,
+)
 
 Partition = tuple[int, ...]
 
 
 class Tableau(Record):
     """Semistandard tableau: rows weakly increase, columns strictly increase,
-    entries in 1..entry_bound.  Shapes are stored without empty rows."""
+    entries in 1..entry_bound.  Shapes are stored without empty rows.  Entries
+    and entry_bound go through operator.index and are stored as int."""
 
     _fields = ("rows", "entry_bound")
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], entry_bound: int):
         rows = tuple(_integers(r, "tableau entries") for r in rows)
+        entry_bound = _integer(entry_bound, "entry_bound")
         prev_len = None
         for ri, row in enumerate(rows):
             if not row:
@@ -159,27 +169,12 @@ def shape_tree_chains(lam: Partition, b: int, m: int) -> tuple[tuple[Partition, 
 
 
 class BijectionReport(Verdict):
+    """Row insertion of each (SSYT of shape lam, b-strip) pair in m letters:
+    the counts are (shape, int) pairs, and each of the CLAUSES is a bool."""
+
     _fields = ("lam", "b", "m", "pairs_total", "image_counts", "expected_counts",
                "injective", "content_ok", "shapes_ok", "counts_ok", "chains_ok",
                "chains_complete")
-
-    def __init__(self, lam: Partition, b: int, m: int, pairs_total: int,
-                 image_counts: tuple[tuple[Partition, int], ...],
-                 expected_counts: tuple[tuple[Partition, int], ...],
-                 injective: bool, content_ok: bool, shapes_ok: bool,
-                 counts_ok: bool, chains_ok: bool, chains_complete: bool):
-        _set_field(self, "lam", lam)
-        _set_field(self, "b", b)
-        _set_field(self, "m", m)
-        _set_field(self, "pairs_total", pairs_total)
-        _set_field(self, "image_counts", image_counts)
-        _set_field(self, "expected_counts", expected_counts)
-        _set_field(self, "injective", injective)
-        _set_field(self, "content_ok", content_ok)
-        _set_field(self, "shapes_ok", shapes_ok)
-        _set_field(self, "counts_ok", counts_ok)
-        _set_field(self, "chains_ok", chains_ok)
-        _set_field(self, "chains_complete", chains_complete)
 
     CLAUSES = ("injective", "content_ok", "shapes_ok", "counts_ok",
                "chains_ok", "chains_complete")

@@ -3,8 +3,8 @@
 FIELD_SPECS holds each record class's old dataclass field spec: names,
 defaults and the init/repr/compare flags.  dataclass_twin builds the
 reference class from it with dataclasses.make_dataclass(frozen=True), so
-the tests can compare a hand-written record with the dataclass it
-replaced; replace is dataclasses.replace for the hand-written records.
+the tests can compare a record with the dataclass it replaced; replace is
+dataclasses.replace for the records.
 """
 
 import dataclasses
@@ -18,6 +18,16 @@ from pierikit.seqcomb import DecSeq, PieriTree
 from pierikit.tableaux import BijectionReport, Tableau
 
 NO_DEFAULT = dataclasses.MISSING
+
+
+class _NotStored:
+    def __repr__(self):
+        return "<not stored>"
+
+
+# what a twin holds for a field its record lacks, so that a constructor
+# which stores too few fields shows as a mismatch rather than raising
+NOT_STORED = _NotStored()
 
 # (name, default, init, repr, compare) per field, in declaration order
 FIELD_SPECS = {
@@ -99,7 +109,7 @@ def init_fields(cls) -> list:
 def twin_of(record):
     """The dataclass twin holding record's field values."""
     cls = type(record)
-    return dataclass_twin(cls)(**{f: getattr(record, f) for f in init_fields(cls)})
+    return dataclass_twin(cls)(**{f: getattr(record, f, NOT_STORED) for f in init_fields(cls)})
 
 
 def replace(record, **changes):

@@ -70,6 +70,20 @@ class TestProblem:
         with pytest.raises(ValueError):
             QuintupleProblem(4, 2, seq(5, 3, 1), seq(4, 2, 1), 1, 1, 1)
 
+    @pytest.mark.parametrize("args, bad", [
+        ((4.0, 2, 1, 1, 1), "4.0"), ((4, 2.0, 1, 1, 1), "2.0"), ((4, 2, 1.0, 1, 1), "1.0"),
+        ((4, 2, 1, 1, 0.5), "0.5"), ((4, 2, 1, "1", 1), "'1'"),
+    ], ids=["n", "m", "a", "c", "b str"])
+    def test_non_integers_are_refused(self, args, bad):
+        n, m, a, b, c = args
+        with pytest.raises(ValueError, match=f"must be integers, got {bad}$"):
+            QuintupleProblem(n, m, seq(4, 3, 1), seq(4, 2, 1), a, b, c)
+
+    def test_integer_likes_are_stored_as_int(self):
+        p = QuintupleProblem(4, 2, seq(4, 3, 1), seq(4, 2, 1), True, 1, True)
+        assert p == FOUR_LINES and p.to_json() == FOUR_LINES.to_json()
+        assert all(type(getattr(p, f)) is int for f in "nmabc")
+
     def test_json_round(self):
         blob = FOUR_LINES.to_json()
         assert blob["alpha"]["entries"] == [3, 1] and blob["c"] == 1

@@ -95,6 +95,13 @@ class TestRref:
         with pytest.raises(ValueError):
             invert_matrix([vec([1, 2]), vec([2, 4])])
 
+    @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [1, 1]],
+                                      [[1, 0], [0]], [[1], [0, 1]]],
+                             ids=["wide", "tall", "ragged", "ragged first row"])
+    def test_invert_refuses_a_non_square_matrix(self, rows):
+        with pytest.raises(ValueError, match="^matrix is not square$"):
+            invert_matrix(rows)
+
 
 class TestSubspace:
     def test_span_and_dim(self):

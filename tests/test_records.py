@@ -5,8 +5,8 @@ records_reference rebuilds that dataclass from the old field spec, and the
 tests here require the same repr, hash, == (both ways, and across
 classes), the same constructor TypeError on a missing, surplus or unknown
 argument, and the same AttributeError on assignment and deletion, on
-sample instances of all 17 classes.  Committed mutants of the written-out
-methods must be caught.
+sample instances of all 17 classes.  Committed mutants of the methods that
+exactla._record_methods writes must be caught.
 """
 
 import pytest
@@ -24,6 +24,7 @@ from pierikit.exactla import (
     Record,
     StageCheck,
     Subspace,
+    _record_methods,
     family_from_vectors,
     span,
     unit_vector,
@@ -171,18 +172,17 @@ def test_subspace_pivots_stay_derived():
 
 
 # ----------------------------------------------------------------------
-# Mutants: each breaks one written-out method and must be caught.
+# Mutants: each breaks one method that _record_methods writes, or the
+# frozen __setattr__, and must be caught.
 
-HASH_MUTANTS = [
-    (DecSeq, "hash((self.n, self.entries))", "hash((self.entries, self.n))"),
-    (Subspace, "hash((self.ambient, self.rows))", "hash((self.rows, self.ambient))"),
-    (QuintupleProblem, "hash((self.n, self.m,", "hash((self.m, self.n,"),
-]
+HASH_MUTANTS = [(cls, "fields = cls._fields", "fields = cls._fields[::-1]")
+                for cls in (DecSeq, Subspace, QuintupleProblem)]
 
 
 @pytest.mark.parametrize("cls, old, new", HASH_MUTANTS, ids=lambda x: getattr(x, "__name__", "-"))
 def test_hash_over_reordered_fields_is_caught(monkeypatch, cls, old, new):
-    monkeypatch.setattr(cls, "__hash__", source_mutant(cls.__hash__, old, new))
+    mutant = source_mutant(_record_methods, old, new)
+    monkeypatch.setattr(cls, "__hash__", mutant(cls)["__hash__"])
     assert any(m.startswith(f"{cls.__name__} ") and m.endswith(": hash")
                for m in record_mismatches(SAMPLES))
 
@@ -199,8 +199,33 @@ def test_setattr_that_does_not_raise_is_caught(monkeypatch):
 
 def test_subspace_eq_on_pivots_is_caught(monkeypatch):
     mutant = source_mutant(
-        Subspace.__eq__, "(self.ambient, self.rows) == (other.ambient, other.rows)",
-        "(self.ambient, self.pivots) == (other.ambient, other.pivots)")
-    monkeypatch.setattr(Subspace, "__eq__", mutant)
+        _record_methods, "return ({own}) == ({other})",
+        "return ({own.replace('rows', 'pivots')}) == ({other.replace('rows', 'pivots')})")
+    monkeypatch.setattr(Subspace, "__eq__", mutant(Subspace)["__eq__"])
     assert any(m.startswith("== on Subspace(ambient=2, rows=((1, 1),))")
                for m in record_mismatches(SAMPLES))
+
+
+# the records whose __init__ _record_methods writes (exec names its code
+# "<string>"); the other six validate or derive a value in their own
+PLAIN = [cls for cls in FIELD_SPECS if cls.__init__.__code__.co_filename == "<string>"]
+
+INIT_MUTANTS = {
+    # each declared default lands one field early, and None on the last
+    "default on the wrong field": ('methods["__init__"].__defaults__ = cls._defaults',
+                                   'methods["__init__"].__defaults__ = (*cls._defaults, None)'),
+    # pass keeps the body of a one-field record's __init__ from being empty
+    "last field not stored": ("for f in fields))",
+                              'for f in fields[:-1]) + "    pass\\n")'),
+}
+
+
+@pytest.mark.parametrize("old, new", INIT_MUTANTS.values(), ids=list(INIT_MUTANTS))
+def test_generated_init_mutants_are_caught(monkeypatch, old, new):
+    assert len(PLAIN) == 11
+    mutant = source_mutant(_record_methods, old, new)
+    for cls in PLAIN:
+        monkeypatch.delattr(cls, "__init__")
+        monkeypatch.setattr(cls, "__init__", mutant(cls)["__init__"])
+    found = record_mismatches(SAMPLES)
+    assert {cls.__name__ for cls in PLAIN} <= {m.split()[0] for m in found}

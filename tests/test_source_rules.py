@@ -1,4 +1,4 @@
-"""Four rules every library module keeps.
+"""Five rules every library module keeps.
 
 No assert statement: python -O strips asserts, so a check written as one
 would vanish there (checks raise VerificationError instead).  No absolute
@@ -7,7 +7,9 @@ write to an instance __dict__: a record holds what its constructor stored
 and what its cached properties derive, never a value slipped in beside
 them.  Outside the CLI, int() converts only a comparison: int(1.9) is 1, so
 an integer input goes through operator.index, which refuses a float, and an
-integral Fraction is read by its numerator.
+integral Fraction is read by its numerator.  No record class writes a method
+that exactla._record_methods writes from its fields: no __eq__, no __hash__,
+and no __init__ that only stores its arguments with _set_field.
 """
 
 import ast
@@ -70,6 +72,44 @@ def int_call_lines(source: str) -> list:
                            and isinstance(node.args[0], ast.Compare)))
 
 
+def _base_names(cls) -> set:
+    return {base.id for base in cls.bases if isinstance(base, ast.Name)}
+
+
+def record_classes(sources) -> set:
+    """The names of Record and of every class in the sources that derives
+    from it, directly or through another such class."""
+    classes = [node for source in sources for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef)]
+    names, grown = set(), {"Record"}
+    while grown > names:
+        names = grown
+        grown = names | {cls.name for cls in classes if _base_names(cls) & names}
+    return names
+
+
+def _only_stores(fn) -> bool:
+    """Whether fn's body, past its docstring, is only _set_field(self, ...)
+    calls."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    return bool(body) and all(
+        isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+        and isinstance(stmt.value.func, ast.Name) and stmt.value.func.id == "_set_field"
+        and stmt.value.args and isinstance(stmt.value.args[0], ast.Name)
+        and stmt.value.args[0].id == "self"
+        for stmt in body)
+
+
+def record_method_lines(source: str, records) -> list:
+    """The line of every __eq__ and __hash__ that a record class defines, and
+    of every __init__ of one that only stores its arguments."""
+    return sorted(fn.lineno for cls in ast.walk(ast.parse(source))
+                  if isinstance(cls, ast.ClassDef) and _base_names(cls) & records
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                  and (fn.name in ("__eq__", "__hash__")
+                       or fn.name == "__init__" and _only_stores(fn)))
+
+
 def test_checker_sees_an_assert():
     source = ("def f(x):\n    assert x > 0, 'positive'\n    return x\n"
               "assert_ok = True\nassert f(1)\n")
@@ -99,6 +139,22 @@ def test_checker_sees_an_int_conversion():
     assert int_call_lines(source) == [2, 4, 5, 6, 6]
 
 
+def test_checker_sees_a_written_out_record_method():
+    source = ("class Base(Record):\n    _fields = ('a',)\n"
+              "class Rec(Base):\n    def __init__(self, a):\n        'doc'\n"
+              "        _set_field(self, 'a', a)\n"
+              "    def __eq__(self, other):\n        return True\n"
+              "    def __hash__(self):\n        return 0\n"
+              "class Checked(Record):\n    def __init__(self, a):\n"
+              "        if a < 0:\n            raise ValueError\n"
+              "        _set_field(self, 'a', a)\n"
+              "class Plain:\n    def __init__(self, a):\n        _set_field(self, 'a', a)\n"
+              "    def __eq__(self, other):\n        return True\n")
+    records = record_classes([source])
+    assert records == {"Record", "Base", "Rec", "Checked"}
+    assert record_method_lines(source, records) == [4, 7, 9]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_assert_statement(path):
     assert assert_lines(path.read_text()) == []
@@ -118,3 +174,11 @@ def test_no_instance_dict_write(path):
                          ids=lambda p: p.name)
 def test_int_converts_only_a_comparison(path):
     assert int_call_lines(path.read_text()) == []
+
+
+RECORDS = record_classes(path.read_text() for path in MODULES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_records_write_no_generated_method(path):
+    assert record_method_lines(path.read_text(), RECORDS) == []

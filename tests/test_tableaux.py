@@ -254,14 +254,15 @@ class TestIntegerInputs:
         (lambda: Tableau(((1.9, 2.2),), 3), "1.9"),
         (lambda: Tableau(((1, 2), (2.0,)), 3), "2.0"),
         (lambda: Tableau(((1, "2"),), 3), "'2'"),
+        (lambda: Tableau(((1, 2),), 2.5), "2.5"),
         (lambda: row_insert(empty_tableau(3), (1.7, 2.9)), "1.7"),
         (lambda: ssyt_enumerate((2.5, 1), 3), "2.5"),
         (lambda: pieri_shapes((2.5, 1), 1, 3), "2.5"),
         (lambda: schur_expand((2, 1.5), 3), "1.5"),
         (lambda: SparsePoly(2, {(1.5, 0): 1}), "1.5"),
         (lambda: SparsePoly(2, [(("1", 0), 1)]), "'1'"),
-    ], ids=["tableau", "tableau 2.0", "tableau str", "row_insert", "ssyt_enumerate",
-            "pieri_shapes", "schur_expand", "exponent", "exponent str"])
+    ], ids=["tableau", "tableau 2.0", "tableau str", "entry bound", "row_insert",
+            "ssyt_enumerate", "pieri_shapes", "schur_expand", "exponent", "exponent str"])
     def test_non_integers_are_refused(self, build, bad):
         with pytest.raises(ValueError, match=f"got {bad}$"):
             build()
@@ -270,6 +271,8 @@ class TestIntegerInputs:
         t = Tableau(((True, 2),), 3)
         assert t == Tableau(((1, 2),), 3) and str(t) == "12"
         assert all(type(x) is int for row in t.rows for x in row)
+        t = Tableau(((1,),), True)
+        assert type(t.entry_bound) is int and t.content() == (1,)
         res, chain = row_insert(empty_tableau(3), iter([True, 2]))
         assert res.rows == ((1, 2),) and chain == ((), (1,), (2,))
         p = SparsePoly(2, {(True, 0): 1})
