@@ -89,7 +89,7 @@ def flag_within(M: Subspace, flag: Flag) -> tuple:
         raise ValueError("ambient mismatch")
     if flag._is_coordinate:
         pivots = M.pivots
-        cuts = (Subspace(n, M.rows[i:]) for i in range(1, M.dim))
+        cuts = (Subspace._of_canonical(n, M.rows[i:], pivots[i:]) for i in range(1, M.dim))
     else:
         rows, pivots = _echelon([flag.frame(v) + list(v) for v in M.rows])
         cuts = (span(n, *[row[n:] for row in rows[i:]]) for i in range(1, M.dim))

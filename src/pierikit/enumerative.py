@@ -51,7 +51,8 @@ class QuintupleProblem(Record):
     codimensions of the three special conditions.  The degrees must fill
     the ambient dimension: a + b + c + codim(alpha) + codim(beta) equals
     m(n-m).  Zero values of a, b, c are allowed (an empty condition).
-    n, m, a, b and c go through operator.index and are stored as int.
+    n, m, a, b and c go through operator.index and are stored as int;
+    alpha and beta must be DecSeqs.
     """
 
     _fields = ("n", "m", "alpha", "beta", "a", "b", "c")
@@ -61,7 +62,9 @@ class QuintupleProblem(Record):
         n, m, a, b, c = _integers((n, m, a, b, c), "n, m, a, b and c")
         if not 1 <= m < n:
             raise ValueError("need 1 <= m < n")
-        for s in (alpha, beta):
+        for name, s in (("alpha", alpha), ("beta", beta)):
+            if not isinstance(s, DecSeq):
+                raise ValueError(f"{name} must be a DecSeq, got {s!r}")
             if s.n != n or s.m != m:
                 raise ValueError(f"{s} does not index m-planes in k^{n}")
         if min(a, b, c) < 0:

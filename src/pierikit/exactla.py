@@ -23,8 +23,19 @@ t, its flat limit at t=0 comes out of exact column operations over Z[t],
 and a degree bound on its minors lets finitely many fibres decide its
 generic rank and flag position.  A complete flag caches its integer adapted
 covectors; Flag.frame maps a vector through them, so a subspace's flag
-position (dim F_j cap L for every j) is one elimination of its framed rows,
-and on the coordinate flag it is read off the canonical pivots with none.
+position (dim F_j cap L for every j) is one elimination of its framed rows.
+The coordinate case is recognised from the values themselves, with no
+option: a coordinate subspace has canonical rows that are unit rows, and a
+flag has a coordinate order when its adapted covectors are unit covectors
+(the identity on the coordinate flag, the reversal on the opposite one).
+Back substitution against a coordinate subspace zeroes its pivot columns,
+two coordinate subspaces meet in the coordinate subspace on their common
+pivots, and a flag position on a flag with a coordinate order is one
+elimination of the rows with their columns permuted, or, for the identity
+order, the canonical pivots with none.  Rows that are canonical by
+construction (elimination output, tails of canonical rows, unit rows)
+build their Subspace through Subspace._of_canonical, which skips the
+public constructor's checks.
 Fractions appear only at the boundary: Subspace.basis, PolyFamily.cols,
 JSON, and the public Fraction views (rref, kernel_basis, solve_columns,
 invert_matrix, annihilator_basis, Flag.adapted_basis); inside,
@@ -43,7 +54,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd, lcm
 from operator import mul
 
@@ -438,6 +449,18 @@ class Subspace(Record):
         _set_field(self, "rows", rows)
         _set_field(self, "pivots", tuple(pivots))
 
+    @classmethod
+    def _of_canonical(cls, ambient: int, rows: tuple, pivots: tuple) -> "Subspace":
+        """The subspace with these canonical rows and their pivots, taken
+        as they are: for rows canonical by construction (an _echelon
+        output, a tail of canonical rows, unit rows), where __init__'s
+        checks would only repeat what the construction proves."""
+        s = cls.__new__(cls)
+        _set_field(s, "ambient", ambient)
+        _set_field(s, "rows", rows)
+        _set_field(s, "pivots", pivots)
+        return s
+
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -445,6 +468,15 @@ class Subspace(Record):
     @property
     def is_zero(self) -> bool:
         return not self.rows
+
+    @property
+    def _is_coordinate(self) -> bool:
+        """Whether every canonical row has one nonzero entry (a 1, the row
+        being primitive with a positive pivot): no row has more than
+        ambient - 1 zeros, so that is a count of zeros.  Not cached: the
+        count costs less than a cached value's memory on every Subspace."""
+        rows = self.rows
+        return sum(map(tuple.count, rows, repeat(0))) == len(rows) * (self.ambient - 1)
 
     @cached_property
     def basis(self) -> tuple[Vec, ...]:
@@ -454,10 +486,17 @@ class Subspace(Record):
     def _back_substitute(self, w) -> tuple[list[int], int]:
         """(r, s) with r / s = w minus its projection to the span.
 
-        Fraction-free: each row with a nonzero entry of w at its pivot
-        clears it by cross-multiplying with pivot/gcd, and s collects the
-        factors.  w itself is not modified.
+        Against a coordinate subspace that is w with the pivot columns
+        zeroed, and s = 1.  Otherwise fraction-free: each row with a
+        nonzero entry of w at its pivot clears it by cross-multiplying
+        with pivot/gcd, and s collects the factors.  w itself is not
+        modified.
         """
+        if self._is_coordinate:
+            w = list(w)
+            for p in self.pivots:
+                w[p] = 0
+            return w, 1
         s = 1
         for p, row in zip(self.pivots, self.rows):
             c = w[p]
@@ -493,21 +532,23 @@ class Subspace(Record):
         No elimination: a vector of this space leads at one of its pivots,
         so a's pivots are among them, and a's canonical rows read at these
         pivots are already in reduced echelon form with positive pivots;
-        each only needs dividing by its content.  Containment is checked
-        row by row as in contains: a row that is one of this space's
-        canonical rows skips the back substitution (its coordinates are
-        still read), any other row outside raises ValueError.
+        each only needs dividing by its content, and its local pivot is its
+        first nonzero coordinate.  Containment is checked row by row as in
+        contains: a row that is one of this space's canonical rows skips
+        the back substitution (its coordinates are still read), any other
+        row outside raises ValueError.
         """
         if a.ambient != self.ambient:
             raise ValueError("ambient mismatch")
-        own, rows = self.rows, []
+        own, rows, pivots = self.rows, [], []
         for row in a.rows:
             if row not in own and any(self._back_substitute(row)[0]):
                 raise ValueError("subspace is not contained in the chart space")
             coords = [row[p] for p in self.pivots]
             g = gcd(*coords)
             rows.append(tuple(x // g for x in coords) if g > 1 else tuple(coords))
-        return Subspace(self.dim, tuple(rows))
+            pivots.append(next((i for i, x in enumerate(coords) if x), -1))
+        return Subspace._of_canonical(self.dim, tuple(rows), tuple(pivots))
 
     def __str__(self):
         if self.is_zero:
@@ -532,21 +573,22 @@ def canonicalize(vectors, ambient: int) -> Subspace:
     tracer looks for the rref span that this puts under intersect and
     limit_at_zero.  Once the tracer counts eliminations instead, this
     becomes span's route."""
-    reduced, _ = rref(_of_length(vectors, ambient))
+    reduced, pivots = rref(_of_length(vectors, ambient))
     # a row with pivot entry 1 is primitive once its denominators are cleared
-    return Subspace(ambient, tuple([tuple(_scaled_row(row)[0]) for row in reduced]))
+    return Subspace._of_canonical(
+        ambient, tuple([tuple(_scaled_row(row)[0]) for row in reduced]), tuple(pivots))
 
 
 def span(ambient: int, *vectors) -> Subspace:
     """Span of the vectors, in canonical form, straight from _echelon: its
     rows are already the canonical rows (primitive, positive pivots,
     reduced), so no Fraction is built.  Equal to canonicalize."""
-    reduced, _ = _echelon(_of_length(vectors, ambient))
-    return Subspace(ambient, tuple(map(tuple, reduced)))
+    reduced, pivots = _echelon(_of_length(vectors, ambient))
+    return Subspace._of_canonical(ambient, tuple(map(tuple, reduced)), tuple(pivots))
 
 
 def zero_subspace(ambient: int) -> Subspace:
-    return Subspace(ambient, ())
+    return Subspace._of_canonical(ambient, (), ())
 
 
 def full_space(ambient: int) -> Subspace:
@@ -558,11 +600,23 @@ def coordinate_subspace(ambient: int, indices) -> Subspace:
     return canonicalize([unit_vector(ambient, i) for i in indices], ambient)
 
 
+def _unit_row(n: int, p: int) -> tuple[int, ...]:
+    """The canonical row of e_{p+1} in k^n: 1 at column p, 0 elsewhere."""
+    return (0,) * p + (1,) + (0,) * (n - 1 - p)
+
+
 def intersect(a: Subspace, b: Subspace) -> Subspace:
+    """a cap b.  Two coordinate subspaces meet in the coordinate subspace
+    on their common pivots, with no elimination; otherwise the null
+    vectors of [a | b] give the intersection, spanned by canonicalize."""
     if a.ambient != b.ambient:
         raise ValueError("ambient mismatch")
     if a.is_zero or b.is_zero:
         return zero_subspace(a.ambient)
+    if a._is_coordinate and b._is_coordinate:
+        n, common = a.ambient, sorted(set(a.pivots) & set(b.pivots))
+        return Subspace._of_canonical(n, tuple([_unit_row(n, p) for p in common]),
+                                      tuple(common))
     cols = a.rows + b.rows
     # null vectors (u, v) of the matrix with those columns give points
     # sum u_q a_q = -sum v_q b_q in the intersection
@@ -676,14 +730,27 @@ class Flag(Record):
         return tuple(tuple(_int_row(w)) for _, w in inverse)
 
     @cached_property
+    def _coordinate_order(self) -> tuple[int, ...] | None:
+        """(c_1, ..., c_n) when each adapted covector phi_k is the unit
+        covector e_{c_k}, as on a flag of coordinate subspaces: the
+        identity on standard_flag, the reversal on reversed_flag.  Then
+        phi_k(v) = v[c_k], so framing v permutes its entries.  None when
+        some covector is not a unit covector, as on a random flag."""
+        zeros, order = self.ambient - 1, []
+        for phi in self._adapted_coords:
+            c = next(i for i, x in enumerate(phi) if x)
+            if phi[c] != 1 or phi.count(0) != zeros:
+                return None
+            order.append(c)
+        return tuple(order)
+
+    @cached_property
     def _is_coordinate(self) -> bool:
-        """Whether the adapted covectors are the unit covectors, as for the
+        """Whether the coordinate order is the identity, as on the
         coordinate flag (F_j spanned by e_j, ..., e_n): then F_j is where
         the first j-1 coordinates vanish, and a subspace's canonical rows
         are already in adapted coordinates."""
-        n = self.ambient
-        return self._adapted_coords == tuple(tuple(int(i == k) for i in range(n))
-                                             for k in range(n))
+        return self._coordinate_order == tuple(range(self.ambient))
 
     def frame(self, v) -> list[int]:
         """v in adapted coordinates, (phi_1(v), ..., phi_n(v)) with the
@@ -697,13 +764,19 @@ class Flag(Record):
         counts the pivots of L there at or after column j (the Schubert
         position of L; Fulton, Young Tableaux, 9.4).  On the coordinate
         flag those pivots are L.pivots, read with no product and no
-        elimination; on any other flag they come from one elimination of
-        L's framed rows.  The pivots strictly increase, so each count is
-        dim L minus the bisect_left position of the column."""
+        elimination; on a flag with another coordinate order (the
+        reversed flag) they come from one elimination of L's rows with
+        their columns in that order, and on any other flag from one
+        elimination of L's framed rows.  The pivots strictly increase, so
+        each count is dim L minus the bisect_left position of the
+        column."""
         if L.ambient != self.ambient:
             raise ValueError("ambient mismatch")
         if self._is_coordinate:
             pivots = L.pivots
+        elif self._coordinate_order is not None:
+            order = self._coordinate_order
+            pivots = _echelon([[row[c] for c in order] for row in L.rows])[1]
         else:
             pivots = _echelon([self.frame(row) for row in L.rows])[1]
         d = len(pivots)

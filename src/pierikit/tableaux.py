@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .exactla import Record, StageCheck, Verdict, _set_field
 from .seqcomb import (
@@ -29,13 +29,16 @@ Partition = tuple[int, ...]
 class Tableau(Record):
     """Semistandard tableau: rows weakly increase, columns strictly increase,
     entries in 1..entry_bound.  Shapes are stored without empty rows.  Entries
-    and entry_bound go through operator.index and are stored as int."""
+    and entry_bound go through operator.index and are stored as int; a
+    negative entry_bound raises ValueError."""
 
     _fields = ("rows", "entry_bound")
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], entry_bound: int):
         rows = tuple(_integers(r, "tableau entries") for r in rows)
         entry_bound = _integer(entry_bound, "entry_bound")
+        if entry_bound < 0:
+            raise ValueError(f"entry_bound must be nonnegative, got {entry_bound}")
         prev_len = None
         for ri, row in enumerate(rows):
             if not row:
@@ -77,7 +80,22 @@ def empty_tableau(entry_bound: int) -> Tableau:
     return Tableau((), entry_bound)
 
 
-@lru_cache(maxsize=None)
+def _shape_cached(fn):
+    """fn memoised on its shape after trim_partition: the shape is validated
+    before the cache lookup, so (2, 1.0), equal to (2, 1) as a cache key,
+    is refused whether or not (2, 1) was cached.  cache_info and
+    cache_clear are the cache's."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def wrapper(shape: Partition, m: int):
+        return cached(trim_partition(shape), m)
+
+    wrapper.cache_info, wrapper.cache_clear = cached.cache_info, cached.cache_clear
+    return wrapper
+
+
+@_shape_cached
 def ssyt_enumerate(shape: Partition, m: int) -> tuple[Tableau, ...]:
     """All semistandard tableaux of the given shape with entries <= m.
 
@@ -86,7 +104,6 @@ def ssyt_enumerate(shape: Partition, m: int) -> tuple[Tableau, ...]:
     """
     if m < 0:
         raise ValueError(f"number of variables must be nonnegative, got {m}")
-    shape = trim_partition(shape)
     if len(shape) > m:
         return ()
     if not shape:
@@ -380,13 +397,12 @@ def _orbit_size(exponent) -> int:
     return size
 
 
-@lru_cache(maxsize=None)
+@_shape_cached
 def schur_expand(lam: Partition, m: int) -> SparsePoly:
     """Schur polynomial of shape lam in m variables: sum of x^T over SSYT.
 
     Zero when lam has more than m parts; one for the empty shape; m < 0 is a ValueError.
     """
-    lam = trim_partition(lam)
     out: dict[tuple[int, ...], Fraction] = {}
     for t in ssyt_enumerate(lam, m):
         e = t.content()

@@ -144,7 +144,8 @@ class TestFlagWithin:
         # on the coordinate flag M_i is read off M's rows from i on; a
         # read-off that drops the first of them has one dimension too few
         monkeypatch.setattr(deform, "canonicalize", forbid)
-        monkeypatch.setattr(deform, "Subspace", lambda n, rows: Subspace(n, rows[1:]))
+        monkeypatch.setattr(Subspace, "_of_canonical", classmethod(
+            lambda cls, n, rows, pivots: Subspace(n, rows[1:])))
         with pytest.raises(VerificationError, match="F_3 cap M is not the 5-dimensional"):
             flag_within(M_COMPANION, FLAG)
 

@@ -70,6 +70,15 @@ class TestProblem:
         with pytest.raises(ValueError):
             QuintupleProblem(4, 2, seq(5, 3, 1), seq(4, 2, 1), 1, 1, 1)
 
+    @pytest.mark.parametrize("alpha, beta, bad", [
+        ((3, 1), seq(4, 2, 1), "alpha"), (seq(4, 3, 1), (2, 1), "beta"),
+        ([3, 1], [2, 1], "alpha"), (seq(4, 3, 1), None, "beta"),
+    ], ids=["alpha tuple", "beta tuple", "both lists", "beta None"])
+    def test_sequences_must_be_decseqs(self, alpha, beta, bad):
+        # a tuple used to fail on reading its .n, as an AttributeError
+        with pytest.raises(ValueError, match=f"^{bad} must be a DecSeq, got "):
+            QuintupleProblem(4, 2, alpha, beta, 1, 1, 1)
+
     @pytest.mark.parametrize("args, bad", [
         ((4.0, 2, 1, 1, 1), "4.0"), ((4, 2.0, 1, 1, 1), "2.0"), ((4, 2, 1.0, 1, 1), "1.0"),
         ((4, 2, 1, 1, 0.5), "0.5"), ((4, 2, 1, "1", 1), "'1'"),

@@ -2,8 +2,11 @@
 one-parameter families with their flat limits."""
 
 import random
+from bisect import bisect_left
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import pytest
 
@@ -1260,10 +1263,12 @@ class TestAdaptedCoordinates:
 # path, which every other flag takes, stays as the reference.
 
 def echelon_view(flag):
-    """The same flag with _is_coordinate forced off, so that meet_dims and
-    deform.flag_within take the echelon path."""
+    """The same flag with _is_coordinate and its coordinate order forced
+    off, so that meet_dims frames L's rows and deform.flag_within takes
+    the echelon path."""
     view = Flag(flag.ambient, flag.spaces)
     view.__dict__["_is_coordinate"] = False
+    view.__dict__["_coordinate_order"] = None
     return view
 
 
@@ -1273,11 +1278,17 @@ class TestCoordinateReadOff:
         from pierikit.schubgeom import random_flag, restrict_flag, standard_flag
         for n in range(1, 13):
             rebuilt = flag_from_basis([unit_vector(n, i) for i in range(1, n + 1)])
-            assert standard_flag(n)._is_coordinate and rebuilt._is_coordinate
-            assert restrict_flag(standard_flag(n + 2), 3)._is_coordinate
+            restricted = restrict_flag(standard_flag(n + 2), 3)
+            identity = tuple(range(n))
+            for flag in (standard_flag(n), rebuilt, restricted):
+                assert flag._is_coordinate and flag._coordinate_order == identity
             # in k^1 there is one flag; otherwise these are not coordinate
             assert reversed_flag(n)._is_coordinate is (n == 1)
+            assert reversed_flag(n)._coordinate_order == identity[::-1]
             assert random_flag(n, n)._is_coordinate is (n == 1)
+            assert random_flag(n, n)._coordinate_order == (identity if n == 1 else None)
+            view = echelon_view(standard_flag(n))
+            assert not view._is_coordinate and view._coordinate_order is None
 
     def test_read_off_matches_the_echelon_path(self, monkeypatch):
         """meet_dims and flag_within on the standard flag, with no
@@ -1486,3 +1497,201 @@ class TestMeetDimsBisection:
             assert flag.meet_dims(L) == want == echelon_view(flag).meet_dims(L)
             seen["empty" if not pivots else "full" if len(pivots) == n else "proper"] += 1
         assert all(count >= 30 for count in seen.values()), seen
+
+
+# ----------------------------------------------------------------------
+# Coordinate subspaces back-substitute by zeroing their pivot columns and
+# meet on their common pivots, and a flag with a coordinate order reads a
+# flag position off one elimination of L's permuted rows.  The general
+# routines every other space and flag takes stay here as the references.
+
+def general_back_substitute(s, w):
+    """Fraction-free back substitution against any subspace: each row with
+    a nonzero entry of w at its pivot clears it by cross-multiplying."""
+    scale = 1
+    for p, row in zip(s.pivots, s.rows):
+        c = w[p]
+        if c:
+            a = row[p]
+            g = gcd(a, c)
+            a, c = a // g, c // g
+            w = [a * x - c * y for x, y in zip(w, row)]
+            scale *= a
+    return list(w), scale
+
+
+def general_intersect(a, b):
+    """a cap b from the null vectors (u, v) of the matrix with columns a's
+    and b's rows: sum u_q a_q = -sum v_q b_q lies in both."""
+    n = a.ambient
+    if a.is_zero or b.is_zero:
+        return zero_subspace(n)
+    cols = a.rows + b.rows
+    gens = []
+    for _, kv in exactla._null_vectors(list(zip(*cols)), len(cols)):
+        gens.append([sum(c * row[k] for c, row in zip(kv, a.rows)) for k in range(n)])
+    return exactla.canonicalize(gens, n)
+
+
+def framed_meet_dims(flag, L):
+    """The flag position from one elimination of L's framed rows."""
+    pivots = exactla._echelon([flag.frame(row) for row in L.rows])[1]
+    return tuple(len(pivots) - bisect_left(pivots, c) for c in range(flag.ambient + 1))
+
+
+def permuted_flag(n, rng):
+    """The flag of coordinate spaces F_j = span(e_{s_j}, ..., e_{s_n}) for a
+    random order s."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    return flag_from_basis([unit_vector(n, i) for i in order])
+
+
+@lru_cache(maxsize=1)
+def coordinate_cases():
+    """Seeded (flag, s, t, w) in k^n, n <= 8 (4 for 150-bit entries): the
+    flag cycles through the standard flag, a flag with a permuted
+    coordinate order (every fourth the reversed flag) and a random flag; s and
+    t are spaces of those flags, random coordinate subspaces, random
+    (mixed) spaces, or the zero or full space; w is a random integer
+    vector.  Also counts what the cases cover.  Built once: the values
+    are frozen, and every test reads the same cases."""
+    from pierikit.enumerative import reversed_flag
+    from pierikit.schubgeom import random_flag, standard_flag
+    rng = random.Random(19960106)
+    seen = dict.fromkeys(("coordinate", "permuted-coordinate", "mixed", "zero",
+                          "full", "150-bit"), 0)
+    cases = []
+    for i in range(600):
+        kind = KINDS[i % len(KINDS)]
+        n = rng.randint(1, 4 if kind == "big" else 8)
+        flag = (standard_flag(n), reversed_flag(n) if i % 12 == 1 else permuted_flag(n, rng),
+                random_flag(n, i))[i % 3]
+
+        def space(j):
+            shape = (i + j) % 5
+            if shape == 0:
+                return flag.subspace(rng.randint(1, n + 1))
+            if shape == 1:
+                return coordinate_subspace(n, rng.sample(range(1, n + 1), rng.randint(0, n)))
+            return random_space(rng, n, kind, i + j)
+
+        s, t = space(0), space(2)
+        w = [exactla._int_row([random_entry(rng, kind) for _ in range(n)]), [0] * n,
+             list(rng.choice(s.rows)) if s.rows else [1] * n][i % 3]
+        cases.append((flag, s, t, w))
+        order = flag._coordinate_order
+        seen["coordinate"] += s._is_coordinate and 0 < s.dim < n
+        seen["permuted-coordinate"] += order is not None and order != tuple(range(n))
+        seen["mixed"] += s._is_coordinate is not t._is_coordinate
+        seen["zero"] += s.is_zero or t.is_zero
+        seen["full"] += s.dim == n or t.dim == n
+        seen["150-bit"] += kind == "big"
+    return cases, seen
+
+
+def coordinate_disagreements(cases):
+    """(back substitutions, intersects, flag positions of s and t) that
+    differ from the general references; a back substitution is compared
+    with its result and scale, an intersect with its rows and pivots."""
+    wrong = [0, 0, 0]
+    for flag, s, t, w in cases:
+        wrong[0] += s._back_substitute(w) != general_back_substitute(s, w)
+        got, want = exactla.intersect(s, t), general_intersect(s, t)
+        wrong[1] += got != want or got.pivots != want.pivots
+        wrong[2] += sum(flag.meet_dims(L) != framed_meet_dims(flag, L) for L in (s, t))
+    return tuple(wrong)
+
+
+def trusted_refusals(monkeypatch, cases):
+    """(built, refused): how many Subspaces the library's routines build
+    through Subspace._of_canonical on the cases, and how many of them the
+    public constructor refuses or gives other pivots."""
+    from pierikit import deform
+    real, built, refused = Subspace._of_canonical, [0], [0]
+
+    def checked(cls, ambient, rows, pivots):
+        built[0] += 1
+        try:
+            public = Subspace(ambient, rows)
+        except ValueError:
+            refused[0] += 1
+        else:
+            refused[0] += public.pivots != pivots
+        return real(ambient, rows, pivots)
+
+    with monkeypatch.context() as m:
+        m.setattr(Subspace, "_of_canonical", classmethod(checked))
+        for flag, s, t, w in cases:
+            n = s.ambient
+            span(n, w, *t.rows)
+            exactla.canonicalize([list(w), *s.rows], n)
+            deform.flag_within(s, flag)
+            s.restrict(intersect(s, t))
+            s.restrict(s)
+    return built[0], refused[0]
+
+
+class TestCoordinateShortcuts:
+    def test_against_the_general_routines(self):
+        cases, seen = coordinate_cases()
+        assert coordinate_disagreements(cases) == (0, 0, 0)
+        assert all(count >= 50 for count in seen.values()), seen
+
+    def test_coordinate_intersect_runs_no_elimination(self, monkeypatch):
+        from pierikit.enumerative import reversed_flag
+        from pierikit.schubgeom import standard_flag
+        monkeypatch.setattr(exactla, "_echelon", forbid_call)
+        monkeypatch.setattr(exactla, "rref", forbid_call)
+        for n in range(1, 9):
+            for i in range(1, n + 2):
+                for j in range(1, n + 2):
+                    got = intersect(standard_flag(n).subspace(i), reversed_flag(n).subspace(j))
+                    assert got.pivots == tuple(range(i - 1, n + 1 - j))
+
+    def test_trusted_constructor_equals_the_public_one(self, monkeypatch):
+        built, refused = trusted_refusals(monkeypatch, coordinate_cases()[0])
+        assert refused == 0 and built >= 3000, (built, refused)
+
+    def test_only_unit_covectors_give_an_order(self):
+        """A covector with one nonzero entry that is not 1 is no unit
+        covector, so it gives no coordinate order; the framed path still
+        reads the position.  No flag's primitive covectors are such, so
+        the covectors are set by hand."""
+        rng = random.Random(7)
+        for n in range(1, 9):
+            flag = permuted_flag(n, rng)
+            for factor in (-1, 2, -3):
+                view = Flag(n, flag.spaces)
+                covectors = list(flag._adapted_coords)
+                k = rng.randrange(n)
+                covectors[k] = tuple(factor * x for x in covectors[k])
+                view.__dict__["_adapted_coords"] = tuple(covectors)
+                assert view._coordinate_order is None and not view._is_coordinate
+                L = random_space(rng, n, "int", 1)
+                assert view.meet_dims(L) == flag.meet_dims(L) == framed_meet_dims(flag, L)
+
+    def test_intersect_over_the_union_of_pivots_fails(self, monkeypatch):
+        monkeypatch.setattr(exactla, "intersect", ref.source_mutant(
+            exactla.intersect, "set(a.pivots) & set(b.pivots)",
+            "set(a.pivots) | set(b.pivots)"))
+        assert coordinate_disagreements(coordinate_cases()[0])[1] >= 50
+
+    def test_order_accepting_any_single_entry_fails(self, monkeypatch):
+        mutant = ref.source_mutant(Flag.__dict__["_coordinate_order"].func,
+                                   "phi[c] != 1 or ", "")
+        mutant.__set_name__(Flag, "_coordinate_order")
+        monkeypatch.setattr(Flag, "_coordinate_order", mutant)
+        with pytest.raises(AssertionError):
+            self.test_only_unit_covectors_give_an_order()
+
+    def test_meet_dims_in_reversed_order_fails(self, monkeypatch):
+        monkeypatch.setattr(Flag, "meet_dims", ref.source_mutant(
+            Flag.meet_dims, "for c in order]", "for c in reversed(order)]"))
+        assert coordinate_disagreements(coordinate_cases()[0])[2] >= 50
+
+    def test_restrict_without_the_content_division_fails(self, monkeypatch):
+        # coordinates that share a factor go down the trusted constructor
+        monkeypatch.setattr(Subspace, "restrict", ref.source_mutant(
+            Subspace.restrict, "if g > 1 else tuple(coords)", "if False else tuple(coords)"))
+        assert trusted_refusals(monkeypatch, coordinate_cases()[0])[1] >= 50

@@ -56,6 +56,14 @@ class TestTableau:
         with pytest.raises(ValueError):
             Tableau(((4,),), 3)  # entry too big
 
+    def test_negative_entry_bound_is_refused(self):
+        # with no rows there is no entry to refuse, so the bound itself is checked
+        for build in (lambda: empty_tableau(-2), lambda: Tableau((), -1),
+                      lambda: Tableau(((1,),), -1)):
+            with pytest.raises(ValueError, match="entry_bound must be nonnegative, got -"):
+                build()
+        assert empty_tableau(0).content() == ()
+
     def test_content(self):
         t = Tableau(((1, 1, 3), (2,)), 3)
         assert t.content() == (2, 1, 1)
@@ -266,6 +274,18 @@ class TestIntegerInputs:
     def test_non_integers_are_refused(self, build, bad):
         with pytest.raises(ValueError, match=f"got {bad}$"):
             build()
+
+    @pytest.mark.parametrize("fn", [ssyt_enumerate, schur_expand],
+                             ids=["ssyt_enumerate", "schur_expand"])
+    def test_float_shape_is_refused_whatever_is_cached(self, fn):
+        # (2, 1.0) == (2, 1), so a cache keyed on the raw shape would hand
+        # back the cached (2, 1) result once that shape had been computed
+        fn.cache_clear()
+        with pytest.raises(ValueError, match="got 1.0$"):
+            fn((2, 1.0), 3)
+        assert fn((2, 1), 3) == fn((2, 1, 0), 3)
+        with pytest.raises(ValueError, match="got 1.0$"):
+            fn((2, 1.0), 3)
 
     def test_integer_likes_are_stored_as_int(self):
         t = Tableau(((True, 2),), 3)
