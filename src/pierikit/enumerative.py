@@ -6,8 +6,9 @@ three special conditions (codimensions a, b, c) whose degrees fill the
 Grassmannian exactly.  The count d enumerates branch pairs directly.  Two
 oracles recompute it: one through iterated branching plus duality, the other
 without branch sets at all, as a rectangle Schur coefficient read off an
-integer bialternant product (s_mu * a_delta = a_{mu+delta}, Macdonald I.3)
-of Schur polynomials built from semistandard tableaux.  The witness
+integer bialternant product: the alternant a_{mu+delta} = s_mu * a_delta
+(Macdonald I.3) of the largest factor, m! signed monomials, times the Schur
+polynomials of the others, built from semistandard tableaux.  The witness
 constructor then exhibits each of the d solution planes with exact rational
 coordinates.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations, permutations
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator
 
 from .exactla import (
@@ -38,9 +39,11 @@ from .exactla import (
 from .schubgeom import schubert_member, standard_flag
 from .seqcomb import DecSeq, _integers, codim, dual, lambda_of, pieri_set
 
-# largest m*(n-m) the bialternant oracle will expand: at 30 (n = 11,
-# min(m, n-m) = 5) a problem takes a few tenths of a second, at 36 (n = 12,
-# m = 6) several seconds
+# largest m*(n-m) the bialternant oracle will expand, which keeps it in at
+# most five variables.  Over 20 random problems for each admitted (n, m) the
+# costliest, at 30 (n = 11, m = 5), took at most 0.1 s; at 36 (n = 12, m = 6,
+# six variables) ten random problems took 0.03-0.65 s (Python 3.11, 2-core
+# Xeon)
 _EXPANSION_CAP = 30
 
 
@@ -94,14 +97,14 @@ class QuintupleProblem(Record):
 
 
 def count_pairs_d(p: QuintupleProblem) -> int:
-    """Number of pairs (g, d) in (alpha*a) x (beta*b) with dual(d) in g*c."""
-    total = 0
-    for g in pieri_set(p.alpha, p.a):
-        reachable = set(pieri_set(g, p.c))
-        for dlt in pieri_set(p.beta, p.b):
-            if dual(dlt) in reachable:
-                total += 1
-    return total
+    """Number of pairs (g, d) in (alpha*a) x (beta*b) with dual(d) in g*c.
+
+    The duals of beta*b are formed once: pieri_set lists distinct
+    sequences and dual is injective, so each g adds the number of those
+    duals that lie in g*c.
+    """
+    duals = {dual(dlt) for dlt in pieri_set(p.beta, p.b)}
+    return sum(len(duals.intersection(pieri_set(g, p.c))) for g in pieri_set(p.alpha, p.a))
 
 
 # ---------------------------------------------------------------------------
@@ -150,33 +153,90 @@ def _conjugate(shape: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _vandermonde(m: int, n: int) -> dict[int, int]:
-    """a_delta = prod_{i<j} (x_i - x_j) as {packed exponent: sign}, keeping
-    the exponents at most the target (n-1, n-2, ..., n-m)."""
+def _alternant(shape: tuple[int, ...], m: int, n: int) -> dict[int, int]:
+    """a_{shape+delta} = det(x_i^(shape_j + m - j)) in m variables as
+    {packed exponent: sign}, keeping the exponents at most the target
+    (n-1, n-2, ..., n-m).  The empty shape gives the Vandermonde a_delta,
+    and a shape of more than m parts gives 0."""
+    if len(shape) > m:
+        return {}
     width = _field_width(n)
     target = range(n - 1, n - 1 - m, -1)
+    parts = [x + m - 1 - j for j, x in enumerate(shape + (0,) * (m - len(shape)))]
     out = {}
     for perm in permutations(range(m)):
-        e = [m - 1 - q for q in perm]
+        e = [parts[q] for q in perm]
         if all(x <= y for x, y in zip(e, target)):
             inversions = sum(perm[i] > perm[j] for i, j in combinations(range(m), 2))
             out[_pack(e, width)] = -1 if inversions % 2 else 1
     return out
 
 
+@lru_cache(maxsize=None)
+def _frame(n: int, m: int) -> tuple[int, int, int, int]:
+    """(k, guards, target, top) for the problems on m-planes in k^n: the
+    oracle counts in k = min(m, n-m) variables, target packs (n-1, n-2,
+    ..., n-k), guards has the guard bit of each field set and top is
+    target | guards."""
+    k = min(m, n - m)
+    width = _field_width(n)
+    guards = _pack([1 << (width - 1)] * k, width)
+    target = _pack(range(n - 1, n - 1 - k, -1), width)
+    return k, guards, target, target | guards
+
+
+def _tableau_count(shape: tuple[int, ...], m: int) -> int:
+    """The number of semistandard tableaux of the shape with entries at
+    most m, by the hook-content formula: the product of (m + j - i) / h
+    over the boxes (i, j), h the box's hook length."""
+    columns = _conjugate(shape)
+    num = den = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            num *= m + j - i
+            den *= row - j + columns[j] - i - 1
+    return num // den
+
+
+def _factor(shape: tuple[int, ...], n: int, m: int) -> tuple[int, tuple[int, ...]]:
+    """(size, shape) of s_shape in the oracle's variables: the shape is
+    conjugated when m > n/2, and size is its number of tableaux there,
+    which orders the factors without enumerating any."""
+    if 2 * m > n:
+        shape = _conjugate(shape)
+    return _tableau_count(shape, min(m, n - m)), shape
+
+
+@lru_cache(maxsize=None)
+def _flag_factor(a: DecSeq) -> tuple[int, tuple[int, ...]]:
+    """The factor of the flag condition a: s_lambda(a)."""
+    return _factor(lambda_of(a), a.n, a.m)
+
+
+@lru_cache(maxsize=None)
+def _row_factor(d: int, n: int, m: int) -> tuple[int, tuple[int, ...]]:
+    """The factor of a special condition of codimension d: h_d."""
+    return _factor((d,) if d else (), n, m)
+
+
 def cohomology_oracle(p: QuintupleProblem) -> int:
     """The count as a rectangle coefficient in a symmetric-function product.
 
-    The count is the coefficient of s_R, R = ((n-m)^m), in the product f of
-    the Schur polynomials of the two flag conditions with h_a, h_b, h_c in m
-    variables.  By the bialternant identity s_mu * a_delta = a_{mu+delta}
+    The count is the coefficient of s_R, R = ((n-m)^m), in the product of
+    the Schur polynomials of the two flag conditions with h_a, h_b, h_c in
+    m variables.  By the bialternant identity s_mu * a_delta = a_{mu+delta}
     (Macdonald, Symmetric Functions and Hall Polynomials, I.3) that is the
-    coefficient of x^(R+delta) in f * a_delta.  Each factor is built from
-    the contents of its semistandard tableaux (ssyt_enumerate), never from
-    branch sets, so this oracle is independent of the pair count.  The
-    product stays in int coefficients and drops, after every factor, each
-    exponent that is not componentwise at most R+delta; the last factor is
-    a lookup of (R+delta) - e.
+    coefficient of x^(R+delta) in the product times a_delta.  The factor
+    with the most tableaux enters together with a_delta, as its alternant
+    a_{mu+delta}: m! signed monomials, its tableaux never enumerated.
+    Every other factor is built from the contents of its semistandard
+    tableaux (ssyt_enumerate), and no factor comes from branch sets, so
+    this oracle is independent of the pair count.  The product stays in
+    int coefficients and drops, after every factor, each exponent that is
+    not componentwise at most R+delta; the factor with the next most
+    tableaux is a lookup of (R+delta) - e.  The frame of each (n, m) and
+    the shape and size of each flag condition's and each codimension's
+    factor are computed once and cached.
 
     The cost grows with the number of variables, so for m > n/2 the oracle
     counts in n-m variables instead: the involution omega carries s_mu to
@@ -185,29 +245,23 @@ def cohomology_oracle(p: QuintupleProblem) -> int:
     m(n-m) <= 30, the Grassmannian's dimension; a larger problem raises
     ValueError.
     """
-    if p.m * (p.n - p.m) > _EXPANSION_CAP:
-        raise ValueError("instance too large for polynomial expansion")
     n, m = p.n, p.m
-    shapes = (lambda_of(p.alpha), lambda_of(p.beta),
-              *((d,) if d else () for d in (p.a, p.b, p.c)))
-    if 2 * m > n:
-        m = n - m
-        shapes = tuple(_conjugate(s) for s in shapes)
-    width = _field_width(n)
-    guards = _pack([1 << (width - 1)] * m, width)
-    target = _pack(range(n - 1, n - 1 - m, -1), width)
-    top = target | guards
-    factors = sorted((_schur_weights(s, m, n) for s in shapes), key=len)
-    poly = _vandermonde(m, n)
-    for weights in factors[:-1]:
+    if m * (n - m) > _EXPANSION_CAP:
+        raise ValueError("instance too large for polynomial expansion")
+    k, guards, target, top = _frame(n, m)
+    factors = sorted((_flag_factor(p.alpha), _flag_factor(p.beta), _row_factor(p.a, n, m),
+                      _row_factor(p.b, n, m), _row_factor(p.c, n, m)), key=itemgetter(0))
+    poly = _alternant(factors[-1][1], k, n)
+    for _, shape in factors[:-2]:
+        weights = _schur_weights(shape, k, n)
         step: dict[int, int] = {}
         for e, c in poly.items():
-            for w, k in weights.items():
+            for w, x in weights.items():
                 s = e + w
                 if (top - s) & guards == guards:
-                    step[s] = step.get(s, 0) + c * k
+                    step[s] = step.get(s, 0) + c * x
         poly = step
-    last = factors[-1]
+    last = _schur_weights(factors[-2][1], k, n)
     return sum(c * last.get(target - e, 0) for e, c in poly.items())
 
 

@@ -376,8 +376,10 @@ class SparsePoly:
         return True
 
     def to_json(self) -> dict:
+        """{exponents comma-joined: coefficient}; the monomial of no
+        variables, whose join is empty, is keyed "()"."""
         return {
-            ",".join(str(x) for x in e): str(c)
+            ",".join(str(x) for x in e) or "()": str(c)
             for e, c in sorted(self.terms.items())
         }
 

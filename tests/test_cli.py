@@ -116,8 +116,12 @@ class TestCombinatoricsVerbs:
         rc, out, err = run(capsys, "schur", "--shape", "0", "--m", "-3")
         assert (rc, out) == (2, "")
         assert err == "error: number of variables must be nonnegative, got -3\n"
+        # the one monomial of no variables has a key of its own
         rc, out, err = run(capsys, "schur", "--shape", "0", "--m", "0")
-        assert (rc, out, err) == (0, ": 1\n", "")
+        assert (rc, out, err) == (0, "(): 1\n", "")
+        rc, out, err = run(capsys, "schur", "--shape", "0", "--m", "0", "--json")
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["terms"] == {"()": "1"}
 
 
 class TestGeometryVerbs:

@@ -5,7 +5,7 @@ import random
 import re
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations
 from operator import mul
 from pathlib import Path
 
@@ -13,7 +13,7 @@ import pytest
 
 import fraction_reference as ref
 import pierikit
-from pierikit import enumerative
+from pierikit import enumerative, seqcomb, tableaux
 from pierikit.enumerative import (
     QuintupleProblem,
     _slice_frame,
@@ -47,6 +47,7 @@ from pierikit.tableaux import (
     complete_homogeneous,
     schur_decompose,
     schur_expand,
+    ssyt_enumerate,
 )
 
 
@@ -158,9 +159,9 @@ class TestCohomologyOracle:
         cost stays that of Gr(n-m, n): 14 variables at n = 16 would walk
         14! permutations."""
         variables = []
-        real = enumerative._vandermonde
-        monkeypatch.setattr(enumerative, "_vandermonde",
-                            lambda m, n: variables.append((n, m)) or real(m, n))
+        real = enumerative._alternant
+        monkeypatch.setattr(enumerative, "_alternant",
+                            lambda shape, m, n: variables.append((n, m)) or real(shape, m, n))
         rng = random.Random(30)
         for n, m in [(16, 14), (31, 30), (13, 10), (11, 6)]:
             p = reachable_problem(rng, n, m)
@@ -268,6 +269,141 @@ def test_three_way_agreement_n9_to_11():
     for p in problems:
         d = count_pairs_d(p)
         assert d >= 1 and d == cohomology_oracle(p) == pieri_pairing_oracle(p), p
+
+
+# ---------------------------------------------------------------------------
+# the bialternant oracle against the body it replaced
+
+
+def _reference_vandermonde(m, n):
+    """a_delta as {packed exponent: sign}, at most the target."""
+    width = enumerative._field_width(n)
+    target = range(n - 1, n - 1 - m, -1)
+    out = {}
+    for perm in permutations(range(m)):
+        e = [m - 1 - q for q in perm]
+        if all(x <= y for x, y in zip(e, target)):
+            inversions = sum(perm[i] > perm[j] for i, j in combinations(range(m), 2))
+            out[enumerative._pack(e, width)] = -1 if inversions % 2 else 1
+    return out
+
+
+def reference_oracle(p):
+    """cohomology_oracle as it read before its largest factor entered as an
+    alternant: a_delta times every factor but the largest, built per
+    problem, and a lookup of the largest."""
+    if p.m * (p.n - p.m) > enumerative._EXPANSION_CAP:
+        raise ValueError("instance too large for polynomial expansion")
+    n, m = p.n, p.m
+    shapes = (lambda_of(p.alpha), lambda_of(p.beta),
+              *((d,) if d else () for d in (p.a, p.b, p.c)))
+    if 2 * m > n:
+        m = n - m
+        shapes = tuple(enumerative._conjugate(s) for s in shapes)
+    width = enumerative._field_width(n)
+    guards = enumerative._pack([1 << (width - 1)] * m, width)
+    target = enumerative._pack(range(n - 1, n - 1 - m, -1), width)
+    top = target | guards
+    factors = sorted((enumerative._schur_weights(s, m, n) for s in shapes), key=len)
+    poly = _reference_vandermonde(m, n)
+    for weights in factors[:-1]:
+        step = {}
+        for e, c in poly.items():
+            for w, k in weights.items():
+                s = e + w
+                if (top - s) & guards == guards:
+                    step[s] = step.get(s, 0) + c * k
+        poly = step
+    last = factors[-1]
+    return sum(c * last.get(target - e, 0) for e, c in poly.items())
+
+
+def reference_mismatches(problems):
+    """The problems on which cohomology_oracle and the reference differ."""
+    return [p for p in problems if enumerative.cohomology_oracle(p) != reference_oracle(p)]
+
+
+def seeded_problems_8_to_11():
+    """Seeded problems at n = 8..11 on both sides of n/2, up to the cap:
+    two with random counts and one counted at least once per shape."""
+    rng = random.Random(1996)
+    shapes = [(8, 3), (8, 5), (9, 4), (9, 5), (10, 4), (10, 6), (11, 5), (11, 6)]
+    return [f(rng, n, m) for n, m in shapes
+            for f in (random_problem, random_problem, reachable_problem)]
+
+
+class TestOracleAgainstReference:
+    def test_every_problem_up_to_n7(self):
+        problems = list(valid_instances(7))
+        assert len(problems) == 7463
+        assert reference_mismatches(problems) == []
+
+    def test_seeded_n8_to_11(self):
+        problems = seeded_problems_8_to_11()
+        assert {2 * p.m > p.n for p in problems} == {False, True}
+        assert max(p.m * (p.n - p.m) for p in problems) == 30
+        assert sum(reference_oracle(p) > 0 for p in problems) >= 8
+        assert reference_mismatches(problems) == []
+
+    def test_alternant_of_the_empty_shape_is_the_vandermonde(self):
+        # up to the oracle's five variables
+        for n in range(2, 12):
+            for m in range(1, min(n, 6)):
+                assert enumerative._alternant((), m, n) == _reference_vandermonde(m, n)
+
+    def test_tableau_count_is_the_enumeration_size(self):
+        # the hook-content count that orders the factors, on every shape
+        # of at most four rows and three columns
+        shapes = {tuple(x for x in sorted(c, reverse=True) if x)
+                  for c in combinations_with_replacement(range(4), 4)}
+        assert len(shapes) == 35
+        for shape in shapes:
+            for m in range(6):
+                want = len(ssyt_enumerate(shape, m))
+                assert enumerative._tableau_count(shape, m) == want, (shape, m)
+
+    def test_shape_past_the_variables_has_a_zero_alternant(self):
+        assert enumerative._alternant((1, 1, 1), 2, 5) == {}
+
+
+class TestOracleMutants:
+    """Wrong variants of the alternant factor, each caught against the
+    reference on the problems up to n = 6 (643 of them count at least
+    once)."""
+
+    @pytest.mark.parametrize("old, new", [
+        ("-1 if inversions % 2 else 1", "1 if inversions % 2 else -1"),
+        ("x + m - 1 - j for j, x", "x for j, x"),
+        ("x <= y", "x < y"),
+    ], ids=["signs flipped", "no delta shift", "strict truncation"])
+    def test_alternant_mutants_fail(self, monkeypatch, old, new):
+        monkeypatch.setattr(enumerative, "_alternant", ref.source_mutant(
+            enumerative._alternant.__wrapped__, old, new))
+        assert len(reference_mismatches(valid_instances(6))) >= 300
+
+    def test_alternant_factor_multiplied_in_again_fails(self, monkeypatch):
+        monkeypatch.setattr(enumerative, "cohomology_oracle", ref.source_mutant(
+            enumerative.cohomology_oracle, "factors[:-2]", "factors[:-2] + factors[-1:]"))
+        assert len(reference_mismatches(valid_instances(6))) >= 300
+
+
+class TestOracleIndependence:
+    def test_counts_without_branch_sets(self, monkeypatch):
+        """With its caches emptied, the oracle counts every problem up to
+        n = 6 while any call of pieri_set raises."""
+        problems = list(valid_instances(6))
+        want = [count_pairs_d(p) for p in problems]
+
+        def no_branch_sets(*args):
+            raise AssertionError("the cohomology oracle called pieri_set")
+
+        for module in (enumerative, tableaux):
+            for fn in vars(module).values():
+                if hasattr(fn, "cache_clear"):
+                    fn.cache_clear()
+        for module in (seqcomb, enumerative, tableaux):
+            monkeypatch.setattr(module, "pieri_set", no_branch_sets)
+        assert [cohomology_oracle(p) for p in problems] == want
 
 
 class TestPieriPairingOracle:
