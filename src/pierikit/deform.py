@@ -89,7 +89,7 @@ def flag_within(M: Subspace, flag: Flag) -> tuple:
         raise ValueError("ambient mismatch")
     if flag._is_coordinate:
         pivots = M.pivots
-        cuts = (Subspace._of_canonical(n, M.rows[i:], pivots[i:]) for i in range(1, M.dim))
+        cuts = (Subspace._trusted(n, M.rows[i:], pivots[i:]) for i in range(1, M.dim))
     else:
         rows, pivots = _echelon([flag.frame(v) + list(v) for v in M.rows])
         cuts = (span(n, *[row[n:] for row in rows[i:]]) for i in range(1, M.dim))
@@ -121,7 +121,7 @@ def _pencil_columns(ambient: int, dual: list, l: int) -> PolyFamily:
         a, b = den // d_next, den // d
         forms.append(_column_form(den, [(x * a, y * b) for x, y in zip(w_next, w)]))
     forms += [_column_form(d, [(x,) for x in w]) for d, w in dual[l - 1:]]
-    return PolyFamily._of_forms(ambient, forms)
+    return PolyFamily._trusted(ambient, tuple(forms))
 
 
 class Pencil(Record):

@@ -37,7 +37,16 @@ from .exactla import (
     unit_vector,
 )
 from .schubgeom import schubert_member, standard_flag
-from .seqcomb import DecSeq, _integers, codim, dual, lambda_of, pieri_set
+from .seqcomb import (
+    DecSeq,
+    _conjugate,
+    _integers,
+    _tableau_count,
+    codim,
+    dual,
+    lambda_of,
+    pieri_set,
+)
 
 # largest m*(n-m) the bialternant oracle will expand, which keeps it in at
 # most five variables.  Over 20 random problems for each admitted (n, m) the
@@ -147,11 +156,6 @@ def _schur_weights(shape: tuple[int, ...], m: int, n: int) -> dict[int, int]:
     return out
 
 
-def _conjugate(shape: tuple[int, ...]) -> tuple[int, ...]:
-    """The conjugate partition: column lengths of the shape's diagram."""
-    return tuple(sum(1 for x in shape if x > j) for j in range(shape[0] if shape else 0))
-
-
 @lru_cache(maxsize=None)
 def _alternant(shape: tuple[int, ...], m: int, n: int) -> dict[int, int]:
     """a_{shape+delta} = det(x_i^(shape_j + m - j)) in m variables as
@@ -183,19 +187,6 @@ def _frame(n: int, m: int) -> tuple[int, int, int, int]:
     guards = _pack([1 << (width - 1)] * k, width)
     target = _pack(range(n - 1, n - 1 - k, -1), width)
     return k, guards, target, target | guards
-
-
-def _tableau_count(shape: tuple[int, ...], m: int) -> int:
-    """The number of semistandard tableaux of the shape with entries at
-    most m, by the hook-content formula: the product of (m + j - i) / h
-    over the boxes (i, j), h the box's hook length."""
-    columns = _conjugate(shape)
-    num = den = 1
-    for i, row in enumerate(shape):
-        for j in range(row):
-            num *= m + j - i
-            den *= row - j + columns[j] - i - 1
-    return num // den
 
 
 def _factor(shape: tuple[int, ...], n: int, m: int) -> tuple[int, tuple[int, ...]]:

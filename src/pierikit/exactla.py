@@ -34,8 +34,8 @@ pivots, and a flag position on a flag with a coordinate order is one
 elimination of the rows with their columns permuted, or, for the identity
 order, the canonical pivots with none.  Rows that are canonical by
 construction (elimination output, tails of canonical rows, unit rows)
-build their Subspace through Subspace._of_canonical, which skips the
-public constructor's checks.
+build their Subspace through the generated Subspace._trusted, which skips
+the public constructor's checks.
 Fractions appear only at the boundary: Subspace.basis, PolyFamily.cols,
 JSON, and the public Fraction views (rref, kernel_basis, solve_columns,
 invert_matrix, annihilator_basis, Flag.adapted_basis); inside,
@@ -45,8 +45,8 @@ kernel_basis.
 The value types (StageCheck, Subspace, Flag, PolyFamily here, and the
 records of the other layers) are frozen Records, not dataclasses: importing
 dataclasses (and with it inspect) would cost every CLI process about 25 ms
-at start-up.  Record writes each class's __eq__, __hash__ and plain __init__
-from its _fields with one exec, about 2 ms for all the classes.
+at start-up.  Record writes each class's __eq__, __hash__, plain __init__ and
+unchecked _trusted constructor with one exec, about 2 ms for all the classes.
 """
 
 from __future__ import annotations
@@ -88,11 +88,13 @@ _set_field = object.__setattr__
 
 
 def _record_methods(cls) -> dict:
-    """cls's __eq__ and __hash__ over its _fields, and its __init__ unless it
-    writes its own, written as a frozen dataclass writes them: straight-line
-    code from one exec.  The __init__ stores the fields in order with
-    _set_field, the last len(cls._defaults) of them defaulting to those."""
+    """cls's __eq__ and __hash__ over its _fields, its __init__ unless it
+    writes its own, and its classmethod _trusted, as straight-line code from
+    one exec.  The __init__ stores the fields in order with _set_field, the
+    last len(cls._defaults) of them defaulting to those; _trusted allocates
+    the record and stores its _stored attributes in order, unchecked."""
     fields = cls._fields
+    stored = vars(cls).get("_stored", fields)
     own, other = ("".join(f"{obj}.{f}, " for f in fields) for obj in ("self", "other"))
     source = ("def __eq__(self, other):\n"
               "    if other.__class__ is self.__class__:\n"
@@ -102,12 +104,16 @@ def _record_methods(cls) -> dict:
     if "__init__" not in vars(cls):
         source += (f"def __init__(self, {', '.join(fields)}):\n"
                    + "".join(f"    _set_field(self, {f!r}, {f})\n" for f in fields))
+    source += (f"def _trusted(cls, {', '.join(stored)}):\n    self = _new(cls)\n"
+               + "".join(f"    _set_field(self, {f!r}, {f})\n" for f in stored)
+               + "    return self\n")
     methods = {}
-    exec(source, {"_set_field": _set_field}, methods)
+    exec(source, {"_set_field": _set_field, "_new": object.__new__}, methods)
     for name, method in methods.items():
         method.__qualname__ = f"{cls.__qualname__}.{name}"
     if "__init__" in methods:
         methods["__init__"].__defaults__ = cls._defaults
+    methods["_trusted"] = classmethod(methods["_trusted"])
     return methods
 
 
@@ -122,8 +128,10 @@ class Record:
     __hash__ and __init__ from _record_methods, the last len(_defaults)
     fields defaulting to _defaults; a class that validates or derives a
     value writes its own __init__, which stores each field with _set_field,
-    past the frozen __setattr__.  Instances keep a __dict__, where
-    cached_property caches.
+    past the frozen __setattr__.  _trusted(*_stored) is the one way to build
+    a record unchecked, for values valid by construction; _stored is _fields
+    unless the class declares the attributes its __init__ stores.  Instances
+    keep a __dict__, where cached_property caches.
     """
 
     _fields: tuple[str, ...] = ()
@@ -427,10 +435,11 @@ class Subspace(Record):
     subspace.  pivots holds each row's pivot column, found while the rows
     are validated; basis is the Fraction view with pivot entries 1, built
     on first read.  The zero space has no rows.  pivots is derived, so it
-    is not a field: it takes no part in ==, hash or repr.
+    is not a field: it takes no part in ==, hash or repr (but is _stored).
     """
 
     _fields = ("ambient", "rows")
+    _stored = ("ambient", "rows", "pivots")
 
     def __init__(self, ambient: int, rows: tuple[tuple[int, ...], ...]):
         pivots = []
@@ -448,18 +457,6 @@ class Subspace(Record):
         _set_field(self, "ambient", ambient)
         _set_field(self, "rows", rows)
         _set_field(self, "pivots", tuple(pivots))
-
-    @classmethod
-    def _of_canonical(cls, ambient: int, rows: tuple, pivots: tuple) -> "Subspace":
-        """The subspace with these canonical rows and their pivots, taken
-        as they are: for rows canonical by construction (an _echelon
-        output, a tail of canonical rows, unit rows), where __init__'s
-        checks would only repeat what the construction proves."""
-        s = cls.__new__(cls)
-        _set_field(s, "ambient", ambient)
-        _set_field(s, "rows", rows)
-        _set_field(s, "pivots", pivots)
-        return s
 
     @property
     def dim(self) -> int:
@@ -548,7 +545,7 @@ class Subspace(Record):
             g = gcd(*coords)
             rows.append(tuple(x // g for x in coords) if g > 1 else tuple(coords))
             pivots.append(next((i for i, x in enumerate(coords) if x), -1))
-        return Subspace._of_canonical(self.dim, tuple(rows), tuple(pivots))
+        return Subspace._trusted(self.dim, tuple(rows), tuple(pivots))
 
     def __str__(self):
         if self.is_zero:
@@ -575,7 +572,7 @@ def canonicalize(vectors, ambient: int) -> Subspace:
     becomes span's route."""
     reduced, pivots = rref(_of_length(vectors, ambient))
     # a row with pivot entry 1 is primitive once its denominators are cleared
-    return Subspace._of_canonical(
+    return Subspace._trusted(
         ambient, tuple([tuple(_scaled_row(row)[0]) for row in reduced]), tuple(pivots))
 
 
@@ -584,11 +581,11 @@ def span(ambient: int, *vectors) -> Subspace:
     rows are already the canonical rows (primitive, positive pivots,
     reduced), so no Fraction is built.  Equal to canonicalize."""
     reduced, pivots = _echelon(_of_length(vectors, ambient))
-    return Subspace._of_canonical(ambient, tuple(map(tuple, reduced)), tuple(pivots))
+    return Subspace._trusted(ambient, tuple(map(tuple, reduced)), tuple(pivots))
 
 
 def zero_subspace(ambient: int) -> Subspace:
-    return Subspace._of_canonical(ambient, (), ())
+    return Subspace._trusted(ambient, (), ())
 
 
 def full_space(ambient: int) -> Subspace:
@@ -615,8 +612,8 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         return zero_subspace(a.ambient)
     if a._is_coordinate and b._is_coordinate:
         n, common = a.ambient, sorted(set(a.pivots) & set(b.pivots))
-        return Subspace._of_canonical(n, tuple([_unit_row(n, p) for p in common]),
-                                      tuple(common))
+        return Subspace._trusted(n, tuple([_unit_row(n, p) for p in common]),
+                                 tuple(common))
     cols = a.rows + b.rows
     # null vectors (u, v) of the matrix with those columns give points
     # sum u_q a_q = -sum v_q b_q in the intersection
@@ -840,14 +837,15 @@ class PolyFamily(Record):
 
     Stored as one integer form (den, deg, polys) per column (_column_form):
     entry i is the Poly polys[i] / den in t.  The constructor converts Poly
-    columns once, and the integer builders go through _of_forms.  cols, the
-    Fraction view that ==, hash and repr read, is built on first read.  A
-    maximal minor has degree at most D, the sum of the column degrees, so a
-    nonzero one vanishes at D points at most: the rank at any D+1 points
-    decides the generic rank.
+    columns once; integer forms go to _trusted as _forms, which _stored names.
+    cols, the Fraction view that ==, hash and repr read, is built on first
+    read.  A maximal minor has degree at most D, the sum of the column
+    degrees, so a nonzero one vanishes at D points at most: the rank at any
+    D+1 points decides the generic rank.
     """
 
     _fields = ("ambient", "cols")
+    _stored = ("ambient", "_forms")
 
     def __init__(self, ambient: int, cols: tuple[tuple[Poly, ...], ...]):
         forms = []
@@ -859,14 +857,6 @@ class PolyFamily(Record):
             forms.append(_column_form(den, [list(islice(flat, len(p))) for p in col]))
         _set_field(self, "ambient", ambient)
         _set_field(self, "_forms", tuple(forms))
-
-    @classmethod
-    def _of_forms(cls, ambient: int, forms) -> "PolyFamily":
-        """The family with these column forms, taken as they are."""
-        fam = cls.__new__(cls)
-        _set_field(fam, "ambient", ambient)
-        _set_field(fam, "_forms", tuple(forms))
-        return fam
 
     @cached_property
     def cols(self) -> tuple[tuple[Poly, ...], ...]:
@@ -880,7 +870,7 @@ class PolyFamily(Record):
     def tail(self, q: int) -> "PolyFamily":
         """The family on the columns from index q on (cols[q:]), sharing
         this family's forms: a column's form depends on that column alone."""
-        return self._of_forms(self.ambient, self._forms[q:])
+        return PolyFamily._trusted(self.ambient, self._forms[q:])
 
     def _int_columns(self, t) -> list[list[int]]:
         """The columns at t = p/q as integer vectors, each a nonzero
@@ -922,8 +912,8 @@ def family_from_vectors(ambient: int, columns) -> PolyFamily:
 
 
 def constant_family(s: Subspace) -> PolyFamily:
-    return PolyFamily._of_forms(s.ambient, [
-        _column_form(row[p], [(x,) for x in row]) for p, row in zip(s.pivots, s.rows)])
+    return PolyFamily._trusted(s.ambient, tuple([
+        _column_form(row[p], [(x,) for x in row]) for p, row in zip(s.pivots, s.rows)]))
 
 
 def limit_at_zero(fam: PolyFamily) -> Subspace:

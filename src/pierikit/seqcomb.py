@@ -120,28 +120,28 @@ def in_pieri_set(a: DecSeq, b: DecSeq, r: int) -> bool:
 def pieri_set(a: DecSeq, r: int) -> tuple[DecSeq, ...]:
     """All b with b in a*r, lexicographically decreasing.
 
-    a*0 is {a}; sequences whose first entry would exceed n are silently
-    dropped (their varieties are empty).
+    a*0 is {a}; with no entries a*r is empty for r >= 1.  Each entry rises
+    at most to just below the one before it, the first to n (past n the
+    variety is empty), so every member interlaces with a and is built
+    unchecked; trying the largest rise first gives the order.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    caps = [a.n - a.entries[0]]
-    for i in range(1, a.m):
-        caps.append(a.entries[i - 1] - 1 - a.entries[i])
+    n, entries = a.n, a.entries
+    caps = [prev - 1 - x for prev, x in zip((n + 1,) + entries, entries)]
     out = []
 
     def rec(i, left, acc):
-        if i == a.m:
+        if i == len(entries):
             if left == 0:
-                out.append(DecSeq(a.n, tuple(acc)))
+                out.append(DecSeq._trusted(n, tuple(acc)))
             return
         for d in range(min(left, caps[i]), -1, -1):
-            acc.append(a.entries[i] + d)
+            acc.append(entries[i] + d)
             rec(i + 1, left - d, acc)
             acc.pop()
 
     rec(0, r, [])
-    out.sort(key=lambda s: s.entries, reverse=True)
     return tuple(out)
 
 
@@ -163,8 +163,8 @@ def first_diff_index(a: DecSeq, b: DecSeq) -> int:
 
 
 def dual(a: DecSeq) -> DecSeq:
-    """The sequence (n+1-a_m, ..., n+1-a_1)."""
-    return DecSeq(a.n, tuple(a.n + 1 - x for x in reversed(a.entries)))
+    """The sequence (n+1-a_m, ..., n+1-a_1), valid as a is: built unchecked."""
+    return DecSeq._trusted(a.n, tuple([a.n + 1 - x for x in reversed(a.entries)]))
 
 
 def lambda_of(a: DecSeq) -> tuple[int, ...]:
@@ -196,6 +196,24 @@ def trim_partition(parts) -> tuple[int, ...]:
     return tuple(parts)
 
 
+def _conjugate(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The conjugate partition: column lengths of the shape's diagram."""
+    return tuple(sum(1 for x in shape if x > j) for j in range(shape[0] if shape else 0))
+
+
+def _tableau_count(shape: tuple[int, ...], m: int) -> int:
+    """The number of semistandard tableaux of the shape with entries at
+    most m, by the hook-content formula (EC2 Cor. 7.21.4): the product of
+    (m + j - i) / h over the boxes (i, j), h the box's hook length."""
+    columns = _conjugate(shape)
+    num = den = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            num *= m + j - i
+            den *= row - j + columns[j] - i - 1
+    return num // den
+
+
 def covers_under(a: DecSeq, b: DecSeq, g: DecSeq) -> bool:
     """Whether g covers b in the branching order rooted at a.
 
@@ -218,9 +236,10 @@ def branch_parent(a: DecSeq, g: DecSeq) -> DecSeq:
     If g covers b, then g lies in b*1, so g = b + e_i for the index i =
     first_diff_index(b, g), and covers_under makes i equal to j.  Conversely
     g - e_j is a valid sequence in a*(r-1) that g covers: a_j <= g_j - 1
-    and g_(j+1) < a_j, so the interlacing with a and with g still holds.
+    and g_(j+1) < a_j, so it still interlaces with a and with g: built unchecked.
     """
-    return g.bump(first_diff_index(a, g), -1)
+    j, e = first_diff_index(a, g), g.entries
+    return DecSeq._trusted(g.n, e[:j - 1] + (e[j - 1] - 1,) + e[j:])
 
 
 class PieriTree(Record):

@@ -9,6 +9,7 @@ polynomials live in a fixed number of variables as sparse exponent maps.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, wraps
 
@@ -16,6 +17,7 @@ from .exactla import Record, StageCheck, Verdict, _set_field
 from .seqcomb import (
     _integer,
     _integers,
+    _tableau_count,
     alpha_of,
     lambda_of,
     pieri_set,
@@ -76,20 +78,16 @@ class Tableau(Record):
         return {"rows": [list(r) for r in self.rows], "entry_bound": self.entry_bound}
 
 
-def empty_tableau(entry_bound: int) -> Tableau:
-    return Tableau((), entry_bound)
-
-
 def _shape_cached(fn):
-    """fn memoised on its shape after trim_partition: the shape is validated
-    before the cache lookup, so (2, 1.0), equal to (2, 1) as a cache key,
-    is refused whether or not (2, 1) was cached.  cache_info and
-    cache_clear are the cache's."""
+    """fn memoised on its shape after trim_partition and its m through
+    operator.index: both are validated before the cache lookup, so (2, 1.0),
+    equal to (2, 1) as a cache key, is refused whether or not (2, 1) was
+    cached, and so is m = 3.0.  cache_info and cache_clear are the cache's."""
     cached = lru_cache(maxsize=None)(fn)
 
     @wraps(fn)
     def wrapper(shape: Partition, m: int):
-        return cached(trim_partition(shape), m)
+        return cached(trim_partition(shape), _integer(m, "number of variables"))
 
     wrapper.cache_info, wrapper.cache_clear = cached.cache_info, cached.cache_clear
     return wrapper
@@ -99,22 +97,22 @@ def _shape_cached(fn):
 def ssyt_enumerate(shape: Partition, m: int) -> tuple[Tableau, ...]:
     """All semistandard tableaux of the given shape with entries <= m.
 
-    Straight backtracking cell by cell, row-major.  A shape with more than m
-    rows admits none.  Raises ValueError for m < 0.
+    Straight backtracking cell by cell, row-major, each entry at least the
+    one to its left and greater than the one above it, so every tableau is
+    semistandard and built unchecked.  A shape with more than m rows admits
+    none.  Raises ValueError for m < 0.
     """
     if m < 0:
         raise ValueError(f"number of variables must be nonnegative, got {m}")
     if len(shape) > m:
         return ()
-    if not shape:
-        return (empty_tableau(m),)
     rows = [[0] * ln for ln in shape]
     cells = [(r, c) for r, ln in enumerate(shape) for c in range(ln)]
     out = []
 
     def fill(k):
         if k == len(cells):
-            out.append(Tableau(tuple(tuple(r) for r in rows), m))
+            out.append(Tableau._trusted(tuple(map(tuple, rows)), m))
             return
         r, c = cells[k]
         lo = 1
@@ -223,12 +221,14 @@ def pieri_bijection_check(lam: Partition, b: int, m: int) -> BijectionReport:
     lam (entries <= m) and certify the correspondence is a bijection.
 
     Checks: the map is injective; content is preserved; every image shape is
-    a Pieri shape with the right multiplicity; the recorded shape chains are
-    exactly the root-to-leaf chains of the branching tree.  Raises
-    ValueError for b < 0.
+    a Pieri shape, with as many images as the hook-content count; the
+    recorded shape chains are exactly the root-to-leaf chains of the
+    branching tree.  Raises ValueError for b < 0 and for m < 1.
     """
     if b < 0:
         raise ValueError(f"row length must be nonnegative, got {b}")
+    if m < 1:
+        raise ValueError(f"number of letters m must be positive, got {m}")
     lam = trim_partition(lam)
     starts = ssyt_enumerate(lam, m)
     strips = ssyt_enumerate((b,) if b else (), m)
@@ -245,18 +245,13 @@ def pieri_bijection_check(lam: Partition, b: int, m: int) -> BijectionReport:
     pairs_total = len(results)
     injective = len({r.rows for r, _ in results}) == pairs_total
     allowed = pieri_shapes(lam, b, m)
-    img: dict[Partition, int] = {}
-    shapes_ok = True
-    for r, _ in results:
-        sh = trim_partition(r.shape)
-        if sh not in allowed:
-            shapes_ok = False
-        img[sh] = img.get(sh, 0) + 1
-    expected = {mu: len(ssyt_enumerate(mu, m)) for mu in allowed}
-    expected = {mu: c for mu, c in expected.items() if c}
+    # a tableau's shape, and so each shape of a chain, has no empty row
+    img = Counter(r.shape for r, _ in results)
+    shapes_ok = set(img) <= set(allowed)
+    expected = {mu: _tableau_count(mu, m) for mu in allowed}
     counts_ok = img == expected
     tree_set = set(shape_tree_chains(lam, b, m))
-    chain_set = {tuple(trim_partition(s) for s in chain) for _, chain in results}
+    chain_set = {chain for _, chain in results}
     chains_ok = chain_set <= tree_set
     chains_complete = chain_set == tree_set
     order = sorted(img, reverse=True)

@@ -4,7 +4,8 @@ FIELD_SPECS holds each record class's old dataclass field spec: names,
 defaults and the init/repr/compare flags.  dataclass_twin builds the
 reference class from it with dataclasses.make_dataclass(frozen=True), so
 the tests can compare a record with the dataclass it replaced; replace is
-dataclasses.replace for the records.
+dataclasses.replace for the records.  trusted_refusals rebuilds every
+record that the library builds unchecked through its public constructor.
 """
 
 import dataclasses
@@ -116,3 +117,32 @@ def replace(record, **changes):
     """record rebuilt through its constructor with some fields changed, as
     dataclasses.replace does for a dataclass."""
     return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **changes})
+
+
+def stored_names(cls) -> tuple:
+    """The attributes cls._trusted takes: _stored if cls declares it, else
+    its _fields."""
+    return vars(cls).get("_stored", cls._fields)
+
+
+def trusted_refusals(monkeypatch, cls, run) -> tuple:
+    """(built, refused): how many cls records run() builds through
+    cls._trusted, and how many of them the public constructor, given the
+    record's fields, refuses or builds with other stored attributes."""
+    real, names, built, refused = cls._trusted, stored_names(cls), [0], [0]
+
+    def checked(klass, *stored):
+        record = real(*stored)
+        built[0] += 1
+        try:
+            public = cls(*[getattr(record, f) for f in cls._fields])
+        except ValueError:
+            refused[0] += 1
+        else:
+            refused[0] += tuple(getattr(public, f) for f in names) != stored
+        return record
+
+    with monkeypatch.context() as m:
+        m.setattr(cls, "_trusted", classmethod(checked))
+        run()
+    return built[0], refused[0]

@@ -30,6 +30,10 @@ from pierikit.seqcomb import DecSeq
 from records_reference import replace
 
 
+# input a verb refuses with exit 2: schensted with no letters, whatever b
+REFUSED_ARGV = [("schensted", "--shape", "0", "--b", b, "--m", "0") for b in ("1", "0")]
+
+
 def run(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -104,6 +108,14 @@ class TestCombinatoricsVerbs:
                            "--m", "2")
         assert (rc, out) == (2, "")
         assert err == "error: row length must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("argv", REFUSED_ARGV, ids=lambda argv: f"b={argv[4]}")
+    def test_schensted_no_letters(self, capsys, argv):
+        # m = 0 used to end in an IndexError in pieri_set for b >= 1
+        for mode in ((), ("--json",)):
+            rc, out, err = run(capsys, *argv, *mode)
+            assert (rc, out) == (2, "")
+            assert err == "error: number of letters m must be positive, got 0\n"
 
     def test_schur(self, capsys):
         rc, out, _ = run(capsys, "schur", "--shape", "2,1", "--m", "2",
@@ -462,11 +474,12 @@ RANDOM_FLAG_PENCIL = ("pencil", "--file", "{M}", "--marked-file", "{Lm}",
                       "--flag-seed", "3")
 
 # exit code and sha256 of stdout and stderr of every verb, passing and with
-# its clauses forced to fail, in text and --json mode
+# its clauses forced to fail, and of the refused input, in text and --json mode
 PINNED_OUTPUTS = Path(__file__).parent / "golden" / "cli_outputs.json"
 PINNED_RUNS = ([(argv[0], argv, None) for argv in VERB_ARGV]
                + [("pencil --flag-seed 3", RANDOM_FLAG_PENCIL, None)]
-               + [("forced " + argv[0], argv, force) for argv, force in FORCED_FAILURES])
+               + [("forced " + argv[0], argv, force) for argv, force in FORCED_FAILURES]
+               + [(" ".join(argv), argv, None) for argv in REFUSED_ARGV])
 
 
 def sha256(text: str) -> str:

@@ -34,6 +34,7 @@ from pierikit.exactla import (
     VerificationError,
     _int_row,
     canonicalize,
+    constant_family,
     family_from_vectors,
     family_to_json,
     intersect,
@@ -70,6 +71,7 @@ from pierikit.schubgeom import (
     x_member,
     y_cycle,
 )
+from records_reference import trusted_refusals
 
 FLAG = standard_flag(9)
 A741 = DecSeq(9, (7, 4, 1))
@@ -144,7 +146,7 @@ class TestFlagWithin:
         # on the coordinate flag M_i is read off M's rows from i on; a
         # read-off that drops the first of them has one dimension too few
         monkeypatch.setattr(deform, "canonicalize", forbid)
-        monkeypatch.setattr(Subspace, "_of_canonical", classmethod(
+        monkeypatch.setattr(Subspace, "_trusted", classmethod(
             lambda cls, n, rows, pivots: Subspace(n, rows[1:])))
         with pytest.raises(VerificationError, match="F_3 cap M is not the 5-dimensional"):
             flag_within(M_COMPANION, FLAG)
@@ -222,6 +224,50 @@ class TestFlagWithinDifferential:
                     assert limit_at_zero(fam) == p.space(i + 1)
                 checked += M.dim >= 2
         assert checked >= 12, checked
+
+
+def generic_pencils(seed):
+    """A pencil at the last marked position for a random M on the
+    standard, the reversed and a random flag, for each n = 2..7."""
+    rng = random.Random(seed)
+    pencils = []
+    for n in range(2, 8):
+        for flag in (standard_flag(n), reversed_flag(n), random_flag(n, n)):
+            M = _pivot_span(rng.sample(range(1, n + 1), rng.randint(1, n)), flag, rng)
+            mf = flag_within(M, flag)
+            pencils.append(build_pencil(mf, M.dim + 1, generic_marked(mf, rng)))
+    return pencils
+
+
+class TestTrustedFamilies:
+    """deform._pencil_columns, PolyFamily.tail and constant_family pass
+    integer column forms to PolyFamily._trusted; the public constructor,
+    given the family's Fraction columns, must build the same forms."""
+
+    def test_pencil_columns(self, monkeypatch):
+        built, refused = trusted_refusals(monkeypatch, PolyFamily,
+                                          lambda: generic_pencils(1996))
+        assert refused == 0 and built >= 18, (built, refused)
+
+    def test_tails(self, monkeypatch):
+        pencils = generic_pencils(1996)
+
+        def run():
+            for p in pencils:
+                for q in range(p.family.ncols + 1):
+                    p.family.tail(q)
+        built, refused = trusted_refusals(monkeypatch, PolyFamily, run)
+        assert refused == 0 and built >= 50, (built, refused)
+
+    def test_constant_families(self, monkeypatch):
+        pencils = generic_pencils(1996)
+
+        def run():
+            for p in pencils:
+                for space in (p.M, *p.mflag, p.at(2)):
+                    constant_family(space)
+        built, refused = trusted_refusals(monkeypatch, PolyFamily, run)
+        assert refused == 0 and built >= 80, (built, refused)
 
 
 class TestBuildPencil:

@@ -40,6 +40,7 @@ from pierikit.exactla import (
     vec,
     zero_subspace,
 )
+from records_reference import trusted_refusals
 
 # the five fixed points at which families used to be sampled
 SAMPLE_POINTS = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3), Fraction(-1))
@@ -1603,25 +1604,14 @@ def coordinate_disagreements(cases):
     return tuple(wrong)
 
 
-def trusted_refusals(monkeypatch, cases):
-    """(built, refused): how many Subspaces the library's routines build
-    through Subspace._of_canonical on the cases, and how many of them the
-    public constructor refuses or gives other pivots."""
+def subspace_refusals(monkeypatch, cases):
+    """(built, refused) of trusted_refusals for Subspace: how many
+    Subspaces the library's routines build through Subspace._trusted on the
+    cases, and how many of them the public constructor refuses or gives
+    other pivots."""
     from pierikit import deform
-    real, built, refused = Subspace._of_canonical, [0], [0]
 
-    def checked(cls, ambient, rows, pivots):
-        built[0] += 1
-        try:
-            public = Subspace(ambient, rows)
-        except ValueError:
-            refused[0] += 1
-        else:
-            refused[0] += public.pivots != pivots
-        return real(ambient, rows, pivots)
-
-    with monkeypatch.context() as m:
-        m.setattr(Subspace, "_of_canonical", classmethod(checked))
+    def run():
         for flag, s, t, w in cases:
             n = s.ambient
             span(n, w, *t.rows)
@@ -1629,7 +1619,7 @@ def trusted_refusals(monkeypatch, cases):
             deform.flag_within(s, flag)
             s.restrict(intersect(s, t))
             s.restrict(s)
-    return built[0], refused[0]
+    return trusted_refusals(monkeypatch, Subspace, run)
 
 
 class TestCoordinateShortcuts:
@@ -1650,7 +1640,7 @@ class TestCoordinateShortcuts:
                     assert got.pivots == tuple(range(i - 1, n + 1 - j))
 
     def test_trusted_constructor_equals_the_public_one(self, monkeypatch):
-        built, refused = trusted_refusals(monkeypatch, coordinate_cases()[0])
+        built, refused = subspace_refusals(monkeypatch, coordinate_cases()[0])
         assert refused == 0 and built >= 3000, (built, refused)
 
     def test_only_unit_covectors_give_an_order(self):
@@ -1694,4 +1684,4 @@ class TestCoordinateShortcuts:
         # coordinates that share a factor go down the trusted constructor
         monkeypatch.setattr(Subspace, "restrict", ref.source_mutant(
             Subspace.restrict, "if g > 1 else tuple(coords)", "if False else tuple(coords)"))
-        assert trusted_refusals(monkeypatch, coordinate_cases()[0])[1] >= 50
+        assert subspace_refusals(monkeypatch, coordinate_cases()[0])[1] >= 50

@@ -21,6 +21,7 @@ from pierikit.deform import (
 )
 from pierikit.enumerative import QuintupleProblem, reversed_flag, valid_instances
 from pierikit.exactla import (
+    PolyFamily,
     Record,
     StageCheck,
     Subspace,
@@ -42,8 +43,10 @@ from pierikit.tableaux import pieri_bijection_check, ssyt_enumerate
 from records_reference import (
     FIELD_SPECS,
     NO_DEFAULT,
+    NOT_STORED,
     init_fields,
     replace,
+    stored_names,
     twin_of,
 )
 
@@ -161,6 +164,37 @@ def record_mismatches(records) -> list:
 
 def test_records_behave_as_their_dataclasses():
     assert record_mismatches(SAMPLES) == []
+
+
+def trusted_mismatches(records) -> list:
+    """The records that _trusted, given their stored attributes, does not
+    copy: another class, another value, or other stored attributes."""
+    bad = []
+    for r in records:
+        cls, names = type(r), stored_names(type(r))
+        copy = cls._trusted(*[getattr(r, f) for f in names])
+        stored = [getattr(copy, f, NOT_STORED) for f in names]
+        # == reads the fields, which a copy that lacks one cannot give
+        if (type(copy) is not cls or stored != [getattr(r, f) for f in names]
+                or copy != r):
+            bad.append(f"{cls.__name__} {r!r:.60}")
+    return bad
+
+
+def test_trusted_copies_every_record():
+    assert trusted_mismatches(SAMPLES) == []
+    assert stored_names(Subspace) == ("ambient", "rows", "pivots")
+    assert stored_names(PolyFamily) == ("ambient", "_forms")
+    assert {cls for cls in FIELD_SPECS if stored_names(cls) != cls._fields} == {
+        Subspace, PolyFamily}
+
+
+def test_trusted_that_drops_the_last_attribute_is_caught(monkeypatch):
+    mutant = source_mutant(_record_methods, "for f in stored)", "for f in stored[:-1])")
+    for cls in FIELD_SPECS:
+        monkeypatch.setattr(cls, "_trusted", mutant(cls)["_trusted"])
+    assert {m.split()[0] for m in trusted_mismatches(SAMPLES)} == {
+        cls.__name__ for cls in FIELD_SPECS}
 
 
 def test_subspace_pivots_stay_derived():

@@ -10,6 +10,7 @@ import itertools
 import pytest
 
 import pierikit.seqcomb as seqcomb
+from fraction_reference import source_mutant
 from pierikit.exactla import VerificationError
 from pierikit.seqcomb import (
     DecSeq,
@@ -26,6 +27,7 @@ from pierikit.seqcomb import (
     tree_chains,
     trim_partition,
 )
+from records_reference import trusted_refusals
 
 
 def oracle_pieri(a: DecSeq, r: int) -> set[DecSeq]:
@@ -147,6 +149,15 @@ class TestPieriSet:
                 got = [g.entries for g in pieri_set(a, r)]
                 assert got == sorted(got, reverse=True)
 
+    def test_no_entries(self):
+        # the empty sequence is the only one with m = 0: a*0 = {a}, and
+        # a*r is empty for r >= 1
+        for n in range(1, 5):
+            a = DecSeq(n, ())
+            assert pieri_set(a, 0) == (a,)
+            assert all(pieri_set(a, r) == () == tuple(oracle_pieri(a, r)) for r in (1, 2, 3))
+            assert tree_chains(a, 2)[1] == ()
+
     def test_increment_membership(self):
         a = DecSeq(9, (7, 4, 1))
         assert pieri_increment(a, DecSeq(9, (8, 5, 1))) == 2
@@ -154,6 +165,57 @@ class TestPieriSet:
         # not interlacing: second entry jumped past first original entry
         assert pieri_increment(a, DecSeq(9, (8, 8, 1) if False else (9, 8, 1))) is None
         assert pieri_increment(DecSeq(4, (3, 1)), DecSeq(4, (2, 1))) is None
+
+
+def depth(a):
+    """The last r with a*r nonempty: the sum of the interlacing gaps."""
+    e = (a.n + 1,) + a.entries
+    return sum(x - 1 - y for x, y in zip(e, e[1:]))
+
+
+# every sequence with n <= 7, m = 0 included
+SEQS_TO_SEVEN = [a for n in range(1, 8) for m in range(n + 1) for a in all_seqs(n, m)]
+
+
+def every_pieri_set():
+    """seqcomb.pieri_set, read through the module so that a patched one
+    runs, on every sequence with n <= 7 and every r up to one past its
+    depth, from an empty cache."""
+    seqcomb.pieri_set.cache_clear()
+    for a in SEQS_TO_SEVEN:
+        for r in range(depth(a) + 2):
+            seqcomb.pieri_set(a, r)
+
+
+class TestTrustedSequences:
+    """pieri_set, dual and branch_parent build their sequences through
+    DecSeq._trusted; the public constructor must accept every one."""
+
+    def test_pieri_set_members(self, monkeypatch):
+        assert len(SEQS_TO_SEVEN) == 254
+        built, refused = trusted_refusals(monkeypatch, DecSeq, every_pieri_set)
+        members = sum(len(pieri_set(a, r)) for a in SEQS_TO_SEVEN for r in range(depth(a) + 1))
+        assert (built, refused) == (members, 0) and members == 986
+
+    def test_duals(self, monkeypatch):
+        built, refused = trusted_refusals(
+            monkeypatch, DecSeq, lambda: [dual(a) for a in SEQS_TO_SEVEN])
+        assert (built, refused) == (254, 0)
+
+    def test_branch_parents_on_every_tree_edge(self, monkeypatch):
+        every_pieri_set()
+        trees = []
+        built, refused = trusted_refusals(monkeypatch, DecSeq, lambda: trees.extend(
+            tree_chains(a, depth(a))[0] for a in SEQS_TO_SEVEN))
+        assert (built, refused) == (sum(len(tree.edges) for tree in trees), 0)
+        assert built == 986 - 254  # a parent for every member but the roots
+
+    def test_member_past_its_cap_is_caught(self, monkeypatch):
+        # each entry may rise one step too far: onto the entry before it,
+        # or past n for the first, which breaks the interlacing
+        mutant = source_mutant(seqcomb.pieri_set.__wrapped__, "prev - 1 - x", "prev - x")
+        monkeypatch.setattr(seqcomb, "pieri_set", mutant)
+        assert trusted_refusals(monkeypatch, DecSeq, every_pieri_set)[1] >= 1000
 
 
 class TestFirstDiff:

@@ -1,4 +1,4 @@
-"""Five rules every library module keeps.
+"""Six rules every library module keeps.
 
 No assert statement: python -O strips asserts, so a check written as one
 would vanish there (checks raise VerificationError instead).  No absolute
@@ -9,7 +9,10 @@ them.  Outside the CLI, int() converts only a comparison: int(1.9) is 1, so
 an integer input goes through operator.index, which refuses a float, and an
 integral Fraction is read by its numerator.  No record class writes a method
 that exactla._record_methods writes from its fields: no __eq__, no __hash__,
-and no __init__ that only stores its arguments with _set_field.
+and no __init__ that only stores its arguments with _set_field.  A record is
+built unchecked only through the _trusted that _record_methods writes, and
+only in the functions TRUSTED_CALLERS lists, whose values are valid by
+construction: no call of __new__, and a new caller needs an entry there.
 """
 
 import ast
@@ -110,6 +113,63 @@ def record_method_lines(source: str, records) -> list:
                        or fn.name == "__init__" and _only_stores(fn)))
 
 
+def trusted_calls(source: str) -> list:
+    """(name, scope, line) of every reference to an attribute named
+    _trusted, called or passed on, and of every call of one named __new__,
+    the scope being the dotted names of the enclosing classes and functions
+    ("" at module level)."""
+    calls = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+            calls.append(("_trusted", scope, node.lineno))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__new__"):
+            calls.append(("__new__", scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(calls, key=lambda call: call[2])
+
+
+# the functions that may build a record unchecked, by module: each builds
+# values that are valid by construction, which tests/test_exactla.py,
+# test_deform.py, test_seqcomb.py and test_tableaux.py rebuild through the
+# public constructors
+TRUSTED_CALLERS = {
+    "deform.py": {"flag_within", "_pencil_columns"},
+    "exactla.py": {"Subspace.restrict", "canonicalize", "span", "zero_subspace",
+                   "intersect", "PolyFamily.tail", "constant_family"},
+    "seqcomb.py": {"pieri_set.rec", "dual", "branch_parent"},
+    "tableaux.py": {"ssyt_enumerate.fill"},
+}
+
+
+def test_checker_sees_trusted_calls_and_allocations():
+    source = ("class Rec(Record):\n    def copy(self):\n"
+              "        return Rec._trusted(self.a)\n"
+              "    def raw(self):\n        return object.__new__(Rec)\n"
+              "def build(xs):\n    def one(x):\n        return Rec._trusted(x)\n"
+              "    return [one(x) for x in xs], cls.__new__(cls)\n"
+              "top = Rec._trusted(1)\nmade = map(Rec._trusted, [1])\nnew = object.__new__\n")
+    assert trusted_calls(source) == [("_trusted", "Rec.copy", 3), ("__new__", "Rec.raw", 5),
+                                     ("_trusted", "build.one", 8), ("__new__", "build", 9),
+                                     ("_trusted", "", 10), ("_trusted", "", 11)]
+
+
+def test_rule_refuses_a_planted_trusted_call():
+    # DecSeq.bump takes any i and amount, so its result needs the checks
+    source = (SRC / "seqcomb.py").read_text()
+    planted = source.replace("return DecSeq(self.n, tuple(e))",
+                             "return DecSeq._trusted(self.n, tuple(e))")
+    assert planted != source
+    scopes = {scope for _, scope, _ in trusted_calls(planted)}
+    assert scopes - TRUSTED_CALLERS["seqcomb.py"] == {"DecSeq.bump"}
+
+
 def test_checker_sees_an_assert():
     source = ("def f(x):\n    assert x > 0, 'positive'\n    return x\n"
               "assert_ok = True\nassert f(1)\n")
@@ -182,3 +242,10 @@ RECORDS = record_classes(path.read_text() for path in MODULES)
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_records_write_no_generated_method(path):
     assert record_method_lines(path.read_text(), RECORDS) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_records_are_built_unchecked_only_where_listed(path):
+    calls = trusted_calls(path.read_text())
+    assert [call for call in calls if call[0] == "__new__"] == []
+    assert {scope for _, scope, _ in calls} == TRUSTED_CALLERS.get(path.name, set())

@@ -9,12 +9,14 @@ import itertools
 
 import pytest
 
+import pierikit.tableaux as tableaux
+from fraction_reference import source_mutant
+from pierikit.seqcomb import _tableau_count
 from pierikit.tableaux import (
     SparsePoly,
     Tableau,
     chow_project,
     complete_homogeneous,
-    empty_tableau,
     pieri_bijection_check,
     pieri_shapes,
     row_insert,
@@ -23,7 +25,7 @@ from pierikit.tableaux import (
     shape_tree_chains,
     ssyt_enumerate,
 )
-from records_reference import replace
+from records_reference import replace, trusted_refusals
 
 
 def oracle_ssyt_count(shape, m):
@@ -58,11 +60,11 @@ class TestTableau:
 
     def test_negative_entry_bound_is_refused(self):
         # with no rows there is no entry to refuse, so the bound itself is checked
-        for build in (lambda: empty_tableau(-2), lambda: Tableau((), -1),
+        for build in (lambda: Tableau((), -2), lambda: Tableau((), -1),
                       lambda: Tableau(((1,),), -1)):
             with pytest.raises(ValueError, match="entry_bound must be nonnegative, got -"):
                 build()
-        assert empty_tableau(0).content() == ()
+        assert Tableau((), 0).content() == ()
 
     def test_content(self):
         t = Tableau(((1, 1, 3), (2,)), 3)
@@ -102,9 +104,54 @@ class TestEnumeration:
             assert t.shape == (3, 2)
 
 
+# every shape of at most six boxes
+SHAPES_TO_SIX = sorted({tuple(sorted(parts, reverse=True))
+                        for k in range(7) for size in range(k + 1)
+                        for parts in itertools.product(range(1, k + 1), repeat=size)
+                        if sum(parts) == k})
+
+
+def enumerate_every_shape():
+    """ssyt_enumerate, read through the module so that a patched one
+    runs, on every shape of at most six boxes and m <= 4, from an empty
+    cache."""
+    tableaux.ssyt_enumerate.cache_clear()
+    for shape in SHAPES_TO_SIX:
+        for m in range(5):
+            tableaux.ssyt_enumerate(shape, m)
+
+
+class TestTrustedTableaux:
+    """ssyt_enumerate builds its tableaux through Tableau._trusted; the
+    public constructor must accept every one of them."""
+
+    def test_every_enumerated_tableau_is_semistandard(self, monkeypatch):
+        assert len(SHAPES_TO_SIX) == 30
+        built, refused = trusted_refusals(monkeypatch, Tableau, enumerate_every_shape)
+        want = sum(_tableau_count(shape, m) for shape in SHAPES_TO_SIX for m in range(5))
+        assert (built, refused) == (want, 0)
+
+    def test_columns_that_only_weakly_increase_are_caught(self, monkeypatch):
+        monkeypatch.setattr(tableaux, "ssyt_enumerate", source_mutant(
+            ssyt_enumerate, "rows[r - 1][c] + 1", "rows[r - 1][c]"))
+        assert trusted_refusals(monkeypatch, Tableau, enumerate_every_shape)[1] >= 1000
+
+    @pytest.mark.parametrize("fn", [ssyt_enumerate, schur_expand],
+                             ids=["ssyt_enumerate", "schur_expand"])
+    def test_variable_count_goes_through_index_whatever_is_cached(self, fn):
+        # as for the shape: 2.0 == 2 as a cache key
+        fn.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="variables must be an integer, got 2.0$"):
+                fn((1,), 2.0)
+            fn((1,), 2)
+        assert type(ssyt_enumerate((1,), True)[0].entry_bound) is int
+        assert type(schur_expand((1,), True).nvars) is int
+
+
 class TestInsertion:
     def test_single_letter(self):
-        t, chain = row_insert(empty_tableau(3), (1,))
+        t, chain = row_insert(Tableau((), 3), (1,))
         assert t.rows == ((1,),)
         assert chain == ((), (1,))
 
@@ -116,7 +163,7 @@ class TestInsertion:
 
     def test_word_must_increase(self):
         with pytest.raises(ValueError):
-            row_insert(empty_tableau(3), (2, 1))
+            row_insert(Tableau((), 3), (2, 1))
 
     def test_chain_grows_one_cell_per_letter(self):
         for t in ssyt_enumerate((2, 1), 3):
@@ -164,6 +211,19 @@ class TestBijection:
     def test_negative_row_length(self):
         with pytest.raises(ValueError, match="row length must be nonnegative, got -1"):
             pieri_bijection_check((2, 1), -1, 2)
+
+    def test_no_letters_is_refused(self):
+        # with m = 0 there is no tableau to insert into but the empty one
+        for b in (0, 1, 2):
+            with pytest.raises(ValueError, match="m must be positive, got 0$"):
+                pieri_bijection_check((), b, 0)
+
+    def test_count_without_the_content_term_fails_the_counts_clause(self, monkeypatch):
+        from pierikit import seqcomb
+        monkeypatch.setattr(tableaux, "_tableau_count", source_mutant(
+            seqcomb._tableau_count, "num *= m + j - i", "num *= m"))
+        for lam, b, m in [((4, 2), 2, 3), ((2, 1), 1, 3), ((2, 2), 2, 2)]:
+            assert pieri_bijection_check(lam, b, m).failures() == ("counts_ok",)
 
     def test_failures_name_each_false_clause(self):
         rep = pieri_bijection_check((2, 1), 1, 3)
@@ -263,7 +323,7 @@ class TestIntegerInputs:
         (lambda: Tableau(((1, 2), (2.0,)), 3), "2.0"),
         (lambda: Tableau(((1, "2"),), 3), "'2'"),
         (lambda: Tableau(((1, 2),), 2.5), "2.5"),
-        (lambda: row_insert(empty_tableau(3), (1.7, 2.9)), "1.7"),
+        (lambda: row_insert(Tableau((), 3), (1.7, 2.9)), "1.7"),
         (lambda: ssyt_enumerate((2.5, 1), 3), "2.5"),
         (lambda: pieri_shapes((2.5, 1), 1, 3), "2.5"),
         (lambda: schur_expand((2, 1.5), 3), "1.5"),
@@ -293,7 +353,7 @@ class TestIntegerInputs:
         assert all(type(x) is int for row in t.rows for x in row)
         t = Tableau(((1,),), True)
         assert type(t.entry_bound) is int and t.content() == (1,)
-        res, chain = row_insert(empty_tableau(3), iter([True, 2]))
+        res, chain = row_insert(Tableau((), 3), iter([True, 2]))
         assert res.rows == ((1, 2),) and chain == ((), (1,), (2,))
         p = SparsePoly(2, {(True, 0): 1})
         assert p == SparsePoly(2, {(1, 0): 1})
