@@ -26,14 +26,13 @@ from .exactla import (
     StageCheck,
     VerificationError,
     check_lines,
+    coordinate_subspace,
     failed_names,
     family_to_json,
     intersect,
     limit_at_zero,
-    span,
     subspace_from_json,
     subspace_to_json,
-    unit_vector,
     verdict_line,
 )
 from .schubgeom import (
@@ -328,7 +327,7 @@ def _cmd_chain_deform(args) -> int:
         dim_k = args.n + 1 - a.m - args.b
         if dim_k < 1:
             raise ValueError("b is too large for a nonzero special subspace")
-        K = span(args.n, *[unit_vector(args.n, i) for i in range(1, dim_k + 1)])
+        K = coordinate_subspace(args.n, range(1, dim_k + 1))
         if not meets_properly(K, flag):
             raise ValueError("default K does not meet the flag properly; pass --k-file")
     reports = chain_deformation(a, args.b, flag, K, seeds=_seed_of(args))

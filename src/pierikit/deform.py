@@ -29,17 +29,15 @@ from .exactla import (
     _null_vectors,
     _read_null_vectors,
     _scaled_lift,
-    canonicalize,
+    _unit_row,
     check_lines,
     family_from_vectors,
     frac,
     intersect,
-    kernel_basis,
     limit_at_zero,
     rank,
     span,
     sum_span,
-    unit_vector,
     verdict_line,
     zero_subspace,
 )
@@ -671,7 +669,7 @@ def worked_recombination(sigma, tau):
 
 
 def _kernel_of(forms) -> Subspace:
-    return canonicalize(kernel_basis([list(f) for f in forms], 9), 9)
+    return span(9, *[v for _, v in _null_vectors(forms, 9)])
 
 
 def worked_kernel(s, t) -> Subspace:
@@ -681,7 +679,7 @@ def worked_kernel(s, t) -> Subspace:
 def worked_family() -> PolyFamily:
     """The family of 5-planes after the first parameter is sent to zero:
     spanned by t e2 - e3, t e3 - e5, t e5 - e6, t e6 - e8, and e9."""
-    e = [unit_vector(9, i) for i in range(1, 10)]
+    e = [_unit_row(9, p) for p in range(9)]
 
     def moving(lead, trail):
         return tuple((-trail[i], lead[i]) for i in range(9))
@@ -735,16 +733,10 @@ class GoldenReport(Verdict):
 def golden_run_741() -> GoldenReport:
     """Run the worked example end to end and verify every narrative claim."""
     flag = standard_flag(9)
-    e = [unit_vector(9, i) for i in range(1, 10)]
 
-    def ev(i):
-        return e[i - 1]
-
-    def plus(*vs):
-        w = [frac(0)] * 9
-        for v in vs:
-            w = [a + b for a, b in zip(w, v)]
-        return tuple(w)
+    def ev(*idx):
+        """The integer row e_i + e_j + ... for the 1-indexed i, j, ..."""
+        return tuple([int(k in idx) for k in range(1, 10)])
 
     a741 = DecSeq(9, (7, 4, 1))
     base = span(9, *[ev(i) for i in range(1, 6)])
@@ -767,7 +759,7 @@ def golden_run_741() -> GoldenReport:
                 for q in (1, 4, 7))))
         sec_a.append(StageCheck(
             f"(s,t)=({sv},{tv}): transverse irreducible intersection",
-            classify_pieri(a741, flag, L, 2).verdict == TRANSVERSE_IRREDUCIBLE))
+            classify_position(a741, dims, 2).verdict == TRANSVERSE_IRREDUCIBLE))
     sec_a.append(StageCheck(
         "closing position recovers the base 5-plane",
         _kernel_of(worked_recombination(0, 0)) == base))
@@ -835,8 +827,8 @@ def golden_run_741() -> GoldenReport:
     sec_c.append(StageCheck(
         "row-1 branch: moving plane meets F_8 in the line F_9",
         P[7] == P[8] == 1))
-    h941 = span(9, ev(9), plus(ev(4), ev(5)), plus(ev(1), ev(2)))
-    h841 = span(9, ev(8), plus(ev(4), ev(5)), plus(ev(1), ev(2)))
+    h941 = span(9, ev(9), ev(4, 5), ev(1, 2))
+    h841 = span(9, ev(8), ev(4, 5), ev(1, 2))
     sec_c.append(StageCheck(
         "row-1 branch: collapses onto the 941 Schubert variety on witnesses",
         schubert_member(h941, d941, flag)
@@ -880,8 +872,8 @@ def golden_run_741() -> GoldenReport:
     sec_c.append(StageCheck(
         "row-2 branch: splits into 851 and 761",
         lifted2 == {d851, d761}))
-    k851 = span(9, ev(8), plus(ev(5), ev(6)))
-    h851 = span(9, ev(8), plus(ev(5), ev(6)), ev(1))
+    k851 = span(9, ev(8), ev(5, 6))
+    h851 = span(9, ev(8), ev(5, 6), ev(1))
     w851 = intersect(k851, lim2)
     sec_c.append(StageCheck(
         "row-2 branch: witness in the 851 stratum",
@@ -926,14 +918,14 @@ def golden_run_741() -> GoldenReport:
     sec_c.append(StageCheck(
         "row-3 branch: splits into 842, 752, and 743",
         lifted3 == {d842, d752, d743}))
-    h842 = span(9, ev(8), plus(ev(4), ev(5)), plus(ev(2), ev(3)))
+    h842 = span(9, ev(8), ev(4, 5), ev(2, 3))
     w842 = intersect(h842, l00)
     sec_c.append(StageCheck(
         "row-3 branch: witness in the 842 stratum",
         schubert_member(h842, d842, flag)
         and w842.dim >= 1 and F(7).contains(w842)
         and x_member(h842, d742, 3, flag, l00)))
-    h752 = span(9, ev(7), plus(ev(5), ev(6)), ev(2))
+    h752 = span(9, ev(7), ev(5, 6), ev(2))
     w752 = intersect(h752, l00)
     sec_c.append(StageCheck(
         "row-3 branch: witness in the 752 stratum",

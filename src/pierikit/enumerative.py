@@ -30,11 +30,11 @@ from .exactla import (
     _null_vectors,
     _read_null_vectors,
     _set_field,
+    _unit_row,
     flag_from_basis,
     intersect,
     rank,
     span,
-    unit_vector,
 )
 from .schubgeom import schubert_member, standard_flag
 from .seqcomb import (
@@ -54,6 +54,9 @@ from .seqcomb import (
 # six variables) ten random problems took 0.03-0.65 s (Python 3.11, 2-core
 # Xeon)
 _EXPANSION_CAP = 30
+
+# draws of C that witness_table makes before it gives up
+_WITNESS_DRAWS = 32
 
 
 class QuintupleProblem(Record):
@@ -305,7 +308,7 @@ def reversed_flag(n: int) -> Flag:
     Opposite to the standard flag, so their slices are coordinate blocks.
     Built once per n and shared: Flag and Subspace are frozen.
     """
-    return flag_from_basis([unit_vector(n, i) for i in range(n, 0, -1)])
+    return flag_from_basis([_unit_row(n, p) for p in range(n - 1, -1, -1)])
 
 
 @lru_cache(maxsize=1024)
@@ -425,7 +428,7 @@ def triple_witnesses(
     return [H]
 
 
-def witness_table(p: QuintupleProblem, seed: int = 0, retries: int = 32):
+def witness_table(p: QuintupleProblem, seed: int = 0):
     """(C, rows) with one (gamma, delta, H) row per counted branch pair.
 
     Iterates triple_witnesses over every branch pair of the problem with
@@ -434,15 +437,12 @@ def witness_table(p: QuintupleProblem, seed: int = 0, retries: int = 32):
     pass for all pairs at once.  A draw of rank below dim C, a
     GenericityError from triple_witnesses and two pairs with the same
     plane depend on C and draw again; the last of these reasons ends the
-    GenericityError raised when retries draws are used up.  A ValueError
-    or VerificationError escapes at once, and retries < 1 is a
-    ValueError.  A resample redoes only the work that depends on C: each
-    pair's slice frame stays cached.  The rows carry exactly
-    count_pairs_d(p) pairwise distinct planes, every coordinate an exact
-    rational.
+    GenericityError raised when _WITNESS_DRAWS draws are used up.  A
+    ValueError or VerificationError escapes at once.  A resample redoes
+    only the work that depends on C: each pair's slice frame stays
+    cached.  The rows carry exactly count_pairs_d(p) pairwise distinct
+    planes, every coordinate an exact rational.
     """
-    if retries < 1:
-        raise ValueError(f"retries must be at least 1, got {retries}")
     flag = standard_flag(p.n)
     flag2 = reversed_flag(p.n)
     dim_c = p.n + 1 - p.m - p.c
@@ -450,7 +450,7 @@ def witness_table(p: QuintupleProblem, seed: int = 0, retries: int = 32):
         # c exceeds every branch capacity, so no pair can match
         return None, ()
     rng = random.Random(seed)
-    for _ in range(retries):
+    for _ in range(_WITNESS_DRAWS):
         rows = [tuple(rng.randint(-99, 99) for _ in range(p.n))
                 for _ in range(dim_c)]
         C = span(p.n, *rows)
@@ -470,10 +470,10 @@ def witness_table(p: QuintupleProblem, seed: int = 0, retries: int = 32):
             reason = "two branch pairs give the same plane"
             continue
         return C, tuple(out)
-    raise GenericityError(f"no suitable C after {retries} draws: {reason}")
+    raise GenericityError(f"no suitable C after {_WITNESS_DRAWS} draws: {reason}")
 
 
-def real_witness_set(p: QuintupleProblem, seed: int = 0, retries: int = 32) -> list[Subspace]:
+def real_witness_set(p: QuintupleProblem, seed: int = 0) -> list[Subspace]:
     """Just the witness planes of witness_table, in its order."""
-    _, rows = witness_table(p, seed, retries)
+    _, rows = witness_table(p, seed)
     return [H for _, _, H in rows]

@@ -38,9 +38,11 @@ build their Subspace through the generated Subspace._trusted, which skips
 the public constructor's checks.
 Fractions appear only at the boundary: Subspace.basis, PolyFamily.cols,
 JSON, and the public Fraction views (rref, kernel_basis, solve_columns,
-invert_matrix, annihilator_basis, Flag.adapted_basis); inside,
-canonicalize still goes through rref and limit_at_zero through
-kernel_basis.
+invert_matrix, annihilator_basis, Flag.adapted_basis).  Inside, span, one
+integer elimination, builds every subspace from vectors, except in two
+routes that the benchmark's tracer reads: intersect spans through
+canonicalize (rref), and limit_at_zero finds its vanishing combinations
+through kernel_basis and spans through canonicalize.
 
 The value types (StageCheck, Subspace, Flag, PolyFamily here, and the
 records of the other layers) are frozen Records, not dataclasses: importing
@@ -566,10 +568,10 @@ def _of_length(vectors, ambient: int) -> list[tuple]:
 
 
 def canonicalize(vectors, ambient: int) -> Subspace:
-    """Span of the vectors, in canonical form, through rref: the benchmark's
-    tracer looks for the rref span that this puts under intersect and
-    limit_at_zero.  Once the tracer counts eliminations instead, this
-    becomes span's route."""
+    """Span of the vectors, in canonical form, through rref.  Only intersect
+    and limit_at_zero call it: the benchmark's tracer counts rref calls and
+    its self-test looks for the rref span under those two.  Once the
+    tracer counts eliminations instead, span replaces it there too."""
     reduced, pivots = rref(_of_length(vectors, ambient))
     # a row with pivot entry 1 is primitive once its denominators are cleared
     return Subspace._trusted(
@@ -579,7 +581,8 @@ def canonicalize(vectors, ambient: int) -> Subspace:
 def span(ambient: int, *vectors) -> Subspace:
     """Span of the vectors, in canonical form, straight from _echelon: its
     rows are already the canonical rows (primitive, positive pivots,
-    reduced), so no Fraction is built.  Equal to canonicalize."""
+    reduced), so no Fraction is built.  Equal to canonicalize, and the
+    library's one way to build a subspace from vectors."""
     reduced, pivots = _echelon(_of_length(vectors, ambient))
     return Subspace._trusted(ambient, tuple(map(tuple, reduced)), tuple(pivots))
 
@@ -589,12 +592,12 @@ def zero_subspace(ambient: int) -> Subspace:
 
 
 def full_space(ambient: int) -> Subspace:
-    return canonicalize([unit_vector(ambient, i + 1) for i in range(ambient)], ambient)
+    return coordinate_subspace(ambient, range(1, ambient + 1))
 
 
 def coordinate_subspace(ambient: int, indices) -> Subspace:
     """Span of the standard basis vectors e_i for i in indices (1-indexed)."""
-    return canonicalize([unit_vector(ambient, i) for i in indices], ambient)
+    return span(ambient, *[unit_vector(ambient, i) for i in indices])
 
 
 def _unit_row(n: int, p: int) -> tuple[int, ...]:
@@ -630,7 +633,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 def sum_span(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != b.ambient:
         raise ValueError("ambient mismatch")
-    return canonicalize(a.rows + b.rows, a.ambient)
+    return span(a.ambient, *a.rows, *b.rows)
 
 
 def quotient_subspace(a: Subspace, k: Subspace) -> Subspace:
@@ -646,7 +649,7 @@ def quotient_subspace(a: Subspace, k: Subspace) -> Subspace:
     for row in a.rows:
         r, _ = k._back_substitute(row)
         gens.append([r[i] for i in keep])
-    return canonicalize(gens, len(keep))
+    return span(len(keep), *gens)
 
 
 def quotient_dim(a: Subspace, k: Subspace) -> int:
@@ -988,7 +991,7 @@ def subspace_from_json(d) -> Subspace:
         rows = [[Fraction(x) for x in row] for row in basis]
     except (TypeError, OverflowError):
         raise ValueError("subspace JSON basis entries must be rational numbers") from None
-    return canonicalize(rows, ambient)
+    return span(ambient, *rows)
 
 
 def family_to_json(fam: PolyFamily) -> dict:

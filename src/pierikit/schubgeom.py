@@ -24,6 +24,7 @@ from .exactla import (
     _over,
     _read_null_vectors,
     _scaled_lift,
+    _unit_row,
     flag_from_basis,
     intersect,
     quotient_dim,
@@ -31,7 +32,6 @@ from .exactla import (
     rank,
     span,
     sum_span,
-    unit_vector,
 )
 from .seqcomb import DecSeq, first_diff_index, pieri_set
 
@@ -51,7 +51,7 @@ def standard_flag(n: int) -> Flag:
 
     Built once per n and shared: Flag and Subspace are frozen.
     """
-    return flag_from_basis([unit_vector(n, i) for i in range(1, n + 1)])
+    return flag_from_basis([_unit_row(n, p) for p in range(n)])
 
 
 def random_flag(n: int, seed: int = 0) -> Flag:
@@ -284,10 +284,10 @@ def cell_profile_check(L: Subspace, a: DecSeq, s: int, flag: Flag) -> ProfileRep
     than that open cell, so a member can read FAIL here: for n = 3, a = (3),
     s = 2 and L = <e_2>, cell_member is True but the profile differs at i = 2.
     """
-    if not cell_member(L, a, s, flag):
+    meets = flag.meet_dims(L)
+    if not profile_in_cell(meets, a, s):
         raise ValueError("subspace is not in the incidence cell")
     beta = cell_index(a, s).entries
-    meets = flag.meet_dims(L)
     return ProfileReport(tuple(
         ProfileEntry(i, sum(bk >= i for bk in beta), meets[i - 1])
         for i in range(1, a.n + 1)))

@@ -93,15 +93,17 @@ def _shape_cached(fn):
     return wrapper
 
 
-@_shape_cached
 def ssyt_enumerate(shape: Partition, m: int) -> tuple[Tableau, ...]:
     """All semistandard tableaux of the given shape with entries <= m.
 
     Straight backtracking cell by cell, row-major, each entry at least the
     one to its left and greater than the one above it, so every tableau is
     semistandard and built unchecked.  A shape with more than m rows admits
-    none.  Raises ValueError for m < 0.
+    none.  The shape goes through trim_partition and m through
+    operator.index; raises ValueError for m < 0.  Not cached: no caller
+    enumerates a shape only to count its tableaux.
     """
+    shape, m = trim_partition(shape), _integer(m, "number of variables")
     if m < 0:
         raise ValueError(f"number of variables must be nonnegative, got {m}")
     if len(shape) > m:

@@ -54,9 +54,8 @@ from pierikit.seqcomb import (
     lambda_of,
     pieri_set,
     tree_chains,
-    trim_partition,
 )
-from pierikit.tableaux import pieri_bijection_check, row_insert, ssyt_enumerate
+from pierikit.tableaux import pieri_bijection_check, shape_tree_chains
 from pierikit.schubgeom import (
     TRANSVERSE_REDUCIBLE,
     _pivot_span,
@@ -145,7 +144,7 @@ class TestFlagWithin:
     def test_coordinate_read_off_dropping_a_row_raises(self, monkeypatch):
         # on the coordinate flag M_i is read off M's rows from i on; a
         # read-off that drops the first of them has one dimension too few
-        monkeypatch.setattr(deform, "canonicalize", forbid)
+        monkeypatch.setattr(exactla, "canonicalize", forbid)
         monkeypatch.setattr(Subspace, "_trusted", classmethod(
             lambda cls, n, rows, pivots: Subspace(n, rows[1:])))
         with pytest.raises(VerificationError, match="F_3 cap M is not the 5-dimensional"):
@@ -1273,23 +1272,15 @@ def sweep_flag(n, kind):
             return flag, reversed_k
 
 
-def schensted_chains(a, b):
-    """Shape chains recorded by row-inserting every one-row tableau of length
-    b into every tableau of shape lambda(a), entries <= m, keeping those whose
-    leaf fits the m x (n-m) box."""
-    words = [t.rows[0] for t in ssyt_enumerate((b,), a.m)]
-    chains = {tuple(trim_partition(shape) for shape in row_insert(s, word)[1])
-              for s in ssyt_enumerate(lambda_of(a), a.m) for word in words}
-    return {chain for chain in chains if chain[-1][0] <= a.n - a.m}
-
-
 def check_every_chain(n, kind):
     """Every chain at n on one sweep flag: each stage passes, the collapse
     reads the branch set pieri_set(a, b), and the histories are the
-    branching tree's chains, in the tree's order up to n = 6.  On the standard flag the Schensted side closes
-    the triangle: the tableau bijection passes, and the row-insertion
-    recording chains are the tree's chains read as partitions.  Any
-    exception, GenericityError included, fails the test."""
+    branching tree's chains, in the tree's order up to n = 6.  On the
+    standard flag the Schensted side closes the triangle: the tableau
+    bijection passes, so its row-insertion recording chains are the shape
+    tree's chains, and those whose leaf fits the m x (n-m) box are the
+    tree's chains read as partitions.  Any exception, GenericityError
+    included, fails the test."""
     flag, general_k = sweep_flag(n, kind)
     chains = every_chain(n)
     assert len(chains) == {3: 10, 4: 25, 5: 56, 6: 119, 7: 246, 8: 501, 9: 1012}[n]
@@ -1306,7 +1297,9 @@ def check_every_chain(n, kind):
         if kind == "standard":
             assert pieri_bijection_check(lambda_of(a), b, a.m).passed, (a, b)
             tree = {tuple(map(lambda_of, chain)) for chain in tree_chains(a, b)[1]}
-            assert schensted_chains(a, b) == tree, (a, b)
+            boxed = {chain for chain in shape_tree_chains(lambda_of(a), b, a.m)
+                     if chain[-1][0] <= a.n - a.m}
+            assert boxed == tree, (a, b)
 
 
 @pytest.mark.parametrize("kind", ["standard", "random", "reversed"])
@@ -1723,7 +1716,7 @@ class TestIntegerSteps:
             with monkeypatch.context() as m:
                 m.setattr(deform, "span", recording)
                 m.setattr(deform, "cell_member", lambda *args: False)
-                m.setattr(deform, "kernel_basis", forbid)
+                m.setattr(exactla, "kernel_basis", forbid)
                 m.setattr(Subspace, "basis", property(forbid))
                 with pytest.raises(GenericityError):
                     deform._descend_hyperplane(a, s, flag, M, rng)

@@ -708,10 +708,6 @@ class TestOneEliminationPerWitness:
         assert real_member(planes[0], seq(4, 3, 1), self.FLAGS[1])
 
 
-def forbid_draw(*args, **kwargs):
-    raise AssertionError("a C was drawn")
-
-
 def disagreements_with_reference(n_max=5):
     """(planes, wrong): how many seeded witness inputs with n <= n_max, on
     the coordinate and a random flag pair, the Fraction reference gives a
@@ -880,14 +876,8 @@ class TestRealWitnessSet:
         with monkeypatch.context() as m:
             m.setattr(enumerative, "span", lambda n, *rows: real(n, *rows[:1]))
             with pytest.raises(GenericityError) as info:
-                enumerative.witness_table(FOUR_LINES, seed=0, retries=3)
-        assert str(info.value) == "no suitable C after 3 draws: C drawn has dimension 1, not 2"
-
-    @pytest.mark.parametrize("retries", [0, -1])
-    def test_no_draw_budget_is_bad_input(self, monkeypatch, retries):
-        monkeypatch.setattr(enumerative, "span", forbid_draw)
-        with pytest.raises(ValueError, match=f"retries must be at least 1, got {retries}"):
-            enumerative.witness_table(FOUR_LINES, seed=0, retries=retries)
+                enumerative.witness_table(FOUR_LINES, seed=0)
+        assert str(info.value) == "no suitable C after 32 draws: C drawn has dimension 1, not 2"
 
     def test_oversized_c_has_no_witnesses(self):
         p = QuintupleProblem(6, 3, seq(6, 3, 2, 1), seq(6, 3, 2, 1), 1, 1, 7)

@@ -1,4 +1,4 @@
-"""Six rules every library module keeps.
+"""Seven rules every library module keeps.
 
 No assert statement: python -O strips asserts, so a check written as one
 would vanish there (checks raise VerificationError instead).  No absolute
@@ -13,6 +13,10 @@ and no __init__ that only stores its arguments with _set_field.  A record is
 built unchecked only through the _trusted that _record_methods writes, and
 only in the functions TRUSTED_CALLERS lists, whose values are valid by
 construction: no call of __new__, and a new caller needs an entry there.
+A subspace is built from vectors by span, one integer elimination: the
+Fraction routes canonicalize (through rref) and kernel_basis are used only
+where FRACTION_ROUTES lists, in the two spans the benchmark's tracer reads,
+and the Fraction unit_vector only in coordinate_subspace.
 """
 
 import ast
@@ -113,26 +117,45 @@ def record_method_lines(source: str, records) -> list:
                        or fn.name == "__init__" and _only_stores(fn)))
 
 
-def trusted_calls(source: str) -> list:
-    """(name, scope, line) of every reference to an attribute named
-    _trusted, called or passed on, and of every call of one named __new__,
-    the scope being the dotted names of the enclosing classes and functions
-    ("" at module level)."""
-    calls = []
-
+def scoped_nodes(source: str):
+    """(node, scope) for every node of the source, the scope being the
+    dotted names of the enclosing classes and functions ("" at module
+    level)."""
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
+        yield node, scope
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return visit(ast.parse(source), "")
+
+
+def trusted_calls(source: str) -> list:
+    """(name, scope, line) of every reference to an attribute named
+    _trusted, called or passed on, and of every call of one named __new__,
+    with its scope as scoped_nodes gives it."""
+    calls = []
+    for node, scope in scoped_nodes(source):
         if isinstance(node, ast.Attribute) and node.attr == "_trusted":
             calls.append(("_trusted", scope, node.lineno))
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "__new__"):
             calls.append(("__new__", scope, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(ast.parse(source), "")
     return sorted(calls, key=lambda call: call[2])
+
+
+def name_uses(source: str, names) -> set:
+    """(name, scope) of every reference to one of the names, as a plain
+    name or an attribute, called or passed on, with its scope as
+    scoped_nodes gives it."""
+    uses = set()
+    for node, scope in scoped_nodes(source):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name in names:
+            uses.add((name, scope))
+    return uses
 
 
 # the functions that may build a record unchecked, by module: each builds
@@ -168,6 +191,47 @@ def test_rule_refuses_a_planted_trusted_call():
     assert planted != source
     scopes = {scope for _, scope, _ in trusted_calls(planted)}
     assert scopes - TRUSTED_CALLERS["seqcomb.py"] == {"DecSeq.bump"}
+
+
+# the only functions that may use each Fraction route: intersect and
+# limit_at_zero keep canonicalize and kernel_basis because the benchmark's
+# tracer counts rref and kernel_basis calls and its self-test looks for rref
+# spans under those two; coordinate_subspace takes 1-indexed input and
+# checks its range through unit_vector
+FRACTION_ROUTES = {
+    "canonicalize": {"intersect", "limit_at_zero"},
+    "kernel_basis": {"limit_at_zero"},
+    "unit_vector": {"coordinate_subspace"},
+}
+
+
+def fraction_route_uses(sources) -> set:
+    return set().union(*(name_uses(source, FRACTION_ROUTES) for source in sources))
+
+
+def test_checker_sees_name_uses():
+    source = ("def f(xs):\n    return canonicalize(xs, 2)\n"
+              "class C:\n    def g(self):\n        return map(exactla.unit_vector, [1])\n"
+              "top = kernel_basis\nspan(2)\n")
+    assert name_uses(source, FRACTION_ROUTES) == {
+        ("canonicalize", "f"), ("unit_vector", "C.g"), ("kernel_basis", "")}
+
+
+def test_rule_refuses_planted_fraction_routes():
+    exactla = (SRC / "exactla.py").read_text()
+    schubgeom = (SRC / "schubgeom.py").read_text()
+    planted = [exactla.replace("return span(a.ambient, *a.rows, *b.rows)",
+                               "return canonicalize(a.rows + b.rows, a.ambient)"),
+               schubgeom.replace("[_unit_row(n, p) for p in range(n)]",
+                                 "[unit_vector(n, p + 1) for p in range(n)]")]
+    assert planted != [exactla, schubgeom]
+    assert fraction_route_uses(planted) - fraction_route_uses([exactla]) == {
+        ("canonicalize", "sum_span"), ("unit_vector", "standard_flag")}
+
+
+def test_fraction_routes_are_used_only_where_listed():
+    allowed = {(name, scope) for name, scopes in FRACTION_ROUTES.items() for scope in scopes}
+    assert fraction_route_uses(path.read_text() for path in MODULES) == allowed
 
 
 def test_checker_sees_an_assert():

@@ -113,9 +113,7 @@ SHAPES_TO_SIX = sorted({tuple(sorted(parts, reverse=True))
 
 def enumerate_every_shape():
     """ssyt_enumerate, read through the module so that a patched one
-    runs, on every shape of at most six boxes and m <= 4, from an empty
-    cache."""
-    tableaux.ssyt_enumerate.cache_clear()
+    runs, on every shape of at most six boxes and m <= 4."""
     for shape in SHAPES_TO_SIX:
         for m in range(5):
             tableaux.ssyt_enumerate(shape, m)
@@ -139,8 +137,8 @@ class TestTrustedTableaux:
     @pytest.mark.parametrize("fn", [ssyt_enumerate, schur_expand],
                              ids=["ssyt_enumerate", "schur_expand"])
     def test_variable_count_goes_through_index_whatever_is_cached(self, fn):
-        # as for the shape: 2.0 == 2 as a cache key
-        fn.cache_clear()
+        # as for the shape: 2.0 == 2 as a cache key (ssyt_enumerate has none)
+        getattr(fn, "cache_clear", lambda: None)()
         for _ in range(2):
             with pytest.raises(ValueError, match="variables must be an integer, got 2.0$"):
                 fn((1,), 2.0)
@@ -340,7 +338,8 @@ class TestIntegerInputs:
     def test_float_shape_is_refused_whatever_is_cached(self, fn):
         # (2, 1.0) == (2, 1), so a cache keyed on the raw shape would hand
         # back the cached (2, 1) result once that shape had been computed
-        fn.cache_clear()
+        # (ssyt_enumerate has no cache)
+        getattr(fn, "cache_clear", lambda: None)()
         with pytest.raises(ValueError, match="got 1.0$"):
             fn((2, 1.0), 3)
         assert fn((2, 1), 3) == fn((2, 1, 0), 3)
