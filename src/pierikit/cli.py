@@ -363,14 +363,16 @@ def _problem(args):
 
 
 def _cmd_count_real(args) -> int:
-    from .enumerative import cohomology_oracle, count_pairs_d, pieri_pairing_oracle
+    from .enumerative import (
+        _EXPANSION_CAP,
+        cohomology_oracle,
+        count_pairs_d,
+        pieri_pairing_oracle,
+    )
 
     p = _problem(args)
     d = count_pairs_d(p)
-    try:
-        oracle1 = cohomology_oracle(p)
-    except ValueError:
-        oracle1 = None
+    oracle1 = cohomology_oracle(p) if p.m * (p.n - p.m) <= _EXPANSION_CAP else None
     oracle2 = pieri_pairing_oracle(p)
     agree = (oracle1 is None or d == oracle1) and d == oracle2
     blob = {

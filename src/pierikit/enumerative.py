@@ -8,16 +8,16 @@ oracles recompute it: one through iterated branching plus duality, the other
 without branch sets at all, as a rectangle Schur coefficient read off an
 integer bialternant product: the alternant a_{mu+delta} = s_mu * a_delta
 (Macdonald I.3) of the largest factor, m! signed monomials, times the Schur
-polynomials of the others, built from semistandard tableaux.  The witness
-constructor then exhibits each of the d solution planes with exact rational
-coordinates.
+polynomials of the others, built one variable at a time by the branching
+rule, with no tableaux.  The witness constructor then exhibits each of the
+d solution planes with exact rational coordinates.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from operator import itemgetter, mul
 from typing import Iterator
 
@@ -49,10 +49,11 @@ from .seqcomb import (
 )
 
 # largest m*(n-m) the bialternant oracle will expand, which keeps it in at
-# most five variables.  Over 20 random problems for each admitted (n, m) the
-# costliest, at 30 (n = 11, m = 5), took at most 0.1 s; at 36 (n = 12, m = 6,
-# six variables) ten random problems took 0.03-0.65 s (Python 3.11, 2-core
-# Xeon)
+# most five variables.  With its factors built by the branching rule, over 20
+# random problems (cold caches) for each admitted (n, m) the costliest, at 30
+# (n = 11, m = 5), took at most 0.03 s.  At 36 (n = 12, m = 6, six variables)
+# the worst of 20 random problems took 0.1-1.3 s over seven seeded samples,
+# nearly all of it in the product loop (Python 3.11, 2-core Xeon)
 _EXPANSION_CAP = 30
 
 # draws of C that witness_table makes before it gives up
@@ -143,19 +144,32 @@ def _pack(exponent, width: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _schur_weights(shape: tuple[int, ...], m: int, n: int) -> dict[int, int]:
-    """s_shape(x_1, ..., x_m) as {packed exponent: multiplicity}, one count
-    per semistandard tableau content, keeping the exponents at most the
-    target (n-1, n-2, ..., n-m).  Shared by every caller: never mutated."""
-    from .tableaux import ssyt_enumerate
+def _schur_weights(shape: tuple[int, ...], k: int, n: int) -> dict[int, int]:
+    """s_shape(x_1, ..., x_k) as {packed exponent: multiplicity}, keeping
+    the exponents at most the target (n-1, n-2, ..., n-k).  Shared by every
+    caller: never mutated.
+
+    By the branching rule (Macdonald I (5.11)) s_shape(x_1, ..., x_k) is
+    the sum of x_k^(|shape| - |mu|) s_mu(x_1, ..., x_{k-1}) over the shapes
+    mu interlacing it, shape_1 >= mu_1 >= shape_2 >= ... >= mu_{k-1} >=
+    shape_k: x_k is the last field, at most n-k, and s_mu comes from this
+    cache shifted up one field.  A shape of more than k parts gives 0."""
+    if len(shape) > k:
+        return {}
+    if k == 0:
+        return {0: 1}
     width = _field_width(n)
-    target = range(n - 1, n - 1 - m, -1)
+    cap = n - k
+    size = sum(shape)
+    parts = shape + (0,) * (k - len(shape))
     out: dict[int, int] = {}
-    for t in ssyt_enumerate(shape, m):
-        e = t.content()
-        if all(x <= y for x, y in zip(e, target)):
-            key = _pack(e, width)
-            out[key] = out.get(key, 0) + 1
+    for mu in product(*(range(parts[j + 1], parts[j] + 1) for j in range(k - 1))):
+        last = size - sum(mu)
+        if last > cap:
+            continue
+        for e, c in _schur_weights(tuple(x for x in mu if x), k - 1, n).items():
+            key = (e << width) | last
+            out[key] = out.get(key, 0) + c
     return out
 
 
@@ -222,12 +236,12 @@ def cohomology_oracle(p: QuintupleProblem) -> int:
     (Macdonald, Symmetric Functions and Hall Polynomials, I.3) that is the
     coefficient of x^(R+delta) in the product times a_delta.  The factor
     with the most tableaux enters together with a_delta, as its alternant
-    a_{mu+delta}: m! signed monomials, its tableaux never enumerated.
-    Every other factor is built from the contents of its semistandard
-    tableaux (ssyt_enumerate), and no factor comes from branch sets, so
-    this oracle is independent of the pair count.  The product stays in
-    int coefficients and drops, after every factor, each exponent that is
-    not componentwise at most R+delta; the factor with the next most
+    a_{mu+delta}: m! signed monomials.  Every other factor is built one
+    variable at a time by the branching rule (_schur_weights), in ints and
+    with no tableaux, and no factor comes from branch sets, so this oracle
+    is independent of the pair count.  The product stays in int
+    coefficients and drops, after every factor, each exponent that is not
+    componentwise at most R+delta; the factor with the next most
     tableaux is a lookup of (R+delta) - e.  The frame of each (n, m) and
     the shape and size of each flag condition's and each codimension's
     factor are computed once and cached.

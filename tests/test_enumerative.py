@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from operator import mul
 from pathlib import Path
@@ -154,6 +155,16 @@ class TestCohomologyOracle:
         with pytest.raises(ValueError, match="too large"):
             cohomology_oracle(p)
 
+    def test_seeded_n12_agree_three_ways(self):
+        """Seeded problems at n = 12 on both sides of n/2, for every m the
+        cap admits (m(n-m) <= 27), each counted at least once."""
+        rng = random.Random(1201)
+        problems = [reachable_problem(rng, 12, m) for m in (1, 2, 3, 9, 10, 11)]
+        assert max(p.m * (p.n - p.m) for p in problems) == 27
+        for p in problems:
+            d = count_pairs_d(p)
+            assert d >= 1 and d == cohomology_oracle(p) == pieri_pairing_oracle(p), p
+
     def test_counts_past_half_in_n_minus_m_variables(self, monkeypatch):
         """For m > n/2 the bialternant is built in n-m variables, whose
         cost stays that of Gr(n-m, n): 14 variables at n = 16 would walk
@@ -259,8 +270,8 @@ def reachable_problem(rng, n, m):
 @pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
                     reason="n = 9..11 oracle counts; set PIERIKIT_SLOW=1 to run them")
 def test_three_way_agreement_n9_to_11():
-    """Twenty seeded problems at n = 9..11 up to the cap m(n-m) = 30 (n = 11,
-    m = 5 and m = 6), each counted three ways and counted at least once."""
+    """Twenty seeded problems at n = 9..11 up to m(n-m) = 30 (n = 11, m = 5
+    and m = 6), each counted three ways and counted at least once."""
     rng = random.Random(9601006)
     shapes = [(9, 3), (9, 4), (10, 4), (10, 5), (11, 4), (11, 5),
               (9, 6), (10, 6), (11, 6), (11, 7)]
@@ -271,8 +282,43 @@ def test_three_way_agreement_n9_to_11():
         assert d >= 1 and d == cohomology_oracle(p) == pieri_pairing_oracle(p), p
 
 
+@pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
+                    reason="n = 12 oracle counts; set PIERIKIT_SLOW=1 to run them")
+def test_three_way_agreement_n12():
+    """Twenty seeded problems at n = 12, five for each of m = 2, 3, 9 and
+    10, each counted three ways and counted at least once; m = 4..8 lie
+    past the cap."""
+    rng = random.Random(12)
+    problems = [reachable_problem(rng, 12, m) for m in (2, 3, 9, 10) for _ in range(5)]
+    assert max(p.m * (p.n - p.m) for p in problems) == 27
+    for p in problems:
+        d = count_pairs_d(p)
+        assert d >= 1 and d == cohomology_oracle(p) == pieri_pairing_oracle(p), p
+
+
 # ---------------------------------------------------------------------------
 # the bialternant oracle against the body it replaced
+
+
+@lru_cache(maxsize=None)
+def _tableau_contents(shape, m):
+    """The content of every semistandard tableau of the shape in m letters."""
+    return tuple(t.content() for t in ssyt_enumerate(shape, m))
+
+
+@lru_cache(maxsize=None)
+def reference_schur_weights(shape, m, n):
+    """enumerative._schur_weights as it read before the branching rule:
+    s_shape(x_1, ..., x_m) as {packed exponent: multiplicity}, one count
+    per semistandard tableau content at most the target (n-1, ..., n-m)."""
+    width = enumerative._field_width(n)
+    target = range(n - 1, n - 1 - m, -1)
+    out = {}
+    for e in _tableau_contents(shape, m):
+        if all(x <= y for x, y in zip(e, target)):
+            key = enumerative._pack(e, width)
+            out[key] = out.get(key, 0) + 1
+    return out
 
 
 def _reference_vandermonde(m, n):
@@ -304,7 +350,7 @@ def reference_oracle(p):
     guards = enumerative._pack([1 << (width - 1)] * m, width)
     target = enumerative._pack(range(n - 1, n - 1 - m, -1), width)
     top = target | guards
-    factors = sorted((enumerative._schur_weights(s, m, n) for s in shapes), key=len)
+    factors = sorted((reference_schur_weights(s, m, n) for s in shapes), key=len)
     poly = _reference_vandermonde(m, n)
     for weights in factors[:-1]:
         step = {}
@@ -385,6 +431,37 @@ class TestOracleMutants:
         monkeypatch.setattr(enumerative, "cohomology_oracle", ref.source_mutant(
             enumerative.cohomology_oracle, "factors[:-2]", "factors[:-2] + factors[-1:]"))
         assert len(reference_mismatches(valid_instances(6))) >= 300
+
+
+# every shape that fits a 4 x 4 box, in k <= 5 variables, at n <= 11
+BOX_CASES = [(shape, k, n)
+             for shape in sorted({tuple(x for x in sorted(c, reverse=True) if x)
+                                  for c in combinations_with_replacement(range(5), 4)})
+             for n in range(2, 12) for k in range(1, min(5, n) + 1)]
+
+
+def weight_mismatches():
+    """The (shape, k, n) of BOX_CASES whose branching-rule weights differ
+    from the tableau reference."""
+    return [case for case in BOX_CASES
+            if enumerative._schur_weights(*case) != reference_schur_weights(*case)]
+
+
+class TestSchurWeightsByBranching:
+    def test_every_shape_in_a_4x4_box(self):
+        assert len({shape for shape, _, _ in BOX_CASES}) == 70
+        assert len(BOX_CASES) == 3080
+        assert weight_mismatches() == []
+
+    @pytest.mark.parametrize("old, new", [
+        ("range(parts[j + 1], ", "range(parts[j + 1] + 1, "),
+        ("last > cap", "last >= cap"),
+        ("(e << width)", "(e << (width - 1))"),
+    ], ids=["interlacing lower bound shifted", "strict truncation", "narrow shift"])
+    def test_mutants_fail(self, monkeypatch, old, new):
+        monkeypatch.setattr(enumerative, "_schur_weights", ref.source_mutant(
+            enumerative._schur_weights.__wrapped__, old, new))
+        assert len(weight_mismatches()) >= 500
 
 
 class TestOracleIndependence:
