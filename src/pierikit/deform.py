@@ -209,6 +209,8 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
     for t != 0 (every t when l = 2) no L_t contains M_{l-1}.
     """
     mflag = tuple(mflag)
+    if not mflag:
+        raise ValueError("flag in M is empty: M must have positive dimension")
     M = mflag[0]
     N = M.dim
     if len(mflag) != N:

@@ -30,8 +30,8 @@ from .exactla import (
     _null_vectors,
     _read_null_vectors,
     _set_field,
+    _tail_flag,
     _unit_row,
-    flag_from_basis,
     intersect,
     rank,
     span,
@@ -294,21 +294,26 @@ def valid_instances(n_max: int) -> Iterator[QuintupleProblem]:
     """Every problem with 2 <= n <= n_max and positive a, b, c.
 
     Sequences run in lexicographic decreasing order, then a, then b, so the
-    stream is deterministic.
+    stream is deterministic.  Every value is valid by construction, so none
+    is checked again: the sequences are combinations of n, ..., 1 taken in
+    order, hence strictly decreasing in 1..n, and c = left - a - b makes the
+    degrees fill m(n-m).  Both are built through _trusted, and each
+    sequence's codim is computed once.
     """
     for n in range(2, n_max + 1):
         for m in range(1, n):
-            seqs = [DecSeq(n, e) for e in combinations(range(n, 0, -1), m)]
+            seqs = [DecSeq._trusted(n, e) for e in combinations(range(n, 0, -1), m)]
+            codims = list(map(codim, seqs))
             space = m * (n - m)
-            for alpha in seqs:
-                ca = codim(alpha)
-                for beta in seqs:
-                    left = space - ca - codim(beta)
+            for alpha, ca in zip(seqs, codims):
+                for beta, cb in zip(seqs, codims):
+                    left = space - ca - cb
                     if left < 3:
                         continue
                     for a in range(1, left - 1):
                         for b in range(1, left - a):
-                            yield QuintupleProblem(n, m, alpha, beta, a, b, left - a - b)
+                            yield QuintupleProblem._trusted(n, m, alpha, beta, a, b,
+                                                            left - a - b)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +325,10 @@ def reversed_flag(n: int) -> Flag:
     """The ascending coordinate flag: space j is spanned by e_1, ..., e_{n+1-j}.
 
     Opposite to the standard flag, so their slices are coordinate blocks.
-    Built once per n and shared: Flag and Subspace are frozen.
+    Built once per n and shared: Flag and Subspace are frozen.  A negative
+    n raises ValueError.
     """
-    return flag_from_basis([_unit_row(n, p) for p in range(n - 1, -1, -1)])
+    return _tail_flag(n, [_unit_row(n, p) for p in range(n - 1, -1, -1)])
 
 
 @lru_cache(maxsize=1024)

@@ -35,7 +35,8 @@ elimination of the rows with their columns permuted, or, for the identity
 order, the canonical pivots with none.  Rows that are canonical by
 construction (elimination output, tails of canonical rows, unit rows)
 build their Subspace through the generated Subspace._trusted, which skips
-the public constructor's checks.
+the public constructor's checks, and a flag built from a basis, whose
+tails nest by construction, builds its Flag through Flag._trusted.
 Fractions appear only at the boundary: Subspace.basis, PolyFamily.cols,
 JSON, and the public Fraction views (rref, kernel_basis, solve_columns,
 invert_matrix, annihilator_basis, Flag.adapted_basis).  Inside, span, one
@@ -578,11 +579,19 @@ def canonicalize(vectors, ambient: int) -> Subspace:
         ambient, tuple([tuple(_scaled_row(row)[0]) for row in reduced]), tuple(pivots))
 
 
+def _check_ambient(n: int) -> None:
+    """ValueError unless n is a possible dimension of k^n (n >= 0)."""
+    if n < 0:
+        raise ValueError(f"ambient dimension must be nonnegative, got {n}")
+
+
 def span(ambient: int, *vectors) -> Subspace:
     """Span of the vectors, in canonical form, straight from _echelon: its
     rows are already the canonical rows (primitive, positive pivots,
     reduced), so no Fraction is built.  Equal to canonicalize, and the
-    library's one way to build a subspace from vectors."""
+    library's one way to build a subspace from vectors.  A negative
+    ambient raises ValueError."""
+    _check_ambient(ambient)
     reduced, pivots = _echelon(_of_length(vectors, ambient))
     return Subspace._trusted(ambient, tuple(map(tuple, reduced)), tuple(pivots))
 
@@ -797,17 +806,37 @@ class Flag(Record):
         return tuple(map(min, zip(*dims)))
 
 
+def _tail_flag(n: int, rows) -> Flag | None:
+    """The flag with F_j spanned by rows[j-1:], or None when the integer
+    rows of length n are dependent.  One pass from the bottom up: F_{n+1}
+    is 0 and F_j is span(n, *F_{j+1}.rows, rows[j-1]), one new row
+    eliminated against rows that are already reduced.  The rows are
+    dependent exactly when some tail fails to grow, so there is no
+    separate rank check; otherwise dim F_j = n+1-j and the tails nest, so
+    the Flag is built through _trusted.  A negative n raises ValueError."""
+    _check_ambient(n)
+    tail = zero_subspace(n)
+    spaces = [tail]
+    for row in reversed(rows):
+        tail = span(n, *tail.rows, row)
+        if tail.dim != len(spaces):
+            return None
+        spaces.append(tail)
+    spaces.reverse()
+    return Flag._trusted(n, tuple(spaces))
+
+
 def flag_from_basis(vectors) -> Flag:
     """Flag with F_j spanned by vectors[j-1:]; vectors must be a basis.
-    Each vector is read as an integer multiple of itself, so the rank
-    check and every F_j are integer eliminations (span)."""
+    Each vector is read as an integer multiple of itself (a vector of the
+    wrong length or with an entry vec refuses raises), and the flag is
+    built in one pass, tails from the bottom (_tail_flag): a dependent
+    list shows as a tail that fails to grow and raises ValueError."""
     n = len(vectors)
-    rows = [_int_vector(v, n)[0] for v in vectors]
-    if rank(rows) != n:
+    flag = _tail_flag(n, [_int_vector(v, n)[0] for v in vectors])
+    if flag is None:
         raise ValueError("vectors do not form a basis")
-    spaces = [span(n, *rows[j:]) for j in range(n)]
-    spaces.append(zero_subspace(n))
-    return Flag(n, tuple(spaces))
+    return flag
 
 
 # ----------------------------------------------------------------------
@@ -978,8 +1007,8 @@ def subspace_to_json(s: Subspace) -> dict:
 
 def subspace_from_json(d) -> Subspace:
     """The subspace that subspace_to_json wrote.  A document that is not an
-    object with an integer "ambient" and a list of rows in "basis", or an
-    entry that is not a number, raises ValueError."""
+    object with an integer "ambient" and a list of rows in "basis", a
+    negative ambient, or an entry that is not a number, raises ValueError."""
     if not isinstance(d, dict):
         d = {}
     ambient, basis = d.get("ambient"), d.get("basis")

@@ -24,8 +24,8 @@ from .exactla import (
     _over,
     _read_null_vectors,
     _scaled_lift,
+    _tail_flag,
     _unit_row,
-    flag_from_basis,
     intersect,
     quotient_dim,
     quotient_subspace,
@@ -49,18 +49,23 @@ TRANSVERSE_OTHER = "TransverseOther"
 def standard_flag(n: int) -> Flag:
     """The descending coordinate flag: space j is spanned by e_j, ..., e_n.
 
-    Built once per n and shared: Flag and Subspace are frozen.
+    Built once per n and shared: Flag and Subspace are frozen.  A negative
+    n raises ValueError.
     """
-    return flag_from_basis([_unit_row(n, p) for p in range(n)])
+    return _tail_flag(n, [_unit_row(n, p) for p in range(n)])
 
 
 def random_flag(n: int, seed: int = 0) -> Flag:
-    """Flag on a seeded random integer basis; resampled until invertible."""
+    """Flag on a seeded random integer basis: n rows with entries in -9..9,
+    drawn again until they form a basis.  Each draw is built in one pass,
+    tails from the bottom (exactla._tail_flag), which refuses a dependent
+    draw with no separate rank check.  A negative n raises ValueError."""
     rng = random.Random(seed)
     while True:
         rows = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)]
-        if rank(rows) == n:
-            return flag_from_basis(rows)
+        flag = _tail_flag(n, rows)
+        if flag is not None:
+            return flag
 
 
 def adapted_basis(flag: Flag) -> tuple:

@@ -392,7 +392,12 @@ def verb_files(tmp_path, worked_files):
     """Placeholder -> path for the verbs that read subspace files."""
     L = cell_point(DecSeq(9, (7, 4, 1)), 2, standard_flag(9), seed=0)
     m_path, lm_path = worked_files
-    return {"{L}": dump(tmp_path / "L.json", L), "{M}": m_path, "{Lm}": lm_path}
+    files = {"{L}": dump(tmp_path / "L.json", L), "{M}": m_path, "{Lm}": lm_path}
+    for key, carrier in REFUSED_CARRIERS.items():
+        path = tmp_path / f"{key[1:-1]}.json"
+        path.write_text(json.dumps(carrier))
+        files[key] = str(path)
+    return files
 
 
 def fill(argv, files):
@@ -485,6 +490,16 @@ VERB_ARGV = [
     ("triple-witness",) + PROBLEM,
 ]
 
+# carrier files the pencil verb refuses with exit 2: a negative ambient
+# (random_flag(-1) never returned) and the zero space, whose flag in M is
+# empty (build_pencil raised IndexError, exit 1)
+REFUSED_CARRIERS = {"{neg}": {"ambient": -1, "basis": []}, "{zero}": {"ambient": 3, "basis": []}}
+REFUSED_PENCILS = [
+    ("pencil", "--file", "{neg}", "--marked-file", "{neg}"),
+    ("pencil", "--file", "{neg}", "--marked-file", "{neg}", "--flag-seed", "0"),
+    ("pencil", "--file", "{zero}", "--marked-file", "{zero}"),
+]
+
 # the pencil on a random flag, whose dual vectors carry denominators other than 1
 RANDOM_FLAG_PENCIL = ("pencil", "--file", "{M}", "--marked-file", "{Lm}",
                       "--flag-seed", "3")
@@ -495,7 +510,7 @@ PINNED_OUTPUTS = Path(__file__).parent / "golden" / "cli_outputs.json"
 PINNED_RUNS = ([(argv[0], argv, None) for argv in VERB_ARGV]
                + [("pencil --flag-seed 3", RANDOM_FLAG_PENCIL, None)]
                + [("forced " + argv[0], argv, force) for argv, force in FORCED_FAILURES]
-               + [(" ".join(argv), argv, None) for argv in REFUSED_ARGV])
+               + [(" ".join(argv), argv, None) for argv in REFUSED_ARGV + REFUSED_PENCILS])
 
 
 def sha256(text: str) -> str:
@@ -526,6 +541,14 @@ class TestVerdictPath:
         pinned = json.loads(PINNED_OUTPUTS.read_text())
         assert pinned[" ".join((key,) + mode)] == {
             "exit": rc, "stdout": sha256(out), "stderr": sha256(err)}
+
+    @pytest.mark.parametrize("argv", REFUSED_PENCILS, ids=lambda argv: " ".join(argv[2::2]))
+    def test_refused_carrier_exits_two(self, capsys, verb_files, argv):
+        message = ("flag in M is empty: M must have positive dimension" if "{zero}" in argv
+                   else "ambient dimension must be nonnegative, got -1")
+        for mode in ((), ("--json",)):
+            rc, out, err = run(capsys, *fill(argv, verb_files), *mode)
+            assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     def test_verification_error_exits_one(self, capsys, monkeypatch):
         def broken():

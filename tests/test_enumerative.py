@@ -50,6 +50,7 @@ from pierikit.tableaux import (
     schur_expand,
     ssyt_enumerate,
 )
+from records_reference import trusted_refusals
 
 
 def seq(n, *entries):
@@ -98,6 +99,46 @@ class TestProblem:
     def test_json_round(self):
         blob = FOUR_LINES.to_json()
         assert blob["alpha"]["entries"] == [3, 1] and blob["c"] == 1
+
+
+def reference_valid_instances(n_max):
+    """The stream valid_instances gave before it built through _trusted:
+    every sequence and problem through the public, validating constructors."""
+    for n in range(2, n_max + 1):
+        for m in range(1, n):
+            seqs = [DecSeq(n, e) for e in combinations(range(n, 0, -1), m)]
+            space = m * (n - m)
+            for alpha in seqs:
+                for beta in seqs:
+                    left = space - codim(alpha) - codim(beta)
+                    for a in range(1, left - 1):
+                        for b in range(1, left - a):
+                            yield QuintupleProblem(n, m, alpha, beta, a, b, left - a - b)
+
+
+class TestValidInstances:
+    """valid_instances builds its sequences and problems through _trusted;
+    each must be the value the public constructors build, in the same
+    order."""
+
+    def test_every_problem_to_seven_rebuilds(self):
+        problems = list(valid_instances(7))
+        assert len(problems) == 7463
+        assert problems == list(reference_valid_instances(7))
+        assert all(type(x) is int for p in problems
+                   for x in (p.n, p.m, p.a, p.b, p.c) + p.alpha.entries + p.beta.entries)
+
+    def test_trusted_constructors_equal_the_public_ones(self, monkeypatch):
+        for cls, built_at_least in ((QuintupleProblem, 7463), (DecSeq, 200)):
+            built, refused = trusted_refusals(monkeypatch, cls, lambda: list(valid_instances(7)))
+            assert refused == 0 and built >= built_at_least, (cls, built, refused)
+
+    def test_c_one_short_fails(self, monkeypatch):
+        monkeypatch.setattr(enumerative, "valid_instances", ref.source_mutant(
+            valid_instances, "left - a - b)", "left - a - b - 1)"))
+        built, refused = trusted_refusals(
+            monkeypatch, QuintupleProblem, lambda: list(enumerative.valid_instances(7)))
+        assert refused == built == 7463
 
 
 class TestCountPairs:

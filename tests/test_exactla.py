@@ -1,6 +1,7 @@
 """Tests for the exact linear algebra layer: subspaces, flags, charts, and
 one-parameter families with their flat limits."""
 
+import os
 import random
 from bisect import bisect_left
 from decimal import Decimal
@@ -218,14 +219,18 @@ def seeded_basis(n, seed):
 class TestFlagFromBasis:
     """flag_from_basis on integer rows and span against the Fraction
     construction it replaced, fraction_reference.fraction_flag_from_basis,
-    with rref forbidden inside the library call."""
+    and against the rank-checked integer builder that replaced that,
+    reference_flag_from_basis, with rref and rank forbidden inside the
+    library call."""
 
     def built(self, monkeypatch, vectors):
         def refuse(*a, **k):
-            raise AssertionError("flag_from_basis went through rref")
+            raise AssertionError("flag_from_basis went through rref or rank")
         want = ref.fraction_flag_from_basis(vectors)
+        assert reference_flag_from_basis(vectors) == want
         with monkeypatch.context() as m:
             m.setattr(exactla, "rref", refuse)
+            m.setattr(exactla, "rank", refuse)
             got = flag_from_basis(vectors)
         assert got == want
         assert [s.pivots for s in got.spaces] == [s.pivots for s in want.spaces]
@@ -267,9 +272,111 @@ class TestFlagFromBasis:
         ([[F(1, 2), 0], [0, F(0)]], "vectors do not form a basis"),
     ])
     def test_refusals_match(self, vectors, message):
-        for build in (flag_from_basis, ref.fraction_flag_from_basis):
+        for build in (flag_from_basis, ref.fraction_flag_from_basis, reference_flag_from_basis):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 build(vectors)
+
+
+def reference_flag_from_basis(vectors):
+    """flag_from_basis before the one-pass tail builder: a rank check, then
+    span(n, *rows[j:]) for each tail and the public Flag constructor, which
+    checks every dimension and containment."""
+    n = len(vectors)
+    rows = [exactla._int_vector(v, n)[0] for v in vectors]
+    if rank(rows) != n:
+        raise ValueError("vectors do not form a basis")
+    spaces = [span(n, *rows[j:]) for j in range(n)]
+    spaces.append(zero_subspace(n))
+    return Flag(n, tuple(spaces))
+
+
+def tail_flag_cases():
+    """(n, integer rows) for the tail builder: the standard and reversed
+    coordinate bases for n <= 12, seeded -9..9 draws as random_flag makes
+    them (with no redraw), and -1..1 draws and hand-made lists, many of
+    them dependent."""
+    rng = random.Random(34)
+    cases = []
+    for n in range(13):
+        cases.append((n, [exactla._unit_row(n, p) for p in range(n)]))
+        cases.append((n, [exactla._unit_row(n, p) for p in range(n - 1, -1, -1)]))
+    for n in range(1, 13):
+        for _ in range(8):
+            cases.append((n, [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)]))
+    for n in range(2, 7):
+        for _ in range(30):
+            cases.append((n, [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(n)]))
+    # a repeated row, a zero row, and the first or the last row dependent
+    # on the others
+    cases += [(3, [(1, 2, 3), (0, 1, 1), (0, 1, 1)]), (3, [(1, 0, 0), (0, 0, 0), (0, 0, 1)]),
+              (3, [(1, 1, 0), (1, 0, 0), (0, 1, 0)]), (3, [(0, 0, 1), (1, 2, 0), (2, 4, 0)])]
+    return cases
+
+
+def tail_flag_mismatches(build):
+    """The cases on which build(n, rows) (exactla._tail_flag or a mutant)
+    differs from reference_flag_from_basis, taken as None where the
+    reference refuses the rows, and the number of such dependent cases."""
+    wrong, dependent = [], 0
+    for n, rows in tail_flag_cases():
+        try:
+            want = reference_flag_from_basis(rows)
+        except ValueError:
+            want = None
+            dependent += 1
+        got = build(n, rows)
+        if got != want or (want is not None and [s.pivots for s in got.spaces]
+                           != [s.pivots for s in want.spaces]):
+            wrong.append((n, rows))
+    return wrong, dependent
+
+
+class TestTailFlag:
+    """exactla._tail_flag, which builds every flag from a basis in one pass
+    from the bottom and returns None on a dependent list, against the
+    builder it replaced, reference_flag_from_basis."""
+
+    def test_matches_the_reference(self):
+        wrong, dependent = tail_flag_mismatches(exactla._tail_flag)
+        assert wrong == [] and dependent >= 40, (wrong[:3], dependent)
+
+    def test_trusted_flags_pass_the_public_constructor(self, monkeypatch):
+        built, refused = trusted_refusals(monkeypatch, Flag, lambda: [
+            exactla._tail_flag(n, rows) for n, rows in tail_flag_cases()])
+        assert refused == 0 and built >= 200, (built, refused)
+
+    @pytest.mark.parametrize("old, new", [
+        ("span(n, *tail.rows, row)", "span(n, row)"),
+        ("if tail.dim != len(spaces):", "if tail.dim > len(spaces):"),
+    ], ids=["tail of its row alone", "dependent row missed"])
+    def test_mutants_fail(self, old, new):
+        assert tail_flag_mismatches(ref.source_mutant(exactla._tail_flag, old, new))[0]
+
+    @pytest.mark.parametrize("build", [
+        lambda: exactla._tail_flag(-1, []), lambda: span(-1),
+        lambda: subspace_from_json({"ambient": -1, "basis": []}),
+    ], ids=["tail flag", "span", "json"])
+    def test_negative_ambient_is_refused(self, build):
+        with pytest.raises(ValueError, match="^ambient dimension must be nonnegative, got -1$"):
+            build()
+
+    def test_negative_flag_sizes_are_refused(self):
+        from pierikit.enumerative import reversed_flag
+        from pierikit.schubgeom import random_flag, standard_flag
+        # random_flag(-1) never returned, and the coordinate flags came out
+        # of k^0
+        for build in (standard_flag, reversed_flag, random_flag):
+            with pytest.raises(ValueError, match="^ambient dimension must be nonnegative"):
+                build(-1)
+
+
+@pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
+                    reason="n = 20, 24 random flags; set PIERIKIT_SLOW=1 to run them")
+@pytest.mark.parametrize("n", [20, 24])
+def test_tail_flag_random_n20_24(n):
+    from pierikit.schubgeom import random_flag
+    for seed in range(40):
+        assert random_flag(n, seed) == reference_flag_from_basis(seeded_basis(n, seed))
 
 
 class TestFamily:

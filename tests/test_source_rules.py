@@ -160,12 +160,13 @@ def name_uses(source: str, names) -> set:
 
 # the functions that may build a record unchecked, by module: each builds
 # values that are valid by construction, which tests/test_exactla.py,
-# test_deform.py, test_seqcomb.py and test_tableaux.py rebuild through the
-# public constructors
+# test_deform.py, test_enumerative.py, test_seqcomb.py and test_tableaux.py
+# rebuild through the public constructors
 TRUSTED_CALLERS = {
     "deform.py": {"flag_within", "_pencil_columns"},
+    "enumerative.py": {"valid_instances"},
     "exactla.py": {"Subspace.restrict", "canonicalize", "span", "zero_subspace",
-                   "intersect", "PolyFamily.tail", "constant_family"},
+                   "intersect", "PolyFamily.tail", "constant_family", "_tail_flag"},
     "seqcomb.py": {"pieri_set.rec", "dual", "branch_parent"},
     "tableaux.py": {"ssyt_enumerate.fill"},
 }
