@@ -7,9 +7,10 @@ pierikit/<verb>/1; otherwise aligned text), writes one `failed: <clause>`
 line to stderr per failed clause, and returns the exit code.  Exit codes: 0
 success or verification pass; 1 a clause failed, or an exact check raised
 `VerificationError` (its message follows `failed:`); 2 usage error or
-unreadable input (`error: ...` on stderr); 3 a seeded sampler ran out of
-retries without a point in general position (`GenericityError`, reported
-as `error: genericity retries exhausted: ...`; another seed may work).
+unreadable input (`error: ...` on stderr); 3 a seeded sampler (a witness
+plane's vector_avoiding, never a one-draw cell point) ran out of retries
+without a point in general position (`GenericityError`, reported as
+`error: genericity retries exhausted: ...`; another seed may work).
 """
 
 from __future__ import annotations
@@ -272,15 +273,15 @@ def _cmd_tangent(args) -> int:
 
 
 def _cmd_pencil(args) -> int:
-    from .deform import _mflag_space, build_pencil, flag_within
+    from .deform import build_pencil, flag_within
 
     M = _load_subspace(args.file)
     marked = _load_subspace(args.marked_file)
     if args.n is not None and args.n != M.ambient:
         raise ValueError(f"--n {args.n} does not match the ambient {M.ambient}")
     mflag = flag_within(M, _flag_of(args, M.ambient))
-    l = next(i for i in range(1, len(mflag) + 2)
-             if marked.contains(_mflag_space(mflag, i, M.ambient)))
+    l = next((i for i, space in enumerate(mflag, 1) if marked.contains(space)),
+             len(mflag) + 1)  # M_(N+1) = 0 lies in every space
     if args.l is not None and args.l != l:
         raise ValueError(f"--l {args.l} disagrees with the marked space (l = {l})")
     pencil = build_pencil(mflag, l, marked)

@@ -334,8 +334,9 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
 
     Every clause is exact.  The five "sample t=... lies in the level-s cell"
     clauses share one verdict, true for every t != 0.  M contains upper =
-    F_{a1+s-1}, and the flag in M is checked to have M_l = top = F_{a1+s}
-    and M_{l-1} = upper.  build_pencil proves every L_t with t != 0 a
+    F_{a1+s-1}, nonzero as s <= n+1-a_1, and the flag in M is checked to
+    have M_l = top = F_{a1+s} and M_{l-1} = upper; only build_pencil checks
+    L_inf against them.  build_pencil proves every L_t with t != 0 a
     hyperplane of M through M_l and not through M_{l-1}, so it cuts F_q cap
     M in one dimension less for q <= a1+s-1 (that space contains upper) and
     contains F_q for q >= a1+s: the verdict is profile_in_cell of
@@ -369,14 +370,10 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
     if not profile_in_cell(meets, a, s - 1):
         raise ValueError("M does not lie in the level s-1 cell")
     a1 = a.entries[0]
+    if s > a.n + 1 - a1:
+        raise ValueError(f"step parameter s must be at most n+1-a_1 = {a.n + 1 - a1}")
     top = flag.subspace(a1 + s)
     upper = flag.subspace(a1 + s - 1)
-    if not (M.contains(L_inf) and L_inf.dim == M.dim - 1):
-        raise ValueError("L_inf must be a hyperplane of M")
-    if not L_inf.contains(top):
-        raise ValueError(f"L_inf must contain F_{a1 + s}")
-    if L_inf.contains(upper):
-        raise ValueError(f"L_inf must not contain F_{a1 + s - 1}")
 
     mflag = flag_within(M, flag)
     N = M.dim
@@ -476,7 +473,8 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
 def _descend_hyperplane(a: DecSeq, s: int, flag: Flag, M: Subspace, rng) -> Subspace:
     """A hyperplane of M through F_{a_1+s}, otherwise generic, landing in
     the level-s cell.  The wanted conditions are open, so a few random
-    covectors suffice.
+    covectors suffice.  A draw is kept on cell_member alone: for s <=
+    n+1-a_1 a member is a hyperplane of M missing F_{a_1+s-1}.
 
     All in integers.  top's annihilator basis is read off its canonical
     rows as pairs (d, v), each v scaled to the common denominator D, so a
@@ -488,7 +486,6 @@ def _descend_hyperplane(a: DecSeq, s: int, flag: Flag, M: Subspace, rng) -> Subs
     """
     N = M.dim
     top = M.restrict(flag.subspace(a.entries[0] + s))
-    upper = flag.subspace(a.entries[0] + s - 1)
     null = _read_null_vectors(top.rows, top.pivots, N)
     D = lcm(*[d for d, _ in null])
     ann = [[x * (D // d) for x in v] for d, v in null]
@@ -496,13 +493,9 @@ def _descend_hyperplane(a: DecSeq, s: int, flag: Flag, M: Subspace, rng) -> Subs
     for _ in range(64):
         coeffs = [rng.randint(-9, 9) for _ in ann]
         covector = [sum(map(mul, coeffs, col)) for col in zip(*ann)]
-        if not any(covector):
-            continue
         inside = [[sum(map(mul, v, col)) for col in zip(*lift)]
                   for _, v in _null_vectors([covector], N)]
         L = span(M.ambient, *inside)
-        if L.dim != N - 1 or L.contains(upper):
-            continue
         if cell_member(L, a, s, flag):
             return L
     raise GenericityError("no generic descent hyperplane found")

@@ -445,6 +445,7 @@ class Subspace(Record):
     _stored = ("ambient", "rows", "pivots")
 
     def __init__(self, ambient: int, rows: tuple[tuple[int, ...], ...]):
+        _check_ambient(ambient)
         pivots = []
         for row in rows:
             if len(row) != ambient:
@@ -597,6 +598,7 @@ def span(ambient: int, *vectors) -> Subspace:
 
 
 def zero_subspace(ambient: int) -> Subspace:
+    _check_ambient(ambient)
     return Subspace._trusted(ambient, (), ())
 
 
@@ -692,6 +694,7 @@ class Flag(Record):
     _fields = ("ambient", "spaces")
 
     def __init__(self, ambient: int, spaces: tuple[Subspace, ...]):
+        _check_ambient(ambient)
         n = ambient
         if len(spaces) != n + 1:
             raise ValueError(f"flag needs {n + 1} subspaces F_1..F_{n + 1}")
@@ -880,6 +883,7 @@ class PolyFamily(Record):
     _stored = ("ambient", "_forms")
 
     def __init__(self, ambient: int, cols: tuple[tuple[Poly, ...], ...]):
+        _check_ambient(ambient)
         forms = []
         for col in cols:
             if len(col) != ambient:

@@ -300,11 +300,12 @@ def cell_profile_check(L: Subspace, a: DecSeq, s: int, flag: Flag) -> ProfileRep
 
 def _pivot_span(pivots, flag: Flag, rng) -> Subspace:
     """Span with one generator per pivot row of the adapted basis, plus
-    random entries in the free rows below each pivot.  For any values of the
-    free entries the result lies in the open cell of its pivot set.  Each
-    generator u_p + sum c_i u_i is summed in integers over the adapted rows
-    lifted to one leading multiple P (_scaled_lift), which gives P times
-    the generator: the same line, so the same span."""
+    random entries in the free rows below each pivot.  The generator at p is
+    in F_p, not F_{p+1}, so for any values of the free entries the result
+    lies in the open cell of its pivot set.  Each generator u_p + sum c_i u_i
+    is summed in integers over the adapted rows lifted to one leading
+    multiple P (_scaled_lift), which gives P times the generator: the same
+    line, so the same span."""
     w = _scaled_lift(flag._adapted_rows)[1]
     n = flag.ambient
     pivset = set(pivots)
@@ -321,27 +322,23 @@ def _pivot_span(pivots, flag: Flag, rng) -> Subspace:
 
 
 def cell_point(a: DecSeq, s: int, flag: Flag, seed: int = 0) -> Subspace:
-    """A sample member of the incidence cell, seeded and post-verified."""
-    rng = random.Random(seed)
-    beta = cell_index(a, s)
-    for _ in range(8):
-        L = _pivot_span(beta.entries, flag, rng)
-        if cell_member(L, a, s, flag):
-            return L
-    raise GenericityError("failed to sample the incidence cell")
+    """A sample member of the incidence cell, seeded and post-verified: one
+    _pivot_span draw, always in the open cell of cell_index(a, s)."""
+    L = _pivot_span(cell_index(a, s).entries, flag, random.Random(seed))
+    if not cell_member(L, a, s, flag):
+        raise VerificationError("pivot span missed the incidence cell")
+    return L
 
 
 def schubert_cell_point(b: DecSeq, flag: Flag, seed: int = 0) -> Subspace:
-    """A sample m-plane in the open Schubert cell of b: meets with the flag
-    spaces at the rows of b are exact, not just bounded below."""
-    rng = random.Random(seed)
-    for _ in range(8):
-        H = _pivot_span(b.entries, flag, rng)
-        meets = flag.meet_dims(H)
-        if schubert_member(H, b, flag) and all(
-                meets[bj - 1] == j for j, bj in enumerate(b.entries, 1)):
-            return H
-    raise GenericityError("failed to sample the open Schubert cell")
+    """A sample m-plane in the open Schubert cell of b, whose meets with the
+    flag spaces at the rows of b are exact: one _pivot_span draw."""
+    H = _pivot_span(b.entries, flag, random.Random(seed))
+    meets = flag.meet_dims(H)
+    if not (schubert_member(H, b, flag) and all(
+            meets[bj - 1] == j for j, bj in enumerate(b.entries, 1))):
+        raise VerificationError("pivot span missed the open Schubert cell")
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +391,12 @@ def witness_point(a: DecSeq, flag: Flag, L: Subspace, mode: int, seed: int = 0) 
     """An m-plane H meeting every flag space of a in exact dimension, meeting
     L in a line, with the line sitting in flag row `mode` and no higher.
 
-    Built inductively: the mode-th vector comes from the meet of its flag
-    space with L; every other vector avoids both L-with-prior-choices and
-    the previous flag space.  L enters through its canonical integer rows,
-    the chosen vectors as vector_avoiding returns them; span scales each to
-    a primitive integer row.  The result is post-verified against all of
-    its defining conditions.
+    Built once, inductively: the mode-th vector comes from the meet of its
+    flag space with L; every other vector avoids both L-with-prior-choices
+    and the previous flag space, so by triangularity H meets each F_{a_i}
+    in its first i vectors and L in the mode-th one's line: a failed
+    post-check is a VerificationError.  L enters as its canonical integer
+    rows; span scales each Fraction vector chosen to a primitive row.
     """
     n, m = a.n, a.m
     if not 1 <= mode <= m:
@@ -421,32 +418,22 @@ def witness_point(a: DecSeq, flag: Flag, L: Subspace, mode: int, seed: int = 0) 
         raise ValueError("the carrier meet sits inside the previous flag space")
 
     rng = random.Random(seed)
-    for _ in range(8):
-        fs = []
-        picked = list(L.rows)
-        for i in range(1, m + 1):
-            if i == mode:
-                v = vector_avoiding(carrier, [upper(i)], rng)
-            else:
-                taken = span(n, *picked)
-                v = vector_avoiding(flag.subspace(a.entries[i - 1]), [taken, upper(i)], rng)
-            fs.append(v)
-            picked.append(v)
-        H = span(n, *fs)
-        if H.dim != m:
-            continue
-        meets = flag.meet_dims(H)
-        if any(meets[ai - 1] != i for i, ai in enumerate(a.entries, 1)):
-            continue
-        line = intersect(H, L)
-        if line.dim != 1:
-            continue
-        if not flag.subspace(a.entries[mode - 1]).contains(line):
-            continue
-        if upper(mode).contains(line):
-            continue
-        return H
-    raise GenericityError("witness construction failed after retries")
+    fs = []
+    for i in range(1, m + 1):
+        if i == mode:
+            v = vector_avoiding(carrier, [upper(i)], rng)
+        else:
+            taken = span(n, *L.rows, *fs)
+            v = vector_avoiding(flag.subspace(a.entries[i - 1]), [taken, upper(i)], rng)
+        fs.append(v)
+    H = span(n, *fs)
+    meets = flag.meet_dims(H)
+    line = intersect(H, L)
+    if (H.dim != m or any(meets[ai - 1] != i for i, ai in enumerate(a.entries, 1))
+            or line.dim != 1 or not flag.subspace(a.entries[mode - 1]).contains(line)
+            or upper(mode).contains(line)):
+        raise VerificationError("witness plane fails its defining conditions")
+    return H
 
 
 # ---------------------------------------------------------------------------

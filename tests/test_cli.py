@@ -500,6 +500,11 @@ REFUSED_PENCILS = [
     ("pencil", "--file", "{zero}", "--marked-file", "{zero}"),
 ]
 
+# a step whose marked file is M itself, not a hyperplane of M: build_pencil
+# refuses it with exit 2
+REFUSED_STEPS = [("step", "--n", "9", "--alpha", "7,4,1", "--s", "2", "--r", "1",
+                  "--file", "{M}", "--marked-file", "{M}")]
+
 # the pencil on a random flag, whose dual vectors carry denominators other than 1
 RANDOM_FLAG_PENCIL = ("pencil", "--file", "{M}", "--marked-file", "{Lm}",
                       "--flag-seed", "3")
@@ -510,7 +515,8 @@ PINNED_OUTPUTS = Path(__file__).parent / "golden" / "cli_outputs.json"
 PINNED_RUNS = ([(argv[0], argv, None) for argv in VERB_ARGV]
                + [("pencil --flag-seed 3", RANDOM_FLAG_PENCIL, None)]
                + [("forced " + argv[0], argv, force) for argv, force in FORCED_FAILURES]
-               + [(" ".join(argv), argv, None) for argv in REFUSED_ARGV + REFUSED_PENCILS])
+               + [(" ".join(argv), argv, None)
+                  for argv in REFUSED_ARGV + REFUSED_PENCILS + REFUSED_STEPS])
 
 
 def sha256(text: str) -> str:
@@ -550,6 +556,21 @@ class TestVerdictPath:
             rc, out, err = run(capsys, *fill(argv, verb_files), *mode)
             assert (rc, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("marked, message", [
+        ((1, 3, 5, 6, 9), "marked subspace must be a hyperplane of M"),
+        ((3, 5, 6, 9), "marked subspace must be a hyperplane of M"),
+        ((2, 3, 5, 6, 8), "marked hyperplane must contain M_l"),
+        ((2, 3, 5, 8, 9), "marked hyperplane must not contain M_(l-1)"),
+    ], ids=["outside M", "not a hyperplane", "misses F_9", "contains F_8"])
+    def test_bad_marked_step_exits_two(self, capsys, tmp_path, worked_files,
+                                       marked, message):
+        bad = dump(tmp_path / "bad.json", span(9, *[e(i) for i in marked]))
+        for mode in ((), ("--json",)):
+            rc, out, err = run(capsys, "step", "--n", "9", "--alpha", "7,4,1", "--s", "2",
+                               "--r", "1", "--file", worked_files[0], "--marked-file", bad,
+                               *mode)
+            assert (rc, out, err) == (2, "", f"error: {message}\n")
+
     def test_verification_error_exits_one(self, capsys, monkeypatch):
         def broken():
             raise VerificationError("stubbed exact check")
@@ -582,17 +603,17 @@ class TestVerdictPath:
             assert out == good.replace("schubert_member: True", "schubert_member: False")
 
 
-def _exhaust_cell_point(monkeypatch):
+def _miss_cell_point(monkeypatch):
     monkeypatch.setattr(schubgeom, "cell_member", lambda *a: False)
     return ("cell", "--n", "9", "--alpha", "7,4,1", "--s", "2"), \
-        "failed to sample the incidence cell"
+        "pivot span missed the incidence cell"
 
 
-def _exhaust_witness_point(monkeypatch):
+def _miss_witness_point(monkeypatch):
     monkeypatch.setattr(schubgeom, "vector_avoiding",
                         lambda inside, avoid, rng: (0,) * inside.ambient)
     return ("witness", "--n", "9", "--alpha", "7,4,1", "--file", "{L}"), \
-        "witness construction failed after retries"
+        "witness plane fails its defining conditions"
 
 
 def _exhaust_descent(monkeypatch):
@@ -610,15 +631,22 @@ def _exhaust_witness_table(monkeypatch):
 
 
 class TestGenericityExit:
-    @pytest.mark.parametrize("exhaust", [_exhaust_cell_point, _exhaust_witness_point,
-                                         _exhaust_descent, _exhaust_witness_table],
-                             ids=["cell_point", "witness_point", "descend_hyperplane",
-                                  "witness_table"])
+    @pytest.mark.parametrize("exhaust", [_exhaust_descent, _exhaust_witness_table],
+                             ids=["descend_hyperplane", "witness_table"])
     def test_exhausted_sampler_exits_three(self, capsys, monkeypatch, verb_files, exhaust):
         argv, message = exhaust(monkeypatch)
         rc, out, err = run(capsys, *fill(argv, verb_files))
         assert (rc, out) == (3, "")
         assert err == f"error: genericity retries exhausted: {message}\n"
+
+    @pytest.mark.parametrize("miss", [_miss_cell_point, _miss_witness_point],
+                             ids=["cell_point", "witness_point"])
+    def test_one_draw_sampler_miss_exits_one(self, capsys, monkeypatch, verb_files, miss):
+        # cell points and witness planes are built once and cannot miss, so
+        # a failed post-check is a library fault, not a reason to reseed
+        argv, message = miss(monkeypatch)
+        rc, out, err = run(capsys, *fill(argv, verb_files))
+        assert (rc, out, err) == (1, "", f"failed: {message}\n")
 
     def test_genericity_error_is_a_runtime_error(self):
         assert issubclass(GenericityError, RuntimeError)

@@ -336,7 +336,56 @@ class TestBuildPencil:
             build_pencil(mf, 6, L_MARKED)
 
 
+# cell points of the level-3 and the level-4 cell of A741, with a hyperplane
+M_LEVEL3, M_LEVEL4 = cell_point(A741, 3, FLAG), cell_point(A741, 4, FLAG)
+L_LEVEL3, L_LEVEL4 = span(9, *M_LEVEL3.rows[1:]), span(9, *M_LEVEL4.rows[1:])
+
+# step_verify's preconditions on bad input, each raised at one site: its own
+# arguments in step_verify, the marked hyperplane in build_pencil alone.  At
+# s = 4 = n+2-a_1 the level-s cell is not empty, but F_{a_1+s-1} = F_10 = 0,
+# which every hyperplane contains.
+STEP_PRECONDITIONS = {
+    "L_inf outside M": (2, M_COMPANION, span(9, e(1), e(3), e(5), e(6), e(9)),
+                        "marked subspace must be a hyperplane of M"),
+    "L_inf not a hyperplane": (2, M_COMPANION, span(9, e(3), e(5), e(6), e(9)),
+                               "marked subspace must be a hyperplane of M"),
+    "L_inf misses F_9": (2, M_COMPANION, span(9, e(2), e(3), e(5), e(6), e(8)),
+                         "marked hyperplane must contain M_l"),
+    "L_inf contains F_8": (2, M_COMPANION, span(9, e(2), e(3), e(5), e(8), e(9)),
+                           "marked hyperplane must not contain M_(l-1)"),
+    "empty level-5 cell": (5, M_LEVEL4, L_LEVEL4, "step parameter s must be at most n+1-a_1 = 3"),
+    "F_10 = 0 at s = 4": (4, M_LEVEL3, L_LEVEL3, "step parameter s must be at most n+1-a_1 = 3"),
+}
+
+
+def step_precondition_outcomes():
+    """Row -> (exception type, message) that step_verify raises on it."""
+    got = {}
+    for row, (s, M, L_inf, _) in STEP_PRECONDITIONS.items():
+        try:
+            step_verify(A741, s, 1, FLAG, M, L_inf)
+            got[row] = None
+        except (ValueError, VerificationError) as exc:
+            got[row] = (type(exc), str(exc))
+    return got
+
+
 class TestStepVerify:
+    def test_precondition_table(self):
+        assert step_precondition_outcomes() == {
+            row: (ValueError, message) for row, (*_, message) in STEP_PRECONDITIONS.items()}
+
+    def test_pencil_without_its_lower_space_check_fails(self, monkeypatch):
+        # step_verify no longer checks L_inf itself: dropping build_pencil's
+        # check lets the L_inf that misses F_9 through to a later raise
+        monkeypatch.setattr(deform, "build_pencil", ref.source_mutant(
+            deform.build_pencil,
+            'if not L_inf.contains(lower):\n        raise ValueError("marked hyperplane must contain M_l")',
+            "pass"))
+        got = step_precondition_outcomes()
+        assert [row for row, (*_, message) in STEP_PRECONDITIONS.items()
+                if got[row] != (ValueError, message)] == ["L_inf misses F_9"]
+
     def test_worked_step_passes(self):
         rep = step_verify(A741, 2, 1, FLAG, M_COMPANION, L_MARKED)
         assert rep.passed

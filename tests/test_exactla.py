@@ -355,7 +355,9 @@ class TestTailFlag:
     @pytest.mark.parametrize("build", [
         lambda: exactla._tail_flag(-1, []), lambda: span(-1),
         lambda: subspace_from_json({"ambient": -1, "basis": []}),
-    ], ids=["tail flag", "span", "json"])
+        lambda: Subspace(-1, ()), lambda: zero_subspace(-1),
+        lambda: PolyFamily(-1, ()), lambda: Flag(-1, ()),
+    ], ids=["tail flag", "span", "json", "Subspace", "zero_subspace", "PolyFamily", "Flag"])
     def test_negative_ambient_is_refused(self, build):
         with pytest.raises(ValueError, match="^ambient dimension must be nonnegative, got -1$"):
             build()

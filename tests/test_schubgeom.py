@@ -5,6 +5,7 @@ The nine-dimensional running example with rows (7,4,1) appears throughout;
 its special subspaces are the one-parameter family below and its limits.
 """
 
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -447,12 +448,14 @@ class TestVectorAvoiding:
         with pytest.raises(GenericityError, match="avoiding vector"):
             vector_avoiding(inside, [span(3, vec([0, 0, 1]))])
 
-    def test_exhausted_cell_samplers(self, monkeypatch):
+    def test_missed_cell_draw_is_a_verification_error(self, monkeypatch):
+        # the cell samplers draw once, and their draw cannot miss: a failed
+        # post-check is a library fault, not bad luck
         monkeypatch.setattr(schubgeom, "schubert_member", lambda *a: False)
-        with pytest.raises(GenericityError, match="open Schubert cell"):
+        with pytest.raises(VerificationError, match="open Schubert cell"):
             schubert_cell_point(DecSeq(9, (8, 4, 1)), FLAG, seed=0)
         monkeypatch.setattr(schubgeom, "cell_member", lambda *a: False)
-        with pytest.raises(GenericityError, match="incidence cell"):
+        with pytest.raises(VerificationError, match="incidence cell"):
             cell_point(A741, 2, FLAG, seed=0)
 
 
@@ -1057,3 +1060,125 @@ class TestIntegerWitnessMutants:
                 wrong += (schubgeom._pivot_span(pivots, flag, random.Random(seed))
                           != ref.pivot_span(pivots, flag, random.Random(seed)))
         assert wrong >= 15, wrong
+
+
+# ----------------------------------------------------------------------
+# One draw suffices.  _pivot_span lands in the open cell of its pivot set
+# whatever its free entries, and witness_point's vectors meet every defining
+# condition by triangularity, so neither cell_point, schubert_cell_point nor
+# witness_point retries.  The looping Fraction samplers stay the reference.
+
+def first_draw_flags(n):
+    from pierikit.enumerative import reversed_flag
+    return (standard_flag(n), reversed_flag(n), random_flag(n, n), random_flag(n, 10 * n))
+
+
+def cell_parameters(n):
+    """Every (a, s) at ambient n whose incidence cell is nonempty."""
+    for m in range(1, n + 1):
+        for entries in combinations(range(n, 0, -1), m):
+            a = DecSeq(n, entries)
+            yield from ((a, s) for s in range(1, n + 2 - m) if cell_parameter_valid(a, s))
+
+
+def first_draw_misses(n):
+    """(draws, misses) of _pivot_span from seed 0 on first_draw_flags(n):
+    for every nonempty (a, s), a draw of cell_index(a, s) outside the
+    incidence cell, and for every a, a draw of a.entries outside the open
+    Schubert cell of a, is a miss."""
+    draws = misses = 0
+    for flag in first_draw_flags(n):
+        for a, s in cell_parameters(n):
+            L = schubgeom._pivot_span(cell_index(a, s).entries, flag, random.Random(0))
+            misses += not cell_member(L, a, s, flag)
+            draws += 1
+            if s == 1:
+                H = schubgeom._pivot_span(a.entries, flag, random.Random(0))
+                meets = flag.meet_dims(H)
+                misses += any(meets[aj - 1] != j for j, aj in enumerate(a.entries, 1))
+                draws += 1
+    return draws, misses
+
+
+def witness_admissible(a, flag, L, mode):
+    """witness_point's hypotheses: no meet of L with a flag space of a above
+    its critical dimension, and the carrier meet not inside the previous
+    flag space."""
+    n, m = a.n, a.m
+    s = n + 1 - m - L.dim
+    meets = flag.meet_dims(L)
+    if any(meets[ai - 1] > n + 2 - ai - i - s for i, ai in enumerate(a.entries, 1)):
+        return False
+    above = flag.subspace(a.entries[mode - 2] if mode > 1 else n + 1)
+    return not above.contains(intersect(flag.subspace(a.entries[mode - 1]), L))
+
+
+def first_witness_failures(n):
+    """(admissible, failures) over the seed-0 cell point of every nonempty
+    (a, s) at ambient n on first_draw_flags(n) and every mode: an admissible
+    input that raises, or an inadmissible one that does not raise
+    ValueError, is a failure."""
+    admissible = failures = 0
+    for flag in first_draw_flags(n):
+        for a, s in cell_parameters(n):
+            L = cell_point(a, s, flag, seed=0)
+            for mode in range(1, a.m + 1):
+                try:
+                    schubgeom.witness_point(a, flag, L, mode, 0)
+                    raised = None
+                except (ValueError, GenericityError, VerificationError) as exc:
+                    raised = type(exc)
+                if witness_admissible(a, flag, L, mode):
+                    admissible += 1
+                    failures += raised is not None
+                else:
+                    failures += raised is not ValueError
+    return admissible, failures
+
+
+class TestOneDrawSamplers:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_first_draw_lands_up_to_six(self, n):
+        draws, misses = first_draw_misses(n)
+        assert misses == 0 and draws > 0
+        admissible, failures = first_witness_failures(n)
+        assert failures == 0 and (admissible > 0 or n == 1)
+
+    def test_fraction_samplers_agree_on_seeds_0_to_9(self):
+        """The looping Fraction samplers, whose first draw always passes,
+        give the same planes as the one-draw integer ones."""
+        cases = [(A741, s, FLAG) for s in (1, 2, 3, 4)] + [
+            (DecSeq(7, (5, 3, 1)), 2, random_flag(7, 7)),
+            (DecSeq(6, (4, 2)), 1, random_flag(6, 60))]
+        planes = 0
+        for a, s, flag in cases:
+            for seed in range(10):
+                L = cell_point(a, s, flag, seed)
+                assert L == ref.cell_point(a, s, flag, seed), (a, s, seed)
+                for mode in range(1, a.m + 1):
+                    H = outcome(witness_point, a, flag, L, mode, seed)
+                    assert H == outcome(ref.witness_point, a, flag, L, mode, seed)
+                    planes += isinstance(H, Subspace)
+        assert planes >= 100, planes
+
+    def test_pivot_span_without_its_last_generator_fails(self, monkeypatch):
+        monkeypatch.setattr(schubgeom, "_pivot_span", ref.source_mutant(
+            schubgeom._pivot_span, "return span(n, *rows)", "return span(n, *rows[:-1])"))
+        draws, misses = first_draw_misses(4)
+        assert misses >= draws // 2, (draws, misses)
+
+    def test_witness_without_taken_fails(self, monkeypatch):
+        # non-mode vectors that may fall into L plus the earlier vectors
+        monkeypatch.setattr(schubgeom, "witness_point", ref.source_mutant(
+            schubgeom.witness_point, "[taken, upper(i)]", "[upper(i)]"))
+        assert first_witness_failures(5)[1] >= 5
+
+
+@pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
+                    reason="n = 7, 8 first draws; set PIERIKIT_SLOW=1 to run them")
+@pytest.mark.parametrize("n", [7, 8])
+def test_first_draw_lands_n7_8(n):
+    draws, misses = first_draw_misses(n)
+    assert misses == 0 and draws > 0
+    admissible, failures = first_witness_failures(n)
+    assert failures == 0 and admissible > 0
