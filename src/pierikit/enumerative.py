@@ -336,10 +336,11 @@ def _slice_frame(alpha: DecSeq, beta: DecSeq, flag: Flag, flag2: Flag):
     """The slices K_j = F_{alpha_j} cap F'_{beta_{m+1-j}} for j = 1..m, whose
     sum is checked to be direct: all their canonical rows are independent.
 
-    Independent of the special subspace, so triple_witnesses computes it
-    once per pair and flag pair.  Memoised by value (DecSeq, Flag and
-    Subspace are frozen and compare by their canonical rows), so an equal
-    flag built anew hits the cache; a frame that raises is not cached.
+    Independent of the special subspace, so _witness computes it once per
+    pair and flag pair.  Memoised by value (DecSeq, Flag and Subspace are
+    frozen and compare by their canonical rows), so an equal flag built
+    anew hits the cache, and each flag hashes once (Flag._hash_once); a
+    frame that raises is not cached.
     Raises ValueError when a slice vanishes or the sum is not direct.
     """
     m = alpha.m
@@ -360,6 +361,54 @@ def _falls_deeper(flag: Flag, j: int, f) -> bool:
     """Whether f, a vector of F_j, lies in F_{j+1}: F_j is cut out by the
     adapted covectors phi_1..phi_{j-1}, so that is phi_j . f == 0."""
     return sum(map(mul, flag._adapted_coords[j - 1], f)) == 0
+
+
+def _annihilator(C: Subspace) -> list[list[int]]:
+    """C's annihilator covectors phi_1..phi_{n-dim C}, integer rows read
+    off C's canonical rows with no elimination."""
+    return [phi for _, phi in _read_null_vectors(C.rows, C.pivots, C.ambient)]
+
+
+def _witness(alpha: DecSeq, beta: DecSeq, C: Subspace, phis, flag: Flag,
+             flag2: Flag) -> Subspace:
+    """The witness plane of a counted pair, dual(beta) in alpha*c, with
+    phis = _annihilator(C); the inputs are not checked again (see
+    triple_witnesses for the construction and the errors)."""
+    n, m = alpha.n, alpha.m
+    slices = _slice_frame(alpha, beta, flag, flag2)
+    rows = [row for K in slices for row in K.rows]
+    null = _null_vectors([[sum(map(mul, phi, row)) for row in rows] for phi in phis],
+                         len(rows))
+    if len(null) != 1:
+        raise GenericityError(f"C meets the slice sum in dimension {len(null)}, not a line")
+
+    v = null[0][1]
+    basis = []
+    at = 0
+    for K in slices:
+        f = [0] * n
+        for x, row in zip(v[at:at + K.dim], K.rows):
+            if x:
+                f = [y + x * z for y, z in zip(f, row)]
+        at += K.dim
+        basis.append(f)
+    for j, f in enumerate(basis, start=1):
+        if _falls_deeper(flag, alpha.entries[j - 1], f):
+            raise GenericityError(f"vector {j} falls too deep in the first flag")
+        if _falls_deeper(flag2, beta.entries[m - j], f):
+            raise GenericityError(f"vector {j} falls too deep in the second flag")
+
+    H = span(n, *basis)
+    if H.dim != m:
+        raise VerificationError(f"witness spans dimension {H.dim}, not {m}")
+    if not schubert_member(H, alpha, flag):
+        raise VerificationError("witness is off the first Schubert variety")
+    if not schubert_member(H, beta, flag2):
+        raise VerificationError("witness is off the second Schubert variety")
+    w = [sum(col) for col in zip(*basis)]
+    if not any(w) or not C.contains_vector(w) or not H.contains_vector(w):
+        raise VerificationError("witness misses the special subspace")
+    return H
 
 
 def triple_witnesses(
@@ -398,7 +447,9 @@ def triple_witnesses(
     falls too deep in either flag; another C may work.  Raises ValueError
     on bad input and when the flags are not: a slice vanishes or the slice
     sum is not direct, which no C changes.  Raises VerificationError when
-    the plane it built fails one of the three memberships.
+    the plane it built fails one of the three memberships.  The inputs
+    are checked here; the construction is _witness, which witness_table
+    calls directly on its counted pairs.
     """
     n, m = alpha.n, alpha.m
     if beta.n != n or beta.m != m:
@@ -410,58 +461,28 @@ def triple_witnesses(
         raise ValueError("codimensions do not fill the ambient dimension")
     if dual(beta) not in pieri_set(alpha, c):
         return []
-
-    slices = _slice_frame(alpha, beta, flag, flag2)
-    rows = [row for K in slices for row in K.rows]
-    phis = [phi for _, phi in _read_null_vectors(C.rows, C.pivots, n)]
-    null = _null_vectors([[sum(map(mul, phi, row)) for row in rows] for phi in phis],
-                         len(rows))
-    if len(null) != 1:
-        raise GenericityError(f"C meets the slice sum in dimension {len(null)}, not a line")
-
-    v = null[0][1]
-    basis = []
-    at = 0
-    for K in slices:
-        f = [0] * n
-        for x, row in zip(v[at:at + K.dim], K.rows):
-            if x:
-                f = [y + x * z for y, z in zip(f, row)]
-        at += K.dim
-        basis.append(f)
-    for j, f in enumerate(basis, start=1):
-        if _falls_deeper(flag, alpha.entries[j - 1], f):
-            raise GenericityError(f"vector {j} falls too deep in the first flag")
-        if _falls_deeper(flag2, beta.entries[m - j], f):
-            raise GenericityError(f"vector {j} falls too deep in the second flag")
-
-    H = span(n, *basis)
-    if H.dim != m:
-        raise VerificationError(f"witness spans dimension {H.dim}, not {m}")
-    if not schubert_member(H, alpha, flag):
-        raise VerificationError("witness is off the first Schubert variety")
-    if not schubert_member(H, beta, flag2):
-        raise VerificationError("witness is off the second Schubert variety")
-    w = [sum(col) for col in zip(*basis)]
-    if not any(w) or not C.contains_vector(w) or not H.contains_vector(w):
-        raise VerificationError("witness misses the special subspace")
-    return [H]
+    return [_witness(alpha, beta, C, _annihilator(C), flag, flag2)]
 
 
 def witness_table(p: QuintupleProblem, seed: int = 0):
     """(C, rows) with one (gamma, delta, H) row per counted branch pair.
 
-    Iterates triple_witnesses over every branch pair of the problem with
-    the standard and the reversed coordinate flags; C, spanned by rows of
+    The counted pairs, (gamma, delta) in (alpha*a) x (beta*b) with
+    dual(delta) in gamma*c, do not depend on C, so they are found once, in
+    the order of the branch sets.  Their codimensions fill the ambient
+    dimension by construction, so each goes straight to _witness, the
+    construction of triple_witnesses without its input checks, on the
+    standard and the reversed coordinate flags.  C, spanned by rows of
     seeded random ints, is resampled until the general-position checks
-    pass for all pairs at once.  A draw of rank below dim C, a
-    GenericityError from triple_witnesses and two pairs with the same
-    plane depend on C and draw again; the last of these reasons ends the
-    GenericityError raised when _WITNESS_DRAWS draws are used up.  A
-    ValueError or VerificationError escapes at once.  A resample redoes
-    only the work that depends on C: each pair's slice frame stays
-    cached.  The rows carry exactly count_pairs_d(p) pairwise distinct
-    planes, every coordinate an exact rational.
+    pass for all pairs at once; its annihilator is read once per draw.  A
+    draw of rank below dim C, a GenericityError from _witness and two
+    pairs with the same plane depend on C and draw again; the last of
+    these reasons ends the GenericityError raised when _WITNESS_DRAWS
+    draws are used up.  A ValueError or VerificationError escapes at
+    once.  A resample redoes only the work that depends on C: each pair's
+    slice frame stays cached.  The rows carry exactly count_pairs_d(p)
+    pairwise distinct planes, every coordinate an exact rational, each
+    checked on both flags and through the witness point in C.
     """
     flag = standard_flag(p.n)
     flag2 = reversed_flag(p.n)
@@ -469,6 +490,11 @@ def witness_table(p: QuintupleProblem, seed: int = 0):
     if dim_c < 1:
         # c exceeds every branch capacity, so no pair can match
         return None, ()
+    deltas = [(dlt, dual(dlt)) for dlt in pieri_set(p.beta, p.b)]
+    pairs = []
+    for g in pieri_set(p.alpha, p.a):
+        hit = set(pieri_set(g, p.c))
+        pairs += [(g, dlt) for dlt, d in deltas if d in hit]
     rng = random.Random(seed)
     for _ in range(_WITNESS_DRAWS):
         rows = [tuple(rng.randint(-99, 99) for _ in range(p.n))
@@ -477,12 +503,9 @@ def witness_table(p: QuintupleProblem, seed: int = 0):
         if C.dim != dim_c:
             reason = f"C drawn has dimension {C.dim}, not {dim_c}"
             continue
+        phis = _annihilator(C)
         try:
-            out = []
-            for g in pieri_set(p.alpha, p.a):
-                for dlt in pieri_set(p.beta, p.b):
-                    for H in triple_witnesses(g, dlt, C, flag, flag2):
-                        out.append((g, dlt, H))
+            out = [(g, dlt, _witness(g, dlt, C, phis, flag, flag2)) for g, dlt in pairs]
         except GenericityError as exc:
             reason = str(exc)
             continue

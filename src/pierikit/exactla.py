@@ -95,15 +95,22 @@ def _record_methods(cls) -> dict:
     writes its own, and its classmethod _trusted, as straight-line code from
     one exec.  The __init__ stores the fields in order with _set_field, the
     last len(cls._defaults) of them defaulting to those; _trusted allocates
-    the record and stores its _stored attributes in order, unchecked."""
+    the record and stores its _stored attributes in order, unchecked.  When
+    cls sets _hash_once, __hash__ computes the same value on first use and
+    stores it as _hash, past the frozen __setattr__."""
     fields = cls._fields
     stored = vars(cls).get("_stored", fields)
     own, other = ("".join(f"{obj}.{f}, " for f in fields) for obj in ("self", "other"))
     source = ("def __eq__(self, other):\n"
               "    if other.__class__ is self.__class__:\n"
               f"        return ({own}) == ({other})\n"
-              "    return NotImplemented\n"
-              f"def __hash__(self):\n    return hash(({own}))\n")
+              "    return NotImplemented\n")
+    if vars(cls).get("_hash_once"):
+        source += ("def __hash__(self):\n    h = self.__dict__.get('_hash')\n"
+                   f"    if h is None:\n        h = hash(({own}))\n"
+                   "        _set_field(self, '_hash', h)\n    return h\n")
+    else:
+        source += f"def __hash__(self):\n    return hash(({own}))\n"
     if "__init__" not in vars(cls):
         source += (f"def __init__(self, {', '.join(fields)}):\n"
                    + "".join(f"    _set_field(self, {f!r}, {f})\n" for f in fields))
@@ -134,7 +141,8 @@ class Record:
     past the frozen __setattr__.  _trusted(*_stored) is the one way to build
     a record unchecked, for values valid by construction; _stored is _fields
     unless the class declares the attributes its __init__ stores.  Instances
-    keep a __dict__, where cached_property caches.
+    keep a __dict__, where cached_property caches, and where a class that
+    sets _hash_once (Flag) stores its hash on first use.
     """
 
     _fields: tuple[str, ...] = ()
@@ -278,8 +286,10 @@ def _echelon(rows):
     nrows = len(work)
     prow = 0
     for c in range(len(work[0])):
-        pr = next((r for r in range(prow, nrows) if work[r][c]), None)
-        if pr is None:
+        for pr in range(prow, nrows):
+            if work[pr][c]:
+                break
+        else:
             continue
         piv = work[pr]
         work[pr] = work[prow]
@@ -288,7 +298,8 @@ def _echelon(rows):
             piv = [-x for x in piv]
             p = -p
         work[prow] = piv
-        for r, row in enumerate(work):
+        for r in range(nrows):
+            row = work[r]
             f = row[c]
             if f and r != prow:
                 g = gcd(p, f)
@@ -666,11 +677,18 @@ def quotient_subspace(a: Subspace, k: Subspace) -> Subspace:
 def quotient_dim(a: Subspace, k: Subspace) -> int:
     """dim of the image of a in V/k, without building it: the rank of a's
     rows back-substituted modulo k.  Those remainders vanish at k's pivot
-    columns, so this is quotient_subspace(a, k).dim."""
+    columns, so this is quotient_subspace(a, k).dim.  Whether k is a
+    coordinate subspace is tested once: then each remainder is the row
+    with k's pivot columns zeroed, and the rank is that of a's rows read
+    at k's other columns.  Only k's pivots are read, never a's."""
     if a.ambient != k.ambient:
         raise ValueError("ambient mismatch")
     if k.is_zero:
         return a.dim
+    if k._is_coordinate:
+        kp = set(k.pivots)
+        keep = [i for i in range(a.ambient) if i not in kp]
+        return rank([[row[i] for i in keep] for row in a.rows])
     return rank([k._back_substitute(row)[0] for row in a.rows])
 
 
@@ -688,10 +706,14 @@ class Flag(Record):
     """A complete flag F_1 > F_2 > ... > F_{n+1} = 0 with dim F_j = n+1-j.
 
     spaces[j-1] is F_j.  Indices beyond n+1 are clamped to the zero space by
-    subspace(), which keeps index arithmetic like F_{a+s} total.
+    subspace(), which keeps index arithmetic like F_{a+s} total.  A flag
+    hashes as any Record, hash((ambient, spaces)), but computes that on
+    first use and then stores it (_hash_once): hashing the spaces rehashes
+    every canonical row, and flags are cache keys (enumerative._slice_frame).
     """
 
     _fields = ("ambient", "spaces")
+    _hash_once = True
 
     def __init__(self, ambient: int, spaces: tuple[Subspace, ...]):
         _check_ambient(ambient)

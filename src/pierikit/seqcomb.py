@@ -152,14 +152,16 @@ def first_diff_index(a: DecSeq, b: DecSeq) -> int:
     Memoized like pieri_set: a chain step asks for the same pairs again and
     again (branch_parent, step_verify, the cycle labels), and the answer is
     validated once per pair.  A pair outside every a*r with r >= 1 raises
-    ValueError on every call; a raised error is never cached."""
+    ValueError on every call; a raised error is never cached.  A pair that
+    pieri_increment places in some a*r with r >= 1 but that has no rising
+    entry contradicts it, and raises VerificationError."""
     r = pieri_increment(a, b)
     if r is None or r == 0:
         raise ValueError(f"{b} does not lie in any a*r with r >= 1 for a = {a}")
     for i, (x, y) in enumerate(zip(a.entries, b.entries), start=1):
         if y > x:
             return i
-    raise AssertionError("unreachable")
+    raise VerificationError(f"{b} has no entry above {a}, yet lies in a*{r}")
 
 
 def dual(a: DecSeq) -> DecSeq:

@@ -137,7 +137,9 @@ def row_insert(t: Tableau, word) -> tuple[Tableau, tuple[Partition, ...]]:
     Each letter replaces the leftmost strictly larger entry of the first row
     (the displaced entry recurses into the next row) or lands at the end.
     Returns the final tableau and the chain of shapes, starting with the
-    shape of t and recording one shape per letter.
+    shape of t and recording one shape per letter.  Bumping a tableau by
+    letters in 1..entry_bound gives a tableau (Fulton, Young Tableaux,
+    1.1), so with the word checked here the result is built unchecked.
     """
     word = _integers(word, "letters")
     for i, x in enumerate(word):
@@ -161,7 +163,7 @@ def row_insert(t: Tableau, word) -> tuple[Tableau, tuple[Partition, ...]]:
             rows[r][idx], cur = cur, rows[r][idx]
             r += 1
         chain.append(tuple(len(r_) for r_ in rows))
-    result = Tableau(tuple(tuple(r) for r in rows), t.entry_bound)
+    result = Tableau._trusted(tuple(map(tuple, rows)), t.entry_bound)
     return result, tuple(chain)
 
 

@@ -625,7 +625,7 @@ def _exhaust_descent(monkeypatch):
 def _exhaust_witness_table(monkeypatch):
     def not_generic(*a):
         raise GenericityError("stub C meets the slice sum off a line")
-    monkeypatch.setattr(enumerative, "triple_witnesses", not_generic)
+    monkeypatch.setattr(enumerative, "_witness", not_generic)
     return ("triple-witness",) + PROBLEM, \
         "no suitable C after 32 draws: stub C meets the slice sum off a line"
 

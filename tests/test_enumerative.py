@@ -27,7 +27,9 @@ from pierikit.enumerative import (
     valid_instances,
 )
 from pierikit.exactla import (
+    Flag,
     GenericityError,
+    Subspace,
     VerificationError,
     flag_from_basis,
     frac,
@@ -743,6 +745,21 @@ class TestWitnessFrames:
         # the frame is the slices alone, and their sum is direct
         assert span(n, *(row for K in frame for row in K.rows)).dim == sum(K.dim for K in frame)
 
+    def test_publicly_built_flag_hits_the_frame_cache(self):
+        # a flag hashes once, on first use; a flag equal to the standard one
+        # but built anew through the public constructors has no stored hash
+        # yet, and must still find the standard flag's frame
+        n = 6
+        flag = standard_flag(n)
+        rebuilt = Flag(n, tuple(Subspace(n, s.rows) for s in flag.spaces))
+        assert rebuilt == flag and rebuilt is not flag and "_hash" not in vars(rebuilt)
+        a, b = seq(n, 6, 4, 2), seq(n, 5, 3, 1)
+        frame = _slice_frame(a, b, flag, reversed_flag(n))
+        hits = _slice_frame.cache_info().hits
+        assert _slice_frame(a, b, rebuilt, reversed_flag(n)) is frame
+        assert _slice_frame.cache_info().hits == hits + 1
+        assert vars(rebuilt)["_hash"] == hash((flag.ambient, flag.spaces)) == hash(flag)
+
     def test_failing_frame_is_not_cached(self):
         _slice_frame.cache_clear()
         flag = standard_flag(5)
@@ -908,6 +925,104 @@ def test_witnesses_match_fraction_assembly_n7():
     assert planes >= 800 and messages >= 20, (planes, messages)
 
 
+def reference_witness_table(p, seed=0):
+    """witness_table as it was before it found its counted pairs once: the
+    public triple_witnesses, input checks included, on every branch pair in
+    every draw, C's annihilator read once per counted pair."""
+    flag, flag2 = standard_flag(p.n), reversed_flag(p.n)
+    dim_c = p.n + 1 - p.m - p.c
+    if dim_c < 1:
+        return None, ()
+    rng = random.Random(seed)
+    for _ in range(32):
+        rows = [tuple(rng.randint(-99, 99) for _ in range(p.n)) for _ in range(dim_c)]
+        C = span(p.n, *rows)
+        if C.dim != dim_c:
+            reason = f"C drawn has dimension {C.dim}, not {dim_c}"
+            continue
+        try:
+            out = []
+            for g in pieri_set(p.alpha, p.a):
+                for d in pieri_set(p.beta, p.b):
+                    for H in triple_witnesses(g, d, C, flag, flag2):
+                        out.append((g, d, H))
+        except GenericityError as exc:
+            reason = str(exc)
+            continue
+        if len({H for _, _, H in out}) != len(out):
+            reason = "two branch pairs give the same plane"
+            continue
+        return C, tuple(out)
+    raise GenericityError(f"no suitable C after 32 draws: {reason}")
+
+
+def table_outcome(fn, p, seed):
+    """fn(p, seed), or the type and message of the error it raised."""
+    try:
+        return fn(p, seed)
+    except (ValueError, GenericityError, VerificationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def witnessed_problems(n_min, n_max):
+    """The problems with n_min <= n <= n_max and d > 0, in stream order."""
+    return [p for p in valid_instances(n_max) if p.n >= n_min and count_pairs_d(p)]
+
+
+def table_mismatches(problems, seeds):
+    """(problem, seed) for each run on which enumerative.witness_table (read
+    through the module, so that a patched one runs) differs from
+    reference_witness_table in C, in its rows or in the error it raises."""
+    return [(p, seed) for p in problems for seed in seeds
+            if table_outcome(enumerative.witness_table, p, seed)
+            != table_outcome(reference_witness_table, p, seed)]
+
+
+class TestWitnessTableLoop:
+    """witness_table finds its counted pairs once and hands each straight to
+    the witness constructor, with C's annihilator read once per draw; the
+    per-pair loop over the public triple_witnesses is its reference."""
+
+    def test_matches_the_per_pair_loop(self):
+        problems = witnessed_problems(2, 6)
+        assert len(problems) == 643
+        assert sum(map(count_pairs_d, problems)) == 1073
+        assert table_mismatches(problems, (0, 1)) == []
+
+    def test_pair_filter_without_the_dual_fails(self, monkeypatch):
+        # dlt in gamma*c instead of dual(dlt): uncounted pairs get built
+        monkeypatch.setattr(enumerative, "witness_table", ref.source_mutant(
+            enumerative.witness_table, "(dlt, dual(dlt))", "(dlt, dlt)"))
+        problems = witnessed_problems(2, 5)
+        assert len(table_mismatches(problems, (0,))) >= len(problems) // 2
+
+    def test_annihilator_read_once_per_call_goes_stale(self, monkeypatch):
+        # FOUR_LINES at seed 51 draws C twice; an annihilator read before the
+        # draw loop keeps the first C's covectors, so the second draw builds
+        # on the wrong C and fails as the first did, until the budget is spent
+        real, reads = enumerative._annihilator, []
+        monkeypatch.setattr(enumerative, "_annihilator", lambda C: reads.append(C) or real(C))
+        C, rows = enumerative.witness_table(FOUR_LINES, seed=51)
+        assert len(reads) == 2 and reads[-1] == C and len(rows) == 2
+        assert table_mismatches([FOUR_LINES], (51,)) == []
+        first = {}
+        monkeypatch.setattr(enumerative, "_annihilator",
+                            lambda C: first.setdefault("phis", real(C)))
+        assert table_outcome(enumerative.witness_table, FOUR_LINES, 51) == (
+            "GenericityError: no suitable C after 32 draws: "
+            "vector 2 falls too deep in the first flag")
+
+
+@pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
+                    reason="n = 7 witness tables; set PIERIKIT_SLOW=1 to run them")
+def test_witness_table_matches_per_pair_loop_n7():
+    """Every n = 7 problem with d > 0 at seed 0: witness_table equals the
+    per-pair loop over the public triple_witnesses."""
+    problems = witnessed_problems(7, 7)
+    assert len(problems) == 3160
+    assert table_mismatches(problems, (0,)) == []
+
+
 # Under python -O the witness checks must still run, and a failing one must
 # escape witness_table's resampling loop instead of being retried away.
 OPTIMISED_WITNESS_RUN = """
@@ -963,7 +1078,7 @@ class TestRealWitnessSet:
             assert all(isinstance(x, Fraction) for row in H.basis for x in row)
 
     def test_only_genericity_draws_again(self, monkeypatch):
-        # a triple_witnesses that raises ValueError on every call (a bad
+        # a witness constructor that raises ValueError on every call (a bad
         # frame, which no C changes) escapes at the first draw; one that
         # raises GenericityError uses up all 32 draws
         for error, calls_wanted in ((ValueError, 1), (GenericityError, 32)):
@@ -973,7 +1088,7 @@ class TestRealWitnessSet:
                 calls.append(args)
                 raise error("stub failure")
 
-            monkeypatch.setattr(enumerative, "triple_witnesses", failing)
+            monkeypatch.setattr(enumerative, "_witness", failing)
             with pytest.raises(error, match="stub failure" if error is ValueError
                                else "no suitable C after 32 draws: stub failure"):
                 enumerative.witness_table(FOUR_LINES, seed=0)
@@ -985,7 +1100,7 @@ class TestRealWitnessSet:
         # GenericityError
         plane = span(4, (1, 0, 0, 0), (0, 1, 0, 0))
         with monkeypatch.context() as m:
-            m.setattr(enumerative, "triple_witnesses", lambda *args: [plane])
+            m.setattr(enumerative, "_witness", lambda *args: plane)
             with pytest.raises(GenericityError) as info:
                 enumerative.witness_table(FOUR_LINES, seed=0)
         assert str(info.value) == (

@@ -29,6 +29,7 @@ from pierikit.exactla import (
     invert_matrix,
     kernel_basis,
     limit_at_zero,
+    quotient_dim,
     quotient_subspace,
     rank,
     rref,
@@ -205,6 +206,47 @@ class TestFlag:
         n = 2
         with pytest.raises(ValueError):
             Flag(n, (span(n, vec([1, 0])), full_space(n), zero_subspace(n)))
+
+
+def fresh_flags():
+    """Flags equal to the standard, the reversed and seeded random flags of
+    k^2..k^7, each rebuilt through the public constructors, so none has
+    been hashed before."""
+    from pierikit.enumerative import reversed_flag
+    from pierikit.schubgeom import random_flag, standard_flag
+    flags = []
+    for n in range(2, 8):
+        for flag in (standard_flag(n), reversed_flag(n), random_flag(n, n), random_flag(n, 9)):
+            flags.append(Flag(n, tuple(Subspace(n, s.rows) for s in flag.spaces)))
+    return flags
+
+
+def flag_hash_mismatches(flags):
+    """The flags whose hash, first and again, is not hash((ambient, spaces))
+    or is not stored as _hash after the first use."""
+    return [f for f in flags
+            if not hash(f) == vars(f).get("_hash") == hash(f) == hash((f.ambient, f.spaces))]
+
+
+class TestFlagHash:
+    """A flag hashes as a Record, hash((ambient, spaces)), computed on first
+    use and then stored."""
+
+    def test_hash_is_the_field_tuple_hash_stored_once(self):
+        flags = fresh_flags()
+        assert all("_hash" not in vars(f) for f in flags)
+        assert flag_hash_mismatches(flags) == []
+        assert len({hash(f) for f in flags}) > len(flags) // 2
+        # equal flags hash equal, however each was built
+        for f in flags:
+            assert len({f, Flag(f.ambient, f.spaces)}) == 1
+
+    def test_hash_over_the_ambient_alone_is_caught(self, monkeypatch):
+        mutant = ref.source_mutant(exactla._record_methods, "h = hash(({own}))",
+                                   "h = hash((self.ambient,))")
+        monkeypatch.setattr(Flag, "__hash__", mutant(Flag)["__hash__"])
+        flags = fresh_flags()
+        assert len(flag_hash_mismatches(flags)) == len(flags)
 
 
 def seeded_basis(n, seed):
@@ -684,6 +726,62 @@ class TestDifferential:
                                      for r in range(len(pivots))]
 
 
+def reference_echelon(rows):
+    """exactla._echelon as it was before its inner loops were flattened: a
+    next() over a generator finds each pivot row, enumerate walks the rows."""
+    work = [r for r in map(exactla._int_row, rows) if any(r)]
+    pivots = []
+    if not work:
+        return work, pivots
+    nrows = len(work)
+    prow = 0
+    for c in range(len(work[0])):
+        pr = next((r for r in range(prow, nrows) if work[r][c]), None)
+        if pr is None:
+            continue
+        piv = work[pr]
+        work[pr] = work[prow]
+        p = piv[c]
+        if p < 0:
+            piv = [-x for x in piv]
+            p = -p
+        work[prow] = piv
+        for r, row in enumerate(work):
+            f = row[c]
+            if f and r != prow:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(row, piv)]
+                g = gcd(*new)
+                work[r] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        prow += 1
+        if prow == nrows:
+            break
+    return work[:prow], pivots
+
+
+class TestEchelonLoops:
+    def test_matches_the_generator_loops(self):
+        rng = random.Random(19960105)
+        seen = dict.fromkeys(("zero rows", "negative pivot", "rank-deficient", "tall",
+                              "wide", "int-only", "Fraction"), 0)
+        for i in range(2000):
+            rows, ncols = random_matrix(rng, i)
+            if i % 5 == 2:
+                rows = [[-x for x in row] for row in rows]
+            want = reference_echelon(rows)
+            assert exactla._echelon(rows) == want, rows
+            seen["zero rows"] += any(not any(r) for r in rows)
+            seen["negative pivot"] += any(next(filter(None, r), 0) < 0 for r in rows)
+            seen["rank-deficient"] += len(want[1]) < min(len(rows), ncols)
+            seen["tall"] += len(rows) > ncols
+            seen["wide"] += len(rows) < ncols
+            ints = all(type(x) is int for r in rows for x in r)
+            seen["int-only" if ints else "Fraction"] += 1
+        assert all(count >= 100 for count in seen.values()), seen
+
+
 # ----------------------------------------------------------------------
 # _inverse_rows is the one inverse: invert_matrix, Flag._adapted_coords and
 # build_pencil's dual basis all read it.  The textbook Gauss-Jordan inverse
@@ -923,6 +1021,62 @@ def random_vector(rng, s, kind):
         v = [random_entry(rng, kind) for _ in range(n)]
     return [x.numerator if type(x) is F and x.denominator == 1 and rng.random() < 0.5
             else x for x in v]
+
+
+def reference_quotient_dim(a, k):
+    """quotient_dim as it was before it tested k once: every row of a back
+    substituted against k, which tests k for coordinate rows each time."""
+    if a.ambient != k.ambient:
+        raise ValueError("ambient mismatch")
+    if k.is_zero:
+        return a.dim
+    return rank([k._back_substitute(row)[0] for row in a.rows])
+
+
+def quotient_dim_cases():
+    """(a, k) over seeded subspaces of k^1..k^7 and every space of a
+    coordinate, a reversed and a random flag: k coordinate, not coordinate
+    and zero, a among the same spaces."""
+    from pierikit.enumerative import reversed_flag
+    from pierikit.schubgeom import random_flag, standard_flag
+    rng = random.Random(5728)
+    cases = []
+    for n in range(1, 8):
+        spaces = [*standard_flag(n).spaces, *reversed_flag(n).spaces,
+                  *random_flag(n, n).spaces,
+                  coordinate_subspace(n, rng.sample(range(1, n + 1), rng.randint(1, n)))]
+        spaces += [random_space(rng, n, KINDS[i % len(KINDS)], i) for i in range(12)]
+        cases += [(a, k) for a in spaces for k in spaces]
+    return cases
+
+
+def quotient_dim_mismatches(fn):
+    return [(a, k) for a, k in quotient_dim_cases() if fn(a, k) != reference_quotient_dim(a, k)]
+
+
+class TestQuotientDim:
+    def test_matches_the_back_substitution(self):
+        cases = quotient_dim_cases()
+        kinds = {"coordinate": 0, "other": 0, "zero": 0}
+        for _, k in cases:
+            kinds["zero" if k.is_zero else "coordinate" if k._is_coordinate else "other"] += 1
+        assert min(kinds.values()) >= 500, kinds
+        assert quotient_dim_mismatches(quotient_dim) == []
+
+    def test_reads_no_pivot_of_a(self):
+        # schubert_member's quotient path must not read H's pivots
+        cases = [(a, k) for a, k in quotient_dim_cases() if a.dim and k.dim]
+        want = [quotient_dim(a, k) for a, k in cases]
+        got = []
+        for a, k in cases:
+            blind = Subspace(a.ambient, a.rows)
+            object.__setattr__(blind, "pivots", None)
+            got.append(quotient_dim(blind, k))
+        assert got == want
+
+    def test_coordinate_quotient_on_the_pivot_columns_is_caught(self):
+        mutant = ref.source_mutant(quotient_dim, "if i not in kp", "if i in kp")
+        assert len(quotient_dim_mismatches(mutant)) >= 100
 
 
 class TestSubspaceDifferential:

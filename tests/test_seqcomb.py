@@ -269,6 +269,19 @@ class TestFirstDiff:
             first_diff_index(a, a)
         assert first_diff_index.cache_info().currsize == 1
 
+    def test_membership_without_a_rise_is_a_verification_error(self, monkeypatch):
+        # a pieri_increment that places a in a*1 leaves no entry of a to
+        # rise: a fault of the library, which the CLI reports with exit 1,
+        # not an AssertionError traceback
+        a = DecSeq(9, (7, 4, 1))
+        first_diff_index.cache_clear()
+        monkeypatch.setattr(seqcomb, "pieri_increment", lambda x, y: 1)
+        for _ in range(2):
+            with pytest.raises(VerificationError,
+                               match=r"^741 has no entry above 741, yet lies in a\*1$"):
+                first_diff_index(a, DecSeq(9, (7, 4, 1)))
+        assert first_diff_index.cache_info().currsize == 0
+
 
 class TestDualAndShape:
     def test_dual_741(self):

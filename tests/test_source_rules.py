@@ -168,7 +168,7 @@ TRUSTED_CALLERS = {
     "exactla.py": {"Subspace.restrict", "canonicalize", "span", "zero_subspace",
                    "intersect", "PolyFamily.tail", "constant_family", "_tail_flag"},
     "seqcomb.py": {"pieri_set.rec", "dual", "branch_parent"},
-    "tableaux.py": {"ssyt_enumerate.fill"},
+    "tableaux.py": {"ssyt_enumerate.fill", "row_insert"},
 }
 
 

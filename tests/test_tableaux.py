@@ -6,12 +6,13 @@ frozen.  Polynomial identities are verified coefficient by coefficient.
 """
 
 import itertools
+from bisect import bisect_left, bisect_right
 
 import pytest
 
 import pierikit.tableaux as tableaux
 from fraction_reference import source_mutant
-from pierikit.seqcomb import _tableau_count
+from pierikit.seqcomb import DecSeq, _integers, _tableau_count, lambda_of
 from pierikit.tableaux import (
     SparsePoly,
     Tableau,
@@ -170,6 +171,80 @@ class TestInsertion:
                 sizes = [sum(s) for s in chain]
                 assert sizes == [3, 4, 5]
                 assert res.shape == chain[-1]
+
+
+def reference_row_insert(t, word):
+    """row_insert as it was before it built its result unchecked: the same
+    bumping, with the result rebuilt through the validating Tableau."""
+    word = _integers(word, "letters")
+    for i, x in enumerate(word):
+        if not 1 <= x <= t.entry_bound:
+            raise ValueError(f"letter {x} outside 1..{t.entry_bound}")
+        if i > 0 and word[i - 1] > x:
+            raise ValueError("word must weakly increase")
+    rows = [list(r) for r in t.rows]
+    chain = [t.shape]
+    for x in word:
+        cur = x
+        r = 0
+        while True:
+            if r == len(rows):
+                rows.append([cur])
+                break
+            idx = bisect_right(rows[r], cur)
+            if idx == len(rows[r]):
+                rows[r].append(cur)
+                break
+            rows[r][idx], cur = cur, rows[r][idx]
+            r += 1
+        chain.append(tuple(len(r_) for r_ in rows))
+    result = Tableau(tuple(tuple(r) for r in rows), t.entry_bound)
+    return result, tuple(chain)
+
+
+def insertion_mismatches():
+    """(insertions, mismatches): every insertion that pieri_bijection_check
+    makes for the chains (a, b) with n <= 6, b = 1..n+1-a_1, done by
+    tableaux.row_insert (read through the module, so a patched one runs)
+    and by reference_row_insert; a mismatch is a different tableau or
+    shape chain, or a refusal by the reference."""
+    cases = {(lambda_of(a), b, a.m)
+             for n in range(2, 7) for m in range(1, n)
+             for a in (DecSeq(n, e) for e in itertools.combinations(range(n, 0, -1), m))
+             for b in range(1, n + 2 - a.entries[0])}
+    insertions = mismatches = 0
+    for lam, b, m in sorted(cases):
+        for s in ssyt_enumerate(lam, m):
+            for strip in ssyt_enumerate((b,), m):
+                got = tableaux.row_insert(s, strip.rows[0])
+                try:
+                    want = reference_row_insert(s, strip.rows[0])
+                except ValueError:
+                    want = None
+                insertions += 1
+                mismatches += got != want
+    return insertions, mismatches
+
+
+class TestTrustedInsertion:
+    """row_insert builds its result through Tableau._trusted: bumping a
+    tableau by a checked word gives a tableau."""
+
+    def test_matches_the_validating_insertion(self, monkeypatch):
+        counts = []
+        built, refused = trusted_refusals(monkeypatch, Tableau,
+                                          lambda: counts.append(insertion_mismatches()))
+        assert counts == [(1717, 0)]
+        # every insertion result, and the enumerated tableaux, pass the
+        # public constructor
+        assert built > 1717 and refused == 0
+
+    def test_bumping_the_leftmost_equal_entry_is_caught(self, monkeypatch):
+        # bisect_left bumps an entry equal to the letter, so a column can
+        # repeat an entry; the reference refuses or differs
+        monkeypatch.setattr(tableaux, "bisect_right", bisect_left)
+        insertions, mismatches = insertion_mismatches()
+        assert mismatches >= insertions // 10, (insertions, mismatches)
 
 
 class TestPieriShapes:
