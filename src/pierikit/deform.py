@@ -155,8 +155,22 @@ def _in_pencil_form(M: Subspace, covectors, family: PolyFamily, l: int) -> bool:
     """Read in the coordinates x_1..x_N on M given by the covectors, is
     every column of the family, coefficient by coefficient, in the form
     (nonzero) t e_j + (nonzero) e_{j+1} for j <= l-2 and (nonzero) e_k for
-    k >= l, with every coefficient in M?"""
-    xs = [_int_row(x) for x in covectors]
+    k >= l, with every coefficient in M?
+
+    Both halves are read by one list of covectors on k^n: each x_i lifted
+    to M's pivot columns (x_i at v's entries there, which are v's
+    coordinates on M), then M's integer annihilator, read off its
+    canonical rows.  A coefficient lies in M and reads (nonzero) e_want
+    in the x coordinates iff want is the one covector of the list that
+    does not vanish on it."""
+    n, pivots = M.ambient, M.pivots
+    phis = []
+    for x in covectors:
+        phi = [0] * n
+        for p, c in zip(pivots, _int_row(x)):
+            phi[p] = c
+        phis.append(phi)
+    phis += [v for _, v in _read_null_vectors(M.rows, pivots, n)]
     shapes = ([(j + 1, j) for j in range(1, l - 1)]
               + [(k,) for k in range(l, M.dim + 1)])
     if family.ncols != len(shapes):
@@ -166,10 +180,7 @@ def _in_pencil_form(M: Subspace, covectors, family: PolyFamily, l: int) -> bool:
             return False
         for k, want in enumerate(shape):
             v = [p[k] if len(p) > k else 0 for p in col]
-            if not M.contains_vector(v):
-                return False
-            coords = [v[p] for p in M.pivots]
-            support = [i for i, x in enumerate(xs, 1) if sum(map(mul, x, coords))]
+            support = [i for i, phi in enumerate(phis, 1) if sum(map(mul, phi, v))]
             if support != [want]:
                 return False
     return True
@@ -184,21 +195,27 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
     is spanned by M_l and t e_j + e_{j+1} over the dual basis e (for l = 2,
     the constant M_2 = L_inf).
 
-    The covectors are read off canonical rows in M's coordinates, with no
-    elimination.  x_{l-1} is the first null vector of L_inf's rows.  For
-    i != l-1, x_i is the null vector of M_{i+1} (of 0 for i = N) at p_i,
-    the one pivot of M_i that M_{i+1} lacks: M_i is M_{i+1} plus M_i's
-    canonical row at p_i, which leads at p_i and is zero at M_{i+1}'s
-    pivots, so the null vector at a free column c vanishes on M_i for every
-    c < p_i and not for c = p_i.  On the coordinate flag, where a chain
-    runs, they are unit covectors.  With x_k = v_k / d_k, the dual vector
-    e_k is d_k times column k of V^-1 (V the matrix of rows v_k), read off
-    one echelon of [V^T | I] (_inverse_rows); a singular V means the
-    covectors are dependent: ValueError.
+    M's coordinates are the chart restrict gives: v in M goes to its
+    entries at M's pivots, a linear map that is one to one on M.  So L_inf,
+    restricted, is checked there to be a hyperplane (restrict refuses an
+    L_inf outside M) through M_l and not through M_{l-1}, each M_i read
+    through the same map.  The covectors are read off canonical rows in
+    M's coordinates, with no elimination.  x_{l-1} is the first null
+    vector of L_inf's rows.  For i != l-1, x_i is the null vector of
+    M_{i+1} (of 0 for i = N) at p_i, the one pivot of M_i that M_{i+1}
+    lacks: M_i is M_{i+1} plus M_i's canonical row at p_i, which leads at
+    p_i and is zero at M_{i+1}'s pivots, so the null vector at a free
+    column c vanishes on M_i for every c < p_i and not for c = p_i.  On
+    the coordinate flag, where a chain runs, they are unit covectors.  With
+    x_k = v_k / d_k, the dual vector e_k is d_k times column k of V^-1 (V
+    the matrix of rows v_k), read off one echelon of [V^T | I]
+    (_inverse_rows); a singular V means the covectors are dependent:
+    ValueError.
 
     The fibres are proved, not sampled.  The dual vectors are independent,
-    so e_i in M_i for each i, and the N-1 vectors other than e_{l-1} in
-    L_inf, checked on the integer vectors, prove that the tails span the
+    so e_i in M_i for each i, checked on the integer vectors in k^n, and
+    the N-1 vectors other than e_{l-1} in L_inf, checked in the chart
+    (each lies in M by the first check), prove that the tails span the
     flag and those vectors L_inf.  Then every t-coefficient of every column
     of the integer forms the Pencil holds is checked to lie in M and to
     read, in the x coordinates, (nonzero) t e_j + (nonzero) e_{j+1} for a
@@ -222,20 +239,25 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
             raise ValueError(f"M_{i + 1} of the flag in M is not contained in M_{i}")
     if not 2 <= l <= N + 1:
         raise ValueError("marked position l must satisfy 2 <= l <= dim M + 1")
-    lower, upper = _mflag_space(mflag, l, M.ambient), mflag[l - 2]
-    if not (M.contains(L_inf) and L_inf.dim == N - 1):
-        raise ValueError("marked subspace must be a hyperplane of M")
-    if not L_inf.contains(lower):
-        raise ValueError("marked hyperplane must contain M_l")
-    if L_inf.contains(upper):
-        raise ValueError("marked hyperplane must not contain M_(l-1)")
+    if L_inf.ambient != M.ambient:
+        raise ValueError("ambient mismatch")
 
-    # M_1, ..., M_N and then M_(N+1) = 0, in M's coordinates
+    # M_1, ..., M_N and then M_(N+1) = 0, in M's coordinates; restrict
+    # refuses an L_inf outside M
     inner = [M.restrict(s) for s in mflag] + [zero_subspace(N)]
+    try:
+        marked = M.restrict(L_inf)
+    except ValueError:
+        marked = None
+    if marked is None or marked.dim != N - 1:
+        raise ValueError("marked subspace must be a hyperplane of M")
+    if not marked.contains(inner[l - 1]):
+        raise ValueError("marked hyperplane must contain M_l")
+    if marked.contains(inner[l - 2]):
+        raise ValueError("marked hyperplane must not contain M_(l-1)")
     x = [_null_vector(below.rows, below.pivots,
                       next(c for c in above.pivots if c not in below.pivots), N)
          for above, below in zip(inner, inner[1:])]
-    marked = M.restrict(L_inf)
     x[l - 2] = _read_null_vectors(marked.rows, marked.pivots, N)[0]
     covectors = [v for _, v in x]
     inverse = _inverse_rows(list(zip(*covectors)))
@@ -253,7 +275,8 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
     for i in range(1, N + 1):
         if not mflag[i - 1].contains_vector(dual[i - 1]):
             raise VerificationError(f"dual basis tail {i} does not span M_{i}")
-    if not all(L_inf.contains_vector(dual[q]) for q in range(N) if q != l - 2):
+    if not all(marked.contains_vector([v[p] for p in M.pivots])
+               for q, v in enumerate(dual) if q != l - 2):
         raise VerificationError(f"dual basis without vector {l - 1} does not span L_inf")
 
     family = _pencil_columns(M.ambient, [(P * s, w) for w, (s, _) in zip(dual, inverse)], l)
@@ -315,11 +338,14 @@ class StepReport(Verdict):
 
 def _kills_family(covectors, fam: PolyFamily) -> bool:
     """Does every covector vanish on every t-coefficient of every column of
-    fam, that is on every fibre of fam at once?"""
-    return all(
-        not any(sum(c * p[k] for c, p in zip(phi, col) if len(p) > k)
-                for k in range(deg + 1))
-        for _, deg, col in fam._forms for phi in covectors)
+    fam, that is on every fibre of fam at once?  Each coefficient vector is
+    built once and every covector is tried on it."""
+    for _, deg, col in fam._forms:
+        for k in range(deg + 1):
+            v = [p[k] if len(p) > k else 0 for p in col]
+            if any(sum(map(mul, phi, v)) for phi in covectors):
+                return False
+    return True
 
 
 def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
@@ -404,6 +430,7 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
     for b in level:
         j = first_diff_index(a, b)
         kids = tuple(children.get(b, ()))
+        name = f"component {b}"
         claimed.extend(kids)
         if j == 1:
             # the carried Schubert variety is relabeled, not deformed: the
@@ -411,7 +438,7 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
             want = (b.bump(1),) if b.entries[0] < a.n else ()
             ok = kids == want
             checks.append(StageCheck(
-                f"component {b}: branches in row 1 only", ok,
+                f"{name}: branches in row 1 only", ok,
                 detail=" ".join(str(g) for g in kids)))
             records.append(ComponentRecord(b, j, kids))
             continue
@@ -428,12 +455,12 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
                   and _kills_family(flag._adapted_coords[:bj - 1], moving)
                   and moving.ncols == meets_t[bj - 1])
         checks.append(StageCheck(
-            f"component {b}: moving plane is F_{bj} cap L_t", fam_ok))
+            f"{name}: moving plane is F_{bj} cap L_t", fam_ok))
         expected = _mflag_space(mflag, N + 1 - meets[bj], a.n)
         checks.append(StageCheck(
-            f"component {b}: limit is F_{bj + 1} cap M", lim == expected))
+            f"{name}: limit is F_{bj + 1} cap M", lim == expected))
         checks.append(StageCheck(
-            f"component {b}: limit has the generic fibre dimension",
+            f"{name}: limit has the generic fibre dimension",
             lim.dim == N - q))
         # the limit lies in F_b, and its flag position from F_b on is its
         # position under the flag induced on F_b (see restrict_flag)
@@ -444,13 +471,13 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
         except ValueError:
             cell_ok = False
         checks.append(StageCheck(
-            f"component {b}: limit lies in the restricted level-{s - 1} cell",
+            f"{name}: limit lies in the restricted level-{s - 1} cell",
             cell_ok))
         lifted = tuple(
             b.bump(first_diff_index(b_r, g_r)) for g_r in pieri_set(b_r, 1)
         )
         checks.append(StageCheck(
-            f"component {b}: children match the restricted branch set",
+            f"{name}: children match the restricted branch set",
             frozenset(lifted) == frozenset(kids) and len(set(lifted)) == len(lifted),
             detail=" ".join(str(g) for g in kids)))
         records.append(ComponentRecord(b, j, kids, limit_dim=lim.dim))
@@ -479,10 +506,16 @@ def _descend_hyperplane(a: DecSeq, s: int, flag: Flag, M: Subspace, rng) -> Subs
     All in integers.  top's annihilator basis is read off its canonical
     rows as pairs (d, v), each v scaled to the common denominator D, so a
     draw's covector is D times the same combination of the Fraction
-    annihilator and cuts the same hyperplane of k^N.  Each integer null
-    vector y of it is lifted through M's rows scaled to one pivot multiple
-    P (_scaled_lift) to P times the vector with coordinates y on M's
-    canonical basis, so span gives the L of the Fraction draw.
+    annihilator and cuts the same hyperplane of k^N.  With c its last
+    nonzero entry, at column p, the vectors c e_j - c_j e_p for j != p are
+    its kernel in reduced echelon form, up to scale (a zero covector keeps
+    all of k^N).  Each is lifted through M's rows scaled to one pivot
+    multiple P (_scaled_lift), as the same combination of two lifted rows,
+    to P times the vector with those coordinates on M's canonical basis: a
+    vector of M leads at M's pivot for its first nonzero coordinate and
+    reads its coordinates at M's pivots, so the lifts are L's canonical
+    rows up to scale, and span gives the L of the Fraction draw with no
+    row operation.
     """
     N = M.dim
     top = M.restrict(flag.subspace(a.entries[0] + s))
@@ -493,8 +526,13 @@ def _descend_hyperplane(a: DecSeq, s: int, flag: Flag, M: Subspace, rng) -> Subs
     for _ in range(64):
         coeffs = [rng.randint(-9, 9) for _ in ann]
         covector = [sum(map(mul, coeffs, col)) for col in zip(*ann)]
-        inside = [[sum(map(mul, v, col)) for col in zip(*lift)]
-                  for _, v in _null_vectors([covector], N)]
+        p = max((j for j, x in enumerate(covector) if x), default=None)
+        if p is None:
+            inside = lift
+        else:
+            c, last = covector[p], lift[p]
+            inside = [[c * x - covector[j] * y for x, y in zip(lift[j], last)]
+                      for j in range(N) if j != p]
         L = span(M.ambient, *inside)
         if cell_member(L, a, s, flag):
             return L
@@ -521,15 +559,17 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
     gF_j cap gL), and a report carries only indices, dimensions and named
     clauses.  Flag.frame, v -> (phi_1(v), ..., phi_n(v)) over the flag's
     integer adapted covectors, is such a g and carries each F_j onto the
-    standard F_j.  So K is mapped once (span of its framed rows) and the
-    rest runs on standard_flag(n), whose coordinates do not grow with n and
-    whose flag positions are read off canonical rows.  cell_point draws in
-    the adapted basis, which g sends to positive multiples of unit vectors,
-    so its point is the direct run's up to a diagonal scaling that fixes
-    every standard flag space.  _descend_hyperplane draws covectors in M's
-    canonical coordinates, which g changes, so it picks other hyperplanes
-    than a direct run; the conditions are open, so either draw lands in the
-    same generic flag position, and the reports come out equal.
+    standard F_j.  So K is mapped once (span of its framed rows; on the
+    coordinate flag the covectors are e_1, ..., e_n and K is its own frame)
+    and the rest runs on standard_flag(n), whose coordinates do not grow
+    with n and whose flag positions are read off canonical rows.
+    cell_point draws in the adapted basis, which g sends to positive
+    multiples of unit vectors, so its point is the direct run's up to a
+    diagonal scaling that fixes every standard flag space.
+    _descend_hyperplane draws covectors in M's canonical coordinates, which
+    g changes, so it picks other hyperplanes than a direct run; the
+    conditions are open, so either draw lands in the same generic flag
+    position, and the reports come out equal.
     """
     if b < 1:
         raise ValueError("chain length must be at least 1")
@@ -543,8 +583,10 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
     if not meets_properly(K, flag):
         raise ValueError("general position must meet the flag properly")
 
-    # the flag's adapted covectors carry F_j onto the standard F_j
-    K = span(n, *[flag.frame(v) for v in K.rows])
+    # the flag's adapted covectors carry F_j onto the standard F_j; on the
+    # coordinate flag they are e_1, ..., e_n, and K is its own frame
+    if not flag._is_coordinate:
+        K = span(n, *[flag.frame(v) for v in K.rows])
     flag = standard_flag(n)
 
     rng = random.Random(seeds)

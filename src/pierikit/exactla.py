@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import islice, repeat
 from math import gcd, lcm
 from operator import mul
@@ -233,40 +233,53 @@ def unit_vector(n: int, i: int) -> Vec:
 
 _EXACT = (int, Fraction)
 _EXACT_TYPES = frozenset(_EXACT)
+_INT = frozenset((int,))
 
 
 def _scaled_row(row) -> tuple[list[int], int]:
     """(ints, d) with row == ints / d, d > 0 the lcm of the denominators."""
     types = set(map(type, row))
-    if types == {int}:
+    if types == _INT:
         return list(row), 1
     if not types.issubset(_EXACT):
         for x in row:
             if not isinstance(x, _EXACT):
                 raise TypeError("exact elimination takes int or Fraction "
                                 f"entries, not {type(x).__name__}")
+    return _ratio_scaled(row)
+
+
+def _ratio_scaled(row) -> tuple[list[int], int]:
+    """_scaled_row for a row already known to hold int or Fraction entries
+    (int subclasses such as bool included): each entry over the lcm of the
+    denominators, as plain ints."""
     ratios = [x.as_integer_ratio() for x in row]
     den = lcm(*[d for _, d in ratios])
     return [n * (den // d) for n, d in ratios], den
 
 
 def _int_row(row) -> list[int]:
-    """The row scaled to a primitive integer vector (zero stays zero)."""
-    ints, _ = _scaled_row(row)
+    """The row scaled to a primitive integer vector (zero stays zero).  A
+    row whose entries are all of type int itself is copied as it is; any
+    other goes through _scaled_row, so bools come out as plain ints."""
+    ints = list(row) if _INT.issuperset(map(type, row)) else _scaled_row(row)[0]
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
 
 def _int_vector(v, n: int) -> tuple[list[int], int]:
     """(ints, d) with v == ints / d for a vector of length n; v may be
-    anything vec takes."""
+    anything vec takes.  Its entry types are read once: all of type int
+    gives (a copy of v, 1), int and Fraction are scaled, anything else
+    goes through vec first."""
     if not isinstance(v, (tuple, list)):
         v = tuple(v)
-    if not set(map(type, v)).issubset(_EXACT):
+    types = set(map(type, v))
+    if types != _INT and not types.issubset(_EXACT):
         v = vec(v)
     if len(v) != n:
         raise ValueError(f"expected vector of length {n}, got {len(v)}")
-    return _scaled_row(v)
+    return (list(v), 1) if types == _INT else _ratio_scaled(v)
 
 
 def _echelon(rows):
@@ -278,6 +291,12 @@ def _echelon(rows):
     gives the canonical reduced echelon form.  Each update is a
     cross-multiplication followed by division by the row's content, so
     every row stays primitive.
+
+    At column c the pivot row and every row below it are zero left of c
+    (each earlier column was a pivot column, cleared in the other rows,
+    or zero from the pivot row down), so those rows are updated from
+    column c on; a row above the pivot row only has its prefix scaled by
+    the cross-multiplier, since the pivot row is zero there.
     """
     work = [r for r in map(_int_row, rows) if any(r)]
     pivots = []
@@ -298,15 +317,20 @@ def _echelon(rows):
             piv = [-x for x in piv]
             p = -p
         work[prow] = piv
+        suffix, zeros = piv[c:], [0] * c
         for r in range(nrows):
             row = work[r]
             f = row[c]
             if f and r != prow:
                 g = gcd(p, f)
                 a, b = p // g, f // g
-                new = [a * x - b * y for x, y in zip(row, piv)]
+                new = [a * x - b * y for x, y in zip(row[c:], suffix)]
+                if r < prow:
+                    new[:0] = [a * x for x in row[:c]] if a != 1 else row[:c]
                 g = gcd(*new)
-                work[r] = [x // g for x in new] if g > 1 else new
+                if g > 1:
+                    new = [x // g for x in new]
+                work[r] = new if r < prow else zeros + new
         pivots.append(c)
         prow += 1
         if prow == nrows:
@@ -545,22 +569,30 @@ class Subspace(Record):
         so a's pivots are among them, and a's canonical rows read at these
         pivots are already in reduced echelon form with positive pivots;
         each only needs dividing by its content, and its local pivot is its
-        first nonzero coordinate.  Containment is checked row by row as in
-        contains: a row that is one of this space's canonical rows skips
-        the back substitution (its coordinates are still read), any other
-        row outside raises ValueError.
+        first nonzero coordinate.  A row that is this space's canonical row
+        i (the one whose pivot is the row's pivot) reads its pivot entry at
+        pivot i and 0 at the others, so it restricts to the unit row e_i
+        with no coordinates read, no gcd and no back substitution; on the
+        coordinate flag every space of the flag in M is a tail of M's rows,
+        so all its rows are such.  Any other row is back-substituted as in
+        contains, and one outside raises ValueError.
         """
         if a.ambient != self.ambient:
             raise ValueError("ambient mismatch")
-        own, rows, pivots = self.rows, [], []
-        for row in a.rows:
-            if row not in own and any(self._back_substitute(row)[0]):
+        own, mine, dim, rows, pivots = self.rows, self.pivots, self.dim, [], []
+        for row, p in zip(a.rows, a.pivots):
+            i = bisect_left(mine, p)
+            if i < dim and own[i] == row:
+                rows.append(_unit_row(dim, i))
+                pivots.append(i)
+                continue
+            if any(self._back_substitute(row)[0]):
                 raise ValueError("subspace is not contained in the chart space")
-            coords = [row[p] for p in self.pivots]
+            coords = [row[c] for c in mine]
             g = gcd(*coords)
             rows.append(tuple(x // g for x in coords) if g > 1 else tuple(coords))
             pivots.append(next((i for i, x in enumerate(coords) if x), -1))
-        return Subspace._trusted(self.dim, tuple(rows), tuple(pivots))
+        return Subspace._trusted(dim, tuple(rows), tuple(pivots))
 
     def __str__(self):
         if self.is_zero:
@@ -588,7 +620,7 @@ def canonicalize(vectors, ambient: int) -> Subspace:
     reduced, pivots = rref(_of_length(vectors, ambient))
     # a row with pivot entry 1 is primitive once its denominators are cleared
     return Subspace._trusted(
-        ambient, tuple([tuple(_scaled_row(row)[0]) for row in reduced]), tuple(pivots))
+        ambient, tuple([tuple(_ratio_scaled(row)[0]) for row in reduced]), tuple(pivots))
 
 
 def _check_ambient(n: int) -> None:
@@ -622,8 +654,11 @@ def coordinate_subspace(ambient: int, indices) -> Subspace:
     return span(ambient, *[unit_vector(ambient, i) for i in indices])
 
 
+@lru_cache(maxsize=None)
 def _unit_row(n: int, p: int) -> tuple[int, ...]:
-    """The canonical row of e_{p+1} in k^n: 1 at column p, 0 elsewhere."""
+    """The canonical row of e_{p+1} in k^n: 1 at column p, 0 elsewhere.
+    Built once per (n, p) and shared, as every unit row restrict reads off
+    an own row is."""
     return (0,) * p + (1,) + (0,) * (n - 1 - p)
 
 
@@ -869,10 +904,12 @@ def flag_from_basis(vectors) -> Flag:
 # first).
 
 def ptrim(c) -> Poly:
-    c = list(c)
+    """The coefficients as a tuple without trailing zeros; a tuple that
+    ends in a nonzero coefficient is returned as it is."""
+    c = tuple(c)
     while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+        c = c[:-1]
+    return c
 
 
 def _column_form(den: int, polys) -> tuple:
@@ -983,22 +1020,31 @@ def limit_at_zero(fam: PolyFamily) -> Subspace:
     the content and continue.  Rescaling a column by a nonzero constant
     changes neither its span nor which columns a vanishing combination
     involves.  The loop must stop because each division strictly drops the
-    t-order of a nonzero maximal minor.  A family of generic rank below its
-    column count, which no full-rank point shows, raises ValueError; a rank
-    of d at t = 1 already proves generic rank d.
+    t-order of a nonzero maximal minor.
+
+    Generic rank d is proved from t = 0 first: d columns independent at 0
+    have a nonzero d x d minor there, a nonzero polynomial, so the limit is
+    the fibre at 0 with no point evaluated.  Only when the first kernel at
+    0 is nonempty are full-rank points looked for; a family of generic rank
+    below its column count has none (its fibre at 0 is dependent too) and
+    raises ValueError, and a rank of d at t = 1 already proves generic rank
+    d.
     """
     d = fam.ncols
     if d == 0:
         return zero_subspace(fam.ambient)
-    if next(fam.full_rank_points(), None) is None:
-        raise ValueError(f"family does not have generic rank {d}")
     cols = [list(col) for _, _, col in fam._forms]
     budget = d * (fam.max_degree() + 2) + 8
+    generic = False
     while True:
         ev = [[p[0] if p else 0 for p in col] for col in cols]
         null = kernel_basis(list(zip(*ev)), d)
         if not null:
             return canonicalize(ev, fam.ambient)
+        if not generic:
+            if next(fam.full_rank_points(), None) is None:
+                raise ValueError(f"family does not have generic rank {d}")
+            generic = True
         c = _int_row(null[0])
         used = [q for q in range(d) if c[q]]
         combo = []

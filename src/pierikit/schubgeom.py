@@ -537,10 +537,14 @@ def y_cycle(a: DecSeq, r: int, s: int, flag: Flag, L: Subspace) -> frozenset:
     return cycle_signature(a, r, s)
 
 
+@lru_cache(maxsize=None)
 def cycle_signature(a: DecSeq, r: int, s: int) -> frozenset:
     """y_cycle for a subspace already known to lie in the incidence cell with
     parameter s: the _cycle_labels of the r-step branch set, or of a alone
-    when r = 0.  Two labels with the same entries raise ValueError.
+    when r = 0.  Two labels with the same entries raise ValueError.  It is
+    pure combinatorics of (a, r, s) and its value is a frozenset, so it is
+    cached by value, as pieri_set is; a raised ValueError is not cached,
+    so a second call raises it again.
     """
     labels = _cycle_labels(a, pieri_set(a, r) if r else (a,), s)
     if len({label[1] for label in labels}) != len(labels):

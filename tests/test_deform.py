@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import fraction_reference as ref
+import step_reference as step_ref
 from pierikit import cli, deform, schubgeom
 from pierikit.deform import (
     GoldenReport,
@@ -380,7 +381,8 @@ class TestStepVerify:
         # check lets the L_inf that misses F_9 through to a later raise
         monkeypatch.setattr(deform, "build_pencil", ref.source_mutant(
             deform.build_pencil,
-            'if not L_inf.contains(lower):\n        raise ValueError("marked hyperplane must contain M_l")',
+            'if not marked.contains(inner[l - 1]):\n'
+            '        raise ValueError("marked hyperplane must contain M_l")',
             "pass"))
         got = step_precondition_outcomes()
         assert [row for row, (*_, message) in STEP_PRECONDITIONS.items()
@@ -1728,8 +1730,9 @@ class TestIntegerSteps:
         coordinate flag of M's chart and every covector read off is a unit
         covector.  On flags in M cut out by standard, reversed and random
         flags, build_pencil still checks the search covectors and returns
-        the search Pencil, and it reads null vectors off one space's rows,
-        for x_(l-1)."""
+        the search Pencil, and it reads null vectors off two spaces' rows:
+        the marked space's in M's chart, for x_(l-1), then M's own in k^n,
+        for the annihilator _in_pencil_form checks containment with."""
         checked, searched = recorded_covectors(monkeypatch), []
         real = deform._read_null_vectors
         monkeypatch.setattr(deform, "_read_null_vectors",
@@ -1742,7 +1745,9 @@ class TestIntegerSteps:
             covectors, want = search_pencil(mf, l, L_inf)
             assert checked == [[_int_row(x) for x in covectors]], (l, str(mf[0]))
             assert got == want, (l, str(mf[0]))
-            assert len(searched) == 1
+            M = mf[0]
+            assert [args[0] for args in searched] == [M.restrict(L_inf).rows, M.rows]
+            assert [args[2] for args in searched] == [M.dim, M.ambient]
             units += all(sorted(x) == [0] * (len(x) - 1) + [1] for x in covectors)
         assert units < len(cases) // 2, units
 
@@ -1944,3 +1949,295 @@ def test_chain_reads_no_fraction_columns(monkeypatch):
     K = span(9, *[e(i) for i in range(1, 6)])
     assert all(rep.passed for rep in chain_deformation(A741, 2, FLAG, K, seeds=0))
     assert golden_run_741().passed
+
+
+# ----------------------------------------------------------------------
+# The per-stage checks at a lower cost.  _kills_family builds each
+# coefficient vector once; _in_pencil_form reads containment in M and the
+# x coordinates with one list of covectors; build_pencil reads the marked
+# space's checks in M's chart; chain_deformation leaves K as it is on the
+# coordinate flag.  The versions they replaced are the references:
+# step_reference's, marked_refusal, and chain_deformation recompiled to
+# frame K on every flag.
+
+def pencil_tails(cases):
+    """(mflag, pencil, q, tail) for the pencil of every case and each of
+    its column tails restricted_family(q), q = 1..l-1."""
+    out = []
+    for mf, l, L_inf in cases:
+        pencil = build_pencil(mf, l, L_inf)
+        out.extend((mf, pencil, q, pencil.restricted_family(q)) for q in range(1, l))
+    return out
+
+
+def annihilator_rows(S):
+    """S's integer annihilator, read off its canonical rows."""
+    return [v for _, v in exactla._read_null_vectors(S.rows, S.pivots, S.ambient)]
+
+
+def kills_family_disagreements(kills, tails):
+    """(disagreements, verdicts) of kills against the generator reference
+    on every tail with the annihilator of each space M_i of its flag in M;
+    verdicts counts the reference's True and False."""
+    wrong, verdicts = 0, Counter()
+    for mf, _, _, tail in tails:
+        for S in mf:
+            covectors = annihilator_rows(S)
+            want = step_ref.kills_family(covectors, tail)
+            verdicts[want] += 1
+            wrong += kills(covectors, tail) != want
+    return wrong, verdicts
+
+
+class TestKillsFamily:
+    def test_matches_the_generator_on_every_tail(self):
+        """The tail from q lies in M_i exactly for i <= q: both verdicts
+        come up on the 98 pencil_cases()."""
+        wrong, verdicts = kills_family_disagreements(deform._kills_family,
+                                                     pencil_tails(pencil_cases()))
+        assert wrong == 0 and verdicts[True] >= 500 and verdicts[False] >= 500, verdicts
+
+    def test_constant_terms_only_fails(self):
+        """The tail from q <= l-2 has t-coefficient e_q outside M_(q+1),
+        which a check of the constant terms alone misses."""
+        mutant = ref.source_mutant(deform._kills_family, "for k in range(deg + 1)",
+                                   "for k in range(1)")
+        assert kills_family_disagreements(mutant, pencil_tails(pencil_cases()))[0] >= 100
+
+
+def pencil_form_inputs(monkeypatch, cases):
+    """(M, covectors, family, l) of every _in_pencil_form call that
+    build_pencil makes on the cases."""
+    seen = []
+    real = deform._in_pencil_form
+
+    def recording(M, covectors, family, l):
+        seen.append((M, covectors, family, l))
+        return real(M, covectors, family, l)
+
+    with monkeypatch.context() as m:
+        m.setattr(deform, "_in_pencil_form", recording)
+        for mf, l, L_inf in cases:
+            build_pencil(mf, l, L_inf)
+    return seen
+
+
+def perturbed(family, k, coefficient, change):
+    """family with coefficient of column k replaced by change(v) of its
+    integer vector v, the column's form recomputed."""
+    forms = list(family._forms)
+    den, deg, polys = forms[k]
+    coeffs = [[p[j] if len(p) > j else 0 for p in polys] for j in range(deg + 1)]
+    coeffs[coefficient] = change(coeffs[coefficient])
+    forms[k] = exactla._column_form(den, [tuple(c[i] for c in coeffs)
+                                          for i in range(family.ambient)])
+    return PolyFamily._trusted(family.ambient, tuple(forms))
+
+
+def pencil_form_variants(M, family):
+    """(label, family) for the built family and families that break it:
+    its last column's constant term moved off M by a unit vector at a
+    column where M has no pivot; its first column's constant term plus
+    its last column's; its first two columns swapped; its last column
+    times t."""
+    out = [("built", family)]
+    k = family.ncols - 1
+    free = [c for c in range(M.ambient) if c not in M.pivots]
+    if free:
+        out.append(("off M", perturbed(family, k, 0, lambda v: [
+            x + (c == free[0]) for c, x in enumerate(v)])))
+    if family.ncols >= 2:
+        last = [p[0] if p else 0 for p in family._forms[k][2]]
+        out.append(("two supports", perturbed(family, 0, 0, lambda v: [
+            x * family._forms[k][0] + y * family._forms[0][0] for x, y in zip(v, last)])))
+        forms = family._forms
+        out.append(("swapped", PolyFamily._trusted(
+            family.ambient, (forms[1], forms[0]) + forms[2:])))
+    den, deg, polys = family._forms[k]
+    out.append(("times t", PolyFamily._trusted(family.ambient, family._forms[:k] + (
+        exactla._column_form(den, [(0,) + tuple(p) for p in polys]),))))
+    return out
+
+
+def pencil_form_disagreements(monkeypatch, form):
+    """(disagreements, verdicts by label) of form against the back-
+    substituted reference on every variant of every pencil_cases() family."""
+    wrong, verdicts = 0, Counter()
+    for M, covectors, family, l in pencil_form_inputs(monkeypatch, pencil_cases()):
+        for label, fam in pencil_form_variants(M, family):
+            want = step_ref.pencil_form(M, covectors, fam, l)
+            verdicts[label, want] += 1
+            wrong += form(M, covectors, fam, l) != want
+    return wrong, verdicts
+
+
+class TestPencilForm:
+    def test_matches_the_back_substituted_check(self, monkeypatch):
+        wrong, verdicts = pencil_form_disagreements(monkeypatch, deform._in_pencil_form)
+        assert wrong == 0, verdicts
+        assert verdicts["built", True] == 98 and verdicts["built", False] == 0
+        assert all(verdicts[label, False] >= 60 and not verdicts[label, True]
+                   for label in ("off M", "two supports", "swapped", "times t")), verdicts
+
+    def test_without_the_annihilator_fails(self, monkeypatch):
+        """Read in the x coordinates alone, a coefficient moved off M by a
+        vector zero at M's pivots looks unchanged."""
+        mutant = ref.source_mutant(
+            deform._in_pencil_form,
+            "phis += [v for _, v in _read_null_vectors(M.rows, pivots, n)]", "pass")
+        assert pencil_form_disagreements(monkeypatch, mutant)[0] >= 60
+
+
+def marked_refusal(mflag, l, L_inf):
+    """The message with which build_pencil's checks of L_inf refused it,
+    as they read in k^n before they moved into M's chart, or None."""
+    M = mflag[0]
+    lower, upper = deform._mflag_space(mflag, l, M.ambient), mflag[l - 2]
+    if not (M.contains(L_inf) and L_inf.dim == M.dim - 1):
+        return "marked subspace must be a hyperplane of M"
+    if not L_inf.contains(lower):
+        return "marked hyperplane must contain M_l"
+    if L_inf.contains(upper):
+        return "marked hyperplane must not contain M_(l-1)"
+    return None
+
+
+def marked_candidates(mf, l, L_inf, rng):
+    """L_inf; M; hyperplanes of M marked at every other position; L_inf
+    with a row moved off M; L_inf less its first row; a space of another
+    ambient dimension."""
+    M = mf[0]
+    out = [L_inf, M]
+    out += [marked_at(mf, k, rng) for k in range(2, M.dim + 2) if k != l]
+    free = [c for c in range(M.ambient) if c not in M.pivots]
+    if free and L_inf.rows:
+        moved = [x + (c == free[-1]) for c, x in enumerate(L_inf.rows[0])]
+        out.append(span(M.ambient, moved, *L_inf.rows[1:]))
+    out.append(span(M.ambient, *L_inf.rows[1:]))
+    out.append(zero_subspace(M.ambient + 1))
+    return out
+
+
+def marked_outcomes(build):
+    """(outcome of build, want) per marked candidate of every
+    pencil_cases() case, an outcome being "built" or the ValueError's
+    message; want comes from marked_refusal."""
+    rng = random.Random(19960106)
+    out = []
+    for mf, l, L_inf in pencil_cases():
+        for L in marked_candidates(mf, l, L_inf, rng):
+            try:
+                build(mf, l, L)
+                got = "built"
+            except ValueError as exc:
+                got = str(exc)
+            if L.ambient != mf[0].ambient:
+                want = "ambient mismatch"
+            else:
+                want = marked_refusal(mf, l, L) or "built"
+            out.append((got, want))
+    return out
+
+
+class TestMarkedChecksInTheChart:
+    def test_refusals_match_the_checks_in_k_n(self):
+        outcomes = marked_outcomes(build_pencil)
+        assert all(got == want for got, want in outcomes)
+        seen = Counter(want for _, want in outcomes)
+        assert len(seen) == 5 and min(seen.values()) >= 90, seen
+
+    def test_upper_space_read_one_position_down_fails(self):
+        mutant = ref.source_mutant(build_pencil, "if marked.contains(inner[l - 2]):",
+                                   "if marked.contains(inner[l - 1]):")
+        assert sum(got != want for got, want in marked_outcomes(mutant)) >= 98
+
+
+def chain_outcome(chain, a, b, flag, K, seeds):
+    """The reports' JSON, or the class and message of what chain raised."""
+    try:
+        return [rep.to_json() for rep in chain(a, b, flag, K, seeds=seeds)]
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def framing_chains():
+    """(a, b, flag, K, seeds) for every chain at n = 5 on the standard
+    flag with the coordinate K and on the reversed flag with the reversed
+    K, and the standard-flag chains of sweep_chains()."""
+    out = []
+    for k, (a, b) in enumerate(every_chain(5)):
+        out.append((a, b, standard_flag(5), coordinate_k(5, a, b), k))
+        out.append((a, b, reversed_flag(5), reversed_k(5, a, b), k))
+    return out + [c for c in sweep_chains() if c[2] == standard_flag(c[0].n)]
+
+
+class TestCoordinateFlagFrame:
+    ALWAYS_FRAMED = ("if not flag._is_coordinate:", "if True:")
+
+    def test_reports_equal_the_framed_chain(self, monkeypatch):
+        """On the coordinate flag K is its own frame: no vector is framed,
+        and the reports equal those of a chain that frames K anyway."""
+        framed = ref.source_mutant(chain_deformation, *self.ALWAYS_FRAMED)
+        cases = framing_chains()
+        want = [chain_outcome(framed, *case) for case in cases]
+        assert all(isinstance(w, list) for w in want)
+        real = Flag.frame
+
+        def frame(flag, v):
+            assert not flag._is_coordinate, "framed through the coordinate flag"
+            return real(flag, v)
+
+        monkeypatch.setattr(Flag, "frame", frame)
+        assert [chain_outcome(chain_deformation, *case) for case in cases] == want
+
+    def test_skipping_the_frame_on_any_coordinate_order_fails(self):
+        """The reversed flag has a coordinate order, the reversal, under
+        which K must still be framed."""
+        mutant = ref.source_mutant(chain_deformation, "if not flag._is_coordinate:",
+                                   "if flag._coordinate_order is None:")
+        cases = [c for c in framing_chains() if c[2] == reversed_flag(5)]
+        assert sum(chain_outcome(mutant, *case) != chain_outcome(chain_deformation, *case)
+                   for case in cases) >= 40
+
+
+def chain_pencils(n):
+    """(mflag, l, L_inf) of every pencil built in every chain at n on the
+    standard flag, with the coordinate K."""
+    cases = []
+    real = deform.build_pencil
+
+    def recording(mflag, l, L_inf):
+        cases.append((mflag, l, L_inf))
+        return real(mflag, l, L_inf)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(deform, "build_pencil", recording)
+        for k, (a, b) in enumerate(every_chain(n)):
+            chain_deformation(a, b, standard_flag(n), coordinate_k(n, a, b), seeds=k)
+    return cases
+
+
+@pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
+                    reason="every chain at n = 8, 9; set PIERIKIT_SLOW=1 to run them")
+@pytest.mark.parametrize("n", [8, 9])
+def test_pencil_differential_n8_9(n, monkeypatch):
+    """Every pencil of every chain at n = 8, 9 on the standard flag: its
+    pencil-form check, and on each column tail the limit and the
+    coefficientwise kill by the flag's first j adapted covectors for every
+    j, all agree with the references."""
+    flag = standard_flag(n)
+    cases = chain_pencils(n)
+    inputs = pencil_form_inputs(monkeypatch, cases)
+    assert len(inputs) == len(cases) >= 400
+    assert all(deform._in_pencil_form(*args) == step_ref.pencil_form(*args) is True
+               for args in inputs)
+    tails = pencil_tails(cases)
+    verdicts = Counter()
+    for _, _, _, tail in tails:
+        assert limit_at_zero(tail) == step_ref.limit_at_zero(tail)
+        for j in range(n + 1):
+            covectors = flag._adapted_coords[:j]
+            want = step_ref.kills_family(covectors, tail)
+            assert deform._kills_family(covectors, tail) == want
+            verdicts[want] += 1
+    assert verdicts[True] >= 1000 and verdicts[False] >= 1000, verdicts

@@ -1,6 +1,7 @@
 """Tests for the exact linear algebra layer: subspaces, flags, charts, and
 one-parameter families with their flat limits."""
 
+import json
 import os
 import random
 from bisect import bisect_left
@@ -12,6 +13,7 @@ from math import gcd
 import pytest
 
 import fraction_reference as ref
+import step_reference as step_ref
 import pierikit.exactla as exactla
 from pierikit.exactla import (
     Flag,
@@ -565,6 +567,100 @@ class TestExactInputs:
         assert piv == [0, 1]
         assert red == [(1, 0), (0, 1)]
 
+    def test_bool_and_int_subclass_rows_come_out_as_plain_ints(self):
+        """The integer fast paths take a row only when every entry's type
+        is int itself: bools and other int subclasses are read as their
+        values, so canonical rows, scaled vectors and JSON hold plain ints."""
+        class Small(int):
+            pass
+
+        def plain(rows):
+            return all(type(x) is int for row in rows for x in row)
+
+        rows = [(True, False, True), (False, True, True)]
+        for feed in (rows, [tuple(map(Small, row)) for row in rows],
+                     [(True, 0, Small(1)), (0, Small(1), True)]):
+            s = span(3, *feed)
+            assert s.rows == ((1, 0, 1), (0, 1, 1)) and plain(s.rows)
+            assert s.pivots == (0, 1) and s == Subspace(3, ((1, 0, 1), (0, 1, 1)))
+            assert json.dumps(subspace_to_json(s)) == (
+                '{"ambient": 3, "basis": [["1", "0", "1"], ["0", "1", "1"]]}')
+            assert s.contains_vector(feed[0]) and s.contains_vector((True, True, 2))
+            assert not s.contains_vector((True, True, False))
+            for row in feed:
+                assert plain([exactla._int_row(row)])
+                ints, d = exactla._int_vector(row, 3)
+                assert d == 1 and plain([ints]) and ints == [int(x) for x in row]
+        assert exactla._int_row([Small(2), True, 0]) == [2, 1, 0]
+
+
+def scaler_rows(rng):
+    """Seeded rows for the row scalers: all-int (some 150-bit), Fraction,
+    int and Fraction mixed, bool, an int subclass mixed with ints, zero
+    and empty rows, as lists, tuples and (for _int_vector) generators."""
+    class Small(int):
+        pass
+
+    rows = [[], [0, 0, 0], [True, False], (Small(4), 6, -8)]
+    for i in range(400):
+        n = rng.randint(1, 7)
+        kind = ("int", "big", "small", "mixed", "bool", "subclass")[i % 6]
+        if kind == "bool":
+            row = [rng.random() < 0.5 for _ in range(n)]
+        elif kind == "subclass":
+            row = [Small(rng.randint(-9, 9)) if rng.random() < 0.5 else rng.randint(-9, 9)
+                   for _ in range(n)]
+        elif kind == "mixed":
+            row = [random_entry(rng, rng.choice(("int", "small"))) for _ in range(n)]
+        else:
+            row = [random_entry(rng, kind) for _ in range(n)]
+        rows.append(tuple(row) if i % 2 else row)
+    return rows
+
+
+class TestIntegerFastPaths:
+    def test_scalers_match_the_reference(self):
+        """_int_row and _int_vector copy an all-int row and scale any
+        other; both give the reference's plain ints on every row."""
+        rng = random.Random(96010)
+        for row in scaler_rows(rng):
+            got = exactla._int_row(row)
+            assert got == step_ref.int_row(row) and all(type(x) is int for x in got)
+            n = len(row)
+            for feed in (row, tuple(row), iter(row)):
+                ints, d = exactla._int_vector(feed, n)
+                assert (ints, d) == step_ref.int_vector(row, n)
+                assert type(d) is int and all(type(x) is int for x in ints)
+            if n:
+                with pytest.raises(ValueError, match="expected vector of length"):
+                    exactla._int_vector(row, n + 1)
+        with pytest.raises(TypeError, match="int or Fraction"):
+            exactla._int_row([1, 0.5])
+
+    def test_fast_paths_taking_int_subclasses_fail(self, monkeypatch):
+        """A fast path that takes every int instance, bools included,
+        keeps bools in the canonical rows: the pinned boundary fails."""
+        monkeypatch.setattr(exactla, "_int_row", ref.source_mutant(
+            exactla._int_row, "_INT.issuperset(map(type, row))",
+            "all(isinstance(x, int) for x in row)"))
+        with pytest.raises(AssertionError):
+            TestExactInputs().test_bool_and_int_subclass_rows_come_out_as_plain_ints()
+        monkeypatch.undo()
+        monkeypatch.setattr(exactla, "_int_vector", ref.source_mutant(
+            exactla._int_vector, "if types == _INT else", "if int in types else"))
+        with pytest.raises(AssertionError):
+            self.test_scalers_match_the_reference()
+
+    def test_ptrim_and_unit_rows(self):
+        assert exactla.ptrim([1, 0, F(0)]) == (1,) and exactla.ptrim(iter([0, 0])) == ()
+        kept = (F(1, 2), 0, 3)
+        assert exactla.ptrim(kept) is kept
+        for n in range(1, 6):
+            for p in range(n):
+                row = exactla._unit_row(n, p)
+                assert row == tuple(int(c == p) for c in range(n))
+                assert row is exactla._unit_row(n, p)
+
 
 # ----------------------------------------------------------------------
 # Differential check of the integer elimination core against a textbook
@@ -727,9 +823,12 @@ class TestDifferential:
 
 
 def reference_echelon(rows):
-    """exactla._echelon as it was before its inner loops were flattened: a
-    next() over a generator finds each pivot row, enumerate walks the rows."""
-    work = [r for r in map(exactla._int_row, rows) if any(r)]
+    """exactla._echelon as it was before its inner loops were flattened and
+    its updates cut to the columns that can change: a next() over a
+    generator finds each pivot row, enumerate walks the rows, every row is
+    updated over its full length, and the rows are scaled by the reference
+    int_row."""
+    work = [r for r in map(step_ref.int_row, rows) if any(r)]
     pivots = []
     if not work:
         return work, pivots
@@ -761,6 +860,19 @@ def reference_echelon(rows):
     return work[:prow], pivots
 
 
+def echelon_mismatches(echelon):
+    """How many of 600 seeded random_matrix cases (every fifth negated)
+    echelon reduces otherwise than reference_echelon."""
+    rng = random.Random(19960105)
+    wrong = 0
+    for i in range(600):
+        rows, _ = random_matrix(rng, i)
+        if i % 5 == 2:
+            rows = [[-x for x in row] for row in rows]
+        wrong += echelon(rows) != reference_echelon(rows)
+    return wrong
+
+
 class TestEchelonLoops:
     def test_matches_the_generator_loops(self):
         rng = random.Random(19960105)
@@ -780,6 +892,15 @@ class TestEchelonLoops:
             ints = all(type(x) is int for r in rows for x in r)
             seen["int-only" if ints else "Fraction"] += 1
         assert all(count >= 100 for count in seen.values()), seen
+
+    def test_rows_above_the_pivot_row_without_the_prefix_scaling_fail(self):
+        """The rows above the pivot row are updated from column c on and
+        their prefix scaled by the cross-multiplier; leaving the prefix as
+        it was breaks every case whose multiplier is not 1 there."""
+        assert echelon_mismatches(exactla._echelon) == 0
+        mutant = ref.source_mutant(
+            exactla._echelon, "[a * x for x in row[:c]] if a != 1 else row[:c]", "row[:c]")
+        assert echelon_mismatches(mutant) >= 100
 
 
 # ----------------------------------------------------------------------
@@ -1406,24 +1527,43 @@ def not_generic(cols, n, rng, multiple):
     return keep + [new], n
 
 
+def limit_cases():
+    """(fam, source, kind) for 300 seeded families: random ones, chains of
+    coordinates and pencils, with int, small-Fraction or 100-bit entries;
+    most chain and pencil ones twisted, so that the limit takes several
+    divisions by t, and three in ten not generic."""
+    rng = random.Random(19960109)
+    out = []
+    for i in range(300):
+        kind = ("int", "small", "big")[i % 3]
+        source = ("random", "chain", "pencil")[i // 3 % 3]
+        cols, n = {"random": random_poly_family, "chain": chain_family,
+                   "pencil": pencil_family}[source](rng, kind)
+        if source != "random" and i % 4:
+            cols, n = twisted(cols, n, rng)
+        if i % 10 in (3, 5, 7):
+            cols, n = not_generic(cols, n, rng, multiple=i % 10 == 7)
+        out.append((family_from_vectors(n, cols), source, kind))
+    return out
+
+
+def limit_outcome(limit, fam):
+    """The canonical basis limit gives for fam as strings, or the class
+    and message of what it raised."""
+    try:
+        return strs(limit(fam).basis)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
 class TestLimitDifferential:
     def test_against_textbook_column_operations(self):
-        rng = random.Random(19960109)
         seen = dict.fromkeys(("random", "chain", "pencil", "100-bit", "not generic",
                               "drops at t = 1 only", "several divisions"), 0)
-        for i in range(300):
-            kind = ("int", "small", "big")[i % 3]
-            source = ("random", "chain", "pencil")[i // 3 % 3]
+        for fam, source, kind in limit_cases():
             seen[source] += 1
             seen["100-bit"] += kind == "big"
-            cols, n = {"random": random_poly_family, "chain": chain_family,
-                       "pencil": pencil_family}[source](rng, kind)
-            if source != "random" and i % 4:
-                cols, n = twisted(cols, n, rng)
-            if i % 10 in (3, 5, 7):
-                cols, n = not_generic(cols, n, rng, multiple=i % 10 == 7)
-            fam = family_from_vectors(n, cols)
-            assert fam.ncols <= 6 and fam.max_degree() <= 4 and n <= 8
+            assert fam.ncols <= 6 and fam.max_degree() <= 4 and fam.ambient <= 8
             try:
                 want, divisions = textbook_limit(fam)
             except ValueError as exc:
@@ -1436,6 +1576,32 @@ class TestLimitDifferential:
             seen["drops at t = 1 only"] += rank(eval_columns(fam, 1)) < fam.ncols
             assert strs(limit_at_zero(fam).basis) == strs(want)
         assert all(count >= 30 for count in seen.values()), seen
+
+    def test_against_the_limit_that_searched_full_rank_points_first(self):
+        cases = limit_cases()
+        assert [limit_outcome(limit_at_zero, fam) for fam, _, _ in cases] == [
+            limit_outcome(step_ref.limit_at_zero, fam) for fam, _, _ in cases]
+
+    def test_independent_at_zero_evaluates_no_point(self, monkeypatch):
+        """d columns independent at t = 0 prove generic rank d: the limit
+        is the fibre there, with no full-rank point looked for."""
+        cases = [fam for fam, _, _ in limit_cases()
+                 if rank(eval_columns(fam, 0)) == fam.ncols]
+        want = [limit_outcome(step_ref.limit_at_zero, fam) for fam in cases]
+        monkeypatch.setattr(PolyFamily, "full_rank_points", forbid_call)
+        assert [limit_outcome(limit_at_zero, fam) for fam in cases] == want
+        assert len(cases) >= 30 and all(isinstance(w, list) for w in want)
+
+    def test_limit_without_the_generic_rank_check_fails(self):
+        """With the full-rank point search dropped, no family that is not
+        generic raises the generic-rank ValueError any more."""
+        mutant = ref.source_mutant(
+            limit_at_zero, "if next(fam.full_rank_points(), None) is None:", "if False:")
+        refused = [fam for fam, _, _ in limit_cases()
+                   if isinstance(limit_outcome(step_ref.limit_at_zero, fam), tuple)]
+        assert len(refused) >= 30
+        assert all(limit_outcome(mutant, fam) != limit_outcome(limit_at_zero, fam)
+                   for fam in refused)
 
 
 # ----------------------------------------------------------------------
@@ -1681,10 +1847,12 @@ def containment_disagreements(pairs):
 
 
 OWN_ROW_MUTANTS = {
+    # (contains' skip rule, restrict's own-row rule)
     # a row that leads at one of s's pivots counts as one of s's rows
-    "shares a pivot": "row.index(next(filter(None, row))) not in self.pivots",
+    "shares a pivot": ("row.index(next(filter(None, row))) not in self.pivots",
+                       "mine[i] == p"),
     # every row of the ambient length counts as one of s's rows
-    "matching length": "len(row) != self.ambient",
+    "matching length": ("len(row) != self.ambient", "len(row) == self.ambient"),
 }
 
 
@@ -1718,6 +1886,15 @@ class TestOwnRowsSkipBackSubstitution:
             checked += len(tails)
         assert checked >= 1000
 
+    def test_own_rows_restrict_with_no_gcd(self, monkeypatch):
+        """A row that is one of s's canonical rows restricts to the unit
+        row at its position, with no coordinates read and no gcd taken."""
+        pairs = [(s, a) for s, a in containment_pairs()[0]
+                 if a.rows and all(row in s.rows for row in a.rows)]
+        want = [back_substituted_restrict(s, a) for s, a in pairs]
+        monkeypatch.setattr(exactla, "gcd", forbid_call)
+        assert [s.restrict(a) for s, a in pairs] == want and len(pairs) >= 200
+
     def test_restrict_refuses_a_space_outside_the_chart(self):
         """Also when a's other row is one of s's own rows or lies in s."""
         s = span(4, (1, 0, 2, 0), (0, 1, 3, 0))
@@ -1729,12 +1906,13 @@ class TestOwnRowsSkipBackSubstitution:
             with pytest.raises(ValueError, match="not contained in the chart space"):
                 s.restrict(a)
 
-    @pytest.mark.parametrize("skip", list(OWN_ROW_MUTANTS.values()), ids=list(OWN_ROW_MUTANTS))
-    def test_mutant_skip_rules_fail(self, monkeypatch, skip):
-        for name, old in (("contains", "row not in own)"), ("restrict", "row not in own and")):
-            mutant = ref.source_mutant(getattr(Subspace, name), old,
-                                       old.replace("row not in own", skip))
-            monkeypatch.setattr(Subspace, name, mutant)
+    @pytest.mark.parametrize("rules", list(OWN_ROW_MUTANTS.values()), ids=list(OWN_ROW_MUTANTS))
+    def test_mutant_skip_rules_fail(self, monkeypatch, rules):
+        skip, own = rules
+        for name, old, new in (("contains", "row not in own)", skip + ")"),
+                               ("restrict", "own[i] == row", own)):
+            monkeypatch.setattr(Subspace, name,
+                                ref.source_mutant(getattr(Subspace, name), old, new))
         wrong_contains, wrong_restrict = containment_disagreements(containment_pairs()[0])
         assert wrong_contains >= 50 and wrong_restrict >= 50, (wrong_contains, wrong_restrict)
 
@@ -1882,6 +2060,10 @@ def subspace_refusals(monkeypatch, cases):
             deform.flag_within(s, flag)
             s.restrict(intersect(s, t))
             s.restrict(s)
+            # sums of consecutive rows: rows of s's space that are not its
+            # own rows, whose coordinates share a factor when pivots do
+            s.restrict(span(n, *[[x + y for x, y in zip(r, q)]
+                                 for r, q in zip(s.rows, s.rows[1:])]))
     return trusted_refusals(monkeypatch, Subspace, run)
 
 

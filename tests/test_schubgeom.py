@@ -731,6 +731,27 @@ class TestYCycleDifferential:
                                     cycle(a, 1, s + 1, flag, L)
         assert compared >= 2200, compared
 
+    def test_cached_by_value(self):
+        """cycle_signature is pure combinatorics of (a, r, s): an equal
+        DecSeq gets the same frozenset back."""
+        a = DecSeq(9, (7, 4, 1))
+        first = cycle_signature(a, 2, 2)
+        assert cycle_signature(DecSeq(9, (7, 4, 1)), 2, 2) is first
+        assert first == schubgeom._cycle_labels(a, pieri_set(a, 2), 2)
+
+    def test_duplicate_label_is_raised_again(self, monkeypatch):
+        """A raised ValueError is not cached: a second call raises it
+        again, and once the labels are distinct the value comes back."""
+        a = DecSeq(6, (5, 3))
+        cycle_signature.cache_clear()
+        monkeypatch.setattr(schubgeom, "_cycle_labels", lambda a, members, s: frozenset(
+            {("schubert", (6, 3)), ("incidence", (6, 3), 2)}))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="duplicate component index"):
+                cycle_signature(a, 1, 2)
+        monkeypatch.undo()
+        assert cycle_signature(a, 1, 2) == schubgeom._cycle_labels(a, pieri_set(a, 1), 2)
+
 
 # ---------------------------------------------------------------------------
 # The flag-position predicates against the per-space textbook versions:
