@@ -333,14 +333,15 @@ def reversed_flag(n: int) -> Flag:
 
 @lru_cache(maxsize=1024)
 def _slice_frame(alpha: DecSeq, beta: DecSeq, flag: Flag, flag2: Flag):
-    """The slices K_j = F_{alpha_j} cap F'_{beta_{m+1-j}} for j = 1..m, whose
-    sum is checked to be direct: all their canonical rows are independent.
+    """(slices, rows): the slices K_j = F_{alpha_j} cap F'_{beta_{m+1-j}} for
+    j = 1..m, and all their canonical rows in that order, as one tuple.  The
+    sum is checked to be direct: those rows are independent.
 
-    Independent of the special subspace, so _witness computes it once per
-    pair and flag pair.  Memoised by value (DecSeq, Flag and Subspace are
-    frozen and compare by their canonical rows), so an equal flag built
-    anew hits the cache, and each flag hashes once (Flag._hash_once); a
-    frame that raises is not cached.
+    Independent of the special subspace, so _witness computes it, rows
+    included, once per pair and flag pair.  Memoised by value (DecSeq,
+    Flag and Subspace are frozen and compare by their canonical rows), so
+    an equal flag built anew hits the cache, and each flag hashes once
+    (Flag._hash_once); a frame that raises is not cached.
     Raises ValueError when a slice vanishes or the sum is not direct.
     """
     m = alpha.m
@@ -351,10 +352,10 @@ def _slice_frame(alpha: DecSeq, beta: DecSeq, flag: Flag, flag2: Flag):
         if K.dim == 0:
             raise ValueError(f"slice {j} is zero")
         slices.append(K)
-    rows = [row for K in slices for row in K.rows]
+    rows = tuple([row for K in slices for row in K.rows])
     if rank(rows) != len(rows):
         raise ValueError("slice sum is not direct")
-    return tuple(slices)
+    return tuple(slices), rows
 
 
 def _falls_deeper(flag: Flag, j: int, f) -> bool:
@@ -375,8 +376,7 @@ def _witness(alpha: DecSeq, beta: DecSeq, C: Subspace, phis, flag: Flag,
     phis = _annihilator(C); the inputs are not checked again (see
     triple_witnesses for the construction and the errors)."""
     n, m = alpha.n, alpha.m
-    slices = _slice_frame(alpha, beta, flag, flag2)
-    rows = [row for K in slices for row in K.rows]
+    slices, rows = _slice_frame(alpha, beta, flag, flag2)
     null = _null_vectors([[sum(map(mul, phi, row)) for row in rows] for phi in phis],
                          len(rows))
     if len(null) != 1:

@@ -23,19 +23,21 @@ t, its flat limit at t=0 comes out of exact column operations over Z[t],
 and a degree bound on its minors lets finitely many fibres decide its
 generic rank and flag position.  A complete flag caches its integer adapted
 covectors; Flag.frame maps a vector through them, so a subspace's flag
-position (dim F_j cap L for every j) is one elimination of its framed rows.
+position (dim F_j cap L for every j) is read off its framed rows: their
+leading columns when those are pairwise distinct, else one elimination.
 The coordinate case is recognised from the values themselves, with no
-option: a coordinate subspace has canonical rows that are unit rows, and a
-flag has a coordinate order when its adapted covectors are unit covectors
-(the identity on the coordinate flag, the reversal on the opposite one).
+option: a coordinate subspace has canonical rows that are unit rows (each
+Subspace tests that once and stores the answer), and a flag has a
+coordinate order when its adapted covectors are unit covectors (the
+identity on the coordinate flag, the reversal on the opposite one).
 Back substitution against a coordinate subspace zeroes its pivot columns,
 two coordinate subspaces meet in the coordinate subspace on their common
-pivots, and a flag position on a flag with a coordinate order is one
-elimination of the rows with their columns permuted, or, for the identity
-order, the canonical pivots with none.  Rows that are canonical by
-construction (elimination output, tails of canonical rows, unit rows)
-build their Subspace through the generated Subspace._trusted, which skips
-the public constructor's checks, and a flag built from a basis, whose
+pivots, and a flag position on a flag with a coordinate order is read off
+the rows with their columns permuted, or, for the identity order, is the
+canonical pivots.  Rows that are canonical by construction (elimination
+output, tails of canonical rows, unit rows) build their Subspace through
+the generated Subspace._trusted, which skips the public constructor's
+checks, and a flag built from a basis, whose
 tails nest by construction, builds its Flag through Flag._trusted.
 Fractions appear only at the boundary: Subspace.basis, PolyFamily.cols,
 JSON, and the public Fraction views (rref, kernel_basis, solve_columns,
@@ -392,19 +394,15 @@ def rref(rows):
     return [_over(row, row[c]) for row, c in zip(reduced, pivots)], pivots
 
 
-def rank(rows) -> int:
-    """Rank of the rows (any iterable of them).
+def _rank(rows) -> int:
+    """Rank of a list of exact rows, their entry types unchecked.
 
     Nonzero rows whose leading columns are pairwise distinct are
     independent (a column permutation makes them triangular), so they are
-    counted without elimination; otherwise _echelon decides.  A non-exact
-    entry raises TypeError either way.
+    counted without elimination; otherwise _echelon decides.
     """
-    rows = list(rows)
     leads = set()
     for row in rows:
-        if not _EXACT_TYPES.issuperset(map(type, row)):
-            _scaled_row(row)  # raises TypeError on a non-exact entry
         lead = next(filter(None, row), None)
         if lead is not None:
             c = row.index(lead)
@@ -412,6 +410,16 @@ def rank(rows) -> int:
                 return len(_echelon(rows)[1])
             leads.add(c)
     return len(leads)
+
+
+def rank(rows) -> int:
+    """Rank of the rows (any iterable of them), as _rank counts it.  A
+    non-exact entry raises TypeError."""
+    rows = list(rows)
+    for row in rows:
+        if not _EXACT_TYPES.issuperset(map(type, row)):
+            _scaled_row(row)  # raises TypeError on a non-exact entry
+    return _rank(rows)
 
 
 def kernel_basis(rows, ncols: int):
@@ -474,10 +482,15 @@ class Subspace(Record):
     are validated; basis is the Fraction view with pivot entries 1, built
     on first read.  The zero space has no rows.  pivots is derived, so it
     is not a field: it takes no part in ==, hash or repr (but is _stored).
+    Whether the space is a coordinate subspace, and a coordinate space's
+    free columns, are derived on first read and stored with _set_field
+    beside the fields; until then the class defaults below read None.
     """
 
     _fields = ("ambient", "rows")
     _stored = ("ambient", "rows", "pivots")
+    _coordinate = None
+    _free = None
 
     def __init__(self, ambient: int, rows: tuple[tuple[int, ...], ...]):
         _check_ambient(ambient)
@@ -509,10 +522,28 @@ class Subspace(Record):
     def _is_coordinate(self) -> bool:
         """Whether every canonical row has one nonzero entry (a 1, the row
         being primitive with a positive pivot): no row has more than
-        ambient - 1 zeros, so that is a count of zeros.  Not cached: the
-        count costs less than a cached value's memory on every Subspace."""
-        rows = self.rows
-        return sum(map(tuple.count, rows, repeat(0))) == len(rows) * (self.ambient - 1)
+        ambient - 1 zeros, so that is a count of zeros.  Counted on first
+        read and stored as _coordinate with _set_field, not with
+        cached_property, which writes through __dict__ (see _set_field)."""
+        coordinate = self._coordinate
+        if coordinate is None:
+            rows = self.rows
+            coordinate = (sum(map(tuple.count, rows, repeat(0)))
+                          == len(rows) * (self.ambient - 1))
+            _set_field(self, "_coordinate", coordinate)
+        return coordinate
+
+    @property
+    def _free_columns(self) -> tuple[int, ...]:
+        """The columns that are no pivot, increasing: on a coordinate
+        subspace, the coordinates of V/self.  Listed on first read and
+        stored as _free, as _is_coordinate is."""
+        free = self._free
+        if free is None:
+            pivots = set(self.pivots)
+            free = tuple([i for i in range(self.ambient) if i not in pivots])
+            _set_field(self, "_free", free)
+        return free
 
     @cached_property
     def basis(self) -> tuple[Vec, ...]:
@@ -522,11 +553,11 @@ class Subspace(Record):
     def _back_substitute(self, w) -> tuple[list[int], int]:
         """(r, s) with r / s = w minus its projection to the span.
 
-        Against a coordinate subspace that is w with the pivot columns
-        zeroed, and s = 1.  Otherwise fraction-free: each row with a
-        nonzero entry of w at its pivot clears it by cross-multiplying
-        with pivot/gcd, and s collects the factors.  w itself is not
-        modified.
+        Against a coordinate subspace (the stored _is_coordinate) that is
+        w with the pivot columns zeroed, and s = 1.  Otherwise
+        fraction-free: each row with a nonzero entry of w at its pivot
+        clears it by cross-multiplying with pivot/gcd, and s collects the
+        factors.  w itself is not modified.
         """
         if self._is_coordinate:
             w = list(w)
@@ -663,9 +694,10 @@ def _unit_row(n: int, p: int) -> tuple[int, ...]:
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """a cap b.  Two coordinate subspaces meet in the coordinate subspace
-    on their common pivots, with no elimination; otherwise the null
-    vectors of [a | b] give the intersection, spanned by canonicalize."""
+    """a cap b.  Two coordinate subspaces (each its stored answer) meet in
+    the coordinate subspace on their common pivots, with no elimination;
+    otherwise the null vectors of [a | b] give the intersection, spanned
+    by canonicalize."""
     if a.ambient != b.ambient:
         raise ValueError("ambient mismatch")
     if a.is_zero or b.is_zero:
@@ -712,19 +744,19 @@ def quotient_subspace(a: Subspace, k: Subspace) -> Subspace:
 def quotient_dim(a: Subspace, k: Subspace) -> int:
     """dim of the image of a in V/k, without building it: the rank of a's
     rows back-substituted modulo k.  Those remainders vanish at k's pivot
-    columns, so this is quotient_subspace(a, k).dim.  Whether k is a
-    coordinate subspace is tested once: then each remainder is the row
-    with k's pivot columns zeroed, and the rank is that of a's rows read
-    at k's other columns.  Only k's pivots are read, never a's."""
+    columns, so this is quotient_subspace(a, k).dim.  When k is a
+    coordinate subspace (k's stored answer) each remainder is the row with
+    k's pivot columns zeroed, and the rank is that of a's rows read at k's
+    free columns, stored on k.  The rows are integers, so _rank counts
+    them with no type check.  Only k's pivots are read, never a's."""
     if a.ambient != k.ambient:
         raise ValueError("ambient mismatch")
     if k.is_zero:
         return a.dim
     if k._is_coordinate:
-        kp = set(k.pivots)
-        keep = [i for i in range(a.ambient) if i not in kp]
-        return rank([[row[i] for i in keep] for row in a.rows])
-    return rank([k._back_substitute(row)[0] for row in a.rows])
+        free = k._free_columns
+        return _rank([[row[i] for i in free] for row in a.rows])
+    return _rank([k._back_substitute(row)[0] for row in a.rows])
 
 
 def annihilator_basis(s: Subspace):
@@ -833,21 +865,29 @@ class Flag(Record):
         counts the pivots of L there at or after column j (the Schubert
         position of L; Fulton, Young Tableaux, 9.4).  On the coordinate
         flag those pivots are L.pivots, read with no product and no
-        elimination; on a flag with another coordinate order (the
-        reversed flag) they come from one elimination of L's rows with
-        their columns in that order, and on any other flag from one
-        elimination of L's framed rows.  The pivots strictly increase, so
-        each count is dim L minus the bisect_left position of the
-        column."""
+        elimination.  On a flag with another coordinate order (the
+        reversed flag) L's rows are read with their columns in that order,
+        and on any other flag framed.  Those rows are a basis of L in
+        adapted coordinates; when they lead at pairwise distinct columns
+        they are an echelon basis up to order, so the sorted leads are the
+        pivots (a witness plane, spanned by vectors from disjoint
+        coordinate slices, always leads so on the reversed flag).
+        Otherwise one elimination finds them.  The pivots strictly
+        increase, so each count is dim L minus the bisect_left position of
+        the column."""
         if L.ambient != self.ambient:
             raise ValueError("ambient mismatch")
         if self._is_coordinate:
             pivots = L.pivots
-        elif self._coordinate_order is not None:
-            order = self._coordinate_order
-            pivots = _echelon([[row[c] for c in order] for row in L.rows])[1]
         else:
-            pivots = _echelon([self.frame(row) for row in L.rows])[1]
+            order = self._coordinate_order
+            if order is not None:
+                rows = [[row[c] for c in order] for row in L.rows]
+            else:
+                rows = [self.frame(row) for row in L.rows]
+            pivots = sorted([row.index(next(filter(None, row))) for row in rows])
+            if len(set(pivots)) != len(pivots):
+                pivots = _echelon(rows)[1]
         d = len(pivots)
         return tuple([d - bisect_left(pivots, c) for c in range(self.ambient + 1)])
 

@@ -1,11 +1,11 @@
 """Schubert conditions on m-planes, their incidence cells, and first-order data.
 
 Everything is exact: membership predicates read the flag position of a
-subspace (Flag.meet_dims, dim F_j cap L for every j from one elimination),
-witness subspaces are built vector by vector and post-verified, and tangent
-codimensions come from literal rank computations on the space of maps
-H -> V/H.  Vectors are integer rows throughout; vector_avoiding returns its
-vector as Fractions.
+subspace (Flag.meet_dims, dim F_j cap L for every j from at most one
+elimination), witness subspaces are built vector by vector and
+post-verified, and tangent codimensions come from literal rank
+computations on the space of maps H -> V/H.  Vectors are integer rows
+throughout; vector_avoiding returns its vector as Fractions.
 """
 
 from __future__ import annotations
@@ -83,18 +83,30 @@ def meets_properly(L: Subspace, flag: Flag) -> bool:
 # membership predicates
 
 
+def _check_same_ambient(a: DecSeq, flag: Flag) -> None:
+    """ValueError unless the sequence and the flag live in the same k^n: a
+    sequence of another ambient space indexes no Schubert condition on the
+    flag, so the predicates refuse it rather than answer False."""
+    if a.n != flag.ambient:
+        raise ValueError("ambient dimensions disagree")
+
+
 def schubert_member(H: Subspace, a: DecSeq, flag: Flag) -> bool:
     """Does the m-plane H satisfy dim H meet F_{a_j} >= j for all j?
 
     Computed twice, on disjoint code paths in the linear algebra, and
     VerificationError when they disagree.  The first reads the flag
-    position of H (Flag.meet_dims: on the coordinate flag, H's pivots).
-    The second goes through quotients: the image of H in V/F_{a_j} has
-    dimension at most m-j, a rank modulo F_{a_j} by quotient_dim, which
-    back-substitutes H's rows against F_{a_j} and finds the leading
-    columns of the remainders itself; it never reads H's pivots or its
-    flag position.
+    position of H (Flag.meet_dims: on the coordinate flag, H's pivots; on
+    another flag, the leading columns of H's rows in adapted coordinates
+    when they are distinct, else an elimination).  The second goes
+    through quotients: the image of H in V/F_{a_j} has dimension at most
+    m-j, a rank modulo F_{a_j} by quotient_dim, which back-substitutes
+    H's rows against F_{a_j} (on a coordinate F_{a_j}, reads them at its
+    stored free columns) and finds the leading columns of the remainders
+    itself; it never reads H's pivots or its flag position.  A sequence
+    and a flag of different ambient dimensions raise ValueError.
     """
+    _check_same_ambient(a, flag)
     m = a.m
     if H.dim != m:
         raise ValueError(f"expected a {m}-plane, got dim {H.dim}")
@@ -109,7 +121,8 @@ def schubert_member(H: Subspace, a: DecSeq, flag: Flag) -> bool:
 
 def x_member(H: Subspace, b: DecSeq, j: int, flag: Flag, L: Subspace) -> bool:
     """Membership in the incidence subvariety: in the Schubert set of b and
-    meeting L inside flag space b_j."""
+    meeting L inside flag space b_j.  A sequence and a flag of different
+    ambient dimensions raise ValueError (in schubert_member)."""
     if not 1 <= j <= b.m:
         raise ValueError(f"position {j} out of range")
     if not schubert_member(H, b, flag):
@@ -161,7 +174,10 @@ def classify_pieri(a: DecSeq, flag: Flag, L: Subspace, s: int) -> Classification
       TransverseReducible: nonzero critical equality at every row; the
         intersection then breaks into one piece per equality row.
       TransverseOther: transverse but neither of the two named shapes.
+
+    A sequence and a flag of different ambient dimensions raise ValueError.
     """
+    _check_same_ambient(a, flag)
     return classify_position(a, flag.meet_dims(L), s)
 
 
@@ -231,7 +247,9 @@ def cell_member(L: Subspace, a: DecSeq, s: int, flag: Flag) -> bool:
     """Membership in the incidence cell: L's flag position passes
     profile_in_cell, whose first entry dim F_1 cap L = dim L is the cell's
     dimension.  An s outside cell_index's range raises ValueError, as
-    cell_index does: the cell is empty there."""
+    cell_index does: the cell is empty there; so do a sequence and a flag
+    of different ambient dimensions."""
+    _check_same_ambient(a, flag)
     return profile_in_cell(flag.meet_dims(L), a, s)
 
 
@@ -288,7 +306,9 @@ def cell_profile_check(L: Subspace, a: DecSeq, s: int, flag: Flag) -> ProfileRep
     the incidence cell fills.  At s = n+2-a_1 the incidence cell holds more
     than that open cell, so a member can read FAIL here: for n = 3, a = (3),
     s = 2 and L = <e_2>, cell_member is True but the profile differs at i = 2.
+    A sequence and a flag of different ambient dimensions raise ValueError.
     """
+    _check_same_ambient(a, flag)
     meets = flag.meet_dims(L)
     if not profile_in_cell(meets, a, s):
         raise ValueError("subspace is not in the incidence cell")

@@ -742,8 +742,11 @@ class TestWitnessFrames:
         hits = _slice_frame.cache_info().hits
         assert _slice_frame(a, b, rebuilt, reversed_flag(n)) == frame
         assert _slice_frame.cache_info().hits == hits + 1
-        # the frame is the slices alone, and their sum is direct
-        assert span(n, *(row for K in frame for row in K.rows)).dim == sum(K.dim for K in frame)
+        # the frame is the slices and their rows in order, and the sum is
+        # direct
+        slices, rows = frame
+        assert rows == tuple(row for K in slices for row in K.rows)
+        assert span(n, *rows).dim == len(rows) == sum(K.dim for K in slices)
 
     def test_publicly_built_flag_hits_the_frame_cache(self):
         # a flag hashes once, on first use; a flag equal to the standard one
@@ -817,8 +820,7 @@ class TestOneEliminationPerWitness:
             assert triple_witnesses(g, d, self.C, *self.FLAGS) == planes
             # one row per covector of C's annihilator, one column per row
             # of the slices
-            assert calls == [(4 - self.C.dim,
-                              sum(K.dim for K in _slice_frame(g, d, *self.FLAGS)))]
+            assert calls == [(4 - self.C.dim, len(_slice_frame(g, d, *self.FLAGS)[1]))]
 
     def test_plane_missing_c_raises(self, monkeypatch):
         # push the null vector's last slice coordinate off the line: each

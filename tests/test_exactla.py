@@ -1171,8 +1171,30 @@ def quotient_dim_cases():
     return cases
 
 
-def quotient_dim_mismatches(fn):
-    return [(a, k) for a, k in quotient_dim_cases() if fn(a, k) != reference_quotient_dim(a, k)]
+def quotient_dim_mismatches(fn, rebuilt=False):
+    """The cases where fn differs from reference_quotient_dim; with rebuilt,
+    each k is built anew, so that nothing is stored on it yet."""
+    mismatches = []
+    for a, k in quotient_dim_cases():
+        if rebuilt:
+            k = Subspace(k.ambient, k.rows)
+        if fn(a, k) != reference_quotient_dim(a, k):
+            mismatches.append((a, k))
+    return mismatches
+
+
+def pivot_blind_mismatches(fn):
+    """How many cases with a and k nonzero fn gets wrong when a's pivots
+    read None and a's stored free columns are every column (wrong for any
+    nonzero a)."""
+    wrong = 0
+    for a, k in quotient_dim_cases():
+        if a.dim and k.dim:
+            blind = Subspace(a.ambient, a.rows)
+            object.__setattr__(blind, "pivots", None)
+            object.__setattr__(blind, "_free", tuple(range(a.ambient)))
+            wrong += fn(blind, k) != reference_quotient_dim(a, k)
+    return wrong
 
 
 class TestQuotientDim:
@@ -1185,19 +1207,22 @@ class TestQuotientDim:
         assert quotient_dim_mismatches(quotient_dim) == []
 
     def test_reads_no_pivot_of_a(self):
-        # schubert_member's quotient path must not read H's pivots
-        cases = [(a, k) for a, k in quotient_dim_cases() if a.dim and k.dim]
-        want = [quotient_dim(a, k) for a, k in cases]
-        got = []
-        for a, k in cases:
-            blind = Subspace(a.ambient, a.rows)
-            object.__setattr__(blind, "pivots", None)
-            got.append(quotient_dim(blind, k))
-        assert got == want
+        # schubert_member's quotient path must not read H's pivots, nor the
+        # free columns derived from them
+        assert pivot_blind_mismatches(quotient_dim) == 0
 
-    def test_coordinate_quotient_on_the_pivot_columns_is_caught(self):
-        mutant = ref.source_mutant(quotient_dim, "if i not in kp", "if i in kp")
-        assert len(quotient_dim_mismatches(mutant)) >= 100
+    def test_reading_the_free_columns_of_a_is_caught(self):
+        mutant = ref.source_mutant(quotient_dim, "free = k._free_columns",
+                                   "free = a._free_columns")
+        assert pivot_blind_mismatches(mutant) >= 100
+
+    def test_coordinate_quotient_on_the_pivot_columns_is_caught(self, monkeypatch):
+        # the free columns are stored on k, so the mutant reads rebuilt ones;
+        # the source keeps its decorator, so the mutant is a property
+        mutant = ref.source_mutant(Subspace._free_columns.fget,
+                                   "if i not in pivots", "if i in pivots")
+        monkeypatch.setattr(Subspace, "_free_columns", mutant)
+        assert len(quotient_dim_mismatches(quotient_dim, rebuilt=True)) >= 100
 
 
 class TestSubspaceDifferential:
@@ -2130,3 +2155,199 @@ class TestCoordinateShortcuts:
         monkeypatch.setattr(Subspace, "restrict", ref.source_mutant(
             Subspace.restrict, "if g > 1 else tuple(coords)", "if False else tuple(coords)"))
         assert subspace_refusals(monkeypatch, coordinate_cases()[0])[1] >= 50
+
+
+# ----------------------------------------------------------------------
+# Each Subspace tests whether it is a coordinate subspace once and stores
+# the answer, and a coordinate subspace stores its free columns.  A recount
+# and the general routines are the references, on subspaces built anew so
+# that nothing is stored on them before the check.
+
+def counted_coordinate(s):
+    """Whether every canonical row of s is a unit row, counted afresh."""
+    return all(row.count(0) == s.ambient - 1 for row in s.rows)
+
+
+def stored_answer_disagreements(cases):
+    """How many checks on rebuilt copies of the cases' s and t differ from
+    the references: each copy's coordinate answer, read twice, against a
+    recount; s's back substitution; s cap t; dim s/t and dim t/s against
+    the textbook quotient."""
+    wrong = 0
+    for _, s, t, w in cases:
+        s, t = Subspace(s.ambient, s.rows), Subspace(t.ambient, t.rows)
+        for x in (s, t, s, t):
+            wrong += x._is_coordinate is not counted_coordinate(x)
+        wrong += s._back_substitute(w) != general_back_substitute(s, w)
+        wrong += intersect(s, t) != general_intersect(s, t)
+        wrong += quotient_dim(s, t) != len(textbook_quotient(s, t))
+        wrong += quotient_dim(t, s) != len(textbook_quotient(t, s))
+    return wrong
+
+
+class TestStoredCoordinateAnswer:
+    def test_against_a_recount_and_the_general_routines(self):
+        assert stored_answer_disagreements(coordinate_cases()[0]) == 0
+
+    def test_routines_read_the_stored_answer(self):
+        """A wrong answer stored on a space that is no coordinate subspace
+        sends back substitution, intersect and quotient_dim down the
+        coordinate branch, so they read the stored answer, not a recount;
+        the space's own answer and free columns are stored once read."""
+        s = span(3, (1, 1, 0), (0, 0, 1))
+        assert not s._is_coordinate and s._coordinate is False
+        assert s._free_columns == (1,) and s._free == (1,)
+        t = coordinate_subspace(3, (1, 2))
+        assert general_intersect(s, t) == span(3, (1, 1, 0))
+        object.__setattr__(s, "_coordinate", True)
+        assert s._back_substitute([5, 7, 9]) == ([0, 7, 0], 1)
+        assert intersect(s, t) == coordinate_subspace(3, (1,))
+        assert quotient_dim(t, s) == 1  # t's rows read at s's free column 1
+        assert quotient_dim(span(3, (1, 1, 0)), s) == 1
+
+    def test_one_answer_shared_by_all_subspaces_fails(self, monkeypatch):
+        # the mutant stores the first answer it counts on the class, where
+        # every subspace that has stored none reads it
+        cases = coordinate_cases()[0]
+        mutant = ref.source_mutant(Subspace._is_coordinate.fget,
+                                   '_set_field(self, "_coordinate", coordinate)',
+                                   'setattr(Subspace, "_coordinate", coordinate)')
+        monkeypatch.setattr(Subspace, "_coordinate", None)
+        monkeypatch.setattr(Subspace, "_is_coordinate", mutant)
+        assert stored_answer_disagreements(cases) >= 50
+
+
+# ----------------------------------------------------------------------
+# Off the coordinate flag, Flag.meet_dims reads the pivots off the leading
+# columns of L's rows in adapted coordinates when those are pairwise
+# distinct.  The elimination it ran before on every such flag stays as the
+# reference.
+
+def elimination_meet_dims(flag, L):
+    """Flag.meet_dims as it was before it read leads: on the coordinate
+    flag L's pivots, on another coordinate order one elimination of L's
+    rows with their columns in that order, else one elimination of L's
+    framed rows."""
+    order = flag._coordinate_order
+    if flag._is_coordinate:
+        pivots = L.pivots
+    elif order is not None:
+        pivots = exactla._echelon([[row[c] for c in order] for row in L.rows])[1]
+    else:
+        pivots = exactla._echelon([flag.frame(row) for row in L.rows])[1]
+    return tuple(len(pivots) - bisect_left(pivots, c) for c in range(flag.ambient + 1))
+
+
+def lead_kind(flag, L):
+    """The branch meet_dims takes: the coordinate flag's read-off, or, on
+    L's rows in adapted coordinates, distinct or repeated leads."""
+    if flag._is_coordinate:
+        return "coordinate flag"
+    order = flag._coordinate_order
+    rows = ([[row[c] for c in order] for row in L.rows] if order is not None
+            else [flag.frame(row) for row in L.rows])
+    leads = [next(c for c, x in enumerate(row) if x) for row in rows]
+    return "distinct leads" if len(set(leads)) == len(leads) else "repeated lead"
+
+
+def block_span(rng, n):
+    """A span of vectors with disjoint supports in contiguous coordinate
+    blocks, as a witness plane is spanned by vectors from disjoint
+    coordinate slices."""
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    blocks = [range(lo, hi) for lo, hi in zip([0, *cuts], [*cuts, n])]
+    rows = []
+    for block in rng.sample(blocks, rng.randint(1, len(blocks))):
+        row = [0] * n
+        for c in block:
+            row[c] = rng.randint(-9, 9)
+        row[block[-1]] = rng.choice((-1, 1)) * rng.randint(1, 9)
+        rows.append(row)
+    return span(n, *rows)
+
+
+def meet_dims_cases(sizes, seed):
+    """(flag, L) for each n in sizes: the standard, the reversed and a
+    random flag, each against every space of all three flags and seeded
+    spans (random subspaces, spans of the flag's vectors, block spans)."""
+    from pierikit.enumerative import reversed_flag
+    from pierikit.schubgeom import random_flag, standard_flag
+    rng = random.Random(seed)
+    cases = []
+    for n in sizes:
+        flags = (standard_flag(n), reversed_flag(n), random_flag(n, n))
+        spaces = [s for flag in flags for s in flag.spaces]
+        for flag in flags:
+            spans = [rand_subspace(rng, n, rng.randint(1, n)) for _ in range(4)]
+            spans += [flag_vector_span(rng, flag) for _ in range(4)]
+            spans += [block_span(rng, n) for _ in range(4)]
+            cases += [(flag, L) for L in spaces + spans]
+    return cases
+
+
+SMALL_MEET_CASES = meet_dims_cases(range(1, 10), 9601)
+
+
+def meet_dims_disagreements(meet_dims, cases, seen=None):
+    """How many cases meet_dims(flag, L) gets wrong against the elimination;
+    seen, when given, counts the branches the cases take."""
+    wrong = 0
+    for flag, L in cases:
+        if seen is not None:
+            seen[lead_kind(flag, L)] += 1
+        wrong += meet_dims(flag, L) != elimination_meet_dims(flag, L)
+    return wrong
+
+
+def on_reversed_flags(cases):
+    """The cases on a reversed flag of k^n, n > 1 (in k^1 it is the
+    coordinate flag)."""
+    return [(flag, L) for flag, L in cases
+            if flag.ambient > 1 and flag._coordinate_order == tuple(range(flag.ambient))[::-1]]
+
+
+class TestMeetDimsLeads:
+    def test_against_the_elimination(self):
+        seen = dict.fromkeys(("coordinate flag", "distinct leads", "repeated lead"), 0)
+        assert meet_dims_disagreements(Flag.meet_dims, SMALL_MEET_CASES, seen) == 0
+        assert all(count >= 200 for count in seen.values()), seen
+        reversed_seen = dict.fromkeys(seen, 0)
+        meet_dims_disagreements(Flag.meet_dims, on_reversed_flags(SMALL_MEET_CASES),
+                                reversed_seen)
+        assert reversed_seen["distinct leads"] >= 100 and reversed_seen["repeated lead"] >= 40
+
+    def test_distinct_leads_run_no_elimination(self, monkeypatch):
+        cases = [(flag, L) for flag, L in SMALL_MEET_CASES
+                 if lead_kind(flag, L) == "distinct leads"]
+        want = [elimination_meet_dims(flag, L) for flag, L in cases]
+        monkeypatch.setattr(exactla, "_echelon", forbid_call)
+        assert [flag.meet_dims(L) for flag, L in cases] == want
+
+    def test_witness_planes_lead_apart_on_the_reversed_flag(self):
+        from pierikit.enumerative import reversed_flag, valid_instances, witness_table
+        planes = [(reversed_flag(p.n), H) for p in valid_instances(5)
+                  for _, _, H in witness_table(p)[1]]
+        assert len(planes) >= 50
+        assert {lead_kind(flag, H) for flag, H in planes} == {"distinct leads"}
+
+    def test_shortcut_without_the_distinctness_test_fails(self):
+        mutant = ref.source_mutant(Flag.meet_dims, "if len(set(pivots)) != len(pivots):",
+                                   "if False:")
+        assert meet_dims_disagreements(mutant, SMALL_MEET_CASES) >= 100
+
+    def test_leads_in_natural_column_order_on_the_reversed_flag_fail(self):
+        # L's canonical rows lead at distinct columns, L's pivots, so the
+        # mutant takes the shortcut on every case and reads them
+        mutant = ref.source_mutant(Flag.meet_dims, "for row in rows])", "for row in L.rows])")
+        assert meet_dims_disagreements(mutant, on_reversed_flags(SMALL_MEET_CASES)) >= 100
+
+
+@pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
+                    reason="n = 20, 24 random flags; set PIERIKIT_SLOW=1 to run them")
+@pytest.mark.parametrize("n", [20, 24])
+def test_meet_dims_random_flag_n20_24(n):
+    cases = [(flag, L) for flag, L in meet_dims_cases([n], n)
+             if flag._coordinate_order is None]
+    seen = dict.fromkeys(("coordinate flag", "distinct leads", "repeated lead"), 0)
+    assert meet_dims_disagreements(Flag.meet_dims, cases, seen) == 0
+    assert seen["distinct leads"] >= 5 and seen["repeated lead"] >= 20, seen

@@ -179,6 +179,37 @@ class TestXMember:
         assert not x_member(H, b, 1, FLAG, L)
 
 
+class TestAmbientAgreement:
+    """A sequence of another ambient space indexes no condition on the flag:
+    every predicate that takes both refuses it, as step_verify does, rather
+    than answering False."""
+
+    FLAGS = (standard_flag(6), random_flag(6, 3))
+    H = span(6, unit_vector(6, 1), unit_vector(6, 4))
+    K = span(6, *[unit_vector(6, i) for i in range(1, 6)])
+
+    @pytest.mark.parametrize("a", [DecSeq(7, (7, 3)), DecSeq(5, (5, 2))], ids=str)
+    @pytest.mark.parametrize("flag", range(2), ids=("standard", "random"))
+    @pytest.mark.parametrize("check", [
+        lambda H, K, a, flag: schubert_member(H, a, flag),
+        lambda H, K, a, flag: x_member(H, a, 1, flag, K),
+        lambda H, K, a, flag: cell_member(K, a, 1, flag),
+        lambda H, K, a, flag: cell_profile_check(K, a, 1, flag),
+        lambda H, K, a, flag: classify_pieri(a, flag, K, 1),
+    ], ids=("schubert_member", "x_member", "cell_member", "cell_profile_check",
+            "classify_pieri"))
+    def test_other_ambient_raises(self, check, flag, a):
+        with pytest.raises(ValueError, match="ambient dimensions disagree"):
+            check(self.H, self.K, a, self.FLAGS[flag])
+
+    def test_same_ambient_still_answers(self):
+        # H = <e_1, e_4> meets F_4 = <e_4, e_5, e_6> but not F_5
+        flag = self.FLAGS[0]
+        assert schubert_member(self.H, DecSeq(6, (4, 1)), flag)
+        assert not schubert_member(self.H, DecSeq(6, (5, 1)), flag)
+        assert cell_member(self.K, DecSeq(6, (6,)), 1, flag)
+
+
 class TestClassifier:
     def test_generic_irreducible(self):
         c = classify_pieri(A741, FLAG, L_GENERIC, 2)

@@ -1,11 +1,12 @@
-"""Seven rules every library module keeps.
+"""Eight rules the library modules keep.
 
 No assert statement: python -O strips asserts, so a check written as one
 would vanish there (checks raise VerificationError instead).  No absolute
 import outside the standard library: the library has no dependencies.  No
 write to an instance __dict__: a record holds what its constructor stored
-and what its cached properties derive, never a value slipped in beside
-them.  Outside the CLI, int() converts only a comparison: int(1.9) is 1, so
+and what it derives from that on first read (cached properties, and the
+values Subspace and Flag store with _set_field), never a value slipped in
+beside them.  Outside the CLI, int() converts only a comparison: int(1.9) is 1, so
 an integer input goes through operator.index, which refuses a float, and an
 integral Fraction is read by its numerator.  No record class writes a method
 that exactla._record_methods writes from its fields: no __eq__, no __hash__,
@@ -16,7 +17,9 @@ construction: no call of __new__, and a new caller needs an entry there.
 A subspace is built from vectors by span, one integer elimination: the
 Fraction routes canonicalize (through rref) and kernel_basis are used only
 where FRACTION_ROUTES lists, in the two spans the benchmark's tracer reads,
-and the Fraction unit_vector only in coordinate_subspace.
+and the Fraction unit_vector only in coordinate_subspace.  The two code
+paths of schubgeom.schubert_member stay disjoint: Flag.meet_dims calls
+neither rank nor _rank, and quotient_dim calls no meet_dims (PATH_RULES).
 """
 
 import ast
@@ -233,6 +236,37 @@ def test_rule_refuses_planted_fraction_routes():
 def test_fraction_routes_are_used_only_where_listed():
     allowed = {(name, scope) for name, scopes in FRACTION_ROUTES.items() for scope in scopes}
     assert fraction_route_uses(path.read_text() for path in MODULES) == allowed
+
+
+# schubgeom.schubert_member proves membership twice, through the flag
+# position (Flag.meet_dims, which reads leading columns itself) and through
+# quotients (quotient_dim, which counts ranks with _rank); neither may call
+# the other's routine, so a fault in one cannot hide in both
+PATH_RULES = {
+    "Flag.meet_dims": {"rank", "_rank"},
+    "quotient_dim": {"meet_dims", "generic_meet_dims"},
+}
+
+
+def shared_path_uses(source: str) -> set:
+    """(name, scope) of every use of a name that PATH_RULES forbids in its
+    scope."""
+    names = set().union(*PATH_RULES.values())
+    return {(name, scope) for name, scope in name_uses(source, names)
+            if name in PATH_RULES.get(scope, ())}
+
+
+def test_membership_paths_share_no_routine():
+    assert shared_path_uses((SRC / "exactla.py").read_text()) == set()
+
+
+def test_rule_refuses_planted_shared_routines():
+    source = (SRC / "exactla.py").read_text()
+    planted = (source.replace("pivots = _echelon(rows)[1]", "pivots = range(_rank(rows))")
+               .replace("free = k._free_columns", "free = k.flag.meet_dims(k)"))
+    assert planted.count("_rank(rows))") == 1 and "k.flag.meet_dims" in planted
+    assert shared_path_uses(planted) == {("_rank", "Flag.meet_dims"),
+                                         ("meet_dims", "quotient_dim")}
 
 
 def test_checker_sees_an_assert():
