@@ -11,6 +11,14 @@ integer bialternant product: the alternant a_{mu+delta} = s_mu * a_delta
 polynomials of the others, built one variable at a time by the branching
 rule, with no tableaux.  The witness constructor then exhibits each of the
 d solution planes with exact rational coordinates.
+
+A sweep shares partial products between problems, and each count keeps its
+own caches, so the three stay independent: the pair count caches the duals
+of beta*b per (beta, b) (_duals), the pairing oracle the class alpha * h_a
+* h_b and its prefix alpha * h_a (_classes), and the bialternant oracle the
+truncated product of the largest factor's alternant with the three smallest
+factors (_product).  Cached values are shared by every problem that hits
+them and are never mutated; a raise is never cached.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterator
 
 from .exactla import (
@@ -109,14 +117,20 @@ class QuintupleProblem(Record):
         }
 
 
+@lru_cache(maxsize=None)
+def _duals(beta: DecSeq, b: int) -> frozenset[DecSeq]:
+    """The duals of beta*b: dual is injective, so one per member."""
+    return frozenset(map(dual, pieri_set(beta, b)))
+
+
 def count_pairs_d(p: QuintupleProblem) -> int:
     """Number of pairs (g, d) in (alpha*a) x (beta*b) with dual(d) in g*c.
 
-    The duals of beta*b are formed once: pieri_set lists distinct
-    sequences and dual is injective, so each g adds the number of those
-    duals that lie in g*c.
+    The duals of beta*b are formed once per (beta, b) and cached as a
+    frozenset (_duals): pieri_set lists distinct sequences and dual is
+    injective, so each g adds the number of those duals that lie in g*c.
     """
-    duals = {dual(dlt) for dlt in pieri_set(p.beta, p.b)}
+    duals = _duals(p.beta, p.b)
     return sum(len(duals.intersection(pieri_set(g, p.c))) for g in pieri_set(p.alpha, p.a))
 
 
@@ -244,7 +258,11 @@ def cohomology_oracle(p: QuintupleProblem) -> int:
     componentwise at most R+delta; the factor with the next most
     tableaux is a lookup of (R+delta) - e.  The frame of each (n, m) and
     the shape and size of each flag condition's and each codimension's
-    factor are computed once and cached.
+    factor are computed once and cached.  The factors sort by (size,
+    shape), and the truncated product of the alternant with the three
+    smallest, multiplied smallest first, is cached (_product) per (n, k,
+    alternant shape, their shapes): problems sharing it pay only the final
+    lookup, and the cached product is never mutated.
 
     The cost grows with the number of variables, so for m > n/2 the oracle
     counts in n-m variables instead: the involution omega carries s_mu to
@@ -256,12 +274,27 @@ def cohomology_oracle(p: QuintupleProblem) -> int:
     n, m = p.n, p.m
     if m * (n - m) > _EXPANSION_CAP:
         raise ValueError("instance too large for polynomial expansion")
-    k, guards, target, top = _frame(n, m)
+    k, _, target, _ = _frame(n, m)
     factors = sorted((_flag_factor(p.alpha), _flag_factor(p.beta), _row_factor(p.a, n, m),
-                      _row_factor(p.b, n, m), _row_factor(p.c, n, m)), key=itemgetter(0))
-    poly = _alternant(factors[-1][1], k, n)
-    for _, shape in factors[:-2]:
-        weights = _schur_weights(shape, k, n)
+                      _row_factor(p.b, n, m), _row_factor(p.c, n, m)))
+    poly = _product(n, k, factors[-1][1], tuple([mu for _, mu in factors[:-2]]))
+    last = _schur_weights(factors[-2][1], k, n)
+    return sum(c * last.get(target - e, 0) for e, c in poly.items())
+
+
+@lru_cache(maxsize=None)
+def _product(n: int, k: int, shape: tuple[int, ...],
+             factors: tuple[tuple[int, ...], ...]) -> dict[int, int]:
+    """a_{shape+delta} times s_mu for each shape mu of factors, in order,
+    in k variables as {packed exponent: coefficient}, dropping after every
+    factor each exponent not componentwise at most the target (n-1, ...,
+    n-k).  Shared by every problem with this alternant and these factors:
+    never mutated."""
+    # k <= n/2, so k-planes in k^n have the frame of the problem's m-planes
+    _, guards, _, top = _frame(n, k)
+    poly = _alternant(shape, k, n)
+    for mu in factors:
+        weights = _schur_weights(mu, k, n)
         step: dict[int, int] = {}
         for e, c in poly.items():
             for w, x in weights.items():
@@ -269,8 +302,21 @@ def cohomology_oracle(p: QuintupleProblem) -> int:
                 if (top - s) & guards == guards:
                     step[s] = step.get(s, 0) + c * x
         poly = step
-    last = _schur_weights(factors[-2][1], k, n)
-    return sum(c * last.get(target - e, 0) for e, c in poly.items())
+    return poly
+
+
+@lru_cache(maxsize=None)
+def _classes(alpha: DecSeq, degrees: tuple[int, ...]) -> dict[DecSeq, int]:
+    """The class alpha * h_d for d in degrees, in order, at the sequence
+    level as {DecSeq: multiplicity}: each prefix of degrees is built once
+    and extended by one branching step.  Shared: never mutated."""
+    if not degrees:
+        return {alpha: 1}
+    step: dict[DecSeq, int] = {}
+    for g, mult in _classes(alpha, degrees[:-1]).items():
+        for h in pieri_set(g, degrees[-1]):
+            step[h] = step.get(h, 0) + mult
+    return step
 
 
 def pieri_pairing_oracle(p: QuintupleProblem) -> int:
@@ -278,16 +324,15 @@ def pieri_pairing_oracle(p: QuintupleProblem) -> int:
 
     Multiplies the alpha class by h_a, h_b, h_c at the sequence level (the
     first-entry cap inside pieri_set discards classes that die in this
-    Grassmannian) and returns the multiplicity of dual(beta).
+    Grassmannian) and returns the multiplicity of dual(beta).  The class
+    alpha * h_a * h_b comes from a cache keyed by (alpha, (a, b)), built on
+    the cached alpha * h_a (_classes), and its values are never mutated;
+    the last step is not built: the multiplicity is the sum of mult_g over
+    its classes g with dual(beta) in g*c.
     """
-    counts = {p.alpha: 1}
-    for deg in (p.a, p.b, p.c):
-        step: dict[DecSeq, int] = {}
-        for g, mult in counts.items():
-            for h in pieri_set(g, deg):
-                step[h] = step.get(h, 0) + mult
-        counts = step
-    return counts.get(dual(p.beta), 0)
+    want = dual(p.beta)
+    return sum(mult for g, mult in _classes(p.alpha, (p.a, p.b)).items()
+               if want in pieri_set(g, p.c))
 
 
 def valid_instances(n_max: int) -> Iterator[QuintupleProblem]:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import count_reference
 import fraction_reference as ref
 import pierikit
 import pierikit.cli as cli
@@ -289,6 +290,8 @@ class TestEnumerativeVerbs:
     def test_oracle_error_is_not_read_as_a_skip(self, capsys, monkeypatch, mode):
         def broken(*args):
             raise ValueError("stub alternant failure")
+        # a cached bialternant product would never reach the stub
+        count_reference.clear_caches()
         monkeypatch.setattr(enumerative, "_alternant", broken)
         rc, out, err = run(capsys, "count-real", *PROBLEM, *mode)
         assert (rc, out, err) == (2, "", "error: stub alternant failure\n")

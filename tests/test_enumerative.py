@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import count_reference
 import fraction_reference as ref
 import pierikit
 from pierikit import enumerative, seqcomb, tableaux
@@ -60,6 +61,16 @@ def seq(n, *entries):
 
 
 FOUR_LINES = QuintupleProblem(4, 2, seq(4, 3, 1), seq(4, 2, 1), 1, 1, 1)
+
+
+@pytest.fixture
+def cold_caches():
+    """enumerative's caches emptied before the test and after it: a helper
+    patched in the test is reached, and no value built through the patch
+    is left behind for later tests."""
+    count_reference.clear_caches()
+    yield
+    count_reference.clear_caches()
 
 
 class TestProblem:
@@ -208,7 +219,7 @@ class TestCohomologyOracle:
             d = count_pairs_d(p)
             assert d >= 1 and d == cohomology_oracle(p) == pieri_pairing_oracle(p), p
 
-    def test_counts_past_half_in_n_minus_m_variables(self, monkeypatch):
+    def test_counts_past_half_in_n_minus_m_variables(self, cold_caches, monkeypatch):
         """For m > n/2 the bialternant is built in n-m variables, whose
         cost stays that of Gr(n-m, n): 14 variables at n = 16 would walk
         14! permutations."""
@@ -465,7 +476,7 @@ class TestOracleMutants:
         ("x + m - 1 - j for j, x", "x for j, x"),
         ("x <= y", "x < y"),
     ], ids=["signs flipped", "no delta shift", "strict truncation"])
-    def test_alternant_mutants_fail(self, monkeypatch, old, new):
+    def test_alternant_mutants_fail(self, cold_caches, monkeypatch, old, new):
         monkeypatch.setattr(enumerative, "_alternant", ref.source_mutant(
             enumerative._alternant.__wrapped__, old, new))
         assert len(reference_mismatches(valid_instances(6))) >= 300
@@ -524,6 +535,127 @@ class TestOracleIndependence:
         for module in (seqcomb, enumerative, tableaux):
             monkeypatch.setattr(module, "pieri_set", no_branch_sets)
         assert [cohomology_oracle(p) for p in problems] == want
+
+
+# ---------------------------------------------------------------------------
+# the caches each count keeps, against the uncached loops they replaced
+
+CACHE_ORDER_SEEDS = (1, 2, 3)
+
+
+@lru_cache(maxsize=None)
+def reference_counts(p):
+    return tuple(reference(p) for _, reference in count_reference.COUNTS)
+
+
+def cache_mismatches(problems, seed):
+    """(count name, problem) for each count that differs from its
+    uncached reference when the problems run from cold caches in the
+    order that seed shuffles them into."""
+    order = list(problems)
+    random.Random(seed).shuffle(order)
+    count_reference.clear_caches()
+    return [(name, p) for p in order
+            for (name, _), want in zip(count_reference.COUNTS, reference_counts(p))
+            if getattr(enumerative, name)(p) != want]
+
+
+def keyed_on(fn, key):
+    """fn memoised under key(*args) alone: a cache that forgets part of
+    what its value depends on."""
+    memo = {}
+
+    def cached(*args):
+        k = key(*args)
+        if k not in memo:
+            memo[k] = fn(*args)
+        return memo[k]
+    return cached
+
+
+# every shared value the three counts read from a cache
+SHARED_CACHES = ("_duals", "_classes", "_product", "_alternant", "_schur_weights")
+
+
+def stale_cached_values(monkeypatch, problems):
+    """(stale, sizes): stale lists (cache name, key) for each value left in
+    a shared cache, after the three counts ran over the problems from cold
+    caches, that no longer equals a fresh recomputation from its key, and
+    sizes gives each cache's number of keys.  Each cache is spied on to
+    learn its keys; its values stay the ones the counts share."""
+    count_reference.clear_caches()
+    caches = {name: getattr(enumerative, name) for name in SHARED_CACHES}
+    keys = {name: set() for name in SHARED_CACHES}
+    for name, fn in caches.items():
+        monkeypatch.setattr(enumerative, name,
+                            lambda *args, fn=fn, seen=keys[name]: seen.add(args) or fn(*args))
+    for p in problems:
+        for name, _ in count_reference.COUNTS:
+            getattr(enumerative, name)(p)
+    stale = [(name, args) for name, fn in caches.items() for args in keys[name]
+             if fn(*args) != fn.__wrapped__(*args)]
+    return stale, {name: len(seen) for name, seen in keys.items()}
+
+
+class TestCountCaches:
+    def test_shuffled_orders_match_the_uncached_loops(self, cold_caches):
+        problems = list(valid_instances(6))
+        assert len(problems) == 1001
+        for seed in CACHE_ORDER_SEEDS:
+            assert cache_mismatches(problems, seed) == []
+        # built once per sweep: 131 bialternant products, 611 classes
+        # alpha * h_a * h_b and their prefixes, the duals of 168 (beta, b)
+        sizes = [fn.cache_info().currsize
+                 for fn in (enumerative._product, enumerative._classes, enumerative._duals)]
+        assert sizes == [131, 611, 168]
+
+    @pytest.mark.parametrize("name, key", [
+        ("_product", lambda n, k, shape, factors: (k, shape, factors)),
+        ("_product", lambda n, k, shape, factors: (n, shape, factors)),
+        ("_classes", lambda alpha, degrees: (alpha, degrees[:1])),
+        ("_duals", lambda beta, b: beta),
+    ], ids=["product without n", "product without k", "pairing on (alpha, a)",
+            "duals on beta"])
+    def test_key_mutants_fail(self, cold_caches, monkeypatch, name, key):
+        monkeypatch.setattr(enumerative, name,
+                            keyed_on(getattr(enumerative, name).__wrapped__, key))
+        # each order shows it: a product keyed without n, the least
+        # visible, miscounts 6 problems in every order
+        problems = list(valid_instances(6))
+        for seed in CACHE_ORDER_SEEDS:
+            assert cache_mismatches(problems, seed) != []
+
+    def test_cached_values_stay_as_built(self, cold_caches, monkeypatch):
+        stale, sizes = stale_cached_values(monkeypatch, valid_instances(6))
+        assert stale == []
+        assert min(sizes.values()) >= 10
+
+    @pytest.mark.parametrize("count, old, new, cache", [
+        ("pieri_pairing_oracle", "want = dual(p.beta)",
+         "want = dual(p.beta); _classes(p.alpha, (p.a, p.b)).setdefault(want, 0)", "_classes"),
+        ("cohomology_oracle", "for e, c in poly.items())",
+         "for e, c in poly.items()) + poly.setdefault(-1, 0)", "_product"),
+    ], ids=["pairing class extended in place", "bialternant product extended in place"])
+    def test_a_caller_mutating_a_shared_value_fails(self, cold_caches, monkeypatch,
+                                                    count, old, new, cache):
+        # each mutant adds a zero entry to a cached dict: every count stays
+        # right, and only the comparison with a fresh recomputation sees it
+        monkeypatch.setattr(enumerative, count,
+                            ref.source_mutant(getattr(enumerative, count), old, new))
+        problems = list(valid_instances(6))
+        stale, _ = stale_cached_values(monkeypatch, problems)
+        assert len(stale) >= 10
+        assert {name for name, _ in stale} == {cache}
+        assert cache_mismatches(problems, 1) == []
+
+
+@pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
+                    reason="n <= 7 cache differential; set PIERIKIT_SLOW=1 to run it")
+def test_shuffled_cache_differential_n7(cold_caches):
+    problems = list(valid_instances(7))
+    assert len(problems) == 7463
+    for seed in CACHE_ORDER_SEEDS:
+        assert cache_mismatches(problems, seed) == []
 
 
 class TestPieriPairingOracle:
