@@ -8,7 +8,7 @@ position to the fully special one where every component is a plain
 Schubert variety.
 """
 
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 import random
 
@@ -198,19 +198,27 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
     M's coordinates are the chart restrict gives: v in M goes to its
     entries at M's pivots, a linear map that is one to one on M.  So L_inf,
     restricted, is checked there to be a hyperplane (restrict refuses an
-    L_inf outside M) through M_l and not through M_{l-1}, each M_i read
-    through the same map.  The covectors are read off canonical rows in
-    M's coordinates, with no elimination.  x_{l-1} is the first null
-    vector of L_inf's rows.  For i != l-1, x_i is the null vector of
-    M_{i+1} (of 0 for i = N) at p_i, the one pivot of M_i that M_{i+1}
-    lacks: M_i is M_{i+1} plus M_i's canonical row at p_i, which leads at
-    p_i and is zero at M_{i+1}'s pivots, so the null vector at a free
-    column c vanishes on M_i for every c < p_i and not for c = p_i.  On
-    the coordinate flag, where a chain runs, they are unit covectors.  With
+    L_inf outside M), and x_{l-1} is the null vector v of its rows.  With
     x_k = v_k / d_k, the dual vector e_k is d_k times column k of V^-1 (V
-    the matrix of rows v_k), read off one echelon of [V^T | I]
-    (_inverse_rows); a singular V means the covectors are dependent:
-    ValueError.
+    the matrix of rows v_k), lifted through M's rows scaled to one pivot
+    multiple P (_scaled_lift).  No covector needs an elimination.
+
+    On the chain's flag each M_i is spanned by M's canonical rows from i on
+    (flag_within on the coordinate flag), the coordinate flag of M's chart
+    (Fulton, Young Tableaux, 9.4).  There x_k = e_k for k != l-1; L_inf
+    contains M_l iff v vanishes from entry l on, and then misses M_{l-1}
+    iff v_{l-1} != 0, which is det V.  V^-1 is the identity but for row
+    l-1, so its column k is e_k - (v_k / v_{l-1}) e_{l-1}, and e_{l-1} /
+    v_{l-1} for k = l-1: each e_k is two lifted rows, over the lowest terms
+    that one echelon of [V^T | I] gives.
+
+    On any other flag L_inf is checked against each M_i in the chart.  For
+    i != l-1, x_i is the null vector of M_{i+1} (of 0 for i = N) at p_i, the
+    one pivot of M_i that M_{i+1} lacks: M_i is M_{i+1} plus M_i's canonical
+    row at p_i, which leads at p_i and is zero at M_{i+1}'s pivots, so the
+    null vector at a free column c vanishes on M_i for every c < p_i and not
+    for c = p_i.  V^-1 is read off one echelon of [V^T | I] (_inverse_rows);
+    a singular V means the covectors are dependent: ValueError.
 
     The fibres are proved, not sampled.  The dual vectors are independent,
     so e_i in M_i for each i, checked on the integer vectors in k^n, and
@@ -242,32 +250,51 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
     if L_inf.ambient != M.ambient:
         raise ValueError("ambient mismatch")
 
-    # M_1, ..., M_N and then M_(N+1) = 0, in M's coordinates; restrict
-    # refuses an L_inf outside M
-    inner = [M.restrict(s) for s in mflag] + [zero_subspace(N)]
+    # restrict refuses an L_inf outside M
     try:
         marked = M.restrict(L_inf)
     except ValueError:
         marked = None
     if marked is None or marked.dim != N - 1:
         raise ValueError("marked subspace must be a hyperplane of M")
-    if not marked.contains(inner[l - 1]):
-        raise ValueError("marked hyperplane must contain M_l")
-    if marked.contains(inner[l - 2]):
-        raise ValueError("marked hyperplane must not contain M_(l-1)")
-    x = [_null_vector(below.rows, below.pivots,
-                      next(c for c in above.pivots if c not in below.pivots), N)
-         for above, below in zip(inner, inner[1:])]
-    x[l - 2] = _read_null_vectors(marked.rows, marked.pivots, N)[0]
-    covectors = [v for _, v in x]
-    inverse = _inverse_rows(list(zip(*covectors)))
-    if inverse is None:
-        raise ValueError("covectors are not independent")
     P, lift = _scaled_lift(M.rows)
-    cols = list(zip(*lift))
-    # e_k = d_k (column k of V^-1) = dual[k] / (P s_k)
-    dual = [[d * sum(map(mul, w, col)) for col in cols]
-            for (d, _), (_, w) in zip(x, inverse)]
+    if all(s.rows == M.rows[i:] for i, s in enumerate(mflag)):
+        _, v = _read_null_vectors(marked.rows, marked.pivots, N)[0]
+        if any(v[l - 1:]):
+            raise ValueError("marked hyperplane must contain M_l")
+        if not v[l - 2]:
+            raise ValueError("marked hyperplane must not contain M_(l-1)")
+        covectors = [_unit_row(N, k) for k in range(N)]
+        covectors[l - 2] = v
+        # e_k = (a lift_k - b lift_(l-1)) / (P a), a / b = v_(l-1) / v_k in
+        # lowest terms; e_(l-1) = v_(l-1) lift_(l-1) / (P v_(l-1))
+        c, last = covectors[l - 2][l - 2], lift[l - 2]
+        pairs = []
+        for k, (y, row) in enumerate(zip(covectors[l - 2], lift)):
+            g = gcd(c, y)
+            a, b = c // g, y // g
+            pairs.append((P * c, [c * z for z in last]) if k == l - 2 else
+                         (P * a, [a * z - b * w for z, w in zip(row, last)]))
+    else:
+        # M_1, ..., M_N and then M_(N+1) = 0, in M's coordinates
+        inner = [M.restrict(s) for s in mflag] + [zero_subspace(N)]
+        if not marked.contains(inner[l - 1]):
+            raise ValueError("marked hyperplane must contain M_l")
+        if marked.contains(inner[l - 2]):
+            raise ValueError("marked hyperplane must not contain M_(l-1)")
+        x = [_null_vector(below.rows, below.pivots,
+                          next(c for c in above.pivots if c not in below.pivots), N)
+             for above, below in zip(inner, inner[1:])]
+        x[l - 2] = _read_null_vectors(marked.rows, marked.pivots, N)[0]
+        covectors = [v for _, v in x]
+        inverse = _inverse_rows(list(zip(*covectors)))
+        if inverse is None:
+            raise ValueError("covectors are not independent")
+        cols = list(zip(*lift))
+        # e_k = d_k (column k of V^-1) = dual[k] / (P s_k)
+        pairs = [(P * s, [d * sum(map(mul, w, col)) for col in cols])
+                 for (d, _), (s, w) in zip(x, inverse)]
+    dual = [w for _, w in pairs]
 
     # construction sanity: the dual basis tails trace out the given flag;
     # the flag is nested and the dual vectors independent, so e_i in M_i
@@ -279,7 +306,7 @@ def build_pencil(mflag, l: int, L_inf: Subspace) -> Pencil:
                for q, v in enumerate(dual) if q != l - 2):
         raise VerificationError(f"dual basis without vector {l - 1} does not span L_inf")
 
-    family = _pencil_columns(M.ambient, [(P * s, w) for w, (s, _) in zip(dual, inverse)], l)
+    family = _pencil_columns(M.ambient, pairs, l)
     if not _in_pencil_form(M, covectors, family, l):
         raise VerificationError("pencil columns are not t e_j + e_(j+1) and e_k "
                                 "in the dual basis")
@@ -370,7 +397,9 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
     The moving-plane clause holds for every t != 0.  For slice position q
     the moving family is M_q cap L_t: (a) its integer column forms are the
     pencil's from q on, so it lies in every L_t; (b) every integer covector
-    of F_b's annihilator kills every t-coefficient, so it lies in F_b; (c)
+    of F_b's annihilator kills every t-coefficient, so it lies in F_b (on
+    the coordinate flag those covectors are e_1, ..., e_{b-1}, so the first
+    b-1 entries of every column are read); (c)
     build_pencil proves the columns triangular with nonzero constant
     diagonal, so its dimension is ncols at every t, and ncols is dim(F_b cap
     L_t), read off the flag position above.  (c) follows from (a) and the
@@ -450,9 +479,14 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
             moving_by_q[q] = (moving, lim, flag.meet_dims(lim))
         moving, lim, lim_meets = moving_by_q[q]
         # clauses (a), (b), (c) of the docstring; F_b's annihilator is
-        # spanned by the flag's first b_j - 1 integer adapted covectors
-        fam_ok = (moving._forms == pencil.family._forms[q - 1:]
-                  and _kills_family(flag._adapted_coords[:bj - 1], moving)
+        # spanned by the flag's first b_j - 1 integer adapted covectors, on
+        # the coordinate flag e_1, ..., e_(b_j - 1): the first b_j - 1
+        # entries of each column, trimmed Polys, are zero
+        if flag._is_coordinate:
+            in_f_b = not any(any(col[:bj - 1]) for _, _, col in moving._forms)
+        else:
+            in_f_b = _kills_family(flag._adapted_coords[:bj - 1], moving)
+        fam_ok = (moving._forms == pencil.family._forms[q - 1:] and in_f_b
                   and moving.ncols == meets_t[bj - 1])
         checks.append(StageCheck(
             f"{name}: moving plane is F_{bj} cap L_t", fam_ok))
@@ -562,7 +596,9 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
     standard F_j.  So K is mapped once (span of its framed rows; on the
     coordinate flag the covectors are e_1, ..., e_n and K is its own frame)
     and the rest runs on standard_flag(n), whose coordinates do not grow
-    with n and whose flag positions are read off canonical rows.
+    with n and whose flag positions are read off canonical rows; the
+    mapped K is checked there to meet the flag properly, as dim(F_j cap K)
+    = dim(F_j cap gK).
     cell_point draws in the adapted basis, which g sends to positive
     multiples of unit vectors, so its point is the direct run's up to a
     diagonal scaling that fixes every standard flag space.
@@ -570,6 +606,9 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
     g changes, so it picks other hyperplanes than a direct run; the
     conditions are open, so either draw lands in the same generic flag
     position, and the reports come out equal.
+    Every position after K is the chain's own draw, so a step that refuses
+    one (a ValueError from step_verify) raises VerificationError: a failed
+    check, not bad input.
     """
     if b < 1:
         raise ValueError("chain length must be at least 1")
@@ -580,14 +619,14 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
         raise ValueError(f"chain length must be at most n+1-a_1 = {n + 1 - a.entries[0]}")
     if K.dim != n + 1 - a.m - b:
         raise ValueError("general position has the wrong dimension")
-    if not meets_properly(K, flag):
-        raise ValueError("general position must meet the flag properly")
 
     # the flag's adapted covectors carry F_j onto the standard F_j; on the
     # coordinate flag they are e_1, ..., e_n, and K is its own frame
     if not flag._is_coordinate:
         K = span(n, *[flag.frame(v) for v in K.rows])
     flag = standard_flag(n)
+    if not meets_properly(K, flag):
+        raise ValueError("general position must meet the flag properly")
 
     rng = random.Random(seeds)
     positions = {b: cell_point(a, 1, flag, seed=seeds)}
@@ -612,8 +651,13 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
     reports = [StepReport("start", a, b, 0, start_checks, start_records)]
 
     for i in range(2, b + 1):
-        reports.append(step_verify(a, b + 2 - i, i - 1, flag,
-                                   positions[i], positions[i - 1]))
+        # the positions are the chain's own draws, so a refused one is a
+        # failed check, not bad input
+        try:
+            reports.append(step_verify(a, b + 2 - i, i - 1, flag,
+                                       positions[i], positions[i - 1]))
+        except ValueError as exc:
+            raise VerificationError(str(exc)) from exc
 
     # positions[b] is a verified level-1 cell point
     final = cycle_signature(a, b, 1)
@@ -814,8 +858,8 @@ def golden_run_741() -> GoldenReport:
         StageCheck(
             "stated basis spans the kernel of the specialized forms",
             all(sum(map(mul, phi, col)) == 0 for t in range(deg + 1)
-                for phi in map(_int_row, worked_forms(0, t))
-                for col in fam._int_columns(t))
+                for cols in [fam._int_columns(t)]
+                for phi in map(_int_row, worked_forms(0, t)) for col in cols)
             and rank(worked_forms(0, 1)) == 4),
         StageCheck(
             "moving 5-plane lies in the level-2 cell",

@@ -7,16 +7,24 @@ library against, verdict for verdict and value for value:
   in the x coordinates at M's pivots;
 * limit_at_zero: the full-rank point search before any fibre at 0;
 * int_row and int_vector: every row through the type set and the
-  Fraction scaling, whatever its entry types.
+  Fraction scaling, whatever its entry types;
+* build_pencil: every flag in M read through per-space restricts, its
+  covectors off null vectors and its dual basis off one echelon of
+  [V^T | I], as on any flag today.
 """
 
 from math import gcd, lcm
 from operator import mul
 
+from pierikit import deform
 from pierikit.exactla import (
     VerificationError,
     _EXACT,
     _int_row,
+    _inverse_rows,
+    _null_vector,
+    _read_null_vectors,
+    _scaled_lift,
     canonicalize,
     kernel_basis,
     ptrim,
@@ -124,3 +132,65 @@ def int_vector(v, n):
     if len(v) != n:
         raise ValueError(f"expected vector of length {n}, got {len(v)}")
     return scaled_row(v)
+
+
+def build_pencil(mflag, l, L_inf):
+    """deform.build_pencil with no chart shortcut: every flag in M checked
+    and read through restrict, x_i the null vector of M_(i+1) at the pivot
+    M_i adds, and V^-1 off _inverse_rows.  It calls _pencil_columns and
+    _in_pencil_form through deform, so a test that records their inputs
+    sees this function's too."""
+    mflag = tuple(mflag)
+    if not mflag:
+        raise ValueError("flag in M is empty: M must have positive dimension")
+    M = mflag[0]
+    N = M.dim
+    if len(mflag) != N:
+        raise ValueError("flag in M must have one space per dimension")
+    for i in range(1, N + 1):
+        if mflag[i - 1].dim != N + 1 - i:
+            raise ValueError(f"M_{i} of the flag in M must have dimension {N + 1 - i}")
+        if i < N and not mflag[i - 1].contains(mflag[i]):
+            raise ValueError(f"M_{i + 1} of the flag in M is not contained in M_{i}")
+    if not 2 <= l <= N + 1:
+        raise ValueError("marked position l must satisfy 2 <= l <= dim M + 1")
+    if L_inf.ambient != M.ambient:
+        raise ValueError("ambient mismatch")
+
+    inner = [M.restrict(s) for s in mflag] + [zero_subspace(N)]
+    try:
+        marked = M.restrict(L_inf)
+    except ValueError:
+        marked = None
+    if marked is None or marked.dim != N - 1:
+        raise ValueError("marked subspace must be a hyperplane of M")
+    if not marked.contains(inner[l - 1]):
+        raise ValueError("marked hyperplane must contain M_l")
+    if marked.contains(inner[l - 2]):
+        raise ValueError("marked hyperplane must not contain M_(l-1)")
+    x = [_null_vector(below.rows, below.pivots,
+                      next(c for c in above.pivots if c not in below.pivots), N)
+         for above, below in zip(inner, inner[1:])]
+    x[l - 2] = _read_null_vectors(marked.rows, marked.pivots, N)[0]
+    covectors = [v for _, v in x]
+    inverse = _inverse_rows(list(zip(*covectors)))
+    if inverse is None:
+        raise ValueError("covectors are not independent")
+    P, lift = _scaled_lift(M.rows)
+    cols = list(zip(*lift))
+    dual = [[d * sum(map(mul, w, col)) for col in cols]
+            for (d, _), (_, w) in zip(x, inverse)]
+
+    for i in range(1, N + 1):
+        if not mflag[i - 1].contains_vector(dual[i - 1]):
+            raise VerificationError(f"dual basis tail {i} does not span M_{i}")
+    if not all(marked.contains_vector([v[p] for p in M.pivots])
+               for q, v in enumerate(dual) if q != l - 2):
+        raise VerificationError(f"dual basis without vector {l - 1} does not span L_inf")
+
+    family = deform._pencil_columns(M.ambient,
+                                    [(P * s, w) for w, (s, _) in zip(dual, inverse)], l)
+    if not deform._in_pencil_form(M, covectors, family, l):
+        raise VerificationError("pencil columns are not t e_j + e_(j+1) and e_k "
+                                "in the dual basis")
+    return deform.Pencil(M, mflag, l, family, L_inf)

@@ -619,6 +619,13 @@ def _miss_witness_point(monkeypatch):
         "witness plane fails its defining conditions"
 
 
+def _descend_to_the_carrier(monkeypatch):
+    # valid input, but the library's own descent hands back M itself
+    monkeypatch.setattr(deform, "_descend_hyperplane", lambda a, s, flag, M, rng: M)
+    return ("chain-deform", "--n", "9", "--alpha", "7,4,1", "--b", "2"), \
+        "marked subspace must be a hyperplane of M"
+
+
 def _exhaust_descent(monkeypatch):
     monkeypatch.setattr(deform, "cell_member", lambda *a: False)
     return ("chain-deform", "--n", "9", "--alpha", "7,4,1", "--b", "2"), \
@@ -642,11 +649,13 @@ class TestGenericityExit:
         assert (rc, out) == (3, "")
         assert err == f"error: genericity retries exhausted: {message}\n"
 
-    @pytest.mark.parametrize("miss", [_miss_cell_point, _miss_witness_point],
-                             ids=["cell_point", "witness_point"])
+    @pytest.mark.parametrize("miss", [_miss_cell_point, _miss_witness_point,
+                                      _descend_to_the_carrier],
+                             ids=["cell_point", "witness_point", "descent fault"])
     def test_one_draw_sampler_miss_exits_one(self, capsys, monkeypatch, verb_files, miss):
         # cell points and witness planes are built once and cannot miss, so
-        # a failed post-check is a library fault, not a reason to reseed
+        # a failed post-check is a library fault, not a reason to reseed; a
+        # descent step_verify refuses is one too
         argv, message = miss(monkeypatch)
         rc, out, err = run(capsys, *fill(argv, verb_files))
         assert (rc, out, err) == (1, "", f"failed: {message}\n")

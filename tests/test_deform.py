@@ -327,14 +327,32 @@ class TestBuildPencil:
             build_pencil(mf, 6, bad)
 
     def test_rejects_dependent_covectors(self, monkeypatch):
-        # offering x_1 = e_1 first for x_(l-1) makes covectors 1 and l-1 equal
+        # off the chain's flag: offering x_1, the first null vector read,
+        # first for x_(l-1) makes covectors 1 and l-1 equal
+        mf = flag_within(TestFlagWithin.M_RANDOM, TestFlagWithin.RANDOM)
+        assert not on_chart(mf)
+        L_inf = marked_at(mf, 4, random.Random(4))
+        read, real_null, real = [], deform._null_vector, deform._read_null_vectors
+        monkeypatch.setattr(deform, "_null_vector",
+                            lambda *args: read.append(real_null(*args)) or read[-1])
+        monkeypatch.setattr(deform, "_read_null_vectors",
+                            lambda rows, pivots, ncols: read[:1] + real(rows, pivots, ncols))
+        with pytest.raises(ValueError, match="covectors are not independent"):
+            build_pencil(mf, 4, L_inf)
+
+    def test_dependent_covectors_in_the_chart_are_the_upper_space_refusal(self, monkeypatch):
+        # on the chain's flag det V = v_(l-1): offering x_1 = e_1 first for
+        # x_(l-1) is refused where the chart reads v_(l-1)
         real = deform._read_null_vectors
         monkeypatch.setattr(deform, "_read_null_vectors",
                             lambda rows, pivots, ncols: [(1, [1] + [0] * (ncols - 1))]
                             + real(rows, pivots, ncols))
         mf = flag_within(M_COMPANION, FLAG)
-        with pytest.raises(ValueError, match="covectors are not independent"):
+        assert on_chart(mf)
+        with pytest.raises(ValueError, match=r"must not contain M_\(l-1\)"):
             build_pencil(mf, 6, L_MARKED)
+        with pytest.raises(ZeroDivisionError):
+            ref.source_mutant(build_pencil, "if not v[l - 2]:", "if False:")(mf, 6, L_MARKED)
 
 
 # cell points of the level-3 and the level-4 cell of A741, with a hyperplane
@@ -359,12 +377,13 @@ STEP_PRECONDITIONS = {
 }
 
 
-def step_precondition_outcomes():
-    """Row -> (exception type, message) that step_verify raises on it."""
+def step_precondition_outcomes(flag=FLAG):
+    """Row -> (exception type, message) that step_verify raises on it, its
+    spaces carried onto flag."""
     got = {}
     for row, (s, M, L_inf, _) in STEP_PRECONDITIONS.items():
         try:
-            step_verify(A741, s, 1, FLAG, M, L_inf)
+            step_verify(A741, s, 1, flag, carried(M, flag), carried(L_inf, flag))
             got[row] = None
         except (ValueError, VerificationError) as exc:
             got[row] = (type(exc), str(exc))
@@ -376,17 +395,28 @@ class TestStepVerify:
         assert step_precondition_outcomes() == {
             row: (ValueError, message) for row, (*_, message) in STEP_PRECONDITIONS.items()}
 
+    def lower_space_check_dropped(self, monkeypatch, flag, check):
+        """The precondition rows whose outcome changes with the check
+        dropped from build_pencil; each row raises its message without."""
+        want = {row: (ValueError, message) for row, (*_, message) in STEP_PRECONDITIONS.items()}
+        assert step_precondition_outcomes(flag) == want
+        monkeypatch.setattr(deform, "build_pencil", ref.source_mutant(
+            deform.build_pencil, check, "if False:"))
+        got = step_precondition_outcomes(flag)
+        return [row for row in STEP_PRECONDITIONS if got[row] != want[row]]
+
     def test_pencil_without_its_lower_space_check_fails(self, monkeypatch):
         # step_verify no longer checks L_inf itself: dropping build_pencil's
-        # check lets the L_inf that misses F_9 through to a later raise
-        monkeypatch.setattr(deform, "build_pencil", ref.source_mutant(
-            deform.build_pencil,
-            'if not marked.contains(inner[l - 1]):\n'
-            '        raise ValueError("marked hyperplane must contain M_l")',
-            "pass"))
-        got = step_precondition_outcomes()
-        assert [row for row, (*_, message) in STEP_PRECONDITIONS.items()
-                if got[row] != (ValueError, message)] == ["L_inf misses F_9"]
+        # check lets the L_inf that misses F_9 through to a later raise; on
+        # a random flag that is the check in the chart against M_l
+        assert self.lower_space_check_dropped(
+            monkeypatch, random_flag(9, 4), "if not marked.contains(inner[l - 1]):"
+        ) == ["L_inf misses F_9"]
+
+    def test_pencil_without_its_lower_space_check_in_the_chart_fails(self, monkeypatch):
+        # on the chain's flag it is the check on v
+        assert self.lower_space_check_dropped(
+            monkeypatch, FLAG, "if any(v[l - 1:]):") == ["L_inf misses F_9"]
 
     def test_worked_step_passes(self):
         rep = step_verify(A741, 2, 1, FLAG, M_COMPANION, L_MARKED)
@@ -1868,11 +1898,23 @@ class TestTriangularDual:
         vector of M_l at p_(l-1), in row l-1 of the covectors in place of
         L_inf's null vector is dual to the wrong covectors: it refuses every
         case whose L_inf is not the stand-in's kernel, among them every
-        generic L_inf that a chain descends to."""
+        generic L_inf that a chain descends to.  The cases are those of the
+        general path: each chart case is carried onto a random flag."""
+        self.check_correction_dropped(monkeypatch, False, "x[l - 2] = _read_null_vectors("
+                                      "marked.rows, marked.pivots, N)[0]")
+
+    def test_dual_without_the_correction_in_the_chart_fails(self, monkeypatch):
+        """The same fault in M's chart, where the stand-in is the unit
+        covector e_(l-1): on the chart cases and the chain pencils at
+        n <= 6."""
+        self.check_correction_dropped(monkeypatch, True, "covectors[l - 2] = v")
+
+    def check_correction_dropped(self, monkeypatch, chart, correction):
         cases = pencil_cases() + sweep_pencils()[:20]
+        cases = chart_cases(cases) if chart else off_chart(cases)
+        assert all(on_chart(mf) == chart for mf, _, _ in cases)
         monkeypatch.setattr(deform, "build_pencil", ref.source_mutant(
-            deform.build_pencil,
-            "x[l - 2] = _read_null_vectors(marked.rows, marked.pivots, N)[0]", "pass"))
+            deform.build_pencil, correction, "pass"))
         refused = kept = 0
         for mf, l, L_inf in cases:
             M = mf[0]
@@ -2118,19 +2160,22 @@ def marked_candidates(mf, l, L_inf, rng):
     return out
 
 
-def marked_outcomes(build):
-    """(outcome of build, want) per marked candidate of every
-    pencil_cases() case, an outcome being "built" or the ValueError's
-    message; want comes from marked_refusal."""
+def marked_outcomes(build, cases=None):
+    """(outcome of build, want) per marked candidate of every case
+    (pencil_cases() by default), an outcome being "built", the ValueError's
+    message, or the class and message of an IndexError; want comes from
+    marked_refusal."""
     rng = random.Random(19960106)
     out = []
-    for mf, l, L_inf in pencil_cases():
+    for mf, l, L_inf in pencil_cases() if cases is None else cases:
         for L in marked_candidates(mf, l, L_inf, rng):
             try:
                 build(mf, l, L)
                 got = "built"
             except ValueError as exc:
                 got = str(exc)
+            except IndexError as exc:
+                got = f"IndexError: {exc}"
             if L.ambient != mf[0].ambient:
                 want = "ambient mismatch"
             else:
@@ -2147,9 +2192,23 @@ class TestMarkedChecksInTheChart:
         assert len(seen) == 5 and min(seen.values()) >= 90, seen
 
     def test_upper_space_read_one_position_down_fails(self):
-        mutant = ref.source_mutant(build_pencil, "if marked.contains(inner[l - 2]):",
-                                   "if marked.contains(inner[l - 1]):")
-        assert sum(got != want for got, want in marked_outcomes(mutant)) >= 98
+        """On pencil_cases() with each chart case carried onto a random
+        flag, where the general path runs."""
+        self.check_read_one_position_down(False, "if marked.contains(inner[l - 2]):",
+                                          "if marked.contains(inner[l - 1]):")
+
+    def test_upper_space_read_one_position_down_in_the_chart_fails(self):
+        """On the chart cases of pencil_cases() and the chain pencils at
+        n <= 6; at l = N+1 the mutant reads past v."""
+        self.check_read_one_position_down(True, "if not v[l - 2]:", "if not v[l - 1]:")
+
+    @staticmethod
+    def check_read_one_position_down(chart, old, new):
+        cases = pencil_cases()
+        cases = chart_cases(cases) if chart else off_chart(cases)
+        assert all(on_chart(mf) == chart for mf, _, _ in cases)
+        mutant = ref.source_mutant(build_pencil, old, new)
+        assert sum(got != want for got, want in marked_outcomes(mutant, cases)) >= 98
 
 
 def chain_outcome(chain, a, b, flag, K, seeds):
@@ -2241,3 +2300,174 @@ def test_pencil_differential_n8_9(n, monkeypatch):
             assert deform._kills_family(covectors, tail) == want
             verdicts[want] += 1
     assert verdicts[True] >= 1000 and verdicts[False] >= 1000, verdicts
+
+
+# ----------------------------------------------------------------------
+# Chain steps in M's chart.  On a flag in M whose spaces are the tails of
+# M's canonical rows, as on the coordinate flag where every chain runs,
+# build_pencil reads its covectors, V^-1 and dual basis off M's rows in
+# closed form; on any other flag it runs the general path.  The parent's
+# build_pencil, general path only, is step_reference.build_pencil.
+
+def on_chart(mflag):
+    """Whether each M_i is spanned by M's canonical rows from i on."""
+    return all(s.rows == mflag[0].rows[i:] for i, s in enumerate(mflag))
+
+
+def carried(S, flag):
+    """S under the linear map e_k -> w_k, w_k the flag's integer adapted
+    rows: it carries the coordinate flag's F_j onto the flag's F_j, so S's
+    flag position, and every incidence with the flag, carries over."""
+    rows = flag._adapted_rows
+    return span(S.ambient, *[[sum(x * w[i] for x, w in zip(row, rows))
+                              for i in range(S.ambient)] for row in S.rows])
+
+
+def off_chart(cases):
+    """The cases with each chart case carried onto random_flag(n, n): the
+    flag in carried(M) is the carried flag in M, which is no row tail."""
+    out = []
+    for mf, l, L_inf in cases:
+        if on_chart(mf):
+            flag = random_flag(L_inf.ambient, L_inf.ambient)
+            mf, L_inf = flag_within(carried(mf[0], flag), flag), carried(L_inf, flag)
+        out.append((mf, l, L_inf))
+    return out
+
+
+def chart_cases(cases):
+    """The chart cases among cases, then every chain pencil at n = 3..6."""
+    return ([case for case in cases if on_chart(case[0])]
+            + [case for n in range(3, 7) for case in chain_pencils(n)])
+
+
+def pencil_outcome(build, mflag, l, L_inf):
+    """(what build returned or the class and message of what it raised,
+    the integer covectors it handed _in_pencil_form and the dual pairs it
+    handed _pencil_columns, exactly)."""
+    handed = []
+    columns, form = deform._pencil_columns, deform._in_pencil_form
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(deform, "_pencil_columns", lambda ambient, dual, l: handed.append(
+            [(d, list(w)) for d, w in dual]) or columns(ambient, dual, l))
+        m.setattr(deform, "_in_pencil_form", lambda M, covectors, family, l: handed.append(
+            [list(x) for x in covectors]) or form(M, covectors, family, l))
+        try:
+            got = build(mflag, l, L_inf)
+        except Exception as exc:
+            got = type(exc).__name__, str(exc)
+    return got, handed
+
+
+def reference_cases():
+    """Every chain pencil at n = 3..7, then pencil_cases() with every
+    marked candidate of each: the valid L_inf and its refusals."""
+    rng = random.Random(19960106)
+    cases = [case for n in range(3, 8) for case in chain_pencils(n)]
+    for mf, l, L_inf in pencil_cases():
+        cases += [(mf, l, L) for L in marked_candidates(mf, l, L_inf, rng)]
+    return cases
+
+
+def reference_mismatches(build, cases):
+    """The cases on which build's pencil_outcome differs from the
+    reference's."""
+    return [(l, str(mf[0]), str(L_inf)) for mf, l, L_inf in cases
+            if pencil_outcome(build, mf, l, L_inf)
+            != pencil_outcome(step_ref.build_pencil, mf, l, L_inf)]
+
+
+CHART_MUTANTS = {
+    "v_(l-1) negative": ("covectors[l - 2] = v", "covectors[l - 2] = [-z for z in v]"),
+    "no gcd": ("g = gcd(c, y)", "g = 1"),
+    "M_l read from v_(l-1)": ("if any(v[l - 1:]):", "if any(v[l - 2:]):"),
+    "tail by dimension": ("all(s.rows == M.rows[i:] for i, s in enumerate(mflag))",
+                          "all(s.dim == N - i for i, s in enumerate(mflag))"),
+}
+
+
+class TestChartPencil:
+    CASES = reference_cases()
+
+    def test_equals_the_reference(self):
+        """Pencil, covectors and dual pairs are the reference's, value for
+        value, and every refusal is its refusal, on the chart and off it."""
+        assert reference_mismatches(build_pencil, self.CASES) == []
+        seen = Counter()
+        for mf, l, L_inf in self.CASES:
+            got, _ = pencil_outcome(build_pencil, mf, l, L_inf)
+            seen[on_chart(mf), got[1] if isinstance(got, tuple) else "built"] += 1
+        assert seen[True, "built"] >= 400 and seen[False, "built"] >= 60, seen
+        for message in ("marked subspace must be a hyperplane of M",
+                        "marked hyperplane must contain M_l",
+                        "marked hyperplane must not contain M_(l-1)", "ambient mismatch"):
+            assert seen[True, message] >= 20 and seen[False, message] >= 20, (message, seen)
+
+    @pytest.mark.parametrize("kind", CHART_MUTANTS)
+    def test_mutants_fail(self, kind):
+        """A v of the other sign or dual pairs not in lowest terms build an
+        equal Pencil from other integers than the reference's; the other
+        two refuse or mis-build pencils the reference builds."""
+        mutant = ref.source_mutant(build_pencil, *CHART_MUTANTS[kind])
+        assert len(reference_mismatches(mutant, self.CASES)) >= 60
+
+    def test_sanity_checks_stay_checks_in_the_chart(self):
+        """Dual pairs with the two lifted rows swapped put e_k outside M_k
+        for some k > l-1, which the first sanity check refuses."""
+        mutant = ref.source_mutant(build_pencil, "[a * z - b * w for z, w in zip(row, last)]",
+                                   "[a * w - b * z for z, w in zip(row, last)]")
+        mf = flag_within(M_COMPANION, FLAG)
+        with pytest.raises(VerificationError, match="dual basis tail 5 does not span M_5"):
+            mutant(mf, 5, span(9, e(2), e(3), e(5), e(8), e(9)))
+
+    def test_coordinate_kill_reading_b_j_entries_fails(self, monkeypatch):
+        """On the coordinate flag the moving plane lies in F_(b_j) iff the
+        first b_j - 1 entries of its columns vanish; reading b_j entries
+        tests F_(b_j + 1) and fails chains whose moving plane is not in it."""
+        cases = [(a, b, standard_flag(6), coordinate_k(6, a, b), k)
+                 for k, (a, b) in enumerate(every_chain(6))]
+        want = [chain_outcome(chain_deformation, *case) for case in cases]
+        monkeypatch.setattr(deform, "step_verify", ref.source_mutant(
+            step_verify, "any(col[:bj - 1])", "any(col[:bj])"))
+        got = [chain_outcome(chain_deformation, *case) for case in cases]
+        assert sum(g != w for g, w in zip(got, want)) >= 20
+
+    def test_frame_before_the_proper_meeting_check(self, monkeypatch):
+        """chain_deformation frames K once and checks it on the standard
+        flag; a K that misses a random flag's proper position is refused
+        with the same message."""
+        flag = random_flag(9, 4)
+        framed = []
+        real = Flag.frame
+        monkeypatch.setattr(Flag, "frame", lambda f, v: framed.append(v) or real(f, v))
+        bad = flag.subspace(5)
+        with pytest.raises(ValueError, match="general position must meet the flag properly"):
+            chain_deformation(A741, 2, flag, bad)
+        assert len(framed) == bad.dim
+        K = coordinate_k(9, A741, 2)
+        assert meets_properly(K, flag)
+        framed.clear()
+        assert all(rep.passed for rep in chain_deformation(A741, 2, flag, K))
+        assert len(framed) == K.dim
+
+
+def test_descent_fault_is_a_failed_check(monkeypatch):
+    """A ValueError that step_verify raises on positions the chain drew
+    itself is a VerificationError: here a descent that hands back M."""
+    K = coordinate_k(9, A741, 2)
+    monkeypatch.setattr(deform, "_descend_hyperplane", lambda a, s, flag, M, rng: M)
+    with pytest.raises(VerificationError,
+                       match="marked subspace must be a hyperplane of M") as info:
+        chain_deformation(A741, 2, FLAG, K)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+@pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
+                    reason="every chain at n = 8, 9; set PIERIKIT_SLOW=1 to run them")
+@pytest.mark.parametrize("n", [8, 9])
+def test_chart_pencils_match_the_reference_n8_9(n):
+    """Every pencil of every chain at n = 8, 9 on the standard flag, built
+    in M's chart: the reference's Pencil, covectors and dual pairs."""
+    cases = chain_pencils(n)
+    assert len(cases) >= 400 and all(on_chart(mf) for mf, _, _ in cases)
+    assert reference_mismatches(build_pencil, cases) == []
