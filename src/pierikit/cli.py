@@ -8,9 +8,10 @@ line to stderr per failed clause, and returns the exit code.  Exit codes: 0
 success or verification pass; 1 a clause failed, or an exact check raised
 `VerificationError` (its message follows `failed:`); 2 usage error or
 unreadable input (`error: ...` on stderr); 3 a seeded sampler (a witness
-plane's vector_avoiding, never a one-draw cell point) ran out of retries
-without a point in general position (`GenericityError`, reported as
-`error: genericity retries exhausted: ...`; another seed may work).
+plane's vector_avoiding, chain-deform's _descend_hyperplane, or
+triple-witness's draws of C in witness_table; never a one-draw cell point)
+ran out of retries without a point in general position (`GenericityError`,
+reported as `error: genericity retries exhausted: ...`; another seed may work).
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ position to the fully special one where every component is a plain
 Schubert variety.
 """
 
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 import random
@@ -375,6 +376,58 @@ def _kills_family(covectors, fam: PolyFamily) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _step_plan(a: DecSeq, s: int, r: int) -> tuple:
+    """The half of step_verify's report that reads neither the flag nor M
+    nor L_inf, cached by value on (a, s, r): the five sample-clause names;
+    per level-r index b, its record (children: the next-level indices
+    branch_parent files under b), b_j, restrict_sequence(b, j) and its four
+    geometric clause names (None for j = 1), and its finished children
+    clause; the partition and assembled-cycle clauses.  All of it is the
+    branching tree's combinatorics, the same for every flag and position,
+    and StageChecks and records are frozen, so reports share them.  A raise
+    is never cached; a test that patches a helper read here calls
+    cache_clear.  The partition clause's duplicate half cannot fail on its
+    own: each index is filed under one branch_parent.
+    """
+    nxt = pieri_set(a, r + 1)
+    # the next level grouped by parent, each group in the order of nxt
+    children = {}
+    for g in nxt:
+        children.setdefault(branch_parent(a, g), []).append(g)
+    claimed, plan = [], []
+    for b in pieri_set(a, r):
+        j = first_diff_index(a, b)
+        kids = tuple(children.get(b, ()))
+        claimed.extend(kids)
+        rec, name = ComponentRecord(b, j, kids), f"component {b}"
+        detail = " ".join(map(str, kids))
+        if j == 1:
+            # the carried Schubert variety is relabeled, not deformed: the
+            # level-r label pushed by s-1 equals the child pushed by s-2
+            want = (b.bump(1),) if b.entries[0] < a.n else ()
+            plan.append((rec, None, None, None, StageCheck(
+                f"{name}: branches in row 1 only", kids == want, detail=detail)))
+            continue
+        bj, b_r = b.entries[j - 1], restrict_sequence(b, j)
+        lifted = tuple(b.bump(first_diff_index(b_r, g_r)) for g_r in pieri_set(b_r, 1))
+        names = (f"{name}: moving plane is F_{bj} cap L_t",
+                 f"{name}: limit is F_{bj + 1} cap M",
+                 f"{name}: limit has the generic fibre dimension",
+                 f"{name}: limit lies in the restricted level-{s - 1} cell")
+        plan.append((rec, bj, b_r, names, StageCheck(
+            f"{name}: children match the restricted branch set",
+            frozenset(lifted) == frozenset(kids) and len(set(lifted)) == len(lifted),
+            detail=detail)))
+    part_ok = len(claimed) == len(set(claimed)) and frozenset(claimed) == frozenset(nxt)
+    cycle_ok = _cycle_labels(a, set(claimed), s - 1) == cycle_signature(a, r + 1, s - 1)
+    tail = (StageCheck("children partition the next branch level", part_ok),
+            StageCheck("assembled components match the level-(r+1) cycle", cycle_ok))
+    samples = tuple(f"sample t={t} lies in the level-{s} cell"
+                    for t in ("1", "1/2", "2", "3", "-1"))
+    return samples, tuple(plan), tail
+
+
 def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
                 L_inf: Subspace) -> StepReport:
     """Verify one pencil step of the degeneration chain.
@@ -399,20 +452,20 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
     pencil's from q on, so it lies in every L_t; (b) every integer covector
     of F_b's annihilator kills every t-coefficient, so it lies in F_b (on
     the coordinate flag those covectors are e_1, ..., e_{b-1}, so the first
-    b-1 entries of every column are read); (c)
-    build_pencil proves the columns triangular with nonzero constant
-    diagonal, so its dimension is ncols at every t, and ncols is dim(F_b cap
-    L_t), read off the flag position above.  (c) follows from (a) and the
-    definition of q, since the pencil has N-1 columns; it is kept as a
+    b-1 entries of every column are read); (c) build_pencil proves the
+    columns triangular with nonzero constant diagonal, so its dimension is
+    ncols at every t, and ncols is dim(F_b cap L_t), read off the flag
+    position above.  (c) cannot fail on its own: it follows from (a) and
+    the definition of q, since the pencil has N-1 columns; it is kept as a
     check of that count.
     The limit is computed over Z[t], and the expected F_{b_j+1} cap M is the
     member of the flag in M of its dimension; it lies in the restricted cell
     iff it lies in F_b and its flag position from F_b on passes
-    profile_in_cell.  Each component's children are the next-level indices
-    branch_parent files under it, compared with the restricted branch set
-    and checked to partition the next level.  The assembled cycle labels the
-    distinct claimed children and is compared with M's y_cycle, read as
-    cycle_signature: M's cell is checked above.
+    profile_in_cell.  The clauses that read neither the flag nor M nor
+    L_inf, the children's and the assembled cycle's, depend on the
+    branching tree alone and come finished from _step_plan(a, s, r) (a
+    test that patches a helper it reads calls its cache_clear), read after
+    the input checks so that every refusal keeps its order.
     """
     if s < 2:
         raise ValueError("step parameter s must be at least 2")
@@ -442,36 +495,17 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
     # the flag position of every L_t with t != 0
     meets_t = [d - (q <= a1 + s - 1) for q, d in enumerate(meets, 1)]
     in_cell = profile_in_cell(meets_t, a, s)
-    checks = [StageCheck(f"sample t={t} lies in the level-{s} cell", in_cell)
-              for t in ("1", "1/2", "2", "3", "-1")]
+    samples, plan, tail = _step_plan(a, s, r)
+    checks = [StageCheck(name, in_cell) for name in samples]
     records = []
-
-    level = pieri_set(a, r)
-    nxt = pieri_set(a, r + 1)
-    # the next level grouped by parent, each group in the order of nxt
-    children = {}
-    for g in nxt:
-        children.setdefault(branch_parent(a, g), []).append(g)
-    claimed = []
     # components with the same slice position q share M_q cap L_t: its
     # limit and the limit's flag position are computed once per q
     moving_by_q = {}
-    for b in level:
-        j = first_diff_index(a, b)
-        kids = tuple(children.get(b, ()))
-        name = f"component {b}"
-        claimed.extend(kids)
-        if j == 1:
-            # the carried Schubert variety is relabeled, not deformed: the
-            # level-r label pushed by s-1 equals the child pushed by s-2
-            want = (b.bump(1),) if b.entries[0] < a.n else ()
-            ok = kids == want
-            checks.append(StageCheck(
-                f"{name}: branches in row 1 only", ok,
-                detail=" ".join(str(g) for g in kids)))
-            records.append(ComponentRecord(b, j, kids))
+    for rec, bj, b_r, names, kids_check in plan:
+        if names is None:
+            checks.append(kids_check)
+            records.append(rec)
             continue
-        bj = b.entries[j - 1]
         q = N - meets[bj - 1] + 1
         if q not in moving_by_q:
             moving = pencil.restricted_family(q)
@@ -488,42 +522,19 @@ def step_verify(a: DecSeq, s: int, r: int, flag: Flag, M: Subspace,
             in_f_b = _kills_family(flag._adapted_coords[:bj - 1], moving)
         fam_ok = (moving._forms == pencil.family._forms[q - 1:] and in_f_b
                   and moving.ncols == meets_t[bj - 1])
-        checks.append(StageCheck(
-            f"{name}: moving plane is F_{bj} cap L_t", fam_ok))
         expected = _mflag_space(mflag, N + 1 - meets[bj], a.n)
-        checks.append(StageCheck(
-            f"{name}: limit is F_{bj + 1} cap M", lim == expected))
-        checks.append(StageCheck(
-            f"{name}: limit has the generic fibre dimension",
-            lim.dim == N - q))
         # the limit lies in F_b, and its flag position from F_b on is its
         # position under the flag induced on F_b (see restrict_flag)
-        b_r = restrict_sequence(b, j)
         try:
             cell_ok = (lim_meets[bj - 1] == lim.dim
                        and profile_in_cell(lim_meets[bj - 1:], b_r, s - 1))
         except ValueError:
             cell_ok = False
-        checks.append(StageCheck(
-            f"{name}: limit lies in the restricted level-{s - 1} cell",
-            cell_ok))
-        lifted = tuple(
-            b.bump(first_diff_index(b_r, g_r)) for g_r in pieri_set(b_r, 1)
-        )
-        checks.append(StageCheck(
-            f"{name}: children match the restricted branch set",
-            frozenset(lifted) == frozenset(kids) and len(set(lifted)) == len(lifted),
-            detail=" ".join(str(g) for g in kids)))
-        records.append(ComponentRecord(b, j, kids, limit_dim=lim.dim))
-
-    part_ok = (
-        len(claimed) == len(set(claimed)) and frozenset(claimed) == frozenset(nxt)
-    )
-    checks.append(StageCheck("children partition the next branch level", part_ok))
-
-    checks.append(StageCheck(
-        "assembled components match the level-(r+1) cycle",
-        _cycle_labels(a, set(claimed), s - 1) == cycle_signature(a, r + 1, s - 1)))
+        checks.extend(map(StageCheck, names, (fam_ok, lim == expected,
+                                              lim.dim == N - q, cell_ok)))
+        checks.append(kids_check)
+        records.append(ComponentRecord(rec.index, rec.j, rec.children, lim.dim))
+    checks.extend(tail)
 
     return StepReport("step", a, s, r, tuple(checks), tuple(records))
 
@@ -573,6 +584,33 @@ def _descend_hyperplane(a: DecSeq, s: int, flag: Flag, M: Subspace, rng) -> Subs
     raise GenericityError("no generic descent hyperplane found")
 
 
+@lru_cache(maxsize=None)
+def _chain_plan(a: DecSeq, b: int) -> tuple:
+    """The half of chain_deformation's report that reads no flag and no
+    position, cached by value on (a, b) as _step_plan is on (a, s, r), and
+    for the same reasons: the start stage's branch-set clause and records,
+    and the collapse stage's head clause, records and, per index g with
+    j > 1, (j, g_j) and its two clause names.  Neither clause can fail on
+    its own: the start clause compares cycle_signature(a, 1, b) with the
+    _cycle_labels it is built from, and at s = 1 _cycle_labels drops no
+    member, so the collapse clause reads pieri_set(a, b) against itself."""
+    level1, last = pieri_set(a, 1), pieri_set(a, b)
+    start = (StageCheck("level-1 components match the branch set",
+                        cycle_signature(a, 1, b) == _cycle_labels(a, level1, b)),
+             tuple(ComponentRecord(g, first_diff_index(a, g), ()) for g in level1))
+    head = StageCheck("final components indexed by the full branch set",
+                      {c[1] for c in cycle_signature(a, b, 1)} == {g.entries for g in last})
+    records, comps = [], []
+    for g in last:
+        j = first_diff_index(a, g)
+        records.append(ComponentRecord(g, j, ()))
+        if j > 1:
+            gj = g.entries[j - 1]
+            comps.append((j, gj, f"component {g}: special position meets F_{gj} in excess",
+                          f"component {g}: incidence condition holds on sampled points"))
+    return start, (head, tuple(records), tuple(comps))
+
+
 def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
                       seeds: int = 0) -> list:
     """Run the full degeneration chain and verify every stage.
@@ -583,7 +621,10 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
     classifies the general-position intersection, the last one checks that
     the fully special cycle is a sum of plain Schubert varieties.  The
     collapse stage's incidence clause is a dimension count, so it holds for
-    every plane of each Schubert set, not just for sampled ones.
+    every plane of each Schubert set, not just for sampled ones.  The
+    clauses and records that read no flag and no position depend on the
+    branching tree alone and come from _chain_plan(a, b) and, per step,
+    _step_plan (a test that patches a helper they read calls cache_clear).
     A chain longer than n+1-a_1 raises ValueError: the descent into the
     level-b cell needs a hyperplane avoiding F_{a_1+b-1}, and for
     b = n+2-a_1 that space is zero, which every hyperplane contains.
@@ -634,20 +675,13 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
         positions[i - 1] = _descend_hyperplane(a, b + 2 - i, flag,
                                                positions[i], rng)
 
-    level1 = pieri_set(a, 1)
+    (level1_check, start_records), (head, last_records, comps) = _chain_plan(a, b)
+    general_ok = classify_pieri(a, flag, K, b).verdict == TRANSVERSE_IRREDUCIBLE
     start_checks = (
-        StageCheck(
-            "general position meets transversally and irreducibly",
-            classify_pieri(a, flag, K, b).verdict == TRANSVERSE_IRREDUCIBLE),
-        StageCheck(
-            "first special position lies in the level-" + str(b) + " cell",
-            cell_member(positions[1], a, b, flag)),
-        StageCheck(
-            "level-1 components match the branch set",
-            cycle_signature(a, 1, b) == _cycle_labels(a, level1, b)),
-    )
-    start_records = tuple(ComponentRecord(g, first_diff_index(a, g), ())
-                          for g in level1)
+        StageCheck("general position meets transversally and irreducibly", general_ok),
+        StageCheck(f"first special position lies in the level-{b} cell",
+                   cell_member(positions[1], a, b, flag)),
+        level1_check)
     reports = [StepReport("start", a, b, 0, start_checks, start_records)]
 
     for i in range(2, b + 1):
@@ -660,31 +694,16 @@ def chain_deformation(a: DecSeq, b: int, flag: Flag, K: Subspace,
             raise VerificationError(str(exc)) from exc
 
     # positions[b] is a verified level-1 cell point
-    final = cycle_signature(a, b, 1)
-    last = pieri_set(a, b)
-    collapse_checks = [StageCheck(
-        "final components indexed by the full branch set",
-        {c[1] for c in final} == {g.entries for g in last})]
-    collapse_records = []
+    collapse_checks = [head]
     meets = flag.meet_dims(positions[b])
-    for g in last:
-        j = first_diff_index(a, g)
-        collapse_records.append(ComponentRecord(g, j, ()))
-        if j == 1:
-            continue
-        gj = g.entries[j - 1]
-        collapse_checks.append(StageCheck(
-            f"component {g}: special position meets F_{gj} in excess",
-            meets[gj - 1] == n + 2 - gj - j))
+    for j, gj, excess, incidence in comps:
+        collapse_checks.append(StageCheck(excess, meets[gj - 1] == n + 2 - gj - j))
         # every H in the Schubert set of g meets F_{gj} in dimension >= j;
         # two subspaces of F_{gj} whose dimensions add up to more than
         # dim F_{gj} = n+1-gj meet, so every such H meets the special
         # position inside F_{gj}: the incidence condition holds on all of it
-        collapse_checks.append(StageCheck(
-            f"component {g}: incidence condition holds on sampled points",
-            j + meets[gj - 1] > n + 1 - gj))
-    reports.append(StepReport("collapse", a, 1, b, tuple(collapse_checks),
-                              tuple(collapse_records)))
+        collapse_checks.append(StageCheck(incidence, j + meets[gj - 1] > n + 1 - gj))
+    reports.append(StepReport("collapse", a, 1, b, tuple(collapse_checks), last_records))
     return reports
 
 

@@ -1,5 +1,6 @@
 """Pencils, one-step degeneration, the full chain, and the worked run."""
 
+import functools
 import itertools
 import os
 import random
@@ -860,6 +861,37 @@ MOVING_751 = "component 751: moving plane is F_5 cap L_t"
 MOVING_742 = "component 742: moving plane is F_2 cap L_t"
 
 
+def clear_skeletons():
+    """Empty the caches that hold each chain's branching skeleton, keyed by
+    value: a plan built before a helper was patched would hide the patch,
+    and one built under it would outlive it."""
+    deform._step_plan.cache_clear()
+    deform._chain_plan.cache_clear()
+
+
+@pytest.fixture
+def cold_skeleton():
+    """Empty skeleton caches before and after a test that patches a helper
+    the skeletons read (pieri_set, branch_parent, first_diff_index,
+    restrict_sequence, cycle_signature, _cycle_labels)."""
+    clear_skeletons()
+    yield
+    clear_skeletons()
+
+
+def moved_or_dropped_parent(fault):
+    """branch_parent with 851 handed to 742 instead of 751 ("moved"), or
+    743 given a parent off the level ("dropped")."""
+    real = deform.branch_parent
+
+    def parent(a, g):
+        if str(g) == ("851" if fault == "moved" else "743"):
+            return DecSeq(9, (7, 4, 2)) if fault == "moved" else a
+        return real(a, g)
+
+    return parent
+
+
 class TestExactClauses:
     def test_sweep_agrees_with_sampled_verdicts(self, monkeypatch):
         steps = recorded_steps(monkeypatch)
@@ -996,19 +1028,12 @@ class TestExactClauses:
             "component 742: limit lies in the restricted level-1 cell"}
 
     @pytest.mark.parametrize("fault", ["moved", "dropped"])
-    def test_children_faults_fail_their_clauses(self, monkeypatch, fault):
+    def test_children_faults_fail_their_clauses(self, monkeypatch, cold_skeleton, fault):
         # a parent rule that hands 851 to 742 instead of 751 fails both
         # components' restricted branch sets; one that gives 743 a parent
         # off the level leaves it claimed by nobody, so the partition and
         # the assembled cycle fail too
-        real = deform.branch_parent
-
-        def parent(a, g):
-            if str(g) == ("851" if fault == "moved" else "743"):
-                return DecSeq(9, (7, 4, 2)) if fault == "moved" else a
-            return real(a, g)
-
-        monkeypatch.setattr(deform, "branch_parent", parent)
+        monkeypatch.setattr(deform, "branch_parent", moved_or_dropped_parent(fault))
         rep = step_verify(A741, 2, 1, FLAG, M_COMPANION, L_MARKED)
         want = {"component 742: children match the restricted branch set"}
         if fault == "moved":
@@ -1018,7 +1043,25 @@ class TestExactClauses:
                      "assembled components match the level-(r+1) cycle"}
         assert set(rep.failures()) == want
 
-    def test_parent_off_by_one_row_fails(self, monkeypatch):
+    def test_moved_parent_fails_after_a_warm_sweep(self, monkeypatch, cold_skeleton):
+        """After a sweep of every chain at n <= 6 and a passing run of the
+        faulted step, the skeletons are warm and would hide the moved
+        parent; once the fixture's clear_skeletons empties them, the fault
+        fails its two clauses."""
+        for n in range(3, 7):
+            for k, (a, b) in enumerate(every_chain(n)):
+                chain_deformation(a, b, standard_flag(n), coordinate_k(n, a, b), seeds=k)
+        args = (A741, 2, 1, FLAG, M_COMPANION, L_MARKED)
+        assert step_verify(*args).passed
+        assert deform._step_plan.cache_info().currsize > 100
+        monkeypatch.setattr(deform, "branch_parent", moved_or_dropped_parent("moved"))
+        assert step_verify(*args).passed
+        clear_skeletons()
+        assert set(step_verify(*args).failures()) == {
+            "component 742: children match the restricted branch set",
+            "component 751: children match the restricted branch set"}
+
+    def test_parent_off_by_one_row_fails(self, monkeypatch, cold_skeleton):
         # g - e_k for the row k next to j = first_diff_index(a, g) (no
         # parent where that row cannot drop): every step of the sweep
         # chains fails a clause on it
@@ -2471,3 +2514,138 @@ def test_chart_pencils_match_the_reference_n8_9(n):
     cases = chain_pencils(n)
     assert len(cases) >= 400 and all(on_chart(mf) for mf, _, _ in cases)
     assert reference_mismatches(build_pencil, cases) == []
+
+
+# ----------------------------------------------------------------------
+# Each chain's branching skeleton, built once per key.  step_verify reads
+# the clauses and records that depend on (a, s, r) alone from _step_plan,
+# chain_deformation those that depend on (a, b) alone from _chain_plan;
+# step_reference keeps both functions as they read with that
+# combinatorics inline on every call.
+
+def chain_steps(a, b, seeds):
+    """The step_verify arguments of chain (a, b) at seeds, on the standard
+    flag: the positions chain_deformation draws."""
+    flag = standard_flag(a.n)
+    rng = random.Random(seeds)
+    positions = {b: cell_point(a, 1, flag, seed=seeds)}
+    for i in range(b, 1, -1):
+        positions[i - 1] = deform._descend_hyperplane(a, b + 2 - i, flag, positions[i], rng)
+    return [(a, b + 2 - i, i - 1, flag, positions[i], positions[i - 1])
+            for i in range(2, b + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def skeleton_cases(ns):
+    """("chain", (a, b, flag, K, seeds)) for every chain at each n in ns
+    on the standard, reversed and seeded random sweep flags, two chains
+    too long and two with a K of the wrong dimension per n; then ("step",
+    args) for every step of the standard-flag chains, the same step at the
+    next branch level r+1 and carried onto the reversed flag, and three
+    refusals: r = 0, s = 1 and L_inf = M."""
+    chains, steps = [], []
+    for n in ns:
+        for kind in ("standard", "reversed", "random"):
+            flag, general_k = sweep_flag(n, kind)
+            chains += [(a, b, flag, general_k(n, a, b), k)
+                       for k, (a, b) in enumerate(every_chain(n))]
+        flag, rev = standard_flag(n), reversed_flag(n)
+        for a, b in every_chain(n)[:2]:
+            chains.append((a, n + 2 - a.entries[0], flag, coordinate_k(n, a, b), 0))
+            chains.append((a, b, flag, coordinate_k(n, a, b + 1), 0))
+        for k, (a, b) in enumerate(every_chain(n)):
+            for _, s, r, _, M, L in chain_steps(a, b, k):
+                steps += [(a, s, r, flag, M, L), (a, s, r + 1, flag, M, L),
+                          (a, s, r, rev, carried(M, rev), carried(L, rev)),
+                          (a, s, 0, flag, M, L), (a, 1, r, flag, M, L),
+                          (a, s, r, flag, M, M)]
+    return tuple([("chain", case) for case in chains] + [("step", args) for args in steps])
+
+
+def skeleton_outcome(lib, case):
+    """The report JSON of lib's chain_deformation or step_verify on case,
+    or the class and message of what it raised."""
+    kind, args = case
+    try:
+        if kind == "chain":
+            a, b, flag, K, seeds = args
+            return [rep.to_json() for rep in lib.chain_deformation(a, b, flag, K, seeds=seeds)]
+        return lib.step_verify(*args).to_json()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@functools.lru_cache(maxsize=None)
+def skeleton_reference(ns):
+    return tuple(skeleton_outcome(step_ref, case) for case in skeleton_cases(ns))
+
+
+def skeleton_mismatches(ns, seed):
+    """The cases, in one seeded shuffled order from cold skeletons, on
+    which the library's outcome is not the reference's, lazily."""
+    cases, want = skeleton_cases(ns), skeleton_reference(ns)
+    order = list(range(len(cases)))
+    random.Random(seed).shuffle(order)
+    clear_skeletons()
+    return (cases[i] for i in order if skeleton_outcome(deform, cases[i]) != want[i])
+
+
+def keyed_without(plan, drop):
+    """plan's builder under a cache whose key leaves out argument drop: the
+    first call for such a key fixes the value every later call shares."""
+    cache = {}
+
+    def mutant(*args):
+        key = args[:drop] + args[drop + 1:]
+        if key not in cache:
+            cache[key] = plan.__wrapped__(*args)
+        return cache[key]
+
+    mutant.cache_clear = cache.clear
+    return mutant
+
+
+SKELETON_MUTANTS = {
+    "step plan keyed without s": ("_step_plan", 1),
+    "step plan keyed without r": ("_step_plan", 2),
+    "chain plan keyed without b": ("_chain_plan", 1),
+}
+
+
+class TestSkeleton:
+    NS = (2, 3, 4, 5, 6, 7)
+
+    def test_cases_cover_reports_and_refusals(self):
+        want = skeleton_reference(self.NS)
+        kinds = Counter(case[0] for case in skeleton_cases(self.NS))
+        raised = Counter(w[1] for w in want if isinstance(w, tuple))
+        assert kinds["chain"] >= 1400 and kinds["step"] >= 2200, kinds
+        assert sum(isinstance(w, (list, dict)) for w in want) >= 2500
+        for message in ("branch level r must be at least 1",
+                        "step parameter s must be at least 2",
+                        "marked subspace must be a hyperplane of M",
+                        "general position has the wrong dimension",
+                        "chain length must be at most n+1-a_1 = 1"):
+            assert raised[message] >= 5, (message, raised)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_reports_equal_the_inline_reference(self, cold_skeleton, seed):
+        """Every chain at n <= 7 on three flags, and its steps with their
+        variants, from cold skeletons in a shuffled order: the reference's
+        report JSON, or its error class and message."""
+        assert list(skeleton_mismatches(self.NS, seed)) == []
+
+    @pytest.mark.parametrize("kind", SKELETON_MUTANTS)
+    def test_key_mutants_fail(self, monkeypatch, cold_skeleton, kind):
+        name, drop = SKELETON_MUTANTS[kind]
+        monkeypatch.setattr(deform, name, keyed_without(getattr(deform, name), drop))
+        assert next(skeleton_mismatches(self.NS, 1), None) is not None
+
+
+@pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
+                    reason="every chain at n = 8, 9; set PIERIKIT_SLOW=1 to run them")
+@pytest.mark.parametrize("n", [8, 9])
+def test_skeleton_differential_n8_9(n, cold_skeleton):
+    """TestSkeleton's differential on every chain at n = 8, 9 and its steps,
+    in one shuffled order from cold skeletons."""
+    assert list(skeleton_mismatches((n,), n)) == []
