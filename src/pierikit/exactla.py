@@ -1059,8 +1059,12 @@ def limit_at_zero(fam: PolyFamily) -> Subspace:
     vanishes there, so the combination is divisible by t; divide out t and
     the content and continue.  Rescaling a column by a nonzero constant
     changes neither its span nor which columns a vanishing combination
-    involves.  The loop must stop because each division strictly drops the
-    t-order of a nonzero maximal minor.
+    involves.  Each division multiplies every maximal minor by a nonzero
+    constant and divides it by t^v, v >= 1, so it drops the least t-order
+    of a nonzero one by at least 1.  That order starts at most D, the sum
+    of the column degrees, which bounds a minor's degree, and the loop
+    stops when it reaches 0.  So D divisions suffice, and one more raises
+    VerificationError: a fault of this routine, not of its input.
 
     Generic rank d is proved from t = 0 first: d columns independent at 0
     have a nonzero d x d minor there, a nonzero polynomial, so the limit is
@@ -1074,7 +1078,8 @@ def limit_at_zero(fam: PolyFamily) -> Subspace:
     if d == 0:
         return zero_subspace(fam.ambient)
     cols = [list(col) for _, _, col in fam._forms]
-    budget = d * (fam.max_degree() + 2) + 8
+    D = sum(deg for _, deg, _ in fam._forms)
+    divisions = 0
     generic = False
     while True:
         ev = [[p[0] if p else 0 for p in col] for col in cols]
@@ -1102,9 +1107,9 @@ def limit_at_zero(fam: PolyFamily) -> Subspace:
             raise VerificationError("combination vanishing at 0 must be divisible by t")
         g = gcd(*[x for p in combo for x in p])
         cols[used[-1]] = [tuple(x // g for x in p[v:]) for p in combo]
-        budget -= 1
-        if budget < 0:
-            raise RuntimeError("limit computation failed to terminate")
+        divisions += 1
+        if divisions > D:
+            raise VerificationError(f"limit computation took more than D = {D} divisions by t")
 
 
 # ----------------------------------------------------------------------

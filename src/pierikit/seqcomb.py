@@ -10,6 +10,7 @@ tree whose root-to-leaf chains drive everything downstream.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from operator import index
 
 from .exactla import Record, VerificationError, _set_field
@@ -116,7 +117,7 @@ def in_pieri_set(a: DecSeq, b: DecSeq, r: int) -> bool:
     return pieri_increment(a, b) == r
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def pieri_set(a: DecSeq, r: int) -> tuple[DecSeq, ...]:
     """All b with b in a*r, lexicographically decreasing.
 
@@ -124,19 +125,35 @@ def pieri_set(a: DecSeq, r: int) -> tuple[DecSeq, ...]:
     at most to just below the one before it, the first to n (past n the
     variety is empty), so every member interlaces with a and is built
     unchecked; trying the largest rise first gives the order.
+
+    The search is output-sensitive.  Entry i may rise by at most its cap
+    c_i, so the entries from i on can take at most room_i = c_i + ... +
+    c_m.  An r above room_1 returns () at once.  At entry i the rise d runs
+    from min(left, c_i) down to max(0, left - room_(i+1)), left being what
+    the earlier entries left over; room_(m+1) = 0, so the last entry takes
+    exactly what is left.  Each such d leaves 0 <= left - d <= room_(i+1),
+    and the range is never empty when 0 <= left <= room_i, so every call
+    of rec ends in at least one member: no branch is dead.
+
+    r must be an integer (anything operator.index takes); a float or a
+    string raises ValueError naming it.  The cache is typed, so 2.0 never
+    reads the entry of 2, and a refusal is never cached.
     """
+    r = _integer(r, "r")
     if r < 0:
         raise ValueError("r must be nonnegative")
     n, entries = a.n, a.entries
     caps = [prev - 1 - x for prev, x in zip((n + 1,) + entries, entries)]
+    rooms = [*accumulate(reversed(caps), initial=0)][::-1]
+    if r > rooms[0]:
+        return ()
     out = []
 
     def rec(i, left, acc):
         if i == len(entries):
-            if left == 0:
-                out.append(DecSeq._trusted(n, tuple(acc)))
+            out.append(DecSeq._trusted(n, tuple(acc)))
             return
-        for d in range(min(left, caps[i]), -1, -1):
+        for d in range(min(left, caps[i]), max(0, left - rooms[i + 1]) - 1, -1):
             acc.append(entries[i] + d)
             rec(i + 1, left - d, acc)
             acc.pop()
@@ -164,8 +181,13 @@ def first_diff_index(a: DecSeq, b: DecSeq) -> int:
     raise VerificationError(f"{b} has no entry above {a}, yet lies in a*{r}")
 
 
+@lru_cache(maxsize=None)
 def dual(a: DecSeq) -> DecSeq:
-    """The sequence (n+1-a_m, ..., n+1-a_1), valid as a is: built unchecked."""
+    """The sequence (n+1-a_m, ..., n+1-a_1), valid as a is: built unchecked.
+
+    Memoized, keyed by a: the counts ask for the dual of each member of a
+    branch set again and again, and a test that counts the builds calls
+    dual.cache_clear() first."""
     return DecSeq._trusted(a.n, tuple([a.n + 1 - x for x in reversed(a.entries)]))
 
 

@@ -22,6 +22,8 @@ from pierikit.exactla import (
     GenericityError,
     PolyFamily,
     VerificationError,
+    family_from_vectors,
+    limit_at_zero,
     span,
     subspace_to_json,
     unit_vector,
@@ -665,13 +667,17 @@ class TestGenericityExit:
         assert pierikit.GenericityError is GenericityError
         assert not issubclass(GenericityError, (ValueError, VerificationError))
 
-    def test_non_termination_stays_usage_exit(self, capsys, monkeypatch, verb_files):
-        def stuck(fam):
-            raise RuntimeError("limit computation failed to terminate")
-        monkeypatch.setattr(cli, "limit_at_zero", stuck)
+    def test_non_termination_is_a_failure_exit(self, capsys, monkeypatch, verb_files):
+        # limit_at_zero's own proof allows it D divisions by t, D the sum of
+        # the column degrees; one more is a fault of the routine, exit 1, not
+        # a usage error: here a budget one short meets e_1, e_1 + t e_2
+        short = ref.source_mutant(limit_at_zero, "if divisions > D:", "if divisions > D - 1:")
+        needs_one = family_from_vectors(2, [[(1,), ()], [(1,), (0, 1)]])
+        monkeypatch.setattr(cli, "limit_at_zero", lambda fam: short(needs_one))
         rc, out, err = run(capsys, *fill(("pencil", "--file", "{M}", "--marked-file", "{Lm}"),
                                           verb_files))
-        assert (rc, out, err) == (2, "", "error: limit computation failed to terminate\n")
+        assert (rc, out) == (1, "")
+        assert err == "failed: limit computation took more than D = 1 divisions by t\n"
 
 
 class TestCellRange:

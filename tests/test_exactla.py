@@ -7,7 +7,7 @@ import random
 from bisect import bisect_left
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
 
 import pytest
@@ -1444,7 +1444,6 @@ def textbook_limit(fam):
     if all(len(textbook_rref(eval_columns(fam, t))[1]) != d for t in range(1, D + 2)):
         raise ValueError(f"family does not have generic rank {d}")
     cols = [list(col) for col in fam.cols]
-    budget = d * (max((len(p) - 1 for col in cols for p in col), default=0) + 2) + 8
     divisions = 0
     while True:
         ev = [[p[0] if p else F(0) for p in col] for col in cols]
@@ -1465,7 +1464,9 @@ def textbook_limit(fam):
         assert v >= 1
         cols[q0] = [p[v:] for p in combo]
         divisions += 1
-        assert divisions <= budget
+        # each division drops the least t-order of a nonzero maximal minor,
+        # at most D to begin with
+        assert divisions <= D
 
 
 def coefficient(rng, kind):
@@ -1552,11 +1553,13 @@ def not_generic(cols, n, rng, multiple):
     return keep + [new], n
 
 
+@lru_cache(maxsize=1)
 def limit_cases():
     """(fam, source, kind) for 300 seeded families: random ones, chains of
     coordinates and pencils, with int, small-Fraction or 100-bit entries;
     most chain and pencil ones twisted, so that the limit takes several
-    divisions by t, and three in ten not generic."""
+    divisions by t, and three in ten not generic.  Built once: the values
+    are frozen, and every test reads the same cases."""
     rng = random.Random(19960109)
     out = []
     for i in range(300):
@@ -1569,7 +1572,7 @@ def limit_cases():
         if i % 10 in (3, 5, 7):
             cols, n = not_generic(cols, n, rng, multiple=i % 10 == 7)
         out.append((family_from_vectors(n, cols), source, kind))
-    return out
+    return tuple(out)
 
 
 def limit_outcome(limit, fam):
@@ -1579,6 +1582,13 @@ def limit_outcome(limit, fam):
         return strs(limit(fam).basis)
     except Exception as exc:
         return type(exc).__name__, str(exc)
+
+
+@lru_cache(maxsize=1)
+def reference_outcomes():
+    """limit_outcome of the reference limit, which searched full-rank
+    points first, on each of limit_cases(), in their order."""
+    return tuple(limit_outcome(step_ref.limit_at_zero, fam) for fam, _, _ in limit_cases())
 
 
 class TestLimitDifferential:
@@ -1603,18 +1613,17 @@ class TestLimitDifferential:
         assert all(count >= 30 for count in seen.values()), seen
 
     def test_against_the_limit_that_searched_full_rank_points_first(self):
-        cases = limit_cases()
-        assert [limit_outcome(limit_at_zero, fam) for fam, _, _ in cases] == [
-            limit_outcome(step_ref.limit_at_zero, fam) for fam, _, _ in cases]
+        assert [limit_outcome(limit_at_zero, fam) for fam, _, _ in limit_cases()] == list(
+            reference_outcomes())
 
     def test_independent_at_zero_evaluates_no_point(self, monkeypatch):
         """d columns independent at t = 0 prove generic rank d: the limit
         is the fibre there, with no full-rank point looked for."""
-        cases = [fam for fam, _, _ in limit_cases()
-                 if rank(eval_columns(fam, 0)) == fam.ncols]
-        want = [limit_outcome(step_ref.limit_at_zero, fam) for fam in cases]
+        cases, want = zip(*[(fam, outcome) for (fam, _, _), outcome
+                            in zip(limit_cases(), reference_outcomes())
+                            if rank(eval_columns(fam, 0)) == fam.ncols])
         monkeypatch.setattr(PolyFamily, "full_rank_points", forbid_call)
-        assert [limit_outcome(limit_at_zero, fam) for fam in cases] == want
+        assert tuple(limit_outcome(limit_at_zero, fam) for fam in cases) == want
         assert len(cases) >= 30 and all(isinstance(w, list) for w in want)
 
     def test_limit_without_the_generic_rank_check_fails(self):
@@ -1622,11 +1631,50 @@ class TestLimitDifferential:
         generic raises the generic-rank ValueError any more."""
         mutant = ref.source_mutant(
             limit_at_zero, "if next(fam.full_rank_points(), None) is None:", "if False:")
-        refused = [fam for fam, _, _ in limit_cases()
-                   if isinstance(limit_outcome(step_ref.limit_at_zero, fam), tuple)]
+        refused = [fam for (fam, _, _), outcome in zip(limit_cases(), reference_outcomes())
+                   if isinstance(outcome, tuple)]
         assert len(refused) >= 30
         assert all(limit_outcome(mutant, fam) != limit_outcome(limit_at_zero, fam)
                    for fam in refused)
+
+
+def t_power(n, i, k):
+    """t^k e_i in k^n as a column of Polys."""
+    return [(0,) * k + (1,) if j == i else () for j in range(1, n + 1)]
+
+
+def t_sum(*columns):
+    return [reduce(t_add, entries) for entries in zip(*columns)]
+
+
+def exact_budget_families():
+    """(name, family) for families whose limit takes exactly D divisions by
+    t: the staircase with columns e_1 + t e_2 + ... + t^(j-1) e_j, and the
+    chain e_1, e_1 + t e_2, e_2 + t e_3, ..., at k = 2..5; at k = 2 both
+    are e_1, e_1 + t e_2."""
+    for k in range(2, 6):
+        yield f"staircase {k}", family_from_vectors(k, [
+            t_sum(*[t_power(k, i, i - 1) for i in range(1, j + 1)]) for j in range(1, k + 1)])
+        yield f"chain {k}", family_from_vectors(k, [t_power(k, 1, 0)] + [
+            t_sum(t_power(k, j - 1, 0), t_power(k, j, 1)) for j in range(2, k + 1)])
+
+
+class TestLimitBudget:
+    """limit_at_zero stops after D divisions, D the sum of the column
+    degrees, by its own proof: one more is a VerificationError."""
+
+    @pytest.mark.parametrize("name, fam", exact_budget_families(),
+                             ids=[name for name, _ in exact_budget_families()])
+    def test_family_needing_exactly_d_divisions(self, name, fam):
+        k = fam.ambient
+        D = sum(deg for _, deg, _ in fam._forms)
+        assert D == (k * (k - 1) // 2 if name.startswith("staircase") else k - 1)
+        assert limit_at_zero(fam) == full_space(k)
+        assert textbook_limit(fam)[1] == D
+        short = ref.source_mutant(limit_at_zero, "if divisions > D:", "if divisions > D - 1:")
+        with pytest.raises(VerificationError, match=f"^limit computation took more than "
+                                                    f"D = {D} divisions by t$"):
+            short(fam)
 
 
 # ----------------------------------------------------------------------

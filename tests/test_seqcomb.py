@@ -6,6 +6,8 @@ library, and the small frozen cases were computed from it.
 """
 
 import itertools
+import os
+import sys
 
 import pytest
 
@@ -166,6 +168,134 @@ class TestPieriSet:
         assert pieri_increment(a, DecSeq(9, (8, 8, 1) if False else (9, 8, 1))) is None
         assert pieri_increment(DecSeq(4, (3, 1)), DecSeq(4, (2, 1))) is None
 
+    @pytest.mark.parametrize("r", [1.5, 2.0, "1", None])
+    def test_non_integer_r_is_refused(self, r):
+        """A float or a string r is neither truncated nor compared: it
+        raises ValueError naming it, also after the integer r it equals has
+        been cached, and the refusal is never cached."""
+        a = DecSeq(9, (7, 4, 1))
+        pieri_set(a, 2)
+        size = pieri_set.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^r must be an integer, got {r!r}$"):
+                pieri_set(a, r)
+        assert pieri_set.cache_info().currsize == size
+        # above room_1 = 6 the float is refused, not read as empty
+        with pytest.raises(ValueError, match=r"got 7\.0$"):
+            pieri_set(a, 7.0)
+
+    def test_integer_likes_are_read_as_int(self):
+        a = DecSeq(9, (7, 4, 1))
+        assert pieri_set(a, True) == pieri_set(a, 1)
+        assert pieri_set(a, False) == (a,)
+
+
+def recursive_pieri_set(a: DecSeq, r: int) -> tuple[DecSeq, ...]:
+    """pieri_set as it was before its search was pruned: every rise up to
+    the entry's cap at every level, a sequence kept only if it used up r
+    exactly, most branches dying at the last level."""
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    n, entries = a.n, a.entries
+    caps = [prev - 1 - x for prev, x in zip((n + 1,) + entries, entries)]
+    out = []
+
+    def rec(i, left, acc):
+        if i == len(entries):
+            if left == 0:
+                out.append(DecSeq(n, tuple(acc)))
+            return
+        for d in range(min(left, caps[i]), -1, -1):
+            acc.append(entries[i] + d)
+            rec(i + 1, left - d, acc)
+            acc.pop()
+
+    rec(0, r, [])
+    return tuple(out)
+
+
+def interlacing_sets(n: int, m: int):
+    """(a, {r: a*r}) for every a with these n and m: every decreasing
+    m-sequence g, taken lexicographically decreasing, bucketed by
+    pieri_increment(a, g)."""
+    seqs = [DecSeq(n, e) for e in itertools.combinations(range(n, 0, -1), m)]
+    for a in seqs:
+        buckets = {}
+        for g in seqs:
+            r = pieri_increment(a, g)
+            if r is not None:
+                buckets.setdefault(r, []).append(g)
+        yield a, {r: tuple(members) for r, members in buckets.items()}
+
+
+def pieri_set_mismatches(fn, sizes, recursive=True):
+    """(pairs, mismatches): every (a, r) with n in sizes and
+    0 <= r <= m(n-m)+1, and those where fn(a, r) differs, as a tuple with
+    its order, from the interlacing buckets or from recursive_pieri_set."""
+    pairs, bad = 0, []
+    for n in sizes:
+        for m in range(n + 1):
+            for a, buckets in interlacing_sets(n, m):
+                for r in range(m * (n - m) + 2):
+                    got, want = fn(a, r), buckets.get(r, ())
+                    if got != want or (recursive and got != recursive_pieri_set(a, r)):
+                        bad.append((a, r))
+                    pairs += 1
+    return pairs, bad
+
+
+# the pruned bounds, each moved by one: too high a floor drops members,
+# too low a floor lets the last entry rise past its cap or leave r unused,
+# and the early return one short drops a's top member
+PRUNING_MUTANTS = {
+    "floor one too high": ("max(0, left - rooms[i + 1]) - 1", "max(0, left - rooms[i + 1])"),
+    "floor one too low": ("max(0, left - rooms[i + 1]) - 1", "max(0, left - rooms[i + 1]) - 2"),
+    "early return off by one": ("if r > rooms[0]:", "if r >= rooms[0]:"),
+}
+
+
+class TestPieriSetDifferential:
+    """The pruned pieri_set against the recursion it replaced and against
+    the interlacing definition, as tuples, order included."""
+
+    def test_every_pair_to_n10(self):
+        pairs, bad = pieri_set_mismatches(seqcomb.pieri_set.__wrapped__, range(1, 11))
+        assert (pairs, bad) == (41978, [])
+
+    @pytest.mark.skipif(os.environ.get("PIERIKIT_SLOW") != "1",
+                        reason="n = 11, 12 branch sets; set PIERIKIT_SLOW=1 to run them")
+    def test_pieri_set_differential_n11_12(self):
+        pairs, bad = pieri_set_mismatches(seqcomb.pieri_set.__wrapped__, (11, 12))
+        assert (pairs, bad) == (245754 - 41978, [])
+
+    @pytest.mark.parametrize("old, new", PRUNING_MUTANTS.values(), ids=PRUNING_MUTANTS)
+    def test_pruning_mutant_fails(self, old, new):
+        mutant = source_mutant(seqcomb.pieri_set.__wrapped__, old, new).__wrapped__
+        assert len(pieri_set_mismatches(mutant, range(1, 7), recursive=False)[1]) >= 20
+
+    def test_pruned_search_has_no_dead_branch(self):
+        """Every call of rec ends in a member: on every pair to n = 7 the
+        calls are the nodes of the members' prefix tree, one per prefix."""
+        rec = next(c for c in seqcomb.pieri_set.__wrapped__.__code__.co_consts
+                   if getattr(c, "co_name", None) == "rec")
+        calls, prefixes = [0], set()
+
+        def count(frame, event, arg):
+            calls[0] += event == "call" and frame.f_code is rec
+
+        for n in range(1, 8):
+            for m in range(n + 1):
+                for a in all_seqs(n, m):
+                    for r in range(m * (n - m) + 2):
+                        sys.setprofile(count)
+                        try:
+                            members = seqcomb.pieri_set.__wrapped__(a, r)
+                        finally:
+                            sys.setprofile(None)
+                        prefixes.update((a, r, b.entries[:k])
+                                        for b in members for k in range(b.m + 1))
+        assert calls[0] == len(prefixes) == 3631
+
 
 def depth(a):
     """The last r with a*r nonempty: the sum of the interlacing gaps."""
@@ -198,6 +328,7 @@ class TestTrustedSequences:
         assert (built, refused) == (members, 0) and members == 986
 
     def test_duals(self, monkeypatch):
+        dual.cache_clear()
         built, refused = trusted_refusals(
             monkeypatch, DecSeq, lambda: [dual(a) for a in SEQS_TO_SEVEN])
         assert (built, refused) == (254, 0)
